@@ -21,12 +21,13 @@ import numpy as np
 
 from . import pinn
 from .control import MODES, ControlConfig
-from .experiments import (DEFAULT_KF_GAINS, default_friction_nets,
-                          generate_friction_dataset, make_disturbance_scenario,
-                          make_object_scenario, render_table, run_scenario,
-                          sweep_modes)
+from .experiments import (DEFAULT_KF_GAINS, check_sample_rate,
+                          default_friction_nets, generate_friction_dataset,
+                          make_disturbance_scenario, make_object_scenario,
+                          render_table, run_scenario, sweep_modes)
 from .ga import GaConfig, tune_kf
 from .kf import encoder_lsb, save_gains
+from .model import ModelError
 from .plant import Plant, ScenarioConfig
 
 
@@ -93,7 +94,13 @@ def _load_scenario(spec, seed):
     with open(spec, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     d["seed"] = seed
-    return ScenarioConfig.from_dict(d)
+    try:
+        scenario = ScenarioConfig.from_dict(d)
+        check_sample_rate(scenario)
+        Plant(scenario)  # checks the model, frames and object events
+    except (ModelError, OSError, TypeError, ValueError) as exc:
+        raise SystemExit(f"scenario file {spec} rejected: {exc}") from None
+    return scenario
 
 
 def _resolve_nets(args, scenario, modes):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (compute_dynamics_terms, com_position, com_velocity,
-                       generalized_rnea)
+                       forward_pass, generalized_rnea)
 from .spatial import log_so3
 
 MODES = ("Feedforward", "RNEA-NoComp", "UKF-NoComp", "Feedforward-PINN",
@@ -72,10 +72,11 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     """
     if len(contact_frames) == 0:
         raise RuntimeError("controller inactive: no feet in contact")
+    fp = forward_pass(model, base_pose, s, nu)
     terms = compute_dynamics_terms(model, base_pose, s, nu,
-                                   contact_frames=tuple(contact_frames))
-    com = com_position(model, base_pose, s)
-    com_vel = com_velocity(model, base_pose, s, nu)
+                                   contact_frames=tuple(contact_frames), fp=fp)
+    com = com_position(model, base_pose, s, fp=fp)
+    com_vel = com_velocity(model, base_pose, s, nu, fp=fp)
 
     # desired net wrench change on the base rows, base frame
     acc_world = (np.asarray(com_acc_ref, float)

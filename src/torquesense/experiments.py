@@ -69,6 +69,19 @@ class OnlineKf:
 DEFAULT_KF_GAINS = {"q_accel": 1e-3, "q_jerk": 200.0}
 
 
+def check_sample_rate(scenario):
+    """Raise ValueError unless the plant samples its sensors every step.
+
+    The estimators and the torque loop read a sensor bundle after every
+    plant step.
+    """
+    if not np.isclose(scenario.step * scenario.sensor_rate, 1.0):
+        raise ValueError(
+            f"step ({scenario.step} s) must equal 1/sensor_rate "
+            f"({1.0 / scenario.sensor_rate} s): the loop reads a sensor "
+            f"sample after every plant step")
+
+
 def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
                               joint=0, current_amp=0.35):
     """Excitation run producing a friction-identification log.
@@ -82,6 +95,7 @@ def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
     if scenario is None:
         scenario = ScenarioConfig(step=1e-3, duration=duration, seed=seed,
                                   lock_base=True)
+    check_sample_rate(scenario)
     plant = Plant(scenario)
     st = plant.initial_state()
     st.base_pos[2] = 2.0  # feet clear of the ground
@@ -171,6 +185,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     is given, the run CSV, report JSON and a metrics CSV row are
     written there under `label`.
     """
+    check_sample_rate(scenario)
     plant = Plant(scenario)
     model = plant.model
     n = plant.n
@@ -488,12 +503,16 @@ def make_disturbance_scenario(seed=0, duration=6.0, n_events=None):
 
     Pushes hit the torso frame (not instrumented by any FT sensor) with
     magnitude 10-40 N, duration 0.1-0.3 s, 4-8 events, all drawn from
-    the seed.
+    the seed.  Pushes start between 1.0 s and 0.6 s before the end, so
+    `duration` must be at least 1.6 s.
     """
+    t_lo, t_hi = 1.0, duration - 0.6
+    if t_hi < t_lo:
+        raise ValueError(f"disturbance scenario duration must be at least "
+                         f"1.6 s, got {duration}")
     rng = np.random.default_rng((seed, 777))
     count = int(rng.integers(4, 9)) if n_events is None else n_events
     disturbances = []
-    t_lo, t_hi = 1.0, duration - 0.6
     times = np.sort(rng.uniform(t_lo, t_hi, size=count))
     for time in times:
         mag = rng.uniform(10.0, 40.0)

@@ -8,6 +8,7 @@ Gaussian noise.  Runs are bitwise reproducible for a fixed scenario
 configuration (including the seed).
 """
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -15,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .dynamics import (coriolis_bias, crba, forward_kinematics, joint_transforms,
-                       link_states, mechanical_energy)
+from .dynamics import crba, forward_pass, joint_transforms, mechanical_energy
 from .friction import MotorParams, ScvParams, scv_friction
 from .model import FrameError, parse_model
-from .spatial import Transform, cross3, exp_so3
+from .spatial import Transform, batch_cross, cross3, exp_so3
 
 
 class SimulationDiverged(RuntimeError):
@@ -121,22 +121,18 @@ class ScenarioConfig:
         # partial overrides merge over the built-in defaults
         self.noise = {**_DEFAULT_NOISE, **self.noise}
         self.contact = {**_DEFAULT_CONTACT, **self.contact}
+        # events may come in their JSON form
+        self.disturbances = [Disturbance(**x) if isinstance(x, dict) else x
+                             for x in self.disturbances]
+        self.object_events = [_object_event_from_dict(x) if isinstance(x, dict) else x
+                              for x in self.object_events]
 
     def to_dict(self):
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["disturbances"] = [vars(x) if isinstance(x, Disturbance) else x
-                             for x in self.disturbances]
-        d["object_events"] = [vars(x) if isinstance(x, ObjectEvent) else x
-                              for x in self.object_events]
-        return d
+        """A deep copy of the config as plain JSON-ready containers."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["disturbances"] = [Disturbance(**x) if isinstance(x, dict) else x
-                             for x in d.get("disturbances", [])]
-        d["object_events"] = [_object_event_from_dict(x) if isinstance(x, dict) else x
-                              for x in d.get("object_events", [])]
         return cls(**d)
 
     def config_hash(self):
@@ -249,6 +245,15 @@ class Plant:
         self.sole_frames = [f for f in ("left_sole", "right_sole") if f in self.model.sensor_frames]
         self.ft_frames = [f for f in ("left_foot_ft", "right_foot_ft") if f in self.model.sensor_frames]
         self.imu_frames = [f for f in ("waist_imu",) if f in self.model.sensor_frames]
+        # sole frames and their corners (homogeneous columns) in the foot
+        # link frames, for the contact kernel
+        soles = [self.model.frame(f) for f in self.sole_frames]
+        self._sole_links = np.array([idx for idx, _ in soles], dtype=np.intp)
+        self._sole_offsets = np.array(
+            [offset.homogeneous() for _, offset in soles]).reshape(-1, 4, 4)
+        corners = np.vstack([models.FOOT_CORNERS.T,
+                             np.ones(len(models.FOOT_CORNERS))])
+        self._corners = self._sole_offsets @ corners
 
         self.disturbances = list(config.disturbances)
         self.object_events = sorted(config.object_events, key=lambda e: e.time)
@@ -304,18 +309,21 @@ class Plant:
                 present[ev.frame] = False
 
     def ground_height(self, foot_frame, t, x_local=0.0):
-        """Ground height under one sole corner at `x_local` (sole frame)."""
-        h = 0.0
+        """Ground height under sole points at sole-frame x `x_local`.
+
+        `x_local` may be a scalar or an array; the result has its shape.
+        """
+        x = np.asarray(x_local, dtype=float)
+        h = np.zeros(x.shape)
         for ev in self.object_events:
             if ev.frame != foot_frame or ev.time > t:
                 continue
             if ev.action == "insert":
-                if ev.region == "front" and x_local <= 0.0:
-                    continue
                 frac = 1.0 if ev.ramp <= 0.0 else min(1.0, (t - ev.time) / ev.ramp)
-                h = frac * ev.height
+                under = x > 0.0 if ev.region == "front" else True
+                h = np.where(under, frac * ev.height, h)
             else:
-                h = 0.0
+                h = np.zeros(x.shape)
         return h
 
     # ------------------------------------------------------------------ state
@@ -347,8 +355,7 @@ class Plant:
         # stays exact
         _, info = self._derivative(0.0, self._pack(state), state.base_R,
                                    np.zeros(n), {})
-        state.contact_anchors = self._advance_anchors(
-            0.0, info["world"], info["vels"], {})
+        state.contact_anchors = self._advance_anchors(info["corners"], {})
         self._apply_info(state, info)
         return state
 
@@ -370,8 +377,8 @@ class Plant:
 
     # ------------------------------------------------------------------ forces
 
-    def _contact_wrenches(self, t, world, vels, anchors):
-        """Per-sole contact wrench (sole frame) from corner penalty springs.
+    def _contacts(self, t, fp, anchors):
+        """Penalty forces at all sole corners, from one forward pass.
 
         Normal force is a one-sided spring-damper on penetration.
         Tangential force is a stick spring toward a per-corner anchor
@@ -379,91 +386,89 @@ class Plant:
         anchors are state, held fixed during a step (see `step`).
         Without the stick spring a stationary foot could transmit no
         lateral force at all and the stance would behave like ice.
+
+        Returns the wrench of every sole in contact (sole frame, about
+        the sole origin, as the FT sensors read it), the (n_links, 6)
+        world-origin wrenches on the links, and the corner arrays that
+        `_advance_anchors` reads.
         """
         cfg = self.config.contact
-        out = {}
-        for frame in self.sole_frames:
-            idx, offset = self.model.frame(frame)
-            H = world[idx] * offset
-            v_link = vels[idx]
-            F_tot = np.zeros(3)
-            N_tot = np.zeros(3)
-            for ci, corner in enumerate(models.FOOT_CORNERS):
-                c_link = offset.apply(corner)
-                p_w = world[idx].apply(c_link)
-                pen = self.ground_height(frame, t, corner[0]) - p_w[2]
-                if pen <= 0.0:
-                    continue
-                v_w = world[idx].R @ (v_link[:3] + cross3(v_link[3:], c_link))
-                fz = cfg["stiffness"] * pen - cfg["damping"] * v_w[2]
-                if fz <= 0.0:
-                    continue
-                anchor = anchors.get((frame, ci))
-                ft = -cfg["tangential_damping"] * v_w[:2]
-                if anchor is not None and cfg["tangential_stiffness"] > 0.0:
-                    ft = ft - cfg["tangential_stiffness"] * (p_w[:2] - anchor)
-                ft_mag = np.hypot(ft[0], ft[1])
-                limit = cfg["mu"] * fz
-                if ft_mag > limit:
-                    ft = ft * (limit / ft_mag)
-                F = np.array([ft[0], ft[1], fz])
-                F_tot += F
-                N_tot += cross3(p_w - H.p, F)
-            if F_tot @ F_tot > 0.0 or N_tot @ N_tot > 0.0:
-                out[frame] = np.concatenate([H.R.T @ F_tot, H.R.T @ N_tot])
-        return out
+        H = fp.H[self._sole_links]
+        # corner world positions (sole, corner, xyz) and velocities
+        P = (H @ self._corners)[:, :3].transpose(0, 2, 1)
+        v = fp.v[self._sole_links][:, None, :]
+        V = v[..., :3] + batch_cross(v[..., 3:], P)
+        ground = np.zeros(P.shape[:2])
+        if self.object_events:
+            ground[:] = [self.ground_height(f, t, models.FOOT_CORNERS[:, 0])
+                         for f in self.sole_frames]
+        pen = ground - P[..., 2]
+        fz = cfg["stiffness"] * pen - cfg["damping"] * V[..., 2]
+        touch = (pen > 0.0) & (fz > 0.0)
+        ft = -cfg["tangential_damping"] * V[..., :2]
+        if anchors:
+            # corners without an anchor get a zero-length spring
+            anchor = P[..., :2].copy()
+            for (frame, ci), a in anchors.items():
+                anchor[self.sole_frames.index(frame), ci] = a
+            ft -= cfg["tangential_stiffness"] * (P[..., :2] - anchor)
+        ft_mag = np.hypot(ft[..., 0], ft[..., 1])
+        limit = cfg["mu"] * fz
+        slip = touch & (ft_mag > limit)
+        if slip.any():
+            ft[slip] *= (limit[slip] / ft_mag[slip])[:, None]
+        F = np.where(touch[..., None],
+                     np.concatenate([ft, fz[..., None]], axis=-1), 0.0)
 
-    def _advance_anchors(self, t, world, vels, anchors):
-        """Next-step stick anchors from the accepted end-of-step state.
+        sole = H @ self._sole_offsets
+        R, origin = sole[:, :3, :3], sole[:, :3, 3]
+        force = F.sum(axis=1)
+        moment = batch_cross(P - origin[:, None], F).sum(axis=1)
+        wrenches = np.zeros((len(fp.H), 6))
+        wrenches[self._sole_links, :3] = force
+        wrenches[self._sole_links, 3:] = moment + batch_cross(origin, force)
+        # R^T f as f^T R, row by row
+        local = np.concatenate([force[:, None] @ R, moment[:, None] @ R],
+                               axis=-1)[:, 0]
+        contacts = {f: local[i] for i, f in enumerate(self.sole_frames)
+                    if touch[i].any()}
+        return contacts, wrenches, (P, ft, touch, slip)
 
-        New contacts anchor at the touchdown point; corners whose stick
-        force exceeds the friction cone slip, dragging the anchor so the
-        spring alone carries exactly the cone-limited force; separated
-        corners lose their anchor.
+    def _advance_anchors(self, corners, anchors):
+        """Next-step stick anchors from the accepted end-of-step corners.
+
+        `corners` is the corner state `_contacts` returned for that
+        evaluation.  New contacts anchor at the touchdown point; corners
+        whose stick force exceeds the friction cone slip, dragging the
+        anchor so the spring alone carries exactly the cone-limited
+        force; separated corners lose their anchor.
         """
-        cfg = self.config.contact
-        kt = cfg["tangential_stiffness"]
+        kt = self.config.contact["tangential_stiffness"]
         if kt <= 0.0:
             return {}
+        P, ft, touch, slip = corners
         new = {}
-        for frame in self.sole_frames:
-            idx, offset = self.model.frame(frame)
-            v_link = vels[idx]
-            for ci, corner in enumerate(models.FOOT_CORNERS):
-                c_link = offset.apply(corner)
-                p_w = world[idx].apply(c_link)
-                pen = self.ground_height(frame, t, corner[0]) - p_w[2]
-                if pen <= 0.0:
-                    continue
-                v_w = world[idx].R @ (v_link[:3] + cross3(v_link[3:], c_link))
-                fz = cfg["stiffness"] * pen - cfg["damping"] * v_w[2]
-                if fz <= 0.0:
-                    continue
-                anchor = anchors.get((frame, ci))
-                if anchor is None:
-                    new[(frame, ci)] = p_w[:2].copy()
-                    continue
-                ft = -cfg["tangential_damping"] * v_w[:2] \
-                    - kt * (p_w[:2] - anchor)
-                ft_mag = np.hypot(ft[0], ft[1])
-                limit = cfg["mu"] * fz
-                if ft_mag > limit:
-                    ft = ft * (limit / ft_mag)
-                    anchor = p_w[:2] + ft / kt
-                new[(frame, ci)] = anchor
+        for i, ci in zip(*np.nonzero(touch)):
+            key = (self.sole_frames[i], int(ci))
+            anchor = anchors.get(key)
+            if anchor is None:
+                new[key] = P[i, ci, :2].copy()
+            elif slip[i, ci]:
+                new[key] = P[i, ci, :2] + ft[i, ci] / kt
+            else:
+                new[key] = anchor
         return new
 
-    def _disturbance_wrenches(self, t, world):
-        out = []
+    def _add_disturbances(self, t, fp, wrenches):
+        """Add the active disturbances to the world-origin link wrenches."""
         for ev in self.disturbances:
             if not (ev.time <= t < ev.time + ev.duration):
                 continue
-            idx, offset = self.model.frame(ev.frame)
-            H = world[idx] * offset
-            w = np.concatenate([H.R.T @ np.asarray(ev.force, dtype=float),
-                                H.R.T @ np.asarray(ev.torque, dtype=float)])
-            out.append((ev.frame, w))
-        return out
+            idx, H = fp.frame_pose(ev.frame)
+            force = np.asarray(ev.force, dtype=float)
+            wrenches[idx, :3] += force
+            wrenches[idx, 3:] += (np.asarray(ev.torque, dtype=float)
+                                  + cross3(H[:3, 3], force))
 
     # ------------------------------------------------------------------ dynamics
 
@@ -480,13 +485,11 @@ class Plant:
         R = R0 @ exp_so3(dlt)
         base_pose = Transform(R, p)
 
-        Xs = joint_transforms(self.model, s)
         nu = np.concatenate([twist, sdot])
-        world, vels = link_states(self.model, base_pose, s, nu, Xs=Xs)
-
-        contacts = self._contact_wrenches(t, world, vels, anchors)
-        wrenches = [(f, w) for f, w in contacts.items()]
-        wrenches += self._disturbance_wrenches(t, world)
+        fp = forward_pass(self.model, base_pose, s, nu,
+                          Xs=joint_transforms(self.model, s))
+        contacts, wrenches, corners = self._contacts(t, fp, anchors)
+        self._add_disturbances(t, fp, wrenches)
 
         motor_torque = self.reduction * self.k_t * currents
         if self.config.elastic_transmission:
@@ -498,19 +501,17 @@ class Plant:
             tau = motor_torque - tau_f
             phidd = None  # rigid transmission: motor states mirror the joint
 
+        M = crba(self.model, s, fp=fp)
+        c = fp.inverse_dynamics(None, wrenches)
         if self.config.lock_base:
-            M = crba(self.model, s, Xs=Xs)
             a_static = np.zeros(self.model.nv)
             a_static[:3] = -R.T @ self.model.gravity
-            c = coriolis_bias(self.model, base_pose, s, nu, wrenches, Xs=Xs)
             # base held: joint rows of M a + c = tau with base accel fixed static
             rhs = tau - c[6:] - M[6:, :6] @ a_static[:6]
             sdd = np.linalg.solve(M[6:, 6:], rhs)
             a_prop = np.concatenate([a_static[:6], sdd])
             base_acc_coord = np.zeros(6)
         else:
-            M = crba(self.model, s, Xs=Xs)
-            c = coriolis_bias(self.model, base_pose, s, nu, wrenches, Xs=Xs)
             rhs = -c
             rhs[6:] += tau
             a_prop = np.linalg.solve(M, rhs)
@@ -536,7 +537,7 @@ class Plant:
             "tau": tau, "tau_friction": tau_f, "contacts": contacts,
             "base_prop_acc": a_prop[:6], "joint_acc": sdd,
             "motor_acc": (phidd if phidd is not None else sdd) * self.reduction,
-            "world": world, "vels": vels, "currents": currents,
+            "pass": fp, "corners": corners, "currents": currents,
         }
         return ydot, info
 
@@ -547,10 +548,7 @@ class Plant:
         state.base_prop_acc = info["base_prop_acc"]
         state.joint_acc = info["joint_acc"]
         state.motor_acc = info["motor_acc"]
-        com = np.zeros(3)
-        for link, H in zip(self.model.links, info["world"]):
-            com += link.mass * H.apply(link.com)
-        state.com = com / self.model.total_mass
+        state.com = info["pass"].com_position()
         state._info = info
 
     # ------------------------------------------------------------------ stepping
@@ -590,7 +588,7 @@ class Plant:
         )
         _, info = self._derivative(new.t, self._pack(new), R_new, currents,
                                    anchors)
-        nxt = self._advance_anchors(new.t, info["world"], info["vels"], anchors)
+        nxt = self._advance_anchors(info["corners"], anchors)
         same = nxt.keys() == anchors.keys() and all(
             a is anchors[k] for k, a in nxt.items())
         if not same:

@@ -148,3 +148,17 @@ def spatial_inertia(mass, com, inertia_com):
     I[3:, :3] = mass * C
     I[3:, 3:] = inertia_com + mass * (C @ C.T)
     return I
+
+
+# _SKEW_BASIS[j] = skew(e_j), flattened: v @ _SKEW_BASIS stacks skew(v)
+_SKEW_BASIS = np.array([skew(e) for e in np.eye(3)]).reshape(3, 9)
+
+
+def batch_skew(v):
+    """Skew-symmetric matrices of stacked 3-vectors, (..., 3) -> (..., 3, 3)."""
+    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
+
+
+def batch_cross(a, b):
+    """Cross products of stacked 3-vectors along the last axis (broadcasting)."""
+    return (batch_skew(a) @ b[..., None])[..., 0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import coriolis_bias, crba, frame_jacobian, joint_transforms
+from .dynamics import coriolis_bias, crba, forward_pass, frame_jacobian
 from .spatial import Transform, cross3, exp_so3
 
 
@@ -171,16 +171,16 @@ class TorqueUkf:
         model = self.model
         cfg = self.config
         base_pose = Transform(base_R, np.zeros(3))
-        Xs = joint_transforms(model, s)
         omega = mean[self.slices["omega"]]
         nu = np.concatenate([self.base_lin_vel, omega, mean[self.slices["sdot"]]])
-        M = crba(model, s, Xs=Xs)
+        fp = forward_pass(model, base_pose, s, nu)
+        M = crba(model, s, fp=fp)
         Ms = M[6:, 6:]
         Msb = M[6:, :6]
-        C = coriolis_bias(model, base_pose, s, nu, Xs=Xs)[6:]
+        C = coriolis_bias(model, base_pose, s, nu, fp=fp)[6:]
         jac = {}
         for name in tuple(cfg.ft_frames) + (cfg.ext_frame,):
-            jac[name] = frame_jacobian(model, base_pose, s, name)[:, 6:]
+            jac[name] = frame_jacobian(model, base_pose, s, name, fp=fp)[:, 6:]
         Minv = np.linalg.inv(Ms)
         return {"Minv": Minv, "Msb": Msb, "C": C, "jac": jac, "omega": omega}
 

@@ -19,13 +19,14 @@ from torquesense.dynamics import (
     frame_jacobian,
     frame_transform,
     generalized_rnea,
-    link_states,
     mechanical_energy,
     rnea,
 )
 from torquesense.model import parse_model
 from torquesense.models import desk_biped, pendulum_urdf, two_link_arm_urdf
 from torquesense.spatial import Transform, exp_so3, log_so3, transform_motion_inv
+
+from reference_dynamics import link_states
 
 
 def static_accel(model, base_pose):

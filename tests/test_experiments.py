@@ -194,3 +194,21 @@ def test_friction_dataset_shapes_and_determinism():
     # friction opposes the motion most of the time
     moving = np.abs(jv1) > 0.2
     assert np.mean(np.sign(fr1[moving]) == np.sign(jv1[moving])) > 0.9
+
+
+def test_disturbance_scenario_minimum_duration():
+    with pytest.raises(ValueError, match="at least 1.6 s"):
+        make_disturbance_scenario(duration=1.5)
+    s = make_disturbance_scenario(seed=4, duration=1.6)
+    assert all(d.time == 1.0 for d in s.disturbances)
+
+
+@pytest.mark.parametrize("step", [5e-4, 2e-3])
+def test_step_must_match_sensor_rate(step):
+    scenario = ScenarioConfig(step=step, duration=0.01)
+    message = rf"step \({step} s\).*sensor_rate"
+    with pytest.raises(ValueError, match=message):
+        run_scenario(scenario, ControlConfig(mode="Feedforward"))
+    locked = ScenarioConfig(step=step, lock_base=True)
+    with pytest.raises(ValueError, match=message):
+        generate_friction_dataset(scenario=locked, duration=0.01)

@@ -252,3 +252,32 @@ def test_partial_config_overrides_merge_with_defaults():
     assert cfg.noise["joint_encoder_bits"] == 12      # default preserved
     assert cfg.contact["mu"] == 0.8
     assert cfg.contact["stiffness"] == 2.0e4
+
+
+def test_dict_events_are_converted_at_construction():
+    cfg = ScenarioConfig(
+        disturbances=[{"time": 0.0, "duration": 0.01, "frame": "torso_push",
+                       "force": (0.0, 20.0, 0.0)}],
+        object_events=[{"time": 0.0, "foot": "right_sole", "height": 0.01,
+                        "action": "insert"}])
+    assert isinstance(cfg.disturbances[0], Disturbance)
+    assert isinstance(cfg.object_events[0], ObjectEvent)
+    assert cfg.object_events[0].frame == "right_sole"
+    plant = Plant(cfg)
+    state = plant.initial_state()
+    for _ in range(5):
+        state, _ = plant.step(state, np.zeros(plant.n))
+    assert np.all(np.isfinite(state.s))
+
+
+def test_to_dict_is_a_copy():
+    cfg = ScenarioConfig(
+        disturbances=[Disturbance(1.0, 0.2, "torso_push", (0, 10, 0))],
+        object_events=[ObjectEvent(1.0, "right_sole", 0.03, "insert")])
+    d = cfg.to_dict()
+    d["object_events"][0]["height"] = 9.0
+    d["disturbances"][0]["time"] = 2.0
+    d["noise"]["current_std"] = 1.0
+    assert cfg.object_events[0].height == 0.03
+    assert cfg.disturbances[0].time == 1.0
+    assert cfg.noise["current_std"] == 0.005
