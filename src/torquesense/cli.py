@@ -21,8 +21,8 @@ import numpy as np
 
 from . import pinn
 from .control import MODES, ControlConfig
-from .experiments import (DEFAULT_KF_GAINS, check_sample_rate,
-                          default_friction_nets, generate_friction_dataset,
+from .experiments import (DEFAULT_KF_GAINS, default_friction_nets,
+                          generate_friction_dataset,
                           make_disturbance_scenario, make_object_scenario,
                           render_table, run_scenario, sweep_modes)
 from .ga import GaConfig, tune_kf
@@ -96,8 +96,7 @@ def _load_scenario(spec, seed):
     d["seed"] = seed
     try:
         scenario = ScenarioConfig.from_dict(d)
-        check_sample_rate(scenario)
-        Plant(scenario)  # checks the model, frames and object events
+        Plant(scenario)  # checks model, frames and object events
     except (ModelError, OSError, TypeError, ValueError) as exc:
         raise SystemExit(f"scenario file {spec} rejected: {exc}") from None
     return scenario

@@ -18,9 +18,8 @@ import numpy as np
 from . import pinn
 from .control import (ControlConfig, MODES, PositionPD, RateScheduler,
                       TorquePI, high_level_balancer, rnea_torque_feedback)
-from .dynamics import com_position
 from .friction import ScvParams
-from .kf import encoder_lsb, process_noise, quantization_variance, transition_matrix
+from .kf import _gain_schedule, encoder_lsb, process_noise, quantization_variance
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
                     SimulationDiverged)
 from .spatial import Transform, cross3
@@ -36,21 +35,8 @@ class OnlineKf:
     """
 
     def __init__(self, dt, lsb, q_accel, q_jerk, x0=0.0):
-        F = transition_matrix(dt)
-        Q = process_noise(dt, q_accel, q_jerk)
-        r = quantization_variance(lsb)
-        P = np.diag([r, 1.0, 10.0])
-        K = np.zeros(3)
-        for _ in range(20000):
-            P = F @ P @ F.T + Q
-            Knew = P[:, 0] / (P[0, 0] + r)
-            IKH = np.eye(3)
-            IKH[:, 0] -= Knew
-            P = IKH @ P @ IKH.T + r * np.outer(Knew, Knew)
-            if np.max(np.abs(Knew - K)) < 1e-14:
-                K = Knew
-                break
-            K = Knew
+        K = _gain_schedule(dt, process_noise(dt, q_accel, q_jerk),
+                           quantization_variance(lsb), 20000)[-1]
         self.k0, self.k1, self.k2 = float(K[0]), float(K[1]), float(K[2])
         self.dt = dt
         self.x, self.v, self.a = float(x0), 0.0, 0.0
@@ -69,19 +55,6 @@ class OnlineKf:
 DEFAULT_KF_GAINS = {"q_accel": 1e-3, "q_jerk": 200.0}
 
 
-def check_sample_rate(scenario):
-    """Raise ValueError unless the plant samples its sensors every step.
-
-    The estimators and the torque loop read a sensor bundle after every
-    plant step.
-    """
-    if not np.isclose(scenario.step * scenario.sensor_rate, 1.0):
-        raise ValueError(
-            f"step ({scenario.step} s) must equal 1/sensor_rate "
-            f"({1.0 / scenario.sensor_rate} s): the loop reads a sensor "
-            f"sample after every plant step")
-
-
 def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
                               joint=0, current_amp=0.35):
     """Excitation run producing a friction-identification log.
@@ -95,7 +68,6 @@ def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
     if scenario is None:
         scenario = ScenarioConfig(step=1e-3, duration=duration, seed=seed,
                                   lock_base=True)
-    check_sample_rate(scenario)
     plant = Plant(scenario)
     st = plant.initial_state()
     st.base_pos[2] = 2.0  # feet clear of the ground
@@ -105,8 +77,9 @@ def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
     freqs = np.array([0.3, 0.9, 1.7])
     joint_lsb = encoder_lsb(scenario.noise["joint_encoder_bits"])
     motor_lsb = encoder_lsb(scenario.noise["motor_encoder_bits"])
-    jkf = [OnlineKf(1e-3, joint_lsb, **DEFAULT_KF_GAINS, x0=st.s[j]) for j in range(n)]
-    mkf = [OnlineKf(1e-3, motor_lsb, **DEFAULT_KF_GAINS, x0=st.motor_pos[j])
+    dt = scenario.step
+    jkf = [OnlineKf(dt, joint_lsb, **DEFAULT_KF_GAINS, x0=st.s[j]) for j in range(n)]
+    mkf = [OnlineKf(dt, motor_lsb, **DEFAULT_KF_GAINS, x0=st.motor_pos[j])
            for j in range(n)]
     steps = int(round(duration / scenario.step))
     t_log = np.empty(steps)
@@ -185,11 +158,10 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     is given, the run CSV, report JSON and a metrics CSV row are
     written there under `label`.
     """
-    check_sample_rate(scenario)
     plant = Plant(scenario)
     model = plant.model
     n = plant.n
-    dt_s = 1.0 / scenario.sensor_rate
+    dt_s = scenario.step
     st = plant.initial_state()
     s0 = st.s.copy()
     gear_torque = plant.reduction * plant.k_t

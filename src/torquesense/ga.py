@@ -7,7 +7,7 @@ is reused for any small fitness landscape (the filter Q search needs
 only two genes).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +41,8 @@ class GaConfig:
             raise ValueError(f"unknown crossover kind {self.crossover!r}")
 
 
-def _score(fitness, genes, seed, generation, index):
-    """Evaluate one candidate with a reproducible per-candidate RNG."""
-    rng = np.random.default_rng((seed, generation, index))
-    try:
-        value = fitness(genes, rng)
-    except TypeError:
-        value = fitness(genes)
-    value = float(value)
+def _score(fitness, genes):
+    value = float(fitness(genes))
     return -np.inf if np.isnan(value) else value
 
 
@@ -65,10 +59,10 @@ def _two_point_crossover(a, b, rng):
 def optimize(config, fitness):
     """Maximize `fitness` over the gene box; returns (best, history).
 
-    `fitness` is called as fitness(genes, rng) (or fitness(genes) if it
-    takes one argument) and must be deterministic given those inputs;
-    NaN scores are treated as -inf.  `history` is a list of per-
-    generation dicts with best/mean fitness and the best genes so far.
+    `fitness` is called as fitness(genes) and must be deterministic (a
+    stochastic fitness closes over its own seeded generator); NaN scores
+    are treated as -inf.  `history` is a list of per-generation dicts
+    with best/mean fitness and the best genes so far.
     """
     rng = np.random.default_rng(config.seed)
     lo = np.array([b[0] for b in config.bounds])
@@ -81,8 +75,7 @@ def optimize(config, fitness):
     best_genes = None
     best_fit = -np.inf
     for gen in range(config.generations):
-        scores = np.array([_score(fitness, pop[i], config.seed, gen, i)
-                           for i in range(len(pop))])
+        scores = np.array([_score(fitness, genes) for genes in pop])
         order = np.argsort(scores)[::-1]
         if scores[order[0]] > best_fit:
             best_fit = scores[order[0]]

@@ -9,7 +9,6 @@ channel reduces to a 2-gene search.
 """
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,54 +49,6 @@ def process_noise(dt, q_accel, q_jerk):
     return Qa + Qj
 
 
-@dataclass
-class KfState:
-    """State of one encoder-channel filter."""
-    mean: np.ndarray                    # [x, xdot, xddot]
-    cov: np.ndarray                     # 3x3
-    Q: np.ndarray                       # 3x3 process noise per step
-    r_meas: float                       # position measurement variance
-    dt: float
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        self.Q = np.asarray(self.Q, dtype=float)
-        if self.dt <= 0.0:
-            raise ValueError(f"sample interval must be positive, got {self.dt}")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-9):
-            raise ValueError("covariance must be symmetric")
-
-
-def make_kf(dt, lsb, q_accel=1.0, q_jerk=100.0, initial_pos=0.0):
-    """Fresh filter for an encoder with quantization step `lsb`."""
-    r = quantization_variance(lsb)
-    cov = np.diag([r, 1.0, 10.0])
-    return KfState(np.array([initial_pos, 0.0, 0.0]), cov,
-                   process_noise(dt, q_accel, q_jerk), r, dt)
-
-
-def kf_predict(state):
-    """Propagate one step: mean through the CA model, cov -> F P F^T + Q."""
-    F = transition_matrix(state.dt)
-    mean = F @ state.mean
-    cov = F @ state.cov @ F.T + state.Q
-    return KfState(mean, 0.5 * (cov + cov.T), state.Q, state.r_meas, state.dt)
-
-
-def kf_update(state, measured_position):
-    """Joseph-form measurement update with H = [1, 0, 0]."""
-    innov_var = state.cov[0, 0] + state.r_meas
-    if innov_var <= 0.0:
-        raise ArithmeticError(f"innovation variance not positive: {innov_var}")
-    K = state.cov[:, 0] / innov_var
-    mean = state.mean + K * (measured_position - state.mean[0])
-    IKH = np.eye(3)
-    IKH[:, 0] -= K
-    cov = IKH @ state.cov @ IKH.T + state.r_meas * np.outer(K, K)
-    return KfState(mean, 0.5 * (cov + cov.T), state.Q, state.r_meas, state.dt)
-
-
 def _gain_schedule(dt, Q, r, n_steps, tol=1e-14):
     """Kalman gain sequence; stops early once the gain converges.
 
@@ -128,8 +79,10 @@ def filter_trace(positions, dt, lsb, q_accel, q_jerk):
     """Run the filter over a whole position trace.
 
     Returns (position, velocity, acceleration) arrays of the same length
-    as `positions`.  Uses a precomputed gain schedule so long traces run
-    at Python-float speed, exactly matching kf_predict/kf_update output.
+    as `positions`.  The filter starts at rest at the first sample with
+    covariance diag(r, 1, 10) and alternates predict and position update
+    steps; the covariance recursion is data-independent, so the gains
+    are precomputed and the mean recursion runs at Python-float speed.
     """
     z = np.asarray(positions, dtype=float)
     n = len(z)

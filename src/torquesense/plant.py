@@ -99,8 +99,7 @@ class ScenarioConfig:
     """Full description of one simulation scenario (JSON-serializable)."""
     schema_version: int = 1
     model: str = "desk_biped"
-    step: float = 1e-3
-    sensor_rate: float = 1000.0
+    step: float = 1e-3          # s; the sensors sample once per step
     duration: float = 5.0
     seed: int = 0
     lock_base: bool = False
@@ -133,7 +132,21 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        """A config from its JSON form, reading the legacy `sensor_rate` key.
+
+        Older files give the sensor rate apart from the step.  The key
+        is dropped when it equals 1/step, the only rate such a file could
+        run at, and rejected otherwise rather than read as a new step.
+        """
+        d = dict(d)
+        rate = d.pop("sensor_rate", None)
+        config = cls(**d)
+        if rate is not None and not np.isclose(config.step * rate, 1.0):
+            raise ValueError(
+                f"step ({config.step} s) must equal 1/sensor_rate "
+                f"({rate} Hz given): the sensors sample once per plant "
+                f"step, so the legacy sensor_rate key may only repeat 1/step")
+        return config
 
     def config_hash(self):
         def default(o):
@@ -260,8 +273,6 @@ class Plant:
         self._check_object_events(self.object_events)
 
         self.rng = np.random.default_rng(config.seed)
-        self.substeps = max(1, round(1.0 / (config.sensor_rate * config.step)))
-        self._step_count = 0
 
         lsb_joint = 2 * np.pi / 2 ** config.noise.get("joint_encoder_bits", 12)
         lsb_motor = 2 * np.pi / 2 ** config.noise.get("motor_encoder_bits", 16)
@@ -554,7 +565,7 @@ class Plant:
     # ------------------------------------------------------------------ stepping
 
     def step(self, state, currents):
-        """Advance one RK4 step; returns (new state, SensorBundle or None)."""
+        """Advance one RK4 step; returns (new state, SensorBundle)."""
         h = self.config.step
         t = state.t
         currents = np.asarray(currents, dtype=float)
@@ -598,12 +609,7 @@ class Plant:
                                        currents, nxt)
         new.contact_anchors = nxt
         self._apply_info(new, info)
-
-        self._step_count += 1
-        bundle = None
-        if self._step_count % self.substeps == 0:
-            bundle = self._sample_sensors(new, currents)
-        return new, bundle
+        return new, self._sample_sensors(new, currents)
 
     def _cached_k1(self, state, y, R0, currents, info):
         # the truth eval stored on the state is exactly f(t, y) for the
@@ -686,8 +692,3 @@ class Plant:
             e += 0.5 * np.sum(self.reduction ** 2 * self.motor_inertia * phid ** 2)
             e += 0.5 * np.sum(self.elastic_k * (phi - state.s) ** 2)
         return e
-
-    def com_reference(self, t, com0):
-        """Sinusoidal CoM reference around the initial CoM."""
-        amp = np.asarray(self.config.com_amplitude, dtype=float)
-        return com0 + amp * np.sin(2 * np.pi * self.config.com_frequency * t)

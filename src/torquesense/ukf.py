@@ -1,4 +1,4 @@
-"""Floating-base unscented Kalman filter for joint-torque estimation.
+"""Floating-base Kalman filter for joint-torque estimation.
 
 The state stacks joint velocities, motor torques, friction torques,
 foot force/torque wrenches, one external wrench and the base IMU
@@ -8,9 +8,19 @@ block is a random walk (constant over one step).  Friction predictions
 from the learned friction nets enter as direct measurements of the
 friction-torque block, which is what lets the filter separate motor
 torque from load torque without joint torque sensing.
+
+The estimator is the paper's unscented Kalman filter.  With the
+dynamics terms (mass matrix, bias, Jacobians) evaluated once per step
+at the prior mean, the process model is affine in the state and the
+measurement model is linear, and the unscented transform is exact for
+affine maps (Julier & Uhlmann, 1997).  `TorqueUkf.step` therefore
+computes the UKF's result in closed form, as the linear Kalman update
+`F P F^T + Q`, `K = P H^T S^-1`, where only the joint-velocity rows of
+`F` differ from the identity.  The sigma-point form it replaces lives
+in the tests as the reference it is checked against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +30,10 @@ from .spatial import Transform, cross3, exp_so3
 
 @dataclass
 class UkfConfig:
-    """Noise densities, sigma-point parameters and sensor frame wiring."""
+    """Noise densities and sensor frame wiring."""
     ft_frames: tuple = ("left_foot_ft", "right_foot_ft")
     ext_frame: str = "torso_push"
     imu_frame: str = "waist_imu"
-    alpha: float = 1e-3
-    beta: float = 2.0
-    kappa: float = 0.0
     # process noise std per sqrt(step) for each block
     q_sdot: float = 0.05
     q_tau_m: float = 2.0
@@ -43,52 +50,6 @@ class UkfConfig:
     r_ft_torque: float = 0.05
     r_imu_acc: float = 0.02
     r_imu_gyro: float = 0.002
-
-
-def merwe_weights(dim, alpha, beta, kappa):
-    """Scaled sigma-point weights (mean, covariance) and scale lambda."""
-    lam = alpha * alpha * (dim + kappa) - dim
-    wm = np.full(2 * dim + 1, 1.0 / (2.0 * (dim + lam)))
-    wc = wm.copy()
-    wm[0] = lam / (dim + lam)
-    wc[0] = wm[0] + (1.0 - alpha * alpha + beta)
-    return wm, wc, lam
-
-
-def sigma_points(mean, cov, alpha=1e-3, beta=2.0, kappa=0.0, jitter=1e-12):
-    """Scaled (Merwe) sigma points; returns (points, wm, wc).
-
-    Cholesky with escalating diagonal jitter; raises ArithmeticError if
-    the covariance stays non-factorizable.
-    """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    dim = len(mean)
-    wm, wc, lam = merwe_weights(dim, alpha, beta, kappa)
-    scaled = (dim + lam) * cov
-    L = None
-    for boost in (0.0, jitter, jitter * 1e3, jitter * 1e6):
-        try:
-            L = np.linalg.cholesky(scaled + boost * (dim + lam) * np.eye(dim))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if L is None:
-        raise ArithmeticError("covariance degenerate: Cholesky failed after jitter")
-    pts = np.empty((2 * dim + 1, dim))
-    pts[0] = mean
-    pts[1:dim + 1] = mean + L.T
-    pts[dim + 1:] = mean - L.T
-    return pts, wm, wc
-
-
-def unscented_moments(points, wm, wc):
-    # center on the first point: with weights of magnitude 1/alpha^2 the
-    # naive weighted sum loses ~6 digits to cancellation
-    mean = points[0] + wm @ (points - points[0])
-    d = points - mean
-    cov = (wc[:, None] * d).T @ d
-    return mean, 0.5 * (cov + cov.T)
 
 
 class ComplementaryAttitude:
@@ -112,7 +73,7 @@ class ComplementaryAttitude:
 
 
 class TorqueUkf:
-    """UKF instance bound to one robot model and motor parameter set."""
+    """Torque filter bound to one robot model and motor parameter set."""
 
     def __init__(self, model, gear_ratio, k_t, dt, config=None):
         self.model = model
@@ -138,9 +99,14 @@ class TorqueUkf:
             raise ValueError("IMU frame must sit on the base link")
         self.imu_offset = offset
         self.Q = self._process_noise()
+        # measurement matrix and noise per friction mask; H is read off
+        # measurement_model so the channel layout is defined only there
+        eye = np.eye(self.dim)
+        self._H = {mask: self.measurement_model(eye, mask).T
+                   for mask in (False, True)}
+        self._R = {mask: self._measurement_noise(mask) for mask in (False, True)}
+        self._prior_jitter = 1e-6 * eye
         self.base_lin_vel = np.zeros(3)
-        self.last_innovation = None
-        self.innovation_log = []
 
     def _process_noise(self):
         cfg = self.config
@@ -167,52 +133,49 @@ class TorqueUkf:
     # -- model terms -------------------------------------------------
 
     def _step_terms(self, s, base_R, mean):
-        """Dynamics matrices evaluated once per step at the sigma mean."""
+        """Affine velocity transition at the prior mean: sdot+ = sdot + G x + c.
+
+        The dynamics read Ms sddot = tau_m - tau_f + sum_k J_k^T f_k
+        + J_ext^T f_ext - C - Msb a_base; the base proper acceleration
+        a_base comes from the accelerometer state at the IMU offset r,
+        a_imu = a_base + omega x (omega x r) + omega x v_base (angular
+        acceleration neglected), inverted with omega and v fixed at the
+        step mean so the map stays affine in the state.
+        """
         model = self.model
         cfg = self.config
+        sl = self.slices
+        n = self.n
         base_pose = Transform(base_R, np.zeros(3))
-        omega = mean[self.slices["omega"]]
-        nu = np.concatenate([self.base_lin_vel, omega, mean[self.slices["sdot"]]])
+        omega = mean[sl["omega"]]
+        nu = np.concatenate([self.base_lin_vel, omega, mean[sl["sdot"]]])
         fp = forward_pass(model, base_pose, s, nu)
         M = crba(model, s, fp=fp)
         Ms = M[6:, 6:]
-        Msb = M[6:, :6]
+        Msb_lin = M[6:, :3]
         C = coriolis_bias(model, base_pose, s, nu, fp=fp)[6:]
-        jac = {}
-        for name in tuple(cfg.ft_frames) + (cfg.ext_frame,):
-            jac[name] = frame_jacobian(model, base_pose, s, name, fp=fp)[:, 6:]
-        Minv = np.linalg.inv(Ms)
-        return {"Minv": Minv, "Msb": Msb, "C": C, "jac": jac, "omega": omega}
-
-    def _base_proper_accel(self, alphas, terms):
-        """Base proper acceleration (6,) per sigma from the IMU states.
-
-        The accelerometer reading at the IMU offset r is
-        a_imu = a_base + omega x (omega x r) + omega x v_base (angular
-        acceleration neglected); invert with omega and v fixed at the
-        step mean so the map stays affine in the state.
-        """
-        w = terms["omega"]
         r = self.imu_offset.p
-        corr = cross3(w, cross3(w, r)) + cross3(w, self.base_lin_vel)
-        out = np.zeros((len(alphas), 6))
-        out[:, :3] = alphas @ self.imu_offset.R.T - corr
-        return out
+        corr = cross3(omega, cross3(omega, r)) + cross3(omega, self.base_lin_vel)
+        # B maps the state to the joint-space force, its last column is
+        # the constant term
+        B = np.zeros((n, self.dim + 1))
+        B[:, sl["tau_m"]] = np.eye(n)
+        B[:, sl["tau_f"]] = -np.eye(n)
+        ft0 = sl["f_ft"].start
+        for k, name in enumerate(cfg.ft_frames):
+            jac = frame_jacobian(model, base_pose, s, name, fp=fp)
+            B[:, ft0 + 6 * k:ft0 + 6 * k + 6] = jac[:, 6:].T
+        jac = frame_jacobian(model, base_pose, s, cfg.ext_frame, fp=fp)
+        B[:, sl["f_ext"]] = jac[:, 6:].T
+        B[:, sl["alpha"]] = -Msb_lin @ self.imu_offset.R
+        B[:, -1] = Msb_lin @ corr - C
+        Gc = self.dt * np.linalg.solve(Ms, B)
+        return {"G": Gc[:, :-1], "c": Gc[:, -1]}
 
     def process_model(self, points, terms):
-        """Propagate sigma points one step; affine given the step terms."""
-        sl = self.slices
+        """Propagate states (rows of `points`) one step with the step terms."""
         pts = np.array(points, dtype=float)
-        sdot = pts[:, sl["sdot"]]
-        rhs = pts[:, sl["tau_m"]] - pts[:, sl["tau_f"]] - terms["C"]
-        a_g = self._base_proper_accel(pts[:, sl["alpha"]], terms)
-        rhs -= a_g @ terms["Msb"].T
-        for k, name in enumerate(self.config.ft_frames):
-            wrench = pts[:, sl["f_ft"]][:, 6 * k:6 * k + 6]
-            rhs += wrench @ terms["jac"][name]
-        rhs += pts[:, sl["f_ext"]] @ terms["jac"][self.config.ext_frame]
-        sddot = rhs @ terms["Minv"].T
-        pts[:, sl["sdot"]] = sdot + self.dt * sddot
+        pts[:, self.slices["sdot"]] += pts @ terms["G"].T + terms["c"]
         return pts
 
     def measurement_model(self, points, mask_friction=False):
@@ -262,34 +225,41 @@ class TorqueUkf:
         of assemble_measurement (built with tau_f_pinn=None iff
         mask_friction).
         """
-        cfg = self.config
+        # the update never factors the prior, so one that is no
+        # covariance (say, drifted through cov_p - K S K^T) would pass
+        # on silently
+        try:
+            np.linalg.cholesky(cov + self._prior_jitter)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError(
+                "prior covariance not positive semi-definite") from None
         terms = self._step_terms(s, base_R, mean)
-        pts, wm, wc = sigma_points(mean, cov, cfg.alpha, cfg.beta, cfg.kappa)
-        prop = self.process_model(pts, terms)
-        mean_p, cov_p = unscented_moments(prop, wm, wc)
-        cov_p = cov_p + self.Q
+        G = terms["G"]
+        sd = self.slices["sdot"]
+        # F = I + E G with E the sdot-row selector: F P F^T touches only
+        # the sdot rows and columns
+        mean_p = self.process_model(np.atleast_2d(mean), terms)[0]
+        W = G @ cov
+        GPG = W @ G.T
+        cov_p = np.array(cov, dtype=float)
+        cov_p[sd, :] += W
+        cov_p[:, sd] += W.T
+        cov_p[sd, sd] += 0.5 * (GPG + GPG.T)
+        cov_p += self.Q
 
-        # redraw sigma points from the predicted belief for the update
-        pts_u, wm, wc = sigma_points(mean_p, cov_p, cfg.alpha, cfg.beta, cfg.kappa)
-        z_pts = self.measurement_model(pts_u, mask_friction)
-        z_mean = z_pts[0] + wm @ (z_pts - z_pts[0])
-        dz = z_pts - z_mean
-        dx = pts_u - mean_p
-        S = (wc[:, None] * dz).T @ dz + self._measurement_noise(mask_friction)
-        Pxz = (wc[:, None] * dx).T @ dz
+        H = self._H[mask_friction]
+        PHt = cov_p @ H.T
+        S = H @ PHt + self._R[mask_friction]
         try:
             L = np.linalg.cholesky(0.5 * (S + S.T))
         except np.linalg.LinAlgError:
             worst = int(np.argmin(np.diag(S)))
             raise ArithmeticError(
                 f"innovation covariance not positive definite (row {worst})")
-        K = np.linalg.solve(L.T, np.linalg.solve(L, Pxz.T)).T
-        innovation = measurement - z_mean
-        mean_new = mean_p + K @ innovation
+        K = np.linalg.solve(L.T, np.linalg.solve(L, PHt.T)).T
+        mean_new = mean_p + K @ (measurement - H @ mean_p)
         cov_new = cov_p - K @ S @ K.T
         cov_new = 0.5 * (cov_new + cov_new.T)
-        self.last_innovation = innovation
-        self.innovation_log.append(float(innovation @ innovation))
 
         # keep the auxiliary base linear velocity current (leaky
         # integration of the proper acceleration plus gravity)

@@ -1,0 +1,125 @@
+"""Sigma-point reference for the torque filter.
+
+`reference_step` is the unscented Kalman step the filter once ran:
+scaled (Merwe) sigma points drawn from the prior, pushed through the
+process model with the dynamics terms fixed at the prior mean, redrawn
+from the predicted belief and pushed through the measurement model.
+Both maps are affine, so the unscented transform is exact and
+`TorqueUkf.step`, the closed-form linear update, must agree with it to
+rounding; `test_ukf.py` checks that.
+"""
+
+import numpy as np
+
+from torquesense.dynamics import coriolis_bias, crba, forward_pass, frame_jacobian
+from torquesense.spatial import Transform, cross3
+
+
+def merwe_weights(dim, alpha, beta, kappa):
+    """Scaled sigma-point weights (mean, covariance) and scale lambda."""
+    lam = alpha * alpha * (dim + kappa) - dim
+    wm = np.full(2 * dim + 1, 1.0 / (2.0 * (dim + lam)))
+    wc = wm.copy()
+    wm[0] = lam / (dim + lam)
+    wc[0] = wm[0] + (1.0 - alpha * alpha + beta)
+    return wm, wc, lam
+
+
+def sigma_points(mean, cov, alpha=1e-3, beta=2.0, kappa=0.0, jitter=1e-12):
+    """Scaled (Merwe) sigma points; returns (points, wm, wc).
+
+    Cholesky with escalating diagonal jitter; raises ArithmeticError if
+    the covariance stays non-factorizable.
+    """
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    dim = len(mean)
+    wm, wc, lam = merwe_weights(dim, alpha, beta, kappa)
+    scaled = (dim + lam) * cov
+    L = None
+    for boost in (0.0, jitter, jitter * 1e3, jitter * 1e6):
+        try:
+            L = np.linalg.cholesky(scaled + boost * (dim + lam) * np.eye(dim))
+            break
+        except np.linalg.LinAlgError:
+            continue
+    if L is None:
+        raise ArithmeticError("covariance degenerate: Cholesky failed after jitter")
+    pts = np.empty((2 * dim + 1, dim))
+    pts[0] = mean
+    pts[1:dim + 1] = mean + L.T
+    pts[dim + 1:] = mean - L.T
+    return pts, wm, wc
+
+
+def unscented_moments(points, wm, wc):
+    # center on the first point: with weights of magnitude 1/alpha^2 the
+    # naive weighted sum loses ~6 digits to cancellation
+    mean = points[0] + wm @ (points - points[0])
+    d = points - mean
+    cov = (wc[:, None] * d).T @ d
+    return mean, 0.5 * (cov + cov.T)
+
+
+def step_terms(ukf, s, base_R, mean):
+    """Dynamics matrices evaluated once per step at the prior mean."""
+    model = ukf.model
+    cfg = ukf.config
+    base_pose = Transform(base_R, np.zeros(3))
+    omega = mean[ukf.slices["omega"]]
+    nu = np.concatenate([ukf.base_lin_vel, omega, mean[ukf.slices["sdot"]]])
+    fp = forward_pass(model, base_pose, s, nu)
+    M = crba(model, s, fp=fp)
+    C = coriolis_bias(model, base_pose, s, nu, fp=fp)[6:]
+    jac = {name: frame_jacobian(model, base_pose, s, name, fp=fp)[:, 6:]
+           for name in tuple(cfg.ft_frames) + (cfg.ext_frame,)}
+    return {"Minv": np.linalg.inv(M[6:, 6:]), "Msb": M[6:, :6], "C": C,
+            "jac": jac, "omega": omega}
+
+
+def process_model(ukf, points, terms):
+    """Propagate sigma points one step through the articulated dynamics."""
+    sl = ukf.slices
+    pts = np.array(points, dtype=float)
+    rhs = pts[:, sl["tau_m"]] - pts[:, sl["tau_f"]] - terms["C"]
+    # base proper acceleration from the accelerometer state, with omega
+    # and the base velocity fixed at the step mean
+    w = terms["omega"]
+    r = ukf.imu_offset.p
+    corr = cross3(w, cross3(w, r)) + cross3(w, ukf.base_lin_vel)
+    a_g = np.zeros((len(pts), 6))
+    a_g[:, :3] = pts[:, sl["alpha"]] @ ukf.imu_offset.R.T - corr
+    rhs -= a_g @ terms["Msb"].T
+    for k, name in enumerate(ukf.config.ft_frames):
+        rhs += pts[:, sl["f_ft"]][:, 6 * k:6 * k + 6] @ terms["jac"][name]
+    rhs += pts[:, sl["f_ext"]] @ terms["jac"][ukf.config.ext_frame]
+    pts[:, sl["sdot"]] += ukf.dt * (rhs @ terms["Minv"].T)
+    return pts
+
+
+def reference_step(ukf, mean, cov, s, base_R, measurement, mask_friction=False,
+                   alpha=1e-3, beta=2.0, kappa=0.0):
+    """The sigma-point predict/update cycle; same contract as `TorqueUkf.step`."""
+    terms = step_terms(ukf, s, base_R, mean)
+    pts, wm, wc = sigma_points(mean, cov, alpha, beta, kappa)
+    mean_p, cov_p = unscented_moments(process_model(ukf, pts, terms), wm, wc)
+    cov_p = cov_p + ukf.Q
+
+    # redraw sigma points from the predicted belief for the update
+    pts_u, wm, wc = sigma_points(mean_p, cov_p, alpha, beta, kappa)
+    z_pts = ukf.measurement_model(pts_u, mask_friction)
+    z_mean = z_pts[0] + wm @ (z_pts - z_pts[0])
+    dz = z_pts - z_mean
+    dx = pts_u - mean_p
+    S = (wc[:, None] * dz).T @ dz + ukf._measurement_noise(mask_friction)
+    Pxz = (wc[:, None] * dx).T @ dz
+    L = np.linalg.cholesky(0.5 * (S + S.T))
+    K = np.linalg.solve(L.T, np.linalg.solve(L, Pxz.T)).T
+    mean_new = mean_p + K @ (measurement - z_mean)
+    cov_new = cov_p - K @ S @ K.T
+    cov_new = 0.5 * (cov_new + cov_new.T)
+
+    alpha_state = mean_new[ukf.slices["alpha"]]
+    a_base = ukf.imu_offset.R @ alpha_state + base_R.T @ ukf.model.gravity
+    ukf.base_lin_vel = 0.995 * (ukf.base_lin_vel + ukf.dt * a_base)
+    return mean_new, cov_new

@@ -15,7 +15,7 @@ from torquesense import cli
     ({"object_events": [{"time": 1.0, "frame": "left_sole", "height": 0.03,
                          "action": "remove"}]},
      "no object under left_sole"),
-    ({"step": 5e-4}, "must equal 1/sensor_rate"),
+    ({"step": 5e-4, "sensor_rate": 1000.0}, "must equal 1/sensor_rate"),
     ({"model": "missing.urdf"}, "No such file"),
     ({"stepsize": 1e-3}, "unexpected keyword argument 'stepsize'"),
 ], ids=["frame", "remove", "step", "model", "key"])

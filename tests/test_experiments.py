@@ -8,6 +8,7 @@ import pytest
 
 from torquesense.control import ControlConfig
 from torquesense.experiments import (
+    DEFAULT_KF_GAINS,
     OnlineKf,
     compute_metrics,
     generate_friction_dataset,
@@ -20,7 +21,7 @@ from torquesense.experiments import (
     sweep_modes,
     write_metrics_csv,
 )
-from torquesense.kf import encoder_lsb
+from torquesense.kf import encoder_lsb, filter_trace
 from torquesense.plant import Disturbance, ScenarioConfig
 
 SHORT = dict(duration=1.2, seed=0)
@@ -109,6 +110,21 @@ def test_online_kf_tracks_constant_acceleration():
         x, v, a = kf.update(0.5 * 3.0 * t * t)
     assert abs(v - 3.0 * (k * dt)) < 1e-3
     assert abs(a - 3.0) < 1e-3
+
+
+@pytest.mark.parametrize("bits", [12, 16])
+def test_online_kf_tracks_filter_trace_after_convergence(bits):
+    # once the batch filter's gain schedule has converged it applies the
+    # steady-state gain, which the online filter uses from the start
+    dt, lsb = 1e-3, encoder_lsb(bits)
+    t = np.arange(3000) * dt
+    z = np.round((0.4 * np.sin(2 * np.pi * 1.3 * t) + 0.5 * t * t) / lsb) * lsb
+    xs, vs, accs = filter_trace(z, dt, lsb, **DEFAULT_KF_GAINS)
+    start = 1000
+    kf = OnlineKf(dt, lsb, **DEFAULT_KF_GAINS, x0=xs[start - 1])
+    kf.v, kf.a = vs[start - 1], accs[start - 1]
+    for k in range(start, len(z)):
+        assert kf.update(z[k]) == (xs[k], vs[k], accs[k])
 
 
 def test_run_scenario_requires_nets_for_estimating_modes():
@@ -203,12 +219,23 @@ def test_disturbance_scenario_minimum_duration():
     assert all(d.time == 1.0 for d in s.disturbances)
 
 
+def test_friction_dataset_filters_run_at_the_plant_step():
+    # the encoder filters read one sample per plant step: the same
+    # excitation gives the same filtered velocities at 1 ms and 2 ms
+    rms = []
+    for step in (1e-3, 2e-3):
+        locked = ScenarioConfig(step=step, lock_base=True)
+        _, mv, jv, _ = generate_friction_dataset(scenario=locked, duration=0.3)
+        rms.append([np.sqrt(np.mean(mv ** 2)), np.sqrt(np.mean(jv ** 2))])
+    assert np.allclose(rms[0], rms[1], rtol=0.05)
+
+
 @pytest.mark.parametrize("step", [5e-4, 2e-3])
 def test_step_must_match_sensor_rate(step):
-    scenario = ScenarioConfig(step=step, duration=0.01)
+    # the sensors sample once per plant step; a scenario file may still
+    # carry the legacy sensor_rate key, but only as 1/step
     message = rf"step \({step} s\).*sensor_rate"
     with pytest.raises(ValueError, match=message):
-        run_scenario(scenario, ControlConfig(mode="Feedforward"))
-    locked = ScenarioConfig(step=step, lock_base=True)
-    with pytest.raises(ValueError, match=message):
-        generate_friction_dataset(scenario=locked, duration=0.01)
+        ScenarioConfig.from_dict({"step": step, "sensor_rate": 1000.0})
+    legacy = ScenarioConfig.from_dict({"step": step, "sensor_rate": 1 / step})
+    assert legacy == ScenarioConfig(step=step)

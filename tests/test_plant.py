@@ -26,8 +26,7 @@ def run_steps(plant, n_steps, currents=None):
     bundles = []
     for _ in range(n_steps):
         state, bundle = plant.step(state, cur)
-        if bundle is not None:
-            bundles.append(bundle)
+        bundles.append(bundle)
     return state, bundles
 
 
@@ -113,6 +112,12 @@ def test_event_validation():
         plant.schedule_object_event("left_sole", -0.01, "insert", 1.0)
     with pytest.raises(ValueError, match="positive"):
         ScenarioConfig(step=0.0)
+
+
+def test_sensors_sample_every_step():
+    plant = make_plant(step=2e-3)
+    _, bundles = run_steps(plant, 2)
+    assert [b.t for b in bundles] == [0.002, 0.004]
 
 
 def test_ground_height_profile():
