@@ -186,12 +186,18 @@ class RateScheduler:
         high_dt = 1.0 / high_rate
         self.low_every = int(round(low_dt / plant_dt))
         self.high_every = int(round(high_dt / plant_dt))
-        if not np.isclose(self.low_every * plant_dt, low_dt):
-            raise ValueError("low-rate period must be a multiple of the plant step")
-        if not np.isclose(self.high_every * plant_dt, high_dt):
-            raise ValueError("high-rate period must be a multiple of the plant step")
+        for name, rate, every in (("low_rate", low_rate, self.low_every),
+                                  ("high_rate", high_rate, self.high_every)):
+            if every < 1 or not np.isclose(every * plant_dt, 1.0 / rate):
+                raise ValueError(
+                    f"ControlConfig.{name} ({rate:g} Hz, period {1.0 / rate:g} s) "
+                    f"must have a period that is a whole multiple of the plant "
+                    f"step ({plant_dt:g} s)")
         if self.high_every % self.low_every != 0:
-            raise ValueError("high-rate period must be a multiple of the low-rate period")
+            raise ValueError(
+                f"ControlConfig.high_rate ({high_rate:g} Hz) must divide "
+                f"ControlConfig.low_rate ({low_rate:g} Hz): the high-rate "
+                f"period must be a whole multiple of the low-rate period")
         self.tick = 0
 
     def due(self):

@@ -69,8 +69,7 @@ def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
         scenario = ScenarioConfig(step=1e-3, duration=duration, seed=seed,
                                   lock_base=True)
     plant = Plant(scenario)
-    st = plant.initial_state()
-    st.base_pos[2] = 2.0  # feet clear of the ground
+    st = plant.initial_state(base_height=2.0)  # feet clear of the ground
     n = plant.n
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0, 2 * np.pi, size=(n, 3))
@@ -128,6 +127,28 @@ def default_friction_nets(plant, dataset=None, seed=0, **train_kw):
     return nets
 
 
+def group_by_net(nets, joint_names):
+    """[(net, joint indices)], one entry per distinct net (by identity)."""
+    groups = {}
+    for j, name in enumerate(joint_names):
+        groups.setdefault(id(nets[name]), (nets[name], []))[1].append(j)
+    return [(net, np.array(idx)) for net, idx in groups.values()]
+
+
+def predict_friction(net_groups, mv_buf, jv_buf):
+    """Bounded friction estimate of every joint, one net call per group.
+
+    `mv_buf` and `jv_buf` are (length, joints) velocity histories,
+    newest row last, at least as long as every net's buffer.
+    """
+    tau_f = np.empty(mv_buf.shape[1])
+    for net, idx in net_groups:
+        L = net.buffer_len
+        tau_f[idx] = pinn.predict_bounded(net, mv_buf[-L:, idx].T,
+                                          jv_buf[-L:, idx].T)
+    return tau_f
+
+
 @dataclass
 class RunLog:
     """Per-sample arrays logged at the sensor rate."""
@@ -174,14 +195,14 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     needs_nets = use_pinn_comp or use_ukf
     if needs_nets and nets is None:
         raise ValueError(f"mode {mode} needs trained friction nets")
-    net_list = [nets[name] for name in model.joint_names] if needs_nets else None
+    net_groups = group_by_net(nets, model.joint_names) if needs_nets else []
 
     joint_lsb = encoder_lsb(scenario.noise["joint_encoder_bits"])
     motor_lsb = encoder_lsb(scenario.noise["motor_encoder_bits"])
     jkf = [OnlineKf(dt_s, joint_lsb, **gains, x0=st.s[j]) for j in range(n)]
     mkf = [OnlineKf(dt_s, motor_lsb, **gains, x0=st.motor_pos[j]) for j in range(n)]
     att = ComplementaryAttitude(R0=st.base_R.copy())
-    buf_len = max(net.buffer_len for net in net_list) if net_list else 1
+    buf_len = max((net.buffer_len for net, _ in net_groups), default=1)
     mv_buf = np.zeros((buf_len, n))
     jv_buf = np.zeros((buf_len, n))
 
@@ -254,21 +275,17 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             xm, vm, _ = mkf[j].update(sb.motor_pos[j])
             mpos_est[j] = xm / plant.reduction[j]
             mvel_est[j] = vm / plant.reduction[j]
-            mv_buf[:-1, j] = mv_buf[1:, j]
-            mv_buf[-1, j] = vm / plant.reduction[j]
-            jv_buf[:-1, j] = jv_buf[1:, j]
-            jv_buf[-1, j] = v
+        mv_buf[:-1] = mv_buf[1:]
+        mv_buf[-1] = mvel_est
+        jv_buf[:-1] = jv_buf[1:]
+        jv_buf[-1] = sdot_est
         imu_acc = sb.imu_acc["waist_imu"]
         imu_gyro = sb.imu_gyro["waist_imu"]
         R_est = att.update(imu_acc, imu_gyro, dt_s)
 
         tau_f_hat = None
-        if net_list is not None:
-            tau_f_hat = np.array([
-                pinn.predict_bounded(net_list[j],
-                                     mv_buf[-net_list[j].buffer_len:, j],
-                                     jv_buf[-net_list[j].buffer_len:, j])
-                for j in range(n)])
+        if needs_nets:
+            tau_f_hat = predict_friction(net_groups, mv_buf, jv_buf)
 
         tau_fb = None
         if use_ukf:

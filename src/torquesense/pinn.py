@@ -94,10 +94,13 @@ def _forward(params, X, masks=None):
 
 
 def predict(net, motor, joint):
-    """Friction torque prediction(s); dropout disabled (inference mode)."""
+    """Friction torque prediction(s); dropout disabled (inference mode).
+
+    Length-L buffers give a float, (k, L) buffers a (k,) array.
+    """
     X = net.features(motor, joint)
     y, _ = _forward(net.params, X)
-    return y if y.size > 1 else float(y[0])
+    return y if np.ndim(motor) == 2 else float(y[0])
 
 
 def predict_bounded(net, motor, joint, margin=1.5):
@@ -108,7 +111,8 @@ def predict_bounded(net, motor, joint, margin=1.5):
     extrapolation error (the net saw no such regime during training).
     Closed-loop use feeds the net its own consequences, which can push
     the velocity buffers out of distribution; the clip keeps a single
-    bad sample from ever injecting a large spurious torque.
+    bad sample from ever injecting a large spurious torque.  The result
+    has the shape `predict` gives.
     """
     y = predict(net, motor, joint)
     v = np.atleast_2d(np.asarray(motor, dtype=float))[:, -1]
@@ -135,7 +139,7 @@ def hybrid_loss(net, batch):
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     motor, joint, targets = _batch_arrays(batch)
-    pred = np.atleast_1d(predict(net, motor, joint))
+    pred = predict(net, motor, joint)
     phys = physics_targets(net, motor)
     data_term = np.mean((pred - targets) ** 2)
     phys_term = np.mean((pred - phys) ** 2)
@@ -262,7 +266,7 @@ def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0,
 def validation_mse(net, samples):
     """Plain data MSE on a held-out set (no physics term)."""
     motor, joint, targets = _batch_arrays(samples)
-    pred = np.atleast_1d(predict(net, motor, joint))
+    pred = predict(net, motor, joint)
     return float(np.mean((pred - targets) ** 2))
 
 

@@ -213,6 +213,12 @@ def _quantize(x, lsb):
     return np.round(x / lsb) * lsb
 
 
+def _same_anchors(a, b):
+    """Whether two stick-anchor maps hold the same corners at the same points."""
+    return a.keys() == b.keys() and all(np.array_equal(v, b[k])
+                                        for k, v in a.items())
+
+
 def load_model(name, gravity):
     if name == "desk_biped":
         m = models.desk_biped()
@@ -362,11 +368,13 @@ class Plant:
         )
         # fill truth fields consistently with zero current; freshly
         # touching corners anchor at their current ground-plane points,
-        # which leaves the stick-spring force zero, so the evaluation
-        # stays exact
-        _, info = self._derivative(0.0, self._pack(state), state.base_R,
-                                   np.zeros(n), {})
+        # which leaves the stick-spring force zero
+        info = self._evaluate(state, np.zeros(n))
         state.contact_anchors = self._advance_anchors(info["corners"], {})
+        if state.contact_anchors:
+            # the same evaluation, made under the anchors so that the
+            # first step may reuse it
+            info = self._evaluate(state, np.zeros(n))
         self._apply_info(state, info)
         return state
 
@@ -564,20 +572,73 @@ class Plant:
 
     # ------------------------------------------------------------------ stepping
 
+    def _evaluate(self, state, currents):
+        """`_derivative` at `state`, with the record `_first_stage` checks.
+
+        The returned info carries the derivative (`ydot`) and where it
+        was made: this plant, `t`, the packed state, a copy of `base_R`
+        and a copy of the stick anchors.
+        """
+        y = self._pack(state)
+        anchors = state.contact_anchors
+        ydot, info = self._derivative(state.t, y, state.base_R, currents,
+                                      anchors)
+        info["ydot"] = ydot
+        info["at"] = (self, state.t, y, state.base_R.copy(),
+                      {k: a.copy() for k, a in anchors.items()})
+        return info
+
+    def _first_stage(self, state, y, currents):
+        """The RK4 k1 at `state` (packed as `y`) under `currents`.
+
+        The evaluation stored on `state` by the step or `initial_state`
+        that made it serves, provided it was made by this plant at
+        exactly this `t`, packed state, `base_R` and stick anchors; a
+        state edited after it was made gets a fresh evaluation.  New
+        currents enter the elastic transmission only through the motor
+        acceleration, linearly, so the stored derivative is patched
+        there; under a rigid transmission they reach every acceleration
+        and only unchanged currents reuse it.
+        """
+        info = getattr(state, "_info", None)
+        if info is not None:
+            plant, t, y_at, R_at, anchors_at = info["at"]
+            if (plant is self and t == state.t and np.array_equal(y_at, y)
+                    and np.array_equal(R_at, state.base_R)
+                    and _same_anchors(anchors_at, state.contact_anchors)):
+                di = currents - info["currents"]
+                if not di.any():
+                    return info["ydot"]
+                if self.config.elastic_transmission:
+                    n = self.n
+                    k1 = info["ydot"].copy()
+                    k1[12 + 3 * n:] += self.k_t * di / (self.reduction
+                                                        * self.motor_inertia)
+                    return k1
+        return self._derivative(state.t, y, state.base_R, currents,
+                                state.contact_anchors)[0]
+
     def step(self, state, currents):
-        """Advance one RK4 step; returns (new state, SensorBundle)."""
+        """Advance one RK4 step; returns (new state, SensorBundle).
+
+        k2..k4 and the end-of-step evaluation, which fills the new
+        state's truth fields, are the four evaluations of a step.  That
+        last one is stored on the new state and serves as the next
+        step's k1 (see `_first_stage`), as in the "first same as last"
+        Runge-Kutta pairs (Dormand & Prince, 1980).  A step from a state
+        with no matching stored evaluation makes a fifth, and so does a
+        step whose stick anchors move (the end state is re-evaluated
+        under the new anchors).
+        """
         h = self.config.step
         t = state.t
-        currents = np.asarray(currents, dtype=float)
+        # a copy: the stored evaluation keeps these currents
+        currents = np.array(currents, dtype=float)
         y = self._pack(state)
         R0 = state.base_R
 
         anchors = state.contact_anchors
-        info1 = getattr(state, "_info", None)
-        if info1 is not None and np.array_equal(info1["currents"], currents):
-            k1, _ = self._cached_k1(state, y, R0, currents, info1)
-        else:
-            k1, info1 = self._derivative(t, y, R0, currents, anchors)
+        k1 = self._first_stage(state, y, currents)
         k2, _ = self._derivative(t + h / 2, y + (h / 2) * k1, R0, currents, anchors)
         k3, _ = self._derivative(t + h / 2, y + (h / 2) * k2, R0, currents, anchors)
         k4, _ = self._derivative(t + h, y + h * k3, R0, currents, anchors)
@@ -595,44 +656,18 @@ class Plant:
             motor_pos=phi * self.reduction, motor_vel=phid * self.reduction,
             tau=np.zeros(n), tau_friction=np.zeros(n), contact_wrenches={},
             base_prop_acc=np.zeros(6), joint_acc=np.zeros(n),
-            motor_acc=np.zeros(n), com=np.zeros(3),
+            motor_acc=np.zeros(n), com=np.zeros(3), contact_anchors=anchors,
         )
-        _, info = self._derivative(new.t, self._pack(new), R_new, currents,
-                                   anchors)
+        info = self._evaluate(new, currents)
         nxt = self._advance_anchors(info["corners"], anchors)
-        same = nxt.keys() == anchors.keys() and all(
-            a is anchors[k] for k, a in nxt.items())
+        same = _same_anchors(nxt, anchors)
+        new.contact_anchors = nxt
         if not same:
             # re-evaluate the truth fields under the updated anchors so the
             # stored evaluation is exactly next step's k1
-            _, info = self._derivative(new.t, self._pack(new), R_new,
-                                       currents, nxt)
-        new.contact_anchors = nxt
+            info = self._evaluate(new, currents)
         self._apply_info(new, info)
         return new, self._sample_sensors(new, currents)
-
-    def _cached_k1(self, state, y, R0, currents, info):
-        # the truth eval stored on the state is exactly f(t, y) for the
-        # same currents; rebuild the packed derivative from it
-        n = self.n
-        ydot = np.empty_like(y)
-        twist = state.base_twist
-        ydot[0:3] = R0 @ twist[:3]
-        ydot[3:6] = twist[3:]
-        if self.config.lock_base:
-            ydot[6:12] = 0.0
-        else:
-            ydot[6:12] = info["base_prop_acc"].copy()
-            ydot[6:9] += R0.T @ self.model.gravity
-        ydot[12:12 + n] = state.sdot
-        ydot[12 + n:12 + 2 * n] = info["joint_acc"]
-        if self.config.elastic_transmission:
-            ydot[12 + 2 * n:12 + 3 * n] = state.motor_vel / self.reduction
-            ydot[12 + 3 * n:12 + 4 * n] = info["motor_acc"] / self.reduction
-        else:
-            ydot[12 + 2 * n:12 + 3 * n] = state.sdot
-            ydot[12 + 3 * n:12 + 4 * n] = info["joint_acc"]
-        return ydot, info
 
     # ------------------------------------------------------------------ sensors
 

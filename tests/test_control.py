@@ -181,6 +181,18 @@ def test_rate_scheduler_firing_pattern():
     assert all(sched2.due()[1] for _ in range(30))
 
 
+def test_rate_scheduler_messages_name_the_settings():
+    with pytest.raises(ValueError, match=r"ControlConfig\.low_rate \(1000 Hz, "
+                       r"period 0\.001 s\).*plant step \(0\.002 s\)"):
+        RateScheduler(plant_dt=2e-3, low_rate=1000.0, high_rate=100.0)
+    with pytest.raises(ValueError, match=r"ControlConfig\.high_rate \(333 Hz.*"
+                       r"plant step \(0\.001 s\)"):
+        RateScheduler(plant_dt=1e-3, low_rate=1000.0, high_rate=333.0)
+    with pytest.raises(ValueError, match=r"ControlConfig\.high_rate \(100 Hz\) "
+                       r"must divide ControlConfig\.low_rate \(250 Hz\)"):
+        RateScheduler(plant_dt=1e-3, low_rate=250.0, high_rate=100.0)
+
+
 def test_rate_scheduler_validation():
     with pytest.raises(ValueError):
         RateScheduler(plant_dt=1e-3, low_rate=333.0, high_rate=100.0)

@@ -6,14 +6,17 @@ import os
 import numpy as np
 import pytest
 
+from torquesense import experiments, pinn
 from torquesense.control import ControlConfig
 from torquesense.experiments import (
     DEFAULT_KF_GAINS,
     OnlineKf,
     compute_metrics,
     generate_friction_dataset,
+    group_by_net,
     make_disturbance_scenario,
     make_object_scenario,
+    predict_friction,
     render_table,
     run_scenario,
     RunLog,
@@ -22,7 +25,8 @@ from torquesense.experiments import (
     write_metrics_csv,
 )
 from torquesense.kf import encoder_lsb, filter_trace
-from torquesense.plant import Disturbance, ScenarioConfig
+from torquesense.friction import ScvParams
+from torquesense.plant import Disturbance, Plant, ScenarioConfig
 
 SHORT = dict(duration=1.2, seed=0)
 
@@ -239,3 +243,76 @@ def test_step_must_match_sensor_rate(step):
         ScenarioConfig.from_dict({"step": step, "sensor_rate": 1000.0})
     legacy = ScenarioConfig.from_dict({"step": step, "sensor_rate": 1 / step})
     assert legacy == ScenarioConfig(step=step)
+
+
+def mixed_nets(joint_names):
+    """Joints mapped to three nets with different buffer lengths, one of
+    them serving a single joint."""
+    scv = ScvParams(coulomb=1.0, breakaway=2.0, stribeck_vel=0.1, viscous=0.5)
+    long = pinn.FrictionNet(6, 10, 7, 0.0, 0.3, scv, seed=1)
+    short = pinn.FrictionNet(3, 5, 9, 0.0, 0.3, scv, seed=2)
+    lone = pinn.FrictionNet(4, 6, 6, 0.0, 0.3, scv, seed=3)
+    for net in (long, short, lone):
+        net.params["W3"] *= 4.0  # outputs large enough for the clip to act
+    picks = [long, short, short, long, lone, short, long, long]
+    return {name: picks[j] for j, name in enumerate(joint_names)}
+
+
+def per_joint_friction(nets, joint_names, mv_buf, jv_buf):
+    out = []
+    for j, name in enumerate(joint_names):
+        L = nets[name].buffer_len
+        out.append(pinn.predict_bounded(nets[name], mv_buf[-L:, j],
+                                        jv_buf[-L:, j]))
+    return np.array(out)
+
+
+def test_batched_friction_matches_the_per_joint_loop():
+    names = [f"j{j}" for j in range(8)]
+    nets = mixed_nets(names)
+    groups = group_by_net(nets, names)
+    assert [net.buffer_len for net, _ in groups] == [6, 3, 4]
+    assert [idx.tolist() for _, idx in groups] == [[0, 3, 6, 7], [1, 2, 5], [4]]
+    r = np.random.default_rng(0)
+    for _ in range(20):
+        mv, jv = 3.0 * r.normal(size=(6, 8)), r.normal(size=(6, 8))
+        batched = predict_friction(groups, mv, jv)
+        loop = per_joint_friction(nets, names, mv, jv)
+        assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+def test_closed_loop_calls_each_net_once_per_tick(monkeypatch):
+    # long enough to pass the metrics' 0.5 s burn-in
+    scenario = ScenarioConfig(duration=0.55, seed=0)
+    names = Plant(scenario).model.joint_names
+    nets = mixed_nets(names)
+    calls = []
+    diffs = []
+    batched = experiments.predict_friction
+    predict_bounded = pinn.predict_bounded
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return predict_bounded(*args, **kw)
+
+    def checked(groups, mv_buf, jv_buf):
+        out = batched(groups, mv_buf, jv_buf)
+        loop = per_joint_friction(nets, names, mv_buf, jv_buf)
+        diffs.append(np.max(np.abs(out - loop)) / max(np.max(np.abs(loop)), 1e-300))
+        return out
+
+    monkeypatch.setattr(experiments, "predict_friction", checked)
+    monkeypatch.setattr(pinn, "predict_bounded", counted)
+    report, log = run_scenario(scenario, ControlConfig(mode="UKF-PINN"), nets=nets)
+    assert len(diffs) == len(log.t) == 550
+    # three distinct nets: three calls per tick, plus the 8 per tick of
+    # the per-joint reference above
+    assert len(calls) == len(log.t) * (3 + 8)
+    assert max(diffs) <= 1e-12
+
+
+def test_rate_mismatch_names_the_control_setting():
+    with pytest.raises(ValueError, match=r"ControlConfig\.low_rate \(1000 Hz.*"
+                       r"plant step \(0\.002 s\)"):
+        run_scenario(ScenarioConfig(step=2e-3, duration=0.01),
+                     ControlConfig(mode="Feedforward"))

@@ -78,6 +78,21 @@ def test_inference_deterministic():
     assert predict(net, m, j) == predict(net, m, j)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_prediction_shape_follows_the_buffers(k):
+    # (k, L) buffers give a (k,) array, one-row batches included; each
+    # row alone, as length-L buffers, gives a float
+    net = make_net(seed=3)
+    r = np.random.default_rng(k)
+    motor, joint = 3.0 * r.normal(size=(k, 3)), r.normal(size=(k, 3))
+    for f in (predict, predict_bounded):
+        out = f(net, motor, joint)
+        assert isinstance(out, np.ndarray) and out.shape == (k,)
+        rows = [f(net, m, j) for m, j in zip(motor, joint)]
+        assert all(isinstance(x, float) for x in rows)
+        assert np.allclose(out, rows, rtol=1e-12, atol=0.0)
+
+
 def test_hybrid_loss_decomposition():
     r = np.random.default_rng(1)
     batch = [FrictionSample(r.normal(size=3), r.normal(size=3), r.normal())
@@ -87,7 +102,7 @@ def test_hybrid_loss_decomposition():
 
     for lam in (0.0, 0.37, 1.0):
         net = make_net(lam=lam, seed=2)
-        pred = np.atleast_1d(predict(net, motor, np.stack([s.joint for s in batch])))
+        pred = predict(net, motor, np.stack([s.joint for s in batch]))
         phys = np.array([scv_friction(SCV, m[-1]) for m in motor])
         expected = ((1.0 - lam) * np.mean((pred - targets) ** 2)
                     + lam * np.mean((pred - phys) ** 2))

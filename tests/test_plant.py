@@ -11,6 +11,7 @@ from torquesense.plant import (
     ScenarioConfig,
     SimulationDiverged,
 )
+from torquesense.spatial import exp_so3
 
 QUIET_NOISE = {"quantize": False, "current_std": 0.0, "ft_force_std": 0.0,
                "ft_torque_std": 0.0, "imu_acc_std": 0.0, "imu_gyro_std": 0.0}
@@ -286,3 +287,114 @@ def test_to_dict_is_a_copy():
     assert cfg.object_events[0].height == 0.03
     assert cfg.disturbances[0].time == 1.0
     assert cfg.noise["current_std"] == 0.005
+
+
+def count_evaluations(plant):
+    """Wrap `plant._derivative`; the returned list grows by one per call."""
+    calls = []
+    derivative = plant._derivative
+
+    def counted(*args):
+        calls.append(args[0])
+        return derivative(*args)
+
+    plant._derivative = counted
+    return calls
+
+
+def changing_currents(k):
+    # nonzero from the first step and different on every step
+    freqs = np.array([0.7, 1.3, 2.1, 2.9, 1.1, 1.9, 0.5, 2.3])
+    return 0.4 * np.sin(2 * np.pi * freqs * k * 1e-3 + 0.3)
+
+
+STICK_PUSH_OBJECT = dict(
+    contact={"tangential_stiffness": 4000.0},
+    disturbances=[{"time": 0.05, "duration": 0.1, "frame": "torso_push",
+                   "force": (0.0, 30.0, 0.0)}],
+    object_events=[{"time": 0.0, "frame": "right_sole", "height": 0.004,
+                    "action": "insert", "region": "front"}])
+
+
+@pytest.mark.parametrize("kw", [
+    {}, {"lock_base": True}, STICK_PUSH_OBJECT,
+    {"elastic_transmission": False},
+], ids=["default", "locked_base", "stick_push_object", "rigid"])
+def test_first_stage_is_exact_and_a_step_makes_four_evaluations(kw):
+    plant = make_plant(seed=2, **kw)
+    state = plant.initial_state(base_height=2.0 if kw.get("lock_base") else None)
+    calls = count_evaluations(plant)
+    elastic = plant.config.elastic_transmission
+    worst = 0.0
+    for k in range(200):
+        currents = changing_currents(k)
+        y = plant._pack(state)
+        fresh, _ = plant._derivative(state.t, y, state.base_R, currents,
+                                     state.contact_anchors)
+        del calls[:]
+        k1 = plant._first_stage(state, y, currents)
+        # elastic: the stored evaluation, patched for the new currents
+        assert len(calls) == (0 if elastic else 1)
+        worst = max(worst, np.max(np.abs(k1 - fresh)) / np.max(np.abs(fresh)))
+        del calls[:]
+        new, _ = plant.step(state, currents)
+        moved = new.contact_anchors.keys() != state.contact_anchors.keys() or any(
+            not np.array_equal(a, state.contact_anchors[key])
+            for key, a in new.contact_anchors.items())
+        assert len(calls) == (4 if elastic else 5) + moved, k
+        state = new
+    assert worst <= 1e-12
+
+
+def edit_base_height(state):
+    state.base_pos[2] = 2.0
+
+
+def edit_joint(state):
+    state.s[1] += 0.05
+
+
+def edit_attitude_in_place(state):
+    state.base_R[:] = state.base_R @ exp_so3(np.array([0.0, 0.05, 0.1]))
+
+
+def edit_anchor_in_place(state):
+    next(iter(state.contact_anchors.values()))[0] += 1e-3
+
+
+@pytest.mark.parametrize("edit, kw", [
+    (edit_base_height, {"lock_base": True}),
+    (edit_joint, {}),
+    (edit_attitude_in_place, {}),
+    (edit_anchor_in_place, {"contact": {"tangential_stiffness": 4000.0}}),
+], ids=["base_height", "joint", "attitude", "anchor"])
+def test_edited_state_is_evaluated_afresh(edit, kw):
+    # the evaluation stored on a state serves the next step's first stage
+    # only while the state is the one it was made at
+    plant = make_plant(seed=1, **kw)
+    edited, stripped = plant.initial_state(), plant.initial_state()
+    for state in (edited, stripped):
+        edit(state)
+    del stripped._info
+    currents = np.zeros(plant.n)
+    a, _ = plant.step(edited, currents)
+    b, _ = plant.step(stripped, currents)
+    for name in ("base_pos", "base_R", "base_twist", "s", "sdot", "motor_pos",
+                 "motor_vel", "tau", "tau_friction", "joint_acc"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y))), name
+
+
+def test_currents_edited_in_place_after_a_step():
+    # a caller may reuse one currents array; the stored evaluation keeps
+    # the currents it was made under, not a view of the caller's array
+    plant = make_plant(seed=1)
+    start = plant.initial_state()
+    reused = np.full(plant.n, 0.1)
+    a, _ = plant.step(start, reused)
+    reused[:] = 0.3
+    a, _ = plant.step(a, reused)
+    b, _ = plant.step(start, np.full(plant.n, 0.1))
+    b, _ = plant.step(b, np.full(plant.n, 0.3))
+    assert np.array_equal(a.sdot, b.sdot)
+    assert np.array_equal(a.motor_vel, b.motor_vel)
