@@ -21,8 +21,8 @@ import numpy as np
 
 from . import pinn
 from .control import MODES, ControlConfig
-from .experiments import (DEFAULT_KF_GAINS, default_friction_nets,
-                          generate_friction_dataset,
+from .experiments import (DEFAULT_KF_GAINS, check_duration,
+                          default_friction_nets, generate_friction_dataset,
                           make_disturbance_scenario, make_object_scenario,
                           render_table, run_scenario, sweep_modes)
 from .ga import GaConfig, tune_kf
@@ -97,6 +97,7 @@ def _load_scenario(spec, seed):
     try:
         scenario = ScenarioConfig.from_dict(d)
         Plant(scenario)  # checks model, frames and object events
+        check_duration(scenario)
     except (ModelError, OSError, TypeError, ValueError) as exc:
         raise SystemExit(f"scenario file {spec} rejected: {exc}") from None
     return scenario
@@ -162,6 +163,8 @@ def _cmd_report(args):
             for k in ("com_mean_error_mm", "com_max_error_mm"):
                 r[k] = json.loads(r[k])
             r["fell"] = r["fell"] == "True"
+            if "diverged" in r:  # files written before the column existed lack it
+                r["diverged"] = r["diverged"] == "True"
             reports.append(r)
     table = render_table(reports)
     out_md = os.path.join(args.in_dir, "report.md")

@@ -19,7 +19,7 @@ from . import pinn
 from .control import (ControlConfig, MODES, PositionPD, RateScheduler,
                       TorquePI, high_level_balancer, rnea_torque_feedback)
 from .friction import ScvParams
-from .kf import _gain_schedule, encoder_lsb, process_noise, quantization_variance
+from .kf import encoder_lsb, mean_step, steady_state_gain
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
                     SimulationDiverged)
 from .spatial import Transform, cross3
@@ -27,32 +27,55 @@ from .ukf import ComplementaryAttitude, TorqueUkf
 
 
 class OnlineKf:
-    """Steady-state-gain encoder filter for the 1 kHz control path.
+    """Bank of steady-state-gain encoder filters for the 1 kHz control path.
 
-    The covariance recursion is run to convergence once at start-up;
-    the loop then applies the constant gain, which is what a fixed-cost
-    real-time implementation would do.
+    One filter per entry of `lsb` (the channels' quantization steps),
+    starting at rest at `x0` (broadcast over the channels).  The
+    covariance recursion runs to convergence once at start-up, in one
+    batch over the distinct `lsb` values; the loop then applies the
+    constant gains, which is what a fixed-cost real-time implementation
+    would do.
     """
 
     def __init__(self, dt, lsb, q_accel, q_jerk, x0=0.0):
-        K = _gain_schedule(dt, process_noise(dt, q_accel, q_jerk),
-                           quantization_variance(lsb), 20000)[-1]
-        self.k0, self.k1, self.k2 = float(K[0]), float(K[1]), float(K[2])
+        lsb = np.atleast_1d(np.asarray(lsb, dtype=float))
+        kinds, kind = np.unique(lsb, return_inverse=True)
+        K = steady_state_gain(dt, kinds, q_accel, q_jerk)
+        self.K = np.ascontiguousarray(K[kind.ravel()].T)  # (3, channels)
         self.dt = dt
-        self.x, self.v, self.a = float(x0), 0.0, 0.0
+        self.x = np.broadcast_to(np.asarray(x0, dtype=float), lsb.shape).copy()
+        self.v, self.a = np.zeros(len(lsb)), np.zeros(len(lsb))
 
     def update(self, z):
-        dt = self.dt
-        xp = self.x + dt * self.v + 0.5 * dt * dt * self.a
-        vp = self.v + dt * self.a
-        innov = z - xp
-        self.x = xp + self.k0 * innov
-        self.v = vp + self.k1 * innov
-        self.a = self.a + self.k2 * innov
+        """Advance every channel by one sample; returns (x, v, a) arrays."""
+        self.x, self.v, self.a = mean_step(self.x, self.v, self.a, z, self.K,
+                                           self.dt)
         return self.x, self.v, self.a
 
 
 DEFAULT_KF_GAINS = {"q_accel": 1e-3, "q_jerk": 200.0}
+BURN_IN = 0.5  # s of every run left out of the torque metrics
+
+
+def check_duration(scenario):
+    """Reject a scenario too short to leave samples after the burn-in."""
+    steps = int(round(scenario.duration / scenario.step))
+    needed = int(round(BURN_IN / scenario.step)) + 2
+    if steps < needed:
+        raise ValueError(
+            f"ScenarioConfig.duration ({scenario.duration:g} s) leaves no "
+            f"samples after the {BURN_IN:g} s metrics burn-in; it must be at "
+            f"least {needed * scenario.step:g} s")
+
+
+def encoder_bank(scenario, state, gains):
+    """One filter bank over the 2n encoders of a plant at `state`:
+    joint positions (channels 0..n-1), then motor positions."""
+    n = len(state.s)
+    lsb = np.repeat([encoder_lsb(scenario.noise["joint_encoder_bits"]),
+                     encoder_lsb(scenario.noise["motor_encoder_bits"])], n)
+    return OnlineKf(scenario.step, lsb, **gains,
+                    x0=np.concatenate([state.s, state.motor_pos]))
 
 
 def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
@@ -74,12 +97,7 @@ def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0, 2 * np.pi, size=(n, 3))
     freqs = np.array([0.3, 0.9, 1.7])
-    joint_lsb = encoder_lsb(scenario.noise["joint_encoder_bits"])
-    motor_lsb = encoder_lsb(scenario.noise["motor_encoder_bits"])
-    dt = scenario.step
-    jkf = [OnlineKf(dt, joint_lsb, **DEFAULT_KF_GAINS, x0=st.s[j]) for j in range(n)]
-    mkf = [OnlineKf(dt, motor_lsb, **DEFAULT_KF_GAINS, x0=st.motor_pos[j])
-           for j in range(n)]
+    encoders = encoder_bank(scenario, st, DEFAULT_KF_GAINS)
     steps = int(round(duration / scenario.step))
     t_log = np.empty(steps)
     mv_log = np.empty(steps)
@@ -90,12 +108,10 @@ def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
         currents = current_amp * np.sin(
             2 * np.pi * freqs[None, :] * t + phases).sum(axis=1)
         st, sb = plant.step(st, currents)
-        for j in range(n):
-            jkf[j].update(sb.joint_pos[j])
-            mkf[j].update(sb.motor_pos[j])
+        _, v, _ = encoders.update(np.concatenate([sb.joint_pos, sb.motor_pos]))
         t_log[k] = st.t
-        mv_log[k] = mkf[joint].v / plant.reduction[joint]
-        jv_log[k] = jkf[joint].v
+        mv_log[k] = v[n + joint] / plant.reduction[joint]
+        jv_log[k] = v[joint]
         fr_log[k] = st.tau_friction[joint]
     return t_log, mv_log, jv_log, fr_log
 
@@ -179,6 +195,8 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     is given, the run CSV, report JSON and a metrics CSV row are
     written there under `label`.
     """
+    sched = RateScheduler(scenario.step, control.low_rate, control.high_rate)
+    check_duration(scenario)
     plant = Plant(scenario)
     model = plant.model
     n = plant.n
@@ -197,10 +215,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         raise ValueError(f"mode {mode} needs trained friction nets")
     net_groups = group_by_net(nets, model.joint_names) if needs_nets else []
 
-    joint_lsb = encoder_lsb(scenario.noise["joint_encoder_bits"])
-    motor_lsb = encoder_lsb(scenario.noise["motor_encoder_bits"])
-    jkf = [OnlineKf(dt_s, joint_lsb, **gains, x0=st.s[j]) for j in range(n)]
-    mkf = [OnlineKf(dt_s, motor_lsb, **gains, x0=st.motor_pos[j]) for j in range(n)]
+    encoders = encoder_bank(scenario, st, gains)
     att = ComplementaryAttitude(R0=st.base_R.copy())
     buf_len = max((net.buffer_len for net, _ in net_groups), default=1)
     mv_buf = np.zeros((buf_len, n))
@@ -212,7 +227,6 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         ukf_mean, ukf_cov = ukf.initial_belief()
     pi = TorquePI(n, control, gear_torque, dt_s)
     pos_pd = PositionPD(control, gear_torque)
-    sched = RateScheduler(scenario.step, control.low_rate, control.high_rate)
 
     com0 = st.com.copy()
     amp = np.asarray(scenario.com_amplitude, dtype=float)
@@ -265,16 +279,12 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             break
 
         # ---- 1 kHz estimator + torque loop ----
-        s_meas = np.empty(n)
-        mpos_est = np.empty(n)
-        mvel_est = np.empty(n)
-        for j in range(n):
-            x, v, _ = jkf[j].update(sb.joint_pos[j])
-            s_meas[j] = x
-            sdot_est[j] = v
-            xm, vm, _ = mkf[j].update(sb.motor_pos[j])
-            mpos_est[j] = xm / plant.reduction[j]
-            mvel_est[j] = vm / plant.reduction[j]
+        x, v, enc_acc = encoders.update(
+            np.concatenate([sb.joint_pos, sb.motor_pos]))
+        s_meas = x[:n]
+        sdot_est = v[:n]
+        mpos_est = x[n:] / plant.reduction
+        mvel_est = v[n:] / plant.reduction
         mv_buf[:-1] = mv_buf[1:]
         mv_buf[-1] = mvel_est
         jv_buf[:-1] = jv_buf[1:]
@@ -302,7 +312,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             r = model.frame("waist_imu")[1].p
             a_base = imu_acc - cross3(w, cross3(w, r))
             accel = np.concatenate([a_base, np.zeros(3),
-                                    [jkf[j].a for j in range(n)]])
+                                    enc_acc[:n]])
             nu_est = np.concatenate([np.zeros(3), w, sdot_est])
             tau_fb = rnea_torque_feedback(
                 model, Transform(R_est, np.zeros(3)), s_meas, nu_est, accel,
@@ -340,7 +350,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     return report, log
 
 
-def compute_metrics(log, scenario, control, burn_in=0.5):
+def compute_metrics(log, scenario, control, burn_in=BURN_IN):
     """Reduce a run log to the report dictionary.
 
     Torque-tracking errors compare the commanded desired torque against
@@ -406,22 +416,41 @@ def write_artifacts(out_dir, label, scenario, control, log, report):
             w.writerow(row)
     with open(base + "_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [report])
+    replace_metrics_row(os.path.join(out_dir, "metrics.csv"), report)
+
+
+METRICS_COLUMNS = ["mode", "seed", "config_hash", "torque_rmse_overall",
+                   "avg_abs_torque", "peak_abs_torque", "fell", "fall_time",
+                   "diverged", "com_mean_error_mm", "com_max_error_mm"]
+METRICS_KEY = ("mode", "seed", "config_hash")
 
 
 def write_metrics_csv(path, reports, append=True):
-    """One row per run; stable column order for table assembly."""
-    cols = ["mode", "seed", "config_hash", "torque_rmse_overall",
-            "avg_abs_torque", "peak_abs_torque", "fell", "fall_time",
-            "com_mean_error_mm", "com_max_error_mm"]
+    """One row per run; stable column order for table assembly.
+
+    A field a report lacks (a row read back from a file written before
+    its column existed) is left empty.
+    """
     exists = os.path.exists(path) and append
     with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         if not exists:
-            w.writerow(cols)
+            w.writerow(METRICS_COLUMNS)
         for r in reports:
-            w.writerow([json.dumps(r[c]) if isinstance(r[c], list) else r[c]
-                        for c in cols])
+            w.writerow([json.dumps(v) if isinstance(v, list) else v
+                        for v in (r.get(c, "") for c in METRICS_COLUMNS)])
+
+
+def replace_metrics_row(path, report):
+    """Write `report`'s metrics row in place of any row of the same
+    (mode, seed, config_hash); rows of other runs are kept."""
+    key = [str(report[c]) for c in METRICS_KEY]
+    rows = []
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if [r.get(c) for c in METRICS_KEY] != key]
+    write_metrics_csv(path, rows + [report], append=False)
 
 
 def sweep_modes(scenario, modes=None, control=None, nets=None, out_dir=None):
@@ -473,7 +502,8 @@ def scalability_sweep(scenario, scalings, control=None, nets=None,
 def render_table(reports, columns=None):
     """Markdown comparison table from a list of report dicts."""
     columns = columns or ["mode", "torque_rmse_overall", "com_mean_error_mm",
-                          "com_max_error_mm", "avg_abs_torque", "fell"]
+                          "com_max_error_mm", "avg_abs_torque", "fell",
+                          "diverged"]
     def fmt(v):
         if isinstance(v, float):
             return f"{v:.4g}"

@@ -41,11 +41,6 @@ class GaConfig:
             raise ValueError(f"unknown crossover kind {self.crossover!r}")
 
 
-def _score(fitness, genes):
-    value = float(fitness(genes))
-    return -np.inf if np.isnan(value) else value
-
-
 def _two_point_crossover(a, b, rng):
     n = len(a)
     if n < 2:
@@ -59,10 +54,13 @@ def _two_point_crossover(a, b, rng):
 def optimize(config, fitness):
     """Maximize `fitness` over the gene box; returns (best, history).
 
-    `fitness` is called as fitness(genes) and must be deterministic (a
-    stochastic fitness closes over its own seeded generator); NaN scores
-    are treated as -inf.  `history` is a list of per-generation dicts
-    with best/mean fitness and the best genes so far.
+    `fitness` scores a whole generation at once: it is called as
+    fitness(pop) with `pop` a (population_size, genes) array, one
+    candidate per row, and returns one score per row.  It must be
+    deterministic (a stochastic fitness closes over its own seeded
+    generator); NaN scores are treated as -inf.  `history` is a list of
+    per-generation dicts with best/mean fitness and the best genes so
+    far.
     """
     rng = np.random.default_rng(config.seed)
     lo = np.array([b[0] for b in config.bounds])
@@ -75,7 +73,12 @@ def optimize(config, fitness):
     best_genes = None
     best_fit = -np.inf
     for gen in range(config.generations):
-        scores = np.array([_score(fitness, genes) for genes in pop])
+        scores = np.array(fitness(pop), dtype=float)
+        if scores.shape != (len(pop),):
+            raise ValueError(f"fitness must return one score per row of its "
+                             f"({len(pop)}, {n_genes}) population, got shape "
+                             f"{scores.shape}")
+        scores[np.isnan(scores)] = -np.inf
         order = np.argsort(scores)[::-1]
         if scores[order[0]] > best_fit:
             best_fit = scores[order[0]]
@@ -117,9 +120,19 @@ def optimize(config, fitness):
 DEFAULT_FITNESS_WEIGHTS = (1.0, 0.1, 10.0, 1.0)
 
 
+def _mean_square(d):
+    """Row means of d ** 2; squares the temporary `d` in place."""
+    np.square(d, out=d)
+    return np.mean(d, axis=-1)
+
+
 def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS,
                min_samples=100):
-    """Score a (q_accel, q_jerk) candidate on an encoder position trace.
+    """Score (q_accel, q_jerk) candidates on an encoder position trace.
+
+    `genes` is one candidate or a (P, 2) stack; the score is a float or
+    (P,) scores, all from one batched filter pass.  A candidate with a
+    negative density scores -inf.
 
     Score = -(w1*jerk term + w2*accel term + w3*position-alignment term
     + w4*velocity/position integration-inconsistency term); larger is
@@ -133,45 +146,54 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS,
     z = np.asarray(trace, dtype=float)
     if len(z) < min_samples:
         raise ValueError(f"trace too short: {len(z)} < {min_samples} samples")
-    q_accel, q_jerk = float(genes[0]), float(genes[1])
-    if q_accel < 0.0 or q_jerk < 0.0:
-        return -np.inf
-    x, v, a = filter_trace(z, dt, lsb, q_accel, q_jerk)
-    # smoothness measured on the velocity estimate so that a filter
-    # tracking the quantization staircase cannot hide velocity noise in
-    # an over-smoothed acceleration state
-    jerk = np.diff(v, 2) / dt ** 2
-    accel = np.diff(v) / dt
-    align = x - z
-    integ = np.diff(x) / dt - v[1:]
-    # finite-difference baselines for scale normalization
-    fd_acc = np.diff(z, 2) / dt ** 2
-    fd_jerk = np.diff(z, 3) / dt ** 3
-    eps = 1e-30
-    jerk_ref = np.mean(fd_jerk ** 2) + eps
-    acc_ref = np.mean(fd_acc ** 2) + eps
-    align_ref = lsb * lsb / 12.0 + eps
-    integ_ref = np.mean(v ** 2) + eps
-    w1, w2, w3, w4 = weights
-    # alignment is penalized only beyond the quantization floor: the
-    # truth-tracking estimate necessarily differs from the measured
-    # staircase by the quantization error itself
-    align_excess = max(0.0, np.mean(align ** 2) / align_ref - 1.0)
-    cost = (w1 * np.mean(jerk ** 2) / jerk_ref
-            + w2 * np.mean(accel ** 2) / acc_ref
-            + w3 * align_excess
-            + w4 * np.mean(integ ** 2) / integ_ref)
-    return -cost
+    genes = np.asarray(genes, dtype=float)
+    q = np.atleast_2d(genes)[:, :2]
+    valid = ~np.any(q < 0.0, axis=1)
+    scores = np.full(len(q), -np.inf)
+    if valid.any():
+        # a GA generation repeats candidates (elites, copied parents):
+        # filter each distinct one once
+        distinct, which = np.unique(q[valid], axis=0, return_inverse=True)
+        x, v = filter_trace(z, dt, lsb, distinct[:, 0], distinct[:, 1])[:2]
+        # each (P, n) term is reduced to its row means as soon as it is
+        # formed, so a generation holds x, v and at most two terms.
+        # Smoothness is measured on the velocity estimate so that a
+        # filter tracking the quantization staircase cannot hide
+        # velocity noise in an over-smoothed acceleration state.
+        jerk = _mean_square(np.diff(v, 2) / dt ** 2)
+        accel = _mean_square(np.diff(v) / dt)
+        align = _mean_square(x - z)
+        integ = _mean_square(np.diff(x) / dt - v[:, 1:])
+        # finite-difference baselines for scale normalization
+        fd_acc = np.diff(z, 2) / dt ** 2
+        fd_jerk = np.diff(z, 3) / dt ** 3
+        eps = 1e-30
+        jerk_ref = np.mean(fd_jerk ** 2) + eps
+        acc_ref = np.mean(fd_acc ** 2) + eps
+        align_ref = lsb * lsb / 12.0 + eps
+        integ_ref = np.mean(v ** 2, axis=-1) + eps
+        w1, w2, w3, w4 = weights
+        # alignment is penalized only beyond the quantization floor: the
+        # truth-tracking estimate necessarily differs from the measured
+        # staircase by the quantization error itself
+        align_excess = np.maximum(0.0, align / align_ref - 1.0)
+        cost = (w1 * jerk / jerk_ref
+                + w2 * accel / acc_ref
+                + w3 * align_excess
+                + w4 * integ / integ_ref)
+        scores[valid] = -cost[which.ravel()]
+    return scores if genes.ndim == 2 else scores[0]
 
 
 def tune_kf(trace, dt, lsb, config=None, weights=DEFAULT_FITNESS_WEIGHTS):
     """GA-tune (q_accel, q_jerk) for one encoder channel.
 
     The densities span many decades, so the genes are log10 of the
-    densities; default bounds cover 1e-4..1e4 and 1e-2..1e8.
+    densities; default bounds cover 1e-4..1e4 and 1e-2..1e8.  Each
+    generation is scored by one batched filter pass.
     """
     if config is None:
         config = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)])
     best, history = optimize(
-        config, lambda g: kf_fitness(10.0 ** np.asarray(g), trace, dt, lsb, weights))
+        config, lambda pop: kf_fitness(10.0 ** pop, trace, dt, lsb, weights))
     return {"q_accel": float(10.0 ** best[0]), "q_jerk": float(10.0 ** best[1])}, history

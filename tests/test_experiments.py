@@ -1,11 +1,15 @@
 """Experiment runner: metrics algebra, artifacts, sweeps, scenarios."""
 
+import csv
 import filecmp
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from reference_kf import ScalarOnlineKf
 from torquesense import experiments, pinn
 from torquesense.control import ControlConfig
 from torquesense.experiments import (
@@ -125,10 +129,53 @@ def test_online_kf_tracks_filter_trace_after_convergence(bits):
     z = np.round((0.4 * np.sin(2 * np.pi * 1.3 * t) + 0.5 * t * t) / lsb) * lsb
     xs, vs, accs = filter_trace(z, dt, lsb, **DEFAULT_KF_GAINS)
     start = 1000
-    kf = OnlineKf(dt, lsb, **DEFAULT_KF_GAINS, x0=xs[start - 1])
-    kf.v, kf.a = vs[start - 1], accs[start - 1]
+    kf = OnlineKf(dt, [lsb], **DEFAULT_KF_GAINS, x0=[xs[start - 1]])
+    kf.v[:], kf.a[:] = vs[start - 1], accs[start - 1]
     for k in range(start, len(z)):
-        assert kf.update(z[k]) == (xs[k], vs[k], accs[k])
+        x, v, a = kf.update(z[k])
+        assert (x[0], v[0], a[0]) == (xs[k], vs[k], accs[k])
+
+
+def test_encoder_bank_matches_one_filter_per_channel():
+    # a 12-bit + 16-bit bank, three channels of each kind, against one
+    # scalar filter per channel over 3000 samples
+    dt = 1e-3
+    lsb = np.repeat([encoder_lsb(12), encoder_lsb(16)], 3)
+    x0 = np.array([0.1, -0.2, 0.3, 1.0, -2.0, 0.5])
+    bank = OnlineKf(dt, lsb, **DEFAULT_KF_GAINS, x0=x0)
+    scalar = [ScalarOnlineKf(dt, lsb[c], **DEFAULT_KF_GAINS, x0=x0[c])
+              for c in range(6)]
+    t = np.arange(3000) * dt
+    phase = np.arange(6)[:, None]
+    z = x0[:, None] + 0.4 * np.sin(2 * np.pi * 1.3 * t + phase) + 0.5 * t * t
+    z = np.round(z / lsb[:, None]) * lsb[:, None]
+    for k in range(len(t)):
+        x, v, a = bank.update(z[:, k])
+        ref = np.array([f.update(z[c, k]) for c, f in enumerate(scalar)])
+        assert np.array_equal(x, ref[:, 0])
+        assert np.array_equal(v, ref[:, 1])
+        assert np.array_equal(a, ref[:, 2])
+
+
+def test_encoder_gains_computed_once_per_distinct_lsb(monkeypatch):
+    calls = []
+    steady_state_gain = experiments.steady_state_gain
+
+    def recorded(dt, lsb, *args):
+        calls.append(np.array(lsb))
+        return steady_state_gain(dt, lsb, *args)
+
+    monkeypatch.setattr(experiments, "steady_state_gain", recorded)
+    scenario = ScenarioConfig(duration=0.55, seed=0)
+    run_scenario(scenario, ControlConfig(mode="Feedforward"))
+    generate_friction_dataset(duration=0.01)
+    distinct = [encoder_lsb(scenario.noise["motor_encoder_bits"]),
+                encoder_lsb(scenario.noise["joint_encoder_bits"])]
+    # one batched recursion per run over the two encoder kinds, not one
+    # per channel
+    assert len(calls) == 2
+    for lsb in calls:
+        assert np.array_equal(lsb, distinct)
 
 
 def test_run_scenario_requires_nets_for_estimating_modes():
@@ -309,6 +356,35 @@ def test_closed_loop_calls_each_net_once_per_tick(monkeypatch):
     # the per-joint reference above
     assert len(calls) == len(log.t) * (3 + 8)
     assert max(diffs) <= 1e-12
+
+
+@pytest.mark.parametrize("duration", [0.05, 0.5, 0.501])
+def test_run_no_longer_than_the_burn_in_is_rejected(duration):
+    message = re.escape(f"duration ({duration:g} s)") + ".*0.5 s metrics burn-in"
+    with pytest.raises(ValueError, match=message):
+        run_scenario(ScenarioConfig(duration=duration),
+                     ControlConfig(mode="Feedforward"))
+
+
+def test_run_just_past_the_burn_in_has_finite_metrics():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, log = run_scenario(ScenarioConfig(duration=0.502),
+                                   ControlConfig(mode="Feedforward"))
+    assert np.isfinite(report["torque_rmse_overall"])
+    assert np.all(np.isfinite(report["torque_rmse"]))
+
+
+def test_rerun_replaces_its_metrics_row(tmp_path):
+    # another seed is another run: its row is kept beside the rerun one
+    for seed in (0, 1, 0):
+        run_scenario(ScenarioConfig(duration=0.55, seed=seed),
+                     ControlConfig(mode="Feedforward"), out_dir=tmp_path)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["mode"], r["seed"]) for r in rows] == [("Feedforward", "1"),
+                                                      ("Feedforward", "0")]
+    assert [r["diverged"] for r in rows] == ["False", "False"]
 
 
 def test_rate_mismatch_names_the_control_setting():

@@ -1,15 +1,20 @@
 """Genetic-algorithm optimizer: convergence, elitism, determinism."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from reference_kf import kf_fitness_one
 from torquesense.ga import GaConfig, kf_fitness, optimize, tune_kf
 from torquesense.kf import encoder_lsb
 
 
 def sphere_center(c):
+    """Population fitness: minus the squared distance of each row to c."""
     c = np.asarray(c)
-    return lambda genes: -float(np.sum((genes - c) ** 2))
+    return lambda pop: -np.sum((pop - c) ** 2, axis=-1)
 
 
 def test_converges_on_convex_landscape():
@@ -60,8 +65,8 @@ def test_nan_fitness_scored_minus_inf():
     cfg = GaConfig(bounds=[(0.0, 1.0)], population_size=8, generations=3,
                    parents_mating=4, seed=13)
 
-    def fitness(genes):
-        return float("nan") if genes[0] > 0.5 else float(genes[0])
+    def fitness(pop):
+        return np.where(pop[:, 0] > 0.5, np.nan, pop[:, 0])
 
     best, history = optimize(cfg, fitness)
     assert best[0] <= 0.5
@@ -95,13 +100,23 @@ def test_zero_mutation_no_crossover_preserves_gene_values():
                    mutation_rate=0.0, seed=17)
     seen = set()
 
-    def fitness(genes):
-        seen.add(tuple(np.round(genes, 12)))
-        return -float(np.sum(genes ** 2))
+    def fitness(pop):
+        seen.update(tuple(np.round(genes, 12)) for genes in pop)
+        return -np.sum(pop ** 2, axis=1)
 
     optimize(cfg, fitness)
     # only the 12 founding individuals ever get evaluated
     assert len(seen) <= 12
+
+
+def test_fitness_must_score_every_row():
+    cfg = GaConfig(bounds=[(0.0, 1.0)] * 2, population_size=6,
+                   generations=2, parents_mating=3, seed=23)
+    # a per-candidate fitness handed the population returns one number
+    with pytest.raises(ValueError, match=r"one score per row.*\(6, 2\)"):
+        optimize(cfg, lambda pop: -float(np.sum(pop ** 2)))
+    with pytest.raises(ValueError, match="one score per row"):
+        optimize(cfg, lambda pop: -pop ** 2)
 
 
 def test_config_validation():
@@ -133,6 +148,58 @@ def test_kf_fitness_basic_properties():
     assert kf_fitness([-1.0, 1.0], trace, dt, lsb) == -np.inf
     with pytest.raises(ValueError):
         kf_fitness([1.0, 1.0], trace[:50], dt, lsb)
+
+
+def test_kf_fitness_stack_matches_the_per_candidate_fitness():
+    dt, lsb = 1e-3, encoder_lsb(12)
+    trace = synthetic_trace(noise=True)
+    r = np.random.default_rng(3)
+    genes = np.column_stack([10.0 ** r.uniform(-4.0, 4.0, 9),
+                             10.0 ** r.uniform(-2.0, 8.0, 9)])
+    genes[3] = genes[7]            # a repeated candidate
+    genes[5, 1] = -1.0             # a negative density scores -inf per row
+    genes[6, 0] = -0.5
+    scores = kf_fitness(genes, trace, dt, lsb)
+    assert scores.shape == (9,)
+    assert scores[5] == scores[6] == -np.inf
+    for g, s in zip(genes, scores):
+        assert s == kf_fitness_one(g, trace, dt, lsb)
+        assert s == kf_fitness(g, trace, dt, lsb)
+    assert np.all(kf_fitness(genes[5:7], trace, dt, lsb) == -np.inf)
+
+
+def perfbench_encoder_trace(seed):
+    """The offline-id benchmark workload's 12-bit encoder trace."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.encoder_trace(seed), workloads.GA_BOUNDS
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tune_kf_matches_the_per_candidate_ga(seed, monkeypatch):
+    from torquesense import ga
+    dt, lsb = 1e-3, encoder_lsb(12)
+    trace, bounds = perfbench_encoder_trace(seed)
+    cfg = GaConfig(bounds=bounds, population_size=20, generations=10,
+                   parents_mating=10, seed=seed)
+    passes = []
+    filter_trace = ga.filter_trace
+    monkeypatch.setattr(ga, "filter_trace",
+                        lambda *a: passes.append(1) or filter_trace(*a))
+    gains, history = tune_kf(trace, dt, lsb, config=cfg)
+    assert len(passes) == cfg.generations  # one filter pass per generation
+    best, ref_history = optimize(cfg, lambda pop: np.array(
+        [kf_fitness_one(10.0 ** g, trace, dt, lsb) for g in pop]))
+    assert gains == {"q_accel": float(10.0 ** best[0]),
+                     "q_jerk": float(10.0 ** best[1])}
+    assert len(history) == len(ref_history) == cfg.generations
+    for h, ref in zip(history, ref_history):
+        assert h.keys() == ref.keys()
+        for key in ("generation", "best", "generation_best", "mean"):
+            assert h[key] == ref[key]
+        assert np.array_equal(h["best_genes"], ref["best_genes"])
 
 
 def test_zero_noise_constant_velocity_error_terms_vanish():

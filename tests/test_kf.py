@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from reference_kf import KfState, kf_predict, kf_update, make_kf
+from reference_kf import (KfState, backward_difference, filter_trace_one,
+                          gain_schedule, kf_predict, kf_update, make_kf)
 from torquesense.kf import (
-    backward_difference,
     encoder_lsb,
     filter_trace,
     load_gains,
     process_noise,
     quantization_variance,
     save_gains,
+    steady_state_gain,
     transition_matrix,
 )
 
@@ -121,9 +122,59 @@ def test_backward_difference():
     assert np.allclose(backward_difference(z, 0.5), [0.0, 2.0, 4.0, 6.0])
 
 
+def ga_bounds_candidates():
+    """Densities across the GA's default bounds (log10 q_accel in
+    [-4, 4], log10 q_jerk in [-2, 8]): the corners, the default gains
+    and random draws."""
+    r = np.random.default_rng(5)
+    q_accel = np.concatenate([[1e-4, 1e4, 1e-4, 1e4, 1e-3],
+                              10.0 ** r.uniform(-4.0, 4.0, 7)])
+    q_jerk = np.concatenate([[1e-2, 1e8, 1e8, 1e-2, 200.0],
+                             10.0 ** r.uniform(-2.0, 8.0, 7)])
+    return q_accel, q_jerk
+
+
+def test_batched_filter_matches_the_per_candidate_filter():
+    dt, lsb = 1e-3, encoder_lsb(12)
+    t = np.arange(1000) * dt
+    z = np.round((0.3 * np.sin(2 * np.pi * 1.3 * t)
+                  + 0.2 * np.sin(2 * np.pi * 0.5 * t + 1.0)) / lsb) * lsb
+    q_accel, q_jerk = ga_bounds_candidates()
+    r = quantization_variance(lsb)
+    steps = [len(gain_schedule(dt, process_noise(dt, qa, qj), r, len(z)))
+             for qa, qj in zip(q_accel, q_jerk)]
+    # members that freeze early, late and never within the trace
+    assert min(steps) < 100 and max(steps) == len(z)
+    xs, vs, accs = filter_trace(z, dt, lsb, q_accel, q_jerk)
+    assert xs.shape == vs.shape == accs.shape == (len(q_accel), len(z))
+    for b, (qa, qj) in enumerate(zip(q_accel, q_jerk)):
+        x, v, a = filter_trace_one(z, dt, lsb, qa, qj)
+        assert np.array_equal(xs[b], x)
+        assert np.array_equal(vs[b], v)
+        assert np.array_equal(accs[b], a)
+    # scalar densities give one filter's (n,) traces
+    x, v, a = filter_trace(z, dt, lsb, q_accel[4], q_jerk[4])
+    assert x.shape == (len(z),)
+    assert np.array_equal(v, vs[4])
+
+
+def test_steady_state_gain_is_the_last_gain_of_the_schedule():
+    dt = 1e-3
+    lsb = np.array([encoder_lsb(12), encoder_lsb(16), encoder_lsb(20)])
+    K = steady_state_gain(dt, lsb, 1e-3, 200.0)
+    assert K.shape == (3, 3)
+    for b in range(3):
+        ref = gain_schedule(dt, process_noise(dt, 1e-3, 200.0),
+                            quantization_variance(lsb[b]), 20000)
+        assert len(ref) < 20000
+        assert np.array_equal(K[b], ref[-1])
+
+
 def test_validation_and_error_paths(tmp_path):
     with pytest.raises(ValueError):
         process_noise(1e-3, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        process_noise(1e-3, np.array([1.0, 2.0]), np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         KfState(np.zeros(3), np.eye(3), np.eye(3), 0.1, dt=0.0)
     with pytest.raises(ValueError):
