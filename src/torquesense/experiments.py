@@ -224,7 +224,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     ukf = None
     if use_ukf:
         ukf = TorqueUkf(model, plant.reduction, plant.k_t, dt_s)
-        ukf_mean, ukf_cov = ukf.initial_belief()
+        belief = ukf.initial_belief()
     pi = TorquePI(n, control, gear_torque, dt_s)
     pos_pd = PositionPD(control, gear_torque)
 
@@ -303,9 +303,8 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             z = ukf.assemble_measurement(
                 sdot_est, sb.currents, sb.ft, imu_acc, imu_gyro,
                 tau_f_pinn=None if mask else tau_f_hat)
-            ukf_mean, ukf_cov = ukf.step(ukf_mean, ukf_cov, s_meas, R_est, z,
-                                         mask_friction=mask)
-            tau_fb = ukf.joint_torque_estimate(ukf_mean)
+            belief = ukf.step(belief, s_meas, R_est, z, mask_friction=mask)
+            tau_fb = ukf.joint_torque_estimate(belief.mean)
         elif use_rnea:
             # proper acceleration from IMU (base) and encoder filters (joints)
             w = imu_gyro

@@ -189,11 +189,23 @@ def tune_kf(trace, dt, lsb, config=None, weights=DEFAULT_FITNESS_WEIGHTS):
     """GA-tune (q_accel, q_jerk) for one encoder channel.
 
     The densities span many decades, so the genes are log10 of the
-    densities; default bounds cover 1e-4..1e4 and 1e-2..1e8.  Each
-    generation is scored by one batched filter pass.
+    densities; default bounds cover 1e-4..1e4 and 1e-2..1e8.  A
+    candidate is filtered once per tune: elites and unchanged children
+    keep the score of their first generation, and the candidates a
+    generation adds are scored by one batched filter pass.
     """
     if config is None:
         config = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)])
-    best, history = optimize(
-        config, lambda pop: kf_fitness(10.0 ** pop, trace, dt, lsb, weights))
+    scores = {}
+
+    def fitness(pop):
+        keys = [row.tobytes() for row in pop]
+        new = {k: row for k, row in zip(keys, pop) if k not in scores}
+        if new:
+            genes = np.array(list(new.values()))
+            scores.update(zip(new, kf_fitness(10.0 ** genes, trace, dt, lsb,
+                                              weights)))
+        return np.array([scores[k] for k in keys])
+
+    best, history = optimize(config, fitness)
     return {"q_accel": float(10.0 ** best[0]), "q_jerk": float(10.0 ** best[1])}, history

@@ -8,8 +8,15 @@ Stribeck-Coulomb-viscous curve evaluated at the newest motor velocity:
     L = (1 - lam) * mean((pred - true)^2) + lam * mean((pred - scv)^2)
 
 Backprop and Adam are implemented by hand so gradients can be verified
-against finite differences.  Hyperparameters (hidden widths, dropout,
-lam, buffer length, learning rate, batch size) are random-searched.
+against finite differences.  The net's parameters are one flat vector
+(`FrictionNet.theta`; `params` are named views into it), so the
+gradient is one vector of the same layout and an Adam step is a few
+vector operations.  `train` builds the normalized feature matrix, the
+targets and the physics targets (one vectorized SCV evaluation) once
+per call; each shuffled mini-batch is a row gather from them.
+`train_step` runs the same step on a list of FrictionSamples.
+Hyperparameters (hidden widths, dropout, lam, buffer length, learning
+rate, batch size) are random-searched.
 """
 
 import csv
@@ -55,17 +62,33 @@ class FrictionNet:
         self.norm_std = np.ones(d) if norm_std is None else np.asarray(norm_std, float)
         if np.any(self.norm_std <= 0.0):
             raise ValueError("normalization std must be positive")
+        shapes = (("W1", (hidden1, d)), ("b1", (hidden1,)),
+                  ("W2", (hidden2, hidden1)), ("b2", (hidden2,)),
+                  ("W3", (1, hidden2)), ("b3", (1,)))
+        self._layout = []
+        off = 0
+        for name, shape in shapes:
+            size = int(np.prod(shape))
+            self._layout.append((name, off, off + size, shape))
+            off += size
+        # every parameter lives in one flat vector, so Adam updates the
+        # whole net in a few vector operations; `params` are views into it
+        self.theta = np.zeros(off)
+        self.params = self.unflatten(self.theta)
         rng = np.random.default_rng(seed)
         # He initialization; small random biases keep ReLU preactivations
         # away from the exact kink (important for finite-difference checks)
-        self.params = {
-            "W1": rng.normal(0.0, np.sqrt(2.0 / d), size=(hidden1, d)),
-            "b1": rng.normal(0.0, 0.01, size=hidden1),
-            "W2": rng.normal(0.0, np.sqrt(2.0 / hidden1), size=(hidden2, hidden1)),
-            "b2": rng.normal(0.0, 0.01, size=hidden2),
-            "W3": rng.normal(0.0, np.sqrt(1.0 / hidden2), size=(1, hidden2)),
-            "b3": np.zeros(1),
-        }
+        p = self.params
+        p["W1"][:] = rng.normal(0.0, np.sqrt(2.0 / d), size=(hidden1, d))
+        p["b1"][:] = rng.normal(0.0, 0.01, size=hidden1)
+        p["W2"][:] = rng.normal(0.0, np.sqrt(2.0 / hidden1), size=(hidden2, hidden1))
+        p["b2"][:] = rng.normal(0.0, 0.01, size=hidden2)
+        p["W3"][:] = rng.normal(0.0, np.sqrt(1.0 / hidden2), size=(1, hidden2))
+
+    def unflatten(self, flat):
+        """Views of a vector laid out like `theta`, keyed by parameter name."""
+        return {name: flat[start:stop].reshape(shape)
+                for name, start, stop, shape in self._layout}
 
     def features(self, motor, joint):
         """Normalized feature vector(s) from raw velocity buffers."""
@@ -124,7 +147,7 @@ def predict_bounded(net, motor, joint, margin=1.5):
 def physics_targets(net, motor):
     """SCV friction evaluated at the newest motor velocity of each buffer."""
     motor = np.atleast_2d(np.asarray(motor, dtype=float))
-    return np.array([scv_friction(net.scv, v) for v in motor[:, -1]])
+    return scv_friction(net.scv, motor[:, -1])
 
 
 def _batch_arrays(batch):
@@ -134,20 +157,8 @@ def _batch_arrays(batch):
     return motor, joint, targets
 
 
-def hybrid_loss(net, batch):
-    """Blended data/physics loss over a batch of FrictionSamples."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    motor, joint, targets = _batch_arrays(batch)
-    pred = predict(net, motor, joint)
-    phys = physics_targets(net, motor)
-    data_term = np.mean((pred - targets) ** 2)
-    phys_term = np.mean((pred - phys) ** 2)
-    return (1.0 - net.lam) * data_term + net.lam * phys_term
-
-
 def loss_and_grads(net, X, targets, phys, masks=None):
-    """Hybrid loss and its gradient w.r.t. every parameter.
+    """Hybrid loss and its gradient, a flat vector laid out like `net.theta`.
 
     `X` is the normalized feature matrix; `phys` the physics targets.
     """
@@ -159,26 +170,27 @@ def loss_and_grads(net, X, targets, phys, masks=None):
     loss = (1.0 - net.lam) * np.mean(r_data ** 2) + net.lam * np.mean(r_phys ** 2)
 
     g = 2.0 * ((1.0 - net.lam) * r_data + net.lam * r_phys) / n
-    grads = {}
-    grads["W3"] = (g @ h2)[None, :]
-    grads["b3"] = np.array([g.sum()])
+    grad = np.empty_like(net.theta)
+    grads = net.unflatten(grad)
+    grads["W3"][0] = g @ h2
+    grads["b3"][0] = g.sum()
     dh2 = np.outer(g, p["W3"][0])
     if masks is not None:
         dh2 = dh2 * masks[1]
     dz2 = dh2 * (z2 > 0.0)
-    grads["W2"] = dz2.T @ h1
-    grads["b2"] = dz2.sum(axis=0)
+    grads["W2"][:] = dz2.T @ h1
+    grads["b2"][:] = dz2.sum(axis=0)
     dh1 = dz2 @ p["W2"]
     if masks is not None:
         dh1 = dh1 * masks[0]
     dz1 = dh1 * (z1 > 0.0)
-    grads["W1"] = dz1.T @ X
-    grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
+    grads["W1"][:] = dz1.T @ X
+    grads["b1"][:] = dz1.sum(axis=0)
+    return loss, grad
 
 
 class AdamState:
-    """Adam optimizer state for one FrictionNet."""
+    """Adam optimizer state for one FrictionNet: moments shaped like `theta`."""
 
     def __init__(self, net, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
@@ -186,40 +198,43 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in net.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in net.params.items()}
+        self.m = np.zeros_like(net.theta)
+        self.v = np.zeros_like(net.theta)
 
 
-def train_step(net, batch, opt, seed=0):
-    """One Adam step on a batch; dropout masks drawn from (seed, step).
-
-    Mutates `net.params` and `opt`; returns the pre-step loss.  Raises
-    ArithmeticError with the step index if the loss goes non-finite.
-    """
-    motor, joint, targets = _batch_arrays(batch)
-    X = net.features(motor, joint)
-    phys = physics_targets(net, motor)
+def _step(net, X, targets, phys, opt, seed):
+    """One Adam step on a batch of feature rows and their two targets."""
     masks = None
     if net.dropout > 0.0:
         rng = np.random.default_rng((seed, opt.step_count))
         keep = 1.0 - net.dropout
-        masks = (rng.random((len(batch), net.params["b1"].size)) < keep) / keep, \
-            None
-        masks = (masks[0],
-                 (rng.random((len(batch), net.params["b2"].size)) < keep) / keep)
-    loss, grads = loss_and_grads(net, X, targets, phys, masks)
+        n = len(X)
+        mask1 = (rng.random((n, net.params["b1"].size)) < keep) / keep
+        mask2 = (rng.random((n, net.params["b2"].size)) < keep) / keep
+        masks = (mask1, mask2)
+    loss, grad = loss_and_grads(net, X, targets, phys, masks)
     if not np.isfinite(loss):
         raise ArithmeticError(f"training diverged at step {opt.step_count}")
     opt.step_count += 1
     b1c = 1.0 - opt.beta1 ** opt.step_count
     b2c = 1.0 - opt.beta2 ** opt.step_count
-    for k, gval in grads.items():
-        opt.m[k] = opt.beta1 * opt.m[k] + (1.0 - opt.beta1) * gval
-        opt.v[k] = opt.beta2 * opt.v[k] + (1.0 - opt.beta2) * gval * gval
-        mhat = opt.m[k] / b1c
-        vhat = opt.v[k] / b2c
-        net.params[k] -= opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grad
+    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grad * grad
+    mhat = opt.m / b1c
+    vhat = opt.v / b2c
+    net.theta -= opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
     return float(loss)
+
+
+def train_step(net, batch, opt, seed=0):
+    """One Adam step on a batch; dropout masks drawn from (seed, step).
+
+    Mutates `net.theta` and `opt`; returns the pre-step loss.  Raises
+    ArithmeticError with the step index if the loss goes non-finite.
+    """
+    motor, joint, targets = _batch_arrays(batch)
+    return _step(net, net.features(motor, joint), targets,
+                 physics_targets(net, motor), opt, seed)
 
 
 def build_samples(t, motor_vel, joint_vel, friction, buffer_len):
@@ -235,20 +250,35 @@ def build_samples(t, motor_vel, joint_vel, friction, buffer_len):
     return samples
 
 
-def fit_normalization(net, samples):
-    """Set input normalization from the training set statistics."""
-    motor, joint, _ = _batch_arrays(samples)
+def _fit_normalization(net, motor, joint):
     X = np.hstack([motor, joint])
     net.norm_mean = X.mean(axis=0)
     std = X.std(axis=0)
     net.norm_std = np.where(std > 1e-8, std, 1.0)
 
 
+def fit_normalization(net, samples):
+    """Set input normalization from the training set statistics."""
+    motor, joint, _ = _batch_arrays(samples)
+    _fit_normalization(net, motor, joint)
+
+
 def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0,
           normalize=True):
-    """Mini-batch Adam training loop; returns per-epoch mean losses."""
+    """Mini-batch Adam training loop; returns per-epoch mean losses.
+
+    The features and both targets of every sample are built once; each
+    shuffled mini-batch is a row gather from them.
+    """
+    if len(samples) == 0:
+        raise ValueError("samples must be nonempty")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    motor, joint, targets = _batch_arrays(samples)
     if normalize:
-        fit_normalization(net, samples)
+        _fit_normalization(net, motor, joint)
+    X = net.features(motor, joint)
+    phys = physics_targets(net, motor)
     opt = AdamState(net, learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
     losses = []
@@ -257,8 +287,9 @@ def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0,
         rng.shuffle(idx)
         epoch = []
         for start in range(0, len(idx), batch_size):
-            batch = [samples[i] for i in idx[start:start + batch_size]]
-            epoch.append(train_step(net, batch, opt, seed=seed))
+            rows = idx[start:start + batch_size]
+            epoch.append(_step(net, X[rows], targets[rows], phys[rows], opt,
+                               seed))
         losses.append(float(np.mean(epoch)))
     return losses
 
@@ -362,7 +393,15 @@ def _net_from_dict(d):
                       len(d["params"]["b2"]), d["dropout"], d["lam"],
                       ScvParams(**d["scv"]),
                       norm_mean=d["norm_mean"], norm_std=d["norm_std"])
-    net.params = {k: np.array(v) for k, v in d["params"].items()}
+    if set(d["params"]) != set(net.params):
+        raise ValueError(f"parameters {sorted(d['params'])} do not match "
+                         f"{sorted(net.params)}")
+    for k, v in d["params"].items():
+        v = np.asarray(v, dtype=float)
+        if v.shape != net.params[k].shape:
+            raise ValueError(f"parameter {k} has shape {v.shape}, "
+                             f"expected {net.params[k].shape}")
+        net.params[k][...] = v
     return net
 
 

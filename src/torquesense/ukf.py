@@ -21,6 +21,7 @@ in the tests as the reference it is checked against.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,17 @@ class ComplementaryAttitude:
         return self.R
 
 
+class Belief(NamedTuple):
+    """Filter belief: state mean and covariance, and base linear velocity.
+
+    The velocity is no filter state: it is a leaky integral of the
+    accelerometer state, and the next step's dynamics terms read it.
+    """
+    mean: np.ndarray
+    cov: np.ndarray
+    base_lin_vel: np.ndarray
+
+
 class TorqueUkf:
     """Torque filter bound to one robot model and motor parameter set."""
 
@@ -106,7 +118,6 @@ class TorqueUkf:
                    for mask in (False, True)}
         self._R = {mask: self._measurement_noise(mask) for mask in (False, True)}
         self._prior_jitter = 1e-6 * eye
-        self.base_lin_vel = np.zeros(3)
 
     def _process_noise(self):
         cfg = self.config
@@ -128,11 +139,11 @@ class TorqueUkf:
             mean[self.slices["tau_m"]] = tau_m
         scale = np.diag(self.Q).copy()
         cov = np.diag(np.maximum(scale * 100.0, 1e-4))
-        return mean, cov
+        return Belief(mean, cov, np.zeros(3))
 
     # -- model terms -------------------------------------------------
 
-    def _step_terms(self, s, base_R, mean):
+    def _step_terms(self, s, base_R, mean, base_lin_vel):
         """Affine velocity transition at the prior mean: sdot+ = sdot + G x + c.
 
         The dynamics read Ms sddot = tau_m - tau_f + sum_k J_k^T f_k
@@ -148,14 +159,14 @@ class TorqueUkf:
         n = self.n
         base_pose = Transform(base_R, np.zeros(3))
         omega = mean[sl["omega"]]
-        nu = np.concatenate([self.base_lin_vel, omega, mean[sl["sdot"]]])
+        nu = np.concatenate([base_lin_vel, omega, mean[sl["sdot"]]])
         fp = forward_pass(model, base_pose, s, nu)
         M = crba(model, s, fp=fp)
         Ms = M[6:, 6:]
         Msb_lin = M[6:, :3]
         C = coriolis_bias(model, base_pose, s, nu, fp=fp)[6:]
         r = self.imu_offset.p
-        corr = cross3(omega, cross3(omega, r)) + cross3(omega, self.base_lin_vel)
+        corr = cross3(omega, cross3(omega, r)) + cross3(omega, base_lin_vel)
         # B maps the state to the joint-space force, its last column is
         # the constant term
         B = np.zeros((n, self.dim + 1))
@@ -217,14 +228,15 @@ class TorqueUkf:
 
     # -- filter step -------------------------------------------------
 
-    def step(self, mean, cov, s, base_R, measurement, mask_friction=False):
-        """One predict/update cycle; returns (mean, cov).
+    def step(self, belief, s, base_R, measurement, mask_friction=False):
+        """One predict/update cycle from `belief`; returns the new Belief.
 
         `s` are the joint positions (filter input), `base_R` the base
         attitude from the IMU attitude source, `measurement` the output
         of assemble_measurement (built with tau_f_pinn=None iff
-        mask_friction).
+        mask_friction).  The result depends on the arguments only.
         """
+        mean, cov, base_lin_vel = belief
         # the update never factors the prior, so one that is no
         # covariance (say, drifted through cov_p - K S K^T) would pass
         # on silently
@@ -233,7 +245,7 @@ class TorqueUkf:
         except np.linalg.LinAlgError:
             raise ArithmeticError(
                 "prior covariance not positive semi-definite") from None
-        terms = self._step_terms(s, base_R, mean)
+        terms = self._step_terms(s, base_R, mean, base_lin_vel)
         G = terms["G"]
         sd = self.slices["sdot"]
         # F = I + E G with E the sdot-row selector: F P F^T touches only
@@ -261,12 +273,12 @@ class TorqueUkf:
         cov_new = cov_p - K @ S @ K.T
         cov_new = 0.5 * (cov_new + cov_new.T)
 
-        # keep the auxiliary base linear velocity current (leaky
-        # integration of the proper acceleration plus gravity)
+        # advance the auxiliary base linear velocity (leaky integration
+        # of the proper acceleration plus gravity)
         alpha = mean_new[self.slices["alpha"]]
         a_base = self.imu_offset.R @ alpha + base_R.T @ self.model.gravity
-        self.base_lin_vel = 0.995 * (self.base_lin_vel + self.dt * a_base)
-        return mean_new, cov_new
+        base_lin_vel = 0.995 * (base_lin_vel + self.dt * a_base)
+        return Belief(mean_new, cov_new, base_lin_vel)
 
     def joint_torque_estimate(self, mean):
         """Joint-side load torque: motor torque minus friction torque."""

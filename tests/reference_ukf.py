@@ -13,6 +13,7 @@ import numpy as np
 
 from torquesense.dynamics import coriolis_bias, crba, forward_pass, frame_jacobian
 from torquesense.spatial import Transform, cross3
+from torquesense.ukf import Belief
 
 
 def merwe_weights(dim, alpha, beta, kappa):
@@ -61,20 +62,20 @@ def unscented_moments(points, wm, wc):
     return mean, 0.5 * (cov + cov.T)
 
 
-def step_terms(ukf, s, base_R, mean):
+def step_terms(ukf, s, base_R, mean, base_lin_vel):
     """Dynamics matrices evaluated once per step at the prior mean."""
     model = ukf.model
     cfg = ukf.config
     base_pose = Transform(base_R, np.zeros(3))
     omega = mean[ukf.slices["omega"]]
-    nu = np.concatenate([ukf.base_lin_vel, omega, mean[ukf.slices["sdot"]]])
+    nu = np.concatenate([base_lin_vel, omega, mean[ukf.slices["sdot"]]])
     fp = forward_pass(model, base_pose, s, nu)
     M = crba(model, s, fp=fp)
     C = coriolis_bias(model, base_pose, s, nu, fp=fp)[6:]
     jac = {name: frame_jacobian(model, base_pose, s, name, fp=fp)[:, 6:]
            for name in tuple(cfg.ft_frames) + (cfg.ext_frame,)}
     return {"Minv": np.linalg.inv(M[6:, 6:]), "Msb": M[6:, :6], "C": C,
-            "jac": jac, "omega": omega}
+            "jac": jac, "omega": omega, "base_lin_vel": base_lin_vel}
 
 
 def process_model(ukf, points, terms):
@@ -86,7 +87,7 @@ def process_model(ukf, points, terms):
     # and the base velocity fixed at the step mean
     w = terms["omega"]
     r = ukf.imu_offset.p
-    corr = cross3(w, cross3(w, r)) + cross3(w, ukf.base_lin_vel)
+    corr = cross3(w, cross3(w, r)) + cross3(w, terms["base_lin_vel"])
     a_g = np.zeros((len(pts), 6))
     a_g[:, :3] = pts[:, sl["alpha"]] @ ukf.imu_offset.R.T - corr
     rhs -= a_g @ terms["Msb"].T
@@ -97,10 +98,11 @@ def process_model(ukf, points, terms):
     return pts
 
 
-def reference_step(ukf, mean, cov, s, base_R, measurement, mask_friction=False,
+def reference_step(ukf, belief, s, base_R, measurement, mask_friction=False,
                    alpha=1e-3, beta=2.0, kappa=0.0):
     """The sigma-point predict/update cycle; same contract as `TorqueUkf.step`."""
-    terms = step_terms(ukf, s, base_R, mean)
+    mean, cov, base_lin_vel = belief
+    terms = step_terms(ukf, s, base_R, mean, base_lin_vel)
     pts, wm, wc = sigma_points(mean, cov, alpha, beta, kappa)
     mean_p, cov_p = unscented_moments(process_model(ukf, pts, terms), wm, wc)
     cov_p = cov_p + ukf.Q
@@ -121,5 +123,5 @@ def reference_step(ukf, mean, cov, s, base_R, measurement, mask_friction=False,
 
     alpha_state = mean_new[ukf.slices["alpha"]]
     a_base = ukf.imu_offset.R @ alpha_state + base_R.T @ ukf.model.gravity
-    ukf.base_lin_vel = 0.995 * (ukf.base_lin_vel + ukf.dt * a_base)
-    return mean_new, cov_new
+    base_lin_vel = 0.995 * (base_lin_vel + ukf.dt * a_base)
+    return Belief(mean_new, cov_new, base_lin_vel)

@@ -184,14 +184,31 @@ def test_tune_kf_matches_the_per_candidate_ga(seed, monkeypatch):
     trace, bounds = perfbench_encoder_trace(seed)
     cfg = GaConfig(bounds=bounds, population_size=20, generations=10,
                    parents_mating=10, seed=seed)
-    passes = []
+    rows_per_pass = []
     filter_trace = ga.filter_trace
-    monkeypatch.setattr(ga, "filter_trace",
-                        lambda *a: passes.append(1) or filter_trace(*a))
+
+    def counted(*a):
+        rows_per_pass.append(len(a[3]))
+        return filter_trace(*a)
+
+    monkeypatch.setattr(ga, "filter_trace", counted)
     gains, history = tune_kf(trace, dt, lsb, config=cfg)
-    assert len(passes) == cfg.generations  # one filter pass per generation
-    best, ref_history = optimize(cfg, lambda pop: np.array(
-        [kf_fitness_one(10.0 ** g, trace, dt, lsb) for g in pop]))
+
+    # the reference scores every candidate of every generation afresh
+    seen = set()
+    rows_scored = []
+
+    def every_row(pop):
+        rows_scored.append(len(pop))
+        seen.update(row.tobytes() for row in pop)
+        return np.array([kf_fitness_one(10.0 ** g, trace, dt, lsb)
+                         for g in pop])
+
+    best, ref_history = optimize(cfg, every_row)
+    # each distinct candidate of the tune is filtered exactly once, in
+    # at most one pass per generation
+    assert sum(rows_per_pass) == len(seen) < sum(rows_scored)
+    assert len(rows_per_pass) <= cfg.generations
     assert gains == {"q_accel": float(10.0 ** best[0]),
                      "q_jerk": float(10.0 ** best[1])}
     assert len(history) == len(ref_history) == cfg.generations

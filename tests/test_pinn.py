@@ -1,8 +1,12 @@
 """Learned friction estimator: gradients, loss algebra, training, search."""
 
+import json
+
 import numpy as np
 import pytest
 
+import reference_pinn
+from reference_pinn import hybrid_loss
 from torquesense.friction import ScvParams, scv_friction
 from torquesense.pinn import (
     AdamState,
@@ -10,7 +14,6 @@ from torquesense.pinn import (
     FrictionSample,
     build_samples,
     fit_normalization,
-    hybrid_loss,
     load_dataset,
     load_nets,
     loss_and_grads,
@@ -136,22 +139,88 @@ def test_analytic_gradients_match_finite_differences():
     targets = r.normal(size=8)
     X = net.features(motor, joint)
     phys = physics_targets(net, motor)
-    _, grads = loss_and_grads(net, X, targets, phys)
+    _, grad = loss_and_grads(net, X, targets, phys)
+    assert grad.shape == net.theta.shape
     h = 1e-6
-    for key, G in grads.items():
-        P = net.params[key]
-        it = np.nditer(np.asarray(P), flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = P[idx]
-            P[idx] = orig + h
-            lp, _ = loss_and_grads(net, X, targets, phys)
-            P[idx] = orig - h
-            lm, _ = loss_and_grads(net, X, targets, phys)
-            P[idx] = orig
-            fd = (lp - lm) / (2.0 * h)
-            g = np.asarray(G)[idx]
-            assert abs(g - fd) < 1e-6 * max(1.0, abs(fd)), (key, idx)
+    for i, g in enumerate(grad):
+        orig = net.theta[i]
+        net.theta[i] = orig + h
+        lp, _ = loss_and_grads(net, X, targets, phys)
+        net.theta[i] = orig - h
+        lm, _ = loss_and_grads(net, X, targets, phys)
+        net.theta[i] = orig
+        fd = (lp - lm) / (2.0 * h)
+        assert abs(g - fd) < 1e-6 * max(1.0, abs(fd)), i
+
+
+def test_params_are_views_of_the_flat_vector():
+    net = make_net(buffer_len=2, hidden1=3, hidden2=2, seed=4)
+    assert net.theta.size == sum(v.size for v in net.params.values())
+    assert np.array_equal(
+        np.concatenate([net.params[k].ravel()
+                        for k in ("W1", "b1", "W2", "b2", "W3", "b3")]),
+        net.theta)
+    for k, v in net.params.items():
+        assert np.shares_memory(v, net.theta), k
+    net.theta[:] = 0.0
+    assert all(not v.any() for v in net.params.values())
+
+
+def test_physics_targets_match_per_sample_scv():
+    r = np.random.default_rng(13)
+    motor = r.normal(scale=0.3, size=(257, 4))
+    motor[::7, -1] = 0.0
+    motor[3, -1] = -0.0
+    motor[5, -1] = SCV.stribeck_vel
+    net = make_net(buffer_len=4)
+    phys = physics_targets(net, motor)
+    assert np.array_equal(phys, reference_pinn.physics_targets(net, motor))
+    assert phys[0] == 0.0 and phys[3] == 0.0
+
+
+@pytest.mark.parametrize("n, batch_size", [(500, 64), (97, 13), (40, 64)])
+def test_train_matches_the_per_sample_reference(n, batch_size):
+    # dropout > 0 and 0 < lam < 1 exercise every mask and both loss terms;
+    # a last mini-batch shorter than batch_size is included
+    t, mv, jv, fr = synthetic_log(n=n + 4, seed=0)
+    jv = jv + 0.05 * np.random.default_rng(1).normal(size=len(jv))
+    samples = build_samples(t, mv, jv, fr, buffer_len=5)
+    nets = [make_net(buffer_len=5, hidden1=12, hidden2=9, dropout=0.2,
+                     lam=0.35, seed=3) for _ in range(2)]
+    kw = dict(epochs=4, batch_size=batch_size, learning_rate=3e-3, seed=7)
+    losses = train(nets[0], samples, **kw)
+    ref_losses = reference_pinn.train(nets[1], samples, **kw)
+    np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0.0)
+    for k in nets[0].params:
+        np.testing.assert_allclose(nets[0].params[k], nets[1].params[k],
+                                   rtol=1e-12, atol=0.0, err_msg=k)
+    assert np.array_equal(nets[0].norm_mean, nets[1].norm_mean)
+    assert np.array_equal(nets[0].norm_std, nets[1].norm_std)
+
+
+def test_train_step_matches_the_per_sample_reference():
+    r = np.random.default_rng(2)
+    batch = [FrictionSample(r.normal(size=3), r.normal(size=3), r.normal())
+             for _ in range(11)]
+    nets = [make_net(dropout=0.25, lam=0.6, seed=5) for _ in range(2)]
+    opt, ref_opt = AdamState(nets[0]), reference_pinn.AdamState(nets[1])
+    for _ in range(3):
+        loss = train_step(nets[0], batch, opt, seed=4)
+        assert loss == reference_pinn.train_step(nets[1], batch, ref_opt, seed=4)
+    assert np.array_equal(nets[0].theta, nets[1].theta)
+
+
+def test_train_rejects_bad_input_before_any_work():
+    net = make_net()
+    before = net.theta.copy()
+    samples = build_samples(*synthetic_log(n=20), buffer_len=3)
+    with pytest.raises(ValueError, match="samples"):
+        train(net, [])
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="batch_size"):
+            train(net, samples, batch_size=bad)
+    assert np.array_equal(net.theta, before)
+    assert not net.norm_mean.any()
 
 
 def test_zero_learning_rate_leaves_parameters():
@@ -268,3 +337,11 @@ def test_net_serialization_round_trip(tmp_path):
     assert predict(loaded, m, j) == predict(net, m, j)
     assert loaded.scv == net.scv
     assert loaded.buffer_len == net.buffer_len
+    assert np.array_equal(loaded.theta, net.theta)
+
+    # a file whose parameters do not fit the net it describes is refused
+    doc = json.loads(path.read_text())
+    doc["nets"]["j0"]["params"]["W2"] = [[0.0]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="W2"):
+        load_nets(path)

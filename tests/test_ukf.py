@@ -8,7 +8,7 @@ from reference_ukf import (merwe_weights, reference_step, sigma_points,
 from torquesense.model import parse_model
 from torquesense.models import desk_biped, pendulum_urdf
 from torquesense.spatial import Transform, exp_so3
-from torquesense.ukf import ComplementaryAttitude, TorqueUkf, UkfConfig
+from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf, UkfConfig
 
 
 def random_spd(dim, seed, scale=1.0):
@@ -65,15 +65,15 @@ def test_sigma_points_degenerate_covariance_error():
 
 def test_step_rejects_degenerate_prior_covariance():
     ukf = pendulum_ukf()
-    mean, cov = ukf.initial_belief()
-    z = ukf.measurement_model(mean)[0]
-    bad = cov.copy()
+    belief = ukf.initial_belief()
+    z = ukf.measurement_model(belief.mean)[0]
+    bad = belief.cov.copy()
     bad[0, 0] = -1e-3  # beyond the 1e-6 jitter the prior check allows
     with pytest.raises(ArithmeticError, match="prior covariance"):
-        ukf.step(mean, bad, np.zeros(1), np.eye(3), z)
+        ukf.step(belief._replace(cov=bad), np.zeros(1), np.eye(3), z)
     # a zero variance is a covariance and passes
     bad[0, 0] = 0.0
-    m, c = ukf.step(mean, bad, np.zeros(1), np.eye(3), z)
+    m, c, _ = ukf.step(belief._replace(cov=bad), np.zeros(1), np.eye(3), z)
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(c))
 
 
@@ -90,26 +90,46 @@ def relative_error(value, reference):
 @pytest.mark.parametrize("alpha, mean_tol", [(1.0, 1e-9), (1e-3, 1e-8)])
 @pytest.mark.parametrize("mask", [False, True], ids=["friction", "masked"])
 def test_step_matches_sigma_point_reference(alpha, mean_tol, mask):
-    model = desk_biped()
-    ukf = TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3)
-    ref = TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3)
+    ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
     r = np.random.default_rng(0)
-    _, cov = ref.initial_belief()
-    A = r.normal(size=(ref.dim, ref.dim))
-    cov = cov + 0.01 * A @ A.T / ref.dim
-    mean = r.normal(scale=0.5, size=ref.dim)
+    belief = ukf.initial_belief()
+    A = r.normal(size=(ukf.dim, ukf.dim))
+    belief = belief._replace(mean=r.normal(scale=0.5, size=ukf.dim),
+                             cov=belief.cov + 0.01 * A @ A.T / ukf.dim)
     for _ in range(200):
         s = r.normal(scale=0.3, size=ukf.n)
         base_R = exp_so3(r.normal(scale=0.2, size=3))
-        truth = mean + r.normal(scale=0.5, size=ref.dim)
-        z = ref.measurement_model(truth, mask)[0]
-        # both filters start every step from the reference's belief
-        ukf.base_lin_vel = ref.base_lin_vel.copy()
-        m1, c1 = ukf.step(mean, cov, s, base_R, z, mask_friction=mask)
-        mean, cov = reference_step(ref, mean, cov, s, base_R, z,
-                                   mask_friction=mask, alpha=alpha)
-        assert relative_error(m1, mean) <= mean_tol
-        assert relative_error(c1, cov) <= 1e-12
+        truth = belief.mean + r.normal(scale=0.5, size=ukf.dim)
+        z = ukf.measurement_model(truth, mask)[0]
+        # both steps start from the reference's belief
+        b1 = ukf.step(belief, s, base_R, z, mask_friction=mask)
+        belief = reference_step(ukf, belief, s, base_R, z,
+                                mask_friction=mask, alpha=alpha)
+        assert relative_error(b1.mean, belief.mean) <= mean_tol
+        assert relative_error(b1.cov, belief.cov) <= 1e-12
+        assert relative_error(b1.base_lin_vel, belief.base_lin_vel) <= mean_tol
+
+
+def test_step_is_a_function_of_its_inputs():
+    ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+    r = np.random.default_rng(1)
+    belief = ukf.initial_belief()
+    belief = ukf.step(belief, r.normal(scale=0.3, size=ukf.n), np.eye(3),
+                      ukf.measurement_model(r.normal(size=ukf.dim))[0])
+    assert belief.base_lin_vel.any()
+    s = r.normal(scale=0.3, size=ukf.n)
+    base_R = exp_so3(r.normal(scale=0.2, size=3))
+    z = ukf.measurement_model(r.normal(size=ukf.dim))[0]
+    copy = Belief(*(a.copy() for a in belief))
+    first = ukf.step(belief, s, base_R, z)
+    second = ukf.step(belief, s, base_R, z)
+    # a second filter on the same model, run from a copy of the belief
+    other = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+    third = other.step(copy, s, base_R, z)
+    for a, b, c in zip(first, second, third):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+    for a, b in zip(belief, copy):
+        assert np.array_equal(a, b)  # the belief passed in is not changed
 
 
 def test_complementary_attitude_converges_to_tilt():
@@ -128,9 +148,10 @@ def test_state_layout_and_dimensions():
     ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
     n = 8
     assert ukf.dim == n * 3 + 6 * 2 + 6 + 3 + 3
-    mean, cov = ukf.initial_belief()
+    mean, cov, base_lin_vel = ukf.initial_belief()
     assert mean.shape == (ukf.dim,)
     assert np.min(np.linalg.eigvalsh(cov)) > 0.0
+    assert np.array_equal(base_lin_vel, np.zeros(3))
     z = ukf.measurement_model(mean[None, :])
     assert z.shape[1] == n + n + n + 12 + 3 + 3
     z_masked = ukf.measurement_model(mean[None, :], mask_friction=True)
@@ -150,7 +171,7 @@ def test_process_model_only_advances_velocities():
     ukf = pendulum_ukf()
     r = np.random.default_rng(5)
     mean = r.normal(size=ukf.dim) * 0.1
-    terms = ukf._step_terms(np.zeros(1), np.eye(3), mean)
+    terms = ukf._step_terms(np.zeros(1), np.eye(3), mean, np.zeros(3))
     pts = r.normal(size=(7, ukf.dim))
     out = ukf.process_model(pts, terms)
     sl = ukf.slices
@@ -202,17 +223,17 @@ def test_zero_noise_self_consistency_contracts():
     ukf = pendulum_ukf()
     truth = static_pendulum_truth(ukf)
     # the truth state is stationary under the process model
-    terms = ukf._step_terms(np.zeros(1), np.eye(3), truth)
+    terms = ukf._step_terms(np.zeros(1), np.eye(3), truth, np.zeros(3))
     prop = ukf.process_model(truth[None, :], terms)
     assert np.allclose(prop[0], truth, atol=1e-12)
 
     z = ukf.measurement_model(truth[None, :])[0]
-    mean, cov = ukf.initial_belief()
-    mean = truth + 0.5  # start well away from the truth
+    # start well away from the truth
+    belief = ukf.initial_belief()._replace(mean=truth + 0.5)
     errs = []
     for _ in range(3000):
-        mean, cov = ukf.step(mean, cov, np.zeros(1), np.eye(3), z)
-        errs.append(np.max(np.abs(ukf.joint_torque_estimate(mean)
+        belief = ukf.step(belief, np.zeros(1), np.eye(3), z)
+        errs.append(np.max(np.abs(ukf.joint_torque_estimate(belief.mean)
                                   - ukf.joint_torque_estimate(truth))))
     assert errs[-1] < 1e-6
     assert errs[-1] < errs[0]
@@ -223,10 +244,11 @@ def test_covariance_stays_psd_under_filtering():
     truth = static_pendulum_truth(ukf)
     z = ukf.measurement_model(truth[None, :])[0]
     r = np.random.default_rng(6)
-    mean, cov = ukf.initial_belief()
+    belief = ukf.initial_belief()
     for k in range(500):
         zn = z + r.normal(scale=0.01, size=len(z))
-        mean, cov = ukf.step(mean, cov, np.zeros(1), np.eye(3), zn)
+        belief = ukf.step(belief, np.zeros(1), np.eye(3), zn)
+        cov = belief.cov
         if k % 100 == 0:
             assert np.allclose(cov, cov.T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
@@ -240,9 +262,8 @@ def test_masked_step_ignores_friction_measurement():
         truth[ukf.slices["sdot"]],
         truth[ukf.slices["tau_m"]] / ukf.gear_torque, {},
         truth[ukf.slices["alpha"]], truth[ukf.slices["omega"]])
-    mean, cov = ukf.initial_belief()
-    m1, _ = ukf.step(mean.copy(), cov.copy(), np.zeros(1), np.eye(3),
-                     z_masked, mask_friction=True)
+    m1 = ukf.step(ukf.initial_belief(), np.zeros(1), np.eye(3), z_masked,
+                  mask_friction=True).mean
     # a wildly different friction prior would change the unmasked update;
     # with the channel masked, the friction state only moves through the
     # dynamics coupling, so the masked update must not depend on any
