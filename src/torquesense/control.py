@@ -1,9 +1,11 @@
 """Cascaded balancing control stack and its configuration switchboard.
 
-Three rate domains: a center-of-mass balancer producing desired joint
-torques at 100 Hz, a PI torque loop producing current commands at
-1 kHz, and the plant underneath.  The torque feedback source and the
-friction feedforward are wired per mode:
+Two rates: a center-of-mass balancer producing desired joint torques
+at `ControlConfig.high_rate` (100 Hz by default; its period must be a
+whole multiple of the plant step), and the estimators with a PI torque
+loop producing current commands once per plant step (1 kHz at the
+default 1 ms step).  The torque feedback source and the friction
+feedforward are wired per mode:
 
     Feedforward        no torque feedback, no friction compensation
     RNEA-NoComp        rigid-body inverse-dynamics feedback
@@ -46,8 +48,7 @@ class ControlConfig:
     comp_cutoff: float = 8.0        # Hz, smoothing on friction feedforward
     kp_pos: float = 900.0           # N*m/rad (position baseline)
     kd_pos: float = 30.0            # N*m*s/rad
-    high_rate: float = 100.0        # Hz
-    low_rate: float = 1000.0        # Hz
+    high_rate: float = 100.0        # Hz, balancer; torque loop runs every plant step
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -56,6 +57,9 @@ class ControlConfig:
                      "kp_att", "kd_att", "kp_pos", "kd_pos"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"gain {name} must be nonnegative")
+        if self.high_rate <= 0.0:
+            raise ValueError(f"ControlConfig.high_rate must be positive, "
+                             f"got {self.high_rate}")
 
 
 def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
@@ -116,7 +120,7 @@ def rnea_torque_feedback(model, base_pose, s, nu, proper_accel, ft_readings):
 
 
 class TorquePI:
-    """1 kHz PI loop on torque error with anti-windup, emitting currents."""
+    """PI loop on torque error with anti-windup, emitting currents each plant step."""
 
     def __init__(self, n, config, gear_torque, dt):
         self.config = config
@@ -173,38 +177,27 @@ class PositionPD:
 
 
 class RateScheduler:
-    """Deterministic three-rate scheduler.
+    """Deterministic scheduler of the balancer on plant ticks.
 
-    Divides time into plant ticks and fires the low-rate and high-rate
-    callbacks on exact multiples, high-rate first; period ratios must be
-    integral, which is asserted at construction.
+    Fires on every `high_every`-th tick, starting with the first; the
+    balancer period must be a whole multiple of the plant step, which
+    is checked at construction.
     """
 
-    def __init__(self, plant_dt, low_rate, high_rate):
+    def __init__(self, plant_dt, high_rate):
         self.plant_dt = plant_dt
-        low_dt = 1.0 / low_rate
         high_dt = 1.0 / high_rate
-        self.low_every = int(round(low_dt / plant_dt))
         self.high_every = int(round(high_dt / plant_dt))
-        for name, rate, every in (("low_rate", low_rate, self.low_every),
-                                  ("high_rate", high_rate, self.high_every)):
-            if every < 1 or not np.isclose(every * plant_dt, 1.0 / rate):
-                raise ValueError(
-                    f"ControlConfig.{name} ({rate:g} Hz, period {1.0 / rate:g} s) "
-                    f"must have a period that is a whole multiple of the plant "
-                    f"step ({plant_dt:g} s)")
-        if self.high_every % self.low_every != 0:
+        if self.high_every < 1 or not np.isclose(self.high_every * plant_dt,
+                                                 high_dt):
             raise ValueError(
-                f"ControlConfig.high_rate ({high_rate:g} Hz) must divide "
-                f"ControlConfig.low_rate ({low_rate:g} Hz): the high-rate "
-                f"period must be a whole multiple of the low-rate period")
+                f"ControlConfig.high_rate ({high_rate:g} Hz, period "
+                f"{high_dt:g} s) must have a period that is a whole "
+                f"multiple of the plant step ({plant_dt:g} s)")
         self.tick = 0
 
     def due(self):
-        """(high_due, low_due) for the current tick, then advance."""
+        """Whether the balancer runs on the current tick, then advance."""
         high = self.tick % self.high_every == 0
-        low = self.tick % self.low_every == 0
         self.tick += 1
-        if high and not low:
-            raise AssertionError("rate ordering violated: high-rate fired without low-rate")
-        return high, low
+        return high

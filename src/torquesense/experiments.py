@@ -9,6 +9,7 @@ and assemble comparison tables.
 """
 
 import csv
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ import numpy as np
 from . import pinn
 from .control import (ControlConfig, MODES, PositionPD, RateScheduler,
                       TorquePI, high_level_balancer, rnea_torque_feedback)
-from .friction import ScvParams
 from .kf import encoder_lsb, mean_step, steady_state_gain
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
                     SimulationDiverged)
@@ -27,7 +27,7 @@ from .ukf import ComplementaryAttitude, TorqueUkf
 
 
 class OnlineKf:
-    """Bank of steady-state-gain encoder filters for the 1 kHz control path.
+    """Bank of steady-state-gain encoder filters for the per-step control path.
 
     One filter per entry of `lsb` (the channels' quantization steps),
     starting at rest at `x0` (broadcast over the channels).  The
@@ -134,12 +134,10 @@ def default_friction_nets(plant, dataset=None, seed=0, **train_kw):
     cache = {}
     nets = {}
     for j, name in enumerate(plant.model.joint_names):
-        key = (plant.scv[j].coulomb, plant.scv[j].breakaway,
-               plant.scv[j].stribeck_vel, plant.scv[j].viscous)
-        if key not in cache:
-            cache[key] = train_friction_net(dataset, plant.scv[j], seed=seed,
-                                            **train_kw)
-        nets[name] = cache[key]
+        scv = plant.scv[j]
+        if scv not in cache:
+            cache[scv] = train_friction_net(dataset, scv, seed=seed, **train_kw)
+        nets[name] = cache[scv]
     return nets
 
 
@@ -195,7 +193,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     is given, the run CSV, report JSON and a metrics CSV row are
     written there under `label`.
     """
-    sched = RateScheduler(scenario.step, control.low_rate, control.high_rate)
+    sched = RateScheduler(scenario.step, control.high_rate)
     check_duration(scenario)
     plant = Plant(scenario)
     model = plant.model
@@ -255,9 +253,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
 
     for k in range(steps):
         t = k * scenario.step
-        high_due, low_due = sched.due()
-
-        if high_due:
+        if sched.due():
             # 100 Hz balancer on the current state estimate
             base_pose = st.base_pose()
             nu = np.concatenate([st.base_twist, sdot_est])
@@ -278,7 +274,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             fell = True
             break
 
-        # ---- 1 kHz estimator + torque loop ----
+        # ---- estimators + torque loop, every plant step ----
         x, v, enc_acc = encoders.update(
             np.concatenate([sb.joint_pos, sb.motor_pos]))
         s_meas = x[:n]
@@ -470,29 +466,27 @@ def scalability_sweep(scenario, scalings, control=None, nets=None,
     """Re-run the same controller on plants with scaled friction.
 
     The friction nets and filter settings stay fixed (trained on the
-    nominal plant); only the plant friction parameters change.
+    nominal plant); only the plant friction parameters change.  Every
+    joint's resolved friction is scaled, and each joint gets an entry
+    of its own that keeps its motor and elasticity settings.
     """
+    plant = Plant(scenario)
+    # every scaling is checked before the first run
+    scaled = [(scale, plant.scv.scaled(scale)) for scale in scalings]
+    cfg = control or ControlConfig(mode="UKF-PINN")
     reports = []
-    for scale in scalings:
-        if scale <= 0.0:
-            raise ValueError(f"friction scaling must be positive, got {scale}")
-        d = scenario.to_dict()
-        joints = {k: {sec: dict(v) for sec, v in j.items()}
-                  for k, j in d.get("joints", {}).items()}
-        default = joints.setdefault("default", {})
-        fr = dict(default.get("friction", {}))
-        base_scv = ScvParams(fr.get("coulomb", 1.0), fr.get("breakaway", 2.0),
-                             fr.get("stribeck_vel", 0.1), fr.get("viscous", 0.5))
-        scaled = base_scv.scaled(scale)
-        default["friction"] = {"coulomb": scaled.coulomb,
-                               "breakaway": scaled.breakaway,
-                               "stribeck_vel": scaled.stribeck_vel,
-                               "viscous": scaled.viscous}
-        d["joints"] = joints
-        scaled_scenario = ScenarioConfig.from_dict(d)
-        cfg = control or ControlConfig(mode="UKF-PINN")
-        rep, _ = run_scenario(scaled_scenario, cfg, nets=nets,
-                              out_dir=out_dir, label=f"scale_{scale:g}")
+    for scale, scv in scaled:
+        joints = {name: {
+            "motor": {"k_t": float(plant.k_t[j]),
+                      "reduction": float(plant.reduction[j]),
+                      "motor_inertia": float(plant.motor_inertia[j])},
+            "friction": dataclasses.asdict(scv[j]),
+            "elasticity": {"stiffness": float(plant.elastic_k[j]),
+                           "damping": float(plant.elastic_d[j])},
+        } for j, name in enumerate(plant.model.joint_names)}
+        rep, _ = run_scenario(dataclasses.replace(scenario, joints=joints),
+                              cfg, nets=nets, out_dir=out_dir,
+                              label=f"scale_{scale:g}")
         rep["friction_scale"] = scale
         reports.append(rep)
     return reports

@@ -1,11 +1,13 @@
-"""Motor/gearbox torque maps and the Stribeck-Coulomb-Viscous friction model.
+"""Actuator parameters and the Stribeck-Coulomb-Viscous friction model.
 
 All torques are joint-side N*m.  The friction model is used both as
 plant ground truth and as the physics prior for the learned friction
-estimator.
+estimator.  Parameter fields are scalars for one joint or equal-length
+arrays for several; validation and scaling treat both alike, and
+indexing an array set gives one joint's scalar set.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,15 +17,15 @@ class MotorParams:
     """Torque constant k_t (N*m/A), reduction ratio R (>=1), motor inertia J_m (kg*m^2)."""
     k_t: float
     reduction: float
-    motor_inertia: float = 0.0
+    motor_inertia: float
 
     def __post_init__(self):
-        if self.k_t <= 0.0:
+        if np.any(np.asarray(self.k_t) <= 0.0):
             raise ValueError(f"torque constant must be positive, got {self.k_t}")
-        if self.reduction < 1.0:
+        if np.any(np.asarray(self.reduction) < 1.0):
             raise ValueError(f"reduction ratio must be >= 1, got {self.reduction}")
-        if self.motor_inertia < 0.0:
-            raise ValueError(f"motor inertia must be nonnegative, got {self.motor_inertia}")
+        if np.any(np.asarray(self.motor_inertia) <= 0.0):
+            raise ValueError(f"motor inertia must be positive, got {self.motor_inertia}")
 
 
 @dataclass(frozen=True)
@@ -39,13 +41,18 @@ class ScvParams:
     viscous: float
 
     def __post_init__(self):
-        if self.coulomb < 0.0 or self.breakaway < self.coulomb:
+        c, b = np.asarray(self.coulomb), np.asarray(self.breakaway)
+        if np.any(c < 0.0) or np.any(b < c):
             raise ValueError(
                 f"need breakaway >= coulomb >= 0, got F_s={self.breakaway}, F_c={self.coulomb}")
-        if self.stribeck_vel <= 0.0:
+        if np.any(np.asarray(self.stribeck_vel) <= 0.0):
             raise ValueError(f"Stribeck velocity must be positive, got {self.stribeck_vel}")
-        if self.viscous < 0.0:
+        if np.any(np.asarray(self.viscous) < 0.0):
             raise ValueError(f"viscous coefficient must be nonnegative, got {self.viscous}")
+
+    def __getitem__(self, j):
+        """Joint j's scalar parameters from a per-joint array set."""
+        return ScvParams(*(float(getattr(self, f.name)[j]) for f in fields(self)))
 
     def scaled(self, factor):
         """Friction parameters with all magnitude levels scaled by `factor`."""
@@ -55,35 +62,18 @@ class ScvParams:
                          self.stribeck_vel, self.viscous * factor)
 
 
-def scv_friction(params, joint_vel):
-    """SCV friction torque at the given velocity (odd in velocity, sign(0)=0).
+def scv_friction(params, v, smoothing=0.0):
+    """SCV friction torque at velocity `v` (odd in velocity).
 
     tau_F = (F_c + (F_s - F_c) * exp(-(v/v_s)^2)) * sign(v) + k_v * v
+
+    With `smoothing` > 0 the sign step becomes tanh(v/smoothing), which
+    fixed-step integrators need: the exact discontinuity makes stuck
+    joints chatter about zero velocity instead of settling.  Converges
+    to the exact law as `smoothing` -> 0.
     """
-    v = np.asarray(joint_vel, dtype=float)
+    v = np.asarray(v, dtype=float)
     level = params.coulomb + (params.breakaway - params.coulomb) * np.exp(-(v / params.stribeck_vel) ** 2)
-    out = level * np.sign(v) + params.viscous * v
+    step = np.sign(v) if smoothing == 0.0 else np.tanh(v / smoothing)
+    out = level * step + params.viscous * v
     return out if out.ndim else float(out)
-
-
-def scv_friction_smooth(params, joint_vel, transition_vel):
-    """SCV friction with the sign step smoothed to tanh(v/transition_vel).
-
-    Used by fixed-step integrators: the exact sign discontinuity makes
-    stuck joints chatter about zero velocity instead of settling.
-    Converges to scv_friction as transition_vel -> 0.
-    """
-    v = np.asarray(joint_vel, dtype=float)
-    level = params.coulomb + (params.breakaway - params.coulomb) * np.exp(-(v / params.stribeck_vel) ** 2)
-    out = level * np.tanh(v / transition_vel) + params.viscous * v
-    return out if out.ndim else float(out)
-
-
-def motor_torque_from_current(params, current):
-    """Joint-side torque delivered through the gearbox, neglecting J_m theta_dd."""
-    return params.reduction * params.k_t * np.asarray(current, dtype=float)
-
-
-def current_from_desired_torque(params, desired_torque, friction_estimate=0.0):
-    """Commanded current producing `desired_torque` at the joint after friction."""
-    return (np.asarray(desired_torque, dtype=float) + friction_estimate) / (params.reduction * params.k_t)

@@ -53,6 +53,10 @@ class FrictionNet:
             raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"physics weight must lie in [0, 1], got {lam}")
+        for name, size in (("buffer_len", buffer_len), ("hidden1", hidden1),
+                           ("hidden2", hidden2)):
+            if size < 1:
+                raise ValueError(f"{name} must be at least 1, got {size}")
         self.buffer_len = int(buffer_len)
         self.dropout = float(dropout)
         self.lam = float(lam)
@@ -151,6 +155,14 @@ def physics_targets(net, motor):
 
 
 def _batch_arrays(batch):
+    if len(batch) == 0:
+        raise ValueError("samples must be nonempty")
+    shape = batch[0].motor.shape
+    for i, s in enumerate(batch):
+        if s.motor.shape != shape:
+            raise ValueError(
+                f"samples must share one buffer length: sample 0 has "
+                f"{shape[0]}, sample {i} has {s.motor.shape[0]}")
     motor = np.stack([s.motor for s in batch])
     joint = np.stack([s.joint for s in batch])
     targets = np.array([s.target for s in batch])
@@ -270,8 +282,6 @@ def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0,
     The features and both targets of every sample are built once; each
     shuffled mini-batch is a row gather from them.
     """
-    if len(samples) == 0:
-        raise ValueError("samples must be nonempty")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     motor, joint, targets = _batch_arrays(samples)

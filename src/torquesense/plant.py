@@ -1,11 +1,13 @@
 """Ground-truth simulation plant.
 
-Integrates the floating-base dynamics together with motor/gearbox and
-friction models using fixed-step RK4, models ground contact with
-penalty springs at the foot corners, and synthesizes encoder, current,
-force/torque and IMU measurements with configurable quantization and
-Gaussian noise.  Runs are bitwise reproducible for a fixed scenario
-configuration (including the seed).
+Integrates the floating-base dynamics together with an elastic
+harmonic-drive transmission per joint (motor inertia behind a gear, a
+spring-damper to the link, SCV friction at the motor-side velocity)
+using fixed-step RK4, models ground contact with penalty springs at the
+foot corners, and synthesizes encoder, current, force/torque and IMU
+measurements with configurable quantization and Gaussian noise.  Runs
+are bitwise reproducible for a fixed scenario configuration (including
+the seed).
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .dynamics import crba, forward_pass, joint_transforms, mechanical_energy
+from .dynamics import crba, forward_pass, joint_transforms
 from .friction import MotorParams, ScvParams, scv_friction
 from .model import FrameError, parse_model
 from .spatial import Transform, batch_cross, cross3, exp_so3
@@ -96,14 +98,23 @@ _DEFAULT_CONTACT = {
 
 @dataclass
 class ScenarioConfig:
-    """Full description of one simulation scenario (JSON-serializable)."""
+    """Full description of one simulation scenario (JSON-serializable).
+
+    `joints` maps joint names to actuator settings, in three sections:
+    "motor" (k_t, reduction, motor_inertia), "friction" (coulomb,
+    breakaway, stribeck_vel, viscous) and "elasticity" (stiffness,
+    damping).  A joint's settings are its own entry if it has one,
+    which replaces the "default" entry rather than merging with it,
+    and the "default" entry otherwise; each section of that entry then
+    merges over the built-in defaults.  `noise` and `contact` merge
+    over their built-in defaults the same way.
+    """
     schema_version: int = 1
     model: str = "desk_biped"
     step: float = 1e-3          # s; the sensors sample once per step
     duration: float = 5.0
     seed: int = 0
     lock_base: bool = False
-    elastic_transmission: bool = True
     gravity: tuple = (0.0, 0.0, -9.81)
     joints: dict = field(default_factory=dict)
     noise: dict = field(default_factory=lambda: dict(_DEFAULT_NOISE))
@@ -117,6 +128,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.step <= 0.0:
             raise ValueError(f"integrator step must be positive, got {self.step}")
+        if self.friction_smoothing < 0.0:
+            raise ValueError(f"friction_smoothing must be nonnegative, "
+                             f"got {self.friction_smoothing}")
         # partial overrides merge over the built-in defaults
         self.noise = {**_DEFAULT_NOISE, **self.noise}
         self.contact = {**_DEFAULT_CONTACT, **self.contact}
@@ -132,14 +146,21 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """A config from its JSON form, reading the legacy `sensor_rate` key.
+        """A config from its JSON form, reading two legacy keys.
 
         Older files give the sensor rate apart from the step.  The key
         is dropped when it equals 1/step, the only rate such a file could
         run at, and rejected otherwise rather than read as a new step.
+        They may also choose the transmission: `elastic_transmission`
+        true is the only transmission the plant has and is dropped;
+        false (a rigid transmission) is rejected.
         """
         d = dict(d)
         rate = d.pop("sensor_rate", None)
+        if not d.pop("elastic_transmission", True):
+            raise ValueError(
+                "elastic_transmission: false is not supported: the plant "
+                "models only the elastic harmonic-drive transmission")
         config = cls(**d)
         if rate is not None and not np.isclose(config.step * rate, 1.0):
             raise ValueError(
@@ -249,17 +270,13 @@ class Plant:
         self.k_t = per_joint("motor", "k_t")
         self.reduction = per_joint("motor", "reduction")
         self.motor_inertia = per_joint("motor", "motor_inertia")
-        self.scv = [ScvParams(c, b, v, k) for c, b, v, k in zip(
+        MotorParams(self.k_t, self.reduction, self.motor_inertia)
+        # per-joint arrays; self.scv[j] is joint j's scalar set
+        self.scv = ScvParams(
             per_joint("friction", "coulomb"), per_joint("friction", "breakaway"),
-            per_joint("friction", "stribeck_vel"), per_joint("friction", "viscous"))]
+            per_joint("friction", "stribeck_vel"), per_joint("friction", "viscous"))
         self.elastic_k = per_joint("elasticity", "stiffness")
         self.elastic_d = per_joint("elasticity", "damping")
-        self.motor_params = [MotorParams(kt, r, jm) for kt, r, jm in
-                             zip(self.k_t, self.reduction, self.motor_inertia)]
-        self._fric_c = per_joint("friction", "coulomb")
-        self._fric_b = per_joint("friction", "breakaway")
-        self._fric_vs = per_joint("friction", "stribeck_vel")
-        self._fric_kv = per_joint("friction", "viscous")
 
         self.sole_frames = [f for f in ("left_sole", "right_sole") if f in self.model.sensor_frames]
         self.ft_frames = [f for f in ("left_foot_ft", "right_foot_ft") if f in self.model.sensor_frames]
@@ -491,13 +508,6 @@ class Plant:
 
     # ------------------------------------------------------------------ dynamics
 
-    def _friction_torque(self, vel):
-        """Vectorized SCV friction with the smoothed sign transition."""
-        level = self._fric_c + (self._fric_b - self._fric_c) * np.exp(
-            -(vel / self._fric_vs) ** 2)
-        return level * np.tanh(vel / self.config.friction_smoothing) \
-            + self._fric_kv * vel
-
     def _derivative(self, t, y, R0, currents, anchors):
         n = self.n
         p, dlt, twist, s, sdot, phi, phid = self._unpack(y)
@@ -511,14 +521,9 @@ class Plant:
         self._add_disturbances(t, fp, wrenches)
 
         motor_torque = self.reduction * self.k_t * currents
-        if self.config.elastic_transmission:
-            tau_f = self._friction_torque(phid)
-            tau = self.elastic_k * (phi - s) + self.elastic_d * (phid - sdot)
-            phidd = (motor_torque - tau_f - tau) / (self.reduction ** 2 * self.motor_inertia)
-        else:
-            tau_f = self._friction_torque(sdot)
-            tau = motor_torque - tau_f
-            phidd = None  # rigid transmission: motor states mirror the joint
+        tau_f = scv_friction(self.scv, phid, self.config.friction_smoothing)
+        tau = self.elastic_k * (phi - s) + self.elastic_d * (phid - sdot)
+        phidd = (motor_torque - tau_f - tau) / (self.reduction ** 2 * self.motor_inertia)
 
         M = crba(self.model, s, fp=fp)
         c = fp.inverse_dynamics(None, wrenches)
@@ -545,17 +550,13 @@ class Plant:
         ydot[6:12] = 0.0 if self.config.lock_base else base_acc_coord
         ydot[12:12 + n] = sdot
         ydot[12 + n:12 + 2 * n] = sdd
-        if phidd is None:
-            ydot[12 + 2 * n:12 + 3 * n] = sdot
-            ydot[12 + 3 * n:12 + 4 * n] = sdd
-        else:
-            ydot[12 + 2 * n:12 + 3 * n] = phid
-            ydot[12 + 3 * n:12 + 4 * n] = phidd
+        ydot[12 + 2 * n:12 + 3 * n] = phid
+        ydot[12 + 3 * n:12 + 4 * n] = phidd
 
         info = {
             "tau": tau, "tau_friction": tau_f, "contacts": contacts,
             "base_prop_acc": a_prop[:6], "joint_acc": sdd,
-            "motor_acc": (phidd if phidd is not None else sdd) * self.reduction,
+            "motor_acc": phidd * self.reduction,
             "pass": fp, "corners": corners, "currents": currents,
         }
         return ydot, info
@@ -597,8 +598,7 @@ class Plant:
         state edited after it was made gets a fresh evaluation.  New
         currents enter the elastic transmission only through the motor
         acceleration, linearly, so the stored derivative is patched
-        there; under a rigid transmission they reach every acceleration
-        and only unchanged currents reuse it.
+        there.
         """
         info = getattr(state, "_info", None)
         if info is not None:
@@ -609,12 +609,10 @@ class Plant:
                 di = currents - info["currents"]
                 if not di.any():
                     return info["ydot"]
-                if self.config.elastic_transmission:
-                    n = self.n
-                    k1 = info["ydot"].copy()
-                    k1[12 + 3 * n:] += self.k_t * di / (self.reduction
-                                                        * self.motor_inertia)
-                    return k1
+                k1 = info["ydot"].copy()
+                k1[12 + 3 * self.n:] += self.k_t * di / (self.reduction
+                                                         * self.motor_inertia)
+                return k1
         return self._derivative(state.t, y, state.base_R, currents,
                                 state.contact_anchors)[0]
 
@@ -714,16 +712,3 @@ class Plant:
 
         return SensorBundle(t=state.t, joint_pos=joint_pos, motor_pos=motor_pos,
                             currents=cur, ft=ft, imu_acc=imu_acc, imu_gyro=imu_gyro)
-
-    # ------------------------------------------------------------------ misc
-
-    def mechanical_energy(self, state):
-        """Link energy plus motor kinetic and transmission spring energy."""
-        e = mechanical_energy(self.model, state.base_pose(), state.s,
-                              np.concatenate([state.base_twist, state.sdot]))
-        if self.config.elastic_transmission:
-            phi = state.motor_pos / self.reduction
-            phid = state.motor_vel / self.reduction
-            e += 0.5 * np.sum(self.reduction ** 2 * self.motor_inertia * phid ** 2)
-            e += 0.5 * np.sum(self.elastic_k * (phi - state.s) ** 2)
-        return e

@@ -10,6 +10,7 @@ tests in `test_batched_pass.py` check that.
 import numpy as np
 
 from torquesense import models
+from torquesense.friction import scv_friction
 from torquesense.plant import Plant
 from torquesense.spatial import (Transform, cross3, cross_force, exp_so3,
                                  rotation_about_axis, transform_force,
@@ -286,14 +287,9 @@ class ReferencePlant(Plant):
         wrenches += disturbance_wrenches(self, t, world)
 
         motor_torque = self.reduction * self.k_t * currents
-        if self.config.elastic_transmission:
-            tau_f = self._friction_torque(phid)
-            tau = self.elastic_k * (phi - s) + self.elastic_d * (phid - sdot)
-            phidd = (motor_torque - tau_f - tau) / (self.reduction ** 2 * self.motor_inertia)
-        else:
-            tau_f = self._friction_torque(sdot)
-            tau = motor_torque - tau_f
-            phidd = None
+        tau_f = scv_friction(self.scv, phid, self.config.friction_smoothing)
+        tau = self.elastic_k * (phi - s) + self.elastic_d * (phid - sdot)
+        phidd = (motor_torque - tau_f - tau) / (self.reduction ** 2 * self.motor_inertia)
 
         M = crba(self.model, s, Xs=Xs)
         c = coriolis_bias(self.model, base_pose, s, nu, wrenches, Xs=Xs)
@@ -319,17 +315,13 @@ class ReferencePlant(Plant):
         ydot[6:12] = 0.0 if self.config.lock_base else base_acc_coord
         ydot[12:12 + n] = sdot
         ydot[12 + n:12 + 2 * n] = sdd
-        if phidd is None:
-            ydot[12 + 2 * n:12 + 3 * n] = sdot
-            ydot[12 + 3 * n:12 + 4 * n] = sdd
-        else:
-            ydot[12 + 2 * n:12 + 3 * n] = phid
-            ydot[12 + 3 * n:12 + 4 * n] = phidd
+        ydot[12 + 2 * n:12 + 3 * n] = phid
+        ydot[12 + 3 * n:12 + 4 * n] = phidd
 
         info = {
             "tau": tau, "tau_friction": tau_f, "contacts": contacts,
             "base_prop_acc": a_prop[:6], "joint_acc": sdd,
-            "motor_acc": (phidd if phidd is not None else sdd) * self.reduction,
+            "motor_acc": phidd * self.reduction,
             "world": world, "corners": (t, world, vels), "currents": currents,
         }
         return ydot, info

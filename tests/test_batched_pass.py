@@ -9,11 +9,11 @@ rotated root-joint origin, tilted joint axes and zero dofs.
 import numpy as np
 import pytest
 
+from chains import pendulum_urdf, serial_leg_urdf, two_link_arm_urdf
 import reference_dynamics as ref
 from torquesense import dynamics
 from torquesense.model import parse_model
-from torquesense.models import (FOOT_CORNERS, desk_biped, pendulum_urdf,
-                                serial_leg_urdf, two_link_arm_urdf)
+from torquesense.models import FOOT_CORNERS, desk_biped
 from torquesense.plant import Plant, ScenarioConfig
 from torquesense.spatial import Transform, exp_so3
 

@@ -17,10 +17,11 @@ from torquesense import cli
                          "action": "remove"}]},
      "no object under left_sole"),
     ({"step": 5e-4, "sensor_rate": 1000.0}, "must equal 1/sensor_rate"),
+    ({"elastic_transmission": False}, "elastic_transmission: false"),
     ({"model": "missing.urdf"}, "No such file"),
     ({"stepsize": 1e-3}, "unexpected keyword argument 'stepsize'"),
     ({}, "duration (0.1 s) leaves no samples after the 0.5 s metrics burn-in"),
-], ids=["frame", "remove", "step", "model", "key", "duration"])
+], ids=["frame", "remove", "step", "rigid", "model", "key", "duration"])
 def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
                                                     scenario, message):
     path = tmp_path / "scenario.json"

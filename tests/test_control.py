@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chains import pendulum_urdf
 from torquesense.control import (
     MODES,
     TORQUE_MODES,
@@ -15,7 +16,7 @@ from torquesense.control import (
 )
 from torquesense.dynamics import com_position
 from torquesense.model import parse_model
-from torquesense.models import desk_biped, pendulum_urdf
+from torquesense.models import desk_biped
 from torquesense.plant import Plant, ScenarioConfig
 from torquesense.spatial import Transform
 
@@ -49,6 +50,10 @@ def test_config_validation():
         ControlConfig(mode="MagicMode")
     with pytest.raises(ValueError, match="nonnegative"):
         ControlConfig(kp_torque=-0.1)
+    with pytest.raises(ValueError, match=r"ControlConfig\.high_rate"):
+        ControlConfig(high_rate=0.0)
+    with pytest.raises(TypeError, match="low_rate"):
+        ControlConfig(low_rate=500.0)  # the torque loop runs every plant step
 
 
 def test_balancer_requires_contact():
@@ -173,31 +178,26 @@ def test_position_pd_law_and_clipping():
 
 
 def test_rate_scheduler_firing_pattern():
-    sched = RateScheduler(plant_dt=1e-3, low_rate=1000.0, high_rate=100.0)
-    fired_high = [sched.due()[0] for _ in range(30)]
-    assert fired_high == [k % 10 == 0 for k in range(30)]
-    # low rate fires every tick at 1 kHz
-    sched2 = RateScheduler(plant_dt=1e-3, low_rate=1000.0, high_rate=100.0)
-    assert all(sched2.due()[1] for _ in range(30))
+    sched = RateScheduler(plant_dt=1e-3, high_rate=100.0)
+    assert [sched.due() for _ in range(30)] == [k % 10 == 0 for k in range(30)]
+    # a 2 ms step fires the 100 Hz balancer every fifth tick
+    sched2 = RateScheduler(plant_dt=2e-3, high_rate=100.0)
+    assert [sched2.due() for _ in range(12)] == [k % 5 == 0 for k in range(12)]
 
 
 def test_rate_scheduler_messages_name_the_settings():
-    with pytest.raises(ValueError, match=r"ControlConfig\.low_rate \(1000 Hz, "
-                       r"period 0\.001 s\).*plant step \(0\.002 s\)"):
-        RateScheduler(plant_dt=2e-3, low_rate=1000.0, high_rate=100.0)
     with pytest.raises(ValueError, match=r"ControlConfig\.high_rate \(333 Hz.*"
                        r"plant step \(0\.001 s\)"):
-        RateScheduler(plant_dt=1e-3, low_rate=1000.0, high_rate=333.0)
-    with pytest.raises(ValueError, match=r"ControlConfig\.high_rate \(100 Hz\) "
-                       r"must divide ControlConfig\.low_rate \(250 Hz\)"):
-        RateScheduler(plant_dt=1e-3, low_rate=250.0, high_rate=100.0)
+        RateScheduler(plant_dt=1e-3, high_rate=333.0)
+    with pytest.raises(ValueError, match=r"ControlConfig\.high_rate \(100 Hz, "
+                       r"period 0\.01 s\).*plant step \(0\.003 s\)"):
+        RateScheduler(plant_dt=3e-3, high_rate=100.0)
 
 
 def test_rate_scheduler_validation():
     with pytest.raises(ValueError):
-        RateScheduler(plant_dt=1e-3, low_rate=333.0, high_rate=100.0)
+        RateScheduler(plant_dt=1e-3, high_rate=333.0)
     with pytest.raises(ValueError):
-        RateScheduler(plant_dt=1e-3, low_rate=1000.0, high_rate=333.0)
-    with pytest.raises(ValueError):
-        # high-rate period not an integer multiple of the low-rate period
-        RateScheduler(plant_dt=1e-3, low_rate=250.0, high_rate=100.0)
+        # balancer period shorter than the plant step
+        RateScheduler(plant_dt=1e-3, high_rate=2000.0)
+    RateScheduler(plant_dt=1e-3, high_rate=1000.0)  # every tick

@@ -8,6 +8,7 @@ a numeric power-balance check along the exact flow.
 import numpy as np
 import pytest
 
+from chains import pendulum_urdf, two_link_arm_urdf
 from torquesense.dynamics import (
     com_position,
     com_velocity,
@@ -23,7 +24,7 @@ from torquesense.dynamics import (
     rnea,
 )
 from torquesense.model import parse_model
-from torquesense.models import desk_biped, pendulum_urdf, two_link_arm_urdf
+from torquesense.models import desk_biped
 from torquesense.spatial import Transform, exp_so3, log_so3, transform_motion_inv
 
 from reference_dynamics import link_states

@@ -222,6 +222,29 @@ def test_scalability_sweep_validation_and_identity():
     assert reports[0]["torque_rmse"] == base["torque_rmse"]
 
 
+def test_scalability_sweep_scales_every_joint_and_keeps_the_rest(monkeypatch):
+    # a named joint entry replaces "default": its friction must be scaled
+    # too, and every joint keeps its motor and elasticity settings
+    scen = ScenarioConfig(joints={
+        "default": {"motor": {"k_t": 0.12}, "elasticity": {"damping": 6.0}},
+        "left_hip_roll": {"friction": {"coulomb": 3.0, "breakaway": 4.0},
+                          "motor": {"reduction": 80.0}},
+    }, **SHORT)
+    ran = []
+    monkeypatch.setattr(experiments, "run_scenario",
+                        lambda scenario, *a, **kw: ran.append(scenario) or ({}, None))
+    scalability_sweep(scen, [0.5])
+    nominal, scaled = Plant(scen), Plant(ran[0])
+    roll = nominal.model.joint_names.index("left_hip_roll")
+    assert nominal.scv[roll].coulomb == 3.0
+    for j in range(nominal.n):
+        assert scaled.scv[j] == nominal.scv[j].scaled(0.5), j
+    for name in ("k_t", "reduction", "motor_inertia", "elastic_k",
+                 "elastic_d"):
+        assert np.array_equal(getattr(scaled, name), getattr(nominal, name))
+    assert len(set(nominal.reduction)) == 2 and len(set(nominal.k_t)) == 2
+
+
 def test_disturbance_scenario_construction():
     s1 = make_disturbance_scenario(seed=4)
     s2 = make_disturbance_scenario(seed=4)
@@ -388,7 +411,7 @@ def test_rerun_replaces_its_metrics_row(tmp_path):
 
 
 def test_rate_mismatch_names_the_control_setting():
-    with pytest.raises(ValueError, match=r"ControlConfig\.low_rate \(1000 Hz.*"
-                       r"plant step \(0\.002 s\)"):
-        run_scenario(ScenarioConfig(step=2e-3, duration=0.01),
+    with pytest.raises(ValueError, match=r"ControlConfig\.high_rate \(100 Hz.*"
+                       r"plant step \(0\.003 s\)"):
+        run_scenario(ScenarioConfig(step=3e-3, duration=0.01),
                      ControlConfig(mode="Feedforward"))

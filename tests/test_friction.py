@@ -1,18 +1,11 @@
-"""Stribeck-Coulomb-viscous friction model and motor torque maps."""
+"""Stribeck-Coulomb-viscous friction model and actuator parameters."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torquesense.friction import (
-    MotorParams,
-    ScvParams,
-    current_from_desired_torque,
-    motor_torque_from_current,
-    scv_friction,
-    scv_friction_smooth,
-)
+from torquesense.friction import MotorParams, ScvParams, scv_friction
 
 P = ScvParams(coulomb=1.0, breakaway=2.0, stribeck_vel=0.1, viscous=0.5)
 
@@ -28,8 +21,8 @@ def test_scv_zero_and_oddness():
     assert scv_friction(P, 0.0) == 0.0
     vs = np.linspace(-5.0, 5.0, 101)
     assert np.allclose(scv_friction(P, vs), -scv_friction(P, -vs), atol=1e-12)
-    assert np.allclose(scv_friction_smooth(P, vs, 0.01),
-                       -scv_friction_smooth(P, -vs, 0.01), atol=1e-12)
+    assert np.allclose(scv_friction(P, vs, smoothing=0.01),
+                       -scv_friction(P, -vs, smoothing=0.01), atol=1e-12)
 
 
 def test_scv_limits():
@@ -45,7 +38,7 @@ def test_scv_dissipative(v):
     # friction torque opposes motion: tau_F * v > 0 for v != 0
     assert scv_friction(P, v) * v > 0.0
     assert scv_friction(P, -v) * (-v) > 0.0
-    assert scv_friction_smooth(P, v, 0.01) * v > 0.0
+    assert scv_friction(P, v, smoothing=0.01) * v > 0.0
 
 
 def test_scv_monotonic_beyond_dip():
@@ -57,7 +50,7 @@ def test_scv_monotonic_beyond_dip():
 def test_smooth_converges_to_exact():
     vs = np.array([-1.0, -0.2, 0.2, 1.0])
     for eps, tol in ((1e-2, 1e-8), (1e-4, 1e-12)):
-        assert np.allclose(scv_friction_smooth(P, vs, eps),
+        assert np.allclose(scv_friction(P, vs, smoothing=eps),
                            scv_friction(P, vs), atol=tol)
 
 
@@ -84,24 +77,41 @@ def test_param_validation():
     with pytest.raises(ValueError):
         ScvParams(1.0, 2.0, 0.1, -0.1)
     with pytest.raises(ValueError):
-        MotorParams(k_t=0.0, reduction=100.0)
+        MotorParams(k_t=0.0, reduction=100.0, motor_inertia=1e-5)
     with pytest.raises(ValueError):
-        MotorParams(k_t=0.1, reduction=0.5)
+        MotorParams(k_t=0.1, reduction=0.5, motor_inertia=1e-5)
     with pytest.raises(ValueError):
         MotorParams(k_t=0.1, reduction=100.0, motor_inertia=-1e-6)
+    with pytest.raises(ValueError):
+        MotorParams(k_t=0.1, reduction=100.0, motor_inertia=0.0)
+    with pytest.raises(ValueError):  # one bad joint of several
+        MotorParams(np.array([0.1, 0.1]), np.array([100.0, 0.5]),
+                    np.array([1e-5, 1e-5]))
 
 
-def test_motor_torque_map():
-    m = MotorParams(k_t=0.1, reduction=100.0)
-    assert motor_torque_from_current(m, 1.0) == pytest.approx(10.0)
-    assert np.allclose(motor_torque_from_current(m, np.array([0.0, -2.0])),
-                       [0.0, -20.0])
+ARRAY = ScvParams(np.array([1.0, 0.5, 3.0]), np.array([2.0, 0.5, 4.0]),
+                  np.array([0.1, 0.2, 0.05]), np.array([0.5, 0.0, 1.0]))
 
 
-@given(st.floats(-50, 50, allow_nan=False), st.floats(-5, 5, allow_nan=False))
-def test_current_torque_inverse_consistency(tau, fric):
-    m = MotorParams(k_t=0.1, reduction=100.0)
-    i = current_from_desired_torque(m, tau, friction_estimate=fric)
-    # delivered gear torque minus the friction estimate recovers the demand
-    assert abs(motor_torque_from_current(m, i) - fric - tau) < 1e-12 * max(
-        1.0, abs(tau))
+def test_per_joint_arrays_match_each_joint():
+    vs = np.array([-0.3, 0.0, 0.07])
+    for eps in (0.0, 0.01):
+        joint_by_joint = [scv_friction(ARRAY[j], vs[j], smoothing=eps)
+                          for j in range(3)]
+        assert np.array_equal(scv_friction(ARRAY, vs, smoothing=eps),
+                              joint_by_joint)
+    assert ARRAY[2] == ScvParams(3.0, 4.0, 0.05, 1.0)
+    assert type(ARRAY[2].coulomb) is float
+    half = ARRAY.scaled(0.5)
+    for j in range(3):
+        assert half[j] == ARRAY[j].scaled(0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coulomb", [1.0, -0.1, 3.0]), ("breakaway", [2.0, 0.4, 4.0]),
+    ("stribeck_vel", [0.1, 0.2, 0.0]), ("viscous", [-0.5, 0.0, 1.0])])
+def test_array_validation_rejects_any_bad_joint(field, value):
+    fields = {"coulomb": ARRAY.coulomb, "breakaway": ARRAY.breakaway,
+              "stribeck_vel": ARRAY.stribeck_vel, "viscous": ARRAY.viscous}
+    with pytest.raises(ValueError):
+        ScvParams(**{**fields, field: np.array(value)})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chains import pendulum_urdf, serial_leg_urdf
 from torquesense.model import (
     FrameError,
     ParseError,
@@ -10,7 +11,7 @@ from torquesense.model import (
     ValidationError,
     parse_model,
 )
-from torquesense.models import desk_biped, pendulum_urdf, serial_leg_urdf
+from torquesense.models import desk_biped
 from torquesense.spatial import Transform
 
 

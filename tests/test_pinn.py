@@ -68,6 +68,25 @@ def test_net_validation():
         net.features(np.zeros(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("arg", ["buffer_len", "hidden1", "hidden2"])
+@pytest.mark.parametrize("size", [0, -1])
+def test_net_rejects_empty_layers_by_name(arg, size):
+    with pytest.raises(ValueError, match=f"^{arg} must be at least 1"):
+        make_net(**{arg: size})
+
+
+def test_sample_sets_are_checked_by_name():
+    net = make_net(buffer_len=3)
+    with pytest.raises(ValueError, match="samples must be nonempty"):
+        validation_mse(net, [])
+    mixed = (build_samples(*synthetic_log(n=10), buffer_len=3)
+             + build_samples(*synthetic_log(n=10), buffer_len=4))
+    for call in (train, validation_mse):
+        with pytest.raises(ValueError, match="one buffer length: sample 0 "
+                           "has 3, sample 8 has 4"):
+            call(net, mixed)
+
+
 def test_zero_output_layer_predicts_zero():
     net = constant_net(0.0, buffer_len=4)
     assert predict(net, np.zeros(4), np.zeros(4)) == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from torquesense.friction import ScvParams
 from torquesense.model import FrameError
 from torquesense.plant import (
     Disturbance,
@@ -212,6 +213,31 @@ def test_scenario_config_round_trip_and_hash():
     assert other.config_hash() != cfg.config_hash()
 
 
+def test_legacy_elastic_transmission_key():
+    # the elastic transmission is the plant's only one
+    assert ScenarioConfig.from_dict({"elastic_transmission": True}) \
+        == ScenarioConfig()
+    with pytest.raises(ValueError, match="^elastic_transmission: false"):
+        ScenarioConfig.from_dict({"elastic_transmission": False})
+
+
+def test_per_joint_actuator_settings_resolve_and_validate():
+    plant = make_plant(joints={
+        "default": {"friction": {"coulomb": 0.8}},
+        "torso_roll": {"friction": {"viscous": 0.2}}})
+    j = plant.model.joint_names.index("torso_roll")
+    # a named entry replaces "default"; each section merges over the
+    # built-in defaults
+    assert plant.scv[j] == ScvParams(1.0, 2.0, 0.1, 0.2)
+    assert plant.scv[0] == ScvParams(0.8, 2.0, 0.1, 0.5)
+    with pytest.raises(ValueError, match="motor inertia"):
+        make_plant(joints={"torso_roll": {"motor": {"motor_inertia": 0.0}}})
+    with pytest.raises(ValueError, match="breakaway"):
+        make_plant(joints={"default": {"friction": {"coulomb": 3.0}}})
+    with pytest.raises(ValueError, match="friction_smoothing"):
+        ScenarioConfig(friction_smoothing=-0.01)
+
+
 def test_legacy_foot_key_loads_and_frame_is_written():
     legacy = {"time": 1.0, "foot": "right_sole", "height": 0.03,
               "action": "insert"}
@@ -318,13 +344,11 @@ STICK_PUSH_OBJECT = dict(
 
 @pytest.mark.parametrize("kw", [
     {}, {"lock_base": True}, STICK_PUSH_OBJECT,
-    {"elastic_transmission": False},
-], ids=["default", "locked_base", "stick_push_object", "rigid"])
+], ids=["default", "locked_base", "stick_push_object"])
 def test_first_stage_is_exact_and_a_step_makes_four_evaluations(kw):
     plant = make_plant(seed=2, **kw)
     state = plant.initial_state(base_height=2.0 if kw.get("lock_base") else None)
     calls = count_evaluations(plant)
-    elastic = plant.config.elastic_transmission
     worst = 0.0
     for k in range(200):
         currents = changing_currents(k)
@@ -333,15 +357,15 @@ def test_first_stage_is_exact_and_a_step_makes_four_evaluations(kw):
                                      state.contact_anchors)
         del calls[:]
         k1 = plant._first_stage(state, y, currents)
-        # elastic: the stored evaluation, patched for the new currents
-        assert len(calls) == (0 if elastic else 1)
+        # the stored evaluation, patched for the new currents
+        assert len(calls) == 0
         worst = max(worst, np.max(np.abs(k1 - fresh)) / np.max(np.abs(fresh)))
         del calls[:]
         new, _ = plant.step(state, currents)
         moved = new.contact_anchors.keys() != state.contact_anchors.keys() or any(
             not np.array_equal(a, state.contact_anchors[key])
             for key, a in new.contact_anchors.items())
-        assert len(calls) == (4 if elastic else 5) + moved, k
+        assert len(calls) == 4 + moved, k
         state = new
     assert worst <= 1e-12
 

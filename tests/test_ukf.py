@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from chains import pendulum_urdf
 from reference_ukf import (merwe_weights, reference_step, sigma_points,
                            unscented_moments)
 from torquesense.model import parse_model
-from torquesense.models import desk_biped, pendulum_urdf
+from torquesense.models import desk_biped
 from torquesense.spatial import Transform, exp_so3
 from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf, UkfConfig
 
