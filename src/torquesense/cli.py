@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import pinn
-from .control import MODES, ControlConfig
+from .control import MODES, ControlConfig, needs_friction_nets
 from .experiments import (DEFAULT_KF_GAINS, check_duration,
                           default_friction_nets, generate_friction_dataset,
                           make_disturbance_scenario, make_object_scenario,
@@ -105,8 +105,7 @@ def _load_scenario(spec, seed):
 
 def _resolve_nets(args, scenario, modes):
     """Trained friction nets for any mode that needs them."""
-    needed = any(m.endswith("PINN") or m.startswith("UKF") for m in modes)
-    if not needed:
+    if not any(needs_friction_nets(m) for m in modes):
         return None
     if args.nets is not None:
         if not os.path.exists(args.nets):

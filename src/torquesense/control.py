@@ -30,6 +30,15 @@ MODES = ("Feedforward", "RNEA-NoComp", "UKF-NoComp", "Feedforward-PINN",
 TORQUE_MODES = tuple(m for m in MODES if m != "PositionControl")
 
 
+def needs_friction_nets(mode):
+    """Whether `mode` runs trained friction nets.
+
+    The *-PINN modes compensate friction with them and the UKF modes
+    feed their output to the torque filter.
+    """
+    return mode.endswith("PINN") or mode.startswith("UKF")
+
+
 @dataclass
 class ControlConfig:
     """Gains and rates; identical across all torque modes by design."""

@@ -41,7 +41,7 @@ from .spatial import Transform, batch_cross, batch_skew, cross3, skew
 
 
 class DynamicsTerms:
-    """Mass matrix, bias vector, contact Jacobians and selection matrix.
+    """Bias vector and contact Jacobians.
 
     `bias` is the full bias vector (Coriolis, centrifugal and gravity)
     of the coordinate-acceleration form: M [accel] + bias = B tau + J^T f
@@ -49,13 +49,11 @@ class DynamicsTerms:
     At zero velocity `bias` equals the generalized gravity force.
     """
 
-    __slots__ = ("M", "bias", "jacobians", "selection")
+    __slots__ = ("bias", "jacobians")
 
-    def __init__(self, M, bias, jacobians, selection):
-        self.M = M
+    def __init__(self, bias, jacobians):
         self.bias = bias
         self.jacobians = jacobians
-        self.selection = selection
 
 
 def _static_proper_accel(model, base_pose):
@@ -95,20 +93,19 @@ class ForwardPass:
     module docstring).  `H` holds the world<-link transforms, `J` the
     link Jacobians (n_links, 6, nv), `v` the link velocities, `com` the
     world link centers of mass, `IJ` the products I_i J_i with the world
-    spatial inertias, `momentum` the products I_i v_i and `f_vel` the
-    velocity-dependent part of each link's net wrench.
+    spatial inertias and `f_vel` the velocity-dependent part of each
+    link's net wrench.
     """
 
-    __slots__ = ("model", "H", "J", "v", "com", "IJ", "momentum", "f_vel")
+    __slots__ = ("model", "H", "J", "v", "com", "IJ", "f_vel")
 
-    def __init__(self, model, H, J, v, com, IJ, momentum, f_vel):
+    def __init__(self, model, H, J, v, com, IJ, f_vel):
         self.model = model
         self.H = H
         self.J = J
         self.v = v
         self.com = com
         self.IJ = IJ
-        self.momentum = momentum
         self.f_vel = f_vel
 
     def mass_matrix(self):
@@ -169,12 +166,6 @@ class ForwardPass:
         v_com = self.v[:, :3] + batch_cross(self.v[:, 3:], self.com)
         return self.model.arrays.mass @ v_com / self.model.total_mass
 
-    def mechanical_energy(self):
-        """Total kinetic plus gravitational potential energy."""
-        kinetic = 0.5 * np.sum(self.v * self.momentum)
-        potential = -(self.model.arrays.mass @ self.com) @ self.model.gravity
-        return kinetic + potential
-
 
 def forward_pass(model, base_pose, s, nu, Xs=None):
     """The batched kinematics pass at state (base_pose, s, nu).
@@ -226,7 +217,7 @@ def forward_pass(model, base_pose, s, nu, Xs=None):
     f_vel = (inertia @ a_vp[:, :, None]
              - crm.transpose(0, 2, 1) @ momentum[:, :, None])[:, :, 0]
 
-    return ForwardPass(model, H, J, v, com, IJ, momentum, f_vel)
+    return ForwardPass(model, H, J, v, com, IJ, f_vel)
 
 
 def forward_kinematics(model, base_pose, s):
@@ -278,14 +269,12 @@ def frame_jacobian(model, base_pose, s, frame_name, fp=None):
 
 
 def compute_dynamics_terms(model, base_pose, s, nu, contact_frames=(), fp=None):
-    """Mass matrix, full bias vector and contact Jacobians at the given state."""
+    """Full bias vector and contact Jacobians at the given state."""
     if fp is None:
         fp = forward_pass(model, base_pose, s, nu)
     bias = fp.inverse_dynamics(_static_proper_accel(model, base_pose))
     jacobians = {name: fp.frame_jacobian(name) for name in contact_frames}
-    selection = np.zeros((model.nv, model.ndof))
-    selection[6:, :] = np.eye(model.ndof)
-    return DynamicsTerms(fp.mass_matrix(), bias, jacobians, selection)
+    return DynamicsTerms(bias, jacobians)
 
 
 def coriolis_bias(model, base_pose, s, nu, contact_wrenches=(), fp=None):
@@ -324,8 +313,3 @@ def com_velocity(model, base_pose, s, nu, fp=None):
     if fp is None:
         fp = forward_pass(model, base_pose, s, nu)
     return fp.com_velocity()
-
-
-def mechanical_energy(model, base_pose, s, nu):
-    """Total kinetic plus gravitational potential energy."""
-    return forward_pass(model, base_pose, s, nu).mechanical_energy()

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import pinn
 from .control import (ControlConfig, MODES, PositionPD, RateScheduler,
-                      TorquePI, high_level_balancer, rnea_torque_feedback)
+                      TorquePI, high_level_balancer, needs_friction_nets,
+                      rnea_torque_feedback)
 from .kf import encoder_lsb, mean_step, steady_state_gain
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
                     SimulationDiverged)
@@ -207,8 +208,8 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     mode = control.mode
     use_ukf = mode.startswith("UKF")
     use_rnea = mode.startswith("RNEA")
-    use_pinn_comp = mode.endswith("PINN") and mode != "PositionControl"
-    needs_nets = use_pinn_comp or use_ukf
+    use_pinn_comp = mode.endswith("PINN")
+    needs_nets = needs_friction_nets(mode)
     if needs_nets and nets is None:
         raise ValueError(f"mode {mode} needs trained friction nets")
     net_groups = group_by_net(nets, model.joint_names) if needs_nets else []
@@ -384,10 +385,6 @@ def compute_metrics(log, scenario, control, burn_in=BURN_IN):
         "diverged": bool(log.diverged),
     }
     return report
-
-
-RUN_CSV_COLUMNS = ["t", "tau_d", "tau_true", "tau_feedback", "com", "com_ref",
-                   "currents"]
 
 
 def write_artifacts(out_dir, label, scenario, control, log, report):

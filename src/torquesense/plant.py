@@ -3,11 +3,14 @@
 Integrates the floating-base dynamics together with an elastic
 harmonic-drive transmission per joint (motor inertia behind a gear, a
 spring-damper to the link, SCV friction at the motor-side velocity)
-using fixed-step RK4, models ground contact with penalty springs at the
-foot corners, and synthesizes encoder, current, force/torque and IMU
-measurements with configurable quantization and Gaussian noise.  Runs
-are bitwise reproducible for a fixed scenario configuration (including
-the seed).
+using fixed-step RK4, models ground contact with stateless penalty
+forces at the foot corners (a normal spring-damper, and tangential
+damping clipped to the friction cone), and synthesizes encoder,
+current, force/torque and IMU measurements with configurable
+quantization and Gaussian noise.  A step makes four derivative
+evaluations: its first stage reuses the evaluation that ended the step
+before.  Runs are bitwise reproducible for a fixed scenario
+configuration (including the seed).
 """
 
 import dataclasses
@@ -85,12 +88,6 @@ _DEFAULT_NOISE = {
 _DEFAULT_CONTACT = {
     "stiffness": 2.0e4,       # N/m per corner, normal penalty spring
     "damping": 100.0,         # N*s/m per corner, normal
-    # stick-spring tangential contact is available (set a positive
-    # stiffness) but defaults to pure velocity damping: the stick
-    # springs add a lightly damped lateral rocking mode that joint
-    # stiction normally dissipates, which couples badly with the
-    # friction-compensating controllers under study
-    "tangential_stiffness": 0.0,    # N/m per corner, stick spring
     "tangential_damping": 200.0,    # N*s/m per corner
     "mu": 1.0,
 }
@@ -106,8 +103,12 @@ class ScenarioConfig:
     damping).  A joint's settings are its own entry if it has one,
     which replaces the "default" entry rather than merging with it,
     and the "default" entry otherwise; each section of that entry then
-    merges over the built-in defaults.  `noise` and `contact` merge
-    over their built-in defaults the same way.
+    merges over the built-in defaults.  `noise` (quantize,
+    joint_encoder_bits, motor_encoder_bits, current_std, ft_force_std,
+    ft_torque_std, imu_acc_std, imu_gyro_std) and `contact` (stiffness,
+    damping, tangential_damping, mu) merge over their built-in defaults
+    the same way.  A section or key not named here is rejected; so is
+    a joint name the model lacks, when the `Plant` is built.
     """
     schema_version: int = 1
     model: str = "desk_biped"
@@ -131,6 +132,13 @@ class ScenarioConfig:
         if self.friction_smoothing < 0.0:
             raise ValueError(f"friction_smoothing must be nonnegative, "
                              f"got {self.friction_smoothing}")
+        for name, entry in self.joints.items():
+            _check_keys(f"joints[{name!r}] section", entry, _DEFAULT_JOINT)
+            for section, block in entry.items():
+                _check_keys(f"joints[{name!r}][{section!r}] key", block,
+                            _DEFAULT_JOINT[section])
+        _check_keys("noise key", self.noise, _DEFAULT_NOISE)
+        _check_keys("contact key", self.contact, _DEFAULT_CONTACT)
         # partial overrides merge over the built-in defaults
         self.noise = {**_DEFAULT_NOISE, **self.noise}
         self.contact = {**_DEFAULT_CONTACT, **self.contact}
@@ -146,14 +154,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """A config from its JSON form, reading two legacy keys.
+        """A config from its JSON form, reading three legacy keys.
 
         Older files give the sensor rate apart from the step.  The key
         is dropped when it equals 1/step, the only rate such a file could
         run at, and rejected otherwise rather than read as a new step.
         They may also choose the transmission: `elastic_transmission`
         true is the only transmission the plant has and is dropped;
-        false (a rigid transmission) is rejected.
+        false (a rigid transmission) is rejected.  Their `contact` may
+        give `tangential_stiffness`, the spring of a stick-slip contact
+        the plant does not model: 0.0 (no spring) is dropped, and any
+        other value is rejected as an unknown contact key.
         """
         d = dict(d)
         rate = d.pop("sensor_rate", None)
@@ -161,6 +172,11 @@ class ScenarioConfig:
             raise ValueError(
                 "elastic_transmission: false is not supported: the plant "
                 "models only the elastic harmonic-drive transmission")
+        contact = d.get("contact")
+        if (isinstance(contact, dict)
+                and contact.get("tangential_stiffness") == 0.0):
+            d["contact"] = {k: v for k, v in contact.items()
+                            if k != "tangential_stiffness"}
         config = cls(**d)
         if rate is not None and not np.isclose(config.step * rate, 1.0):
             raise ValueError(
@@ -180,6 +196,14 @@ class ScenarioConfig:
             return vars(o)
         blob = json.dumps(self.to_dict(), sort_keys=True, default=default)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _check_keys(what, given, known):
+    """Raise ValueError naming the keys of `given` that `known` lacks."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(known)}")
 
 
 def _object_event_from_dict(x):
@@ -222,9 +246,6 @@ class PlantState:
     joint_acc: np.ndarray
     motor_acc: np.ndarray       # motor-side shaft acceleration
     com: np.ndarray
-    # stick-friction anchors: (sole frame, corner index) -> ground-plane
-    # anchor point (2,); held fixed within an integration step
-    contact_anchors: dict = field(default_factory=dict)
 
     def base_pose(self):
         return Transform(self.base_R, self.base_pos)
@@ -232,12 +253,6 @@ class PlantState:
 
 def _quantize(x, lsb):
     return np.round(x / lsb) * lsb
-
-
-def _same_anchors(a, b):
-    """Whether two stick-anchor maps hold the same corners at the same points."""
-    return a.keys() == b.keys() and all(np.array_equal(v, b[k])
-                                        for k, v in a.items())
 
 
 def load_model(name, gravity):
@@ -258,6 +273,7 @@ class Plant:
         self.model = model if model is not None else load_model(config.model, config.gravity)
         n = self.model.ndof
         self.n = n
+        _check_keys("joint", config.joints, self.model.joint_names + ["default"])
 
         def per_joint(section, key):
             vals = []
@@ -297,8 +313,8 @@ class Plant:
 
         self.rng = np.random.default_rng(config.seed)
 
-        lsb_joint = 2 * np.pi / 2 ** config.noise.get("joint_encoder_bits", 12)
-        lsb_motor = 2 * np.pi / 2 ** config.noise.get("motor_encoder_bits", 16)
+        lsb_joint = 2 * np.pi / 2 ** config.noise["joint_encoder_bits"]
+        lsb_motor = 2 * np.pi / 2 ** config.noise["motor_encoder_bits"]
         self.lsb_joint = lsb_joint
         self.lsb_motor = lsb_motor
 
@@ -383,16 +399,8 @@ class Plant:
             joint_acc=np.zeros(n), motor_acc=np.zeros(n),
             com=np.zeros(3),
         )
-        # fill truth fields consistently with zero current; freshly
-        # touching corners anchor at their current ground-plane points,
-        # which leaves the stick-spring force zero
-        info = self._evaluate(state, np.zeros(n))
-        state.contact_anchors = self._advance_anchors(info["corners"], {})
-        if state.contact_anchors:
-            # the same evaluation, made under the anchors so that the
-            # first step may reuse it
-            info = self._evaluate(state, np.zeros(n))
-        self._apply_info(state, info)
+        # fill truth fields consistently with zero current
+        self._apply_info(state, self._evaluate(state, np.zeros(n)))
         return state
 
     def _pack(self, state):
@@ -413,20 +421,18 @@ class Plant:
 
     # ------------------------------------------------------------------ forces
 
-    def _contacts(self, t, fp, anchors):
+    def _contacts(self, t, fp):
         """Penalty forces at all sole corners, from one forward pass.
 
         Normal force is a one-sided spring-damper on penetration.
-        Tangential force is a stick spring toward a per-corner anchor
-        point plus damping, saturated at the friction cone mu*fz;
-        anchors are state, held fixed during a step (see `step`).
-        Without the stick spring a stationary foot could transmit no
-        lateral force at all and the stance would behave like ice.
+        Tangential force is viscous damping of the corner's ground-plane
+        velocity, clipped to the friction cone |f_t| <= mu*fz.  Contact
+        thus keeps no state of its own: the force is a function of `t`
+        and the pass.
 
         Returns the wrench of every sole in contact (sole frame, about
-        the sole origin, as the FT sensors read it), the (n_links, 6)
-        world-origin wrenches on the links, and the corner arrays that
-        `_advance_anchors` reads.
+        the sole origin, as the FT sensors read it) and the (n_links, 6)
+        world-origin wrenches on the links.
         """
         cfg = self.config.contact
         H = fp.H[self._sole_links]
@@ -442,12 +448,6 @@ class Plant:
         fz = cfg["stiffness"] * pen - cfg["damping"] * V[..., 2]
         touch = (pen > 0.0) & (fz > 0.0)
         ft = -cfg["tangential_damping"] * V[..., :2]
-        if anchors:
-            # corners without an anchor get a zero-length spring
-            anchor = P[..., :2].copy()
-            for (frame, ci), a in anchors.items():
-                anchor[self.sole_frames.index(frame), ci] = a
-            ft -= cfg["tangential_stiffness"] * (P[..., :2] - anchor)
         ft_mag = np.hypot(ft[..., 0], ft[..., 1])
         limit = cfg["mu"] * fz
         slip = touch & (ft_mag > limit)
@@ -468,32 +468,7 @@ class Plant:
                                axis=-1)[:, 0]
         contacts = {f: local[i] for i, f in enumerate(self.sole_frames)
                     if touch[i].any()}
-        return contacts, wrenches, (P, ft, touch, slip)
-
-    def _advance_anchors(self, corners, anchors):
-        """Next-step stick anchors from the accepted end-of-step corners.
-
-        `corners` is the corner state `_contacts` returned for that
-        evaluation.  New contacts anchor at the touchdown point; corners
-        whose stick force exceeds the friction cone slip, dragging the
-        anchor so the spring alone carries exactly the cone-limited
-        force; separated corners lose their anchor.
-        """
-        kt = self.config.contact["tangential_stiffness"]
-        if kt <= 0.0:
-            return {}
-        P, ft, touch, slip = corners
-        new = {}
-        for i, ci in zip(*np.nonzero(touch)):
-            key = (self.sole_frames[i], int(ci))
-            anchor = anchors.get(key)
-            if anchor is None:
-                new[key] = P[i, ci, :2].copy()
-            elif slip[i, ci]:
-                new[key] = P[i, ci, :2] + ft[i, ci] / kt
-            else:
-                new[key] = anchor
-        return new
+        return contacts, wrenches
 
     def _add_disturbances(self, t, fp, wrenches):
         """Add the active disturbances to the world-origin link wrenches."""
@@ -508,7 +483,7 @@ class Plant:
 
     # ------------------------------------------------------------------ dynamics
 
-    def _derivative(self, t, y, R0, currents, anchors):
+    def _derivative(self, t, y, R0, currents):
         n = self.n
         p, dlt, twist, s, sdot, phi, phid = self._unpack(y)
         R = R0 @ exp_so3(dlt)
@@ -517,7 +492,7 @@ class Plant:
         nu = np.concatenate([twist, sdot])
         fp = forward_pass(self.model, base_pose, s, nu,
                           Xs=joint_transforms(self.model, s))
-        contacts, wrenches, corners = self._contacts(t, fp, anchors)
+        contacts, wrenches = self._contacts(t, fp)
         self._add_disturbances(t, fp, wrenches)
 
         motor_torque = self.reduction * self.k_t * currents
@@ -557,7 +532,7 @@ class Plant:
             "tau": tau, "tau_friction": tau_f, "contacts": contacts,
             "base_prop_acc": a_prop[:6], "joint_acc": sdd,
             "motor_acc": phidd * self.reduction,
-            "pass": fp, "corners": corners, "currents": currents,
+            "pass": fp, "currents": currents,
         }
         return ydot, info
 
@@ -577,16 +552,13 @@ class Plant:
         """`_derivative` at `state`, with the record `_first_stage` checks.
 
         The returned info carries the derivative (`ydot`) and where it
-        was made: this plant, `t`, the packed state, a copy of `base_R`
-        and a copy of the stick anchors.
+        was made: this plant, `t`, the packed state and a copy of
+        `base_R`.
         """
         y = self._pack(state)
-        anchors = state.contact_anchors
-        ydot, info = self._derivative(state.t, y, state.base_R, currents,
-                                      anchors)
+        ydot, info = self._derivative(state.t, y, state.base_R, currents)
         info["ydot"] = ydot
-        info["at"] = (self, state.t, y, state.base_R.copy(),
-                      {k: a.copy() for k, a in anchors.items()})
+        info["at"] = (self, state.t, y, state.base_R.copy())
         return info
 
     def _first_stage(self, state, y, currents):
@@ -594,18 +566,17 @@ class Plant:
 
         The evaluation stored on `state` by the step or `initial_state`
         that made it serves, provided it was made by this plant at
-        exactly this `t`, packed state, `base_R` and stick anchors; a
-        state edited after it was made gets a fresh evaluation.  New
-        currents enter the elastic transmission only through the motor
-        acceleration, linearly, so the stored derivative is patched
-        there.
+        exactly this `t`, packed state and `base_R`, so a state made by
+        either costs no evaluation here; a state edited after it was
+        made gets a fresh one.  New currents enter the elastic
+        transmission only through the motor acceleration, linearly, so
+        the stored derivative is patched there.
         """
         info = getattr(state, "_info", None)
         if info is not None:
-            plant, t, y_at, R_at, anchors_at = info["at"]
+            plant, t, y_at, R_at = info["at"]
             if (plant is self and t == state.t and np.array_equal(y_at, y)
-                    and np.array_equal(R_at, state.base_R)
-                    and _same_anchors(anchors_at, state.contact_anchors)):
+                    and np.array_equal(R_at, state.base_R)):
                 di = currents - info["currents"]
                 if not di.any():
                     return info["ydot"]
@@ -613,8 +584,7 @@ class Plant:
                 k1[12 + 3 * self.n:] += self.k_t * di / (self.reduction
                                                          * self.motor_inertia)
                 return k1
-        return self._derivative(state.t, y, state.base_R, currents,
-                                state.contact_anchors)[0]
+        return self._derivative(state.t, y, state.base_R, currents)[0]
 
     def step(self, state, currents):
         """Advance one RK4 step; returns (new state, SensorBundle).
@@ -623,10 +593,9 @@ class Plant:
         state's truth fields, are the four evaluations of a step.  That
         last one is stored on the new state and serves as the next
         step's k1 (see `_first_stage`), as in the "first same as last"
-        Runge-Kutta pairs (Dormand & Prince, 1980).  A step from a state
-        with no matching stored evaluation makes a fifth, and so does a
-        step whose stick anchors move (the end state is re-evaluated
-        under the new anchors).
+        Runge-Kutta pairs (Dormand & Prince, 1980).  So a step from a
+        state made by `step` or `initial_state` makes exactly four
+        evaluations; a step from a state edited since makes a fifth.
         """
         h = self.config.step
         t = state.t
@@ -635,11 +604,10 @@ class Plant:
         y = self._pack(state)
         R0 = state.base_R
 
-        anchors = state.contact_anchors
         k1 = self._first_stage(state, y, currents)
-        k2, _ = self._derivative(t + h / 2, y + (h / 2) * k1, R0, currents, anchors)
-        k3, _ = self._derivative(t + h / 2, y + (h / 2) * k2, R0, currents, anchors)
-        k4, _ = self._derivative(t + h, y + h * k3, R0, currents, anchors)
+        k2, _ = self._derivative(t + h / 2, y + (h / 2) * k1, R0, currents)
+        k3, _ = self._derivative(t + h / 2, y + (h / 2) * k2, R0, currents)
+        k4, _ = self._derivative(t + h, y + h * k3, R0, currents)
         y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
         if not np.all(np.isfinite(y_new)):
@@ -654,17 +622,9 @@ class Plant:
             motor_pos=phi * self.reduction, motor_vel=phid * self.reduction,
             tau=np.zeros(n), tau_friction=np.zeros(n), contact_wrenches={},
             base_prop_acc=np.zeros(6), joint_acc=np.zeros(n),
-            motor_acc=np.zeros(n), com=np.zeros(3), contact_anchors=anchors,
+            motor_acc=np.zeros(n), com=np.zeros(3),
         )
-        info = self._evaluate(new, currents)
-        nxt = self._advance_anchors(info["corners"], anchors)
-        same = _same_anchors(nxt, anchors)
-        new.contact_anchors = nxt
-        if not same:
-            # re-evaluate the truth fields under the updated anchors so the
-            # stored evaluation is exactly next step's k1
-            info = self._evaluate(new, currents)
-        self._apply_info(new, info)
+        self._apply_info(new, self._evaluate(new, currents))
         return new, self._sample_sensors(new, currents)
 
     # ------------------------------------------------------------------ sensors
@@ -672,7 +632,7 @@ class Plant:
     def _sample_sensors(self, state, currents):
         noise = self.config.noise
         rng = self.rng
-        if noise.get("quantize", True):
+        if noise["quantize"]:
             joint_pos = _quantize(state.s, self.lsb_joint)
             motor_pos = _quantize(state.motor_pos, self.lsb_motor)
         else:

@@ -184,8 +184,12 @@ def mechanical_energy(model, base_pose, s, nu):
     return kinetic + potential
 
 
-def contact_wrenches(plant, t, world, vels, anchors):
-    """Per-sole contact wrench (sole frame), one corner at a time."""
+def contact_wrenches(plant, t, world, vels, counts=None):
+    """Per-sole contact wrench (sole frame), one corner at a time.
+
+    `counts`, if given, is a dict whose "touch" and "clipped" entries
+    grow by the touching corners and by those the friction cone clips.
+    """
     cfg = plant.config.contact
     out = {}
     for frame in plant.sole_frames:
@@ -204,55 +208,20 @@ def contact_wrenches(plant, t, world, vels, anchors):
             fz = cfg["stiffness"] * pen - cfg["damping"] * v_w[2]
             if fz <= 0.0:
                 continue
-            anchor = anchors.get((frame, ci))
             ft = -cfg["tangential_damping"] * v_w[:2]
-            if anchor is not None and cfg["tangential_stiffness"] > 0.0:
-                ft = ft - cfg["tangential_stiffness"] * (p_w[:2] - anchor)
             ft_mag = np.hypot(ft[0], ft[1])
             limit = cfg["mu"] * fz
             if ft_mag > limit:
                 ft = ft * (limit / ft_mag)
+            if counts is not None:
+                counts["touch"] += 1
+                counts["clipped"] += ft_mag > limit
             F = np.array([ft[0], ft[1], fz])
             F_tot += F
             N_tot += cross3(p_w - H.p, F)
         if F_tot @ F_tot > 0.0 or N_tot @ N_tot > 0.0:
             out[frame] = np.concatenate([H.R.T @ F_tot, H.R.T @ N_tot])
     return out
-
-
-def advance_anchors(plant, t, world, vels, anchors):
-    """Next-step stick anchors, one corner at a time."""
-    cfg = plant.config.contact
-    kt = cfg["tangential_stiffness"]
-    if kt <= 0.0:
-        return {}
-    new = {}
-    for frame in plant.sole_frames:
-        idx, offset = plant.model.frame(frame)
-        v_link = vels[idx]
-        for ci, corner in enumerate(models.FOOT_CORNERS):
-            c_link = offset.apply(corner)
-            p_w = world[idx].apply(c_link)
-            pen = plant.ground_height(frame, t, corner[0]) - p_w[2]
-            if pen <= 0.0:
-                continue
-            v_w = world[idx].R @ (v_link[:3] + cross3(v_link[3:], c_link))
-            fz = cfg["stiffness"] * pen - cfg["damping"] * v_w[2]
-            if fz <= 0.0:
-                continue
-            anchor = anchors.get((frame, ci))
-            if anchor is None:
-                new[(frame, ci)] = p_w[:2].copy()
-                continue
-            ft = -cfg["tangential_damping"] * v_w[:2] \
-                - kt * (p_w[:2] - anchor)
-            ft_mag = np.hypot(ft[0], ft[1])
-            limit = cfg["mu"] * fz
-            if ft_mag > limit:
-                ft = ft * (limit / ft_mag)
-                anchor = p_w[:2] + ft / kt
-            new[(frame, ci)] = anchor
-    return new
 
 
 def disturbance_wrenches(plant, t, world):
@@ -272,7 +241,7 @@ def disturbance_wrenches(plant, t, world):
 class ReferencePlant(Plant):
     """`Plant` whose derivative runs the per-link recursions above."""
 
-    def _derivative(self, t, y, R0, currents, anchors):
+    def _derivative(self, t, y, R0, currents):
         n = self.n
         p, dlt, twist, s, sdot, phi, phid = self._unpack(y)
         R = R0 @ exp_so3(dlt)
@@ -282,7 +251,7 @@ class ReferencePlant(Plant):
         nu = np.concatenate([twist, sdot])
         world, vels = link_states(self.model, base_pose, s, nu, Xs=Xs)
 
-        contacts = contact_wrenches(self, t, world, vels, anchors)
+        contacts = contact_wrenches(self, t, world, vels)
         wrenches = [(f, w) for f, w in contacts.items()]
         wrenches += disturbance_wrenches(self, t, world)
 
@@ -322,13 +291,9 @@ class ReferencePlant(Plant):
             "tau": tau, "tau_friction": tau_f, "contacts": contacts,
             "base_prop_acc": a_prop[:6], "joint_acc": sdd,
             "motor_acc": phidd * self.reduction,
-            "world": world, "corners": (t, world, vels), "currents": currents,
+            "world": world, "currents": currents,
         }
         return ydot, info
-
-    def _advance_anchors(self, corners, anchors):
-        t, world, vels = corners
-        return advance_anchors(self, t, world, vels, anchors)
 
     def _apply_info(self, state, info):
         state.tau = info["tau"]

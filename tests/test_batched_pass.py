@@ -13,7 +13,7 @@ from chains import pendulum_urdf, serial_leg_urdf, two_link_arm_urdf
 import reference_dynamics as ref
 from torquesense import dynamics
 from torquesense.model import parse_model
-from torquesense.models import FOOT_CORNERS, desk_biped
+from torquesense.models import desk_biped
 from torquesense.plant import Plant, ScenarioConfig
 from torquesense.spatial import Transform, exp_so3
 
@@ -137,8 +137,6 @@ def test_pass_matches_per_link_recursions(name):
         assert close(fp.com_velocity(), ref.com_velocity(model, pose, s, nu))
         assert close(dynamics.com_velocity(model, pose, s, nu),
                      ref.com_velocity(model, pose, s, nu))
-        assert close(fp.mechanical_energy(),
-                     ref.mechanical_energy(model, pose, s, nu))
         com = sum(l.mass * H.apply(l.com) for l, H in zip(model.links, world))
         assert close(fp.com_position(), com / model.total_mass)
         assert close(dynamics.com_position(model, pose, s), com / model.total_mass)
@@ -160,36 +158,21 @@ def contact_states(plant, count=6, seed=3):
         yield pose, s, nu
 
 
-def anchors_near(plant, world, r):
-    """Stick anchors a few millimetres from half the corners."""
-    anchors = {}
-    for frame in plant.sole_frames:
-        idx, offset = plant.model.frame(frame)
-        for ci, corner in enumerate(FOOT_CORNERS):
-            if r.uniform() < 0.5:
-                p = world[idx].apply(offset.apply(corner))
-                anchors[(frame, ci)] = p[:2] + 0.004 * r.normal(size=2)
-    return anchors
-
-
-@pytest.mark.parametrize("case", ["default", "stick", "front_object"])
+@pytest.mark.parametrize("case", ["default", "front_object"])
 def test_contact_kernel_matches_corner_loop(case):
     if case == "default":
         plant = contact_plant()
     else:
-        plant = contact_plant(tangential_stiffness=4000.0, mu=0.6)
-    if case == "front_object":
+        plant = contact_plant(mu=0.6)
         plant.schedule_object_event("right_sole", 0.004, "insert", 0.0,
                                     region="front")
-    r = np.random.default_rng(5)
     t = 0.1
-    seen = {"touch": 0, "new": 0, "kept": 0, "slip": 0}
+    seen = {"touch": 0, "clipped": 0}
     for pose, s, nu in contact_states(plant):
         world, vels = ref.link_states(plant.model, pose, s, nu)
-        anchors = anchors_near(plant, world, r) if case != "default" else {}
         fp = dynamics.forward_pass(plant.model, pose, s, nu)
-        contacts, wrenches, corners = plant._contacts(t, fp, anchors)
-        expected = ref.contact_wrenches(plant, t, world, vels, anchors)
+        contacts, wrenches = plant._contacts(t, fp)
+        expected = ref.contact_wrenches(plant, t, world, vels, seen)
         assert contacts.keys() == expected.keys()
         for frame, w in expected.items():
             assert close(contacts[frame], w)
@@ -197,20 +180,8 @@ def test_contact_kernel_matches_corner_loop(case):
         applied = fp.link_wrenches(expected.items())
         assert close(wrenches, np.zeros_like(wrenches) if applied is None
                      else applied)
-
-        nxt = plant._advance_anchors(corners, anchors)
-        nxt_ref = ref.advance_anchors(plant, t, world, vels, anchors)
-        assert nxt.keys() == nxt_ref.keys()
-        for key, a in nxt_ref.items():
-            assert close(nxt[key], a)
-            kept = a is anchors.get(key)
-            assert (nxt[key] is anchors.get(key)) == kept
-            seen["new" if key not in anchors else "kept" if kept else "slip"] += 1
-        seen["touch"] += corners[2].sum()
-    assert seen["touch"] > 0
-    if case != "default":
-        # fresh, holding and slipping anchors all occurred
-        assert min(seen.values()) > 0, seen
+    # the friction cone clipped some touching corners and not others
+    assert 0 < seen["clipped"] < seen["touch"], seen
 
 
 def run_both(config, steps=200):
@@ -229,14 +200,14 @@ def run_both(config, steps=200):
 @pytest.mark.parametrize("config", [
     ScenarioConfig(seed=2),
     ScenarioConfig(seed=2, lock_base=True),
-    ScenarioConfig(seed=2, contact={"tangential_stiffness": 4000.0},
+    ScenarioConfig(seed=2,
                    disturbances=[{"time": 0.05, "duration": 0.1,
                                   "frame": "torso_push",
                                   "force": (0.0, 30.0, 0.0)}],
                    object_events=[{"time": 0.0, "frame": "right_sole",
                                    "height": 0.004, "action": "insert",
                                    "region": "front"}]),
-], ids=["default", "locked_base", "stick_push_object"])
+], ids=["default", "locked_base", "push_object"])
 def test_steps_through_pass_match_reference_plant(config):
     new, old = run_both(config)
     for field in ("base_pos", "base_R", "base_twist", "s", "sdot", "motor_pos",
@@ -246,6 +217,3 @@ def test_steps_through_pass_match_reference_plant(config):
     assert new.contact_wrenches.keys() == old.contact_wrenches.keys()
     for frame, w in old.contact_wrenches.items():
         assert close(new.contact_wrenches[frame], w, 1e-9)
-    assert new.contact_anchors.keys() == old.contact_anchors.keys()
-    for key, a in old.contact_anchors.items():
-        assert close(new.contact_anchors[key], a, 1e-9)

@@ -18,10 +18,15 @@ from torquesense import cli
      "no object under left_sole"),
     ({"step": 5e-4, "sensor_rate": 1000.0}, "must equal 1/sensor_rate"),
     ({"elastic_transmission": False}, "elastic_transmission: false"),
+    ({"contact": {"tangential_stiffness": 4000.0}},
+     "unknown contact key 'tangential_stiffness'"),
+    ({"joints": {"left_hip_rol": {"friction": {"coulomb": 0.2}}}},
+     "unknown joint 'left_hip_rol'"),
     ({"model": "missing.urdf"}, "No such file"),
     ({"stepsize": 1e-3}, "unexpected keyword argument 'stepsize'"),
     ({}, "duration (0.1 s) leaves no samples after the 0.5 s metrics burn-in"),
-], ids=["frame", "remove", "step", "rigid", "model", "key", "duration"])
+], ids=["frame", "remove", "step", "rigid", "stick", "joint", "model", "key",
+        "duration"])
 def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
                                                     scenario, message):
     path = tmp_path / "scenario.json"

@@ -20,14 +20,13 @@ from torquesense.dynamics import (
     frame_jacobian,
     frame_transform,
     generalized_rnea,
-    mechanical_energy,
     rnea,
 )
 from torquesense.model import parse_model
 from torquesense.models import desk_biped
 from torquesense.spatial import Transform, exp_so3, log_so3, transform_motion_inv
 
-from reference_dynamics import link_states
+from reference_dynamics import link_states, mechanical_energy
 
 
 def static_accel(model, base_pose):

@@ -186,19 +186,6 @@ def test_divergence_raises_with_time():
         p.step(state, np.full(p.n, np.nan))
 
 
-def test_stick_spring_contact_option():
-    contact = {"tangential_stiffness": 4000.0}
-    p1 = Plant(ScenarioConfig(seed=9, contact=contact))
-    p2 = Plant(ScenarioConfig(seed=9, contact=contact))
-    s1, _ = run_steps(p1, 200)
-    s2, _ = run_steps(p2, 200)
-    assert len(s1.contact_anchors) > 0          # feet are stuck to anchors
-    assert np.array_equal(s1.base_pos, s2.base_pos)
-    assert np.array_equal(s1.s, s2.s)
-    keys = {k for k, _ in s1.contact_anchors}
-    assert keys <= set(p1.sole_frames)
-
-
 def test_scenario_config_round_trip_and_hash():
     cfg = ScenarioConfig(
         seed=4, duration=2.0,
@@ -219,6 +206,44 @@ def test_legacy_elastic_transmission_key():
         == ScenarioConfig()
     with pytest.raises(ValueError, match="^elastic_transmission: false"):
         ScenarioConfig.from_dict({"elastic_transmission": False})
+
+
+def test_legacy_tangential_stiffness_key():
+    # files written before the stick-spring contact was removed carry
+    # its stiffness at 0.0, which is the contact the plant models
+    written = ScenarioConfig().to_dict()
+    written["contact"]["tangential_stiffness"] = 0.0
+    assert ScenarioConfig.from_dict(written) == ScenarioConfig()
+    assert "tangential_stiffness" in written["contact"]
+    stick = {"contact": {"tangential_stiffness": 4000.0}}
+    with pytest.raises(ValueError, match="contact key 'tangential_stiffness'"):
+        ScenarioConfig.from_dict(stick)
+    with pytest.raises(ValueError, match="contact key 'tangential_stiffness'"):
+        ScenarioConfig(**stick)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"joints": {"torso_roll": {"frictions": {"coulomb": 0.3}}}},
+     r"joints\['torso_roll'\] section 'frictions'"),
+    ({"noise": {"current_sd": 0.0}}, "noise key 'current_sd'"),
+    ({"contact": {"mu": 0.8, "friction": 0.8}}, "contact key 'friction'"),
+])
+def test_unknown_config_keys_are_rejected(kw, match):
+    with pytest.raises(ValueError, match=match):
+        ScenarioConfig(**kw)
+
+
+def test_misspelt_joint_settings_are_rejected():
+    # a misspelt joint name with a misspelt default key would otherwise
+    # run every joint at the built-in friction without a message
+    with pytest.raises(ValueError,
+                       match=r"joints\['default'\]\['friction'\] key 'colomb'"):
+        ScenarioConfig(joints={"left_hip_rol": {"friction": {"coulomb": 0.2}},
+                               "default": {"friction": {"colomb": 0.3}}})
+    cfg = ScenarioConfig(joints={"left_hip_rol": {"friction": {"coulomb": 0.2}},
+                                 "default": {"friction": {"coulomb": 0.3}}})
+    with pytest.raises(ValueError, match="unknown joint 'left_hip_rol'"):
+        Plant(cfg)
 
 
 def test_per_joint_actuator_settings_resolve_and_validate():
@@ -334,8 +359,7 @@ def changing_currents(k):
     return 0.4 * np.sin(2 * np.pi * freqs * k * 1e-3 + 0.3)
 
 
-STICK_PUSH_OBJECT = dict(
-    contact={"tangential_stiffness": 4000.0},
+PUSH_OBJECT = dict(
     disturbances=[{"time": 0.05, "duration": 0.1, "frame": "torso_push",
                    "force": (0.0, 30.0, 0.0)}],
     object_events=[{"time": 0.0, "frame": "right_sole", "height": 0.004,
@@ -343,8 +367,8 @@ STICK_PUSH_OBJECT = dict(
 
 
 @pytest.mark.parametrize("kw", [
-    {}, {"lock_base": True}, STICK_PUSH_OBJECT,
-], ids=["default", "locked_base", "stick_push_object"])
+    {}, {"lock_base": True}, PUSH_OBJECT,
+], ids=["default", "locked_base", "push_object"])
 def test_first_stage_is_exact_and_a_step_makes_four_evaluations(kw):
     plant = make_plant(seed=2, **kw)
     state = plant.initial_state(base_height=2.0 if kw.get("lock_base") else None)
@@ -353,8 +377,7 @@ def test_first_stage_is_exact_and_a_step_makes_four_evaluations(kw):
     for k in range(200):
         currents = changing_currents(k)
         y = plant._pack(state)
-        fresh, _ = plant._derivative(state.t, y, state.base_R, currents,
-                                     state.contact_anchors)
+        fresh, _ = plant._derivative(state.t, y, state.base_R, currents)
         del calls[:]
         k1 = plant._first_stage(state, y, currents)
         # the stored evaluation, patched for the new currents
@@ -362,10 +385,7 @@ def test_first_stage_is_exact_and_a_step_makes_four_evaluations(kw):
         worst = max(worst, np.max(np.abs(k1 - fresh)) / np.max(np.abs(fresh)))
         del calls[:]
         new, _ = plant.step(state, currents)
-        moved = new.contact_anchors.keys() != state.contact_anchors.keys() or any(
-            not np.array_equal(a, state.contact_anchors[key])
-            for key, a in new.contact_anchors.items())
-        assert len(calls) == 4 + moved, k
+        assert len(calls) == 4, k
         state = new
     assert worst <= 1e-12
 
@@ -382,16 +402,11 @@ def edit_attitude_in_place(state):
     state.base_R[:] = state.base_R @ exp_so3(np.array([0.0, 0.05, 0.1]))
 
 
-def edit_anchor_in_place(state):
-    next(iter(state.contact_anchors.values()))[0] += 1e-3
-
-
 @pytest.mark.parametrize("edit, kw", [
     (edit_base_height, {"lock_base": True}),
     (edit_joint, {}),
     (edit_attitude_in_place, {}),
-    (edit_anchor_in_place, {"contact": {"tangential_stiffness": 4000.0}}),
-], ids=["base_height", "joint", "attitude", "anchor"])
+], ids=["base_height", "joint", "attitude"])
 def test_edited_state_is_evaluated_afresh(edit, kw):
     # the evaluation stored on a state serves the next step's first stage
     # only while the state is the one it was made at
