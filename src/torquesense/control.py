@@ -33,10 +33,11 @@ TORQUE_MODES = tuple(m for m in MODES if m != "PositionControl")
 def needs_friction_nets(mode):
     """Whether `mode` runs trained friction nets.
 
-    The *-PINN modes compensate friction with them and the UKF modes
-    feed their output to the torque filter.
+    The *-PINN modes compensate friction with them, and UKF-PINN also
+    feeds their output to the torque filter.  UKF-NoComp runs the filter
+    with its friction channel masked, so it needs none.
     """
-    return mode.endswith("PINN") or mode.startswith("UKF")
+    return mode.endswith("PINN")
 
 
 @dataclass

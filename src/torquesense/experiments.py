@@ -57,6 +57,12 @@ class OnlineKf:
 DEFAULT_KF_GAINS = {"q_accel": 1e-3, "q_jerk": 200.0}
 BURN_IN = 0.5  # s of every run left out of the torque metrics
 
+ID_JOINT = 0             # joint whose friction the identification log records
+ID_CURRENT_AMP = 0.35    # A, amplitude of each multi-sine current component
+NET_BUFFER_LEN = 8       # velocity samples per friction-net input buffer
+NET_HIDDEN = 48          # width of both hidden layers
+NET_LAM = 0.3            # physics weight of the training loss
+
 
 def check_duration(scenario):
     """Reject a scenario too short to leave samples after the burn-in."""
@@ -79,13 +85,12 @@ def encoder_bank(scenario, state, gains):
                     x0=np.concatenate([state.s, state.motor_pos]))
 
 
-def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
-                              joint=0, current_amp=0.35):
+def generate_friction_dataset(scenario=None, duration=6.0, seed=0):
     """Excitation run producing a friction-identification log.
 
     The robot hangs base-locked while every joint is driven by a
     multi-sine current; returns (t, motor-side velocity mapped to the
-    joint side, joint velocity, true friction torque) for `joint`,
+    joint side, joint velocity, true friction torque) for joint ID_JOINT,
     with both velocities taken from the online encoder filters exactly
     as the controller will see them.
     """
@@ -106,38 +111,35 @@ def generate_friction_dataset(scenario=None, duration=6.0, seed=0,
     fr_log = np.empty(steps)
     for k in range(steps):
         t = k * scenario.step
-        currents = current_amp * np.sin(
+        currents = ID_CURRENT_AMP * np.sin(
             2 * np.pi * freqs[None, :] * t + phases).sum(axis=1)
         st, sb = plant.step(st, currents)
         _, v, _ = encoders.update(np.concatenate([sb.joint_pos, sb.motor_pos]))
         t_log[k] = st.t
-        mv_log[k] = v[n + joint] / plant.reduction[joint]
-        jv_log[k] = v[joint]
-        fr_log[k] = st.tau_friction[joint]
+        mv_log[k] = v[n + ID_JOINT] / plant.reduction[ID_JOINT]
+        jv_log[k] = v[ID_JOINT]
+        fr_log[k] = st.tau_friction[ID_JOINT]
     return t_log, mv_log, jv_log, fr_log
 
 
-def train_friction_net(dataset, scv, seed=0, lam=0.3, buffer_len=8,
-                       hidden=48, epochs=40):
-    """Train one friction net on an identification log."""
-    t, mv, jv, fr = dataset
-    net = pinn.FrictionNet(buffer_len, hidden, hidden, 0.0, lam, scv, seed=seed)
-    samples = pinn.build_samples(t, mv, jv, fr, buffer_len)
-    pinn.train(net, samples, epochs=epochs, batch_size=64,
-               learning_rate=2e-3, seed=seed)
+def train_friction_net(dataset, scv, seed=0, epochs=40):
+    """Train one friction net on an identification log (t, mv, jv, fr)."""
+    net = pinn.FrictionNet(NET_BUFFER_LEN, NET_HIDDEN, NET_HIDDEN, 0.0,
+                           NET_LAM, scv, seed=seed)
+    pinn.train(net, pinn.build_samples(*dataset, NET_BUFFER_LEN),
+               epochs=epochs, batch_size=64, learning_rate=2e-3, seed=seed)
     return net
 
 
-def default_friction_nets(plant, dataset=None, seed=0, **train_kw):
-    """One net per joint; joints sharing friction parameters share a net."""
-    if dataset is None:
-        dataset = generate_friction_dataset(seed=seed)
+def default_friction_nets(plant, dataset, seed=0):
+    """One net per joint, trained on the identification log `dataset`;
+    joints sharing friction parameters share a net."""
     cache = {}
     nets = {}
     for j, name in enumerate(plant.model.joint_names):
         scv = plant.scv[j]
         if scv not in cache:
-            cache[scv] = train_friction_net(dataset, scv, seed=seed, **train_kw)
+            cache[scv] = train_friction_net(dataset, scv, seed=seed)
         nets[name] = cache[scv]
     return nets
 
@@ -189,8 +191,10 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
                  label=None):
     """Run one closed-loop scenario; returns (report dict, RunLog).
 
-    `nets` maps joint name to a trained friction net (required for the
-    PINN modes and the torque-filter friction channel).  If `out_dir`
+    `nets` maps joint name to a trained friction net.  Only the *-PINN
+    modes run them: they compensate friction with the smoothed output,
+    and UKF-PINN also feeds the raw output to the torque filter's
+    friction channel, which UKF-NoComp masks.  If `out_dir`
     is given, the run CSV, report JSON and a metrics CSV row are
     written there under `label`.
     """
@@ -208,11 +212,10 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     mode = control.mode
     use_ukf = mode.startswith("UKF")
     use_rnea = mode.startswith("RNEA")
-    use_pinn_comp = mode.endswith("PINN")
-    needs_nets = needs_friction_nets(mode)
-    if needs_nets and nets is None:
+    use_nets = needs_friction_nets(mode)
+    if use_nets and nets is None:
         raise ValueError(f"mode {mode} needs trained friction nets")
-    net_groups = group_by_net(nets, model.joint_names) if needs_nets else []
+    net_groups = group_by_net(nets, model.joint_names) if use_nets else []
 
     encoders = encoder_bank(scenario, st, gains)
     att = ComplementaryAttitude(R0=st.base_R.copy())
@@ -291,16 +294,16 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         R_est = att.update(imu_acc, imu_gyro, dt_s)
 
         tau_f_hat = None
-        if needs_nets:
+        if use_nets:
             tau_f_hat = predict_friction(net_groups, mv_buf, jv_buf)
 
         tau_fb = None
         if use_ukf:
-            mask = mode == "UKF-NoComp"
             z = ukf.assemble_measurement(
                 sdot_est, sb.currents, sb.ft, imu_acc, imu_gyro,
-                tau_f_pinn=None if mask else tau_f_hat)
-            belief = ukf.step(belief, s_meas, R_est, z, mask_friction=mask)
+                tau_f_pinn=tau_f_hat)
+            belief = ukf.step(belief, s_meas, R_est, z,
+                              mask_friction=tau_f_hat is None)
             tau_fb = ukf.joint_torque_estimate(belief.mean)
         elif use_rnea:
             # proper acceleration from IMU (base) and encoder filters (joints)
@@ -314,14 +317,14 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
                 model, Transform(R_est, np.zeros(3)), s_meas, nu_est, accel,
                 sb.ft)
 
-        if tau_f_hat is not None:
+        if use_nets:
             comp_state += comp_alpha * (tau_f_hat - comp_state)
 
         if mode == "PositionControl":
             # collocated loop on the motor encoder mapped to the joint side
             currents = pos_pd(s0, mpos_est, mvel_est)
         else:
-            comp = comp_state if use_pinn_comp else None
+            comp = comp_state if use_nets else None
             fb = None if mode.startswith("Feedforward") else tau_fb
             currents = pi(tau_d, fb, comp)
 
@@ -417,17 +420,16 @@ METRICS_COLUMNS = ["mode", "seed", "config_hash", "torque_rmse_overall",
 METRICS_KEY = ("mode", "seed", "config_hash")
 
 
-def write_metrics_csv(path, reports, append=True):
-    """One row per run; stable column order for table assembly.
+def write_metrics_csv(path, reports):
+    """Write the metrics file: a header, then one row per run in a stable
+    column order for table assembly.
 
     A field a report lacks (a row read back from a file written before
     its column existed) is left empty.
     """
-    exists = os.path.exists(path) and append
-    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        if not exists:
-            w.writerow(METRICS_COLUMNS)
+        w.writerow(METRICS_COLUMNS)
         for r in reports:
             w.writerow([json.dumps(v) if isinstance(v, list) else v
                         for v in (r.get(c, "") for c in METRICS_COLUMNS)])
@@ -442,7 +444,7 @@ def replace_metrics_row(path, report):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = [r for r in csv.DictReader(fh)
                     if [r.get(c) for c in METRICS_KEY] != key]
-    write_metrics_csv(path, rows + [report], append=False)
+    write_metrics_csv(path, rows + [report])
 
 
 def sweep_modes(scenario, modes=None, control=None, nets=None, out_dir=None):

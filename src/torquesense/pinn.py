@@ -7,41 +7,35 @@ Stribeck-Coulomb-viscous curve evaluated at the newest motor velocity:
 
     L = (1 - lam) * mean((pred - true)^2) + lam * mean((pred - scv)^2)
 
+Friction data has one format.  `build_samples` slides a length-L window
+over an identification log and returns `(motor, joint, target)`: (N, L)
+motor and joint velocity windows, oldest sample first, and the (N,)
+friction torque at each window's newest sample.  `train` and
+`validation_mse` take that triple; `predict` takes (k, L) buffers and
+returns (k,) torques.
+
 Backprop and Adam are implemented by hand so gradients can be verified
 against finite differences.  The net's parameters are one flat vector
 (`FrictionNet.theta`; `params` are named views into it), so the
 gradient is one vector of the same layout and an Adam step is a few
-vector operations.  `train` builds the normalized feature matrix, the
-targets and the physics targets (one vectorized SCV evaluation) once
-per call; each shuffled mini-batch is a row gather from them.
-`train_step` runs the same step on a list of FrictionSamples.
-Hyperparameters (hidden widths, dropout, lam, buffer length, learning
-rate, batch size) are random-searched.
+vector operations.  `train` fits the input normalization to its set and
+builds the normalized features, the targets and the physics targets
+(one vectorized SCV evaluation) once per call; each shuffled mini-batch
+is a row gather from them.  `random_search` draws the hyperparameters
+(hidden widths, dropout, lam, buffer length, learning rate, batch size)
+uniformly and keeps the net with the lowest held-out MSE.
 """
 
 import csv
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .friction import ScvParams, scv_friction
 
-
-@dataclass
-class FrictionSample:
-    """One training example: velocity histories plus the friction target."""
-    motor: np.ndarray       # motor-side velocity buffer, oldest first, rad/s
-    joint: np.ndarray       # joint velocity buffer, oldest first, rad/s
-    target: float           # friction torque, N*m
-
-    def __post_init__(self):
-        self.motor = np.asarray(self.motor, dtype=float)
-        self.joint = np.asarray(self.joint, dtype=float)
-        if self.motor.shape != self.joint.shape:
-            raise ValueError("motor and joint buffers must have equal length")
-        if not np.isfinite(self.target):
-            raise ValueError(f"friction target not finite: {self.target}")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class FrictionNet:
@@ -94,16 +88,19 @@ class FrictionNet:
         return {name: flat[start:stop].reshape(shape)
                 for name, start, stop, shape in self._layout}
 
-    def features(self, motor, joint):
-        """Normalized feature vector(s) from raw velocity buffers."""
-        motor = np.atleast_2d(np.asarray(motor, dtype=float))
-        joint = np.atleast_2d(np.asarray(joint, dtype=float))
-        if motor.shape[1] != self.buffer_len or joint.shape[1] != self.buffer_len:
+    def _raw_features(self, motor, joint):
+        motor = np.asarray(motor, dtype=float)
+        joint = np.asarray(joint, dtype=float)
+        if (motor.ndim != 2 or motor.shape != joint.shape
+                or motor.shape[1] != self.buffer_len):
             raise ValueError(
-                f"buffers must have length {self.buffer_len}, "
-                f"got {motor.shape[1]} and {joint.shape[1]}")
-        X = np.hstack([motor, joint])
-        return (X - self.norm_mean) / self.norm_std
+                f"buffers must be (k, {self.buffer_len}) arrays of one "
+                f"shape, got {motor.shape} and {joint.shape}")
+        return np.hstack([motor, joint])
+
+    def features(self, motor, joint):
+        """Normalized (k, 2L) feature rows from (k, L) velocity buffers."""
+        return (self._raw_features(motor, joint) - self.norm_mean) / self.norm_std
 
 
 def _forward(params, X, masks=None):
@@ -121,13 +118,9 @@ def _forward(params, X, masks=None):
 
 
 def predict(net, motor, joint):
-    """Friction torque prediction(s); dropout disabled (inference mode).
-
-    Length-L buffers give a float, (k, L) buffers a (k,) array.
-    """
-    X = net.features(motor, joint)
-    y, _ = _forward(net.params, X)
-    return y if np.ndim(motor) == 2 else float(y[0])
+    """(k,) friction torques from (k, L) buffers; dropout disabled."""
+    y, _ = _forward(net.params, net.features(motor, joint))
+    return y
 
 
 def predict_bounded(net, motor, joint, margin=1.5):
@@ -138,35 +131,17 @@ def predict_bounded(net, motor, joint, margin=1.5):
     extrapolation error (the net saw no such regime during training).
     Closed-loop use feeds the net its own consequences, which can push
     the velocity buffers out of distribution; the clip keeps a single
-    bad sample from ever injecting a large spurious torque.  The result
-    has the shape `predict` gives.
+    bad sample from ever injecting a large spurious torque.
     """
     y = predict(net, motor, joint)
-    v = np.atleast_2d(np.asarray(motor, dtype=float))[:, -1]
+    v = np.asarray(motor, dtype=float)[:, -1]
     bound = margin * (net.scv.breakaway + net.scv.viscous * np.abs(v))
-    out = np.clip(y, -bound, bound)
-    return out if np.ndim(y) else float(out[0])
+    return np.clip(y, -bound, bound)
 
 
 def physics_targets(net, motor):
     """SCV friction evaluated at the newest motor velocity of each buffer."""
-    motor = np.atleast_2d(np.asarray(motor, dtype=float))
-    return scv_friction(net.scv, motor[:, -1])
-
-
-def _batch_arrays(batch):
-    if len(batch) == 0:
-        raise ValueError("samples must be nonempty")
-    shape = batch[0].motor.shape
-    for i, s in enumerate(batch):
-        if s.motor.shape != shape:
-            raise ValueError(
-                f"samples must share one buffer length: sample 0 has "
-                f"{shape[0]}, sample {i} has {s.motor.shape[0]}")
-    motor = np.stack([s.motor for s in batch])
-    joint = np.stack([s.joint for s in batch])
-    targets = np.array([s.target for s in batch])
-    return motor, joint, targets
+    return scv_friction(net.scv, np.asarray(motor, dtype=float)[:, -1])
 
 
 def loss_and_grads(net, X, targets, phys, masks=None):
@@ -204,18 +179,19 @@ def loss_and_grads(net, X, targets, phys, masks=None):
 class AdamState:
     """Adam optimizer state for one FrictionNet: moments shaped like `theta`."""
 
-    def __init__(self, net, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net, learning_rate=1e-3):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros_like(net.theta)
         self.v = np.zeros_like(net.theta)
 
 
 def _step(net, X, targets, phys, opt, seed):
-    """One Adam step on a batch of feature rows and their two targets."""
+    """One Adam step on a batch of feature rows and their two targets.
+
+    Dropout masks are drawn from (seed, step).  Returns the pre-step
+    loss; raises ArithmeticError with the step index if it is not finite.
+    """
     masks = None
     if net.dropout > 0.0:
         rng = np.random.default_rng((seed, opt.step_count))
@@ -228,71 +204,75 @@ def _step(net, X, targets, phys, opt, seed):
     if not np.isfinite(loss):
         raise ArithmeticError(f"training diverged at step {opt.step_count}")
     opt.step_count += 1
-    b1c = 1.0 - opt.beta1 ** opt.step_count
-    b2c = 1.0 - opt.beta2 ** opt.step_count
-    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grad
-    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grad * grad
+    b1c = 1.0 - ADAM_BETA1 ** opt.step_count
+    b2c = 1.0 - ADAM_BETA2 ** opt.step_count
+    opt.m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grad
+    opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grad * grad
     mhat = opt.m / b1c
     vhat = opt.v / b2c
-    net.theta -= opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+    net.theta -= opt.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return float(loss)
 
 
-def train_step(net, batch, opt, seed=0):
-    """One Adam step on a batch; dropout masks drawn from (seed, step).
-
-    Mutates `net.theta` and `opt`; returns the pre-step loss.  Raises
-    ArithmeticError with the step index if the loss goes non-finite.
-    """
-    motor, joint, targets = _batch_arrays(batch)
-    return _step(net, net.features(motor, joint), targets,
-                 physics_targets(net, motor), opt, seed)
-
-
 def build_samples(t, motor_vel, joint_vel, friction, buffer_len):
-    """Slide a length-L window over a log to make FrictionSamples."""
-    n = len(t)
-    if n < buffer_len:
+    """Slide a length-L window over a log; returns (motor, joint, target).
+
+    `motor` and `joint` are (N, L) read-only views of the log, one window
+    per row, oldest sample first; `target` is the (N,) friction torque at
+    each window's newest sample, N = len(t) - L + 1.
+    """
+    log = [np.asarray(a, dtype=float)
+           for a in (t, motor_vel, joint_vel, friction)]
+    lengths = [len(a) for a in log]
+    if len(set(lengths)) != 1:
+        raise ValueError("log columns must have equal lengths, got "
+                         "t, motor_vel, joint_vel, friction = "
+                         + ", ".join(map(str, lengths)))
+    if lengths[0] < buffer_len:
         raise ValueError(f"log shorter than buffer length {buffer_len}")
-    samples = []
-    for k in range(buffer_len - 1, n):
-        samples.append(FrictionSample(motor_vel[k - buffer_len + 1:k + 1],
-                                      joint_vel[k - buffer_len + 1:k + 1],
-                                      friction[k]))
-    return samples
+    target = log[3][buffer_len - 1:]
+    bad = np.flatnonzero(~np.isfinite(target))
+    if len(bad):
+        k = bad[0] + buffer_len - 1
+        raise ValueError(f"friction target not finite at sample {k}: "
+                         f"{target[bad[0]]}")
+    window = np.lib.stride_tricks.sliding_window_view
+    return window(log[1], buffer_len), window(log[2], buffer_len), target
 
 
-def _fit_normalization(net, motor, joint):
-    X = np.hstack([motor, joint])
-    net.norm_mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    net.norm_std = np.where(std > 1e-8, std, 1.0)
+def _sample_arrays(samples):
+    """`samples` unpacked, checked to hold one target per buffer row and
+    at least one row."""
+    motor, joint, targets = samples
+    if len(targets) == 0:
+        raise ValueError("samples must be nonempty")
+    if len(motor) != len(targets):
+        raise ValueError(f"samples must hold one target per buffer row, got "
+                         f"{len(motor)} rows and {len(targets)} targets")
+    return motor, joint, targets
 
 
-def fit_normalization(net, samples):
-    """Set input normalization from the training set statistics."""
-    motor, joint, _ = _batch_arrays(samples)
-    _fit_normalization(net, motor, joint)
+def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0):
+    """Mini-batch Adam training on (motor, joint, target); returns
+    per-epoch mean losses.
 
-
-def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0,
-          normalize=True):
-    """Mini-batch Adam training loop; returns per-epoch mean losses.
-
-    The features and both targets of every sample are built once; each
-    shuffled mini-batch is a row gather from them.
+    The input normalization is fitted to the set, then the features and
+    both targets of every sample are built once; each shuffled
+    mini-batch is a row gather from them.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    motor, joint, targets = _batch_arrays(samples)
-    if normalize:
-        _fit_normalization(net, motor, joint)
-    X = net.features(motor, joint)
+    motor, joint, targets = _sample_arrays(samples)
+    raw = net._raw_features(motor, joint)
+    net.norm_mean = raw.mean(axis=0)
+    std = raw.std(axis=0)
+    net.norm_std = np.where(std > 1e-8, std, 1.0)
+    X = (raw - net.norm_mean) / net.norm_std
     phys = physics_targets(net, motor)
     opt = AdamState(net, learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
     losses = []
-    idx = np.arange(len(samples))
+    idx = np.arange(len(targets))
     for _ in range(epochs):
         rng.shuffle(idx)
         epoch = []
@@ -305,10 +285,9 @@ def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0,
 
 
 def validation_mse(net, samples):
-    """Plain data MSE on a held-out set (no physics term)."""
-    motor, joint, targets = _batch_arrays(samples)
-    pred = predict(net, motor, joint)
-    return float(np.mean((pred - targets) ** 2))
+    """Plain data MSE on a held-out (motor, joint, target) set (no physics term)."""
+    motor, joint, targets = _sample_arrays(samples)
+    return float(np.mean((predict(net, motor, joint) - targets) ** 2))
 
 
 DEFAULT_SEARCH_SPACE = {
@@ -335,6 +314,7 @@ def random_search(t, motor_vel, joint_vel, friction, scv, budget,
     space = dict(DEFAULT_SEARCH_SPACE if space is None else space)
     rng = np.random.default_rng(seed)
     split = int(len(t) * (1.0 - val_fraction))
+    log = (t, motor_vel, joint_vel, friction)
     trials = []
     best = None
     for trial in range(budget):
@@ -351,15 +331,11 @@ def random_search(t, motor_vel, joint_vel, friction, scv, budget,
         }
         net = FrictionNet(hp["buffer_len"], hp["hidden1"], hp["hidden2"],
                           hp["dropout"], hp["lam"], scv, seed=(seed, trial, 1))
-        train_samples = build_samples(t[:split], motor_vel[:split],
-                                      joint_vel[:split], friction[:split],
-                                      hp["buffer_len"])
-        val_samples = build_samples(t[split:], motor_vel[split:],
-                                    joint_vel[split:], friction[split:],
-                                    hp["buffer_len"])
-        train(net, train_samples, epochs=epochs, batch_size=hp["batch_size"],
+        train_set = build_samples(*(a[:split] for a in log), hp["buffer_len"])
+        val_set = build_samples(*(a[split:] for a in log), hp["buffer_len"])
+        train(net, train_set, epochs=epochs, batch_size=hp["batch_size"],
               learning_rate=hp["learning_rate"], seed=trial)
-        score = validation_mse(net, val_samples)
+        score = validation_mse(net, val_set)
         trials.append({"trial": trial, "hyperparams": hp, "val_mse": score})
         if best is None or score < best[0]:
             best = (score, net)

@@ -23,6 +23,7 @@ import numpy as np
 from . import models
 from .dynamics import crba, forward_pass, joint_transforms
 from .friction import MotorParams, ScvParams, scv_friction
+from .kf import encoder_lsb
 from .model import FrameError, parse_model
 from .spatial import Transform, batch_cross, cross3, exp_so3
 
@@ -313,10 +314,8 @@ class Plant:
 
         self.rng = np.random.default_rng(config.seed)
 
-        lsb_joint = 2 * np.pi / 2 ** config.noise["joint_encoder_bits"]
-        lsb_motor = 2 * np.pi / 2 ** config.noise["motor_encoder_bits"]
-        self.lsb_joint = lsb_joint
-        self.lsb_motor = lsb_motor
+        self.lsb_joint = encoder_lsb(config.noise["joint_encoder_bits"])
+        self.lsb_motor = encoder_lsb(config.noise["motor_encoder_bits"])
 
     # ------------------------------------------------------------------ events
 

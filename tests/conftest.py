@@ -25,7 +25,7 @@ def rng(seed=0):
 @pytest.fixture(scope="session")
 def friction_dataset():
     """Ground-truth friction log from the locked-base plant (joint 0)."""
-    return generate_friction_dataset(duration=6.0, seed=0, joint=0)
+    return generate_friction_dataset(duration=6.0, seed=0)
 
 
 @pytest.fixture(scope="session")

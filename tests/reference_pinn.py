@@ -1,12 +1,13 @@
 """Per-sample reference for friction-net training.
 
-This is the training loop `pinn.train` replaced: every mini-batch is
-rebuilt from its FrictionSamples, the SCV prior is evaluated one sample
-at a time, the gradient is a dict of per-parameter arrays and Adam
-updates each parameter array in turn.  The arithmetic of every
-expression is the one `pinn.train` uses, so `test_pinn.py` requires the
-two to agree to rounding.  `hybrid_loss` is the loss the step
-minimizes, evaluated on a list of samples.
+This is the training loop `pinn.train` replaced.  It takes the same
+(motor, joint, target) sample set, but each mini-batch gathers its rows
+from the raw windows and builds its own features, the SCV prior is
+evaluated one sample at a time, the gradient is a dict of per-parameter
+arrays and Adam updates each parameter array in turn.  The arithmetic
+of every expression is the one `pinn.train` uses, so `test_pinn.py`
+requires the two to agree to rounding.  `hybrid_loss` is the loss the
+step minimizes, evaluated on a sample set.
 """
 
 import numpy as np
@@ -15,24 +16,16 @@ from torquesense.friction import scv_friction
 from torquesense.pinn import predict
 
 
-def batch_arrays(batch):
-    motor = np.stack([s.motor for s in batch])
-    joint = np.stack([s.joint for s in batch])
-    targets = np.array([s.target for s in batch])
-    return motor, joint, targets
-
-
 def physics_targets(net, motor):
     """SCV friction at the newest motor velocity, one sample at a time."""
-    motor = np.atleast_2d(np.asarray(motor, dtype=float))
     return np.array([scv_friction(net.scv, v) for v in motor[:, -1]])
 
 
-def hybrid_loss(net, batch):
-    """Blended data/physics loss over a batch of FrictionSamples."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    motor, joint, targets = batch_arrays(batch)
+def hybrid_loss(net, samples):
+    """Blended data/physics loss over a (motor, joint, target) set."""
+    motor, joint, targets = samples
+    if len(targets) == 0:
+        raise ValueError("samples must be nonempty")
     pred = predict(net, motor, joint)
     phys = physics_targets(net, motor)
     data_term = np.mean((pred - targets) ** 2)
@@ -95,16 +88,17 @@ class AdamState:
 
 
 def train_step(net, batch, opt, seed=0):
-    """One Adam step on a list of samples; dropout masks from (seed, step)."""
-    motor, joint, targets = batch_arrays(batch)
+    """One Adam step on a (motor, joint, target) batch; dropout masks
+    from (seed, step)."""
+    motor, joint, targets = batch
     X = net.features(motor, joint)
     phys = physics_targets(net, motor)
     masks = None
     if net.dropout > 0.0:
         rng = np.random.default_rng((seed, opt.step_count))
         keep = 1.0 - net.dropout
-        mask1 = (rng.random((len(batch), net.params["b1"].size)) < keep) / keep
-        mask2 = (rng.random((len(batch), net.params["b2"].size)) < keep) / keep
+        mask1 = (rng.random((len(targets), net.params["b1"].size)) < keep) / keep
+        mask2 = (rng.random((len(targets), net.params["b2"].size)) < keep) / keep
         masks = (mask1, mask2)
     loss, grads = loss_and_grads(net, X, targets, phys, masks)
     if not np.isfinite(loss):
@@ -121,28 +115,27 @@ def train_step(net, batch, opt, seed=0):
     return float(loss)
 
 
-def fit_normalization(net, samples):
-    motor, joint, _ = batch_arrays(samples)
+def fit_normalization(net, motor, joint):
     X = np.hstack([motor, joint])
     net.norm_mean = X.mean(axis=0)
     std = X.std(axis=0)
     net.norm_std = np.where(std > 1e-8, std, 1.0)
 
 
-def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0,
-          normalize=True):
+def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0):
     """The per-sample mini-batch loop; returns per-epoch mean losses."""
-    if normalize:
-        fit_normalization(net, samples)
+    motor, joint, targets = samples
+    fit_normalization(net, motor, joint)
     opt = AdamState(net, learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
     losses = []
-    idx = np.arange(len(samples))
+    idx = np.arange(len(targets))
     for _ in range(epochs):
         rng.shuffle(idx)
         epoch = []
         for start in range(0, len(idx), batch_size):
-            batch = [samples[i] for i in idx[start:start + batch_size]]
+            rows = idx[start:start + batch_size]
+            batch = (motor[rows], joint[rows], targets[rows])
             epoch.append(train_step(net, batch, opt, seed=seed))
         losses.append(float(np.mean(epoch)))
     return losses

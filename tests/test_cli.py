@@ -71,3 +71,12 @@ def test_report_loads_metrics_written_without_the_diverged_column(tmp_path,
     assert cli.main(["report", "--in", str(tmp_path)]) == 0
     row = capsys.readouterr().out.splitlines()[2]
     assert row.startswith("| Feedforward | 0.5 |")
+
+
+def test_run_ukf_nocomp_trains_no_friction_nets(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"duration": 0.55}))
+    args = ["run", "--scenario", str(path), "--mode", "UKF-NoComp",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    assert "no --nets given" not in capsys.readouterr().out

@@ -12,6 +12,7 @@ from torquesense.control import (
     RateScheduler,
     TorquePI,
     high_level_balancer,
+    needs_friction_nets,
     rnea_torque_feedback,
 )
 from torquesense.dynamics import com_position
@@ -43,6 +44,8 @@ def test_mode_lists():
     assert len(MODES) == 7
     assert "PositionControl" in MODES
     assert set(TORQUE_MODES) == set(MODES) - {"PositionControl"}
+    assert [m for m in MODES if needs_friction_nets(m)] == [
+        "Feedforward-PINN", "RNEA-PINN", "UKF-PINN"]
 
 
 def test_config_validation():

@@ -1,6 +1,7 @@
 """Experiment runner: metrics algebra, artifacts, sweeps, scenarios."""
 
 import csv
+import dataclasses
 import filecmp
 import os
 import re
@@ -83,19 +84,18 @@ def test_com_error_windowed_before_first_disturbance():
     assert max(rep2["com_mean_error_mm"]) > 1.0
 
 
-def test_metrics_csv_schema_and_append(tmp_path):
+def test_metrics_csv_schema(tmp_path):
     log = synthetic_log()
     rep = compute_metrics(log, ScenarioConfig(), ControlConfig())
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [rep])
-    write_metrics_csv(path, [rep])              # appends a second row
+    write_metrics_csv(path, [rep, rep])
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3
     header = lines[0].split(",")
     assert header[:4] == ["mode", "seed", "config_hash", "torque_rmse_overall"]
     assert lines[1] == lines[2]
-    write_metrics_csv(path, [rep], append=False)  # overwrite mode
-    assert len(path.read_text().strip().splitlines()) == 2
+    write_metrics_csv(path, [rep])              # the file is rewritten
+    assert path.read_text().strip().splitlines() == lines[:2]
 
 
 def test_render_table_markdown():
@@ -332,8 +332,8 @@ def per_joint_friction(nets, joint_names, mv_buf, jv_buf):
     out = []
     for j, name in enumerate(joint_names):
         L = nets[name].buffer_len
-        out.append(pinn.predict_bounded(nets[name], mv_buf[-L:, j],
-                                        jv_buf[-L:, j]))
+        out.append(pinn.predict_bounded(nets[name], mv_buf[None, -L:, j],
+                                        jv_buf[None, -L:, j])[0])
     return np.array(out)
 
 
@@ -379,6 +379,25 @@ def test_closed_loop_calls_each_net_once_per_tick(monkeypatch):
     # the per-joint reference above
     assert len(calls) == len(log.t) * (3 + 8)
     assert max(diffs) <= 1e-12
+
+
+def test_ukf_nocomp_runs_no_friction_nets(monkeypatch):
+    # its filter's friction channel is masked and it compensates nothing,
+    # so nets given to it are never called and change nothing
+    scenario = ScenarioConfig(duration=0.55, seed=0)
+    nets = mixed_nets(Plant(scenario).model.joint_names)
+    control = ControlConfig(mode="UKF-NoComp")
+    _, bare = run_scenario(scenario, control)
+
+    def unused(*args):
+        raise AssertionError("UKF-NoComp predicted friction")
+
+    monkeypatch.setattr(experiments, "predict_friction", unused)
+    _, given = run_scenario(scenario, control, nets=nets)
+    for field in dataclasses.fields(RunLog):
+        np.testing.assert_array_equal(getattr(given, field.name),
+                                      getattr(bare, field.name),
+                                      err_msg=field.name, strict=True)
 
 
 @pytest.mark.parametrize("duration", [0.05, 0.5, 0.501])

@@ -9,11 +9,8 @@ import reference_pinn
 from reference_pinn import hybrid_loss
 from torquesense.friction import ScvParams, scv_friction
 from torquesense.pinn import (
-    AdamState,
     FrictionNet,
-    FrictionSample,
     build_samples,
-    fit_normalization,
     load_dataset,
     load_nets,
     loss_and_grads,
@@ -24,7 +21,6 @@ from torquesense.pinn import (
     save_dataset,
     save_nets,
     train,
-    train_step,
     validation_mse,
 )
 
@@ -49,11 +45,29 @@ def synthetic_log(n=3000, amp=2.0, seed=0):
     return t, v, v.copy(), friction
 
 
+def random_samples(n, buffer_len=3, seed=1):
+    r = np.random.default_rng(seed)
+    return (r.normal(size=(n, buffer_len)), r.normal(size=(n, buffer_len)),
+            r.normal(size=n))
+
+
+def empty_samples(buffer_len=3):
+    return np.empty((0, buffer_len)), np.empty((0, buffer_len)), np.empty(0)
+
+
 def test_sample_validation():
-    with pytest.raises(ValueError):
-        FrictionSample(np.zeros(3), np.zeros(4), 0.0)
-    with pytest.raises(ValueError):
-        FrictionSample(np.zeros(3), np.zeros(3), np.nan)
+    t, mv, jv, fr = synthetic_log(n=10)
+    with pytest.raises(ValueError, match="equal lengths, got t, motor_vel, "
+                       "joint_vel, friction = 10, 10, 9, 10"):
+        build_samples(t, mv, jv[:9], fr, buffer_len=3)
+    fr = fr.copy()
+    fr[6] = np.nan
+    with pytest.raises(ValueError, match="not finite at sample 6: nan"):
+        build_samples(t, mv, jv, fr, buffer_len=3)
+    # a non-finite value before the first full window is never a target
+    fr[6] = fr[7]
+    fr[1] = np.inf
+    build_samples(t, mv, jv, fr, buffer_len=3)
 
 
 def test_net_validation():
@@ -77,66 +91,73 @@ def test_net_rejects_empty_layers_by_name(arg, size):
 
 def test_sample_sets_are_checked_by_name():
     net = make_net(buffer_len=3)
-    with pytest.raises(ValueError, match="samples must be nonempty"):
-        validation_mse(net, [])
-    mixed = (build_samples(*synthetic_log(n=10), buffer_len=3)
-             + build_samples(*synthetic_log(n=10), buffer_len=4))
+    motor, joint, targets = random_samples(5)
     for call in (train, validation_mse):
-        with pytest.raises(ValueError, match="one buffer length: sample 0 "
-                           "has 3, sample 8 has 4"):
-            call(net, mixed)
+        with pytest.raises(ValueError, match="samples must be nonempty"):
+            call(net, empty_samples())
+        with pytest.raises(ValueError, match="one target per buffer row, "
+                           "got 5 rows and 4 targets"):
+            call(net, (motor, joint, targets[:4]))
+
+
+def test_predict_takes_row_buffers_only():
+    # one buffer is a (1, L) row; a bare length-L vector is refused
+    net = make_net(buffer_len=3)
+    for f in (predict, predict_bounded):
+        with pytest.raises(ValueError, match=r"\(k, 3\) arrays"):
+            f(net, np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match=r"got \(2, 3\) and \(2, 4\)"):
+            f(net, np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 def test_zero_output_layer_predicts_zero():
     net = constant_net(0.0, buffer_len=4)
-    assert predict(net, np.zeros(4), np.zeros(4)) == 0.0
-    assert predict(net, np.ones(4), -np.ones(4)) == 0.0
+    assert np.array_equal(predict(net, np.zeros((1, 4)), np.zeros((1, 4))),
+                          [0.0])
+    assert np.array_equal(predict(net, np.ones((2, 4)), -np.ones((2, 4))),
+                          [0.0, 0.0])
 
 
 def test_inference_deterministic():
     net = make_net(dropout=0.25)
     r = np.random.default_rng(0)
-    m, j = r.normal(size=3), r.normal(size=3)
-    assert predict(net, m, j) == predict(net, m, j)
+    m, j = r.normal(size=(4, 3)), r.normal(size=(4, 3))
+    assert np.array_equal(predict(net, m, j), predict(net, m, j))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_prediction_shape_follows_the_buffers(k):
-    # (k, L) buffers give a (k,) array, one-row batches included; each
-    # row alone, as length-L buffers, gives a float
+    # (k, L) buffers give a (k,) array, one-row batches included, and
+    # each row gives what it gives as a one-row batch
     net = make_net(seed=3)
     r = np.random.default_rng(k)
     motor, joint = 3.0 * r.normal(size=(k, 3)), r.normal(size=(k, 3))
     for f in (predict, predict_bounded):
         out = f(net, motor, joint)
         assert isinstance(out, np.ndarray) and out.shape == (k,)
-        rows = [f(net, m, j) for m, j in zip(motor, joint)]
-        assert all(isinstance(x, float) for x in rows)
-        assert np.allclose(out, rows, rtol=1e-12, atol=0.0)
+        rows = [f(net, m[None], j[None]) for m, j in zip(motor, joint)]
+        assert all(x.shape == (1,) for x in rows)
+        assert np.allclose(out, np.concatenate(rows), rtol=1e-12, atol=0.0)
 
 
 def test_hybrid_loss_decomposition():
-    r = np.random.default_rng(1)
-    batch = [FrictionSample(r.normal(size=3), r.normal(size=3), r.normal())
-             for _ in range(16)]
-    motor = np.stack([s.motor for s in batch])
-    targets = np.array([s.target for s in batch])
+    motor, joint, targets = samples = random_samples(16)
 
     for lam in (0.0, 0.37, 1.0):
         net = make_net(lam=lam, seed=2)
-        pred = predict(net, motor, np.stack([s.joint for s in batch]))
+        pred = predict(net, motor, joint)
         phys = np.array([scv_friction(SCV, m[-1]) for m in motor])
         expected = ((1.0 - lam) * np.mean((pred - targets) ** 2)
                     + lam * np.mean((pred - phys) ** 2))
-        assert hybrid_loss(net, batch) == pytest.approx(expected, rel=1e-12)
+        assert hybrid_loss(net, samples) == pytest.approx(expected, rel=1e-12)
 
     # lam=1 ignores the targets entirely
     net1 = make_net(lam=1.0, seed=2)
-    shifted = [FrictionSample(s.motor, s.joint, s.target + 100.0) for s in batch]
-    assert hybrid_loss(net1, batch) == pytest.approx(hybrid_loss(net1, shifted))
+    shifted = (motor, joint, targets + 100.0)
+    assert hybrid_loss(net1, samples) == pytest.approx(hybrid_loss(net1, shifted))
 
     with pytest.raises(ValueError):
-        hybrid_loss(net1, [])
+        hybrid_loss(net1, empty_samples())
 
 
 def test_hybrid_loss_arithmetic_example():
@@ -144,9 +165,9 @@ def test_hybrid_loss_arithmetic_example():
     net = constant_net(1.0, lam=0.5)
     v = 0.1
     phys = scv_friction(SCV, v)   # = 1.41788...
-    sample = FrictionSample(np.array([v]), np.array([v]), 0.0)
+    sample = (np.array([[v]]), np.array([[v]]), np.array([0.0]))
     expected = 0.5 * 1.0 + 0.5 * (1.0 - phys) ** 2
-    assert hybrid_loss(net, [sample]) == pytest.approx(expected, rel=1e-12)
+    assert hybrid_loss(net, sample) == pytest.approx(expected, rel=1e-12)
     assert physics_targets(net, np.array([[v]]))[0] == pytest.approx(phys)
 
 
@@ -217,24 +238,12 @@ def test_train_matches_the_per_sample_reference(n, batch_size):
     assert np.array_equal(nets[0].norm_std, nets[1].norm_std)
 
 
-def test_train_step_matches_the_per_sample_reference():
-    r = np.random.default_rng(2)
-    batch = [FrictionSample(r.normal(size=3), r.normal(size=3), r.normal())
-             for _ in range(11)]
-    nets = [make_net(dropout=0.25, lam=0.6, seed=5) for _ in range(2)]
-    opt, ref_opt = AdamState(nets[0]), reference_pinn.AdamState(nets[1])
-    for _ in range(3):
-        loss = train_step(nets[0], batch, opt, seed=4)
-        assert loss == reference_pinn.train_step(nets[1], batch, ref_opt, seed=4)
-    assert np.array_equal(nets[0].theta, nets[1].theta)
-
-
 def test_train_rejects_bad_input_before_any_work():
     net = make_net()
     before = net.theta.copy()
     samples = build_samples(*synthetic_log(n=20), buffer_len=3)
     with pytest.raises(ValueError, match="samples"):
-        train(net, [])
+        train(net, empty_samples())
     for bad in (0, -4):
         with pytest.raises(ValueError, match="batch_size"):
             train(net, samples, batch_size=bad)
@@ -244,37 +253,30 @@ def test_train_rejects_bad_input_before_any_work():
 
 def test_zero_learning_rate_leaves_parameters():
     net = make_net(seed=6)
-    before = {k: v.copy() for k, v in net.params.items()}
-    batch = [FrictionSample(np.ones(3), np.ones(3), 1.0)]
-    opt = AdamState(net, learning_rate=0.0)
-    train_step(net, batch, opt)
-    for k in before:
-        assert np.array_equal(net.params[k], before[k])
+    before = net.theta.copy()
+    train(net, random_samples(11), epochs=3, batch_size=4, learning_rate=0.0)
+    assert np.array_equal(net.theta, before)
 
 
 def test_training_divergence_reports_step():
     net = make_net(seed=7)
     net.params["b3"][:] = np.inf
-    opt = AdamState(net)
-    batch = [FrictionSample(np.ones(3), np.ones(3), 1.0)]
     with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError,
                                                       match="step 0"):
-        train_step(net, batch, opt)
+        train(net, random_samples(5))
 
 
 def test_training_loss_drops_100x_on_synthetic_data():
     t, mv, jv, fr = synthetic_log()
     samples = build_samples(t, mv, jv, fr, buffer_len=3)
     net = make_net(buffer_len=3, hidden1=24, hidden2=16, lam=0.2, seed=8)
-    fit_normalization(net, samples)
-    opt = AdamState(net, learning_rate=3e-3)
-    rng = np.random.default_rng(9)
-    losses = []
-    for step in range(2000):
-        idx = rng.integers(0, len(samples), size=64)
-        losses.append(train_step(net, [samples[i] for i in idx], opt, seed=9))
-    # minibatch losses are noisy; compare averaged start vs end
-    assert np.mean(losses[-100:]) < np.mean(losses[:10]) / 100.0
+    # no epochs: the normalization is fitted, the weights stay initial
+    train(net, samples, epochs=0)
+    start = hybrid_loss(net, samples)
+    losses = train(net, samples, epochs=40, batch_size=64,
+                   learning_rate=3e-3, seed=9)
+    assert len(losses) == 40
+    assert hybrid_loss(net, samples) < start / 100.0
 
 
 def test_build_samples_window_alignment():
@@ -282,13 +284,17 @@ def test_build_samples_window_alignment():
     mv = np.arange(6.0)
     jv = 10.0 + np.arange(6.0)
     fr = 100.0 + np.arange(6.0)
-    samples = build_samples(t, mv, jv, fr, buffer_len=3)
-    assert len(samples) == 4
-    assert np.array_equal(samples[0].motor, [0.0, 1.0, 2.0])
-    assert np.array_equal(samples[0].joint, [10.0, 11.0, 12.0])
-    assert samples[0].target == 102.0
-    assert samples[-1].target == 105.0
-    with pytest.raises(ValueError):
+    motor, joint, target = build_samples(t, mv, jv, fr, buffer_len=3)
+    assert motor.shape == joint.shape == (4, 3) and target.shape == (4,)
+    assert np.array_equal(motor[0], [0.0, 1.0, 2.0])
+    assert np.array_equal(joint[0], [10.0, 11.0, 12.0])
+    assert np.array_equal(motor[-1], [3.0, 4.0, 5.0])
+    assert np.array_equal(target, [102.0, 103.0, 104.0, 105.0])
+    # the windows and targets are views of the log, not copies
+    for out, log in ((motor, mv), (joint, jv), (target, fr)):
+        assert np.shares_memory(out, log)
+    assert len(build_samples(t[:3], mv[:3], jv[:3], fr[:3], 3)[2]) == 1
+    with pytest.raises(ValueError, match="shorter than buffer length 3"):
         build_samples(t[:2], mv[:2], jv[:2], fr[:2], buffer_len=3)
 
 
@@ -320,16 +326,17 @@ def test_predict_bounded_clips_to_envelope():
     net = make_net(seed=10)
     net.params["W3"] *= 1e6  # force wild outputs
     v = 0.8
-    motor = np.full(3, v)
-    raw = predict(net, motor, motor)
+    motor = np.full((1, 3), v)
+    raw = predict(net, motor, motor)[0]
     bound = 1.5 * (SCV.breakaway + SCV.viscous * abs(v))
-    out = predict_bounded(net, motor, motor)
+    out = predict_bounded(net, motor, motor)[0]
     assert abs(out) <= bound + 1e-12
     if abs(raw) > bound:
         assert abs(abs(out) - bound) < 1e-12
     # in-range predictions pass through untouched
     calm = constant_net(0.5, buffer_len=3)
-    assert predict_bounded(calm, motor, motor) == predict(calm, motor, motor)
+    assert np.array_equal(predict_bounded(calm, motor, motor),
+                          predict(calm, motor, motor))
 
 
 def test_dataset_round_trip(tmp_path):
@@ -352,8 +359,8 @@ def test_net_serialization_round_trip(tmp_path):
     save_nets(path, {"j0": net})
     loaded = load_nets(path)["j0"]
     r = np.random.default_rng(12)
-    m, j = r.normal(size=3), r.normal(size=3)
-    assert predict(loaded, m, j) == predict(net, m, j)
+    m, j = r.normal(size=(4, 3)), r.normal(size=(4, 3))
+    assert np.array_equal(predict(loaded, m, j), predict(net, m, j))
     assert loaded.scv == net.scv
     assert loaded.buffer_len == net.buffer_len
     assert np.array_equal(loaded.theta, net.theta)

@@ -70,6 +70,9 @@ def test_sensors_exact_with_noise_off():
 
 def test_encoder_quantization_grid():
     plant = make_plant()
+    bits = plant.config.noise
+    assert plant.lsb_joint == 2 * np.pi / 2 ** bits["joint_encoder_bits"]
+    assert plant.lsb_motor == 2 * np.pi / 2 ** bits["motor_encoder_bits"]
     state, bundles = run_steps(plant, 5)
     b = bundles[-1]
     assert np.allclose(b.joint_pos,
