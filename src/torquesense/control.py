@@ -87,10 +87,9 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     if len(contact_frames) == 0:
         raise RuntimeError("controller inactive: no feet in contact")
     fp = forward_pass(model, base_pose, s, nu)
-    terms = compute_dynamics_terms(model, base_pose, s, nu,
-                                   contact_frames=tuple(contact_frames), fp=fp)
-    com = com_position(model, base_pose, s, fp=fp)
-    com_vel = com_velocity(model, base_pose, s, nu, fp=fp)
+    bias, jacobians = compute_dynamics_terms(fp, contact_frames)
+    com = com_position(fp)
+    com_vel = com_velocity(fp)
 
     # desired net wrench change on the base rows, base frame
     acc_world = (np.asarray(com_acc_ref, float)
@@ -103,14 +102,14 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     att_err = log_so3(R.T @ R_ref)            # body-frame attitude error
     extra[3:] = config.kp_att * att_err - config.kd_att * nu[3:6]
 
-    w_des = terms.bias[:6] + extra
-    A = np.hstack([terms.jacobians[f].T[:6] for f in contact_frames])
+    w_des = bias[:6] + extra
+    A = np.hstack([jacobians[f].T[:6] for f in contact_frames])
     # damped least squares keeps the distribution unique and bounded
     AtA = A.T @ A + config.force_reg * np.eye(A.shape[1])
     f = np.linalg.solve(AtA, A.T @ w_des)
-    tau_d = terms.bias[6:].copy()
+    tau_d = bias[6:].copy()
     for k, frame in enumerate(contact_frames):
-        tau_d -= terms.jacobians[frame].T[6:] @ f[6 * k:6 * k + 6]
+        tau_d -= jacobians[frame].T[6:] @ f[6 * k:6 * k + 6]
     if posture_ref is not None:
         tau_d += config.kp_posture * (np.asarray(posture_ref, float) - s) \
             - config.kd_posture * nu[6:]

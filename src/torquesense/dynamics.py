@@ -30,35 +30,20 @@ nu: Q is [base wrench in the base frame, joint torques].  The bias
 vector is Q at accel = 0 (Coriolis, centrifugal and external terms) or
 at the static proper acceleration (adding gravity).
 
-The functions below that take `fp=None` read their result from `fp`, the
-forward pass at the same state, when the caller already has one: a
-caller needing several quantities at one state builds one pass.
+Every quantity below is one function of a `ForwardPass`: a caller
+builds the pass once per state with `forward_pass` and reads as many
+quantities from it as it needs.
 """
 
 import numpy as np
 
-from .spatial import Transform, batch_cross, batch_skew, cross3, skew
+from .spatial import batch_cross, batch_skew, cross3, skew
 
 
-class DynamicsTerms:
-    """Bias vector and contact Jacobians.
-
-    `bias` is the full bias vector (Coriolis, centrifugal and gravity)
-    of the coordinate-acceleration form: M [accel] + bias = B tau + J^T f
-    with accel = proper acceleration + [R^T g, 0] on the base rows.
-    At zero velocity `bias` equals the generalized gravity force.
-    """
-
-    __slots__ = ("bias", "jacobians")
-
-    def __init__(self, bias, jacobians):
-        self.bias = bias
-        self.jacobians = jacobians
-
-
-def _static_proper_accel(model, base_pose):
-    a = np.zeros(model.nv)
-    a[:3] = -base_pose.R.T @ model.gravity
+def _static_proper_accel(fp):
+    """Proper acceleration [-R_B^T g, 0] of a body at rest at `fp`'s state."""
+    a = np.zeros(fp.model.nv)
+    a[:3] = -fp.H[0, :3, :3].T @ fp.model.gravity
     return a
 
 
@@ -70,20 +55,6 @@ def joint_transforms(model, s):
     X[arrays.dof_link, :3, :3] += (np.sin(s)[:, None, None] * terms[0]
                                    + (1.0 - np.cos(s))[:, None, None] * terms[1])
     return X
-
-
-def _link_coms(model, H):
-    """World centers of mass of the links, (n_links, 3)."""
-    return (H @ model.arrays.com_h[:, :, None])[:, :3, 0]
-
-
-def _world_transforms(model, base_pose, Xs):
-    """World<-link transforms (n_links, 4, 4), one batched step per level."""
-    H = np.empty_like(Xs)
-    H[0] = base_pose.homogeneous()
-    for links, parents in model.arrays.levels:
-        H[links] = H[parents] @ Xs[links]
-    return H
 
 
 class ForwardPass:
@@ -108,11 +79,6 @@ class ForwardPass:
         self.IJ = IJ
         self.f_vel = f_vel
 
-    def mass_matrix(self):
-        """Joint-space mass matrix sum_i J_i^T I_i J_i (depends on s only)."""
-        nv = self.model.nv
-        return self.J.reshape(-1, nv).T @ self.IJ.reshape(-1, nv)
-
     def inverse_dynamics(self, accel=None, link_wrenches=None):
         """Generalized force realizing `accel` (zero if None).
 
@@ -129,16 +95,6 @@ class ForwardPass:
         """(link index, world<-frame 4x4 transform) of a named frame or link."""
         idx, offset = self.model.frame(frame_name)
         return idx, self.H[idx] @ offset.homogeneous()
-
-    def frame_jacobian(self, frame_name):
-        """6x(6+n) Jacobian mapping nu to the frame velocity in frame coordinates."""
-        idx, H = self.frame_pose(frame_name)
-        Rt = H[:3, :3].T
-        J = self.J[idx]
-        out = np.empty_like(J)
-        out[:3] = Rt @ (J[:3] - skew(H[:3, 3]) @ J[3:])
-        out[3:] = Rt @ J[3:]
-        return out
 
     def link_wrenches(self, frame_wrenches):
         """(n_links, 6) world-origin wrenches from (frame name, wrench) pairs.
@@ -157,15 +113,6 @@ class ForwardPass:
             out[idx, 3:] += H[:3, :3] @ w[3:] + cross3(H[:3, 3], force)
         return out
 
-    def com_position(self):
-        """World center of mass."""
-        return self.model.arrays.mass @ self.com / self.model.total_mass
-
-    def com_velocity(self):
-        """World center-of-mass velocity."""
-        v_com = self.v[:, :3] + batch_cross(self.v[:, 3:], self.com)
-        return self.model.arrays.mass @ v_com / self.model.total_mass
-
 
 def forward_pass(model, base_pose, s, nu, Xs=None):
     """The batched kinematics pass at state (base_pose, s, nu).
@@ -177,7 +124,11 @@ def forward_pass(model, base_pose, s, nu, Xs=None):
         Xs = joint_transforms(model, s)
     nu = np.asarray(nu, dtype=float)
     dofs = arrays.dof_link
-    H = _world_transforms(model, base_pose, Xs)
+    # world<-link transforms, one batched step per tree level
+    H = np.empty_like(Xs)
+    H[0] = base_pose.homogeneous()
+    for links, parents in arrays.levels:
+        H[links] = H[parents] @ Xs[links]
     R, p = H[:, :3, :3], H[:, :3, 3]
 
     # joint motion subspaces: rotation about the world axis through the
@@ -191,7 +142,7 @@ def forward_pass(model, base_pose, s, nu, Xs=None):
 
     # world spatial inertias: [[m 1, -m C], [m C, I_c + m C C^T]] with C
     # the skew matrix of the world center of mass
-    com = _link_coms(model, H)
+    com = (H @ arrays.com_h[:, :, None])[:, :3, 0]
     C = batch_skew(com)
     mC = arrays.mass[:, None, None] * C
     inertia = np.empty((len(H), 6, 6))
@@ -220,18 +171,6 @@ def forward_pass(model, base_pose, s, nu, Xs=None):
     return ForwardPass(model, H, J, v, com, IJ, f_vel)
 
 
-def forward_kinematics(model, base_pose, s):
-    """World transform of every link, in link-index order."""
-    H = _world_transforms(model, base_pose, joint_transforms(model, s))
-    return [Transform(h[:3, :3], h[:3, 3]) for h in H]
-
-
-def frame_transform(model, base_pose, s, frame_name):
-    """World transform of a named frame (sensor frame or link frame)."""
-    idx, offset = model.frame(frame_name)
-    return forward_kinematics(model, base_pose, s)[idx] * offset
-
-
 def generalized_rnea(model, base_pose, s, nu, accel, contact_wrenches=()):
     """Inverse dynamics over the full generalized force vector.
 
@@ -245,71 +184,56 @@ def generalized_rnea(model, base_pose, s, nu, accel, contact_wrenches=()):
                                fp.link_wrenches(contact_wrenches))
 
 
-def rnea(model, base_pose, s, nu, accel, contact_wrenches=()):
-    """Joint torques realizing the given proper acceleration (RNEA)."""
-    return generalized_rnea(model, base_pose, s, nu, accel, contact_wrenches)[6:]
-
-
-def crba(model, s, fp=None):
-    """Joint-space mass matrix.
+def crba(fp):
+    """Joint-space mass matrix sum_i J_i^T I_i J_i.
 
     The matrix is expressed in body coordinates [base twist, sdot] and
     therefore depends only on the joint configuration.
     """
-    if fp is None:
-        fp = forward_pass(model, Transform(), s, np.zeros(model.nv))
-    return fp.mass_matrix()
+    nv = fp.model.nv
+    return fp.J.reshape(-1, nv).T @ fp.IJ.reshape(-1, nv)
 
 
-def frame_jacobian(model, base_pose, s, frame_name, fp=None):
+def frame_jacobian(fp, frame_name):
     """6x(6+n) Jacobian mapping nu to the frame velocity in frame coordinates."""
-    if fp is None:
-        fp = forward_pass(model, base_pose, s, np.zeros(model.nv))
-    return fp.frame_jacobian(frame_name)
+    idx, H = fp.frame_pose(frame_name)
+    Rt = H[:3, :3].T
+    J = fp.J[idx]
+    out = np.empty_like(J)
+    out[:3] = Rt @ (J[:3] - skew(H[:3, 3]) @ J[3:])
+    out[3:] = Rt @ J[3:]
+    return out
 
 
-def compute_dynamics_terms(model, base_pose, s, nu, contact_frames=(), fp=None):
-    """Full bias vector and contact Jacobians at the given state."""
-    if fp is None:
-        fp = forward_pass(model, base_pose, s, nu)
-    bias = fp.inverse_dynamics(_static_proper_accel(model, base_pose))
-    jacobians = {name: fp.frame_jacobian(name) for name in contact_frames}
-    return DynamicsTerms(bias, jacobians)
+def compute_dynamics_terms(fp, contact_frames):
+    """(bias, {frame: Jacobian}) at `fp`'s state.
+
+    `bias` is the full bias vector (Coriolis, centrifugal and gravity)
+    of the coordinate-acceleration form: M [accel] + bias = B tau + J^T f
+    with accel = proper acceleration + [R^T g, 0] on the base rows.
+    At zero velocity `bias` equals the generalized gravity force.
+    """
+    bias = fp.inverse_dynamics(_static_proper_accel(fp))
+    return bias, {name: frame_jacobian(fp, name) for name in contact_frames}
 
 
-def coriolis_bias(model, base_pose, s, nu, contact_wrenches=(), fp=None):
-    """Generalized Coriolis/centrifugal bias minus contact forces.
+def coriolis_bias(fp, link_wrenches=None):
+    """Generalized Coriolis/centrifugal bias minus the external wrenches.
 
     This is the bias of the proper-acceleration form (gravity lives in
     the proper acceleration, not here): M a_prop + coriolis = B tau + J^T f
-    rearranged as M a_prop = B tau - coriolis_bias(...).
+    rearranged as M a_prop = B tau - coriolis_bias(...).  `link_wrenches`
+    is as for `ForwardPass.inverse_dynamics`.
     """
-    if fp is None:
-        fp = forward_pass(model, base_pose, s, nu)
-    return fp.inverse_dynamics(None, fp.link_wrenches(contact_wrenches))
+    return fp.inverse_dynamics(None, link_wrenches)
 
 
-def forward_dynamics(model, base_pose, s, nu, tau, contact_wrenches=()):
-    """Generalized proper acceleration given joint torques and contact wrenches."""
-    fp = forward_pass(model, base_pose, s, nu)
-    rhs = -fp.inverse_dynamics(None, fp.link_wrenches(contact_wrenches))
-    rhs[6:] += tau
-    try:
-        return np.linalg.solve(fp.mass_matrix(), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"mass matrix solve failed: {exc}") from None
-
-
-def com_position(model, base_pose, s, fp=None):
+def com_position(fp):
     """World center of mass."""
-    if fp is None:
-        H = _world_transforms(model, base_pose, joint_transforms(model, s))
-        return model.arrays.mass @ _link_coms(model, H) / model.total_mass
-    return fp.com_position()
+    return fp.model.arrays.mass @ fp.com / fp.model.total_mass
 
 
-def com_velocity(model, base_pose, s, nu, fp=None):
+def com_velocity(fp):
     """World center-of-mass velocity."""
-    if fp is None:
-        fp = forward_pass(model, base_pose, s, nu)
-    return fp.com_velocity()
+    v_com = fp.v[:, :3] + batch_cross(fp.v[:, 3:], fp.com)
+    return fp.model.arrays.mass @ v_com / fp.model.total_mass

@@ -85,18 +85,29 @@ def encoder_bank(scenario, state, gains):
                     x0=np.concatenate([state.s, state.motor_pos]))
 
 
-def generate_friction_dataset(scenario=None, duration=6.0, seed=0):
+def generate_friction_dataset(scenario=None, duration=None, seed=0):
     """Excitation run producing a friction-identification log.
 
     The robot hangs base-locked while every joint is driven by a
     multi-sine current; returns (t, motor-side velocity mapped to the
     joint side, joint velocity, true friction torque) for joint ID_JOINT,
     with both velocities taken from the online encoder filters exactly
-    as the controller will see them.
+    as the controller will see them.  The log lasts `scenario.duration`;
+    without a scenario, a 1 ms base-locked one lasting `duration`
+    (default 6 s) is used.  A scenario whose base is not locked is
+    rejected.
     """
     if scenario is None:
-        scenario = ScenarioConfig(step=1e-3, duration=duration, seed=seed,
-                                  lock_base=True)
+        scenario = ScenarioConfig(step=1e-3,
+                                  duration=6.0 if duration is None else duration,
+                                  seed=seed, lock_base=True)
+    elif duration is not None:
+        raise ValueError("give the log length as the scenario's duration, "
+                         "not as a separate duration")
+    if not scenario.lock_base:
+        raise ValueError("the identification run needs a scenario with "
+                         "lock_base=True; a free base falls while the log "
+                         "records it")
     plant = Plant(scenario)
     st = plant.initial_state(base_height=2.0)  # feet clear of the ground
     n = plant.n
@@ -104,7 +115,7 @@ def generate_friction_dataset(scenario=None, duration=6.0, seed=0):
     phases = rng.uniform(0, 2 * np.pi, size=(n, 3))
     freqs = np.array([0.3, 0.9, 1.7])
     encoders = encoder_bank(scenario, st, DEFAULT_KF_GAINS)
-    steps = int(round(duration / scenario.step))
+    steps = int(round(scenario.duration / scenario.step))
     t_log = np.empty(steps)
     mv_log = np.empty(steps)
     jv_log = np.empty(steps)

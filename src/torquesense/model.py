@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from .spatial import Transform, rotation_about_axis, skew, spatial_inertia
+from .spatial import Transform, rotation_about_axis, skew
 
 
 class ModelError(Exception):
@@ -42,7 +42,7 @@ _ALLOWED_JOINT_TYPES = ("revolute", "fixed", "floating")
 
 class Link:
     __slots__ = ("name", "mass", "com", "inertia", "index", "parent",
-                 "joint_name", "joint_type", "origin", "axis", "dof", "children")
+                 "joint_name", "joint_type", "origin", "axis", "dof")
 
     def __init__(self, name, mass, com, inertia):
         self.name = name
@@ -57,10 +57,6 @@ class Link:
         self.origin = Transform()
         self.axis = None
         self.dof = -1
-        self.children = []
-
-    def spatial_inertia(self):
-        return spatial_inertia(self.mass, self.com, self.inertia)
 
 
 class LinkArrays:
@@ -318,6 +314,4 @@ def _assemble_tree(links, joints, gravity):
     unreachable = set(links) - visited
     if unreachable:
         raise StructureError(f"links not reachable from root: {sorted(unreachable)}")
-    for link in ordered:
-        link.children = [l.index for l in ordered if l.parent == link.index]
     return RobotModel(ordered, gravity)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .dynamics import crba, forward_pass, joint_transforms
+from .dynamics import (_static_proper_accel, com_position, crba, forward_pass,
+                       joint_transforms)
 from .friction import MotorParams, ScvParams, scv_friction
 from .kf import encoder_lsb
 from .model import FrameError, parse_model
@@ -499,11 +500,10 @@ class Plant:
         tau = self.elastic_k * (phi - s) + self.elastic_d * (phid - sdot)
         phidd = (motor_torque - tau_f - tau) / (self.reduction ** 2 * self.motor_inertia)
 
-        M = crba(self.model, s, fp=fp)
+        M = crba(fp)
         c = fp.inverse_dynamics(None, wrenches)
         if self.config.lock_base:
-            a_static = np.zeros(self.model.nv)
-            a_static[:3] = -R.T @ self.model.gravity
+            a_static = _static_proper_accel(fp)
             # base held: joint rows of M a + c = tau with base accel fixed static
             rhs = tau - c[6:] - M[6:, :6] @ a_static[:6]
             sdd = np.linalg.solve(M[6:, 6:], rhs)
@@ -542,7 +542,7 @@ class Plant:
         state.base_prop_acc = info["base_prop_acc"]
         state.joint_acc = info["joint_acc"]
         state.motor_acc = info["motor_acc"]
-        state.com = info["pass"].com_position()
+        state.com = com_position(info["pass"])
         state._info = info
 
     # ------------------------------------------------------------------ stepping

@@ -2,8 +2,7 @@
 
 All 6-vectors are ordered [linear, angular].  Motion vectors hold
 (linear velocity of the frame origin, angular velocity); force vectors
-hold (force, moment about the frame origin).  Everything is expressed
-in body-fixed frames unless stated otherwise.
+hold (force, moment about the frame origin).
 """
 
 import numpy as np
@@ -77,14 +76,6 @@ class Transform:
         X[3:, 3:] = self.R
         return X
 
-    def force_matrix(self):
-        """6x6 matrix mapping force vectors from frame b to frame a."""
-        X = np.zeros((6, 6))
-        X[:3, :3] = self.R
-        X[3:, :3] = skew(self.p) @ self.R
-        X[3:, 3:] = self.R
-        return X
-
     def homogeneous(self):
         H = np.eye(4)
         H[:3, :3] = self.R
@@ -93,61 +84,6 @@ class Transform:
 
     def __repr__(self):
         return f"Transform(R={self.R!r}, p={self.p!r})"
-
-
-def transform_motion(H, v):
-    """Express the motion vector v (frame b) in frame a, given H_ab."""
-    out = np.empty(6)
-    out[3:] = H.R @ v[3:]
-    out[:3] = H.R @ v[:3] + cross3(H.p, out[3:])
-    return out
-
-
-def transform_motion_inv(H, v):
-    """Express the motion vector v (frame a) in frame b, given H_ab."""
-    out = np.empty(6)
-    out[3:] = H.R.T @ v[3:]
-    out[:3] = H.R.T @ (v[:3] - cross3(H.p, v[3:]))
-    return out
-
-
-def transform_force(H, f):
-    """Express the force vector f (frame b) in frame a, given H_ab."""
-    out = np.empty(6)
-    out[:3] = H.R @ f[:3]
-    out[3:] = H.R @ f[3:] + cross3(H.p, out[:3])
-    return out
-
-
-def cross_motion(v, m):
-    """Spatial cross product of two motion vectors (v x m)."""
-    out = np.empty(6)
-    out[:3] = cross3(v[3:], m[:3]) + cross3(v[:3], m[3:])
-    out[3:] = cross3(v[3:], m[3:])
-    return out
-
-
-def cross_force(v, f):
-    """Spatial cross product of a motion vector with a force vector (v x* f)."""
-    out = np.empty(6)
-    out[:3] = cross3(v[3:], f[:3])
-    out[3:] = cross3(v[:3], f[:3]) + cross3(v[3:], f[3:])
-    return out
-
-
-def spatial_inertia(mass, com, inertia_com):
-    """6x6 spatial inertia of a body about the link frame origin.
-
-    `com` is the COM offset in the link frame, `inertia_com` the 3x3
-    rotational inertia about the COM.
-    """
-    C = skew(com)
-    I = np.zeros((6, 6))
-    I[:3, :3] = mass * np.eye(3)
-    I[:3, 3:] = mass * C.T
-    I[3:, :3] = mass * C
-    I[3:, 3:] = inertia_com + mass * (C @ C.T)
-    return I
 
 
 # _SKEW_BASIS[j] = skew(e_j), flattened: v @ _SKEW_BASIS stacks skew(v)

@@ -161,10 +161,10 @@ class TorqueUkf:
         omega = mean[sl["omega"]]
         nu = np.concatenate([base_lin_vel, omega, mean[sl["sdot"]]])
         fp = forward_pass(model, base_pose, s, nu)
-        M = crba(model, s, fp=fp)
+        M = crba(fp)
         Ms = M[6:, 6:]
         Msb_lin = M[6:, :3]
-        C = coriolis_bias(model, base_pose, s, nu, fp=fp)[6:]
+        C = coriolis_bias(fp)[6:]
         r = self.imu_offset.p
         corr = cross3(omega, cross3(omega, r)) + cross3(omega, base_lin_vel)
         # B maps the state to the joint-space force, its last column is
@@ -174,9 +174,9 @@ class TorqueUkf:
         B[:, sl["tau_f"]] = -np.eye(n)
         ft0 = sl["f_ft"].start
         for k, name in enumerate(cfg.ft_frames):
-            jac = frame_jacobian(model, base_pose, s, name, fp=fp)
+            jac = frame_jacobian(fp, name)
             B[:, ft0 + 6 * k:ft0 + 6 * k + 6] = jac[:, 6:].T
-        jac = frame_jacobian(model, base_pose, s, cfg.ext_frame, fp=fp)
+        jac = frame_jacobian(fp, cfg.ext_frame)
         B[:, sl["f_ext"]] = jac[:, 6:].T
         B[:, sl["alpha"]] = -Msb_lin @ self.imu_offset.R
         B[:, -1] = Msb_lin @ corr - C

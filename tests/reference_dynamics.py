@@ -12,9 +12,11 @@ import numpy as np
 from torquesense import models
 from torquesense.friction import scv_friction
 from torquesense.plant import Plant
-from torquesense.spatial import (Transform, cross3, cross_force, exp_so3,
-                                 rotation_about_axis, transform_force,
-                                 transform_motion, transform_motion_inv)
+from torquesense.spatial import Transform, cross3, exp_so3, rotation_about_axis
+
+from reference_spatial import (cross_force, force_matrix, link_inertia,
+                               transform_force, transform_motion,
+                               transform_motion_inv)
 
 
 def joint_transforms(model, s):
@@ -56,7 +58,7 @@ def generalized_rnea(model, base_pose, s, nu, accel, contact_wrenches=(), Xs=Non
     f = [None] * n_links
     v[0] = np.asarray(nu[:6], dtype=float)
     a[0] = np.asarray(accel[:6], dtype=float)
-    inertias = [link.spatial_inertia() for link in model.links]
+    inertias = [link_inertia(link) for link in model.links]
     f[0] = inertias[0] @ a[0] + cross_force(v[0], inertias[0] @ v[0])
     if fext[0] is not None:
         f[0] = f[0] - fext[0]
@@ -101,9 +103,9 @@ def crba(model, s, Xs=None):
     if Xs is None:
         Xs = joint_transforms(model, s)
     # motion transform of the inverse is the transpose of the force transform
-    Xf = [X.force_matrix() for X in Xs]
+    Xf = [force_matrix(X) for X in Xs]
 
-    Ic = [link.spatial_inertia() for link in model.links]
+    Ic = [link_inertia(link) for link in model.links]
     for link in reversed(model.links[1:]):
         Xfi = Xf[link.index]
         Ic[link.parent] += Xfi @ Ic[link.index] @ Xfi.T
@@ -179,7 +181,7 @@ def mechanical_energy(model, base_pose, s, nu):
     kinetic = 0.0
     potential = 0.0
     for link, H, vi in zip(model.links, world, v):
-        kinetic += 0.5 * vi @ (link.spatial_inertia() @ vi)
+        kinetic += 0.5 * vi @ (link_inertia(link) @ vi)
         potential -= link.mass * model.gravity @ H.apply(link.com)
     return kinetic + potential
 

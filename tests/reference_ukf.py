@@ -70,9 +70,9 @@ def step_terms(ukf, s, base_R, mean, base_lin_vel):
     omega = mean[ukf.slices["omega"]]
     nu = np.concatenate([base_lin_vel, omega, mean[ukf.slices["sdot"]]])
     fp = forward_pass(model, base_pose, s, nu)
-    M = crba(model, s, fp=fp)
-    C = coriolis_bias(model, base_pose, s, nu, fp=fp)[6:]
-    jac = {name: frame_jacobian(model, base_pose, s, name, fp=fp)[:, 6:]
+    M = crba(fp)
+    C = coriolis_bias(fp)[6:]
+    jac = {name: frame_jacobian(fp, name)[:, 6:]
            for name in tuple(cfg.ft_frames) + (cfg.ext_frame,)}
     return {"Minv": np.linalg.inv(M[6:, 6:]), "Msb": M[6:, :6], "C": C,
             "jac": jac, "omega": omega, "base_lin_vel": base_lin_vel}

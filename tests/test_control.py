@@ -15,7 +15,7 @@ from torquesense.control import (
     needs_friction_nets,
     rnea_torque_feedback,
 )
-from torquesense.dynamics import com_position
+from torquesense.dynamics import com_position, forward_pass
 from torquesense.model import parse_model
 from torquesense.models import desk_biped
 from torquesense.plant import Plant, ScenarioConfig
@@ -33,7 +33,7 @@ def standing_setup():
 def balancer_at_rest(config=None):
     model, pose, s, nu = standing_setup()
     cfg = config or ControlConfig()
-    com = com_position(model, pose, s)
+    com = com_position(forward_pass(model, pose, s, nu))
     tau_d = high_level_balancer(model, pose, s, nu, com, np.zeros(3),
                                 np.zeros(3), ("left_sole", "right_sole"),
                                 cfg, posture_ref=s)

@@ -15,18 +15,16 @@ from torquesense.dynamics import (
     compute_dynamics_terms,
     coriolis_bias,
     crba,
-    forward_dynamics,
-    forward_kinematics,
+    forward_pass,
     frame_jacobian,
-    frame_transform,
     generalized_rnea,
-    rnea,
 )
 from torquesense.model import parse_model
 from torquesense.models import desk_biped
-from torquesense.spatial import Transform, exp_so3, log_so3, transform_motion_inv
+from torquesense.spatial import Transform, exp_so3, log_so3
 
-from reference_dynamics import link_states, mechanical_energy
+from reference_dynamics import forward_kinematics, link_states, mechanical_energy
+from reference_spatial import link_inertia, transform_motion_inv
 
 
 def static_accel(model, base_pose):
@@ -57,7 +55,7 @@ def test_pendulum_closed_form():
             nu[6] = theta_dot
             accel = static_accel(model, pose)
             accel[6] = theta_dd
-            tau = rnea(model, pose, s, nu, accel)
+            tau = generalized_rnea(model, pose, s, nu, accel)[6:]
             expected = inertia * theta_dd + mass * 9.81 * length * np.cos(theta)
             assert abs(tau[0] - expected) < 1e-9 * max(1.0, abs(expected))
 
@@ -99,7 +97,7 @@ def test_two_link_symbolic_lagrangian():
         nu[6:] = v
         accel = static_accel(model, pose)
         accel[6:] = a
-        tau = rnea(model, pose, s=p, nu=nu, accel=accel)
+        tau = generalized_rnea(model, pose, s=p, nu=nu, accel=accel)[6:]
         ref = np.array([fn(a[0], a[1], v[0], v[1], p[0], p[1]) for fn in fns])
         assert np.allclose(tau, ref, rtol=1e-9, atol=1e-9)
 
@@ -114,7 +112,10 @@ def test_forward_inverse_round_trip():
     # forward dynamics treats the base as unactuated: remove the base
     # wrench by adding it as an extra external wrench at the base link
     wrenches2 = wrenches + [(model.links[0].name, full[:6])]
-    back = forward_dynamics(model, pose, s, nu, full[6:], wrenches2)
+    fp = forward_pass(model, pose, s, nu)
+    rhs = -coriolis_bias(fp, fp.link_wrenches(wrenches2))
+    rhs[6:] += full[6:]
+    back = np.linalg.solve(crba(fp), rhs)
     assert np.allclose(back, accel, atol=1e-8)
 
 
@@ -134,7 +135,7 @@ def test_mass_matrix_spd_and_matches_rnea_columns():
     model = desk_biped()
     pose, s, _ = random_state(model, 41)
     nu = np.zeros(model.nv)
-    M = crba(model, s)
+    M = crba(forward_pass(model, pose, s, nu))
     assert np.allclose(M, M.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(M)) > 0.0
     # column i of M is the zero-velocity, zero-gravity RNEA of unit accel e_i
@@ -149,7 +150,7 @@ def test_mass_matrix_spd_and_matches_rnea_columns():
 def test_coriolis_bias_zero_at_rest():
     model = desk_biped()
     pose, s, _ = random_state(model, 51)
-    c = coriolis_bias(model, pose, s, np.zeros(model.nv))
+    c = coriolis_bias(forward_pass(model, pose, s, np.zeros(model.nv)))
     assert np.allclose(c, 0.0, atol=1e-12)
 
 
@@ -158,7 +159,7 @@ def test_gravity_bias_matches_potential_gradient():
     model = desk_biped()
     pose, s, _ = random_state(model, 61)
     nu = np.zeros(model.nv)
-    terms = compute_dynamics_terms(model, pose, s, nu)
+    bias, _ = compute_dynamics_terms(forward_pass(model, pose, s, nu), ())
     h = 1e-6
     for j in range(model.ndof):
         sp, sm = s.copy(), s.copy()
@@ -166,18 +167,23 @@ def test_gravity_bias_matches_potential_gradient():
         sm[j] -= h
         dV = (mechanical_energy(model, pose, sp, nu)
               - mechanical_energy(model, pose, sm, nu)) / (2.0 * h)
-        assert abs(terms.bias[6 + j] - dV) < 1e-6 * max(1.0, abs(dV))
+        assert abs(bias[6 + j] - dV) < 1e-6 * max(1.0, abs(dV))
     # base force rows carry the total weight in base coordinates
-    assert np.allclose(terms.bias[:3], -model.total_mass * pose.R.T @ model.gravity,
+    assert np.allclose(bias[:3], -model.total_mass * pose.R.T @ model.gravity,
                        atol=1e-9)
+
+
+def frame_transform(model, pose, s, frame):
+    idx, offset = model.frame(frame)
+    return forward_kinematics(model, pose, s)[idx] * offset
 
 
 def test_frame_jacobian_against_finite_differences():
     model = desk_biped()
-    pose, s, _ = random_state(model, 71)
+    pose, s, nu = random_state(model, 71)
     h = 1e-7
     for frame in ("right_sole", "waist_imu", "torso_push"):
-        J = frame_jacobian(model, pose, s, frame)
+        J = frame_jacobian(forward_pass(model, pose, s, nu), frame)
         H0 = frame_transform(model, pose, s, frame)
         for j in range(model.ndof):
             sp, sm = s.copy(), s.copy()
@@ -198,7 +204,7 @@ def test_frame_jacobian_consistent_with_link_velocities():
     for frame in ("left_sole", "right_foot_ft", "waist_imu"):
         idx, offset = model.frame(frame)
         v_frame = transform_motion_inv(offset, vels[idx])
-        J = frame_jacobian(model, pose, s, frame)
+        J = frame_jacobian(forward_pass(model, pose, s, nu), frame)
         assert np.allclose(J @ nu, v_frame, atol=1e-12)
 
 
@@ -214,7 +220,7 @@ def test_power_balance_along_exact_flow():
     def joint_accel(s, sdot):
         nu = np.zeros(model.nv)
         nu[6:] = sdot
-        M = crba(model, s)
+        M = crba(forward_pass(model, pose, s, nu))
         bias = generalized_rnea(model, pose, s, nu, static_accel(model, pose))
         return np.linalg.solve(M[6:, 6:], tau - bias[6:])
 
@@ -252,10 +258,10 @@ def test_com_velocity_matches_finite_difference():
     Rm = pose.R @ exp_so3(-h * nu[3:6])
     pp = pose.p + pose.R @ (h * nu[:3])
     pm = pose.p - pose.R @ (h * nu[:3])
-    cp = com_position(model, Transform(Rp, pp), s + h * nu[6:])
-    cm = com_position(model, Transform(Rm, pm), s - h * nu[6:])
+    cp = com_position(forward_pass(model, Transform(Rp, pp), s + h * nu[6:], nu))
+    cm = com_position(forward_pass(model, Transform(Rm, pm), s - h * nu[6:], nu))
     assert np.allclose((cp - cm) / (2.0 * h),
-                       com_velocity(model, pose, s, nu), atol=1e-6)
+                       com_velocity(forward_pass(model, pose, s, nu)), atol=1e-6)
 
 
 def test_zero_gravity_static_torques_vanish():
@@ -278,8 +284,8 @@ def test_base_only_model():
     model = parse_model(doc)
     assert model.ndof == 0
     pose = Transform()
-    M = crba(model, np.zeros(0))
-    assert np.allclose(M, model.links[0].spatial_inertia())
+    M = crba(forward_pass(model, pose, np.zeros(0), np.zeros(6)))
+    assert np.allclose(M, link_inertia(model.links[0]))
     full = generalized_rnea(model, pose, np.zeros(0), np.zeros(6),
                             static_accel(model, pose))
     assert np.allclose(full[:3], [0.0, 0.0, 2.0 * 9.81], atol=1e-12)
@@ -288,7 +294,8 @@ def test_base_only_model():
 def test_forward_kinematics_chain_composition():
     model = desk_biped()
     pose, s, _ = random_state(model, 111)
-    world = forward_kinematics(model, pose, s)
+    fp = forward_pass(model, pose, s, np.zeros(model.nv))
+    world = [Transform(h[:3, :3], h[:3, 3]) for h in fp.H]
     for link in model.links[1:]:
         # child world transform = parent world transform * joint transform
         rel = world[link.parent].inverse() * world[link.index]

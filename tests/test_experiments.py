@@ -298,10 +298,20 @@ def test_friction_dataset_filters_run_at_the_plant_step():
     # excitation gives the same filtered velocities at 1 ms and 2 ms
     rms = []
     for step in (1e-3, 2e-3):
-        locked = ScenarioConfig(step=step, lock_base=True)
-        _, mv, jv, _ = generate_friction_dataset(scenario=locked, duration=0.3)
+        locked = ScenarioConfig(step=step, duration=0.3, lock_base=True)
+        _, mv, jv, _ = generate_friction_dataset(scenario=locked)
         rms.append([np.sqrt(np.mean(mv ** 2)), np.sqrt(np.mean(jv ** 2))])
     assert np.allclose(rms[0], rms[1], rtol=0.05)
+
+
+def test_friction_dataset_takes_its_length_from_the_scenario():
+    locked = ScenarioConfig(duration=0.02, lock_base=True)
+    t, mv, jv, fr = generate_friction_dataset(scenario=locked)
+    assert len(t) == len(mv) == len(jv) == len(fr) == 20
+    with pytest.raises(ValueError, match="scenario's duration"):
+        generate_friction_dataset(scenario=locked, duration=0.05)
+    with pytest.raises(ValueError, match="lock_base"):
+        generate_friction_dataset(scenario=ScenarioConfig(duration=0.02))
 
 
 @pytest.mark.parametrize("step", [5e-4, 2e-3])

@@ -212,7 +212,8 @@ def static_pendulum_truth(ukf):
     pose = Transform()
     accel = np.zeros(model.nv)
     accel[:3] = -pose.R.T @ model.gravity
-    gravity_tau = dyn.rnea(model, pose, np.zeros(1), np.zeros(model.nv), accel)
+    gravity_tau = dyn.generalized_rnea(model, pose, np.zeros(1),
+                                       np.zeros(model.nv), accel)[6:]
     truth = np.zeros(ukf.dim)
     truth[ukf.slices["tau_f"]] = 0.4
     truth[ukf.slices["tau_m"]] = gravity_tau + 0.4
