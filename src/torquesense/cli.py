@@ -7,6 +7,10 @@ Subcommands:
     sweep     a scenario across control modes
     report    assemble a Markdown comparison table from metrics rows
 
+A `run` or `sweep` in a mode that needs friction nets, given no
+`--nets` file, trains them and writes them to
+`<out>/friction_nets.json`; pass that file as `--nets` to reuse them.
+
 Exit code is nonzero when a run falls or diverges, so sweeps can gate
 CI jobs directly.
 """
@@ -21,11 +25,11 @@ import numpy as np
 
 from . import pinn
 from .control import MODES, ControlConfig, needs_friction_nets
-from .experiments import (DEFAULT_KF_GAINS, check_duration,
+from .experiments import (DEFAULT_KF_GAINS, check_duration, check_nets,
                           default_friction_nets, generate_friction_dataset,
                           make_disturbance_scenario, make_object_scenario,
                           render_table, run_scenario, sweep_modes)
-from .ga import GaConfig, tune_kf
+from .ga import MIN_TRACE_SAMPLES, GaConfig, tune_kf
 from .kf import encoder_lsb, save_gains
 from .model import ModelError
 from .plant import Plant, ScenarioConfig
@@ -47,17 +51,28 @@ def _load_trace(path, column):
             x.append(float(row[ic]))
     t = np.asarray(t)
     x = np.asarray(x)
-    if len(t) < 3:
-        raise SystemExit(f"trace {path} too short to tune on")
+    if len(t) < MIN_TRACE_SAMPLES:
+        raise SystemExit(f"trace {path} has {len(t)} samples; tuning needs "
+                         f"at least {MIN_TRACE_SAMPLES}")
+    dt = np.diff(t)
+    if not (np.all(dt > 0.0) and np.allclose(dt, dt[0], rtol=1e-6, atol=0.0)):
+        raise SystemExit(f"trace {path} column 't' must increase by one "
+                         f"constant step")
+    if not np.all(np.isfinite(x)):
+        raise SystemExit(f"trace {path} column '{column}' holds a value that "
+                         f"is not finite")
     return float(t[1] - t[0]), x
 
 
 def _cmd_tune_kf(args):
     dt, trace = _load_trace(args.trace, args.joint)
-    config = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)], seed=args.seed,
-                      population_size=args.population,
-                      generations=args.generations,
-                      parents_mating=max(2, args.population // 2))
+    try:
+        config = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)], seed=args.seed,
+                          population_size=args.population,
+                          generations=args.generations,
+                          parents_mating=max(2, args.population // 2))
+    except ValueError as exc:
+        raise SystemExit(f"tune-kf rejected: {exc}") from None
     gains, history = tune_kf(trace, dt, encoder_lsb(args.bits), config=config)
     os.makedirs(args.out, exist_ok=True)
     gains_path = os.path.join(args.out, f"kf_gains_{args.joint}.json")
@@ -104,18 +119,32 @@ def _load_scenario(spec, seed):
 
 
 def _resolve_nets(args, scenario, modes):
-    """Trained friction nets for any mode that needs them."""
+    """Trained friction nets for any mode that needs them.
+
+    Nets trained here are written to `<out>/friction_nets.json`.
+    """
     if not any(needs_friction_nets(m) for m in modes):
         return None
+    plant = Plant(scenario)
     if args.nets is not None:
         if not os.path.exists(args.nets):
             raise SystemExit(f"friction-net file not found: {args.nets}")
-        return pinn.load_nets(args.nets)
+        try:
+            nets = pinn.load_nets(args.nets)
+            check_nets(nets, plant.model.joint_names)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SystemExit(f"friction-net file {args.nets} rejected: "
+                             f"{exc}") from None
+        return nets
     print("no --nets given; generating identification data and training "
           "friction nets (deterministic for --seed)")
     dataset = generate_friction_dataset(duration=4.0, seed=args.seed)
-    return default_friction_nets(Plant(scenario), dataset=dataset,
-                                 seed=args.seed)
+    nets = default_friction_nets(plant, dataset=dataset, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "friction_nets.json")
+    pinn.save_nets(path, nets)
+    print(f"wrote {path}; pass it as --nets to reuse these nets")
+    return nets
 
 
 def _cmd_run(args):

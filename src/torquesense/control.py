@@ -16,7 +16,7 @@ feedforward are wired per mode:
     PositionControl    stiff per-joint position PD baseline
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .spatial import log_so3
 
 MODES = ("Feedforward", "RNEA-NoComp", "UKF-NoComp", "Feedforward-PINN",
          "RNEA-PINN", "UKF-PINN", "PositionControl")
-
-TORQUE_MODES = tuple(m for m in MODES if m != "PositionControl")
 
 
 def needs_friction_nets(mode):
@@ -74,8 +72,10 @@ class ControlConfig:
 
 def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
                         com_acc_ref, contact_frames, config,
-                        attitude_ref=None, posture_ref=None):
+                        posture_ref=None):
     """Desired joint torques realizing a CoM/attitude PD at 100 Hz.
+
+    The attitude PD holds the base upright (world-aligned).
 
     Solves the base-wrench balance for the contact wrenches (regularized
     least squares over the stacked contact Jacobians) and maps them to
@@ -98,8 +98,7 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     R = base_pose.R
     extra = np.zeros(6)
     extra[:3] = model.total_mass * (R.T @ acc_world)
-    R_ref = np.eye(3) if attitude_ref is None else attitude_ref
-    att_err = log_so3(R.T @ R_ref)            # body-frame attitude error
+    att_err = log_so3(R.T)                    # body-frame attitude error
     extra[3:] = config.kp_att * att_err - config.kd_att * nu[3:6]
 
     w_des = bias[:6] + extra
@@ -137,9 +136,6 @@ class TorquePI:
         self.dt = dt
         self.integral = np.zeros(n)
         self.saturation_events = 0
-
-    def reset(self):
-        self.integral[:] = 0.0
 
     def __call__(self, tau_d, tau_feedback=None, tau_f_comp=None):
         """Current commands; feedback/compensation may each be omitted."""

@@ -75,6 +75,21 @@ def check_duration(scenario):
             f"least {needed * scenario.step:g} s")
 
 
+def check_nets(nets, joint_names):
+    """Reject a friction-net mapping that does not key exactly the model's
+    joints, naming the joints it lacks and the keys that are no joint."""
+    missing = [name for name in joint_names if name not in nets]
+    unknown = sorted(set(nets) - set(joint_names))
+    problems = []
+    if missing:
+        problems.append(f"no net for joint(s) {', '.join(missing)}")
+    if unknown:
+        problems.append(f"unknown joint(s) {', '.join(unknown)}")
+    if problems:
+        raise ValueError(f"friction nets: {'; '.join(problems)}; the model's "
+                         f"joints are {', '.join(joint_names)}")
+
+
 def encoder_bank(scenario, state, gains):
     """One filter bank over the 2n encoders of a plant at `state`:
     joint positions (channels 0..n-1), then motor positions."""
@@ -135,8 +150,8 @@ def generate_friction_dataset(scenario=None, duration=None, seed=0):
 
 def train_friction_net(dataset, scv, seed=0, epochs=40):
     """Train one friction net on an identification log (t, mv, jv, fr)."""
-    net = pinn.FrictionNet(NET_BUFFER_LEN, NET_HIDDEN, NET_HIDDEN, 0.0,
-                           NET_LAM, scv, seed=seed)
+    net = pinn.FrictionNet(NET_BUFFER_LEN, NET_HIDDEN, NET_HIDDEN, NET_LAM,
+                           scv, seed=seed)
     pinn.train(net, pinn.build_samples(*dataset, NET_BUFFER_LEN),
                epochs=epochs, batch_size=64, learning_rate=2e-3, seed=seed)
     return net
@@ -144,7 +159,12 @@ def train_friction_net(dataset, scv, seed=0, epochs=40):
 
 def default_friction_nets(plant, dataset, seed=0):
     """One net per joint, trained on the identification log `dataset`;
-    joints sharing friction parameters share a net."""
+    joints sharing friction parameters share a net.
+
+    The log records joint `ID_JOINT` only, so every net learns its data
+    term from that joint's friction; only its SCV physics prior is the
+    joint's own.
+    """
     cache = {}
     nets = {}
     for j, name in enumerate(plant.model.joint_names):
@@ -224,9 +244,12 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     use_ukf = mode.startswith("UKF")
     use_rnea = mode.startswith("RNEA")
     use_nets = needs_friction_nets(mode)
-    if use_nets and nets is None:
-        raise ValueError(f"mode {mode} needs trained friction nets")
-    net_groups = group_by_net(nets, model.joint_names) if use_nets else []
+    net_groups = []
+    if use_nets:
+        if nets is None:
+            raise ValueError(f"mode {mode} needs trained friction nets")
+        check_nets(nets, model.joint_names)
+        net_groups = group_by_net(nets, model.joint_names)
 
     encoders = encoder_bank(scenario, st, gains)
     att = ComplementaryAttitude(R0=st.base_R.copy())

@@ -1,10 +1,12 @@
 """Real-coded genetic algorithm for scalar hyperparameter tuning.
 
 Defaults follow the encoder-filter tuning recipe: population 120 over
-50 generations, 60 parents picked by 4-tournament, two-point crossover,
-20% per-gene uniform mutation and top-10% elitism.  The same optimizer
-is reused for any small fitness landscape (the filter Q search needs
-only two genes).
+50 generations, 60 parents picked by `TOURNAMENT_K`-tournament,
+two-point crossover, `MUTATION_RATE` per-gene uniform mutation and
+top-`ELITISM_FRACTION` elitism.  The same optimizer is reused for any
+small fitness landscape (the filter Q search needs only two genes).
+`kf_fitness` scores encoder traces of at least `MIN_TRACE_SAMPLES`
+samples.
 """
 
 from dataclasses import dataclass
@@ -12,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kf import filter_trace
+
+TOURNAMENT_K = 4          # entrants per parent-selection tournament
+MUTATION_RATE = 0.20      # chance that a child's gene is redrawn
+ELITISM_FRACTION = 0.10   # share of a generation kept unchanged
+MIN_TRACE_SAMPLES = 100   # shortest trace kf_fitness scores
 
 
 @dataclass
@@ -21,24 +28,21 @@ class GaConfig:
     population_size: int = 120
     generations: int = 50
     parents_mating: int = 60
-    tournament_k: int = 4
-    crossover: str = "two_point"  # or "none" to copy one parent
-    mutation_rate: float = 0.20
-    elitism_fraction: float = 0.10
     seed: int = 0
 
     def __post_init__(self):
-        if self.parents_mating > self.population_size:
-            raise ValueError("parents_mating must not exceed population_size")
-        for name in ("mutation_rate", "elitism_fraction"):
+        for name in ("population_size", "generations", "parents_mating"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            if v < 1:
+                raise ValueError(f"GaConfig.{name} must be at least 1, "
+                                 f"got {v}")
+        if self.parents_mating > self.population_size:
+            raise ValueError(
+                f"GaConfig.parents_mating ({self.parents_mating}) must not "
+                f"exceed population_size ({self.population_size})")
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ValueError(f"empty gene bounds ({lo}, {hi})")
-        if self.crossover not in ("two_point", "none"):
-            raise ValueError(f"unknown crossover kind {self.crossover!r}")
 
 
 def _two_point_crossover(a, b, rng):
@@ -58,16 +62,17 @@ def optimize(config, fitness):
     fitness(pop) with `pop` a (population_size, genes) array, one
     candidate per row, and returns one score per row.  It must be
     deterministic (a stochastic fitness closes over its own seeded
-    generator); NaN scores are treated as -inf.  `history` is a list of
-    per-generation dicts with best/mean fitness and the best genes so
-    far.
+    generator); NaN scores are treated as -inf.  A first generation
+    with no finite score leaves selection nothing to go on and raises
+    ValueError.  `history` is a list of per-generation dicts with
+    best/mean fitness and the best genes so far.
     """
     rng = np.random.default_rng(config.seed)
     lo = np.array([b[0] for b in config.bounds])
     hi = np.array([b[1] for b in config.bounds])
     n_genes = len(config.bounds)
     pop = rng.uniform(lo, hi, size=(config.population_size, n_genes))
-    n_elite = max(1, int(round(config.elitism_fraction * config.population_size)))
+    n_elite = max(1, int(round(ELITISM_FRACTION * config.population_size)))
 
     history = []
     best_genes = None
@@ -83,6 +88,9 @@ def optimize(config, fitness):
         if scores[order[0]] > best_fit:
             best_fit = scores[order[0]]
             best_genes = pop[order[0]].copy()
+        if best_genes is None:
+            raise ValueError(f"no candidate of generation {gen} has a finite "
+                             f"fitness score")
         finite = scores[np.isfinite(scores)]
         history.append({"generation": gen,
                         "best": float(best_fit),
@@ -95,7 +103,7 @@ def optimize(config, fitness):
         # k-tournament parent selection
         parents = np.empty((config.parents_mating, n_genes))
         for p in range(config.parents_mating):
-            entrants = rng.integers(0, len(pop), size=config.tournament_k)
+            entrants = rng.integers(0, len(pop), size=TOURNAMENT_K)
             parents[p] = pop[entrants[np.argmax(scores[entrants])]]
 
         children = []
@@ -103,11 +111,8 @@ def optimize(config, fitness):
         for c in range(n_children):
             a = parents[rng.integers(len(parents))]
             b = parents[rng.integers(len(parents))]
-            if config.crossover == "two_point":
-                child = _two_point_crossover(a, b, rng)
-            else:
-                child = a.copy()
-            mask = rng.random(n_genes) < config.mutation_rate
+            child = _two_point_crossover(a, b, rng)
+            mask = rng.random(n_genes) < MUTATION_RATE
             if mask.any():
                 child[mask] = rng.uniform(lo[mask], hi[mask])
             children.append(child)
@@ -126,8 +131,7 @@ def _mean_square(d):
     return np.mean(d, axis=-1)
 
 
-def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS,
-               min_samples=100):
+def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
     """Score (q_accel, q_jerk) candidates on an encoder position trace.
 
     `genes` is one candidate or a (P, 2) stack; the score is a float or
@@ -144,8 +148,9 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS,
     estimate pinned to the measured positions.
     """
     z = np.asarray(trace, dtype=float)
-    if len(z) < min_samples:
-        raise ValueError(f"trace too short: {len(z)} < {min_samples} samples")
+    if len(z) < MIN_TRACE_SAMPLES:
+        raise ValueError(f"trace too short: {len(z)} < {MIN_TRACE_SAMPLES} "
+                         f"samples")
     genes = np.asarray(genes, dtype=float)
     q = np.atleast_2d(genes)[:, :2]
     valid = ~np.any(q < 0.0, axis=1)

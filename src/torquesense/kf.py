@@ -170,9 +170,3 @@ def save_gains(path, gains):
     """Write tuned per-joint gains {joint: {q_accel, q_jerk}} as JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"schema_version": 1, "gains": gains}, fh, indent=2, sort_keys=True)
-
-
-def load_gains(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc["gains"]

@@ -142,12 +142,6 @@ class RobotModel:
             return self.link_index[name], Transform()
         raise FrameError(f"unknown frame '{name}'")
 
-    def joint_index(self, joint_name):
-        try:
-            return self.joint_names.index(joint_name)
-        except ValueError:
-            raise FrameError(f"unknown joint '{joint_name}'") from None
-
 
 def _parse_origin(elem):
     xyz = np.zeros(3)

@@ -21,12 +21,9 @@ gradient is one vector of the same layout and an Adam step is a few
 vector operations.  `train` fits the input normalization to its set and
 builds the normalized features, the targets and the physics targets
 (one vectorized SCV evaluation) once per call; each shuffled mini-batch
-is a row gather from them.  `random_search` draws the hyperparameters
-(hidden widths, dropout, lam, buffer length, learning rate, batch size)
-uniformly and keeps the net with the lowest held-out MSE.
+is a row gather from them.
 """
 
-import csv
 import json
 
 import numpy as np
@@ -36,15 +33,15 @@ from .friction import ScvParams, scv_friction
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# `predict_bounded` clips to this multiple of the SCV envelope
+BOUND_MARGIN = 1.5
 
 
 class FrictionNet:
-    """Two-hidden-layer ReLU MLP with dropout and input normalization."""
+    """Two-hidden-layer ReLU MLP with input normalization."""
 
-    def __init__(self, buffer_len, hidden1, hidden2, dropout, lam, scv,
+    def __init__(self, buffer_len, hidden1, hidden2, lam, scv,
                  norm_mean=None, norm_std=None, seed=0):
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"physics weight must lie in [0, 1], got {lam}")
         for name, size in (("buffer_len", buffer_len), ("hidden1", hidden1),
@@ -52,7 +49,6 @@ class FrictionNet:
             if size < 1:
                 raise ValueError(f"{name} must be at least 1, got {size}")
         self.buffer_len = int(buffer_len)
-        self.dropout = float(dropout)
         self.lam = float(lam)
         self.scv = scv
         d = 2 * self.buffer_len
@@ -103,31 +99,27 @@ class FrictionNet:
         return (self._raw_features(motor, joint) - self.norm_mean) / self.norm_std
 
 
-def _forward(params, X, masks=None):
-    """Forward pass; `masks` are inverted-dropout masks for training."""
+def _forward(params, X):
+    """Forward pass; returns the outputs and the activations backprop reads."""
     z1 = X @ params["W1"].T + params["b1"]
     h1 = np.maximum(z1, 0.0)
-    if masks is not None:
-        h1 = h1 * masks[0]
     z2 = h1 @ params["W2"].T + params["b2"]
     h2 = np.maximum(z2, 0.0)
-    if masks is not None:
-        h2 = h2 * masks[1]
     y = h2 @ params["W3"].T + params["b3"]
     return y[:, 0], (X, z1, h1, z2, h2)
 
 
 def predict(net, motor, joint):
-    """(k,) friction torques from (k, L) buffers; dropout disabled."""
+    """(k,) friction torques from (k, L) buffers."""
     y, _ = _forward(net.params, net.features(motor, joint))
     return y
 
 
-def predict_bounded(net, motor, joint, margin=1.5):
+def predict_bounded(net, motor, joint):
     """Prediction clipped to the physical friction envelope.
 
     The friction magnitude can never exceed the breakaway level plus the
-    viscous term, so anything outside |F_s + k_v |v|| * margin is
+    viscous term, so anything outside |F_s + k_v |v|| * BOUND_MARGIN is
     extrapolation error (the net saw no such regime during training).
     Closed-loop use feeds the net its own consequences, which can push
     the velocity buffers out of distribution; the clip keeps a single
@@ -135,7 +127,7 @@ def predict_bounded(net, motor, joint, margin=1.5):
     """
     y = predict(net, motor, joint)
     v = np.asarray(motor, dtype=float)[:, -1]
-    bound = margin * (net.scv.breakaway + net.scv.viscous * np.abs(v))
+    bound = BOUND_MARGIN * (net.scv.breakaway + net.scv.viscous * np.abs(v))
     return np.clip(y, -bound, bound)
 
 
@@ -144,13 +136,13 @@ def physics_targets(net, motor):
     return scv_friction(net.scv, np.asarray(motor, dtype=float)[:, -1])
 
 
-def loss_and_grads(net, X, targets, phys, masks=None):
+def loss_and_grads(net, X, targets, phys):
     """Hybrid loss and its gradient, a flat vector laid out like `net.theta`.
 
     `X` is the normalized feature matrix; `phys` the physics targets.
     """
     p = net.params
-    pred, (X, z1, h1, z2, h2) = _forward(p, X, masks)
+    pred, (X, z1, h1, z2, h2) = _forward(p, X)
     n = len(pred)
     r_data = pred - targets
     r_phys = pred - phys
@@ -162,14 +154,10 @@ def loss_and_grads(net, X, targets, phys, masks=None):
     grads["W3"][0] = g @ h2
     grads["b3"][0] = g.sum()
     dh2 = np.outer(g, p["W3"][0])
-    if masks is not None:
-        dh2 = dh2 * masks[1]
     dz2 = dh2 * (z2 > 0.0)
     grads["W2"][:] = dz2.T @ h1
     grads["b2"][:] = dz2.sum(axis=0)
     dh1 = dz2 @ p["W2"]
-    if masks is not None:
-        dh1 = dh1 * masks[0]
     dz1 = dh1 * (z1 > 0.0)
     grads["W1"][:] = dz1.T @ X
     grads["b1"][:] = dz1.sum(axis=0)
@@ -186,21 +174,13 @@ class AdamState:
         self.v = np.zeros_like(net.theta)
 
 
-def _step(net, X, targets, phys, opt, seed):
+def _step(net, X, targets, phys, opt):
     """One Adam step on a batch of feature rows and their two targets.
 
-    Dropout masks are drawn from (seed, step).  Returns the pre-step
-    loss; raises ArithmeticError with the step index if it is not finite.
+    Returns the pre-step loss; raises ArithmeticError with the step
+    index if it is not finite.
     """
-    masks = None
-    if net.dropout > 0.0:
-        rng = np.random.default_rng((seed, opt.step_count))
-        keep = 1.0 - net.dropout
-        n = len(X)
-        mask1 = (rng.random((n, net.params["b1"].size)) < keep) / keep
-        mask2 = (rng.random((n, net.params["b2"].size)) < keep) / keep
-        masks = (mask1, mask2)
-    loss, grad = loss_and_grads(net, X, targets, phys, masks)
+    loss, grad = loss_and_grads(net, X, targets, phys)
     if not np.isfinite(loss):
         raise ArithmeticError(f"training diverged at step {opt.step_count}")
     opt.step_count += 1
@@ -278,8 +258,7 @@ def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0):
         epoch = []
         for start in range(0, len(idx), batch_size):
             rows = idx[start:start + batch_size]
-            epoch.append(_step(net, X[rows], targets[rows], phys[rows], opt,
-                               seed))
+            epoch.append(_step(net, X[rows], targets[rows], phys[rows], opt))
         losses.append(float(np.mean(epoch)))
     return losses
 
@@ -290,81 +269,9 @@ def validation_mse(net, samples):
     return float(np.mean((predict(net, motor, joint) - targets) ** 2))
 
 
-DEFAULT_SEARCH_SPACE = {
-    "hidden1": (8, 64),
-    "hidden2": (8, 64),
-    "dropout": (0.0, 0.3),
-    "lam": (0.0, 0.9),
-    "buffer_len": (4, 16),
-    "log10_lr": (-3.5, -2.0),
-    "batch_size": (32, 128),
-}
-
-
-def random_search(t, motor_vel, joint_vel, friction, scv, budget,
-                  space=None, seed=0, epochs=15, val_fraction=0.2):
-    """Uniform random hyperparameter search; best by held-out data MSE.
-
-    The split is chronological (last `val_fraction` of the log held
-    out) so validation never sees shuffled near-duplicates of training
-    windows.  Returns (best net, trial log).
-    """
-    if budget < 1:
-        raise ValueError("search budget must be at least 1")
-    space = dict(DEFAULT_SEARCH_SPACE if space is None else space)
-    rng = np.random.default_rng(seed)
-    split = int(len(t) * (1.0 - val_fraction))
-    log = (t, motor_vel, joint_vel, friction)
-    trials = []
-    best = None
-    for trial in range(budget):
-        hp = {
-            "hidden1": int(rng.integers(space["hidden1"][0], space["hidden1"][1] + 1)),
-            "hidden2": int(rng.integers(space["hidden2"][0], space["hidden2"][1] + 1)),
-            "dropout": float(rng.uniform(*space["dropout"])),
-            "lam": float(rng.uniform(*space["lam"])),
-            "buffer_len": int(rng.integers(space["buffer_len"][0],
-                                           space["buffer_len"][1] + 1)),
-            "learning_rate": float(10.0 ** rng.uniform(*space["log10_lr"])),
-            "batch_size": int(rng.integers(space["batch_size"][0],
-                                           space["batch_size"][1] + 1)),
-        }
-        net = FrictionNet(hp["buffer_len"], hp["hidden1"], hp["hidden2"],
-                          hp["dropout"], hp["lam"], scv, seed=(seed, trial, 1))
-        train_set = build_samples(*(a[:split] for a in log), hp["buffer_len"])
-        val_set = build_samples(*(a[split:] for a in log), hp["buffer_len"])
-        train(net, train_set, epochs=epochs, batch_size=hp["batch_size"],
-              learning_rate=hp["learning_rate"], seed=trial)
-        score = validation_mse(net, val_set)
-        trials.append({"trial": trial, "hyperparams": hp, "val_mse": score})
-        if best is None or score < best[0]:
-            best = (score, net)
-    return best[1], trials
-
-
-def save_dataset(path, t, motor_vel, joint_vel, friction):
-    """Write a friction log as CSV (t, motor-vel, joint-vel, target)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "motor_vel", "joint_vel", "friction_target"])
-        for row in zip(t, motor_vel, joint_vel, friction):
-            w.writerow([repr(float(x)) for x in row])
-
-
-def load_dataset(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["t", "motor_vel", "joint_vel", "friction_target"]:
-            raise ValueError(f"unexpected dataset header: {header}")
-        cols = list(zip(*[[float(x) for x in row] for row in r]))
-    return tuple(np.array(c) for c in cols)
-
-
 def _net_to_dict(net):
     return {
         "buffer_len": net.buffer_len,
-        "dropout": net.dropout,
         "lam": net.lam,
         "scv": {"coulomb": net.scv.coulomb, "breakaway": net.scv.breakaway,
                 "stribeck_vel": net.scv.stribeck_vel, "viscous": net.scv.viscous},
@@ -375,8 +282,10 @@ def _net_to_dict(net):
 
 
 def _net_from_dict(d):
+    """A net from its saved form.  Older files also give a `dropout`
+    setting, which inference never applied; that key is ignored."""
     net = FrictionNet(d["buffer_len"], len(d["params"]["b1"]),
-                      len(d["params"]["b2"]), d["dropout"], d["lam"],
+                      len(d["params"]["b2"]), d["lam"],
                       ScvParams(**d["scv"]),
                       norm_mean=d["norm_mean"], norm_std=d["norm_std"])
     if set(d["params"]) != set(net.params):
@@ -400,6 +309,20 @@ def save_nets(path, nets):
 
 
 def load_nets(path):
+    """Nets keyed by joint name from a `save_nets` file.
+
+    Joints whose saved nets are equal get one shared net, as
+    `experiments.default_friction_nets` shares one between joints of
+    equal friction, so a run predicts once per distinct net and gives
+    the same results as with the nets that were saved.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return {name: _net_from_dict(d) for name, d in doc["nets"].items()}
+    distinct = {}
+    nets = {}
+    for name, d in doc["nets"].items():
+        key = json.dumps(d, sort_keys=True)
+        if key not in distinct:
+            distinct[key] = _net_from_dict(d)
+        nets[name] = distinct[key]
+    return nets

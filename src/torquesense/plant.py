@@ -310,6 +310,8 @@ class Plant:
         self._corners = self._sole_offsets @ corners
 
         self.disturbances = list(config.disturbances)
+        for ev in self.disturbances:
+            self.model.frame(ev.frame)  # raises FrameError if unknown
         self.object_events = sorted(config.object_events, key=lambda e: e.time)
         self._check_object_events(self.object_events)
 
@@ -319,25 +321,6 @@ class Plant:
         self.lsb_motor = encoder_lsb(config.noise["motor_encoder_bits"])
 
     # ------------------------------------------------------------------ events
-
-    def schedule_disturbance(self, wrench, frame, time, duration):
-        """Add a timed world-frame wrench at a frame origin; returns the event."""
-        self.model.frame(frame)  # raises FrameError if unknown
-        ev = Disturbance(time=time, duration=duration, frame=frame,
-                         force=tuple(np.asarray(wrench, dtype=float)[:3]),
-                         torque=tuple(np.asarray(wrench, dtype=float)[3:]))
-        self.disturbances.append(ev)
-        return ev
-
-    def schedule_object_event(self, foot_frame, height, action, time,
-                              region="full"):
-        """Add a ground-height change under one foot; returns the event."""
-        ev = ObjectEvent(time=time, frame=foot_frame, height=height,
-                         action=action, region=region)
-        events = sorted(self.object_events + [ev], key=lambda e: e.time)
-        self._check_object_events(events)
-        self.object_events = events
-        return ev
 
     def _check_object_events(self, events):
         """Raise FrameError/ValueError for an event list the plant cannot run."""

@@ -61,13 +61,6 @@ class Transform:
     def __mul__(self, other):
         return Transform(self.R @ other.R, self.R @ other.p + self.p)
 
-    def inverse(self):
-        Rt = self.R.T
-        return Transform(Rt, -Rt @ self.p)
-
-    def apply(self, point):
-        return self.R @ point + self.p
-
     def motion_matrix(self):
         """6x6 matrix mapping motion vectors from frame b to frame a."""
         X = np.zeros((6, 6))

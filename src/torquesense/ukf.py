@@ -53,11 +53,14 @@ class UkfConfig:
     r_imu_gyro: float = 0.002
 
 
+# share of the accelerometer tilt error corrected per IMU sample
+ATTITUDE_GAIN = 0.05
+
+
 class ComplementaryAttitude:
     """Gyro-integrated base attitude with accelerometer tilt correction."""
 
-    def __init__(self, gain=0.05, R0=None):
-        self.gain = gain
+    def __init__(self, R0=None):
         self.R = np.eye(3) if R0 is None else np.array(R0, dtype=float)
 
     def update(self, acc, gyro, dt):
@@ -69,7 +72,7 @@ class ComplementaryAttitude:
             up_meas = a / norm          # static accelerometer reads +g direction
             up_pred = self.R.T @ np.array([0.0, 0.0, 1.0])
             err = cross3(up_pred, up_meas)   # body-frame tilt error
-            self.R = self.R @ exp_so3(-self.gain * err)
+            self.R = self.R @ exp_so3(-ATTITUDE_GAIN * err)
         return self.R
 
 
@@ -131,12 +134,9 @@ class TorqueUkf:
         q[self.slices["omega"]] = cfg.q_omega
         return np.diag((q * np.sqrt(self.dt)) ** 2)
 
-    def initial_belief(self, sdot=None, tau_m=None):
+    def initial_belief(self):
+        """Zero mean, and a broad diagonal covariance scaled from Q."""
         mean = np.zeros(self.dim)
-        if sdot is not None:
-            mean[self.slices["sdot"]] = sdot
-        if tau_m is not None:
-            mean[self.slices["tau_m"]] = tau_m
         scale = np.diag(self.Q).copy()
         cov = np.diag(np.maximum(scale * 100.0, 1e-4))
         return Belief(mean, cov, np.zeros(3))

@@ -14,8 +14,8 @@ from torquesense.friction import scv_friction
 from torquesense.plant import Plant
 from torquesense.spatial import Transform, cross3, exp_so3, rotation_about_axis
 
-from reference_spatial import (cross_force, force_matrix, link_inertia,
-                               transform_force, transform_motion,
+from reference_spatial import (apply, cross_force, force_matrix, inverse,
+                               link_inertia, transform_force, transform_motion,
                                transform_motion_inv)
 
 
@@ -152,14 +152,14 @@ def frame_jacobian(model, base_pose, s, frame_name):
     H_frame = world[idx] * offset
 
     J = np.zeros((6, model.nv))
-    H_fb = H_frame.inverse() * base_pose
+    H_fb = inverse(H_frame) * base_pose
     J[:, :6] = H_fb.motion_matrix()
     i = idx
     while i > 0:
         link = model.links[i]
         if link.joint_type == "revolute":
             S = np.concatenate([np.zeros(3), link.axis])
-            H_fl = H_frame.inverse() * world[i]
+            H_fl = inverse(H_frame) * world[i]
             J[:, 6 + link.dof] = transform_motion(H_fl, S)
         i = link.parent
     return J
@@ -182,7 +182,7 @@ def mechanical_energy(model, base_pose, s, nu):
     potential = 0.0
     for link, H, vi in zip(model.links, world, v):
         kinetic += 0.5 * vi @ (link_inertia(link) @ vi)
-        potential -= link.mass * model.gravity @ H.apply(link.com)
+        potential -= link.mass * model.gravity @ apply(H, link.com)
     return kinetic + potential
 
 
@@ -201,8 +201,8 @@ def contact_wrenches(plant, t, world, vels, counts=None):
         F_tot = np.zeros(3)
         N_tot = np.zeros(3)
         for ci, corner in enumerate(models.FOOT_CORNERS):
-            c_link = offset.apply(corner)
-            p_w = world[idx].apply(c_link)
+            c_link = apply(offset, corner)
+            p_w = apply(world[idx], c_link)
             pen = plant.ground_height(frame, t, corner[0]) - p_w[2]
             if pen <= 0.0:
                 continue
@@ -306,6 +306,6 @@ class ReferencePlant(Plant):
         state.motor_acc = info["motor_acc"]
         com = np.zeros(3)
         for link, H in zip(self.model.links, info["world"]):
-            com += link.mass * H.apply(link.com)
+            com += link.mass * apply(H, link.com)
         state.com = com / self.model.total_mass
         state._info = info

@@ -33,23 +33,19 @@ def hybrid_loss(net, samples):
     return (1.0 - net.lam) * data_term + net.lam * phys_term
 
 
-def forward(params, X, masks=None):
+def forward(params, X):
     z1 = X @ params["W1"].T + params["b1"]
     h1 = np.maximum(z1, 0.0)
-    if masks is not None:
-        h1 = h1 * masks[0]
     z2 = h1 @ params["W2"].T + params["b2"]
     h2 = np.maximum(z2, 0.0)
-    if masks is not None:
-        h2 = h2 * masks[1]
     y = h2 @ params["W3"].T + params["b3"]
     return y[:, 0], (X, z1, h1, z2, h2)
 
 
-def loss_and_grads(net, X, targets, phys, masks=None):
+def loss_and_grads(net, X, targets, phys):
     """Hybrid loss and a dict of per-parameter gradients."""
     p = net.params
-    pred, (X, z1, h1, z2, h2) = forward(p, X, masks)
+    pred, (X, z1, h1, z2, h2) = forward(p, X)
     n = len(pred)
     r_data = pred - targets
     r_phys = pred - phys
@@ -60,14 +56,10 @@ def loss_and_grads(net, X, targets, phys, masks=None):
     grads["W3"] = (g @ h2)[None, :]
     grads["b3"] = np.array([g.sum()])
     dh2 = np.outer(g, p["W3"][0])
-    if masks is not None:
-        dh2 = dh2 * masks[1]
     dz2 = dh2 * (z2 > 0.0)
     grads["W2"] = dz2.T @ h1
     grads["b2"] = dz2.sum(axis=0)
     dh1 = dz2 @ p["W2"]
-    if masks is not None:
-        dh1 = dh1 * masks[0]
     dz1 = dh1 * (z1 > 0.0)
     grads["W1"] = dz1.T @ X
     grads["b1"] = dz1.sum(axis=0)
@@ -87,20 +79,12 @@ class AdamState:
         self.v = {k: np.zeros_like(v) for k, v in net.params.items()}
 
 
-def train_step(net, batch, opt, seed=0):
-    """One Adam step on a (motor, joint, target) batch; dropout masks
-    from (seed, step)."""
+def train_step(net, batch, opt):
+    """One Adam step on a (motor, joint, target) batch."""
     motor, joint, targets = batch
     X = net.features(motor, joint)
     phys = physics_targets(net, motor)
-    masks = None
-    if net.dropout > 0.0:
-        rng = np.random.default_rng((seed, opt.step_count))
-        keep = 1.0 - net.dropout
-        mask1 = (rng.random((len(targets), net.params["b1"].size)) < keep) / keep
-        mask2 = (rng.random((len(targets), net.params["b2"].size)) < keep) / keep
-        masks = (mask1, mask2)
-    loss, grads = loss_and_grads(net, X, targets, phys, masks)
+    loss, grads = loss_and_grads(net, X, targets, phys)
     if not np.isfinite(loss):
         raise ArithmeticError(f"training diverged at step {opt.step_count}")
     opt.step_count += 1
@@ -136,6 +120,6 @@ def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0):
         for start in range(0, len(idx), batch_size):
             rows = idx[start:start + batch_size]
             batch = (motor[rows], joint[rows], targets[rows])
-            epoch.append(train_step(net, batch, opt, seed=seed))
+            epoch.append(train_step(net, batch, opt))
         losses.append(float(np.mean(epoch)))
     return losses

@@ -9,7 +9,18 @@ batched pass in `torquesense.dynamics` does not use them.
 
 import numpy as np
 
-from torquesense.spatial import cross3, skew
+from torquesense.spatial import Transform, cross3, skew
+
+
+def inverse(H):
+    """H_ba, given H_ab."""
+    Rt = H.R.T
+    return Transform(Rt, -Rt @ H.p)
+
+
+def apply(H, point):
+    """Coordinates in frame a of a point given in frame b, given H_ab."""
+    return H.R @ point + H.p
 
 
 def force_matrix(H):

@@ -11,10 +11,11 @@ import pytest
 
 from chains import pendulum_urdf, serial_leg_urdf, two_link_arm_urdf
 import reference_dynamics as ref
+from reference_spatial import apply
 from torquesense import dynamics
 from torquesense.model import parse_model
 from torquesense.models import desk_biped
-from torquesense.plant import Plant, ScenarioConfig
+from torquesense.plant import ObjectEvent, Plant, ScenarioConfig
 from torquesense.spatial import Transform, exp_so3
 
 TOL = 1e-12
@@ -131,12 +132,13 @@ def test_pass_matches_per_link_recursions(name):
             assert close(dynamics.frame_jacobian(fp, frame),
                          ref.frame_jacobian(model, pose, s, frame))
         assert close(dynamics.com_velocity(fp), ref.com_velocity(model, pose, s, nu))
-        com = sum(l.mass * H.apply(l.com) for l, H in zip(model.links, world))
+        com = sum(l.mass * apply(H, l.com) for l, H in zip(model.links, world))
         assert close(dynamics.com_position(fp), com / model.total_mass)
 
 
-def contact_plant(**contact):
-    return Plant(ScenarioConfig(contact=contact))
+def contact_plant(object_events=(), **contact):
+    return Plant(ScenarioConfig(contact=contact,
+                                object_events=list(object_events)))
 
 
 def contact_states(plant, count=6, seed=3):
@@ -156,9 +158,8 @@ def test_contact_kernel_matches_corner_loop(case):
     if case == "default":
         plant = contact_plant()
     else:
-        plant = contact_plant(mu=0.6)
-        plant.schedule_object_event("right_sole", 0.004, "insert", 0.0,
-                                    region="front")
+        plant = contact_plant(mu=0.6, object_events=[ObjectEvent(
+            0.0, "right_sole", 0.004, "insert", region="front")])
     t = 0.1
     seen = {"touch": 0, "clipped": 0}
     for pose, s, nu in contact_states(plant):

@@ -3,9 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from torquesense import cli
+from torquesense import cli, experiments, pinn
+from torquesense.friction import ScvParams
+from torquesense.models import desk_biped
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -25,8 +28,11 @@ from torquesense import cli
     ({"model": "missing.urdf"}, "No such file"),
     ({"stepsize": 1e-3}, "unexpected keyword argument 'stepsize'"),
     ({}, "duration (0.1 s) leaves no samples after the 0.5 s metrics burn-in"),
+    ({"disturbances": [{"time": 0.6, "duration": 0.1, "frame": "torso_psh",
+                        "force": [0.0, 20.0, 0.0]}]},
+     "unknown frame 'torso_psh'"),
 ], ids=["frame", "remove", "step", "rigid", "stick", "joint", "model", "key",
-        "duration"])
+        "duration", "push"])
 def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
                                                     scenario, message):
     path = tmp_path / "scenario.json"
@@ -80,3 +86,99 @@ def test_run_ukf_nocomp_trains_no_friction_nets(tmp_path, capsys):
             "--out", str(tmp_path / "out")]
     assert cli.main(args) == 0
     assert "no --nets given" not in capsys.readouterr().out
+
+
+def write_trace(path, t, q0, nan):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "q0", "nan"])
+        w.writerows(zip(t, q0, nan))
+
+
+@pytest.mark.parametrize("t, extra, message", [
+    (np.zeros(200), [], "column 't' must increase by one constant step"),
+    (np.r_[np.arange(100), 100.5 + np.arange(100)] * 1e-3, [],
+     "column 't' must increase by one constant step"),
+    (np.arange(50) * 1e-3, [], "has 50 samples; tuning needs at least 100"),
+    (np.arange(200) * 1e-3, ["--joint", "nan"],
+     "column 'nan' holds a value that is not finite"),
+    (np.arange(200) * 1e-3, ["--population", "1"],
+     "GaConfig.parents_mating (2) must not exceed population_size (1)"),
+    (np.arange(200) * 1e-3, ["--generations", "0"],
+     "GaConfig.generations must be at least 1, got 0"),
+], ids=["constant-t", "uneven-t", "short", "nan", "population",
+        "generations"])
+def test_rejected_tuning_input_exits_with_one_line(tmp_path, t, extra,
+                                                   message):
+    path = tmp_path / "trace.csv"
+    x = np.round(np.sin(np.arange(len(t)) * 0.01), 3)
+    write_trace(path, t, x, np.where(np.arange(len(t)) == 7, np.nan, x))
+    args = ["tune-kf", "--trace", str(path), "--joint", "q0",
+            "--out", str(tmp_path / "out")] + extra
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    text = str(exc.value.code)
+    assert message in text
+    assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
+def untrained_nets(names):
+    scv = ScvParams(coulomb=1.0, breakaway=2.0, stribeck_vel=0.1, viscous=0.5)
+    net = pinn.FrictionNet(3, 4, 4, 0.3, scv)
+    return {name: net for name in names}
+
+
+@pytest.mark.parametrize("names, message", [
+    (["left_hip_roll"], "no net for joint(s) right_hip_roll, torso_pitch"),
+    (desk_biped().joint_names + ["knee"], "unknown joint(s) knee"),
+    (None, "'nets'"),
+], ids=["missing", "unknown", "malformed"])
+def test_rejected_nets_file_exits_with_one_line(tmp_path, names, message):
+    nets_path = tmp_path / "nets.json"
+    if names is None:
+        nets_path.write_text(json.dumps({"schema_version": 1}))
+    else:
+        pinn.save_nets(nets_path, untrained_nets(names))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"duration": 0.55}))
+    args = ["run", "--scenario", str(path), "--mode", "UKF-PINN",
+            "--nets", str(nets_path), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    text = str(exc.value.code)
+    assert message in text and str(nets_path) in text
+    assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
+def test_trained_nets_are_written_for_reuse(tmp_path, monkeypatch, capsys):
+    # a short identification log keeps the training cheap
+    short_log = experiments.generate_friction_dataset(duration=0.1)
+    monkeypatch.setattr(cli, "generate_friction_dataset",
+                        lambda duration, seed: short_log)
+    trained = []
+
+    def recorded(*args, **kw):
+        trained.append(experiments.default_friction_nets(*args, **kw))
+        return trained[-1]
+
+    monkeypatch.setattr(cli, "default_friction_nets", recorded)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"duration": 0.55}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--mode",
+                     "Feedforward-PINN", "--out", str(out)]) == 0
+    nets_path = out / "friction_nets.json"
+    assert f"wrote {nets_path}" in capsys.readouterr().out
+    loaded = pinn.load_nets(nets_path)
+    nets, = trained
+    assert loaded.keys() == nets.keys()
+    r = np.random.default_rng(0)
+    motor, joint = r.normal(size=(2, 5, experiments.NET_BUFFER_LEN))
+    for name, net in nets.items():
+        assert np.array_equal(pinn.predict(loaded[name], motor, joint),
+                              pinn.predict(net, motor, joint)), name
+    # joints that shared a net when saved share one when loaded
+    assert len({id(n) for n in loaded.values()}) == len(
+        {id(n) for n in nets.values()})

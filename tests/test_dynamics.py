@@ -24,7 +24,7 @@ from torquesense.models import desk_biped
 from torquesense.spatial import Transform, exp_so3, log_so3
 
 from reference_dynamics import forward_kinematics, link_states, mechanical_energy
-from reference_spatial import link_inertia, transform_motion_inv
+from reference_spatial import inverse, link_inertia, transform_motion_inv
 
 
 def static_accel(model, base_pose):
@@ -298,7 +298,7 @@ def test_forward_kinematics_chain_composition():
     world = [Transform(h[:3, :3], h[:3, 3]) for h in fp.H]
     for link in model.links[1:]:
         # child world transform = parent world transform * joint transform
-        rel = world[link.parent].inverse() * world[link.index]
+        rel = inverse(world[link.parent]) * world[link.index]
         recomposed = world[link.parent] * rel
         assert np.allclose(recomposed.homogeneous(),
                            world[link.index].homogeneous(), atol=1e-12)

@@ -16,6 +16,7 @@ from torquesense.control import ControlConfig
 from torquesense.experiments import (
     DEFAULT_KF_GAINS,
     OnlineKf,
+    check_nets,
     compute_metrics,
     generate_friction_dataset,
     group_by_net,
@@ -183,6 +184,22 @@ def test_run_scenario_requires_nets_for_estimating_modes():
         run_scenario(ScenarioConfig(**SHORT), ControlConfig(mode="UKF-PINN"))
 
 
+def test_nets_must_key_exactly_the_model_joints():
+    names = Plant(ScenarioConfig()).model.joint_names
+    nets = mixed_nets(names)
+    check_nets(nets, names)
+    partial = {"left_hip_roll": nets["left_hip_roll"]}
+    with pytest.raises(ValueError, match=r"no net for joint\(s\) "
+                       r"right_hip_roll, torso_pitch, .*, left_ankle_pitch;"):
+        run_scenario(ScenarioConfig(**SHORT), ControlConfig(mode="UKF-PINN"),
+                     nets=partial)
+    extra = dict(nets, left_hip_rol=nets["left_hip_roll"], knee=None)
+    with pytest.raises(ValueError, match=r"^friction nets: unknown joint\(s\) "
+                       r"knee, left_hip_rol; the model's joints are "
+                       r"left_hip_roll, right_hip_roll"):
+        check_nets(extra, names)
+
+
 def test_run_artifacts_and_byte_identical_metrics(tmp_path):
     scen = ScenarioConfig(**SHORT)
     ctrl = ControlConfig(mode="Feedforward")
@@ -329,9 +346,9 @@ def mixed_nets(joint_names):
     """Joints mapped to three nets with different buffer lengths, one of
     them serving a single joint."""
     scv = ScvParams(coulomb=1.0, breakaway=2.0, stribeck_vel=0.1, viscous=0.5)
-    long = pinn.FrictionNet(6, 10, 7, 0.0, 0.3, scv, seed=1)
-    short = pinn.FrictionNet(3, 5, 9, 0.0, 0.3, scv, seed=2)
-    lone = pinn.FrictionNet(4, 6, 6, 0.0, 0.3, scv, seed=3)
+    long = pinn.FrictionNet(6, 10, 7, 0.3, scv, seed=1)
+    short = pinn.FrictionNet(3, 5, 9, 0.3, scv, seed=2)
+    lone = pinn.FrictionNet(4, 6, 6, 0.3, scv, seed=3)
     for net in (long, short, lone):
         net.params["W3"] *= 4.0  # outputs large enough for the clip to act
     picks = [long, short, short, long, lone, short, long, long]

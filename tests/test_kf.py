@@ -1,5 +1,7 @@
 """Constant-acceleration encoder filter: propagation, update, traces."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from reference_kf import (KfState, backward_difference, filter_trace_one,
 from torquesense.kf import (
     encoder_lsb,
     filter_trace,
-    load_gains,
     process_noise,
     quantization_variance,
     save_gains,
@@ -193,4 +194,5 @@ def test_gain_serialization_round_trip(tmp_path):
     gains = {"left_hip_pitch": {"q_accel": 0.12, "q_jerk": 345.0}}
     path = tmp_path / "gains.json"
     save_gains(path, gains)
-    assert load_gains(path) == gains
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc == {"schema_version": 1, "gains": gains}

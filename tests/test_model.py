@@ -122,8 +122,6 @@ def test_frame_lookup():
     with pytest.raises(FrameError):
         model.frame("nonexistent")
     with pytest.raises(FrameError):
-        model.joint_index("nonexistent")
-    with pytest.raises(FrameError):
         model.add_frame("f", "nonexistent_link", Transform())
 
 

@@ -1,4 +1,4 @@
-"""Learned friction estimator: gradients, loss algebra, training, search."""
+"""Learned friction estimator: gradients, loss algebra, training, files."""
 
 import json
 
@@ -11,14 +11,11 @@ from torquesense.friction import ScvParams, scv_friction
 from torquesense.pinn import (
     FrictionNet,
     build_samples,
-    load_dataset,
     load_nets,
     loss_and_grads,
     physics_targets,
     predict,
     predict_bounded,
-    random_search,
-    save_dataset,
     save_nets,
     train,
     validation_mse,
@@ -27,12 +24,12 @@ from torquesense.pinn import (
 SCV = ScvParams(coulomb=1.0, breakaway=2.0, stribeck_vel=0.1, viscous=0.5)
 
 
-def make_net(buffer_len=3, hidden1=6, hidden2=5, dropout=0.0, lam=0.3, seed=0):
-    return FrictionNet(buffer_len, hidden1, hidden2, dropout, lam, SCV, seed=seed)
+def make_net(buffer_len=3, hidden1=6, hidden2=5, lam=0.3, seed=0):
+    return FrictionNet(buffer_len, hidden1, hidden2, lam, SCV, seed=seed)
 
 
 def constant_net(value, buffer_len=1, lam=0.5):
-    net = FrictionNet(buffer_len, 2, 2, 0.0, lam, SCV, seed=0)
+    net = FrictionNet(buffer_len, 2, 2, lam, SCV, seed=0)
     net.params["W3"][:] = 0.0
     net.params["b3"][:] = value
     return net
@@ -72,11 +69,9 @@ def test_sample_validation():
 
 def test_net_validation():
     with pytest.raises(ValueError):
-        make_net(dropout=1.0)
-    with pytest.raises(ValueError):
         make_net(lam=1.5)
     with pytest.raises(ValueError):
-        FrictionNet(2, 4, 4, 0.0, 0.5, SCV, norm_std=[1.0, 0.0, 1.0, 1.0])
+        FrictionNet(2, 4, 4, 0.5, SCV, norm_std=[1.0, 0.0, 1.0, 1.0])
     net = make_net(buffer_len=3)
     with pytest.raises(ValueError):
         net.features(np.zeros(4), np.zeros(4))
@@ -119,7 +114,7 @@ def test_zero_output_layer_predicts_zero():
 
 
 def test_inference_deterministic():
-    net = make_net(dropout=0.25)
+    net = make_net()
     r = np.random.default_rng(0)
     m, j = r.normal(size=(4, 3)), r.normal(size=(4, 3))
     assert np.array_equal(predict(net, m, j), predict(net, m, j))
@@ -220,13 +215,12 @@ def test_physics_targets_match_per_sample_scv():
 
 @pytest.mark.parametrize("n, batch_size", [(500, 64), (97, 13), (40, 64)])
 def test_train_matches_the_per_sample_reference(n, batch_size):
-    # dropout > 0 and 0 < lam < 1 exercise every mask and both loss terms;
-    # a last mini-batch shorter than batch_size is included
+    # 0 < lam < 1 exercises both loss terms; a last mini-batch shorter
+    # than batch_size is included
     t, mv, jv, fr = synthetic_log(n=n + 4, seed=0)
     jv = jv + 0.05 * np.random.default_rng(1).normal(size=len(jv))
     samples = build_samples(t, mv, jv, fr, buffer_len=5)
-    nets = [make_net(buffer_len=5, hidden1=12, hidden2=9, dropout=0.2,
-                     lam=0.35, seed=3) for _ in range(2)]
+    nets = [make_net(buffer_len=5, hidden1=12, hidden2=9, lam=0.35, seed=3) for _ in range(2)]
     kw = dict(epochs=4, batch_size=batch_size, learning_rate=3e-3, seed=7)
     losses = train(nets[0], samples, **kw)
     ref_losses = reference_pinn.train(nets[1], samples, **kw)
@@ -298,30 +292,6 @@ def test_build_samples_window_alignment():
         build_samples(t[:2], mv[:2], jv[:2], fr[:2], buffer_len=3)
 
 
-def test_random_search_contract():
-    t, mv, jv, fr = synthetic_log(n=900)
-    space = {"hidden1": (4, 8), "hidden2": (4, 8), "dropout": (0.0, 0.1),
-             "lam": (0.0, 0.5), "buffer_len": (2, 4),
-             "log10_lr": (-3.0, -2.5), "batch_size": (32, 64)}
-    with pytest.raises(ValueError):
-        random_search(t, mv, jv, fr, SCV, budget=0, space=space)
-    net1, trials1 = random_search(t, mv, jv, fr, SCV, budget=1, space=space,
-                                  seed=1, epochs=2)
-    assert len(trials1) == 1
-    # deterministic trial sequence for a fixed seed
-    _, trials1b = random_search(t, mv, jv, fr, SCV, budget=1, space=space,
-                                seed=1, epochs=2)
-    assert trials1[0]["hyperparams"] == trials1b[0]["hyperparams"]
-    assert trials1[0]["val_mse"] == trials1b[0]["val_mse"]
-    # best-by-construction: returned net scores the minimum logged MSE
-    net5, trials5 = random_search(t, mv, jv, fr, SCV, budget=5, space=space,
-                                  seed=2, epochs=2)
-    best_logged = min(tr["val_mse"] for tr in trials5)
-    val = build_samples(t[720:], mv[720:], jv[720:], fr[720:], net5.buffer_len)
-    assert validation_mse(net5, val) == pytest.approx(best_logged)
-    assert best_logged <= np.median([tr["val_mse"] for tr in trials5])
-
-
 def test_predict_bounded_clips_to_envelope():
     net = make_net(seed=10)
     net.params["W3"] *= 1e6  # force wild outputs
@@ -339,17 +309,6 @@ def test_predict_bounded_clips_to_envelope():
                           predict(calm, motor, motor))
 
 
-def test_dataset_round_trip(tmp_path):
-    t, mv, jv, fr = synthetic_log(n=50)
-    path = tmp_path / "log.csv"
-    save_dataset(path, t, mv, jv, fr)
-    t2, mv2, jv2, fr2 = load_dataset(path)
-    assert np.array_equal(t, t2)
-    assert np.array_equal(mv, mv2)
-    assert np.array_equal(jv, jv2)
-    assert np.array_equal(fr, fr2)
-
-
 def test_net_serialization_round_trip(tmp_path):
     t, mv, jv, fr = synthetic_log(n=400)
     samples = build_samples(t, mv, jv, fr, buffer_len=3)
@@ -364,6 +323,14 @@ def test_net_serialization_round_trip(tmp_path):
     assert loaded.scv == net.scv
     assert loaded.buffer_len == net.buffer_len
     assert np.array_equal(loaded.theta, net.theta)
+
+    # files may carry a `dropout` setting, which inference never applied
+    doc = json.loads(path.read_text())
+    assert "dropout" not in doc["nets"]["j0"]
+    doc["nets"]["j0"]["dropout"] = 0.2
+    path.write_text(json.dumps(doc))
+    assert np.array_equal(predict(load_nets(path)["j0"], m, j),
+                          predict(net, m, j))
 
     # a file whose parameters do not fit the net it describes is refused
     doc = json.loads(path.read_text())

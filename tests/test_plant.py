@@ -100,35 +100,18 @@ def test_sensor_noise_statistics():
     assert abs(np.std(fz) - noise["ft_force_std"]) < 0.05 * noise["ft_force_std"]
 
 
-def test_event_validation():
-    plant = make_plant()
-    with pytest.raises(FrameError):
-        plant.schedule_disturbance(np.zeros(6), "nonexistent", 1.0, 0.1)
-    with pytest.raises(FrameError):
-        plant.schedule_object_event("nonexistent", 0.03, "insert", 1.0)
-    with pytest.raises(ValueError, match="action"):
-        plant.schedule_object_event("left_sole", 0.03, "wiggle", 1.0)
-    with pytest.raises(ValueError, match="region"):
-        plant.schedule_object_event("left_sole", 0.03, "insert", 1.0,
-                                    region="back")
-    with pytest.raises(ValueError, match="no object"):
-        plant.schedule_object_event("left_sole", 0.0, "remove", 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        plant.schedule_object_event("left_sole", -0.01, "insert", 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        ScenarioConfig(step=0.0)
-
-
 def test_sensors_sample_every_step():
     plant = make_plant(step=2e-3)
     _, bundles = run_steps(plant, 2)
     assert [b.t for b in bundles] == [0.002, 0.004]
+    with pytest.raises(ValueError, match="step must be positive"):
+        ScenarioConfig(step=0.0)
 
 
 def test_ground_height_profile():
-    plant = make_plant()
-    plant.schedule_object_event("right_sole", 0.03, "insert", 1.0)
-    plant.schedule_object_event("right_sole", 0.03, "remove", 3.0)
+    plant = make_plant(object_events=[
+        ObjectEvent(1.0, "right_sole", 0.03, "insert"),
+        ObjectEvent(3.0, "right_sole", 0.03, "remove")])
     assert plant.ground_height("right_sole", 0.5) == 0.0
     # insertion ramps over the default 0.25 s
     assert plant.ground_height("right_sole", 1.125) == pytest.approx(0.015)
@@ -139,9 +122,8 @@ def test_ground_height_profile():
 
 
 def test_forefoot_region_only_raises_front_corners():
-    plant = make_plant()
-    plant.schedule_object_event("right_sole", 0.02, "insert", 0.5,
-                                region="front")
+    plant = make_plant(object_events=[
+        ObjectEvent(0.5, "right_sole", 0.02, "insert", region="front")])
     assert plant.ground_height("right_sole", 2.0, x_local=0.10) == pytest.approx(0.02)
     assert plant.ground_height("right_sole", 2.0, x_local=-0.06) == 0.0
 
@@ -149,23 +131,21 @@ def test_forefoot_region_only_raises_front_corners():
 def test_zero_magnitude_events_do_not_change_trajectory():
     base_state, base_b = run_steps(make_plant(seed=5), 300)
 
-    p1 = make_plant(seed=5)
-    p1.schedule_disturbance(np.zeros(6), "torso_push", 0.05, 0.1)
+    p1 = make_plant(seed=5, disturbances=[Disturbance(0.05, 0.1, "torso_push")])
     s1, b1 = run_steps(p1, 300)
     assert np.array_equal(s1.base_pos, base_state.base_pos)
     assert np.array_equal(s1.s, base_state.s)
 
-    p2 = make_plant(seed=5)
-    p2.schedule_object_event("right_sole", 0.0, "insert", 0.05)
+    p2 = make_plant(seed=5, object_events=[
+        ObjectEvent(0.05, "right_sole", 0.0, "insert")])
     s2, _ = run_steps(p2, 300)
     assert np.array_equal(s2.base_pos, base_state.base_pos)
     assert np.array_equal(s2.s, base_state.s)
 
 
 def test_disturbance_pushes_the_base():
-    p = make_plant(seed=5)
-    p.schedule_disturbance(np.array([0.0, 60.0, 0.0, 0.0, 0.0, 0.0]),
-                           "torso_push", 0.02, 0.2)
+    p = make_plant(seed=5, disturbances=[
+        Disturbance(0.02, 0.2, "torso_push", (0.0, 60.0, 0.0))])
     s, _ = run_steps(p, 300)
     base, _ = run_steps(make_plant(seed=5), 300)
     assert s.base_pos[1] > base.base_pos[1] + 1e-4
@@ -289,20 +269,13 @@ def test_legacy_foot_key_loads_and_frame_is_written():
     (ObjectEvent(1.0, "left_sole", 0.03, "insert", region="back"),
      ValueError, "region"),
     (ObjectEvent(1.0, "left_sole", -0.01, "insert"), ValueError, "nonnegative"),
+    (ObjectEvent(1.0, "left_sole", 0.0, "remove"), ValueError, "no object"),
+    (Disturbance(1.0, 0.1, "torso_psh"), FrameError, "unknown frame 'torso_psh'"),
 ])
 def test_config_object_events_are_checked_at_construction(event, error, match):
+    kind = "disturbances" if isinstance(event, Disturbance) else "object_events"
     with pytest.raises(error, match=match):
-        Plant(ScenarioConfig(object_events=[event]))
-
-
-def test_rejected_object_event_is_not_kept():
-    plant = make_plant()
-    late = plant.schedule_object_event("left_sole", 0.03, "insert", 2.0)
-    early = plant.schedule_object_event("right_sole", 0.02, "insert", 1.0)
-    assert early.frame == "right_sole" and late.frame == "left_sole"
-    with pytest.raises(ValueError, match="no object"):
-        plant.schedule_object_event("left_sole", 0.0, "remove", 0.5)
-    assert plant.object_events == [early, late]
+        Plant(ScenarioConfig(**{kind: [event]}))
 
 
 def test_partial_config_overrides_merge_with_defaults():
