@@ -47,8 +47,17 @@ def _load_trace(path, column):
         ic = header.index(column)
         t, x = [], []
         for row in r:
-            t.append(float(row[it]))
-            x.append(float(row[ic]))
+            for values, i, name in ((t, it, "t"), (x, ic, column)):
+                if i >= len(row):
+                    raise SystemExit(
+                        f"trace {path} line {r.line_num} has {len(row)} "
+                        f"cells, none for column '{name}'")
+                try:
+                    values.append(float(row[i]))
+                except ValueError:
+                    raise SystemExit(
+                        f"trace {path} line {r.line_num} column '{name}' "
+                        f"holds {row[i]!r}, not a number") from None
     t = np.asarray(t)
     x = np.asarray(x)
     if len(t) < MIN_TRACE_SAMPLES:

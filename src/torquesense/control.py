@@ -71,8 +71,7 @@ class ControlConfig:
 
 
 def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
-                        com_acc_ref, contact_frames, config,
-                        posture_ref=None):
+                        com_acc_ref, contact_frames, config, posture_ref):
     """Desired joint torques realizing a CoM/attitude PD at 100 Hz.
 
     The attitude PD holds the base upright (world-aligned).
@@ -109,9 +108,8 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     tau_d = bias[6:].copy()
     for k, frame in enumerate(contact_frames):
         tau_d -= jacobians[frame].T[6:] @ f[6 * k:6 * k + 6]
-    if posture_ref is not None:
-        tau_d += config.kp_posture * (np.asarray(posture_ref, float) - s) \
-            - config.kd_posture * nu[6:]
+    tau_d += config.kp_posture * (np.asarray(posture_ref, float) - s) \
+        - config.kd_posture * nu[6:]
     return tau_d
 
 

@@ -10,7 +10,8 @@ and a body in free fall has proper acceleration zero.
 
 `forward_pass` evaluates every link at one state with a fixed number of
 array operations: the joint rotations of all joints at once, world poses
-one tree level at a time, then link Jacobians without a recursion.
+as products along each link's path from the base (one batched product
+per depth), then link Jacobians without a recursion.
 Inside the pass every spatial vector is in world coordinates about the
 world origin, ordered [linear, angular]: a link velocity is [velocity of
 the body point at the world origin, angular velocity], a wrench is
@@ -38,6 +39,28 @@ quantities from it as it needs.
 import numpy as np
 
 from .spatial import batch_cross, batch_skew, cross3, skew
+
+
+def _crm(v):
+    """Spatial cross-product matrix [[W, V], [0, W]] of a motion vector."""
+    X = np.zeros((6, 6))
+    X[:3, :3] = X[3:, 3:] = skew(v[3:])
+    X[:3, 3:] = skew(v[:3])
+    return X
+
+
+def _inertia_offdiagonal(mc):
+    """[[0, -M], [M, 0]] with M the skew matrix of a mass moment m c."""
+    X = np.zeros((6, 6))
+    X[3:, :3] = skew(mc)
+    X[:3, 3:] = -X[3:, :3]
+    return X
+
+
+# row j is the 6x6 block of the unit vector e_j, flattened: for a block
+# linear in its vector, x @ basis stacks the blocks of the rows of x
+_CRM_BASIS = np.array([_crm(e).ravel() for e in np.eye(6)])
+_INERTIA_BASIS = np.array([_inertia_offdiagonal(e).ravel() for e in np.eye(3)])
 
 
 def _static_proper_accel(fp):
@@ -124,45 +147,42 @@ def forward_pass(model, base_pose, s, nu, Xs=None):
         Xs = joint_transforms(model, s)
     nu = np.asarray(nu, dtype=float)
     dofs = arrays.dof_link
-    # world<-link transforms, one batched step per tree level
-    H = np.empty_like(Xs)
-    H[0] = base_pose.homogeneous()
-    for links, parents in arrays.levels:
-        H[links] = H[parents] @ Xs[links]
-    R, p = H[:, :3, :3], H[:, :3, 3]
+    # world<-link transforms: the base pose times the joint transforms
+    # along each link's path, one batched product per path position
+    path = Xs[arrays.paths]
+    H = base_pose.homogeneous() @ path[:, 0]
+    for k in range(1, path.shape[1]):
+        H = H @ path[:, k]
+    R = H[:, :3, :3]
 
     # joint motion subspaces: rotation about the world axis through the
-    # joint origin, [origin x axis, axis]
-    axis = (R[dofs] @ arrays.axis[:, :, None])[:, :, 0]
-    S = np.concatenate([batch_cross(p[dofs], axis), axis], axis=1).T
+    # joint origin, [origin x axis, axis], one (6, 1) column per dof
+    Hd = H[dofs]
+    axis = Hd[:, :3, :3] @ arrays.axis[:, :, None]
+    S = np.concatenate([batch_skew(Hd[:, :3, 3]) @ axis, axis], axis=1)
     J = np.empty((len(H), 6, model.nv))
     J[:, :, :6] = base_pose.motion_matrix()
-    J[:, :, 6:] = arrays.ancestors[:, None, :] * S
+    J[:, :, 6:] = arrays.ancestors[:, None, :] * S[:, :, 0].T
     v = J @ nu
 
     # world spatial inertias: [[m 1, -m C], [m C, I_c + m C C^T]] with C
-    # the skew matrix of the world center of mass
+    # the skew matrix of the world center of mass; the off-diagonal
+    # blocks are linear in m c
     com = (H @ arrays.com_h[:, :, None])[:, :3, 0]
-    C = batch_skew(com)
-    mC = arrays.mass[:, None, None] * C
-    inertia = np.empty((len(H), 6, 6))
-    inertia[:, :3, :3] = arrays.mass_eye
-    inertia[:, :3, 3:] = -mC
-    inertia[:, 3:, :3] = mC
-    inertia[:, 3:, 3:] = R @ arrays.inertia @ R.transpose(0, 2, 1) - mC @ C
+    inertia = ((arrays.mass[:, None] * com) @ _INERTIA_BASIS).reshape(-1, 6, 6)
+    inertia += arrays.mass_block
+    inertia[:, 3:, 3:] = (R @ arrays.inertia @ R.transpose(0, 2, 1)
+                          - inertia[:, 3:, :3] @ batch_skew(com))
     IJ = inertia @ J
     momentum = IJ @ nu
 
-    # spatial cross-product matrices: v x m = crm m with crm = [[W, V],
-    # [0, W]] for V, W the skew matrices of v's linear and angular parts,
-    # and v x* f = -crm^T f
-    VW = batch_skew(v.reshape(-1, 2, 3))
-    crm = np.zeros((len(H), 6, 6))
-    crm[:, :3, :3] = crm[:, 3:, 3:] = VW[:, 1]
-    crm[:, :3, 3:] = VW[:, 0]
+    # spatial cross-product matrices, linear in v: v x m = crm m with
+    # crm = [[W, V], [0, W]] for V, W the skew matrices of v's linear
+    # and angular parts, and v x* f = -crm^T f
+    crm = (v @ _CRM_BASIS).reshape(-1, 6, 6)
     # S_j sdot_j moves with link j, which adds v_j x S_j sdot_j to the
     # acceleration of link j and of every link below it
-    vp = crm[dofs] @ (S.T * nu[6:, None])[:, :, None]
+    vp = crm[dofs] @ (S * nu[6:, None, None])
     a_vp = arrays.ancestors @ vp[:, :, 0]
     # the net link wrenches at zero accel: I a_vp + v x* (I v)
     f_vel = (inertia @ a_vp[:, :, None]

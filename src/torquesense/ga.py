@@ -190,17 +190,15 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
     return scores if genes.ndim == 2 else scores[0]
 
 
-def tune_kf(trace, dt, lsb, config=None, weights=DEFAULT_FITNESS_WEIGHTS):
+def tune_kf(trace, dt, lsb, config, weights=DEFAULT_FITNESS_WEIGHTS):
     """GA-tune (q_accel, q_jerk) for one encoder channel.
 
     The densities span many decades, so the genes are log10 of the
-    densities; default bounds cover 1e-4..1e4 and 1e-2..1e8.  A
-    candidate is filtered once per tune: elites and unchanged children
-    keep the score of their first generation, and the candidates a
-    generation adds are scored by one batched filter pass.
+    densities, within `config.bounds`.  A candidate is filtered once
+    per tune: elites and unchanged children keep the score of their
+    first generation, and the candidates a generation adds are scored
+    by one batched filter pass.
     """
-    if config is None:
-        config = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)])
     scores = {}
 
     def fitness(pop):

@@ -63,26 +63,29 @@ class LinkArrays:
     """The tree compiled into flat arrays, one row per link in index order.
 
     `home` holds each link's joint origin as a 4x4 parent<-link transform
-    and `rotation_terms` the terms of its Rodrigues rotation, so a joint
+    (the identity for the base, which has no parent link) and
+    `rotation_terms` the terms of its Rodrigues rotation, so a joint
     transform is `home + sin(s) * rotation_terms[0] + (1 - cos(s)) *
     rotation_terms[1]` on the rows `dof_link` (the link each dof moves).
     `axis` holds the joint axes of the dofs in their links' frames.
-    `levels` pairs, for every depth below the base, the links at that
-    depth with their parents.  `ancestors[i, d]` is 1.0 when the joint of
-    dof d sits on link i or on one of its ancestors, else 0.0.  `mass`,
-    `com_h` (the link-frame center of mass with a trailing 1), `inertia`
-    (rotational, about the center of mass, link axes) and `mass_eye`
-    (mass times the 3x3 identity) describe the link bodies.
+    `paths[i]` lists the links from the base's child down to link i,
+    padded at the end with the base index 0 to one length for all links,
+    so the product of their transforms is base<-link i.  `ancestors[i, d]`
+    is 1.0 when the joint of dof d sits on link i or on one of its
+    ancestors, else 0.0.  `mass`, `com_h` (the link-frame center of mass
+    with a trailing 1), `inertia` (rotational, about the center of mass,
+    link axes) and `mass_block` (a 6x6 block holding mass times the 3x3
+    identity top left) describe the link bodies.
     """
 
     def __init__(self, links):
         n_links = len(links)
-        self.parent = np.array([l.parent for l in links], dtype=np.intp)
         self.dof_link = np.array([l.index for l in links
                                   if l.joint_type == "revolute"], dtype=np.intp)
         self.home = np.zeros((n_links, 4, 4))
         self.home[:, 3, 3] = 1.0
-        for l in links:
+        self.home[0] = np.eye(4)
+        for l in links[1:]:
             self.home[l.index, :3, :3] = l.origin.R
             self.home[l.index, :3, 3] = l.origin.p
         self.axis = np.array([links[i].axis for i in self.dof_link],
@@ -91,22 +94,20 @@ class LinkArrays:
         O = self.home[self.dof_link, :3, :3]
         self.rotation_terms = np.stack([O @ K, O @ (K @ K)])
 
-        depth = np.zeros(n_links, dtype=np.intp)
+        chains = [[]]
         for l in links[1:]:
-            depth[l.index] = depth[l.parent] + 1
-        self.levels = [(np.flatnonzero(depth == d), self.parent[depth == d])
-                       for d in range(1, depth.max() + 1)]
-        self.ancestors = np.zeros((n_links, len(self.dof_link)))
-        for i in range(n_links):
-            j = i
-            while j >= 0:
-                self.ancestors[i, self.dof_link == j] = 1.0
-                j = self.parent[j]
+            chains.append(chains[l.parent] + [l.index])
+        depth = max(1, max(map(len, chains)))
+        self.paths = np.array([c + [0] * (depth - len(c)) for c in chains],
+                              dtype=np.intp)
+        self.ancestors = np.array([np.isin(self.dof_link, c) for c in chains],
+                                  dtype=float).reshape(n_links, -1)
 
         self.mass = np.array([l.mass for l in links], dtype=float)
         self.com_h = np.array([np.append(l.com, 1.0) for l in links])
         self.inertia = np.array([l.inertia for l in links], dtype=float)
-        self.mass_eye = self.mass[:, None, None] * np.eye(3)
+        self.mass_block = np.zeros((n_links, 6, 6))
+        self.mass_block[:, :3, :3] = self.mass[:, None, None] * np.eye(3)
 
 
 class RobotModel:

@@ -9,8 +9,11 @@ damping clipped to the friction cone), and synthesizes encoder,
 current, force/torque and IMU measurements with configurable
 quantization and Gaussian noise.  A step makes four derivative
 evaluations: its first stage reuses the evaluation that ended the step
-before.  Runs are bitwise reproducible for a fixed scenario
-configuration (including the seed).
+before.  Every evaluation forms the contact wrenches about the world
+origin, as the dynamics take them; only the end-of-step evaluation, the
+one that fills the new state, turns them into the sole-frame wrenches
+the FT sensors read.  Runs are bitwise reproducible for a fixed
+scenario configuration (including the seed).
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ from .dynamics import (_static_proper_accel, com_position, crba, forward_pass,
 from .friction import MotorParams, ScvParams, scv_friction
 from .kf import encoder_lsb
 from .model import FrameError, parse_model
-from .spatial import Transform, batch_cross, cross3, exp_so3
+from .spatial import Transform, batch_cross, cross3, exp_so3, skew
 
 
 class SimulationDiverged(RuntimeError):
@@ -232,7 +235,11 @@ class SensorBundle:
 
 @dataclass
 class PlantState:
-    """Ground-truth plant state plus truth bookkeeping at time t."""
+    """Ground-truth plant state plus truth bookkeeping at time t.
+
+    The truth fields from `tau` on are filled by the plant's evaluation
+    at the state (`Plant.initial_state` and `Plant.step` do so).
+    """
     t: float
     base_pos: np.ndarray
     base_R: np.ndarray
@@ -241,13 +248,13 @@ class PlantState:
     sdot: np.ndarray
     motor_pos: np.ndarray       # motor-side shaft angle theta, rad
     motor_vel: np.ndarray
-    tau: np.ndarray             # true joint torque delivered to the load
-    tau_friction: np.ndarray    # true friction torque, joint side
-    contact_wrenches: dict      # sole frame name -> 6-wrench in that frame
-    base_prop_acc: np.ndarray   # base proper spatial acceleration (6,)
-    joint_acc: np.ndarray
-    motor_acc: np.ndarray       # motor-side shaft acceleration
-    com: np.ndarray
+    tau: np.ndarray = None      # true joint torque delivered to the load
+    tau_friction: np.ndarray = None    # true friction torque, joint side
+    contact_wrenches: dict = None      # sole frame name -> 6-wrench in that frame
+    base_prop_acc: np.ndarray = None   # base proper spatial acceleration (6,)
+    joint_acc: np.ndarray = None
+    motor_acc: np.ndarray = None       # motor-side shaft acceleration
+    com: np.ndarray = None
 
     def base_pose(self):
         return Transform(self.base_R, self.base_pos)
@@ -255,6 +262,32 @@ class PlantState:
 
 def _quantize(x, lsb):
     return np.round(x / lsb) * lsb
+
+
+def _twist_block(v):
+    """[skew(w) | v_lin] of a motion vector v: times [P; 1] it is the
+    velocity of the point P."""
+    return np.hstack([skew(v[3:]), v[:3, None]])
+
+
+def _wrench_of_moments(i):
+    """Row i of the map from sum [P; 1] F^T (4x3, flattened) to the
+    world-origin wrench [sum F, sum P x F]."""
+    B = np.zeros((4, 3))
+    if i < 3:
+        # force: the row of ones sums F
+        B[3, i] = 1.0
+    else:
+        # moment about axis a: sum P_j F_k - P_k F_j, (a, j, k) cyclic
+        a = i - 3
+        j, k = (a + 1) % 3, (a + 2) % 3
+        B[j, k], B[k, j] = 1.0, -1.0
+    return B.ravel()
+
+
+# v @ _TWIST_BASIS stacks the flattened 3x4 twist blocks of the rows of v
+_TWIST_BASIS = np.array([_twist_block(e).ravel() for e in np.eye(6)])
+_WRENCH_OF_MOMENTS = np.array([_wrench_of_moments(i) for i in range(6)]).T
 
 
 def load_model(name, gravity):
@@ -295,6 +328,18 @@ class Plant:
             per_joint("friction", "stribeck_vel"), per_joint("friction", "viscous"))
         self.elastic_k = per_joint("elasticity", "stiffness")
         self.elastic_d = per_joint("elasticity", "damping")
+        # motor torque per ampere, and the inverse of the motor inertia
+        # reflected to the joint side
+        self._gear_k_t = self.reduction * self.k_t
+        self._inv_reflected_inertia = 1.0 / (self.reduction ** 2
+                                             * self.motor_inertia)
+        contact = config.contact
+        self._contact_stiffness = float(contact["stiffness"])
+        self._contact_mu = float(contact["mu"])
+        # damping per world axis (x, y tangential; z normal), a column
+        self._contact_damping = -np.array(
+            [[contact["tangential_damping"]], [contact["tangential_damping"]],
+             [contact["damping"]]], dtype=float)
 
         self.sole_frames = [f for f in ("left_sole", "right_sole") if f in self.model.sensor_frames]
         self.ft_frames = [f for f in ("left_foot_ft", "right_foot_ft") if f in self.model.sensor_frames]
@@ -319,6 +364,21 @@ class Plant:
 
         self.lsb_joint = encoder_lsb(config.noise["joint_encoder_bits"])
         self.lsb_motor = encoder_lsb(config.noise["motor_encoder_bits"])
+        # each FT sensor reads the sole it pairs with
+        self._ft_soles = list(zip(self.sole_frames, self.ft_frames))
+        # sensor noise std per channel: the currents, then force and
+        # torque of each FT sensor, then acc and gyro of each IMU
+        noise = config.noise
+        self._noise_std = np.concatenate(
+            [np.full(n, noise["current_std"])]
+            + [np.repeat([noise["ft_force_std"], noise["ft_torque_std"]], 3)
+               for _ in self._ft_soles]
+            + [np.repeat([noise["imu_acc_std"], noise["imu_gyro_std"]], 3)
+               for _ in self.imu_frames]).astype(float)
+        self._noise_live = np.flatnonzero(self._noise_std > 0)
+        # (R^T, offset) of each IMU frame in the base frame
+        self._imu_offsets = [(offset.R.T, offset.p.tolist()) for _, offset
+                             in map(self.model.frame, self.imu_frames)]
 
     # ------------------------------------------------------------------ events
 
@@ -377,10 +437,6 @@ class Plant:
             base_twist=np.zeros(6),
             s=s, sdot=np.zeros(n),
             motor_pos=s * self.reduction, motor_vel=np.zeros(n),
-            tau=np.zeros(n), tau_friction=np.zeros(n),
-            contact_wrenches={}, base_prop_acc=np.zeros(6),
-            joint_acc=np.zeros(n), motor_acc=np.zeros(n),
-            com=np.zeros(3),
         )
         # fill truth fields consistently with zero current
         self._apply_info(state, self._evaluate(state, np.zeros(n)))
@@ -413,45 +469,52 @@ class Plant:
         thus keeps no state of its own: the force is a function of `t`
         and the pass.
 
-        Returns the wrench of every sole in contact (sole frame, about
-        the sole origin, as the FT sensors read it) and the (n_links, 6)
-        world-origin wrenches on the links.
+        Returns the (n_links, 6) world-origin wrenches on the links and,
+        per sole, whether any of its corners touches.
         """
-        cfg = self.config.contact
-        H = fp.H[self._sole_links]
-        # corner world positions (sole, corner, xyz) and velocities
-        P = (H @ self._corners)[:, :3].transpose(0, 2, 1)
-        v = fp.v[self._sole_links][:, None, :]
-        V = v[..., :3] + batch_cross(v[..., 3:], P)
-        ground = np.zeros(P.shape[:2])
+        # homogeneous world corners (sole, xyz1, corner) and their
+        # world velocities (sole, xyz, corner)
+        HC = fp.H[self._sole_links] @ self._corners
+        V = (fp.v[self._sole_links] @ _TWIST_BASIS).reshape(-1, 3, 4) @ HC
+        pen = -HC[:, 2]
         if self.object_events:
-            ground[:] = [self.ground_height(f, t, models.FOOT_CORNERS[:, 0])
-                         for f in self.sole_frames]
-        pen = ground - P[..., 2]
-        fz = cfg["stiffness"] * pen - cfg["damping"] * V[..., 2]
+            pen += [self.ground_height(f, t, models.FOOT_CORNERS[:, 0])
+                    for f in self.sole_frames]
+        # damping on every axis, plus the normal spring
+        F = V * self._contact_damping
+        F[:, 2] += self._contact_stiffness * pen
+        fz = F[:, 2]
         touch = (pen > 0.0) & (fz > 0.0)
-        ft = -cfg["tangential_damping"] * V[..., :2]
-        ft_mag = np.hypot(ft[..., 0], ft[..., 1])
-        limit = cfg["mu"] * fz
+        ft_mag = np.hypot(F[:, 0], F[:, 1])
+        limit = self._contact_mu * fz
         slip = touch & (ft_mag > limit)
         if slip.any():
-            ft[slip] *= (limit[slip] / ft_mag[slip])[:, None]
-        F = np.where(touch[..., None],
-                     np.concatenate([ft, fz[..., None]], axis=-1), 0.0)
-
-        sole = H @ self._sole_offsets
-        R, origin = sole[:, :3, :3], sole[:, :3, 3]
-        force = F.sum(axis=1)
-        moment = batch_cross(P - origin[:, None], F).sum(axis=1)
+            scale = np.ones_like(ft_mag)
+            scale[slip] = limit[slip] / ft_mag[slip]
+            F[:, :2] *= scale[:, None]
+        F *= touch[:, None]
+        # [sum F, sum P x F] of each sole from its sum of [P; 1] F^T
+        soles = (HC @ F.transpose(0, 2, 1)).reshape(-1, 12) @ _WRENCH_OF_MOMENTS
         wrenches = np.zeros((len(fp.H), 6))
-        wrenches[self._sole_links, :3] = force
-        wrenches[self._sole_links, 3:] = moment + batch_cross(origin, force)
+        wrenches[self._sole_links] = soles
+        return wrenches, touch.any(axis=1)
+
+    def _sole_wrenches(self, fp, soles, touching):
+        """The FT readings: the wrench of each sole in contact, in its frame.
+
+        `soles` holds the world-origin contact wrenches of the soles
+        (rows of the `_contacts` link wrenches) and `touching` whether
+        each sole touches; a reading is about the sole origin.
+        """
+        H = fp.H[self._sole_links] @ self._sole_offsets
+        R, origin = H[:, :3, :3], H[:, :3, 3]
+        force = soles[:, :3]
+        moment = soles[:, 3:] - batch_cross(origin, force)
         # R^T f as f^T R, row by row
         local = np.concatenate([force[:, None] @ R, moment[:, None] @ R],
                                axis=-1)[:, 0]
-        contacts = {f: local[i] for i, f in enumerate(self.sole_frames)
-                    if touch[i].any()}
-        return contacts, wrenches
+        return {f: local[i] for i, f in enumerate(self.sole_frames)
+                if touching[i]}
 
     def _add_disturbances(self, t, fp, wrenches):
         """Add the active disturbances to the world-origin link wrenches."""
@@ -467,7 +530,6 @@ class Plant:
     # ------------------------------------------------------------------ dynamics
 
     def _derivative(self, t, y, R0, currents):
-        n = self.n
         p, dlt, twist, s, sdot, phi, phid = self._unpack(y)
         R = R0 @ exp_so3(dlt)
         base_pose = Transform(R, p)
@@ -475,13 +537,14 @@ class Plant:
         nu = np.concatenate([twist, sdot])
         fp = forward_pass(self.model, base_pose, s, nu,
                           Xs=joint_transforms(self.model, s))
-        contacts, wrenches = self._contacts(t, fp)
+        wrenches, touching = self._contacts(t, fp)
+        soles = wrenches[self._sole_links]
         self._add_disturbances(t, fp, wrenches)
 
-        motor_torque = self.reduction * self.k_t * currents
         tau_f = scv_friction(self.scv, phid, self.config.friction_smoothing)
         tau = self.elastic_k * (phi - s) + self.elastic_d * (phid - sdot)
-        phidd = (motor_torque - tau_f - tau) / (self.reduction ** 2 * self.motor_inertia)
+        phidd = ((self._gear_k_t * currents - tau_f - tau)
+                 * self._inv_reflected_inertia)
 
         M = crba(fp)
         c = fp.inverse_dynamics(None, wrenches)
@@ -500,18 +563,16 @@ class Plant:
             base_acc_coord[:3] += R.T @ self.model.gravity
             sdd = a_prop[6:]
 
-        w = twist[3:]
-        ydot = np.empty_like(y)
-        ydot[0:3] = R @ twist[:3]
-        ydot[3:6] = w + 0.5 * cross3(dlt, w) + cross3(dlt, cross3(dlt, w)) / 12.0
-        ydot[6:12] = 0.0 if self.config.lock_base else base_acc_coord
-        ydot[12:12 + n] = sdot
-        ydot[12 + n:12 + 2 * n] = sdd
-        ydot[12 + 2 * n:12 + 3 * n] = phid
-        ydot[12 + 3 * n:12 + 4 * n] = phidd
+        # rotation-vector rate: w + dlt x w / 2 + dlt x (dlt x w) / 12
+        d, w = dlt.tolist(), twist[3:].tolist()
+        dw = cross3(d, w)
+        ydot = np.concatenate([
+            R @ twist[:3],
+            twist[3:] + 0.5 * dw + cross3(d, dw.tolist()) / 12.0,
+            base_acc_coord, sdot, sdd, phid, phidd])
 
         info = {
-            "tau": tau, "tau_friction": tau_f, "contacts": contacts,
+            "tau": tau, "tau_friction": tau_f, "soles": (soles, touching),
             "base_prop_acc": a_prop[:6], "joint_acc": sdd,
             "motor_acc": phidd * self.reduction,
             "pass": fp, "currents": currents,
@@ -521,7 +582,8 @@ class Plant:
     def _apply_info(self, state, info):
         state.tau = info["tau"]
         state.tau_friction = info["tau_friction"]
-        state.contact_wrenches = info["contacts"]
+        state.contact_wrenches = self._sole_wrenches(info["pass"],
+                                                     *info["soles"])
         state.base_prop_acc = info["base_prop_acc"]
         state.joint_acc = info["joint_acc"]
         state.motor_acc = info["motor_acc"]
@@ -563,8 +625,8 @@ class Plant:
                 if not di.any():
                     return info["ydot"]
                 k1 = info["ydot"].copy()
-                k1[12 + 3 * self.n:] += self.k_t * di / (self.reduction
-                                                         * self.motor_inertia)
+                k1[12 + 3 * self.n:] += (self._gear_k_t * di
+                                         * self._inv_reflected_inertia)
                 return k1
         return self._derivative(state.t, y, state.base_R, currents)[0]
 
@@ -592,65 +654,55 @@ class Plant:
         k4, _ = self._derivative(t + h, y + h * k3, R0, currents)
         y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise SimulationDiverged(t + h)
 
-        n = self.n
+        # the fields are views of y_new, which nothing else holds
         p, dlt, twist, s, sdot, phi, phid = self._unpack(y_new)
-        R_new = R0 @ exp_so3(dlt)
         new = PlantState(
-            t=t + h, base_pos=p.copy(), base_R=R_new, base_twist=twist.copy(),
-            s=s.copy(), sdot=sdot.copy(),
-            motor_pos=phi * self.reduction, motor_vel=phid * self.reduction,
-            tau=np.zeros(n), tau_friction=np.zeros(n), contact_wrenches={},
-            base_prop_acc=np.zeros(6), joint_acc=np.zeros(n),
-            motor_acc=np.zeros(n), com=np.zeros(3),
-        )
+            t=t + h, base_pos=p, base_R=R0 @ exp_so3(dlt), base_twist=twist,
+            s=s, sdot=sdot,
+            motor_pos=phi * self.reduction, motor_vel=phid * self.reduction)
         self._apply_info(new, self._evaluate(new, currents))
         return new, self._sample_sensors(new, currents)
 
     # ------------------------------------------------------------------ sensors
 
     def _sample_sensors(self, state, currents):
-        noise = self.config.noise
-        rng = self.rng
-        if noise["quantize"]:
+        n = self.n
+        if self.config.noise["quantize"]:
             joint_pos = _quantize(state.s, self.lsb_joint)
             motor_pos = _quantize(state.motor_pos, self.lsb_motor)
         else:
             joint_pos = state.s.copy()
             motor_pos = state.motor_pos.copy()
 
-        cur = currents + noise["current_std"] * rng.standard_normal(self.n) \
-            if noise["current_std"] > 0 else currents.copy()
+        # one draw per step fills the channels whose std is not 0
+        noise = np.zeros(len(self._noise_std))
+        noise[self._noise_live] = (self._noise_std[self._noise_live]
+                                   * self.rng.standard_normal(
+                                       len(self._noise_live)))
+        cur = currents + noise[:n]
 
         ft = {}
-        for sole, ftf in zip(self.sole_frames, self.ft_frames):
-            w = state.contact_wrenches.get(sole, np.zeros(6)).copy()
-            if noise["ft_force_std"] > 0:
-                w[:3] += noise["ft_force_std"] * rng.standard_normal(3)
-            if noise["ft_torque_std"] > 0:
-                w[3:] += noise["ft_torque_std"] * rng.standard_normal(3)
-            ft[ftf] = w
+        for i, (sole, ftf) in enumerate(self._ft_soles):
+            w = state.contact_wrenches.get(sole)
+            ft[ftf] = noise[n + 6 * i:n + 6 * i + 6] + (0.0 if w is None else w)
 
         imu_acc = {}
         imu_gyro = {}
-        v, w_base = state.base_twist[:3], state.base_twist[3:]
+        v = state.base_twist[:3].tolist()
+        w_base = state.base_twist[3:].tolist()
         a_prop = state.base_prop_acc
-        for frame in self.imu_frames:
-            _, offset = self.model.frame(frame)
-            r = offset.p
-            Rs = offset.R
-            acc = Rs.T @ (a_prop[:3] + cross3(w_base, v)
-                          + cross3(a_prop[3:], r)
-                          + cross3(w_base, cross3(w_base, r)))
-            gyr = Rs.T @ w_base
-            if noise["imu_acc_std"] > 0:
-                acc = acc + noise["imu_acc_std"] * rng.standard_normal(3)
-            if noise["imu_gyro_std"] > 0:
-                gyr = gyr + noise["imu_gyro_std"] * rng.standard_normal(3)
-            imu_acc[frame] = acc
-            imu_gyro[frame] = gyr
+        alpha = a_prop[3:].tolist()
+        w_x_v = cross3(w_base, v)
+        k = n + 6 * len(self._ft_soles)
+        for frame, (RsT, r) in zip(self.imu_frames, self._imu_offsets):
+            acc = RsT @ (a_prop[:3] + w_x_v + cross3(alpha, r)
+                         + cross3(w_base, cross3(w_base, r).tolist()))
+            imu_acc[frame] = acc + noise[k:k + 3]
+            imu_gyro[frame] = RsT @ state.base_twist[3:] + noise[k + 3:k + 6]
+            k += 6
 
         return SensorBundle(t=state.t, joint_pos=joint_pos, motor_pos=motor_pos,
                             currents=cur, ft=ft, imu_acc=imu_acc, imu_gyro=imu_gyro)

@@ -5,6 +5,8 @@ All 6-vectors are ordered [linear, angular].  Motion vectors hold
 hold (force, moment about the frame origin).
 """
 
+import math
+
 import numpy as np
 
 
@@ -31,12 +33,24 @@ def rotation_about_axis(axis, angle):
 
 
 def exp_so3(w):
-    """Exponential map from a rotation vector to SO(3)."""
-    angle = np.linalg.norm(w)
+    """Exponential map from a rotation vector to SO(3).
+
+    The Rodrigues form of `rotation_about_axis`, I + sin(angle) K +
+    (1 - cos(angle)) K^2 with K the skew matrix of the unit axis, written
+    out on Python floats; below an angle of 1e-12 it is the series
+    I + K + K^2 / 2 with K the skew matrix of `w` itself.
+    """
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    angle = math.sqrt(x * x + y * y + z * z)
     if angle < 1e-12:
-        K = skew(w)
-        return np.eye(3) + K + 0.5 * (K @ K)
-    return rotation_about_axis(w / angle, angle)
+        s, c = 1.0, 0.5
+    else:
+        x, y, z = x / angle, y / angle, z / angle
+        s, c = math.sin(angle), 1.0 - math.cos(angle)
+    return np.array([
+        [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
+        [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
+        [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)]])
 
 
 def log_so3(R):
@@ -62,17 +76,25 @@ class Transform:
         return Transform(self.R @ other.R, self.R @ other.p + self.p)
 
     def motion_matrix(self):
-        """6x6 matrix mapping motion vectors from frame b to frame a."""
-        X = np.zeros((6, 6))
-        X[:3, :3] = self.R
-        X[:3, 3:] = skew(self.p) @ self.R
-        X[3:, 3:] = self.R
-        return X
+        """6x6 matrix mapping motion vectors from frame b to frame a.
+
+        [[R, skew(p) R], [0, R]], written out on Python floats.
+        """
+        (a, b, c), (d, e, f), (g, h, i) = self.R.tolist()
+        x, y, z = self.p.tolist()
+        return np.array([
+            [a, b, c, y * g - z * d, y * h - z * e, y * i - z * f],
+            [d, e, f, z * a - x * g, z * b - x * h, z * c - x * i],
+            [g, h, i, x * d - y * a, x * e - y * b, x * f - y * c],
+            [0.0, 0.0, 0.0, a, b, c],
+            [0.0, 0.0, 0.0, d, e, f],
+            [0.0, 0.0, 0.0, g, h, i]])
 
     def homogeneous(self):
-        H = np.eye(4)
+        H = np.empty((4, 4))
         H[:3, :3] = self.R
         H[:3, 3] = self.p
+        H[3] = (0.0, 0.0, 0.0, 1.0)
         return H
 
     def __repr__(self):

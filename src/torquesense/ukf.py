@@ -60,8 +60,8 @@ ATTITUDE_GAIN = 0.05
 class ComplementaryAttitude:
     """Gyro-integrated base attitude with accelerometer tilt correction."""
 
-    def __init__(self, R0=None):
-        self.R = np.eye(3) if R0 is None else np.array(R0, dtype=float)
+    def __init__(self, R0):
+        self.R = np.array(R0, dtype=float)
 
     def update(self, acc, gyro, dt):
         """Advance by one IMU sample (body-frame readings)."""
@@ -270,7 +270,8 @@ class TorqueUkf:
                 f"innovation covariance not positive definite (row {worst})")
         K = np.linalg.solve(L.T, np.linalg.solve(L, PHt.T)).T
         mean_new = mean_p + K @ (measurement - H @ mean_p)
-        cov_new = cov_p - K @ S @ K.T
+        # K S K^T, with K S = P H^T
+        cov_new = cov_p - K @ PHt.T
         cov_new = 0.5 * (cov_new + cov_new.T)
 
         # advance the auxiliary base linear velocity (leaky integration

@@ -165,7 +165,9 @@ def test_contact_kernel_matches_corner_loop(case):
     for pose, s, nu in contact_states(plant):
         world, vels = ref.link_states(plant.model, pose, s, nu)
         fp = dynamics.forward_pass(plant.model, pose, s, nu)
-        contacts, wrenches = plant._contacts(t, fp)
+        wrenches, touching = plant._contacts(t, fp)
+        contacts = plant._sole_wrenches(fp, wrenches[plant._sole_links],
+                                        touching)
         expected = ref.contact_wrenches(plant, t, world, vels, seen)
         assert contacts.keys() == expected.keys()
         for frame, w in expected.items():

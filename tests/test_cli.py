@@ -123,6 +123,25 @@ def test_rejected_tuning_input_exits_with_one_line(tmp_path, t, extra,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,q0\n0.000,0.10\n0.001,\n",
+     "line 3 column 'q0' holds '', not a number"),
+    ("t,q0\n0.000,0.10\n0.001\n",
+     "line 3 has 1 cells, none for column 'q0'"),
+], ids=["empty-cell", "short-row"])
+def test_malformed_trace_row_exits_with_one_line(tmp_path, text, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    args = ["tune-kf", "--trace", str(path), "--joint", "q0",
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    text = str(exc.value.code)
+    assert message in text and str(path) in text
+    assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
 def untrained_nets(names):
     scv = ScvParams(coulomb=1.0, breakaway=2.0, stribeck_vel=0.1, viscous=0.5)
     net = pinn.FrictionNet(3, 4, 4, 0.3, scv)

@@ -61,7 +61,7 @@ def test_balancer_requires_contact():
     model, pose, s, nu = standing_setup()
     with pytest.raises(RuntimeError, match="no feet in contact"):
         high_level_balancer(model, pose, s, nu, np.zeros(3), np.zeros(3),
-                            np.zeros(3), (), ControlConfig())
+                            np.zeros(3), (), ControlConfig(), posture_ref=s)
 
 
 def test_balancer_mirror_symmetry():

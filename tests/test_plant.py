@@ -81,6 +81,37 @@ def test_encoder_quantization_grid():
                        np.round(state.motor_pos / plant.lsb_motor) * plant.lsb_motor)
 
 
+def test_sensor_noise_is_one_draw_in_channel_order():
+    # a step's noise is one standard-normal draw whose slots follow the
+    # channels: the currents, each FT sensor's force then torque, each
+    # IMU's acc then gyro; a channel with std 0 takes no slot.  So it
+    # equals the same seed drawn channel by channel.
+    noise = {"ft_torque_std": 0.0}
+    plant = make_plant(seed=5, noise=noise)
+    quiet = make_plant(seed=5, noise={**noise, "current_std": 0.0,
+                                      "ft_force_std": 0.0, "imu_acc_std": 0.0,
+                                      "imu_gyro_std": 0.0})
+    state = plant.initial_state()
+    currents = np.linspace(-0.5, 0.5, plant.n)
+    got = plant._sample_sensors(state, currents)
+    clean = quiet._sample_sensors(state, currents)
+    std = plant.config.noise
+    rng = np.random.default_rng(5)
+    assert np.array_equal(got.currents, currents + std["current_std"]
+                          * rng.standard_normal(plant.n))
+    for ftf in plant.ft_frames:
+        expected = clean.ft[ftf].copy()
+        expected[:3] += std["ft_force_std"] * rng.standard_normal(3)
+        assert np.array_equal(got.ft[ftf], expected)
+    for frame in plant.imu_frames:
+        assert np.array_equal(got.imu_acc[frame], clean.imu_acc[frame]
+                              + std["imu_acc_std"] * rng.standard_normal(3))
+        assert np.array_equal(got.imu_gyro[frame], clean.imu_gyro[frame]
+                              + std["imu_gyro_std"] * rng.standard_normal(3))
+    # the stream goes on where the per-channel draws left it
+    assert plant.rng.standard_normal() == rng.standard_normal()
+
+
 def test_sensor_noise_statistics():
     plant = make_plant(seed=7)
     state = plant.initial_state()

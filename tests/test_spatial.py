@@ -81,6 +81,18 @@ def test_exp_so3_small_angle():
     assert np.allclose(log_so3(np.eye(3)), 0.0)
 
 
+def test_exp_so3_closed_form_matches_rodrigues():
+    # the closed form on floats against the matrix form of
+    # rotation_about_axis, from far below the series threshold to just
+    # short of a half turn
+    r = np.random.default_rng(11)
+    for angle in np.geomspace(1e-14, np.pi - 1e-6, 200):
+        axis = r.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        assert np.max(np.abs(exp_so3(angle * axis)
+                             - rotation_about_axis(axis, angle))) <= 1e-15
+
+
 def test_transform_compose_inverse_apply():
     A = random_transform(1)
     B = random_transform(2)
