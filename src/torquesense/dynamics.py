@@ -214,14 +214,25 @@ def crba(fp):
     return fp.J.reshape(-1, nv).T @ fp.IJ.reshape(-1, nv)
 
 
-def frame_jacobian(fp, frame_name):
-    """6x(6+n) Jacobian mapping nu to the frame velocity in frame coordinates."""
-    idx, H = fp.frame_pose(frame_name)
-    Rt = H[:3, :3].T
+def frame_jacobian(fp, frame_names):
+    """Stacked (k, 6, 6+n) Jacobians of the named frames or links.
+
+    Block i maps nu to the velocity [linear, angular] of the origin of
+    frame `frame_names[i]`, in that frame's coordinates.  All k blocks
+    come from one gather of the link Jacobians and batched products.
+    """
+    k = len(frame_names)
+    idx = np.empty(k, dtype=int)
+    offsets = np.empty((k, 4, 4))
+    for i, name in enumerate(frame_names):
+        idx[i], offset = fp.model.frame(name)
+        offsets[i] = offset.homogeneous()
+    H = fp.H[idx] @ offsets
+    Rt = H[:, :3, :3].transpose(0, 2, 1)
     J = fp.J[idx]
     out = np.empty_like(J)
-    out[:3] = Rt @ (J[:3] - skew(H[:3, 3]) @ J[3:])
-    out[3:] = Rt @ J[3:]
+    out[:, :3] = Rt @ (J[:, :3] - batch_skew(H[:, :3, 3]) @ J[:, 3:])
+    out[:, 3:] = Rt @ J[:, 3:]
     return out
 
 
@@ -234,7 +245,7 @@ def compute_dynamics_terms(fp, contact_frames):
     At zero velocity `bias` equals the generalized gravity force.
     """
     bias = fp.inverse_dynamics(_static_proper_accel(fp))
-    return bias, {name: frame_jacobian(fp, name) for name in contact_frames}
+    return bias, dict(zip(contact_frames, frame_jacobian(fp, contact_frames)))
 
 
 def coriolis_bias(fp, link_wrenches=None):

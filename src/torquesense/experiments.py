@@ -252,7 +252,9 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         net_groups = group_by_net(nets, model.joint_names)
 
     encoders = encoder_bank(scenario, st, gains)
-    att = ComplementaryAttitude(R0=st.base_R.copy())
+    # only the filter and the RNEA feedback read the attitude estimate
+    att = (ComplementaryAttitude(R0=st.base_R.copy())
+           if use_ukf or use_rnea else None)
     buf_len = max((net.buffer_len for net, _ in net_groups), default=1)
     mv_buf = np.zeros((buf_len, n))
     jv_buf = np.zeros((buf_len, n))
@@ -325,7 +327,8 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         jv_buf[-1] = sdot_est
         imu_acc = sb.imu_acc["waist_imu"]
         imu_gyro = sb.imu_gyro["waist_imu"]
-        R_est = att.update(imu_acc, imu_gyro, dt_s)
+        if att is not None:
+            R_est = att.update(imu_acc, imu_gyro, dt_s)
 
         tau_f_hat = None
         if use_nets:

@@ -16,11 +16,15 @@ measurement model is linear, and the unscented transform is exact for
 affine maps (Julier & Uhlmann, 1997).  `TorqueUkf.step` therefore
 computes the UKF's result in closed form, as the linear Kalman update
 `F P F^T + Q`, `K = P H^T S^-1`, where only the joint-velocity rows of
-`F` differ from the identity.  The sigma-point form it replaces lives
-in the tests as the reference it is checked against.
+`F` differ from the identity.  It runs the update in array form (Morf
+& Kailath, 1975): the Cholesky factor of one stacked array of S, P H^T,
+P and the innovation holds K, the posterior covariance factor and the
+whitened innovation, so no gain is formed by solves.  The sigma-point
+form it replaces lives in the tests as the reference it is checked
+against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +55,16 @@ class UkfConfig:
     r_ft_torque: float = 0.05
     r_imu_acc: float = 0.02
     r_imu_gyro: float = 0.002
+
+    def __post_init__(self):
+        # the update needs a positive definite measurement noise R
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name.startswith("r_") and not v > 0.0:
+                raise ValueError(f"UkfConfig.{f.name} must be positive, got {v}")
+            if f.name.startswith("q_") and not v >= 0.0:
+                raise ValueError(
+                    f"UkfConfig.{f.name} must be nonnegative, got {v}")
 
 
 # share of the accelerometer tilt error corrected per IMU sample
@@ -120,7 +134,14 @@ class TorqueUkf:
         self._H = {mask: self.measurement_model(eye, mask).T
                    for mask in (False, True)}
         self._R = {mask: self._measurement_noise(mask) for mask in (False, True)}
+        self._R_inv = {mask: 1.0 / np.diag(R) for mask, R in self._R.items()}
         self._prior_jitter = 1e-6 * eye
+        self._wrench_frames = tuple(cfg.ft_frames) + (cfg.ext_frame,)
+        self._wrench_cols = slice(self.slices["f_ft"].start,
+                                  self.slices["f_ext"].stop)
+        self._B0 = np.zeros((n, self.dim + 1))
+        self._B0[:, self.slices["tau_m"]] = np.eye(n)
+        self._B0[:, self.slices["tau_f"]] = -np.eye(n)
 
     def _process_noise(self):
         cfg = self.config
@@ -154,7 +175,6 @@ class TorqueUkf:
         step mean so the map stays affine in the state.
         """
         model = self.model
-        cfg = self.config
         sl = self.slices
         n = self.n
         base_pose = Transform(base_R, np.zeros(3))
@@ -168,16 +188,11 @@ class TorqueUkf:
         r = self.imu_offset.p
         corr = cross3(omega, cross3(omega, r)) + cross3(omega, base_lin_vel)
         # B maps the state to the joint-space force, its last column is
-        # the constant term
-        B = np.zeros((n, self.dim + 1))
-        B[:, sl["tau_m"]] = np.eye(n)
-        B[:, sl["tau_f"]] = -np.eye(n)
-        ft0 = sl["f_ft"].start
-        for k, name in enumerate(cfg.ft_frames):
-            jac = frame_jacobian(fp, name)
-            B[:, ft0 + 6 * k:ft0 + 6 * k + 6] = jac[:, 6:].T
-        jac = frame_jacobian(fp, cfg.ext_frame)
-        B[:, sl["f_ext"]] = jac[:, 6:].T
+        # the constant term; the FT and external wrench blocks are
+        # adjacent, one J^T block per frame
+        B = self._B0.copy()
+        jac = frame_jacobian(fp, self._wrench_frames)[:, :, 6:]
+        B[:, self._wrench_cols] = jac.transpose(2, 0, 1).reshape(n, -1)
         B[:, sl["alpha"]] = -Msb_lin @ self.imu_offset.R
         B[:, -1] = Msb_lin @ corr - C
         Gc = self.dt * np.linalg.solve(Ms, B)
@@ -235,11 +250,22 @@ class TorqueUkf:
         attitude from the IMU attitude source, `measurement` the output
         of assemble_measurement (built with tau_f_pinn=None iff
         mask_friction).  The result depends on the arguments only.
+
+        The update is the array (square-root) form of the Kalman update
+        (Morf & Kailath, "Square-root algorithms for least-squares
+        estimation", IEEE TAC 1975): one Cholesky factorisation of a
+        stacked array gives the gain, the posterior covariance factor
+        and the whitened innovation.
         """
+        H = self._H[mask_friction]
+        m, d = H.shape
+        if len(measurement) != m:
+            raise ValueError(
+                f"measurement has {len(measurement)} channels, expected {m} "
+                f"with mask_friction={mask_friction}")
         mean, cov, base_lin_vel = belief
-        # the update never factors the prior, so one that is no
-        # covariance (say, drifted through cov_p - K S K^T) would pass
-        # on silently
+        # the update factors only the predicted covariance, which Q pads,
+        # so a prior that is no covariance could pass on silently
         try:
             np.linalg.cholesky(cov + self._prior_jitter)
         except np.linalg.LinAlgError:
@@ -259,19 +285,41 @@ class TorqueUkf:
         cov_p[sd, sd] += 0.5 * (GPG + GPG.T)
         cov_p += self.Q
 
-        H = self._H[mask_friction]
-        PHt = cov_p @ H.T
-        S = H @ PHt + self._R[mask_friction]
+        # array form: the Cholesky factor of
+        #   [[S,     H P, nu],        [[L11,   0,   0],
+        #    [P H^T, P,   0 ],   =     [K L11, L22, 0],   times its transpose,
+        #    [nu^T,  0,   c ]]         [w^T,   *,   *]]
+        # holds the gain factor K L11, the posterior factor L22
+        # (L22 L22^T = P - K S K^T) and the whitened innovation
+        # w = L11^-1 nu, so K nu = (K L11) w and w^T w is the NIS.
+        # cholesky reads the lower triangle only, so the upper blocks
+        # stay zero.  The last pivot is c - nu^T X nu with X the top-left
+        # block of the inverse of [[S, H P], [P H^T, P]]; X is R^-1, as
+        # the Schur complement of P there is S - H P H^T = R.  So
+        # c = 1 + 2 nu^T R^-1 nu makes that pivot 1 + nu^T R^-1 nu >= 1.
+        HP = H @ cov_p
+        nu = measurement - H @ mean_p
+        A = np.zeros((m + d + 1, m + d + 1))
+        A[:m, :m] = HP @ H.T + self._R[mask_friction]
+        A[m:-1, :m] = HP.T
+        A[m:-1, m:-1] = cov_p
+        A[-1, :m] = nu
+        A[-1, -1] = 1.0 + 2.0 * nu @ (nu * self._R_inv[mask_friction])
         try:
-            L = np.linalg.cholesky(0.5 * (S + S.T))
+            L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
-            worst = int(np.argmin(np.diag(S)))
+            S = A[:m, :m]
+            try:
+                np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                worst = int(np.argmin(np.diag(S)))
+                raise ArithmeticError("innovation covariance not positive "
+                                      f"definite (row {worst})") from None
             raise ArithmeticError(
-                f"innovation covariance not positive definite (row {worst})")
-        K = np.linalg.solve(L.T, np.linalg.solve(L, PHt.T)).T
-        mean_new = mean_p + K @ (measurement - H @ mean_p)
-        # K S K^T, with K S = P H^T
-        cov_new = cov_p - K @ PHt.T
+                "posterior covariance not positive definite") from None
+        mean_new = mean_p + L[m:-1, :m] @ L[-1, :m]
+        L22 = L[m:-1, m:-1]
+        cov_new = L22 @ L22.T
         cov_new = 0.5 * (cov_new + cov_new.T)
 
         # advance the auxiliary base linear velocity (leaky integration

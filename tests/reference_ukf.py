@@ -72,8 +72,8 @@ def step_terms(ukf, s, base_R, mean, base_lin_vel):
     fp = forward_pass(model, base_pose, s, nu)
     M = crba(fp)
     C = coriolis_bias(fp)[6:]
-    jac = {name: frame_jacobian(fp, name)[:, 6:]
-           for name in tuple(cfg.ft_frames) + (cfg.ext_frame,)}
+    names = tuple(cfg.ft_frames) + (cfg.ext_frame,)
+    jac = dict(zip(names, frame_jacobian(fp, names)[:, :, 6:]))
     return {"Minv": np.linalg.inv(M[6:, 6:]), "Msb": M[6:, :6], "C": C,
             "jac": jac, "omega": omega, "base_lin_vel": base_lin_vel}
 

@@ -128,12 +128,24 @@ def test_pass_matches_per_link_recursions(name):
             assert close(H, H_ref.homogeneous())
             # body-frame velocity -> world frame, world origin
             assert close(v, H_ref.motion_matrix() @ v_ref)
-        for frame in frames:
-            assert close(dynamics.frame_jacobian(fp, frame),
-                         ref.frame_jacobian(model, pose, s, frame))
+        for frame, J in zip(frames, dynamics.frame_jacobian(fp, frames)):
+            assert close(J, ref.frame_jacobian(model, pose, s, frame))
         assert close(dynamics.com_velocity(fp), ref.com_velocity(model, pose, s, nu))
         com = sum(l.mass * apply(H, l.com) for l, H in zip(model.links, world))
         assert close(dynamics.com_position(fp), com / model.total_mass)
+
+
+def test_stacked_frame_jacobian_matches_per_frame_reference():
+    # the frames the torque filter and the balancer stack in one call
+    model = desk_biped()
+    frames = ("left_foot_ft", "right_foot_ft", "torso_push",
+              "left_sole", "right_sole")
+    for pose, s, nu, _ in random_states(model, seed=2):
+        J = dynamics.frame_jacobian(
+            dynamics.forward_pass(model, pose, s, nu), frames)
+        assert J.shape == (len(frames), 6, model.nv)
+        for frame, J_frame in zip(frames, J):
+            assert close(J_frame, ref.frame_jacobian(model, pose, s, frame))
 
 
 def contact_plant(object_events=(), **contact):

@@ -182,8 +182,9 @@ def test_frame_jacobian_against_finite_differences():
     model = desk_biped()
     pose, s, nu = random_state(model, 71)
     h = 1e-7
-    for frame in ("right_sole", "waist_imu", "torso_push"):
-        J = frame_jacobian(forward_pass(model, pose, s, nu), frame)
+    frames = ("right_sole", "waist_imu", "torso_push")
+    for frame, J in zip(frames,
+                        frame_jacobian(forward_pass(model, pose, s, nu), frames)):
         H0 = frame_transform(model, pose, s, frame)
         for j in range(model.ndof):
             sp, sm = s.copy(), s.copy()
@@ -201,10 +202,11 @@ def test_frame_jacobian_consistent_with_link_velocities():
     model = desk_biped()
     pose, s, nu = random_state(model, 81)
     world, vels = link_states(model, pose, s, nu)
-    for frame in ("left_sole", "right_foot_ft", "waist_imu"):
+    frames = ("left_sole", "right_foot_ft", "waist_imu")
+    for frame, J in zip(frames,
+                        frame_jacobian(forward_pass(model, pose, s, nu), frames)):
         idx, offset = model.frame(frame)
         v_frame = transform_motion_inv(offset, vels[idx])
-        J = frame_jacobian(forward_pass(model, pose, s, nu), frame)
         assert np.allclose(J @ nu, v_frame, atol=1e-12)
 
 

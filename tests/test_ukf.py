@@ -78,6 +78,72 @@ def test_step_rejects_degenerate_prior_covariance():
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(c))
 
 
+def test_step_rejects_an_innovation_covariance_that_is_no_covariance():
+    ukf = pendulum_ukf(config=UkfConfig(ft_frames=(), ext_frame="push",
+                                        imu_frame="imu", q_omega=1e-3,
+                                        r_imu_gyro=1e-4))
+    belief = ukf.initial_belief()
+    z = ukf.measurement_model(belief.mean)[0]
+    cov = belief.cov.copy()
+    om = ukf.slices["omega"]
+    cov[om, :] = 0.0
+    cov[:, om] = 0.0
+    # inside the 1e-6 jitter the prior check allows, but larger than the
+    # gyro's process and measurement variances together
+    cov[om.start, om.start] = -5e-7
+    with pytest.raises(ArithmeticError,
+                       match="innovation covariance not positive definite"):
+        ukf.step(belief._replace(cov=cov), np.zeros(1), np.eye(3), z)
+
+
+def test_step_rejects_a_posterior_that_is_no_covariance():
+    # the same prior variance on the external wrench, which no channel
+    # measures directly and which no process noise pads: the innovation
+    # covariance stays positive definite, the posterior does not
+    ukf = pendulum_ukf(config=UkfConfig(ft_frames=(), ext_frame="push",
+                                        imu_frame="imu", q_ext=0.0))
+    belief = ukf.initial_belief()
+    z = ukf.measurement_model(belief.mean)[0]
+    cov = belief.cov.copy()
+    ext = ukf.slices["f_ext"]
+    cov[ext, :] = 0.0
+    cov[:, ext] = 0.0
+    cov[ext.start, ext.start] = -5e-7
+    with pytest.raises(ArithmeticError,
+                       match="posterior covariance not positive definite"):
+        ukf.step(belief._replace(cov=cov), np.zeros(1), np.eye(3), z)
+
+
+@pytest.mark.parametrize("mask", [False, True], ids=["friction", "masked"])
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+def test_step_rejects_a_measurement_of_the_wrong_length(mask, extra):
+    ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+    belief = ukf.initial_belief()
+    expected = ukf.measurement_model(belief.mean, mask).shape[1]
+    z = np.zeros(expected + extra)
+    message = (f"measurement has {expected + extra} channels, expected "
+               f"{expected} with mask_friction={mask}")
+    with pytest.raises(ValueError, match=message):
+        ukf.step(belief, np.zeros(ukf.n), np.eye(3), z, mask_friction=mask)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r_sdot", 0.0), ("r_imu_gyro", -0.002), ("r_tau_f", np.nan),
+    ("q_ext", -1.0), ("q_omega", np.nan)])
+def test_config_rejects_bad_noise_settings(field, value):
+    with pytest.raises(ValueError, match=f"UkfConfig.{field} must be"):
+        UkfConfig(**{field: value})
+
+
+def test_config_allows_a_zero_process_noise():
+    ukf = pendulum_ukf(config=UkfConfig(ft_frames=(), ext_frame="push",
+                                        imu_frame="imu", q_ext=0.0))
+    belief = ukf.initial_belief()
+    z = ukf.measurement_model(belief.mean)[0]
+    m, c, _ = ukf.step(belief, np.zeros(1), np.eye(3), z)
+    assert np.all(np.isfinite(m)) and np.all(np.isfinite(c))
+
+
 def relative_error(value, reference):
     return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
 
