@@ -120,9 +120,9 @@ def _load_scenario(spec, seed):
     d["seed"] = seed
     try:
         scenario = ScenarioConfig.from_dict(d)
-        Plant(scenario)  # checks model, frames and object events
+        Plant(scenario)  # checks joint names, frames and object events
         check_duration(scenario)
-    except (ModelError, OSError, TypeError, ValueError) as exc:
+    except (ModelError, TypeError, ValueError) as exc:
         raise SystemExit(f"scenario file {spec} rejected: {exc}") from None
     return scenario
 

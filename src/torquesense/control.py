@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (compute_dynamics_terms, com_position, com_velocity,
-                       forward_pass, generalized_rnea)
+from .dynamics import (com_position, com_velocity, forward_pass,
+                       frame_jacobian, static_proper_accel)
 from .spatial import log_so3
 
 MODES = ("Feedforward", "RNEA-NoComp", "UKF-NoComp", "Feedforward-PINN",
@@ -86,7 +86,10 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     if len(contact_frames) == 0:
         raise RuntimeError("controller inactive: no feet in contact")
     fp = forward_pass(model, base_pose, s, nu)
-    bias, jacobians = compute_dynamics_terms(fp, contact_frames)
+    # the coordinate-acceleration bias, gravity included, and the
+    # stacked (k, 6, nv) contact Jacobians
+    bias = fp.inverse_dynamics(static_proper_accel(fp))
+    J = frame_jacobian(fp, contact_frames)
     com = com_position(fp)
     com_vel = com_velocity(fp)
 
@@ -101,13 +104,12 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     extra[3:] = config.kp_att * att_err - config.kd_att * nu[3:6]
 
     w_des = bias[:6] + extra
-    A = np.hstack([jacobians[f].T[:6] for f in contact_frames])
+    # the base rows of the stacked J^T; column 6 k + i is row i of J_k
+    A = J[:, :, :6].reshape(-1, 6).T
     # damped least squares keeps the distribution unique and bounded
     AtA = A.T @ A + config.force_reg * np.eye(A.shape[1])
     f = np.linalg.solve(AtA, A.T @ w_des)
-    tau_d = bias[6:].copy()
-    for k, frame in enumerate(contact_frames):
-        tau_d -= jacobians[frame].T[6:] @ f[6 * k:6 * k + 6]
+    tau_d = bias[6:] - J[:, :, 6:].reshape(-1, model.ndof).T @ f
     tau_d += config.kp_posture * (np.asarray(posture_ref, float) - s) \
         - config.kd_posture * nu[6:]
     return tau_d
@@ -121,19 +123,38 @@ def rnea_torque_feedback(model, base_pose, s, nu, proper_accel, ft_readings):
     joint-torque error instead, which is exactly the failure mode the
     filter-based feedback avoids.
     """
-    wrenches = [(name, w) for name, w in ft_readings.items()]
-    return generalized_rnea(model, base_pose, s, nu, proper_accel, wrenches)[6:]
+    fp = forward_pass(model, base_pose, s, nu)
+    return fp.inverse_dynamics(proper_accel,
+                               fp.link_wrenches(ft_readings.items()))[6:]
 
 
-class TorquePI:
+class _CurrentOutput:
+    """Maps torques to current commands clipped to the current limit.
+
+    `saturation_events` counts the calls whose commands were clipped.
+    """
+
+    def __init__(self, config, gear_torque):
+        self.config = config
+        self.gear_torque = np.asarray(gear_torque, dtype=float)
+        self.saturation_events = 0
+
+    def _currents(self, tau):
+        limit = self.config.current_limit
+        currents = tau / self.gear_torque
+        clipped = np.clip(currents, -limit, limit)
+        if np.any(clipped != currents):
+            self.saturation_events += 1
+        return clipped
+
+
+class TorquePI(_CurrentOutput):
     """PI loop on torque error with anti-windup, emitting currents each plant step."""
 
     def __init__(self, n, config, gear_torque, dt):
-        self.config = config
-        self.gear_torque = np.asarray(gear_torque, dtype=float)
+        super().__init__(config, gear_torque)
         self.dt = dt
         self.integral = np.zeros(n)
-        self.saturation_events = 0
 
     def __call__(self, tau_d, tau_feedback=None, tau_f_comp=None):
         """Current commands; feedback/compensation may each be omitted."""
@@ -148,14 +169,10 @@ class TorquePI:
                                     -cfg.integral_limit, cfg.integral_limit)
             tau_cmd = tau_d + cfg.kp_torque * err + self.integral
         total = tau_cmd if tau_f_comp is None else tau_cmd + np.asarray(tau_f_comp, float)
-        currents = total / self.gear_torque
-        clipped = np.clip(currents, -cfg.current_limit, cfg.current_limit)
-        if np.any(clipped != currents):
-            self.saturation_events += 1
-        return clipped
+        return self._currents(total)
 
 
-class PositionPD:
+class PositionPD(_CurrentOutput):
     """Stiff per-joint position controller (the compliance baseline).
 
     Feedback must be collocated with the actuator (motor-side encoder
@@ -163,20 +180,11 @@ class PositionPD:
     through the elastic transmission excites the transmission resonance.
     """
 
-    def __init__(self, config, gear_torque):
-        self.config = config
-        self.gear_torque = np.asarray(gear_torque, dtype=float)
-        self.saturation_events = 0
-
     def __call__(self, s_des, s_meas, sdot_meas):
         cfg = self.config
         tau = cfg.kp_pos * (np.asarray(s_des, float) - np.asarray(s_meas, float)) \
             - cfg.kd_pos * np.asarray(sdot_meas, float)
-        currents = tau / self.gear_torque
-        clipped = np.clip(currents, -cfg.current_limit, cfg.current_limit)
-        if np.any(clipped != currents):
-            self.saturation_events += 1
-        return clipped
+        return self._currents(tau)
 
 
 class RateScheduler:

@@ -27,9 +27,14 @@ between the base and link i, I_i is link i's spatial inertia in the
 world frame, v_i = J_i nu, a_i = J_i accel + sum over those joints of
 v_j x S_j sdot_j, and w_i is the external wrench on link i.  Because the
 J_i map the body-coordinate nu, M and Q come out in the coordinates of
-nu: Q is [base wrench in the base frame, joint torques].  The bias
-vector is Q at accel = 0 (Coriolis, centrifugal and external terms) or
-at the static proper acceleration (adding gravity).
+nu: Q is [base wrench in the base frame, joint torques].
+
+`ForwardPass.inverse_dynamics` is the one route to Q.  Its bias vectors
+are Q at particular accelerations: at accel = 0 it is the Coriolis,
+centrifugal and external-wrench bias of the proper-acceleration form,
+M a_prop = B tau - Q(0); at `static_proper_accel` it adds gravity, the
+bias of the coordinate-acceleration form, and at zero velocity it is
+the generalized gravity force.
 
 Every quantity below is one function of a `ForwardPass`: a caller
 builds the pass once per state with `forward_pass` and reads as many
@@ -63,7 +68,7 @@ _CRM_BASIS = np.array([_crm(e).ravel() for e in np.eye(6)])
 _INERTIA_BASIS = np.array([_inertia_offdiagonal(e).ravel() for e in np.eye(3)])
 
 
-def _static_proper_accel(fp):
+def static_proper_accel(fp):
     """Proper acceleration [-R_B^T g, 0] of a body at rest at `fp`'s state."""
     a = np.zeros(fp.model.nv)
     a[:3] = -fp.H[0, :3, :3].T @ fp.model.gravity
@@ -191,19 +196,6 @@ def forward_pass(model, base_pose, s, nu, Xs=None):
     return ForwardPass(model, H, J, v, com, IJ, f_vel)
 
 
-def generalized_rnea(model, base_pose, s, nu, accel, contact_wrenches=()):
-    """Inverse dynamics over the full generalized force vector.
-
-    Returns the (6+n,) vector [base wrench (base frame), joint torques]
-    required to realize the given proper acceleration under the given
-    contact wrenches.  `contact_wrenches` is a list of (frame_name,
-    wrench) with the wrench expressed in the contact frame.
-    """
-    fp = forward_pass(model, base_pose, s, nu)
-    return fp.inverse_dynamics(np.asarray(accel, dtype=float),
-                               fp.link_wrenches(contact_wrenches))
-
-
 def crba(fp):
     """Joint-space mass matrix sum_i J_i^T I_i J_i.
 
@@ -234,29 +226,6 @@ def frame_jacobian(fp, frame_names):
     out[:, :3] = Rt @ (J[:, :3] - batch_skew(H[:, :3, 3]) @ J[:, 3:])
     out[:, 3:] = Rt @ J[:, 3:]
     return out
-
-
-def compute_dynamics_terms(fp, contact_frames):
-    """(bias, {frame: Jacobian}) at `fp`'s state.
-
-    `bias` is the full bias vector (Coriolis, centrifugal and gravity)
-    of the coordinate-acceleration form: M [accel] + bias = B tau + J^T f
-    with accel = proper acceleration + [R^T g, 0] on the base rows.
-    At zero velocity `bias` equals the generalized gravity force.
-    """
-    bias = fp.inverse_dynamics(_static_proper_accel(fp))
-    return bias, dict(zip(contact_frames, frame_jacobian(fp, contact_frames)))
-
-
-def coriolis_bias(fp, link_wrenches=None):
-    """Generalized Coriolis/centrifugal bias minus the external wrenches.
-
-    This is the bias of the proper-acceleration form (gravity lives in
-    the proper acceleration, not here): M a_prop + coriolis = B tau + J^T f
-    rearranged as M a_prop = B tau - coriolis_bias(...).  `link_wrenches`
-    is as for `ForwardPass.inverse_dynamics`.
-    """
-    return fp.inverse_dynamics(None, link_wrenches)
 
 
 def com_position(fp):

@@ -210,6 +210,7 @@ class RunLog:
     fell: bool
     fall_time: float
     diverged: bool
+    saturation_events: int = 0  # torque-loop ticks whose currents were clipped
 
 
 def _first_disturbance_time(scenario):
@@ -259,6 +260,8 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     mv_buf = np.zeros((buf_len, n))
     jv_buf = np.zeros((buf_len, n))
 
+    # IMU offset in the base frame, for the RNEA feedback
+    imu_offset = model.frame("waist_imu")[1].p
     ukf = None
     if use_ukf:
         ukf = TorqueUkf(model, plant.reduction, plant.k_t, dt_s)
@@ -345,8 +348,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         elif use_rnea:
             # proper acceleration from IMU (base) and encoder filters (joints)
             w = imu_gyro
-            r = model.frame("waist_imu")[1].p
-            a_base = imu_acc - cross3(w, cross3(w, r))
+            a_base = imu_acc - cross3(w, cross3(w, imu_offset))
             accel = np.concatenate([a_base, np.zeros(3),
                                     enc_acc[:n]])
             nu_est = np.concatenate([np.zeros(3), w, sdot_est])
@@ -378,7 +380,8 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
 
     log = RunLog(np.array(log_t), np.array(log_tau_d), np.array(log_tau),
                  np.array(log_fb), np.array(log_com), np.array(log_ref),
-                 np.array(log_cur), fell, fall_time, diverged)
+                 np.array(log_cur), fell, fall_time, diverged,
+                 pi.saturation_events + pos_pd.saturation_events)
     report = compute_metrics(log, scenario, control)
     if out_dir is not None:
         write_artifacts(out_dir, label or control.mode, scenario, control,
@@ -423,6 +426,7 @@ def compute_metrics(log, scenario, control, burn_in=BURN_IN):
         "fell": bool(log.fell),
         "fall_time": None if not log.fell else float(log.fall_time),
         "diverged": bool(log.diverged),
+        "saturation_events": int(log.saturation_events),
     }
     return report
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kf import filter_trace
+from .kf import filter_trace, quantization_variance
 
 TOURNAMENT_K = 4          # entrants per parent-selection tournament
 MUTATION_RATE = 0.20      # chance that a child's gene is redrawn
@@ -156,10 +156,7 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
     valid = ~np.any(q < 0.0, axis=1)
     scores = np.full(len(q), -np.inf)
     if valid.any():
-        # a GA generation repeats candidates (elites, copied parents):
-        # filter each distinct one once
-        distinct, which = np.unique(q[valid], axis=0, return_inverse=True)
-        x, v = filter_trace(z, dt, lsb, distinct[:, 0], distinct[:, 1])[:2]
+        x, v = filter_trace(z, dt, lsb, q[valid, 0], q[valid, 1])[:2]
         # each (P, n) term is reduced to its row means as soon as it is
         # formed, so a generation holds x, v and at most two terms.
         # Smoothness is measured on the velocity estimate so that a
@@ -175,7 +172,7 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
         eps = 1e-30
         jerk_ref = np.mean(fd_jerk ** 2) + eps
         acc_ref = np.mean(fd_acc ** 2) + eps
-        align_ref = lsb * lsb / 12.0 + eps
+        align_ref = quantization_variance(lsb) + eps
         integ_ref = np.mean(v ** 2, axis=-1) + eps
         w1, w2, w3, w4 = weights
         # alignment is penalized only beyond the quantization floor: the
@@ -186,7 +183,7 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
                 + w2 * accel / acc_ref
                 + w3 * align_excess
                 + w4 * integ / integ_ref)
-        scores[valid] = -cost[which.ravel()]
+        scores[valid] = -cost
     return scores if genes.ndim == 2 else scores[0]
 
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .dynamics import (_static_proper_accel, com_position, crba, forward_pass,
-                       joint_transforms)
+from .dynamics import (com_position, crba, forward_pass, joint_transforms,
+                       static_proper_accel)
 from .friction import MotorParams, ScvParams, scv_friction
 from .kf import encoder_lsb
-from .model import FrameError, parse_model
+from .model import FrameError
 from .spatial import Transform, batch_cross, cross3, exp_so3, skew
 
 
@@ -113,7 +113,9 @@ class ScenarioConfig:
     ft_torque_std, imu_acc_std, imu_gyro_std) and `contact` (stiffness,
     damping, tangential_damping, mu) merge over their built-in defaults
     the same way.  A section or key not named here is rejected; so is
-    a joint name the model lacks, when the `Plant` is built.
+    a joint name the model lacks, when the `Plant` is built.  `model`
+    must be "desk_biped", the one model that declares the sole, FT and
+    IMU frames the closed loop reads.
     """
     schema_version: int = 1
     model: str = "desk_biped"
@@ -132,6 +134,10 @@ class ScenarioConfig:
     object_events: list = field(default_factory=list)
 
     def __post_init__(self):
+        if self.model != "desk_biped":
+            raise ValueError(f"unknown model {self.model!r}: only 'desk_biped' "
+                             f"declares the sole, FT and IMU frames the "
+                             f"closed loop reads")
         if self.step <= 0.0:
             raise ValueError(f"integrator step must be positive, got {self.step}")
         if self.friction_smoothing < 0.0:
@@ -290,22 +296,13 @@ _TWIST_BASIS = np.array([_twist_block(e).ravel() for e in np.eye(6)])
 _WRENCH_OF_MOMENTS = np.array([_wrench_of_moments(i) for i in range(6)]).T
 
 
-def load_model(name, gravity):
-    if name == "desk_biped":
-        m = models.desk_biped()
-    else:
-        with open(name, "r", encoding="utf-8") as fh:
-            m = parse_model(fh.read())
-    m.gravity = np.asarray(gravity, dtype=float)
-    return m
-
-
 class Plant:
     """Deterministic fixed-step simulator for one scenario."""
 
-    def __init__(self, config, model=None):
+    def __init__(self, config):
         self.config = config
-        self.model = model if model is not None else load_model(config.model, config.gravity)
+        self.model = models.desk_biped()
+        self.model.gravity = np.asarray(config.gravity, dtype=float)
         n = self.model.ndof
         self.n = n
         _check_keys("joint", config.joints, self.model.joint_names + ["default"])
@@ -341,15 +338,15 @@ class Plant:
             [[contact["tangential_damping"]], [contact["tangential_damping"]],
              [contact["damping"]]], dtype=float)
 
-        self.sole_frames = [f for f in ("left_sole", "right_sole") if f in self.model.sensor_frames]
-        self.ft_frames = [f for f in ("left_foot_ft", "right_foot_ft") if f in self.model.sensor_frames]
-        self.imu_frames = [f for f in ("waist_imu",) if f in self.model.sensor_frames]
+        self.sole_frames = ("left_sole", "right_sole")
+        self.ft_frames = ("left_foot_ft", "right_foot_ft")
+        self.imu_frames = ("waist_imu",)
         # sole frames and their corners (homogeneous columns) in the foot
         # link frames, for the contact kernel
         soles = [self.model.frame(f) for f in self.sole_frames]
         self._sole_links = np.array([idx for idx, _ in soles], dtype=np.intp)
         self._sole_offsets = np.array(
-            [offset.homogeneous() for _, offset in soles]).reshape(-1, 4, 4)
+            [offset.homogeneous() for _, offset in soles])
         corners = np.vstack([models.FOOT_CORNERS.T,
                              np.ones(len(models.FOOT_CORNERS))])
         self._corners = self._sole_offsets @ corners
@@ -428,7 +425,7 @@ class Plant:
             # rest the soles on the ground with the static penalty penetration
             n_corners = len(self.sole_frames) * len(models.FOOT_CORNERS)
             weight = self.model.total_mass * np.linalg.norm(self.model.gravity)
-            penetration = weight / (n_corners * self.config.contact["stiffness"]) if n_corners else 0.0
+            penetration = weight / (n_corners * self.config.contact["stiffness"])
             base_height = models.STANDING_HEIGHT - penetration
         state = PlantState(
             t=0.0,
@@ -549,7 +546,7 @@ class Plant:
         M = crba(fp)
         c = fp.inverse_dynamics(None, wrenches)
         if self.config.lock_base:
-            a_static = _static_proper_accel(fp)
+            a_static = static_proper_accel(fp)
             # base held: joint rows of M a + c = tau with base accel fixed static
             rhs = tau - c[6:] - M[6:, :6] @ a_static[:6]
             sdd = np.linalg.solve(M[6:, 6:], rhs)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import coriolis_bias, crba, forward_pass, frame_jacobian
+from .dynamics import crba, forward_pass, frame_jacobian
 from .spatial import Transform, cross3, exp_so3
 
 
@@ -184,7 +184,7 @@ class TorqueUkf:
         M = crba(fp)
         Ms = M[6:, 6:]
         Msb_lin = M[6:, :3]
-        C = coriolis_bias(fp)[6:]
+        C = fp.inverse_dynamics()[6:]
         r = self.imu_offset.p
         corr = cross3(omega, cross3(omega, r)) + cross3(omega, base_lin_vel)
         # B maps the state to the joint-space force, its last column is
@@ -196,13 +196,13 @@ class TorqueUkf:
         B[:, sl["alpha"]] = -Msb_lin @ self.imu_offset.R
         B[:, -1] = Msb_lin @ corr - C
         Gc = self.dt * np.linalg.solve(Ms, B)
-        return {"G": Gc[:, :-1], "c": Gc[:, -1]}
+        return Gc[:, :-1], Gc[:, -1]
 
-    def process_model(self, points, terms):
-        """Propagate states (rows of `points`) one step with the step terms."""
-        pts = np.array(points, dtype=float)
-        pts[:, self.slices["sdot"]] += pts @ terms["G"].T + terms["c"]
-        return pts
+    def process_model(self, x, G, c):
+        """State `x` advanced one step by the step terms `G`, `c`."""
+        x = np.array(x, dtype=float)
+        x[self.slices["sdot"]] += G @ x + c
+        return x
 
     def measurement_model(self, points, mask_friction=False):
         """Predicted measurements [sdot, I_m, tau_F, f_FT, alpha, omega]."""
@@ -271,12 +271,11 @@ class TorqueUkf:
         except np.linalg.LinAlgError:
             raise ArithmeticError(
                 "prior covariance not positive semi-definite") from None
-        terms = self._step_terms(s, base_R, mean, base_lin_vel)
-        G = terms["G"]
+        G, c = self._step_terms(s, base_R, mean, base_lin_vel)
         sd = self.slices["sdot"]
         # F = I + E G with E the sdot-row selector: F P F^T touches only
         # the sdot rows and columns
-        mean_p = self.process_model(np.atleast_2d(mean), terms)[0]
+        mean_p = self.process_model(mean, G, c)
         W = G @ cov
         GPG = W @ G.T
         cov_p = np.array(cov, dtype=float)

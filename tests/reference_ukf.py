@@ -11,7 +11,7 @@ rounding; `test_ukf.py` checks that.
 
 import numpy as np
 
-from torquesense.dynamics import coriolis_bias, crba, forward_pass, frame_jacobian
+from torquesense.dynamics import crba, forward_pass, frame_jacobian
 from torquesense.spatial import Transform, cross3
 from torquesense.ukf import Belief
 
@@ -71,7 +71,7 @@ def step_terms(ukf, s, base_R, mean, base_lin_vel):
     nu = np.concatenate([base_lin_vel, omega, mean[ukf.slices["sdot"]]])
     fp = forward_pass(model, base_pose, s, nu)
     M = crba(fp)
-    C = coriolis_bias(fp)[6:]
+    C = fp.inverse_dynamics()[6:]
     names = tuple(cfg.ft_frames) + (cfg.ext_frame,)
     jac = dict(zip(names, frame_jacobian(fp, names)[:, :, 6:]))
     return {"Minv": np.linalg.inv(M[6:, 6:]), "Msb": M[6:, :6], "C": C,

@@ -117,9 +117,10 @@ def test_pass_matches_per_link_recursions(name):
         fp = dynamics.forward_pass(model, pose, s, nu)
         assert close(dynamics.crba(fp), ref.crba(model, s))
         wrenches = [(f, r.normal(size=6)) for f in r.choice(frames, 2)]
-        assert close(dynamics.generalized_rnea(model, pose, s, nu, accel, wrenches),
+        link_wrenches = fp.link_wrenches(wrenches)
+        assert close(fp.inverse_dynamics(accel, link_wrenches),
                      ref.generalized_rnea(model, pose, s, nu, accel, wrenches))
-        assert close(dynamics.coriolis_bias(fp, fp.link_wrenches(wrenches)),
+        assert close(fp.inverse_dynamics(None, link_wrenches),
                      ref.coriolis_bias(model, pose, s, nu, wrenches))
         assert close(fp.inverse_dynamics(), ref.coriolis_bias(model, pose, s, nu))
 

@@ -25,7 +25,7 @@ from torquesense.models import desk_biped
      "unknown contact key 'tangential_stiffness'"),
     ({"joints": {"left_hip_rol": {"friction": {"coulomb": 0.2}}}},
      "unknown joint 'left_hip_rol'"),
-    ({"model": "missing.urdf"}, "No such file"),
+    ({"model": "missing.urdf"}, "unknown model 'missing.urdf'"),
     ({"stepsize": 1e-3}, "unexpected keyword argument 'stepsize'"),
     ({}, "duration (0.1 s) leaves no samples after the 0.5 s metrics burn-in"),
     ({"disturbances": [{"time": 0.6, "duration": 0.1, "frame": "torso_psh",

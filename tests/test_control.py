@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_dynamics as ref
 from chains import pendulum_urdf
 from torquesense.control import (
     MODES,
@@ -18,7 +19,7 @@ from torquesense.dynamics import com_position, forward_pass
 from torquesense.model import parse_model
 from torquesense.models import desk_biped
 from torquesense.plant import Plant, ScenarioConfig
-from torquesense.spatial import Transform
+from torquesense.spatial import Transform, exp_so3, log_so3
 
 
 def standing_setup():
@@ -72,6 +73,64 @@ def test_balancer_mirror_symmetry():
     assert abs(tau_d[ji("left_ankle_pitch")] - tau_d[ji("right_ankle_pitch")]) < 1e-9
     # roll joints see mirrored moments
     assert abs(tau_d[ji("left_hip_roll")] + tau_d[ji("right_hip_roll")]) < 1e-9
+
+
+def balancer_oracle(model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref,
+                    contact_frames, cfg, posture_ref):
+    """The balancer from the per-link recursions of reference_dynamics,
+    and the condition number of its normal matrix.
+
+    The bias is the RNEA at the static proper acceleration and the
+    contact Jacobians are built one frame at a time.
+    """
+    accel = np.zeros(model.nv)
+    accel[:3] = -pose.R.T @ model.gravity
+    bias = ref.generalized_rnea(model, pose, s, nu, accel)
+    jacobians = [ref.frame_jacobian(model, pose, s, f) for f in contact_frames]
+    com = com_position(forward_pass(model, pose, s, nu))
+    com_vel = ref.com_velocity(model, pose, s, nu)
+    acc_world = (com_acc_ref + cfg.kp_com * (com_ref - com)
+                 + cfg.kd_com * (com_vel_ref - com_vel))
+    extra = np.concatenate([
+        model.total_mass * (pose.R.T @ acc_world),
+        cfg.kp_att * log_so3(pose.R.T) - cfg.kd_att * nu[3:6]])
+    A = np.hstack([J[:, :6].T for J in jacobians])
+    AtA = A.T @ A + cfg.force_reg * np.eye(A.shape[1])
+    f = np.linalg.solve(AtA, A.T @ (bias[:6] + extra))
+    tau_d = bias[6:].copy()
+    for k, J in enumerate(jacobians):
+        tau_d -= J[:, 6:].T @ f[6 * k:6 * k + 6]
+    tau_d += cfg.kp_posture * (posture_ref - s) - cfg.kd_posture * nu[6:]
+    return tau_d, np.linalg.cond(AtA)
+
+
+def test_balancer_matches_the_recursion_oracle():
+    # asymmetric standing states: a tilted, moving base, bent joints and
+    # CoM references off the current CoM
+    model = desk_biped()
+    cfg = ControlConfig()
+    frames = ("left_sole", "right_sole")
+    r = np.random.default_rng(7)
+    for _ in range(3):
+        pose = Transform(exp_so3(0.1 * r.normal(size=3)),
+                         np.array([0.0, 0.0, 0.5]) + 0.02 * r.normal(size=3))
+        s = 0.3 * r.normal(size=model.ndof)
+        nu = 0.5 * r.normal(size=model.nv)
+        com_ref, com_vel_ref, com_acc_ref = 0.02 * r.normal(size=(3, 3))
+        com_ref = com_ref + [0.0, 0.0, 0.45]
+        posture_ref = 0.1 * r.normal(size=model.ndof)
+        args = (model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref,
+                frames, cfg, posture_ref)
+        expected, cond = balancer_oracle(*args)
+        tau_d = high_level_balancer(*args)
+        # the damped least squares amplifies rounding by the condition
+        # number of its normal matrix (~3e6 at force_reg 1e-6): 1e-16
+        # differences between the recursions and the batched pass reach
+        # ~1e-9 of the torques, while a wrong frame, sign or stacking
+        # order errs by O(1)
+        tol = 10.0 * np.finfo(float).eps * cond
+        assert 1e-10 < tol < 1e-8
+        assert np.max(np.abs(tau_d - expected)) <= tol * np.max(np.abs(expected))
 
 
 def test_balancer_gravity_compensation_holds_the_plant():

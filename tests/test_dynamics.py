@@ -12,12 +12,10 @@ from chains import pendulum_urdf, two_link_arm_urdf
 from torquesense.dynamics import (
     com_position,
     com_velocity,
-    compute_dynamics_terms,
-    coriolis_bias,
     crba,
     forward_pass,
     frame_jacobian,
-    generalized_rnea,
+    static_proper_accel,
 )
 from torquesense.model import parse_model
 from torquesense.models import desk_biped
@@ -31,6 +29,12 @@ def static_accel(model, base_pose):
     a = np.zeros(model.nv)
     a[:3] = -base_pose.R.T @ model.gravity
     return a
+
+
+def generalized_rnea(model, pose, s, nu, accel, wrenches=()):
+    """Inverse dynamics at one state, wrenches given in their frames."""
+    fp = forward_pass(model, pose, s, nu)
+    return fp.inverse_dynamics(accel, fp.link_wrenches(wrenches))
 
 
 def random_state(model, seed, base_motion=True):
@@ -113,7 +117,7 @@ def test_forward_inverse_round_trip():
     # wrench by adding it as an extra external wrench at the base link
     wrenches2 = wrenches + [(model.links[0].name, full[:6])]
     fp = forward_pass(model, pose, s, nu)
-    rhs = -coriolis_bias(fp, fp.link_wrenches(wrenches2))
+    rhs = -fp.inverse_dynamics(None, fp.link_wrenches(wrenches2))
     rhs[6:] += full[6:]
     back = np.linalg.solve(crba(fp), rhs)
     assert np.allclose(back, accel, atol=1e-8)
@@ -150,7 +154,7 @@ def test_mass_matrix_spd_and_matches_rnea_columns():
 def test_coriolis_bias_zero_at_rest():
     model = desk_biped()
     pose, s, _ = random_state(model, 51)
-    c = coriolis_bias(forward_pass(model, pose, s, np.zeros(model.nv)))
+    c = forward_pass(model, pose, s, np.zeros(model.nv)).inverse_dynamics()
     assert np.allclose(c, 0.0, atol=1e-12)
 
 
@@ -159,7 +163,8 @@ def test_gravity_bias_matches_potential_gradient():
     model = desk_biped()
     pose, s, _ = random_state(model, 61)
     nu = np.zeros(model.nv)
-    bias, _ = compute_dynamics_terms(forward_pass(model, pose, s, nu), ())
+    fp = forward_pass(model, pose, s, nu)
+    bias = fp.inverse_dynamics(static_proper_accel(fp))
     h = 1e-6
     for j in range(model.ndof):
         sp, sm = s.copy(), s.copy()

@@ -480,6 +480,15 @@ def test_run_just_past_the_burn_in_has_finite_metrics():
     assert np.all(np.isfinite(report["torque_rmse"]))
 
 
+def test_a_saturating_run_reports_its_saturation_events():
+    # gravity compensation alone needs more than 0.05 A on the legs
+    report, log = run_scenario(
+        ScenarioConfig(duration=0.6),
+        ControlConfig(mode="Feedforward", current_limit=0.05))
+    assert report["saturation_events"] == log.saturation_events > 0
+    assert np.max(np.abs(log.currents)) == 0.05
+
+
 def test_rerun_replaces_its_metrics_row(tmp_path):
     # another seed is another run: its row is kept beside the rerun one
     for seed in (0, 1, 0):

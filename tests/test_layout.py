@@ -1,4 +1,5 @@
-"""Source layout: the library modules hold no test-only code.
+"""Source layout: the library modules hold no test-only code and share
+no private names.
 
 The library layer is every module of the package except the entry
 layer, `experiments` and `cli`, whose public functions are the user
@@ -6,7 +7,8 @@ API.  A public function, class, module constant or method of a library
 module that nothing under `src/` uses belongs in the tests' reference
 modules, not in the package.  The benchmark under `perfbench/` drives
 the package through its API as a user does, so a name it calls counts
-as used too; its own tests do not.
+as used too; its own tests do not.  A `_`-prefixed name is private to
+its module: a name another module imports is public, and is named so.
 """
 
 import ast
@@ -76,3 +78,12 @@ def test_library_modules_have_no_test_only_names():
         if name not in attributes and (is_method or name not in names):
             unused.append(name)
     assert unused == []
+
+
+def test_no_module_imports_a_private_name():
+    imported = [f"{path.stem}: from {'.' * node.level}{node.module or ''} "
+                f"import {alias.name}"
+                for path, tree in parse(sorted(SRC.glob("*.py"))).items()
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []

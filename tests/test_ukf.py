@@ -238,13 +238,13 @@ def test_process_model_only_advances_velocities():
     ukf = pendulum_ukf()
     r = np.random.default_rng(5)
     mean = r.normal(size=ukf.dim) * 0.1
-    terms = ukf._step_terms(np.zeros(1), np.eye(3), mean, np.zeros(3))
-    pts = r.normal(size=(7, ukf.dim))
-    out = ukf.process_model(pts, terms)
+    G, c = ukf._step_terms(np.zeros(1), np.eye(3), mean, np.zeros(3))
     sl = ukf.slices
-    for name in ("tau_m", "tau_f", "f_ext", "alpha", "omega"):
-        assert np.array_equal(out[:, sl[name]], pts[:, sl[name]])
-    assert not np.allclose(out[:, sl["sdot"]], pts[:, sl["sdot"]])
+    for x in r.normal(size=(7, ukf.dim)):
+        out = ukf.process_model(x, G, c)
+        for name in ("tau_m", "tau_f", "f_ext", "alpha", "omega"):
+            assert np.array_equal(out[sl[name]], x[sl[name]])
+        assert not np.allclose(out[sl["sdot"]], x[sl["sdot"]])
 
 
 def test_assemble_measurement_matches_model_layout():
@@ -275,11 +275,8 @@ def static_pendulum_truth(ukf):
     """A fixed point of the filter's process model for the pendulum."""
     import torquesense.dynamics as dyn
     model = ukf.model
-    pose = Transform()
-    accel = np.zeros(model.nv)
-    accel[:3] = -pose.R.T @ model.gravity
-    gravity_tau = dyn.generalized_rnea(model, pose, np.zeros(1),
-                                       np.zeros(model.nv), accel)[6:]
+    fp = dyn.forward_pass(model, Transform(), np.zeros(1), np.zeros(model.nv))
+    gravity_tau = fp.inverse_dynamics(dyn.static_proper_accel(fp))[6:]
     truth = np.zeros(ukf.dim)
     truth[ukf.slices["tau_f"]] = 0.4
     truth[ukf.slices["tau_m"]] = gravity_tau + 0.4
@@ -291,9 +288,8 @@ def test_zero_noise_self_consistency_contracts():
     ukf = pendulum_ukf()
     truth = static_pendulum_truth(ukf)
     # the truth state is stationary under the process model
-    terms = ukf._step_terms(np.zeros(1), np.eye(3), truth, np.zeros(3))
-    prop = ukf.process_model(truth[None, :], terms)
-    assert np.allclose(prop[0], truth, atol=1e-12)
+    G, c = ukf._step_terms(np.zeros(1), np.eye(3), truth, np.zeros(3))
+    assert np.allclose(ukf.process_model(truth, G, c), truth, atol=1e-12)
 
     z = ukf.measurement_model(truth[None, :])[0]
     # start well away from the truth
