@@ -31,7 +31,6 @@ from .experiments import (DEFAULT_KF_GAINS, check_duration, check_nets,
                           render_table, run_scenario, sweep_modes)
 from .ga import MIN_TRACE_SAMPLES, GaConfig, tune_kf
 from .kf import encoder_lsb, save_gains
-from .model import ModelError
 from .plant import Plant, ScenarioConfig
 
 
@@ -122,7 +121,7 @@ def _load_scenario(spec, seed):
         scenario = ScenarioConfig.from_dict(d)
         Plant(scenario)  # checks joint names, frames and object events
         check_duration(scenario)
-    except (ModelError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SystemExit(f"scenario file {spec} rejected: {exc}") from None
     return scenario
 

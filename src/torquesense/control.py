@@ -106,9 +106,10 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     w_des = bias[:6] + extra
     # the base rows of the stacked J^T; column 6 k + i is row i of J_k
     A = J[:, :, :6].reshape(-1, 6).T
-    # damped least squares keeps the distribution unique and bounded
-    AtA = A.T @ A + config.force_reg * np.eye(A.shape[1])
-    f = np.linalg.solve(AtA, A.T @ w_des)
+    # damped least squares keeps the distribution unique and bounded;
+    # its minimiser (A^T A + reg I)^-1 A^T w is A^T (A A^T + reg I)^-1 w,
+    # a 6x6 solve
+    f = A.T @ np.linalg.solve(A @ A.T + config.force_reg * np.eye(6), w_des)
     tau_d = bias[6:] - J[:, :, 6:].reshape(-1, model.ndof).T @ f
     tau_d += config.kp_posture * (np.asarray(posture_ref, float) - s) \
         - config.kd_posture * nu[6:]

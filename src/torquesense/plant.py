@@ -19,16 +19,17 @@ scenario configuration (including the seed).
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models
 from .dynamics import (com_position, crba, forward_pass, joint_transforms,
                        static_proper_accel)
 from .friction import MotorParams, ScvParams, scv_friction
 from .kf import encoder_lsb
-from .model import FrameError
+from .model import FOOT_CORNERS, STANDING_HEIGHT, FrameError, desk_biped
 from .spatial import Transform, batch_cross, cross3, exp_so3, skew
 
 
@@ -115,7 +116,8 @@ class ScenarioConfig:
     the same way.  A section or key not named here is rejected; so is
     a joint name the model lacks, when the `Plant` is built.  `model`
     must be "desk_biped", the one model that declares the sole, FT and
-    IMU frames the closed loop reads.
+    IMU frames the closed loop reads.  `gravity` is the world-frame
+    gravity vector, 3 finite numbers in m/s^2.
     """
     schema_version: int = 1
     model: str = "desk_biped"
@@ -140,6 +142,11 @@ class ScenarioConfig:
                              f"closed loop reads")
         if self.step <= 0.0:
             raise ValueError(f"integrator step must be positive, got {self.step}")
+        g = self.gravity
+        if not (hasattr(g, "__len__") and len(g) == 3 and all(
+                isinstance(x, numbers.Real) and math.isfinite(x) for x in g)):
+            raise ValueError(f"ScenarioConfig.gravity must be 3 finite numbers "
+                             f"(m/s^2, world frame), got {g!r}")
         if self.friction_smoothing < 0.0:
             raise ValueError(f"friction_smoothing must be nonnegative, "
                              f"got {self.friction_smoothing}")
@@ -301,7 +308,7 @@ class Plant:
 
     def __init__(self, config):
         self.config = config
-        self.model = models.desk_biped()
+        self.model = desk_biped()
         self.model.gravity = np.asarray(config.gravity, dtype=float)
         n = self.model.ndof
         self.n = n
@@ -347,8 +354,7 @@ class Plant:
         self._sole_links = np.array([idx for idx, _ in soles], dtype=np.intp)
         self._sole_offsets = np.array(
             [offset.homogeneous() for _, offset in soles])
-        corners = np.vstack([models.FOOT_CORNERS.T,
-                             np.ones(len(models.FOOT_CORNERS))])
+        corners = np.vstack([FOOT_CORNERS.T, np.ones(len(FOOT_CORNERS))])
         self._corners = self._sole_offsets @ corners
 
         self.disturbances = list(config.disturbances)
@@ -423,10 +429,10 @@ class Plant:
         s = np.zeros(n) if joint_pos is None else np.asarray(joint_pos, dtype=float)
         if base_height is None:
             # rest the soles on the ground with the static penalty penetration
-            n_corners = len(self.sole_frames) * len(models.FOOT_CORNERS)
+            n_corners = len(self.sole_frames) * len(FOOT_CORNERS)
             weight = self.model.total_mass * np.linalg.norm(self.model.gravity)
             penetration = weight / (n_corners * self.config.contact["stiffness"])
-            base_height = models.STANDING_HEIGHT - penetration
+            base_height = STANDING_HEIGHT - penetration
         state = PlantState(
             t=0.0,
             base_pos=np.array([0.0, 0.0, base_height]),
@@ -475,7 +481,7 @@ class Plant:
         V = (fp.v[self._sole_links] @ _TWIST_BASIS).reshape(-1, 3, 4) @ HC
         pen = -HC[:, 2]
         if self.object_events:
-            pen += [self.ground_height(f, t, models.FOOT_CORNERS[:, 0])
+            pen += [self.ground_height(f, t, FOOT_CORNERS[:, 0])
                     for f in self.sole_frames]
         # damping on every axis, plus the normal spring
         F = V * self._contact_damping

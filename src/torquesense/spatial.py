@@ -25,20 +25,13 @@ def skew(v):
                      [-y, x, 0.0]])
 
 
-def rotation_about_axis(axis, angle):
-    """Rotation matrix for a rotation of `angle` about a unit `axis` (Rodrigues)."""
-    a = np.asarray(axis, dtype=float)
-    K = skew(a)
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-
-
 def exp_so3(w):
     """Exponential map from a rotation vector to SO(3).
 
-    The Rodrigues form of `rotation_about_axis`, I + sin(angle) K +
-    (1 - cos(angle)) K^2 with K the skew matrix of the unit axis, written
-    out on Python floats; below an angle of 1e-12 it is the series
-    I + K + K^2 / 2 with K the skew matrix of `w` itself.
+    The Rodrigues form I + sin(angle) K + (1 - cos(angle)) K^2 with K
+    the skew matrix of the unit axis, written out on Python floats; below
+    an angle of 1e-12 it is the series I + K + K^2 / 2 with K the skew
+    matrix of `w` itself.
     """
     x, y, z = np.asarray(w, dtype=float).tolist()
     angle = math.sqrt(x * x + y * y + z * z)

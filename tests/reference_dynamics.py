@@ -9,25 +9,23 @@ tests in `test_batched_pass.py` check that.
 
 import numpy as np
 
-from torquesense import models
 from torquesense.friction import scv_friction
+from torquesense.model import FOOT_CORNERS
 from torquesense.plant import Plant
-from torquesense.spatial import Transform, cross3, exp_so3, rotation_about_axis
+from torquesense.spatial import Transform, cross3, exp_so3
 
 from reference_spatial import (apply, cross_force, force_matrix, inverse,
-                               link_inertia, transform_force, transform_motion,
+                               link_inertia, rotation_about_axis,
+                               transform_force, transform_motion,
                                transform_motion_inv)
 
 
 def joint_transforms(model, s):
     """Per-link transforms parent<-link for joint configuration s."""
-    Xs = [model.links[0].origin]
+    Xs = [Transform()]
     for link in model.links[1:]:
-        if link.joint_type == "revolute":
-            Rj = rotation_about_axis(link.axis, s[link.dof])
-            Xs.append(Transform(link.origin.R @ Rj, link.origin.p))
-        else:
-            Xs.append(link.origin)
+        Rj = rotation_about_axis(link.axis, s[link.dof])
+        Xs.append(Transform(link.origin.R @ Rj, link.origin.p))
     return Xs
 
 
@@ -67,13 +65,12 @@ def generalized_rnea(model, base_pose, s, nu, accel, contact_wrenches=(), Xs=Non
         i = link.index
         vi = transform_motion_inv(Xs[i], v[link.parent])
         ai = transform_motion_inv(Xs[i], a[link.parent])
-        if link.joint_type == "revolute":
-            w = link.axis * nu[6 + link.dof]
-            vi[3:] += w
-            ai[3:] += link.axis * accel[6 + link.dof]
-            # cross_motion(vi, [0, w]) exploiting the zero linear part
-            ai[:3] += cross3(vi[:3], w)
-            ai[3:] += cross3(vi[3:], w)
+        w = link.axis * nu[6 + link.dof]
+        vi[3:] += w
+        ai[3:] += link.axis * accel[6 + link.dof]
+        # cross_motion(vi, [0, w]) exploiting the zero linear part
+        ai[:3] += cross3(vi[:3], w)
+        ai[3:] += cross3(vi[3:], w)
         v[i] = vi
         a[i] = ai
         fi = inertias[i] @ ai + cross_force(vi, inertias[i] @ vi)
@@ -84,8 +81,7 @@ def generalized_rnea(model, base_pose, s, nu, accel, contact_wrenches=(), Xs=Non
     out = np.zeros(model.nv)
     for link in reversed(model.links[1:]):
         i = link.index
-        if link.joint_type == "revolute":
-            out[6 + link.dof] = link.axis @ f[i][3:]
+        out[6 + link.dof] = link.axis @ f[i][3:]
         f[link.parent] = f[link.parent] + transform_force(Xs[i], f[i])
     out[:6] = f[0]
     return out
@@ -113,8 +109,6 @@ def crba(model, s, Xs=None):
     M = np.zeros((nv, nv))
     M[:6, :6] = Ic[0]
     for link in model.links[1:]:
-        if link.joint_type != "revolute":
-            continue
         j = link.dof
         F = Ic[link.index][:, 3:] @ link.axis
         M[6 + j, 6 + j] = link.axis @ F[3:]
@@ -123,7 +117,7 @@ def crba(model, s, Xs=None):
             F = Xf[i] @ F
             i = model.links[i].parent
             li = model.links[i]
-            if li.joint_type == "revolute":
+            if i > 0:
                 M[6 + li.dof, 6 + j] = li.axis @ F[3:]
                 M[6 + j, 6 + li.dof] = M[6 + li.dof, 6 + j]
         M[:6, 6 + j] = F
@@ -139,8 +133,7 @@ def link_states(model, base_pose, s, nu, Xs=None):
     vels = [np.asarray(nu[:6], dtype=float)]
     for link in model.links[1:]:
         vp = transform_motion_inv(Xs[link.index], vels[link.parent])
-        if link.joint_type == "revolute":
-            vp[3:] += link.axis * nu[6 + link.dof]
+        vp[3:] += link.axis * nu[6 + link.dof]
         vels.append(vp)
     return world, vels
 
@@ -157,10 +150,9 @@ def frame_jacobian(model, base_pose, s, frame_name):
     i = idx
     while i > 0:
         link = model.links[i]
-        if link.joint_type == "revolute":
-            S = np.concatenate([np.zeros(3), link.axis])
-            H_fl = inverse(H_frame) * world[i]
-            J[:, 6 + link.dof] = transform_motion(H_fl, S)
+        S = np.concatenate([np.zeros(3), link.axis])
+        H_fl = inverse(H_frame) * world[i]
+        J[:, 6 + link.dof] = transform_motion(H_fl, S)
         i = link.parent
     return J
 
@@ -200,7 +192,7 @@ def contact_wrenches(plant, t, world, vels, counts=None):
         v_link = vels[idx]
         F_tot = np.zeros(3)
         N_tot = np.zeros(3)
-        for ci, corner in enumerate(models.FOOT_CORNERS):
+        for ci, corner in enumerate(FOOT_CORNERS):
             c_link = apply(offset, corner)
             p_w = apply(world[idx], c_link)
             pen = plant.ground_height(frame, t, corner[0]) - p_w[2]

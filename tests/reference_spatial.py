@@ -12,6 +12,12 @@ import numpy as np
 from torquesense.spatial import Transform, cross3, skew
 
 
+def rotation_about_axis(axis, angle):
+    """Rotation matrix for a rotation of `angle` about a unit `axis` (Rodrigues)."""
+    K = skew(np.asarray(axis, dtype=float))
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
 def inverse(H):
     """H_ba, given H_ab."""
     Rt = H.R.T

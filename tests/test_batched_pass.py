@@ -2,90 +2,70 @@
 
 `reference_dynamics` holds the recursions the pass replaced.  Every
 quantity the pass yields must match them to 1e-12 relative on random
-states, over models that exercise branching trees, fixed joints, a
-rotated root-joint origin, tilted joint axes and zero dofs.
+states, over models that exercise branching trees, rotated joint
+origins, tilted joint axes, rotated inertial frames and zero dofs.
 """
 
 import numpy as np
 import pytest
 
-from chains import pendulum_urdf, serial_leg_urdf, two_link_arm_urdf
+from chains import pendulum, serial_leg, two_link_arm
 import reference_dynamics as ref
 from reference_spatial import apply
 from torquesense import dynamics
-from torquesense.model import parse_model
-from torquesense.models import desk_biped
+from torquesense.model import RobotModel, desk_biped
 from torquesense.plant import ObjectEvent, Plant, ScenarioConfig
 from torquesense.spatial import Transform, exp_so3
 
 TOL = 1e-12
 
-# a fixed joint with a rotated origin, a rotated root-joint origin (which
-# the dynamics ignore: link 0 sits at the base pose), tilted axes, a
-# branch off the base and rotated inertial frames
-MIXED_URDF = """
-<robot name="mixed">
-  <link name="base">
-    <inertial><origin xyz="0.01 -0.02 0.03" rpy="0.1 0.2 0.3"/><mass value="4"/>
-      <inertia ixx="0.05" iyy="0.04" izz="0.03" ixy="0.002" ixz="-0.001"/></inertial>
-  </link>
-  <joint name="root" type="floating"><parent link="world"/><child link="base"/>
-    <origin xyz="0.1 -0.2 0.3" rpy="0.2 -0.1 0.4"/></joint>
-  <link name="mount">
-    <inertial><origin xyz="0 0 0.02"/><mass value="0.5"/>
-      <inertia ixx="0.001" iyy="0.001" izz="0.001"/></inertial>
-  </link>
-  <joint name="bolt" type="fixed"><parent link="base"/><child link="mount"/>
-    <origin xyz="0 0.1 0.05" rpy="0.3 0 -0.2"/></joint>
-  <link name="arm">
-    <inertial><origin xyz="0.1 0 0" rpy="0 0.3 0"/><mass value="1.2"/>
-      <inertia ixx="0.002" iyy="0.01" izz="0.011" iyz="0.0005"/></inertial>
-  </link>
-  <joint name="shoulder" type="revolute"><parent link="mount"/><child link="arm"/>
-    <origin xyz="0.05 0 0" rpy="0 0.5 0"/><axis xyz="0.6 0 0.8"/></joint>
-  <link name="hand">
-    <inertial><origin xyz="0.03 0.01 0"/><mass value="0.3"/>
-      <inertia ixx="0.0004" iyy="0.0005" izz="0.0006"/></inertial>
-  </link>
-  <joint name="wrist" type="revolute"><parent link="arm"/><child link="hand"/>
-    <origin xyz="0.2 0 0" rpy="-0.4 0 0.1"/><axis xyz="0 0.6 -0.8"/></joint>
-  <link name="tail">
-    <inertial><origin xyz="-0.1 0 0"/><mass value="0.7"/>
-      <inertia ixx="0.001" iyy="0.003" izz="0.003"/></inertial>
-  </link>
-  <joint name="wag" type="revolute"><parent link="base"/><child link="tail"/>
-    <origin xyz="-0.15 0 0"/><axis xyz="0 0 1"/></joint>
-</robot>"""
 
-# zero dofs, two links: the base and a bolted-on block
-RIGID_URDF = """
-<robot name="rigid">
-  <link name="base">
-    <inertial><mass value="2"/><inertia ixx="0.1" iyy="0.1" izz="0.1"/></inertial>
-  </link>
-  <joint name="root" type="floating"><parent link="world"/><child link="base"/></joint>
-  <link name="block">
-    <inertial><origin xyz="0.05 0 0"/><mass value="1"/>
-      <inertia ixx="0.01" iyy="0.02" izz="0.02"/></inertial>
-  </link>
-  <joint name="bolt" type="fixed"><parent link="base"/><child link="block"/>
-    <origin xyz="0.2 0.1 0" rpy="0 0 0.7"/></joint>
-</robot>"""
+def rotated(rotation_vector, inertia):
+    """A principal-axes inertia turned into link axes."""
+    R = exp_so3(rotation_vector)
+    return R @ np.asarray(inertia, dtype=float) @ R.T
+
+
+def joint_origin(rotation_vector, offset):
+    return Transform(exp_so3(rotation_vector), offset)
 
 
 def mixed_model():
-    model = parse_model(MIXED_URDF)
+    """A branch off the base (mount/tail), rotated joint origins, tilted
+    axes and inertias in rotated frames, in an order where a row's parent
+    is not always the row before it."""
+    model = RobotModel([
+        ("base", None, None, None, None, 4.0, (0.01, -0.02, 0.03),
+         rotated([0.1, 0.2, 0.3], [[0.05, 0.002, -0.001], [0.002, 0.04, 0.0],
+                                   [-0.001, 0.0, 0.03]])),
+        ("mount", "bolt", "base", joint_origin([0.3, 0.0, -0.2], [0.0, 0.1, 0.05]),
+         (0.0, 0.0, 1.0), 0.5, (0.0, 0.0, 0.02), 0.001 * np.eye(3)),
+        ("tail", "wag", "base", joint_origin([0.0, 0.0, 0.0], [-0.15, 0.0, 0.0]),
+         (0.0, 0.0, 1.0), 0.7, (-0.1, 0.0, 0.0), np.diag([0.001, 0.003, 0.003])),
+        ("arm", "shoulder", "mount", joint_origin([0.0, 0.5, 0.0], [0.05, 0.0, 0.0]),
+         (0.6, 0.0, 0.8), 1.2, (0.1, 0.0, 0.0),
+         rotated([0.0, 0.3, 0.0], [[0.002, 0.0, 0.0], [0.0, 0.01, 0.0005],
+                                   [0.0, 0.0005, 0.011]])),
+        ("hand", "wrist", "arm", joint_origin([-0.4, 0.0, 0.1], [0.2, 0.0, 0.0]),
+         (0.0, 0.6, -0.8), 0.3, (0.03, 0.01, 0.0), np.diag([0.0004, 0.0005, 0.0006])),
+    ])
     model.add_frame("tip", "hand", Transform(exp_so3([0.2, -0.3, 0.1]),
                                              [0.05, 0.01, -0.02]))
     return model
 
 
+def rigid_model():
+    """The base alone: zero dofs, its center of mass off the frame origin."""
+    return RobotModel([("base", None, None, None, None, 3.0, (0.05, 0.02, 0.0),
+                        rotated([0.0, 0.0, 0.7], [0.1, 0.2, 0.2] * np.eye(3)))])
+
+
 MODELS = {
     "desk_biped": desk_biped,
-    "pendulum": lambda: parse_model(pendulum_urdf()),
-    "two_link": lambda: parse_model(two_link_arm_urdf()),
-    "serial_leg": lambda: parse_model(serial_leg_urdf()),
-    "rigid": lambda: parse_model(RIGID_URDF),
+    "pendulum": pendulum,
+    "two_link": two_link_arm,
+    "serial_leg": serial_leg,
+    "rigid": rigid_model,
     "mixed": mixed_model,
 }
 

@@ -8,7 +8,7 @@ import pytest
 
 from torquesense import cli, experiments, pinn
 from torquesense.friction import ScvParams
-from torquesense.models import desk_biped
+from torquesense.model import desk_biped
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -31,8 +31,9 @@ from torquesense.models import desk_biped
     ({"disturbances": [{"time": 0.6, "duration": 0.1, "frame": "torso_psh",
                         "force": [0.0, 20.0, 0.0]}]},
      "unknown frame 'torso_psh'"),
+    ({"gravity": [0.0, -9.81]}, "ScenarioConfig.gravity must be 3 finite"),
 ], ids=["frame", "remove", "step", "rigid", "stick", "joint", "model", "key",
-        "duration", "push"])
+        "duration", "push", "gravity"])
 def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
                                                     scenario, message):
     path = tmp_path / "scenario.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference_dynamics as ref
-from chains import pendulum_urdf
+from chains import pendulum
 from torquesense.control import (
     MODES,
     ControlConfig,
@@ -16,8 +16,7 @@ from torquesense.control import (
     rnea_torque_feedback,
 )
 from torquesense.dynamics import com_position, forward_pass
-from torquesense.model import parse_model
-from torquesense.models import desk_biped
+from torquesense.model import desk_biped
 from torquesense.plant import Plant, ScenarioConfig
 from torquesense.spatial import Transform, exp_so3, log_so3
 
@@ -77,8 +76,7 @@ def test_balancer_mirror_symmetry():
 
 def balancer_oracle(model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref,
                     contact_frames, cfg, posture_ref):
-    """The balancer from the per-link recursions of reference_dynamics,
-    and the condition number of its normal matrix.
+    """The balancer from the per-link recursions of reference_dynamics.
 
     The bias is the RNEA at the static proper acceleration and the
     contact Jacobians are built one frame at a time.
@@ -95,13 +93,13 @@ def balancer_oracle(model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref,
         model.total_mass * (pose.R.T @ acc_world),
         cfg.kp_att * log_so3(pose.R.T) - cfg.kd_att * nu[3:6]])
     A = np.hstack([J[:, :6].T for J in jacobians])
-    AtA = A.T @ A + cfg.force_reg * np.eye(A.shape[1])
-    f = np.linalg.solve(AtA, A.T @ (bias[:6] + extra))
+    f = A.T @ np.linalg.solve(A @ A.T + cfg.force_reg * np.eye(6),
+                              bias[:6] + extra)
     tau_d = bias[6:].copy()
     for k, J in enumerate(jacobians):
         tau_d -= J[:, 6:].T @ f[6 * k:6 * k + 6]
     tau_d += cfg.kp_posture * (posture_ref - s) - cfg.kd_posture * nu[6:]
-    return tau_d, np.linalg.cond(AtA)
+    return tau_d
 
 
 def test_balancer_matches_the_recursion_oracle():
@@ -121,16 +119,13 @@ def test_balancer_matches_the_recursion_oracle():
         posture_ref = 0.1 * r.normal(size=model.ndof)
         args = (model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref,
                 frames, cfg, posture_ref)
-        expected, cond = balancer_oracle(*args)
+        expected = balancer_oracle(*args)
         tau_d = high_level_balancer(*args)
-        # the damped least squares amplifies rounding by the condition
-        # number of its normal matrix (~3e6 at force_reg 1e-6): 1e-16
-        # differences between the recursions and the batched pass reach
-        # ~1e-9 of the torques, while a wrong frame, sign or stacking
+        # the 6x6 system A A^T + reg I is well conditioned (~3), so the
+        # 1e-16 differences between the recursions and the batched pass
+        # stay at rounding level, while a wrong frame, sign or stacking
         # order errs by O(1)
-        tol = 10.0 * np.finfo(float).eps * cond
-        assert 1e-10 < tol < 1e-8
-        assert np.max(np.abs(tau_d - expected)) <= tol * np.max(np.abs(expected))
+        assert np.max(np.abs(tau_d - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_balancer_gravity_compensation_holds_the_plant():
@@ -177,7 +172,7 @@ def test_rnea_feedback_static_accuracy():
 
 
 def test_rnea_feedback_zero_gravity_static():
-    model = parse_model(pendulum_urdf(), gravity=(0.0, 0.0, 0.0))
+    model = pendulum(gravity=(0.0, 0.0, 0.0))
     est = rnea_torque_feedback(model, Transform(), np.zeros(1),
                                np.zeros(model.nv), np.zeros(model.nv), {})
     assert np.allclose(est, 0.0, atol=1e-12)

@@ -8,7 +8,7 @@ a numeric power-balance check along the exact flow.
 import numpy as np
 import pytest
 
-from chains import pendulum_urdf, two_link_arm_urdf
+from chains import pendulum, two_link_arm
 from torquesense.dynamics import (
     com_position,
     com_velocity,
@@ -17,8 +17,7 @@ from torquesense.dynamics import (
     frame_jacobian,
     static_proper_accel,
 )
-from torquesense.model import parse_model
-from torquesense.models import desk_biped
+from torquesense.model import RobotModel, desk_biped
 from torquesense.spatial import Transform, exp_so3, log_so3
 
 from reference_dynamics import forward_kinematics, link_states, mechanical_energy
@@ -49,7 +48,7 @@ def random_state(model, seed, base_motion=True):
 
 def test_pendulum_closed_form():
     mass, length = 1.3, 0.7
-    model = parse_model(pendulum_urdf(mass=mass, length=length))
+    model = pendulum(mass=mass, length=length)
     pose = Transform()
     inertia = mass * length ** 2 + 1e-6  # point mass plus the tiny rod term
     for theta in (0.0, 0.4, -1.1, 2.0):
@@ -90,7 +89,7 @@ def test_two_link_symbolic_lagrangian():
         [q1.diff(t, 2), q2.diff(t, 2), q1.diff(t), q2.diff(t), q1, q2], syms))
     fns = [sympy.lambdify(syms, tau.subs(subs), "numpy") for tau in taus]
 
-    model = parse_model(two_link_arm_urdf(m1=m1, m2=m2, l1=l1, l2=l2))
+    model = two_link_arm(m1=m1, m2=m2, l1=l1, l2=l2)
     pose = Transform()
     r = np.random.default_rng(11)
     for _ in range(10):
@@ -272,7 +271,7 @@ def test_com_velocity_matches_finite_difference():
 
 
 def test_zero_gravity_static_torques_vanish():
-    model = parse_model(pendulum_urdf(), gravity=(0.0, 0.0, 0.0))
+    model = pendulum(gravity=(0.0, 0.0, 0.0))
     pose = Transform()
     s = np.array([0.7])
     full = generalized_rnea(model, pose, s, np.zeros(model.nv),
@@ -281,14 +280,8 @@ def test_zero_gravity_static_torques_vanish():
 
 
 def test_base_only_model():
-    doc = """
-<robot name="solo">
-  <link name="base">
-    <inertial><mass value="2"/><inertia ixx="0.1" iyy="0.1" izz="0.1"/></inertial>
-  </link>
-  <joint name="root" type="floating"><parent link="world"/><child link="base"/></joint>
-</robot>"""
-    model = parse_model(doc)
+    model = RobotModel([("base", None, None, None, None, 2.0, (0.0, 0.0, 0.0),
+                         0.1 * np.eye(3))])
     assert model.ndof == 0
     pose = Transform()
     M = crba(forward_pass(model, pose, np.zeros(0), np.zeros(6)))

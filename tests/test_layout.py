@@ -9,9 +9,12 @@ modules, not in the package.  The benchmark under `perfbench/` drives
 the package through its API as a user does, so a name it calls counts
 as used too; its own tests do not.  A `_`-prefixed name is private to
 its module: a name another module imports is public, and is named so.
+The package imports nothing but numpy and the standard library, the one
+dependency `pyproject.toml` declares.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,3 +90,23 @@ def test_no_module_imports_a_private_name():
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name.startswith("_")]
     assert imported == []
+
+
+
+def imported_modules(tree):
+    """Absolute module names of the tree's imports; a relative import
+    stays inside the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_imports_are_numpy_stdlib_or_the_package():
+    allowed = sys.stdlib_module_names | {"numpy", "torquesense"}
+    foreign = [f"{path.stem}: import {name}"
+               for path, tree in parse(sorted(SRC.glob("*.py"))).items()
+               for name in imported_modules(tree)
+               if name.split(".")[0] not in allowed]
+    assert foreign == []

@@ -1,112 +1,66 @@
-"""Model description parsing, validation and frame lookup."""
+"""The link-table constructor, its checks, frame lookup and the desk
+biped's state layout."""
 
 import numpy as np
 import pytest
 
-from chains import pendulum_urdf, serial_leg_urdf
-from torquesense.model import (
-    FrameError,
-    ParseError,
-    StructureError,
-    ValidationError,
-    parse_model,
-)
-from torquesense.models import desk_biped
+from chains import pendulum, serial_leg
+from torquesense.model import FrameError, RobotModel, desk_biped
 from torquesense.spatial import Transform
 
+ORIGIN = (0.0, 0.0, 0.0)
+Z = (0.0, 0.0, 1.0)
 
-def _doc(body):
-    return f'<robot name="t">{body}</robot>'
 
-
-LINK = """
-<link name="{name}">
-  <inertial>
-    <origin xyz="0 0 0"/>
-    <mass value="1.0"/>
-    <inertia ixx="0.1" iyy="0.1" izz="0.1"/>
-  </inertial>
-</link>
-"""
-
-ROOT = '<joint name="root" type="floating"><parent link="world"/><child link="base"/></joint>'
+def row(name, joint=None, parent=None, axis=Z, mass=1.0,
+        inertia=0.1 * np.eye(3)):
+    """A table row; the base's (no joint) when `joint` is None."""
+    if joint is None:
+        return (name, None, parent, None, None, mass, ORIGIN, inertia)
+    return (name, joint, parent, Transform(), axis, mass, ORIGIN, inertia)
 
 
 def test_serial_leg_traversal():
-    model = parse_model(serial_leg_urdf())
+    model = serial_leg()
     assert model.ndof == 3
     assert model.nv == 9
     # topological order: each link's parent comes earlier
+    assert model.links[0].parent == -1
     for link in model.links[1:]:
         assert 0 <= link.parent < link.index
-    assert model.links[0].joint_type == "floating"
-    assert len(model.joint_names) == 3
+        assert link.dof == link.index - 1
+    assert model.joint_names == ["hip", "knee", "ankle"]
 
 
 def test_pendulum_model_basics():
-    model = parse_model(pendulum_urdf(mass=2.0, length=0.5))
+    model = pendulum(mass=2.0, length=0.5)
     assert model.ndof == 1
     assert model.total_mass == pytest.approx(2.0 + model.links[0].mass)
 
 
-def test_malformed_xml_reports_line():
-    doc = '<robot name="t">\n<link name="a">\n</robot>'
-    with pytest.raises(ParseError, match=r"line \d+"):
-        parse_model(doc)
-
-
-def test_unsupported_elements_rejected():
-    with pytest.raises(ParseError, match="unsupported element"):
-        parse_model(_doc(LINK.format(name="base") + ROOT + "<gazebo/>"))
-    with pytest.raises(ParseError, match="unsupported element"):
-        parse_model(_doc(
-            LINK.format(name="base").replace("</inertial>",
-                                             "</inertial><visual/>") + ROOT))
-    with pytest.raises(ParseError, match="unsupported type"):
-        parse_model(_doc(LINK.format(name="base") + ROOT +
-                         LINK.format(name="a") +
-                         '<joint name="j" type="prismatic">'
-                         '<parent link="base"/><child link="a"/></joint>'))
-
-
-def test_structure_errors():
-    base = LINK.format(name="base")
-    # no floating root
-    with pytest.raises(StructureError, match="floating root"):
-        parse_model(_doc(base))
-    # floating root not attached to world
-    with pytest.raises(StructureError, match="world"):
-        parse_model(_doc(base + LINK.format(name="a") +
-                         '<joint name="root" type="floating">'
-                         '<parent link="a"/><child link="base"/></joint>'))
-    # duplicate link name
-    with pytest.raises(StructureError, match="duplicate"):
-        parse_model(_doc(base + base + ROOT))
-    # joint referencing a missing child link
-    with pytest.raises(StructureError, match="missing"):
-        parse_model(_doc(base + ROOT +
-                         '<joint name="j" type="revolute">'
-                         '<parent link="base"/><child link="ghost"/>'
-                         '<axis xyz="0 0 1"/></joint>'))
-    # unreachable link
-    with pytest.raises(StructureError, match="not reachable"):
-        parse_model(_doc(base + LINK.format(name="orphan") + ROOT))
-
-
-def test_validation_errors():
-    bad_mass = LINK.format(name="base").replace('value="1.0"', 'value="0"')
-    with pytest.raises(ValidationError, match="mass"):
-        parse_model(_doc(bad_mass + ROOT))
-    bad_inertia = LINK.format(name="base").replace('ixx="0.1"', 'ixx="-0.1"')
-    with pytest.raises(ValidationError, match="positive definite"):
-        parse_model(_doc(bad_inertia + ROOT))
-    # non-unit joint axis
-    with pytest.raises(ValidationError, match="unit"):
-        parse_model(_doc(LINK.format(name="base") + LINK.format(name="a") +
-                         ROOT +
-                         '<joint name="j" type="revolute">'
-                         '<parent link="base"/><child link="a"/>'
-                         '<axis xyz="0 0 2"/></joint>'))
+@pytest.mark.parametrize("rows, message", [
+    ([row("base"), row("a", "j", "b"), row("b", "k", "base")],
+     "parent 'b' is not an earlier row"),
+    ([row("base"), row("a", "j")], "parent 'None' is not an earlier row"),
+    ([row("base", parent="base")], "parent 'base' is not an earlier row"),
+    ([row("base"), row("base", "j", "base")], "repeats an earlier name"),
+    ([row("base"), row("a", "j", "base"), row("b", "j", "a")],
+     "repeats an earlier name"),
+    ([row("base", mass=0.0)], "nonpositive mass"),
+    ([row("base"), row("a", "j", "base", mass=-1.0)], "nonpositive mass"),
+    ([row("base", inertia=np.diag([-0.1, 0.1, 0.1]))],
+     "not symmetric positive definite"),
+    ([row("base"), row("a", "j", "base",
+                       inertia=0.1 * np.eye(3) + np.triu(0.01 * np.ones(3), 1))],
+     "not symmetric positive definite"),
+    ([row("base"), row("a", "j", "base", axis=(0.0, 0.0, 2.0))],
+     "axis is not unit norm"),
+], ids=["parent-later", "parent-none", "base-parent", "duplicate-link",
+        "duplicate-joint", "mass-zero", "mass-negative", "inertia-indefinite",
+        "inertia-asymmetric", "axis"])
+def test_table_rejects(rows, message):
+    with pytest.raises(ValueError, match=message):
+        RobotModel(rows)
 
 
 def test_frame_lookup():
@@ -131,5 +85,22 @@ def test_desk_biped_structure():
     assert model.nv == 14
     assert model.total_mass > 0.0
     assert len(set(model.joint_names)) == model.ndof
-    # joint ordering is deterministic across repeated parses
-    assert desk_biped().joint_names == model.joint_names
+
+
+def test_desk_biped_state_layout():
+    # the row order of the table is the order of every state vector and
+    # per-joint array: reordering it must show up here
+    model = desk_biped()
+    assert [l.name for l in model.links] == [
+        "pelvis", "left_hip", "right_hip", "torso_lower", "torso",
+        "right_shank", "right_foot", "left_shank", "left_foot"]
+    assert model.joint_names == [
+        "left_hip_roll", "right_hip_roll", "torso_pitch", "torso_roll",
+        "right_hip_pitch", "right_ankle_pitch", "left_hip_pitch",
+        "left_ankle_pitch"]
+    assert [(name, model.links[i].name)
+            for name, (i, _) in model.sensor_frames.items()] == [
+        ("left_sole", "left_foot"), ("left_foot_ft", "left_foot"),
+        ("right_sole", "right_foot"), ("right_foot_ft", "right_foot"),
+        ("waist_imu", "pelvis"), ("torso_push", "torso")]
+    assert model.total_mass == pytest.approx(24.4)

@@ -10,7 +10,6 @@ from torquesense.spatial import (
     cross3,
     exp_so3,
     log_so3,
-    rotation_about_axis,
     skew,
 )
 
@@ -20,6 +19,7 @@ from reference_spatial import (
     cross_motion,
     force_matrix,
     inverse,
+    rotation_about_axis,
     spatial_inertia,
     transform_force,
     transform_motion,

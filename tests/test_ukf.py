@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from chains import pendulum_urdf
+from chains import pendulum
 from reference_ukf import (merwe_weights, reference_step, sigma_points,
                            unscented_moments)
-from torquesense.model import parse_model
-from torquesense.models import desk_biped
+from torquesense.model import desk_biped
 from torquesense.spatial import Transform, exp_so3
 from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf, UkfConfig
 
@@ -19,7 +18,7 @@ def random_spd(dim, seed, scale=1.0):
 
 
 def pendulum_ukf(dt=1e-3, config=None):
-    model = parse_model(pendulum_urdf())
+    model = pendulum()
     model.add_frame("imu", "base", Transform())
     model.add_frame("push", "base", Transform())
     cfg = config or UkfConfig(ft_frames=(), ext_frame="push", imu_frame="imu")
