@@ -71,25 +71,25 @@ class ControlConfig:
 
 
 def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
-                        com_acc_ref, contact_frames, config, posture_ref):
+                        com_acc_ref, config, posture_ref):
     """Desired joint torques realizing a CoM/attitude PD at 100 Hz.
 
     The attitude PD holds the base upright (world-aligned).
 
-    Solves the base-wrench balance for the contact wrenches (regularized
-    least squares over the stacked contact Jacobians) and maps them to
-    joint torques through joint-space statics.  A joint-space posture PD
-    toward `posture_ref` stabilizes the joints the contact Jacobians
-    cannot see (e.g. torso joints).  With zero tracking error this
-    returns exact gravity-compensation torques.
+    Solves the base-wrench balance for the model's sole wrenches
+    (regularized least squares over the stacked sole Jacobians) and maps
+    them to joint torques through joint-space statics.  A joint-space
+    posture PD toward `posture_ref` stabilizes the joints the contact
+    Jacobians cannot see (e.g. torso joints).  With zero tracking error
+    this returns exact gravity-compensation torques.
     """
-    if len(contact_frames) == 0:
-        raise RuntimeError("controller inactive: no feet in contact")
+    if not model.sole_frames:
+        raise RuntimeError("controller inactive: the model has no soles")
     fp = forward_pass(model, base_pose, s, nu)
     # the coordinate-acceleration bias, gravity included, and the
     # stacked (k, 6, nv) contact Jacobians
     bias = fp.inverse_dynamics(static_proper_accel(fp))
-    J = frame_jacobian(fp, contact_frames)
+    J = frame_jacobian(fp, model.sole_frames)
     com = com_position(fp)
     com_vel = com_velocity(fp)
 
@@ -120,13 +120,13 @@ def rnea_torque_feedback(model, base_pose, s, nu, proper_accel, ft_readings):
     """Joint torques from inverse dynamics with FT wrenches as the only
     external forces.
 
-    Unmeasured contacts are invisible to this estimate; they show up as
-    joint-torque error instead, which is exactly the failure mode the
-    filter-based feedback avoids.
+    `ft_readings` rows follow the model's `ft_frames`.  Unmeasured
+    contacts are invisible to this estimate; they show up as joint-torque
+    error instead, the failure mode the filter-based feedback avoids.
     """
     fp = forward_pass(model, base_pose, s, nu)
-    return fp.inverse_dynamics(proper_accel,
-                               fp.link_wrenches(ft_readings.items()))[6:]
+    wrenches = fp.link_wrenches(zip(model.ft_frames, ft_readings))
+    return fp.inverse_dynamics(proper_accel, wrenches)[6:]
 
 
 class _CurrentOutput:

@@ -21,6 +21,7 @@ from .control import (ControlConfig, MODES, PositionPD, RateScheduler,
                       TorquePI, high_level_balancer, needs_friction_nets,
                       rnea_torque_feedback)
 from .kf import encoder_lsb, mean_step, steady_state_gain
+from .model import desk_biped
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
                     SimulationDiverged)
 from .spatial import Transform, cross3
@@ -261,7 +262,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     jv_buf = np.zeros((buf_len, n))
 
     # IMU offset in the base frame, for the RNEA feedback
-    imu_offset = model.frame("waist_imu")[1].p
+    imu_offset = model.frame(model.imu_frame)[1].p
     ukf = None
     if use_ukf:
         ukf = TorqueUkf(model, plant.reduction, plant.k_t, dt_s)
@@ -306,8 +307,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             if mode != "PositionControl":
                 tau_d = high_level_balancer(
                     model, base_pose, st.s, nu, com_ref, com_vel_ref,
-                    com_acc_ref, ("left_sole", "right_sole"), control,
-                    posture_ref=s0)
+                    com_acc_ref, control, posture_ref=s0)
 
         try:
             st, sb = plant.step(st, currents)
@@ -328,10 +328,8 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         mv_buf[-1] = mvel_est
         jv_buf[:-1] = jv_buf[1:]
         jv_buf[-1] = sdot_est
-        imu_acc = sb.imu_acc["waist_imu"]
-        imu_gyro = sb.imu_gyro["waist_imu"]
         if att is not None:
-            R_est = att.update(imu_acc, imu_gyro, dt_s)
+            R_est = att.update(sb.imu_acc, sb.imu_gyro, dt_s)
 
         tau_f_hat = None
         if use_nets:
@@ -340,15 +338,14 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         tau_fb = None
         if use_ukf:
             z = ukf.assemble_measurement(
-                sdot_est, sb.currents, sb.ft, imu_acc, imu_gyro,
+                sdot_est, sb.currents, sb.ft, sb.imu_acc, sb.imu_gyro,
                 tau_f_pinn=tau_f_hat)
-            belief = ukf.step(belief, s_meas, R_est, z,
-                              mask_friction=tau_f_hat is None)
+            belief = ukf.step(belief, s_meas, R_est, z)
             tau_fb = ukf.joint_torque_estimate(belief.mean)
         elif use_rnea:
             # proper acceleration from IMU (base) and encoder filters (joints)
-            w = imu_gyro
-            a_base = imu_acc - cross3(w, cross3(w, imu_offset))
+            w = sb.imu_gyro
+            a_base = sb.imu_acc - cross3(w, cross3(w, imu_offset))
             accel = np.concatenate([a_base, np.zeros(3),
                                     enc_acc[:n]])
             nu_est = np.concatenate([np.zeros(3), w, sdot_est])
@@ -577,10 +574,11 @@ def make_disturbance_scenario(seed=0, duration=6.0, n_events=None):
                           disturbances=disturbances)
 
 
-def make_object_scenario(seed=0, duration=5.0, height=0.03, foot="right_sole",
+def make_object_scenario(seed=0, duration=5.0, height=0.03, foot=None,
                          insert_time=1.0, remove_time=3.0, region="front"):
     """Environment-adaptation scenario: a block is slid under one
-    forefoot and later yanked away.
+    forefoot and later yanked away (by default the desk biped's right
+    sole, the last of its `sole_frames`).
 
     The forefoot placement makes the terrain change adaptable through
     ankle compliance: a torque-controlled ankle yields and lets the
@@ -588,6 +586,7 @@ def make_object_scenario(seed=0, duration=5.0, height=0.03, foot="right_sole",
     fights the constraint and levers the robot over.  The CoM reference
     is held still so the contrast is isolated to the ground change.
     """
+    foot = foot or desk_biped().sole_frames[-1]
     events = [ObjectEvent(insert_time, foot, height, "insert", region=region),
               ObjectEvent(remove_time, foot, height, "remove", region=region)]
     return ScenarioConfig(duration=duration, seed=seed,

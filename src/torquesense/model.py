@@ -96,7 +96,9 @@ class LinkArrays:
 
 class RobotModel:
     """Immutable floating-base kinematic tree built from a link table
-    (see the module docstring).
+    (see the module docstring).  Its sensor wiring names added frames:
+    the contact `sole_frames`, the `ft_frames` (FT k sits at sole k) and
+    the base `imu_frame`; a bare table has none of them.
 
     Raises ValueError for a row whose parent is not an earlier row, a
     repeated link or joint name, a nonpositive mass, an inertia that is
@@ -136,6 +138,7 @@ class RobotModel:
         self.ndof = len(self.links) - 1
         self.nv = 6 + self.ndof
         self.sensor_frames = {}
+        self.sole_frames, self.ft_frames, self.imu_frame = (), (), None
         self.total_mass = sum(l.mass for l in self.links)
         self.arrays = LinkArrays(self.links)
 
@@ -201,7 +204,8 @@ STANDING_HEIGHT = 0.50
 
 
 def desk_biped():
-    """Desk-scale biped with sole, FT and IMU frames attached."""
+    """Desk-scale biped wired with two soles, an FT sensor at each sole
+    and a waist IMU, plus the `torso_push` frame disturbances act at."""
     model = RobotModel(DESK_BIPED)
     for side in ("left", "right"):
         sole = Transform(p=np.array([0.02, 0.0, -SOLE_DROP]))
@@ -209,4 +213,7 @@ def desk_biped():
         model.add_frame(f"{side}_foot_ft", f"{side}_foot", sole)
     model.add_frame("waist_imu", "pelvis", Transform(p=np.array([0.0, 0.0, 0.05])))
     model.add_frame("torso_push", "torso", Transform(p=np.array([0.0, 0.0, 0.15])))
+    model.sole_frames = ("left_sole", "right_sole")
+    model.ft_frames = ("left_foot_ft", "right_foot_ft")
+    model.imu_frame = "waist_imu"
     return model

@@ -12,8 +12,9 @@ evaluations: its first stage reuses the evaluation that ended the step
 before.  Every evaluation forms the contact wrenches about the world
 origin, as the dynamics take them; only the end-of-step evaluation, the
 one that fills the new state, turns them into the sole-frame wrenches
-the FT sensors read.  Runs are bitwise reproducible for a fixed
-scenario configuration (including the seed).
+the FT sensors read, one row per sole in the model's wiring order.
+Runs are bitwise reproducible for a fixed scenario configuration
+(including the seed).
 """
 
 import dataclasses
@@ -53,8 +54,8 @@ class Disturbance:
 class ObjectEvent:
     """Ground-height change under one foot.
 
-    `frame` is the name of a sole frame of the model (see
-    `Plant.sole_frames`), as `Disturbance.frame` names the frame its
+    `frame` is the name of a sole frame of the model (one of its
+    `sole_frames`), as `Disturbance.frame` names the frame its
     wrench acts at.  Scenario JSON written before the field had this
     name calls it `foot`; `ScenarioConfig.from_dict` still reads that.
 
@@ -116,8 +117,11 @@ class ScenarioConfig:
     the same way.  A section or key not named here is rejected; so is
     a joint name the model lacks, when the `Plant` is built.  `model`
     must be "desk_biped", the one model that declares the sole, FT and
-    IMU frames the closed loop reads.  `gravity` is the world-frame
-    gravity vector, 3 finite numbers in m/s^2.
+    IMU frames the closed loop reads.  The numeric fields must be
+    finite: `step` and `duration` positive, `seed` a nonnegative integer,
+    `friction_smoothing` nonnegative, and `gravity` (m/s^2) and
+    `com_amplitude` (m) 3 numbers each, in the world frame.  `lock_base`
+    is a bool.
     """
     schema_version: int = 1
     model: str = "desk_biped"
@@ -140,16 +144,29 @@ class ScenarioConfig:
             raise ValueError(f"unknown model {self.model!r}: only 'desk_biped' "
                              f"declares the sole, FT and IMU frames the "
                              f"closed loop reads")
-        if self.step <= 0.0:
-            raise ValueError(f"integrator step must be positive, got {self.step}")
-        g = self.gravity
-        if not (hasattr(g, "__len__") and len(g) == 3 and all(
-                isinstance(x, numbers.Real) and math.isfinite(x) for x in g)):
-            raise ValueError(f"ScenarioConfig.gravity must be 3 finite numbers "
-                             f"(m/s^2, world frame), got {g!r}")
-        if self.friction_smoothing < 0.0:
-            raise ValueError(f"friction_smoothing must be nonnegative, "
-                             f"got {self.friction_smoothing}")
+        checks = [
+            ("step", _finite(self.step) and self.step > 0.0,
+             "positive and finite (s)"),
+            ("duration", _finite(self.duration) and self.duration > 0.0,
+             "positive and finite (s)"),
+            ("seed", isinstance(self.seed, numbers.Integral)
+             and not isinstance(self.seed, bool) and self.seed >= 0,
+             "a nonnegative integer"),
+            ("lock_base", isinstance(self.lock_base, (bool, np.bool_)),
+             "true or false"),
+            ("gravity", _finite(self.gravity, 3),
+             "3 finite numbers (m/s^2, world frame)"),
+            ("friction_smoothing", _finite(self.friction_smoothing)
+             and self.friction_smoothing >= 0.0,
+             "nonnegative and finite (rad/s)"),
+            ("com_amplitude", _finite(self.com_amplitude, 3),
+             "3 finite numbers (m, world frame)"),
+            ("com_frequency", _finite(self.com_frequency), "finite (Hz)"),
+        ]
+        for name, ok, what in checks:
+            if not ok:
+                raise ValueError(f"ScenarioConfig.{name} must be {what}, "
+                                 f"got {getattr(self, name)!r}")
         for name, entry in self.joints.items():
             _check_keys(f"joints[{name!r}] section", entry, _DEFAULT_JOINT)
             for section, block in entry.items():
@@ -216,6 +233,15 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _finite(value, count=None):
+    """Whether `value` is a finite real number or, given `count`, a
+    sequence of `count` finite real numbers."""
+    if count is not None:
+        return (hasattr(value, "__len__") and len(value) == count
+                and all(map(_finite, value)))
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def _check_keys(what, given, known):
     """Raise ValueError naming the keys of `given` that `known` lacks."""
     unknown = sorted(set(given) - set(known))
@@ -236,14 +262,15 @@ def _object_event_from_dict(x):
 
 @dataclass
 class SensorBundle:
-    """One timestamped set of simulated measurements."""
+    """One timestamped set of simulated measurements, laid out by the
+    model's sensor wiring (`ft_frames`, `imu_frame`)."""
     t: float
     joint_pos: np.ndarray       # quantized joint encoder readings, rad
     motor_pos: np.ndarray       # quantized motor encoder readings, motor-side rad
     currents: np.ndarray        # A
-    ft: dict                    # FT frame name -> 6-wrench in the FT frame
-    imu_acc: dict               # IMU frame name -> proper linear acceleration
-    imu_gyro: dict              # IMU frame name -> angular velocity
+    ft: np.ndarray              # (k, 6): row k the wrench in ft_frames[k]
+    imu_acc: np.ndarray         # (3,) proper linear acceleration, m/s^2
+    imu_gyro: np.ndarray        # (3,) angular velocity, rad/s
 
 
 @dataclass
@@ -263,10 +290,9 @@ class PlantState:
     motor_vel: np.ndarray
     tau: np.ndarray = None      # true joint torque delivered to the load
     tau_friction: np.ndarray = None    # true friction torque, joint side
-    contact_wrenches: dict = None      # sole frame name -> 6-wrench in that frame
+    contact_wrenches: np.ndarray = None  # (soles, 6) in the sole frames, 0 if lifted
     base_prop_acc: np.ndarray = None   # base proper spatial acceleration (6,)
     joint_acc: np.ndarray = None
-    motor_acc: np.ndarray = None       # motor-side shaft acceleration
     com: np.ndarray = None
 
     def base_pose(self):
@@ -345,12 +371,9 @@ class Plant:
             [[contact["tangential_damping"]], [contact["tangential_damping"]],
              [contact["damping"]]], dtype=float)
 
-        self.sole_frames = ("left_sole", "right_sole")
-        self.ft_frames = ("left_foot_ft", "right_foot_ft")
-        self.imu_frames = ("waist_imu",)
         # sole frames and their corners (homogeneous columns) in the foot
         # link frames, for the contact kernel
-        soles = [self.model.frame(f) for f in self.sole_frames]
+        soles = [self.model.frame(f) for f in self.model.sole_frames]
         self._sole_links = np.array([idx for idx, _ in soles], dtype=np.intp)
         self._sole_offsets = np.array(
             [offset.homogeneous() for _, offset in soles])
@@ -367,29 +390,26 @@ class Plant:
 
         self.lsb_joint = encoder_lsb(config.noise["joint_encoder_bits"])
         self.lsb_motor = encoder_lsb(config.noise["motor_encoder_bits"])
-        # each FT sensor reads the sole it pairs with
-        self._ft_soles = list(zip(self.sole_frames, self.ft_frames))
         # sensor noise std per channel: the currents, then force and
-        # torque of each FT sensor, then acc and gyro of each IMU
+        # torque of each FT sensor, then the IMU's acc and gyro
         noise = config.noise
-        self._noise_std = np.concatenate(
-            [np.full(n, noise["current_std"])]
-            + [np.repeat([noise["ft_force_std"], noise["ft_torque_std"]], 3)
-               for _ in self._ft_soles]
-            + [np.repeat([noise["imu_acc_std"], noise["imu_gyro_std"]], 3)
-               for _ in self.imu_frames]).astype(float)
+        self._noise_std = np.concatenate([
+            np.full(n, noise["current_std"]),
+            np.tile(np.repeat([noise["ft_force_std"], noise["ft_torque_std"]],
+                              3), len(self.model.ft_frames)),
+            np.repeat([noise["imu_acc_std"], noise["imu_gyro_std"]], 3)])
         self._noise_live = np.flatnonzero(self._noise_std > 0)
-        # (R^T, offset) of each IMU frame in the base frame
-        self._imu_offsets = [(offset.R.T, offset.p.tolist()) for _, offset
-                             in map(self.model.frame, self.imu_frames)]
+        # R^T and offset of the IMU frame in the base frame
+        imu = self.model.frame(self.model.imu_frame)[1]
+        self._imu_RT, self._imu_r = imu.R.T, imu.p.tolist()
 
     # ------------------------------------------------------------------ events
 
     def _check_object_events(self, events):
         """Raise FrameError/ValueError for an event list the plant cannot run."""
-        present = {f: False for f in self.sole_frames}
+        present = {f: False for f in self.model.sole_frames}
         for ev in events:
-            if ev.frame not in self.sole_frames:
+            if ev.frame not in present:
                 raise FrameError(f"unknown foot frame '{ev.frame}'")
             if ev.action not in ("insert", "remove"):
                 raise ValueError(f"unknown object action '{ev.action}'")
@@ -429,7 +449,7 @@ class Plant:
         s = np.zeros(n) if joint_pos is None else np.asarray(joint_pos, dtype=float)
         if base_height is None:
             # rest the soles on the ground with the static penalty penetration
-            n_corners = len(self.sole_frames) * len(FOOT_CORNERS)
+            n_corners = len(self.model.sole_frames) * len(FOOT_CORNERS)
             weight = self.model.total_mass * np.linalg.norm(self.model.gravity)
             penetration = weight / (n_corners * self.config.contact["stiffness"])
             base_height = STANDING_HEIGHT - penetration
@@ -472,8 +492,8 @@ class Plant:
         thus keeps no state of its own: the force is a function of `t`
         and the pass.
 
-        Returns the (n_links, 6) world-origin wrenches on the links and,
-        per sole, whether any of its corners touches.
+        Returns the (n_links, 6) world-origin wrenches on the links; a
+        sole none of whose corners touches has a zero row.
         """
         # homogeneous world corners (sole, xyz1, corner) and their
         # world velocities (sole, xyz, corner)
@@ -482,7 +502,7 @@ class Plant:
         pen = -HC[:, 2]
         if self.object_events:
             pen += [self.ground_height(f, t, FOOT_CORNERS[:, 0])
-                    for f in self.sole_frames]
+                    for f in self.model.sole_frames]
         # damping on every axis, plus the normal spring
         F = V * self._contact_damping
         F[:, 2] += self._contact_stiffness * pen
@@ -500,24 +520,18 @@ class Plant:
         soles = (HC @ F.transpose(0, 2, 1)).reshape(-1, 12) @ _WRENCH_OF_MOMENTS
         wrenches = np.zeros((len(fp.H), 6))
         wrenches[self._sole_links] = soles
-        return wrenches, touch.any(axis=1)
+        return wrenches
 
-    def _sole_wrenches(self, fp, soles, touching):
-        """The FT readings: the wrench of each sole in contact, in its frame.
-
-        `soles` holds the world-origin contact wrenches of the soles
-        (rows of the `_contacts` link wrenches) and `touching` whether
-        each sole touches; a reading is about the sole origin.
-        """
+    def _sole_wrenches(self, fp, soles):
+        """Sole-frame contact wrenches, one row per sole, from their
+        world-origin rows `soles` of the `_contacts` link wrenches."""
         H = fp.H[self._sole_links] @ self._sole_offsets
         R, origin = H[:, :3, :3], H[:, :3, 3]
         force = soles[:, :3]
         moment = soles[:, 3:] - batch_cross(origin, force)
         # R^T f as f^T R, row by row
-        local = np.concatenate([force[:, None] @ R, moment[:, None] @ R],
-                               axis=-1)[:, 0]
-        return {f: local[i] for i, f in enumerate(self.sole_frames)
-                if touching[i]}
+        return np.concatenate([force[:, None] @ R, moment[:, None] @ R],
+                              axis=-1)[:, 0]
 
     def _add_disturbances(self, t, fp, wrenches):
         """Add the active disturbances to the world-origin link wrenches."""
@@ -540,7 +554,7 @@ class Plant:
         nu = np.concatenate([twist, sdot])
         fp = forward_pass(self.model, base_pose, s, nu,
                           Xs=joint_transforms(self.model, s))
-        wrenches, touching = self._contacts(t, fp)
+        wrenches = self._contacts(t, fp)
         soles = wrenches[self._sole_links]
         self._add_disturbances(t, fp, wrenches)
 
@@ -575,9 +589,8 @@ class Plant:
             base_acc_coord, sdot, sdd, phid, phidd])
 
         info = {
-            "tau": tau, "tau_friction": tau_f, "soles": (soles, touching),
+            "tau": tau, "tau_friction": tau_f, "soles": soles,
             "base_prop_acc": a_prop[:6], "joint_acc": sdd,
-            "motor_acc": phidd * self.reduction,
             "pass": fp, "currents": currents,
         }
         return ydot, info
@@ -586,10 +599,9 @@ class Plant:
         state.tau = info["tau"]
         state.tau_friction = info["tau_friction"]
         state.contact_wrenches = self._sole_wrenches(info["pass"],
-                                                     *info["soles"])
+                                                     info["soles"])
         state.base_prop_acc = info["base_prop_acc"]
         state.joint_acc = info["joint_acc"]
-        state.motor_acc = info["motor_acc"]
         state.com = com_position(info["pass"])
         state._info = info
 
@@ -686,26 +698,19 @@ class Plant:
                                    * self.rng.standard_normal(
                                        len(self._noise_live)))
         cur = currents + noise[:n]
+        # FT k sits at sole k and reads its contact wrench
+        k = n + state.contact_wrenches.size
+        ft = noise[n:k].reshape(-1, 6) + state.contact_wrenches
 
-        ft = {}
-        for i, (sole, ftf) in enumerate(self._ft_soles):
-            w = state.contact_wrenches.get(sole)
-            ft[ftf] = noise[n + 6 * i:n + 6 * i + 6] + (0.0 if w is None else w)
-
-        imu_acc = {}
-        imu_gyro = {}
-        v = state.base_twist[:3].tolist()
         w_base = state.base_twist[3:].tolist()
         a_prop = state.base_prop_acc
-        alpha = a_prop[3:].tolist()
-        w_x_v = cross3(w_base, v)
-        k = n + 6 * len(self._ft_soles)
-        for frame, (RsT, r) in zip(self.imu_frames, self._imu_offsets):
-            acc = RsT @ (a_prop[:3] + w_x_v + cross3(alpha, r)
-                         + cross3(w_base, cross3(w_base, r).tolist()))
-            imu_acc[frame] = acc + noise[k:k + 3]
-            imu_gyro[frame] = RsT @ state.base_twist[3:] + noise[k + 3:k + 6]
-            k += 6
+        r = self._imu_r
+        acc = self._imu_RT @ (
+            a_prop[:3] + cross3(w_base, state.base_twist[:3].tolist())
+            + cross3(a_prop[3:].tolist(), r)
+            + cross3(w_base, cross3(w_base, r).tolist()))
+        imu_acc = acc + noise[k:k + 3]
+        imu_gyro = self._imu_RT @ state.base_twist[3:] + noise[k + 3:k + 6]
 
         return SensorBundle(t=state.t, joint_pos=joint_pos, motor_pos=motor_pos,
                             currents=cur, ft=ft, imu_acc=imu_acc, imu_gyro=imu_gyro)

@@ -25,6 +25,7 @@ against.
 """
 
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +36,8 @@ from .spatial import Transform, cross3, exp_so3
 
 @dataclass
 class UkfConfig:
-    """Noise densities and sensor frame wiring."""
-    ft_frames: tuple = ("left_foot_ft", "right_foot_ft")
+    """Noise densities and the frame the external wrench acts at."""
     ext_frame: str = "torso_push"
-    imu_frame: str = "waist_imu"
     # process noise std per sqrt(step) for each block
     q_sdot: float = 0.05
     q_tau_m: float = 2.0
@@ -102,7 +101,11 @@ class Belief(NamedTuple):
 
 
 class TorqueUkf:
-    """Torque filter bound to one robot model and motor parameter set."""
+    """Torque filter bound to one robot model and motor parameter set.
+
+    It reads the model's `ft_frames` and `imu_frame`, channels in state
+    block order: [sdot, I_m, tau_F, f_FT, alpha, omega], tau_F optional.
+    """
 
     def __init__(self, model, gear_ratio, k_t, dt, config=None):
         self.model = model
@@ -112,48 +115,50 @@ class TorqueUkf:
         self.n = n
         self.gear_torque = np.asarray(gear_ratio, float) * np.asarray(k_t, float)
         cfg = self.config
-        self.n_ft = len(cfg.ft_frames)
-        # state layout
-        sizes = [("sdot", n), ("tau_m", n), ("tau_f", n),
-                 ("f_ft", 6 * self.n_ft), ("f_ext", 6),
-                 ("alpha", 3), ("omega", 3)]
-        self.slices = {}
-        off = 0
-        for name, size in sizes:
-            self.slices[name] = slice(off, off + size)
-            off += size
-        self.dim = off
-        idx, offset = model.frame(cfg.imu_frame)
+        idx, self.imu_offset = model.frame(model.imu_frame)
         if idx != 0:
             raise ValueError("IMU frame must sit on the base link")
-        self.imu_offset = offset
-        self.Q = self._process_noise()
-        # measurement matrix and noise per friction mask; H is read off
-        # measurement_model so the channel layout is defined only there
-        eye = np.eye(self.dim)
-        self._H = {mask: self.measurement_model(eye, mask).T
-                   for mask in (False, True)}
-        self._R = {mask: self._measurement_noise(mask) for mask in (False, True)}
-        self._R_inv = {mask: 1.0 / np.diag(R) for mask, R in self._R.items()}
+        # the state blocks: name, size, process-noise std, and measurement-
+        # noise std per channel (None: no sensor reads the block)
+        ft_r = np.tile(np.repeat([cfg.r_ft_force, cfg.r_ft_torque], 3),
+                       len(model.ft_frames))
+        blocks = [("sdot", n, cfg.q_sdot, cfg.r_sdot),
+                  ("tau_m", n, cfg.q_tau_m, cfg.r_current),
+                  ("tau_f", n, cfg.q_tau_f, cfg.r_tau_f),
+                  ("f_ft", ft_r.size, cfg.q_ft, ft_r),
+                  ("f_ext", 6, cfg.q_ext, None),
+                  ("alpha", 3, cfg.q_alpha, cfg.r_imu_acc),
+                  ("omega", 3, cfg.q_omega, cfg.r_imu_gyro)]
+        ends = list(accumulate(size for _, size, _, _ in blocks))
+        self.slices = {name: slice(end - size, end)
+                       for (name, size, _, _), end in zip(blocks, ends)}
+        self.dim = d = ends[-1]
+        self._measured = [name for name, _, _, r in blocks if r is not None]
+        q = np.concatenate([np.full(size, q_std) for _, size, q_std, _ in blocks])
+        r = np.concatenate([np.full(size, np.nan) if r_std is None
+                            else np.broadcast_to(r_std, size)
+                            for _, size, _, r_std in blocks])
+        self.Q = np.diag((q * np.sqrt(self.dt)) ** 2)
+        # H, R and 1/R with and without friction, keyed by channel count
+        eye = np.eye(d)
+        read = np.flatnonzero(~np.isnan(r))
+        f = self.slices["tau_f"]
+        self._channels = {}
+        for rows in (read, read[(read < f.start) | (read >= f.stop)]):
+            H = eye[rows]
+            H[:, self.slices["tau_m"]] /= self.gear_torque  # I_m = tau_m / (N k_t)
+            r2 = r[rows] ** 2
+            self._channels[len(rows)] = (H, np.diag(r2), 1.0 / r2)
+        if len(self._channels) != 2:
+            raise ValueError("TorqueUkf needs a model with joints to tell "
+                             "its two channel sets apart by length")
         self._prior_jitter = 1e-6 * eye
-        self._wrench_frames = tuple(cfg.ft_frames) + (cfg.ext_frame,)
+        self._wrench_frames = tuple(model.ft_frames) + (cfg.ext_frame,)
         self._wrench_cols = slice(self.slices["f_ft"].start,
                                   self.slices["f_ext"].stop)
         self._B0 = np.zeros((n, self.dim + 1))
         self._B0[:, self.slices["tau_m"]] = np.eye(n)
         self._B0[:, self.slices["tau_f"]] = -np.eye(n)
-
-    def _process_noise(self):
-        cfg = self.config
-        q = np.empty(self.dim)
-        q[self.slices["sdot"]] = cfg.q_sdot
-        q[self.slices["tau_m"]] = cfg.q_tau_m
-        q[self.slices["tau_f"]] = cfg.q_tau_f
-        q[self.slices["f_ft"]] = cfg.q_ft
-        q[self.slices["f_ext"]] = cfg.q_ext
-        q[self.slices["alpha"]] = cfg.q_alpha
-        q[self.slices["omega"]] = cfg.q_omega
-        return np.diag((q * np.sqrt(self.dt)) ** 2)
 
     def initial_belief(self):
         """Zero mean, and a broad diagonal covariance scaled from Q."""
@@ -204,52 +209,29 @@ class TorqueUkf:
         x[self.slices["sdot"]] += G @ x + c
         return x
 
-    def measurement_model(self, points, mask_friction=False):
-        """Predicted measurements [sdot, I_m, tau_F, f_FT, alpha, omega]."""
-        sl = self.slices
-        pts = np.atleast_2d(points)
-        blocks = [pts[:, sl["sdot"]],
-                  pts[:, sl["tau_m"]] / self.gear_torque]
-        if not mask_friction:
-            blocks.append(pts[:, sl["tau_f"]])
-        blocks += [pts[:, sl["f_ft"]], pts[:, sl["alpha"]], pts[:, sl["omega"]]]
-        return np.hstack(blocks)
-
-    def _measurement_noise(self, mask_friction):
-        cfg = self.config
-        r = [np.full(self.n, cfg.r_sdot), np.full(self.n, cfg.r_current)]
-        if not mask_friction:
-            r.append(np.full(self.n, cfg.r_tau_f))
-        per_ft = np.concatenate([np.full(3, cfg.r_ft_force),
-                                 np.full(3, cfg.r_ft_torque)])
-        r.append(np.tile(per_ft, self.n_ft))
-        r.append(np.full(3, cfg.r_imu_acc))
-        r.append(np.full(3, cfg.r_imu_gyro))
-        return np.diag(np.concatenate(r) ** 2)
-
     def assemble_measurement(self, sdot_meas, currents, ft, imu_acc, imu_gyro,
                              tau_f_pinn=None):
         """Stack raw sensor values into the measurement vector.
 
-        Passing tau_f_pinn=None masks the friction channel entirely.
+        `ft` holds the (k, 6) FT wrenches in the model's `ft_frames`
+        order.  Passing tau_f_pinn=None leaves the friction channel out.
         """
-        blocks = [np.asarray(sdot_meas, float), np.asarray(currents, float)]
-        if tau_f_pinn is not None:
-            blocks.append(np.asarray(tau_f_pinn, float))
-        for name in self.config.ft_frames:
-            blocks.append(np.asarray(ft[name], float))
-        blocks += [np.asarray(imu_acc, float), np.asarray(imu_gyro, float)]
-        return np.concatenate(blocks)
+        readings = {"sdot": sdot_meas, "tau_m": currents, "tau_f": tau_f_pinn,
+                    "f_ft": ft, "alpha": imu_acc, "omega": imu_gyro}
+        return np.concatenate([np.ravel(readings[name])
+                               for name in self._measured
+                               if readings[name] is not None])
 
     # -- filter step -------------------------------------------------
 
-    def step(self, belief, s, base_R, measurement, mask_friction=False):
+    def step(self, belief, s, base_R, measurement):
         """One predict/update cycle from `belief`; returns the new Belief.
 
         `s` are the joint positions (filter input), `base_R` the base
         attitude from the IMU attitude source, `measurement` the output
-        of assemble_measurement (built with tau_f_pinn=None iff
-        mask_friction).  The result depends on the arguments only.
+        of assemble_measurement, with or without the friction channel
+        (its length tells which).  The result depends on the arguments
+        only.
 
         The update is the array (square-root) form of the Kalman update
         (Morf & Kailath, "Square-root algorithms for least-squares
@@ -257,12 +239,13 @@ class TorqueUkf:
         stacked array gives the gain, the posterior covariance factor
         and the whitened innovation.
         """
-        H = self._H[mask_friction]
-        m, d = H.shape
-        if len(measurement) != m:
+        m, d = len(measurement), self.dim
+        if m not in self._channels:
+            with_f, without_f = sorted(self._channels, reverse=True)
             raise ValueError(
-                f"measurement has {len(measurement)} channels, expected {m} "
-                f"with mask_friction={mask_friction}")
+                f"measurement has {m} channels, expected {with_f} with the "
+                f"friction channel or {without_f} without it")
+        H, R, R_inv = self._channels[m]
         mean, cov, base_lin_vel = belief
         # the update factors only the predicted covariance, which Q pads,
         # so a prior that is no covariance could pass on silently
@@ -299,11 +282,11 @@ class TorqueUkf:
         HP = H @ cov_p
         nu = measurement - H @ mean_p
         A = np.zeros((m + d + 1, m + d + 1))
-        A[:m, :m] = HP @ H.T + self._R[mask_friction]
+        A[:m, :m] = HP @ H.T + R
         A[m:-1, :m] = HP.T
         A[m:-1, m:-1] = cov_p
         A[-1, :m] = nu
-        A[-1, -1] = 1.0 + 2.0 * nu @ (nu * self._R_inv[mask_friction])
+        A[-1, -1] = 1.0 + 2.0 * nu @ (nu * R_inv)
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:

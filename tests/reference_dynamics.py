@@ -179,14 +179,15 @@ def mechanical_energy(model, base_pose, s, nu):
 
 
 def contact_wrenches(plant, t, world, vels, counts=None):
-    """Per-sole contact wrench (sole frame), one corner at a time.
+    """(soles, 6) contact wrenches in the sole frames, one corner at a
+    time; zero for a sole none of whose corners touches.
 
     `counts`, if given, is a dict whose "touch" and "clipped" entries
     grow by the touching corners and by those the friction cone clips.
     """
     cfg = plant.config.contact
-    out = {}
-    for frame in plant.sole_frames:
+    out = np.zeros((len(plant.model.sole_frames), 6))
+    for k, frame in enumerate(plant.model.sole_frames):
         idx, offset = plant.model.frame(frame)
         H = world[idx] * offset
         v_link = vels[idx]
@@ -213,8 +214,7 @@ def contact_wrenches(plant, t, world, vels, counts=None):
             F = np.array([ft[0], ft[1], fz])
             F_tot += F
             N_tot += cross3(p_w - H.p, F)
-        if F_tot @ F_tot > 0.0 or N_tot @ N_tot > 0.0:
-            out[frame] = np.concatenate([H.R.T @ F_tot, H.R.T @ N_tot])
+        out[k] = np.concatenate([H.R.T @ F_tot, H.R.T @ N_tot])
     return out
 
 
@@ -246,7 +246,7 @@ class ReferencePlant(Plant):
         world, vels = link_states(self.model, base_pose, s, nu, Xs=Xs)
 
         contacts = contact_wrenches(self, t, world, vels)
-        wrenches = [(f, w) for f, w in contacts.items()]
+        wrenches = list(zip(self.model.sole_frames, contacts))
         wrenches += disturbance_wrenches(self, t, world)
 
         motor_torque = self.reduction * self.k_t * currents
@@ -284,7 +284,6 @@ class ReferencePlant(Plant):
         info = {
             "tau": tau, "tau_friction": tau_f, "contacts": contacts,
             "base_prop_acc": a_prop[:6], "joint_acc": sdd,
-            "motor_acc": phidd * self.reduction,
             "world": world, "currents": currents,
         }
         return ydot, info
@@ -295,7 +294,6 @@ class ReferencePlant(Plant):
         state.contact_wrenches = info["contacts"]
         state.base_prop_acc = info["base_prop_acc"]
         state.joint_acc = info["joint_acc"]
-        state.motor_acc = info["motor_acc"]
         com = np.zeros(3)
         for link, H in zip(self.model.links, info["world"]):
             com += link.mass * apply(H, link.com)

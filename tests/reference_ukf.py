@@ -6,7 +6,10 @@ process model with the dynamics terms fixed at the prior mean, redrawn
 from the predicted belief and pushed through the measurement model.
 Both maps are affine, so the unscented transform is exact and
 `TorqueUkf.step`, the closed-form linear update, must agree with it to
-rounding; `test_ukf.py` checks that.
+rounding; `test_ukf.py` checks that.  `measurement_model` and
+`measurement_noise` spell the channel layout out block by block, apart
+from the filter's block table, and `test_ukf.py` checks the table's H
+and R against them.
 """
 
 import numpy as np
@@ -62,6 +65,32 @@ def unscented_moments(points, wm, wc):
     return mean, 0.5 * (cov + cov.T)
 
 
+def measurement_model(ukf, points, friction=True):
+    """Predicted measurements [sdot, I_m, tau_F, f_FT, alpha, omega], one
+    row per point; without the tau_F channel unless `friction`."""
+    sl = ukf.slices
+    pts = np.atleast_2d(points)
+    blocks = [pts[:, sl["sdot"]], pts[:, sl["tau_m"]] / ukf.gear_torque]
+    if friction:
+        blocks.append(pts[:, sl["tau_f"]])
+    blocks += [pts[:, sl["f_ft"]], pts[:, sl["alpha"]], pts[:, sl["omega"]]]
+    return np.hstack(blocks)
+
+
+def measurement_noise(ukf, friction=True):
+    """The diagonal measurement-noise covariance of `measurement_model`."""
+    cfg, n = ukf.config, ukf.n
+    r = [np.full(n, cfg.r_sdot), np.full(n, cfg.r_current)]
+    if friction:
+        r.append(np.full(n, cfg.r_tau_f))
+    per_ft = np.concatenate([np.full(3, cfg.r_ft_force),
+                             np.full(3, cfg.r_ft_torque)])
+    r.append(np.tile(per_ft, len(ukf.model.ft_frames)))
+    r.append(np.full(3, cfg.r_imu_acc))
+    r.append(np.full(3, cfg.r_imu_gyro))
+    return np.diag(np.concatenate(r) ** 2)
+
+
 def step_terms(ukf, s, base_R, mean, base_lin_vel):
     """Dynamics matrices evaluated once per step at the prior mean."""
     model = ukf.model
@@ -72,7 +101,7 @@ def step_terms(ukf, s, base_R, mean, base_lin_vel):
     fp = forward_pass(model, base_pose, s, nu)
     M = crba(fp)
     C = fp.inverse_dynamics()[6:]
-    names = tuple(cfg.ft_frames) + (cfg.ext_frame,)
+    names = tuple(model.ft_frames) + (cfg.ext_frame,)
     jac = dict(zip(names, frame_jacobian(fp, names)[:, :, 6:]))
     return {"Minv": np.linalg.inv(M[6:, 6:]), "Msb": M[6:, :6], "C": C,
             "jac": jac, "omega": omega, "base_lin_vel": base_lin_vel}
@@ -91,17 +120,18 @@ def process_model(ukf, points, terms):
     a_g = np.zeros((len(pts), 6))
     a_g[:, :3] = pts[:, sl["alpha"]] @ ukf.imu_offset.R.T - corr
     rhs -= a_g @ terms["Msb"].T
-    for k, name in enumerate(ukf.config.ft_frames):
+    for k, name in enumerate(ukf.model.ft_frames):
         rhs += pts[:, sl["f_ft"]][:, 6 * k:6 * k + 6] @ terms["jac"][name]
     rhs += pts[:, sl["f_ext"]] @ terms["jac"][ukf.config.ext_frame]
     pts[:, sl["sdot"]] += ukf.dt * (rhs @ terms["Minv"].T)
     return pts
 
 
-def reference_step(ukf, belief, s, base_R, measurement, mask_friction=False,
-                   alpha=1e-3, beta=2.0, kappa=0.0):
+def reference_step(ukf, belief, s, base_R, measurement, alpha=1e-3, beta=2.0,
+                   kappa=0.0):
     """The sigma-point predict/update cycle; same contract as `TorqueUkf.step`."""
     mean, cov, base_lin_vel = belief
+    friction = len(measurement) == measurement_model(ukf, mean).shape[1]
     terms = step_terms(ukf, s, base_R, mean, base_lin_vel)
     pts, wm, wc = sigma_points(mean, cov, alpha, beta, kappa)
     mean_p, cov_p = unscented_moments(process_model(ukf, pts, terms), wm, wc)
@@ -109,11 +139,11 @@ def reference_step(ukf, belief, s, base_R, measurement, mask_friction=False,
 
     # redraw sigma points from the predicted belief for the update
     pts_u, wm, wc = sigma_points(mean_p, cov_p, alpha, beta, kappa)
-    z_pts = ukf.measurement_model(pts_u, mask_friction)
+    z_pts = measurement_model(ukf, pts_u, friction)
     z_mean = z_pts[0] + wm @ (z_pts - z_pts[0])
     dz = z_pts - z_mean
     dx = pts_u - mean_p
-    S = (wc[:, None] * dz).T @ dz + ukf._measurement_noise(mask_friction)
+    S = (wc[:, None] * dz).T @ dz + measurement_noise(ukf, friction)
     Pxz = (wc[:, None] * dx).T @ dz
     L = np.linalg.cholesky(0.5 * (S + S.T))
     K = np.linalg.solve(L.T, np.linalg.solve(L, Pxz.T)).T

@@ -32,8 +32,10 @@ from torquesense.model import desk_biped
                         "force": [0.0, 20.0, 0.0]}]},
      "unknown frame 'torso_psh'"),
     ({"gravity": [0.0, -9.81]}, "ScenarioConfig.gravity must be 3 finite"),
+    ({"com_amplitude": [0.0, 0.01]},
+     "ScenarioConfig.com_amplitude must be 3 finite"),
 ], ids=["frame", "remove", "step", "rigid", "stick", "joint", "model", "key",
-        "duration", "push", "gravity"])
+        "duration", "push", "gravity", "com_amplitude"])
 def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
                                                     scenario, message):
     path = tmp_path / "scenario.json"

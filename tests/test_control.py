@@ -34,8 +34,7 @@ def balancer_at_rest(config=None):
     cfg = config or ControlConfig()
     com = com_position(forward_pass(model, pose, s, nu))
     tau_d = high_level_balancer(model, pose, s, nu, com, np.zeros(3),
-                                np.zeros(3), ("left_sole", "right_sole"),
-                                cfg, posture_ref=s)
+                                np.zeros(3), cfg, posture_ref=s)
     return model, tau_d
 
 
@@ -58,10 +57,12 @@ def test_config_validation():
 
 
 def test_balancer_requires_contact():
+    # the balancer distributes the base wrench over the model's soles
     model, pose, s, nu = standing_setup()
-    with pytest.raises(RuntimeError, match="no feet in contact"):
+    model.sole_frames = ()
+    with pytest.raises(RuntimeError, match="the model has no soles"):
         high_level_balancer(model, pose, s, nu, np.zeros(3), np.zeros(3),
-                            np.zeros(3), (), ControlConfig(), posture_ref=s)
+                            np.zeros(3), ControlConfig(), posture_ref=s)
 
 
 def test_balancer_mirror_symmetry():
@@ -75,7 +76,7 @@ def test_balancer_mirror_symmetry():
 
 
 def balancer_oracle(model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref,
-                    contact_frames, cfg, posture_ref):
+                    cfg, posture_ref):
     """The balancer from the per-link recursions of reference_dynamics.
 
     The bias is the RNEA at the static proper acceleration and the
@@ -84,7 +85,8 @@ def balancer_oracle(model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref,
     accel = np.zeros(model.nv)
     accel[:3] = -pose.R.T @ model.gravity
     bias = ref.generalized_rnea(model, pose, s, nu, accel)
-    jacobians = [ref.frame_jacobian(model, pose, s, f) for f in contact_frames]
+    jacobians = [ref.frame_jacobian(model, pose, s, f)
+                 for f in ("left_sole", "right_sole")]
     com = com_position(forward_pass(model, pose, s, nu))
     com_vel = ref.com_velocity(model, pose, s, nu)
     acc_world = (com_acc_ref + cfg.kp_com * (com_ref - com)
@@ -107,7 +109,6 @@ def test_balancer_matches_the_recursion_oracle():
     # CoM references off the current CoM
     model = desk_biped()
     cfg = ControlConfig()
-    frames = ("left_sole", "right_sole")
     r = np.random.default_rng(7)
     for _ in range(3):
         pose = Transform(exp_so3(0.1 * r.normal(size=3)),
@@ -117,8 +118,8 @@ def test_balancer_matches_the_recursion_oracle():
         com_ref, com_vel_ref, com_acc_ref = 0.02 * r.normal(size=(3, 3))
         com_ref = com_ref + [0.0, 0.0, 0.45]
         posture_ref = 0.1 * r.normal(size=model.ndof)
-        args = (model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref,
-                frames, cfg, posture_ref)
+        args = (model, pose, s, nu, com_ref, com_vel_ref, com_acc_ref, cfg,
+                posture_ref)
         expected = balancer_oracle(*args)
         tau_d = high_level_balancer(*args)
         # the 6x6 system A A^T + reg I is well conditioned (~3), so the
@@ -146,8 +147,8 @@ def test_balancer_gravity_compensation_holds_the_plant():
             tau_d = high_level_balancer(
                 plant.model, state.base_pose(), state.s,
                 np.concatenate([state.base_twist, state.sdot]),
-                com0, np.zeros(3), np.zeros(3),
-                tuple(plant.sole_frames), cfg, posture_ref=np.zeros(plant.n))
+                com0, np.zeros(3), np.zeros(3), cfg,
+                posture_ref=np.zeros(plant.n))
             currents = tau_d / (plant.reduction * plant.k_t)
         state, _ = plant.step(state, currents)
     assert np.linalg.norm(state.com - com0) < 0.01
@@ -162,11 +163,10 @@ def test_rnea_feedback_static_accuracy():
     for _ in range(400):
         state, _ = plant.step(state, np.zeros(plant.n))
     accel = np.concatenate([state.base_prop_acc, state.joint_acc])
-    ft = {sole: state.contact_wrenches.get(sole, np.zeros(6))
-          for sole in plant.sole_frames}
+    # FT k sits at sole k, so the sole wrenches are the FT readings
     est = rnea_torque_feedback(plant.model, state.base_pose(), state.s,
                                np.concatenate([state.base_twist, state.sdot]),
-                               accel, ft)
+                               accel, state.contact_wrenches)
     scale = max(1.0, np.max(np.abs(state.tau)))
     assert np.max(np.abs(est - state.tau)) < 0.02 * scale
 
@@ -174,7 +174,8 @@ def test_rnea_feedback_static_accuracy():
 def test_rnea_feedback_zero_gravity_static():
     model = pendulum(gravity=(0.0, 0.0, 0.0))
     est = rnea_torque_feedback(model, Transform(), np.zeros(1),
-                               np.zeros(model.nv), np.zeros(model.nv), {})
+                               np.zeros(model.nv), np.zeros(model.nv),
+                               np.zeros((0, 6)))
     assert np.allclose(est, 0.0, atol=1e-12)
 
 

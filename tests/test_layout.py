@@ -10,12 +10,15 @@ the package through its API as a user does, so a name it calls counts
 as used too; its own tests do not.  A `_`-prefixed name is private to
 its module: a name another module imports is public, and is named so.
 The package imports nothing but numpy and the standard library, the one
-dependency `pyproject.toml` declares.
+dependency `pyproject.toml` declares.  The robot description owns the
+sensor wiring: no other module spells a sole, FT or IMU frame name.
 """
 
 import ast
 import sys
 from pathlib import Path
+
+from torquesense.model import desk_biped
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "torquesense"
@@ -110,3 +113,14 @@ def test_imports_are_numpy_stdlib_or_the_package():
                for name in imported_modules(tree)
                if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_only_the_model_names_the_sensor_frames():
+    model = desk_biped()
+    wiring = {*model.sole_frames, *model.ft_frames, model.imu_frame}
+    assert len(wiring) == 5
+    spelt = [f"{path.stem}: {node.value!r}"
+             for path, tree in parse(sorted(SRC.glob("*.py"))).items()
+             if path.stem != "model" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in wiring]
+    assert spelt == []

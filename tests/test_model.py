@@ -104,3 +104,18 @@ def test_desk_biped_state_layout():
         ("right_sole", "right_foot"), ("right_foot_ft", "right_foot"),
         ("waist_imu", "pelvis"), ("torso_push", "torso")]
     assert model.total_mass == pytest.approx(24.4)
+
+
+def test_desk_biped_ft_sensors_sit_at_their_soles():
+    # the plant reports sole k's contact wrench, about the sole origin, as
+    # FT k's reading: that is exact only if the two frames coincide
+    model = desk_biped()
+    assert model.sole_frames == ("left_sole", "right_sole")
+    assert model.ft_frames == ("left_foot_ft", "right_foot_ft")
+    assert model.imu_frame == "waist_imu"
+    for sole, ft in zip(model.sole_frames, model.ft_frames, strict=True):
+        (sole_link, sole_offset), (ft_link, ft_offset) = map(model.frame,
+                                                             (sole, ft))
+        assert ft_link == sole_link
+        assert np.array_equal(ft_offset.homogeneous(),
+                              sole_offset.homogeneous())

@@ -41,19 +41,19 @@ def test_deterministic_repeat_is_bitwise_identical():
     for a, b in zip(b1, b2):
         assert np.array_equal(a.joint_pos, b.joint_pos)
         assert np.array_equal(a.currents, b.currents)
-        for k in a.ft:
-            assert np.array_equal(a.ft[k], b.ft[k])
+        assert np.array_equal(a.ft, b.ft)
 
 
 def test_initial_contact_forces_carry_the_weight():
     plant = make_plant()
     state = plant.initial_state()
     weight = plant.model.total_mass * 9.81
-    fz = sum(state.contact_wrenches[f][2] for f in plant.sole_frames)
+    assert state.contact_wrenches.shape == (2, 6)
+    fz = state.contact_wrenches[:, 2].sum()
     assert abs(fz - weight) < 0.005 * weight
     # still true after a short free settling interval
     state, _ = run_steps(plant, 300)
-    fz = sum(state.contact_wrenches[f][2] for f in plant.sole_frames)
+    fz = state.contact_wrenches[:, 2].sum()
     assert abs(fz - weight) < 0.005 * weight
 
 
@@ -64,8 +64,8 @@ def test_sensors_exact_with_noise_off():
     assert np.array_equal(b.joint_pos, state.s)
     assert np.array_equal(b.motor_pos, state.motor_pos)
     assert np.array_equal(b.currents, np.zeros(plant.n))
-    for sole, ftf in zip(plant.sole_frames, plant.ft_frames):
-        assert np.array_equal(b.ft[ftf], state.contact_wrenches[sole])
+    # FT k reads sole k
+    assert np.array_equal(b.ft, state.contact_wrenches)
 
 
 def test_encoder_quantization_grid():
@@ -83,7 +83,7 @@ def test_encoder_quantization_grid():
 
 def test_sensor_noise_is_one_draw_in_channel_order():
     # a step's noise is one standard-normal draw whose slots follow the
-    # channels: the currents, each FT sensor's force then torque, each
+    # channels: the currents, each FT sensor's force then torque, the
     # IMU's acc then gyro; a channel with std 0 takes no slot.  So it
     # equals the same seed drawn channel by channel.
     noise = {"ft_torque_std": 0.0}
@@ -99,15 +99,14 @@ def test_sensor_noise_is_one_draw_in_channel_order():
     rng = np.random.default_rng(5)
     assert np.array_equal(got.currents, currents + std["current_std"]
                           * rng.standard_normal(plant.n))
-    for ftf in plant.ft_frames:
-        expected = clean.ft[ftf].copy()
+    for got_ft, clean_ft in zip(got.ft, clean.ft):
+        expected = clean_ft.copy()
         expected[:3] += std["ft_force_std"] * rng.standard_normal(3)
-        assert np.array_equal(got.ft[ftf], expected)
-    for frame in plant.imu_frames:
-        assert np.array_equal(got.imu_acc[frame], clean.imu_acc[frame]
-                              + std["imu_acc_std"] * rng.standard_normal(3))
-        assert np.array_equal(got.imu_gyro[frame], clean.imu_gyro[frame]
-                              + std["imu_gyro_std"] * rng.standard_normal(3))
+        assert np.array_equal(got_ft, expected)
+    assert np.array_equal(got.imu_acc, clean.imu_acc
+                          + std["imu_acc_std"] * rng.standard_normal(3))
+    assert np.array_equal(got.imu_gyro, clean.imu_gyro
+                          + std["imu_gyro_std"] * rng.standard_normal(3))
     # the stream goes on where the per-channel draws left it
     assert plant.rng.standard_normal() == rng.standard_normal()
 
@@ -123,8 +122,8 @@ def test_sensor_noise_statistics():
     for k in range(n_samp):
         b = plant._sample_sensors(state, zero)
         cur[k] = b.currents[0]
-        acc[k] = b.imu_acc["waist_imu"][0]
-        fz[k] = b.ft["left_foot_ft"][0]
+        acc[k] = b.imu_acc[0]
+        fz[k] = b.ft[0, 0]
     noise = plant.config.noise
     assert abs(np.std(cur) - noise["current_std"]) < 0.05 * noise["current_std"]
     assert abs(np.std(acc) - noise["imu_acc_std"]) < 0.05 * noise["imu_acc_std"]
@@ -245,6 +244,26 @@ def test_legacy_tangential_stiffness_key():
 def test_unknown_config_keys_are_rejected(kw, match):
     with pytest.raises(ValueError, match=match):
         ScenarioConfig(**kw)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# each of these used to build and then fail or misbehave in the loop: a
+# numpy broadcast error, a NaN 'divergence' at the first steps, an
+# IndexError in the metrics, a float-to-int error, a SeedSequence error,
+# or (lock_base) a silently locked base
+@pytest.mark.parametrize("field, value", [
+    ("com_amplitude", (0.0, 0.01)), ("com_amplitude", (0.0, NAN, 0.0)),
+    ("com_frequency", NAN), ("friction_smoothing", NAN), ("step", NAN),
+    ("step", INF), ("duration", NAN), ("duration", INF), ("seed", 1.5),
+    ("lock_base", "no"), ("gravity", (0.0, INF, -9.81)),
+])
+def test_scenario_fields_are_checked_at_construction(field, value):
+    with pytest.raises(ValueError, match=rf"^ScenarioConfig\.{field} must be"):
+        ScenarioConfig(**{field: value})
+    # the checks leave the defaults, and so every config hash, as they were
+    assert ScenarioConfig().config_hash() == "042d3125f3be1528"
 
 
 def test_misspelt_joint_settings_are_rejected():

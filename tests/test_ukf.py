@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from chains import pendulum
-from reference_ukf import (merwe_weights, reference_step, sigma_points,
+from reference_ukf import (measurement_model, measurement_noise,
+                           merwe_weights, reference_step, sigma_points,
                            unscented_moments)
-from torquesense.model import desk_biped
+from torquesense.model import RobotModel, desk_biped
 from torquesense.spatial import Transform, exp_so3
 from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf, UkfConfig
 
@@ -17,12 +18,18 @@ def random_spd(dim, seed, scale=1.0):
     return scale * (A @ A.T + dim * np.eye(dim))
 
 
-def pendulum_ukf(dt=1e-3, config=None):
-    model = pendulum()
+def wire_imu(model):
+    """`model` with an IMU and a push frame on its base, no FT sensors."""
     model.add_frame("imu", "base", Transform())
     model.add_frame("push", "base", Transform())
-    cfg = config or UkfConfig(ft_frames=(), ext_frame="push", imu_frame="imu")
-    return TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=dt, config=cfg)
+    model.imu_frame = "imu"
+    return model
+
+
+def pendulum_ukf(dt=1e-3, config=None):
+    cfg = config or UkfConfig(ext_frame="push")
+    return TorqueUkf(wire_imu(pendulum()), gear_ratio=100.0, k_t=0.1, dt=dt,
+                     config=cfg)
 
 
 def test_merwe_weights_sum():
@@ -66,7 +73,7 @@ def test_sigma_points_degenerate_covariance_error():
 def test_step_rejects_degenerate_prior_covariance():
     ukf = pendulum_ukf()
     belief = ukf.initial_belief()
-    z = ukf.measurement_model(belief.mean)[0]
+    z = measurement_model(ukf, belief.mean)[0]
     bad = belief.cov.copy()
     bad[0, 0] = -1e-3  # beyond the 1e-6 jitter the prior check allows
     with pytest.raises(ArithmeticError, match="prior covariance"):
@@ -78,11 +85,10 @@ def test_step_rejects_degenerate_prior_covariance():
 
 
 def test_step_rejects_an_innovation_covariance_that_is_no_covariance():
-    ukf = pendulum_ukf(config=UkfConfig(ft_frames=(), ext_frame="push",
-                                        imu_frame="imu", q_omega=1e-3,
+    ukf = pendulum_ukf(config=UkfConfig(ext_frame="push", q_omega=1e-3,
                                         r_imu_gyro=1e-4))
     belief = ukf.initial_belief()
-    z = ukf.measurement_model(belief.mean)[0]
+    z = measurement_model(ukf, belief.mean)[0]
     cov = belief.cov.copy()
     om = ukf.slices["omega"]
     cov[om, :] = 0.0
@@ -99,10 +105,9 @@ def test_step_rejects_a_posterior_that_is_no_covariance():
     # the same prior variance on the external wrench, which no channel
     # measures directly and which no process noise pads: the innovation
     # covariance stays positive definite, the posterior does not
-    ukf = pendulum_ukf(config=UkfConfig(ft_frames=(), ext_frame="push",
-                                        imu_frame="imu", q_ext=0.0))
+    ukf = pendulum_ukf(config=UkfConfig(ext_frame="push", q_ext=0.0))
     belief = ukf.initial_belief()
-    z = ukf.measurement_model(belief.mean)[0]
+    z = measurement_model(ukf, belief.mean)[0]
     cov = belief.cov.copy()
     ext = ukf.slices["f_ext"]
     cov[ext, :] = 0.0
@@ -113,17 +118,31 @@ def test_step_rejects_a_posterior_that_is_no_covariance():
         ukf.step(belief._replace(cov=cov), np.zeros(1), np.eye(3), z)
 
 
-@pytest.mark.parametrize("mask", [False, True], ids=["friction", "masked"])
-@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
-def test_step_rejects_a_measurement_of_the_wrong_length(mask, extra):
-    ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
-    belief = ukf.initial_belief()
-    expected = ukf.measurement_model(belief.mean, mask).shape[1]
-    z = np.zeros(expected + extra)
-    message = (f"measurement has {expected + extra} channels, expected "
-               f"{expected} with mask_friction={mask}")
+def jointless():
+    """A floating base alone: with no joints there is no friction channel
+    to tell the two channel sets apart."""
+    return wire_imu(RobotModel([("base", None, None, None, None, 5.0,
+                                 (0.0, 0.0, 0.0), 0.1 * np.eye(3))]))
+
+
+# the desk biped reads 42 channels with friction and 34 without
+WRONG_LENGTH = ("measurement has {} channels, expected 42 with the friction "
+                "channel or 34 without it")
+
+
+@pytest.mark.parametrize("model, channels, message", [
+    pytest.param(desk_biped, 43, WRONG_LENGTH.format(43), id="long-friction"),
+    pytest.param(desk_biped, 35, WRONG_LENGTH.format(35), id="long-masked"),
+    pytest.param(desk_biped, 41, WRONG_LENGTH.format(41), id="short-friction"),
+    pytest.param(desk_biped, 33, WRONG_LENGTH.format(33), id="short-masked"),
+    pytest.param(jointless, 12, "needs a model with joints", id="no-joints"),
+])
+def test_step_rejects_a_measurement_of_the_wrong_length(model, channels,
+                                                        message):
     with pytest.raises(ValueError, match=message):
-        ukf.step(belief, np.zeros(ukf.n), np.eye(3), z, mask_friction=mask)
+        ukf = TorqueUkf(model(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+        ukf.step(ukf.initial_belief(), np.zeros(ukf.n), np.eye(3),
+                 np.zeros(channels))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -135,10 +154,9 @@ def test_config_rejects_bad_noise_settings(field, value):
 
 
 def test_config_allows_a_zero_process_noise():
-    ukf = pendulum_ukf(config=UkfConfig(ft_frames=(), ext_frame="push",
-                                        imu_frame="imu", q_ext=0.0))
+    ukf = pendulum_ukf(config=UkfConfig(ext_frame="push", q_ext=0.0))
     belief = ukf.initial_belief()
-    z = ukf.measurement_model(belief.mean)[0]
+    z = measurement_model(ukf, belief.mean)[0]
     m, c, _ = ukf.step(belief, np.zeros(1), np.eye(3), z)
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(c))
 
@@ -154,8 +172,8 @@ def relative_error(value, reference):
 # wrench (the closed form agrees with an extended-precision evaluation
 # of the same update to ~1e-14, the alpha = 1e-3 reference to ~3e-9).
 @pytest.mark.parametrize("alpha, mean_tol", [(1.0, 1e-9), (1e-3, 1e-8)])
-@pytest.mark.parametrize("mask", [False, True], ids=["friction", "masked"])
-def test_step_matches_sigma_point_reference(alpha, mean_tol, mask):
+@pytest.mark.parametrize("friction", [True, False], ids=["friction", "masked"])
+def test_step_matches_sigma_point_reference(alpha, mean_tol, friction):
     ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
     r = np.random.default_rng(0)
     belief = ukf.initial_belief()
@@ -166,11 +184,10 @@ def test_step_matches_sigma_point_reference(alpha, mean_tol, mask):
         s = r.normal(scale=0.3, size=ukf.n)
         base_R = exp_so3(r.normal(scale=0.2, size=3))
         truth = belief.mean + r.normal(scale=0.5, size=ukf.dim)
-        z = ukf.measurement_model(truth, mask)[0]
+        z = measurement_model(ukf, truth, friction)[0]
         # both steps start from the reference's belief
-        b1 = ukf.step(belief, s, base_R, z, mask_friction=mask)
-        belief = reference_step(ukf, belief, s, base_R, z,
-                                mask_friction=mask, alpha=alpha)
+        b1 = ukf.step(belief, s, base_R, z)
+        belief = reference_step(ukf, belief, s, base_R, z, alpha=alpha)
         assert relative_error(b1.mean, belief.mean) <= mean_tol
         assert relative_error(b1.cov, belief.cov) <= 1e-12
         assert relative_error(b1.base_lin_vel, belief.base_lin_vel) <= mean_tol
@@ -181,11 +198,11 @@ def test_step_is_a_function_of_its_inputs():
     r = np.random.default_rng(1)
     belief = ukf.initial_belief()
     belief = ukf.step(belief, r.normal(scale=0.3, size=ukf.n), np.eye(3),
-                      ukf.measurement_model(r.normal(size=ukf.dim))[0])
+                      measurement_model(ukf, r.normal(size=ukf.dim))[0])
     assert belief.base_lin_vel.any()
     s = r.normal(scale=0.3, size=ukf.n)
     base_R = exp_so3(r.normal(scale=0.2, size=3))
-    z = ukf.measurement_model(r.normal(size=ukf.dim))[0]
+    z = measurement_model(ukf, r.normal(size=ukf.dim))[0]
     copy = Belief(*(a.copy() for a in belief))
     first = ukf.step(belief, s, base_R, z)
     second = ukf.step(belief, s, base_R, z)
@@ -218,19 +235,24 @@ def test_state_layout_and_dimensions():
     assert mean.shape == (ukf.dim,)
     assert np.min(np.linalg.eigvalsh(cov)) > 0.0
     assert np.array_equal(base_lin_vel, np.zeros(3))
-    z = ukf.measurement_model(mean[None, :])
-    assert z.shape[1] == n + n + n + 12 + 3 + 3
-    z_masked = ukf.measurement_model(mean[None, :], mask_friction=True)
-    assert z_masked.shape[1] == z.shape[1] - n
-    assert ukf._measurement_noise(False).shape[0] == z.shape[1]
-    assert ukf._measurement_noise(True).shape[0] == z_masked.shape[1]
+    assert measurement_model(ukf, mean).shape[1] == n + n + n + 12 + 3 + 3
+    # the channel sets built from the block table are the layout spelt
+    # out block by block, with and without friction
+    eye = np.eye(ukf.dim)
+    for friction in (True, False):
+        H = measurement_model(ukf, eye, friction).T
+        R = measurement_noise(ukf, friction)
+        H_table, R_table, R_inv = ukf._channels[len(H)]
+        assert np.array_equal(H_table, H) and np.array_equal(R_table, R)
+        assert np.array_equal(R_inv, 1.0 / np.diag(R))
+    assert len(ukf._channels) == 2
 
 
 def test_imu_frame_must_be_on_base():
     model = desk_biped()
-    cfg = UkfConfig(imu_frame="torso_push")
+    model.imu_frame = "torso_push"
     with pytest.raises(ValueError, match="base"):
-        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, config=cfg)
+        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3)
 
 
 def test_process_model_only_advances_velocities():
@@ -249,17 +271,17 @@ def test_process_model_only_advances_velocities():
 def test_assemble_measurement_matches_model_layout():
     ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
     n = ukf.n
-    ft = {"left_foot_ft": np.arange(6.0), "right_foot_ft": np.arange(6.0) + 10}
+    ft = np.arange(12.0).reshape(2, 6)
     z = ukf.assemble_measurement(np.ones(n), 0.5 * np.ones(n), ft,
                                  np.zeros(3), np.zeros(3),
                                  tau_f_pinn=2.0 * np.ones(n))
-    assert len(z) == ukf.measurement_model(np.zeros((1, ukf.dim))).shape[1]
+    assert len(z) == measurement_model(ukf, np.zeros(ukf.dim)).shape[1]
     assert np.array_equal(z[2 * n:3 * n], 2.0 * np.ones(n))
     z_masked = ukf.assemble_measurement(np.ones(n), 0.5 * np.ones(n), ft,
                                         np.zeros(3), np.zeros(3))
     assert len(z_masked) == len(z) - n
-    # FT wrenches appear in configured frame order
-    assert np.array_equal(z[3 * n:3 * n + 6], np.arange(6.0))
+    # FT wrenches appear in the model's ft_frames order
+    assert np.array_equal(z[3 * n:3 * n + 12], np.arange(12.0))
 
 
 def test_joint_torque_estimate():
@@ -290,7 +312,7 @@ def test_zero_noise_self_consistency_contracts():
     G, c = ukf._step_terms(np.zeros(1), np.eye(3), truth, np.zeros(3))
     assert np.allclose(ukf.process_model(truth, G, c), truth, atol=1e-12)
 
-    z = ukf.measurement_model(truth[None, :])[0]
+    z = measurement_model(ukf, truth)[0]
     # start well away from the truth
     belief = ukf.initial_belief()._replace(mean=truth + 0.5)
     errs = []
@@ -305,7 +327,7 @@ def test_zero_noise_self_consistency_contracts():
 def test_covariance_stays_psd_under_filtering():
     ukf = pendulum_ukf()
     truth = static_pendulum_truth(ukf)
-    z = ukf.measurement_model(truth[None, :])[0]
+    z = measurement_model(ukf, truth)[0]
     r = np.random.default_rng(6)
     belief = ukf.initial_belief()
     for k in range(500):
@@ -323,10 +345,9 @@ def test_masked_step_ignores_friction_measurement():
     truth = static_pendulum_truth(ukf)
     z_masked = ukf.assemble_measurement(
         truth[ukf.slices["sdot"]],
-        truth[ukf.slices["tau_m"]] / ukf.gear_torque, {},
+        truth[ukf.slices["tau_m"]] / ukf.gear_torque, np.zeros((0, 6)),
         truth[ukf.slices["alpha"]], truth[ukf.slices["omega"]])
-    m1 = ukf.step(ukf.initial_belief(), np.zeros(1), np.eye(3), z_masked,
-                  mask_friction=True).mean
+    m1 = ukf.step(ukf.initial_belief(), np.zeros(1), np.eye(3), z_masked).mean
     # a wildly different friction prior would change the unmasked update;
     # with the channel masked, the friction state only moves through the
     # dynamics coupling, so the masked update must not depend on any
