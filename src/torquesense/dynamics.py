@@ -211,14 +211,10 @@ def frame_jacobian(fp, frame_names):
 
     Block i maps nu to the velocity [linear, angular] of the origin of
     frame `frame_names[i]`, in that frame's coordinates.  All k blocks
-    come from one gather of the link Jacobians and batched products.
+    come from one gather of the link Jacobians and batched products; the
+    names resolve once per tuple (`RobotModel.frame_stack`).
     """
-    k = len(frame_names)
-    idx = np.empty(k, dtype=int)
-    offsets = np.empty((k, 4, 4))
-    for i, name in enumerate(frame_names):
-        idx[i], offset = fp.model.frame(name)
-        offsets[i] = offset.homogeneous()
+    idx, offsets = fp.model.frame_stack(frame_names)
     H = fp.H[idx] @ offsets
     Rt = H[:, :3, :3].transpose(0, 2, 1)
     J = fp.J[idx]

@@ -9,20 +9,25 @@ channel reduces to a 2-gene search.
 
 Batch axis.  The densities may be scalars or (B,) arrays: one filter per
 noise setting, all run over the same samples.  `process_noise` then
-gives (B, 3, 3), the gain recursion (B, 3) gains per step and
+gives (B, 3, 3), the gain recursion (3, B) gains per step and
 `filter_trace` (B, n) estimates; scalar densities give (3, 3) and (n,).
 
 Convergence rule.  The covariance recursion does not depend on the data
-(only on dt, Q and r), so it runs once for the whole batch alongside
-the mean recursion.  Each member freezes its gain at the first step k
-where |K_k - K_(k-1)|_1 < 1e-14; K_k is its last stored gain and serves
-every later sample.  The recursion stops once every member has frozen.
+(only on dt, Q and r; Anderson & Moore, "Optimal Filtering", 1979,
+ch. 3), so it runs once for the whole batch, ahead of the mean
+recursion, `GAIN_BLOCK` steps at a time with no test between steps.
+After each block, every member freezes its gain at the first step k
+where |K_k - K_(k-1)|_1 < 1e-14, comparing across block edges too; K_k
+serves every later sample.  No block follows the one in which the last
+member freezes, and at most one block of gains is held at a time.
 """
 
 import itertools
 import json
 
 import numpy as np
+
+GAIN_BLOCK = 64  # gains per pass of the recursion between convergence tests
 
 
 def encoder_lsb(bits):
@@ -64,13 +69,15 @@ def process_noise(dt, q_accel, q_jerk):
     return Qa + Qj
 
 
-def _gain_sequence(dt, Q, r, tol=1e-14):
-    """Yield the (B, 3) Kalman gains of successive samples.
+def _gain_blocks(dt, Q, r, n_steps, tol=1e-14):
+    """Yield (L, 3, B) blocks of the Kalman gains of successive samples.
 
     `Q` is (B, 3, 3) or (3, 3) shared, `r` is (B,).  The covariance
-    starts at diag(r, 1, 10).  A member whose gain has converged (module
-    docstring) keeps it; the generator ends once every member has, and
-    its last yield then holds for every later sample.
+    starts at diag(r, 1, 10).  Row k of a block holds the (3, B) gains of
+    one sample, and a member that has frozen (module docstring) holds its
+    gain in every later row.  The blocks cover at most `n_steps` samples
+    and end with the block in which the last member freezes; its last row
+    then holds for every later sample.
     """
     F = transition_matrix(dt)
     r = np.asarray(r, dtype=float)
@@ -81,31 +88,48 @@ def _gain_sequence(dt, Q, r, tol=1e-14):
     P[:, 2, 2] = 10.0
     # I - K H with H = [1, 0, 0]: only the first column changes per step
     IKH = np.broadcast_to(np.eye(3), P.shape).copy()
-    e0 = np.array([1.0, 0.0, 0.0])
-    tmp, KK = np.empty_like(P), np.empty_like(P)
-    K = None
-    active = np.ones(B, dtype=bool)
-    while True:
-        np.matmul(np.matmul(F, P, out=tmp), F.T, out=P)
-        P += Q
-        K_new = P[:, :, 0] / (P[:, 0, 0] + r)[:, None]
-        np.subtract(e0, K_new, out=IKH[:, :, 0])
-        # Joseph form: (I - K H) P (I - K H)^T + r K K^T, then symmetrized
-        np.matmul(np.matmul(IKH, P, out=tmp), IKH.transpose(0, 2, 1), out=P)
-        np.multiply(K_new[:, :, None], K_new[:, None, :], out=KK)
-        KK *= r[:, None, None]
-        P += KK
-        np.add(P, P.transpose(0, 2, 1), out=tmp)
-        np.multiply(tmp, 0.5, out=P)
-        if K is None:
-            K = K_new
-        else:
-            converged = np.abs(K_new - K).sum(axis=1) < tol
-            K = np.where(active[:, None], K_new, K)
-            active &= ~converged
-        yield K
-        if not active.any():
+    e0 = np.array([[1.0], [0.0], [0.0]])
+    tmp, KK, Kb = np.empty_like(P), np.empty_like(P), np.empty((B, 3))
+    # the views the steps read and write, made once
+    P_T, IKH_T = P.transpose(0, 2, 1), IKH.transpose(0, 2, 1)
+    P_col, P00, IKH_col = P[:, :, 0].T, P[:, 0, 0], IKH[:, :, 0].T
+    K_col, K_row, r_col = Kb[:, :, None], Kb[:, None, :], r[:, None, None]
+    # the previous block's last gains; NaN compares false, so the first
+    # sample is tested against nothing
+    prev = np.full((3, B), np.nan)
+    frozen = np.zeros(B, dtype=bool)
+    for start in range(0, n_steps, GAIN_BLOCK):
+        L = min(GAIN_BLOCK, n_steps - start)
+        G = np.empty((L + 1, 3, B))
+        G[0] = prev
+        for K in G[1:]:
+            np.matmul(np.matmul(F, P, out=tmp), F.T, out=P)
+            P += Q
+            np.divide(P_col, P00 + r, out=K)
+            np.subtract(e0, K, out=IKH_col)
+            # Joseph form: (I - K H) P (I - K H)^T + r K K^T, symmetrized
+            np.matmul(np.matmul(IKH, P, out=tmp), IKH_T, out=P)
+            Kb.T[...] = K  # member-major, for r K K^T
+            np.multiply(K_col, K_row, out=KK)
+            KK *= r_col
+            P += KK
+            np.add(P, P_T, out=tmp)
+            np.multiply(tmp, 0.5, out=P)
+        # row k of G reads row min(k, last[b]) for member b: last is the
+        # first row within tol of the row before for a member that
+        # freezes here, and 0 (its held gain) for one frozen before
+        hit = np.abs(np.diff(G, axis=0)).sum(axis=1) < tol
+        hit[:, frozen] = False
+        new = hit.any(axis=0)
+        last = np.where(new, hit.argmax(axis=0) + 1, L)
+        last[frozen] = 0
+        rows = np.minimum(np.arange(1, L + 1)[:, None], last)
+        G = np.take_along_axis(G, rows[:, None, :], axis=0)
+        frozen |= new
+        yield G
+        if frozen.all():
             return
+        prev = G[-1]
 
 
 def steady_state_gain(dt, lsb, q_accel, q_jerk):
@@ -115,11 +139,9 @@ def steady_state_gain(dt, lsb, q_accel, q_jerk):
     or 20000 steps have passed, and returns the last gains.
     """
     r = quantization_variance(np.asarray(lsb, dtype=float))
-    gains = _gain_sequence(dt, process_noise(dt, q_accel, q_jerk), r)
-    K = None
-    for K in itertools.islice(gains, 20000):
+    for G in _gain_blocks(dt, process_noise(dt, q_accel, q_jerk), r, 20000):
         pass
-    return K
+    return G[-1].T
 
 
 def mean_step(x, v, a, z, K, dt):
@@ -151,13 +173,14 @@ def filter_trace(positions, dt, lsb, q_accel, q_jerk):
     scalar = Q.ndim == 2
     Q = Q.reshape(-1, 3, 3)
     B = len(Q)
-    gains = _gain_sequence(dt, Q, np.full(B, quantization_variance(lsb)))
+    gains = itertools.chain.from_iterable(
+        _gain_blocks(dt, Q, np.full(B, quantization_variance(lsb)), n))
     x, v, a = np.full(B, z[0]), np.zeros(B), np.zeros(B)
     xs, vs, accs = np.empty((B, n)), np.empty((B, n)), np.empty((B, n))
     K = None
     for k, zk in enumerate(z.tolist()):
         K = next(gains, K)
-        x, v, a = mean_step(x, v, a, zk, K.T, dt)
+        x, v, a = mean_step(x, v, a, zk, K, dt)
         xs[:, k] = x
         vs[:, k] = v
         accs[:, k] = a

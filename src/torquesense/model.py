@@ -138,6 +138,7 @@ class RobotModel:
         self.ndof = len(self.links) - 1
         self.nv = 6 + self.ndof
         self.sensor_frames = {}
+        self._frame_stacks = {}
         self.sole_frames, self.ft_frames, self.imu_frame = (), (), None
         self.total_mass = sum(l.mass for l in self.links)
         self.arrays = LinkArrays(self.links)
@@ -147,6 +148,7 @@ class RobotModel:
         if parent_link not in self.link_index:
             raise FrameError(f"unknown parent link '{parent_link}' for frame '{name}'")
         self.sensor_frames[name] = (self.link_index[parent_link], transform)
+        self._frame_stacks.clear()
 
     def frame(self, name):
         """Return (link index, fixed transform) of a named frame or link."""
@@ -155,6 +157,24 @@ class RobotModel:
         if name in self.link_index:
             return self.link_index[name], Transform()
         raise FrameError(f"unknown frame '{name}'")
+
+    def frame_stack(self, names):
+        """(link indices (k,), link<-frame transforms (k, 4, 4)) of a
+        sequence of frame or link names, as read-only arrays.
+
+        Each tuple of names is resolved once; later calls with it reuse
+        the arrays until a frame is added.
+        """
+        key = tuple(names)
+        stack = self._frame_stacks.get(key)
+        if stack is None:
+            resolved = [self.frame(name) for name in key]
+            idx = np.array([i for i, _ in resolved], dtype=np.intp)
+            offsets = np.array([offset.homogeneous() for _, offset in resolved]
+                               ).reshape(-1, 4, 4)
+            idx.flags.writeable = offsets.flags.writeable = False
+            stack = self._frame_stacks[key] = (idx, offsets)
+        return stack
 
 
 # The desk biped: a floating pelvis, two 3-joint legs (hip roll, hip

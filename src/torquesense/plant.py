@@ -10,11 +10,13 @@ current, force/torque and IMU measurements with configurable
 quantization and Gaussian noise.  A step makes four derivative
 evaluations: its first stage reuses the evaluation that ended the step
 before.  Every evaluation forms the contact wrenches about the world
-origin, as the dynamics take them; only the end-of-step evaluation, the
-one that fills the new state, turns them into the sole-frame wrenches
-the FT sensors read, one row per sole in the model's wiring order.
-Runs are bitwise reproducible for a fixed scenario configuration
-(including the seed).
+origin, as the dynamics take them; one with no sole corner below the
+ground (the hanging identification run, a flight phase) stops at the
+corner heights and forms no corner velocities or forces.  Only the
+end-of-step evaluation, the one that fills the new state, turns them
+into the sole-frame wrenches the FT sensors read, one row per sole in
+the model's wiring order.  Runs are bitwise reproducible for a fixed
+scenario configuration (including the seed).
 """
 
 import dataclasses
@@ -121,7 +123,10 @@ class ScenarioConfig:
     finite: `step` and `duration` positive, `seed` a nonnegative integer,
     `friction_smoothing` nonnegative, and `gravity` (m/s^2) and
     `com_amplitude` (m) 3 numbers each, in the world frame.  `lock_base`
-    is a bool.
+    is a bool.  Every event `time` must be finite; a disturbance's
+    `duration` positive and its `force` and `torque` 3 numbers each; an
+    object event's `height` and `ramp` nonnegative.  (A NaN height would
+    otherwise leave the object out of contact silently.)
     """
     schema_version: int = 1
     model: str = "desk_biped"
@@ -144,6 +149,11 @@ class ScenarioConfig:
             raise ValueError(f"unknown model {self.model!r}: only 'desk_biped' "
                              f"declares the sole, FT and IMU frames the "
                              f"closed loop reads")
+        # events may come in their JSON form
+        self.disturbances = [Disturbance(**x) if isinstance(x, dict) else x
+                             for x in self.disturbances]
+        self.object_events = [_object_event_from_dict(x) if isinstance(x, dict) else x
+                              for x in self.object_events]
         checks = [
             ("step", _finite(self.step) and self.step > 0.0,
              "positive and finite (s)"),
@@ -163,10 +173,16 @@ class ScenarioConfig:
              "3 finite numbers (m, world frame)"),
             ("com_frequency", _finite(self.com_frequency), "finite (Hz)"),
         ]
-        for name, ok, what in checks:
+        checks = [(name, getattr(self, name), ok, what)
+                  for name, ok, what in checks]
+        checks += [(f"{kind}[{i}].{name}", getattr(ev, name), ok, what)
+                   for kind in ("disturbances", "object_events")
+                   for i, ev in enumerate(getattr(self, kind))
+                   for name, ok, what in _event_checks(ev)]
+        for label, value, ok, what in checks:
             if not ok:
-                raise ValueError(f"ScenarioConfig.{name} must be {what}, "
-                                 f"got {getattr(self, name)!r}")
+                raise ValueError(f"ScenarioConfig.{label} must be {what}, "
+                                 f"got {value!r}")
         for name, entry in self.joints.items():
             _check_keys(f"joints[{name!r}] section", entry, _DEFAULT_JOINT)
             for section, block in entry.items():
@@ -177,11 +193,6 @@ class ScenarioConfig:
         # partial overrides merge over the built-in defaults
         self.noise = {**_DEFAULT_NOISE, **self.noise}
         self.contact = {**_DEFAULT_CONTACT, **self.contact}
-        # events may come in their JSON form
-        self.disturbances = [Disturbance(**x) if isinstance(x, dict) else x
-                             for x in self.disturbances]
-        self.object_events = [_object_event_from_dict(x) if isinstance(x, dict) else x
-                              for x in self.object_events]
 
     def to_dict(self):
         """A deep copy of the config as plain JSON-ready containers."""
@@ -240,6 +251,24 @@ def _finite(value, count=None):
         return (hasattr(value, "__len__") and len(value) == count
                 and all(map(_finite, value)))
     return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _event_checks(ev):
+    """(field, ok, what it must be) for the timing and size fields of a
+    `Disturbance` or an `ObjectEvent`."""
+    checks = [("time", _finite(ev.time), "finite (s)")]
+    if isinstance(ev, Disturbance):
+        return checks + [
+            ("duration", _finite(ev.duration) and ev.duration > 0.0,
+             "positive and finite (s)"),
+            ("force", _finite(ev.force, 3), "3 finite numbers (N, world frame)"),
+            ("torque", _finite(ev.torque, 3),
+             "3 finite numbers (N.m, world frame)")]
+    return checks + [
+        ("height", _finite(ev.height) and ev.height >= 0.0,
+         "nonnegative and finite (m)"),
+        ("ramp", _finite(ev.ramp) and ev.ramp >= 0.0,
+         "nonnegative and finite (s)")]
 
 
 def _check_keys(what, given, known):
@@ -373,10 +402,8 @@ class Plant:
 
         # sole frames and their corners (homogeneous columns) in the foot
         # link frames, for the contact kernel
-        soles = [self.model.frame(f) for f in self.model.sole_frames]
-        self._sole_links = np.array([idx for idx, _ in soles], dtype=np.intp)
-        self._sole_offsets = np.array(
-            [offset.homogeneous() for _, offset in soles])
+        self._sole_links, self._sole_offsets = self.model.frame_stack(
+            self.model.sole_frames)
         corners = np.vstack([FOOT_CORNERS.T, np.ones(len(FOOT_CORNERS))])
         self._corners = self._sole_offsets @ corners
 
@@ -416,8 +443,6 @@ class Plant:
             if ev.region not in ("full", "front"):
                 raise ValueError(f"unknown object region '{ev.region}'")
             if ev.action == "insert":
-                if ev.height < 0.0:
-                    raise ValueError("object height must be nonnegative")
                 present[ev.frame] = True
             else:
                 if not present[ev.frame]:
@@ -493,21 +518,27 @@ class Plant:
         and the pass.
 
         Returns the (n_links, 6) world-origin wrenches on the links; a
-        sole none of whose corners touches has a zero row.
+        sole none of whose corners touches has a zero row.  With no
+        corner below the ground the zero block returns before the corner
+        velocities and forces are formed.
         """
-        # homogeneous world corners (sole, xyz1, corner) and their
-        # world velocities (sole, xyz, corner)
+        wrenches = np.zeros((len(fp.H), 6))
+        # homogeneous world corners (sole, xyz1, corner)
         HC = fp.H[self._sole_links] @ self._corners
-        V = (fp.v[self._sole_links] @ _TWIST_BASIS).reshape(-1, 3, 4) @ HC
         pen = -HC[:, 2]
         if self.object_events:
             pen += [self.ground_height(f, t, FOOT_CORNERS[:, 0])
                     for f in self.model.sole_frames]
+        below = pen > 0.0
+        if not below.any():
+            return wrenches
+        # world corner velocities (sole, xyz, corner)
+        V = (fp.v[self._sole_links] @ _TWIST_BASIS).reshape(-1, 3, 4) @ HC
         # damping on every axis, plus the normal spring
         F = V * self._contact_damping
         F[:, 2] += self._contact_stiffness * pen
         fz = F[:, 2]
-        touch = (pen > 0.0) & (fz > 0.0)
+        touch = below & (fz > 0.0)
         ft_mag = np.hypot(F[:, 0], F[:, 1])
         limit = self._contact_mu * fz
         slip = touch & (ft_mag > limit)
@@ -518,7 +549,6 @@ class Plant:
         F *= touch[:, None]
         # [sum F, sum P x F] of each sole from its sum of [P; 1] F^T
         soles = (HC @ F.transpose(0, 2, 1)).reshape(-1, 12) @ _WRENCH_OF_MOMENTS
-        wrenches = np.zeros((len(fp.H), 6))
         wrenches[self._sole_links] = soles
         return wrenches
 

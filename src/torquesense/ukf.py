@@ -153,6 +153,7 @@ class TorqueUkf:
             raise ValueError("TorqueUkf needs a model with joints to tell "
                              "its two channel sets apart by length")
         self._prior_jitter = 1e-6 * eye
+        self._made = None  # the belief the last step returned
         self._wrench_frames = tuple(model.ft_frames) + (cfg.ext_frame,)
         self._wrench_cols = slice(self.slices["f_ft"].start,
                                   self.slices["f_ext"].stop)
@@ -231,7 +232,10 @@ class TorqueUkf:
         attitude from the IMU attitude source, `measurement` the output
         of assemble_measurement, with or without the friction channel
         (its length tells which).  The result depends on the arguments
-        only.
+        only.  A prior covariance that is not positive semi-definite
+        (within a 1e-6 jitter) raises ArithmeticError; the belief the
+        filter's last step returned is one by construction and is not
+        factored again.
 
         The update is the array (square-root) form of the Kalman update
         (Morf & Kailath, "Square-root algorithms for least-squares
@@ -248,12 +252,15 @@ class TorqueUkf:
         H, R, R_inv = self._channels[m]
         mean, cov, base_lin_vel = belief
         # the update factors only the predicted covariance, which Q pads,
-        # so a prior that is no covariance could pass on silently
-        try:
-            np.linalg.cholesky(cov + self._prior_jitter)
-        except np.linalg.LinAlgError:
-            raise ArithmeticError(
-                "prior covariance not positive semi-definite") from None
+        # so a prior that is no covariance could pass on silently.  The
+        # belief the last step returned has cov L22 L22^T and needs no
+        # check; any other is checked.
+        if belief is not self._made:
+            try:
+                np.linalg.cholesky(cov + self._prior_jitter)
+            except np.linalg.LinAlgError:
+                raise ArithmeticError(
+                    "prior covariance not positive semi-definite") from None
         G, c = self._step_terms(s, base_R, mean, base_lin_vel)
         sd = self.slices["sdot"]
         # F = I + E G with E the sdot-row selector: F P F^T touches only
@@ -309,7 +316,8 @@ class TorqueUkf:
         alpha = mean_new[self.slices["alpha"]]
         a_base = self.imu_offset.R @ alpha + base_R.T @ self.model.gravity
         base_lin_vel = 0.995 * (base_lin_vel + self.dt * a_base)
-        return Belief(mean_new, cov_new, base_lin_vel)
+        self._made = Belief(mean_new, cov_new, base_lin_vel)
+        return self._made
 
     def joint_torque_estimate(self, mean):
         """Joint-side load torque: motor torque minus friction torque."""

@@ -13,7 +13,7 @@ from chains import pendulum, serial_leg, two_link_arm
 import reference_dynamics as ref
 from reference_spatial import apply
 from torquesense import dynamics
-from torquesense.model import RobotModel, desk_biped
+from torquesense.model import FOOT_CORNERS, RobotModel, desk_biped
 from torquesense.plant import ObjectEvent, Plant, ScenarioConfig
 from torquesense.spatial import Transform, exp_so3
 
@@ -169,6 +169,41 @@ def test_contact_kernel_matches_corner_loop(case):
             zip(plant.model.sole_frames, expected)))
     # the friction cone clipped some touching corners and not others
     assert 0 < seen["clipped"] < seen["touch"], seen
+
+    # airborne: no corner below the ground, every row an exact zero
+    for pose, s, nu in contact_states(plant, count=3, seed=4):
+        lifted = Transform(pose.R, pose.p + [0.0, 0.0, 0.02])
+        assert np.max(corner_penetrations(plant, t, lifted, s)) < 0.0
+        fp = dynamics.forward_pass(plant.model, lifted, s, nu)
+        assert not np.any(plant._contacts(t, fp))
+    # one corner 0.1 mm below the ground, at rest: its sole alone gets a
+    # force, as the corner loop gives it
+    pose, s, _ = next(contact_states(plant, count=1, seed=5))
+    nu = np.zeros(6 + plant.n)
+    pen = corner_penetrations(plant, t, pose, s)
+    assert np.sort(pen)[-2] < np.max(pen) - 1e-4
+    pose = Transform(pose.R, pose.p + [0.0, 0.0, np.max(pen) - 1e-4])
+    one = {"touch": 0, "clipped": 0}
+    world, vels = ref.link_states(plant.model, pose, s, nu)
+    expected = ref.contact_wrenches(plant, t, world, vels, one)
+    assert one["touch"] == 1
+    fp = dynamics.forward_pass(plant.model, pose, s, nu)
+    got = plant._sole_wrenches(fp, plant._contacts(t, fp)[plant._sole_links])
+    for got_row, want in zip(got, expected):
+        assert close(got_row, want)
+    assert np.count_nonzero(np.any(got != 0.0, axis=1)) == 1
+
+
+def corner_penetrations(plant, t, pose, s):
+    """Depth below the ground of every sole corner, sole by sole."""
+    world, _ = ref.link_states(plant.model, pose, s, np.zeros(6 + plant.n))
+    depths = []
+    for frame in plant.model.sole_frames:
+        idx, offset = plant.model.frame(frame)
+        for corner in FOOT_CORNERS:
+            height = apply(world[idx], apply(offset, corner))[2]
+            depths.append(plant.ground_height(frame, t, corner[0]) - height)
+    return np.array(depths)
 
 
 def run_both(config, steps=200):

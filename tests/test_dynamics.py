@@ -214,6 +214,30 @@ def test_frame_jacobian_consistent_with_link_velocities():
         assert np.allclose(J @ nu, v_frame, atol=1e-12)
 
 
+def test_frame_jacobian_resolves_each_frame_tuple_once(monkeypatch):
+    model = desk_biped()
+    pose, s, nu = random_state(model, 83)
+    fp = forward_pass(model, pose, s, nu)
+    frames = ("left_foot_ft", "torso_push", "pelvis")
+    first = frame_jacobian(fp, frames)
+    resolved = []
+    frame = model.frame
+    monkeypatch.setattr(model, "frame",
+                        lambda name: resolved.append(name) or frame(name))
+    assert np.array_equal(frame_jacobian(fp, frames), first)
+    assert resolved == []
+    # the resolved arrays cannot be edited in place
+    idx, offsets = model.frame_stack(frames)
+    with pytest.raises(ValueError):
+        offsets[0, 0, 3] = 1.0
+    # a new frame drops the resolved tuples
+    model.add_frame("probe", "torso", Transform(p=np.array([0.0, 0.0, 0.3])))
+    assert np.array_equal(frame_jacobian(fp, frames), first)
+    assert resolved == list(frames)
+    J = frame_jacobian(fp, ["probe"])[0]
+    assert np.array_equal(J[3:], first[1, 3:])
+
+
 def test_power_balance_along_exact_flow():
     # with the base held fixed, dE/dt equals tau . sdot; differentiate the
     # energy along the true flow with a 4th-order stencil and tiny RK4 steps

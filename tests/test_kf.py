@@ -7,6 +7,7 @@ import pytest
 
 from reference_kf import (KfState, backward_difference, filter_trace_one,
                           gain_schedule, kf_predict, kf_update, make_kf)
+from torquesense import kf
 from torquesense.kf import (
     encoder_lsb,
     filter_trace,
@@ -157,6 +158,59 @@ def test_batched_filter_matches_the_per_candidate_filter():
     x, v, a = filter_trace(z, dt, lsb, q_accel[4], q_jerk[4])
     assert x.shape == (len(z),)
     assert np.array_equal(v, vs[4])
+
+
+def schedules(dt, lsb, n):
+    """Process noises and per-member reference gain schedules of the
+    GA-bounds candidates over n samples."""
+    q_accel, q_jerk = ga_bounds_candidates()
+    Q = process_noise(dt, q_accel, q_jerk)
+    r = quantization_variance(lsb)
+    return Q, r, [gain_schedule(dt, Qb, r, n) for Qb in Q]
+
+
+@pytest.mark.parametrize("block", ["freeze-first", "freeze-last", 7, 64])
+def test_gain_blocks_match_the_per_member_schedule(monkeypatch, block):
+    dt, lsb, n = 1e-3, encoder_lsb(12), 1000
+    Q, r, refs = schedules(dt, lsb, n)
+    steps = sorted(len(ref) for ref in refs)
+    assert steps[0] < steps[1] < steps[-1] == n
+    # a member freezes at the step len(ref) - 1: first in a block, so
+    # tested against the last gain of the block before, or last in one
+    size = {"freeze-first": steps[1] - 1,
+            "freeze-last": steps[1]}.get(block, block)
+    monkeypatch.setattr(kf, "GAIN_BLOCK", size)
+    gains = np.concatenate(list(kf._gain_blocks(dt, Q, np.full(len(Q), r),
+                                                n)))
+    # some members never freeze within n, so the blocks cover every sample
+    assert gains.shape == (n, 3, len(Q))
+    for b, ref in enumerate(refs):
+        held = np.array(ref + ref[-1:] * (n - len(ref)))
+        assert np.array_equal(gains[:, :, b], held)
+    z = np.round(0.3 * np.sin(np.arange(n) * dt * 8.0) / lsb) * lsb
+    xs, vs, _ = filter_trace(z, dt, lsb, *ga_bounds_candidates())
+    for b, (qa, qj) in enumerate(zip(*ga_bounds_candidates())):
+        x, v, _ = filter_trace_one(z, dt, lsb, qa, qj)
+        assert np.array_equal(xs[b], x) and np.array_equal(vs[b], v)
+
+
+@pytest.mark.parametrize("size", [7, 64])
+def test_gain_recursion_stops_with_the_block_of_the_last_freeze(monkeypatch,
+                                                                 size):
+    dt, lsb, n = 1e-3, encoder_lsb(12), 20000
+    Q, r, refs = schedules(dt, lsb, n)
+    # the members that freeze within n, at steps far apart
+    keep = [b for b, ref in enumerate(refs) if len(ref) < n]
+    Q, refs = Q[keep], [refs[b] for b in keep]
+    last = max(len(ref) for ref in refs)
+    assert len(refs) > 3 and min(len(ref) for ref in refs) < last / 10
+    monkeypatch.setattr(kf, "GAIN_BLOCK", size)
+    blocks = list(kf._gain_blocks(dt, Q, np.full(len(Q), r), n))
+    # every block but the last is full, and the last holds the final freeze
+    assert [len(G) for G in blocks] == [size] * len(blocks)
+    assert (len(blocks) - 1) * size < last <= len(blocks) * size
+    for b, ref in enumerate(refs):
+        assert np.array_equal(blocks[-1][-1][:, b], ref[-1])
 
 
 def test_steady_state_gain_is_the_last_gain_of_the_schedule():

@@ -321,11 +321,34 @@ def test_legacy_foot_key_loads_and_frame_is_written():
     (ObjectEvent(1.0, "left_sole", -0.01, "insert"), ValueError, "nonnegative"),
     (ObjectEvent(1.0, "left_sole", 0.0, "remove"), ValueError, "no object"),
     (Disturbance(1.0, 0.1, "torso_psh"), FrameError, "unknown frame 'torso_psh'"),
+    # each of these used to build: a NaN height or time silently left the
+    # object out, a NaN push time never fired, a short force failed at
+    # the push time with a numpy broadcast error
+    (ObjectEvent(1.0, "left_sole", NAN, "insert"), ValueError,
+     r"^ScenarioConfig\.object_events\[0\]\.height must be"),
+    (ObjectEvent(NAN, "left_sole", 0.03, "insert"), ValueError,
+     r"object_events\[0\]\.time must be finite"),
+    (ObjectEvent(1.0, "left_sole", 0.03, "insert", ramp=-0.1), ValueError,
+     r"object_events\[0\]\.ramp must be nonnegative"),
+    (ObjectEvent(1.0, "left_sole", 0.03, "insert", ramp=INF), ValueError,
+     r"object_events\[0\]\.ramp"),
+    (Disturbance(NAN, 0.1, "torso_push"), ValueError,
+     r"^ScenarioConfig\.disturbances\[0\]\.time must be finite"),
+    (Disturbance(1.0, 0.0, "torso_push"), ValueError,
+     r"disturbances\[0\]\.duration must be positive"),
+    (Disturbance(1.0, INF, "torso_push"), ValueError,
+     r"disturbances\[0\]\.duration"),
+    (Disturbance(1.0, 0.1, "torso_push", (0.0, 20.0)), ValueError,
+     r"disturbances\[0\]\.force must be 3 finite numbers"),
+    (Disturbance(1.0, 0.1, "torso_push", torque=(0.0, NAN, 0.0)), ValueError,
+     r"disturbances\[0\]\.torque must be 3 finite numbers"),
 ])
 def test_config_object_events_are_checked_at_construction(event, error, match):
     kind = "disturbances" if isinstance(event, Disturbance) else "object_events"
     with pytest.raises(error, match=match):
         Plant(ScenarioConfig(**{kind: [event]}))
+    # the checks leave the defaults, and so every config hash, as they were
+    assert ScenarioConfig().config_hash() == "042d3125f3be1528"
 
 
 def test_partial_config_overrides_merge_with_defaults():

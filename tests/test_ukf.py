@@ -84,6 +84,30 @@ def test_step_rejects_degenerate_prior_covariance():
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(c))
 
 
+def test_step_factors_only_a_prior_it_did_not_make(monkeypatch):
+    ukf = pendulum_ukf()
+    belief = ukf.initial_belief()
+    z = measurement_model(ukf, belief.mean)[0]
+    sizes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: sizes.append(len(a)) or cholesky(a))
+    array_form = len(z) + ukf.dim + 1
+
+    def step(prior):
+        sizes.clear()
+        return ukf.step(prior, np.zeros(1), np.eye(3), z)
+
+    made = step(belief)
+    assert sizes == [ukf.dim, array_form]
+    # the belief its last step returned: the array form alone
+    made = step(made)
+    assert sizes == [array_form]
+    # the same numbers in a belief built elsewhere are checked
+    step(made._replace(cov=made.cov.copy()))
+    assert sizes == [ukf.dim, array_form]
+
+
 def test_step_rejects_an_innovation_covariance_that_is_no_covariance():
     ukf = pendulum_ukf(config=UkfConfig(ext_frame="push", q_omega=1e-3,
                                         r_imu_gyro=1e-4))
