@@ -193,11 +193,12 @@ def _cmd_report(args):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             r = dict(row)
+            # an empty cell is a metric with no samples (an early divergence)
             for k in ("torque_rmse_overall", "avg_abs_torque",
                       "peak_abs_torque"):
-                r[k] = float(r[k])
+                r[k] = float(r[k]) if r[k] else None
             for k in ("com_mean_error_mm", "com_max_error_mm"):
-                r[k] = json.loads(r[k])
+                r[k] = json.loads(r[k]) if r[k] else None
             r["fell"] = r["fell"] == "True"
             if "diverged" in r:  # files written before the column existed lack it
                 r["diverged"] = r["diverged"] == "True"

@@ -143,8 +143,10 @@ class _CurrentOutput:
     def _currents(self, tau):
         limit = self.config.current_limit
         currents = tau / self.gear_torque
-        clipped = np.clip(currents, -limit, limit)
-        if np.any(clipped != currents):
+        # np.minimum(np.maximum(.)) and .any() are np.clip and np.any
+        # without their Python wrappers
+        clipped = np.minimum(np.maximum(currents, -limit), limit)
+        if (clipped != currents).any():
             self.saturation_events += 1
         return clipped
 
@@ -165,9 +167,9 @@ class TorquePI(_CurrentOutput):
             tau_cmd = tau_d
         else:
             err = tau_d - np.asarray(tau_feedback, dtype=float)
-            self.integral = np.clip(self.integral + err * self.dt
-                                    * cfg.ki_torque,
-                                    -cfg.integral_limit, cfg.integral_limit)
+            self.integral = np.minimum(
+                np.maximum(self.integral + err * self.dt * cfg.ki_torque,
+                           -cfg.integral_limit), cfg.integral_limit)
             tau_cmd = tau_d + cfg.kp_torque * err + self.integral
         total = tau_cmd if tau_f_comp is None else tau_cmd + np.asarray(tau_f_comp, float)
         return self._currents(total)

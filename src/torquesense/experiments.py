@@ -200,7 +200,13 @@ def predict_friction(net_groups, mv_buf, jv_buf):
 
 @dataclass
 class RunLog:
-    """Per-sample arrays logged at the sensor rate."""
+    """Per-sample arrays logged at the sensor rate, one row per tick.
+
+    A run allocates its log once (`allocate`) and writes row k in place
+    when tick k completes, so it keeps nothing else per tick.  A run
+    that ends early returns the log cut to the ticks it completed
+    (`cut`).
+    """
     t: np.ndarray
     tau_d: np.ndarray
     tau_true: np.ndarray
@@ -212,6 +218,22 @@ class RunLog:
     fall_time: float
     diverged: bool
     saturation_events: int = 0  # torque-loop ticks whose currents were clipped
+
+    @classmethod
+    def allocate(cls, steps, n):
+        """An unwritten log of `steps` ticks for `n` joints; `tau_feedback`
+        is NaN, which modes without torque feedback leave it."""
+        return cls(np.empty(steps), np.empty((steps, n)), np.empty((steps, n)),
+                   np.full((steps, n), np.nan), np.empty((steps, 3)),
+                   np.empty((steps, 3)), np.empty((steps, n)),
+                   False, float("nan"), False)
+
+    def cut(self, rows):
+        """The log of the first `rows` ticks (views of this one's rows)."""
+        return dataclasses.replace(self, **{
+            f.name: getattr(self, f.name)[:rows]
+            for f in dataclasses.fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)})
 
 
 def _first_disturbance_time(scenario):
@@ -276,13 +298,8 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     nominal_com_z = com0[2]
 
     steps = int(round(scenario.duration / scenario.step))
-    log_t = []
-    log_tau_d = []
-    log_tau = []
-    log_fb = []
-    log_com = []
-    log_ref = []
-    log_cur = []
+    log = RunLog.allocate(steps, n)
+    rows = steps  # ticks completed
     tau_d = np.zeros(n)
     currents = np.zeros(n)
     # friction feedforward is smoothed: its useful content is the
@@ -315,6 +332,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             diverged = True
             fall_time = exc.time if not fell else fall_time
             fell = True
+            rows = k
             break
 
         # ---- estimators + torque loop, every plant step ----
@@ -364,21 +382,21 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             fb = None if mode.startswith("Feedforward") else tau_fb
             currents = pi(tau_d, fb, comp)
 
-        log_t.append(st.t)
-        log_tau_d.append(tau_d.copy())
-        log_tau.append(st.tau.copy())
-        log_fb.append(tau_fb.copy() if tau_fb is not None else np.full(n, np.nan))
-        log_com.append(st.com.copy())
-        log_ref.append(com0 + amp * np.sin(omega_ref * st.t))
-        log_cur.append(currents.copy())
+        log.t[k] = st.t
+        log.tau_d[k] = tau_d
+        log.tau_true[k] = st.tau
+        if tau_fb is not None:
+            log.tau_feedback[k] = tau_fb
+        log.com[k] = st.com
+        log.com_ref[k] = com0 + amp * np.sin(omega_ref * st.t)
+        log.currents[k] = currents
         if not fell and st.com[2] < 0.7 * nominal_com_z:
             fell = True
             fall_time = st.t
 
-    log = RunLog(np.array(log_t), np.array(log_tau_d), np.array(log_tau),
-                 np.array(log_fb), np.array(log_com), np.array(log_ref),
-                 np.array(log_cur), fell, fall_time, diverged,
-                 pi.saturation_events + pos_pd.saturation_events)
+    log = dataclasses.replace(
+        log.cut(rows), fell=fell, fall_time=fall_time, diverged=diverged,
+        saturation_events=pi.saturation_events + pos_pd.saturation_events)
     report = compute_metrics(log, scenario, control)
     if out_dir is not None:
         write_artifacts(out_dir, label or control.mode, scenario, control,
@@ -393,38 +411,45 @@ def compute_metrics(log, scenario, control, burn_in=BURN_IN):
     the plant's true joint torque (ground truth, not the estimator's
     own feedback).  CoM errors are windowed to before the first
     scheduled disturbance, mirroring a disturbance-free baseline table.
+    A metric whose window holds no sample (a run that diverged early)
+    is None.
     """
     t = log.t
-    keep = t >= (t[0] + burn_in)
-    err = log.tau_d[keep] - log.tau_true[keep]
-    mse = np.mean(err ** 2, axis=0)
-    rmse = np.sqrt(mse)
-    mae = np.mean(np.abs(err), axis=0)
-
+    keep = t >= t[0] + burn_in if len(t) else np.zeros(0, dtype=bool)
     first_dist = _first_disturbance_time(scenario)
-    com_keep = keep.copy()
-    if first_dist is not None:
-        com_keep &= t < first_dist
-    com_err = log.com[com_keep] - log.com_ref[com_keep]
-    if len(com_err) == 0:
-        com_err = np.zeros((1, 3))
+    com_keep = keep if first_dist is None else keep & (t < first_dist)
     report = {
         "mode": control.mode,
         "seed": scenario.seed,
         "config_hash": scenario.config_hash(),
-        "torque_mse": mse.tolist(),
-        "torque_rmse": rmse.tolist(),
-        "torque_mae": mae.tolist(),
-        "torque_rmse_overall": float(np.sqrt(np.mean(err ** 2))),
-        "com_mean_error_mm": (np.mean(np.abs(com_err), axis=0) * 1e3).tolist(),
-        "com_max_error_mm": (np.max(np.abs(com_err), axis=0) * 1e3).tolist(),
-        "avg_abs_torque": float(np.mean(np.abs(log.tau_true[keep]))),
-        "peak_abs_torque": float(np.max(np.abs(log.tau_true))) if len(t) else 0.0,
+        "torque_mse": None,
+        "torque_rmse": None,
+        "torque_mae": None,
+        "torque_rmse_overall": None,
+        "com_mean_error_mm": None,
+        "com_max_error_mm": None,
+        "avg_abs_torque": None,
+        "peak_abs_torque": (float(np.max(np.abs(log.tau_true))) if len(t)
+                            else None),
         "fell": bool(log.fell),
         "fall_time": None if not log.fell else float(log.fall_time),
         "diverged": bool(log.diverged),
         "saturation_events": int(log.saturation_events),
     }
+    if keep.any():
+        err = log.tau_d[keep] - log.tau_true[keep]
+        mse = np.mean(err ** 2, axis=0)
+        report.update(
+            torque_mse=mse.tolist(),
+            torque_rmse=np.sqrt(mse).tolist(),
+            torque_mae=np.mean(np.abs(err), axis=0).tolist(),
+            torque_rmse_overall=float(np.sqrt(np.mean(err ** 2))),
+            avg_abs_torque=float(np.mean(np.abs(log.tau_true[keep]))))
+    if com_keep.any():
+        com_err = log.com[com_keep] - log.com_ref[com_keep]
+        report.update(
+            com_mean_error_mm=(np.mean(np.abs(com_err), axis=0) * 1e3).tolist(),
+            com_max_error_mm=(np.max(np.abs(com_err), axis=0) * 1e3).tolist())
     return report
 
 
@@ -432,7 +457,7 @@ def write_artifacts(out_dir, label, scenario, control, log, report):
     """Write run CSV, metrics CSV row and report JSON for one run."""
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, label.replace("/", "_"))
-    n = log.tau_d.shape[1] if log.tau_d.ndim == 2 else 0
+    n = log.tau_d.shape[1]
     header = ["t"]
     for block in ("tau_d", "tau_true", "tau_feedback", "current"):
         header += [f"{block}_{j}" for j in range(n)]

@@ -70,14 +70,15 @@ def process_noise(dt, q_accel, q_jerk):
 
 
 def _gain_blocks(dt, Q, r, n_steps, tol=1e-14):
-    """Yield (L, 3, B) blocks of the Kalman gains of successive samples.
+    """Yield ((L, 3, B) block, (B,) frozen mask) for successive samples.
 
     `Q` is (B, 3, 3) or (3, 3) shared, `r` is (B,).  The covariance
     starts at diag(r, 1, 10).  Row k of a block holds the (3, B) gains of
     one sample, and a member that has frozen (module docstring) holds its
     gain in every later row.  The blocks cover at most `n_steps` samples
     and end with the block in which the last member freezes; its last row
-    then holds for every later sample.
+    then holds for every later sample.  The mask, updated in place, marks
+    the members frozen so far.
     """
     F = transition_matrix(dt)
     r = np.asarray(r, dtype=float)
@@ -126,7 +127,7 @@ def _gain_blocks(dt, Q, r, n_steps, tol=1e-14):
         rows = np.minimum(np.arange(1, L + 1)[:, None], last)
         G = np.take_along_axis(G, rows[:, None, :], axis=0)
         frozen |= new
-        yield G
+        yield G, frozen
         if frozen.all():
             return
         prev = G[-1]
@@ -136,11 +137,23 @@ def steady_state_gain(dt, lsb, q_accel, q_jerk):
     """(B, 3) converged gains for (B,) quantization steps `lsb`.
 
     Runs the gain recursion without data until every member has frozen
-    or 20000 steps have passed, and returns the last gains.
+    and returns the last gains.  A member that has not frozen within
+    20000 steps is rejected with a ValueError naming its densities and
+    quantization step.
     """
-    r = quantization_variance(np.asarray(lsb, dtype=float))
-    for G in _gain_blocks(dt, process_noise(dt, q_accel, q_jerk), r, 20000):
+    lsb = np.asarray(lsb, dtype=float)
+    r = quantization_variance(lsb)
+    for G, frozen in _gain_blocks(dt, process_noise(dt, q_accel, q_jerk), r,
+                                  20000):
         pass
+    if not frozen.all():
+        b = int(np.argmin(frozen))
+        qa, qj, step = (np.broadcast_to(v, frozen.shape)[b]
+                        for v in (q_accel, q_jerk, lsb))
+        raise ValueError(
+            f"the encoder-filter gain for q_accel={qa:g}, q_jerk={qj:g} at "
+            f"lsb {step:g} rad does not settle within 20000 steps; choose "
+            f"other densities")
     return G[-1].T
 
 
@@ -173,8 +186,9 @@ def filter_trace(positions, dt, lsb, q_accel, q_jerk):
     scalar = Q.ndim == 2
     Q = Q.reshape(-1, 3, 3)
     B = len(Q)
+    r = np.full(B, quantization_variance(lsb))
     gains = itertools.chain.from_iterable(
-        _gain_blocks(dt, Q, np.full(B, quantization_variance(lsb)), n))
+        G for G, _ in _gain_blocks(dt, Q, r, n))
     x, v, a = np.full(B, z[0]), np.zeros(B), np.zeros(B)
     xs, vs, accs = np.empty((B, n)), np.empty((B, n)), np.empty((B, n))
     K = None

@@ -128,7 +128,7 @@ def predict_bounded(net, motor, joint):
     y = predict(net, motor, joint)
     v = np.asarray(motor, dtype=float)[:, -1]
     bound = BOUND_MARGIN * (net.scv.breakaway + net.scv.viscous * np.abs(v))
-    return np.clip(y, -bound, bound)
+    return np.minimum(np.maximum(y, -bound), bound)  # np.clip, unwrapped
 
 
 def physics_targets(net, motor):

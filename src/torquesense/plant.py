@@ -36,6 +36,13 @@ from .model import FOOT_CORNERS, STANDING_HEIGHT, FrameError, desk_biped
 from .spatial import Transform, batch_cross, cross3, exp_so3, skew
 
 
+def _stage(y):
+    """The RK4 stage state `y`, checked to hold finite numbers only."""
+    if not np.isfinite(y).all():
+        raise FloatingPointError("state is not finite")
+    return y
+
+
 class SimulationDiverged(RuntimeError):
     def __init__(self, time):
         super().__init__(f"simulation diverged at t={time:.6f} s")
@@ -685,6 +692,10 @@ class Plant:
         Runge-Kutta pairs (Dormand & Prince, 1980).  So a step from a
         state made by `step` or `initial_state` makes exactly four
         evaluations; a step from a state edited since makes a fifth.
+
+        A step that overflows, makes an invalid operation or reaches a
+        stage input or result that is not finite raises
+        `SimulationDiverged` at its end time.
         """
         h = self.config.step
         t = state.t
@@ -693,22 +704,29 @@ class Plant:
         y = self._pack(state)
         R0 = state.base_R
 
-        k1 = self._first_stage(state, y, currents)
-        k2, _ = self._derivative(t + h / 2, y + (h / 2) * k1, R0, currents)
-        k3, _ = self._derivative(t + h / 2, y + (h / 2) * k2, R0, currents)
-        k4, _ = self._derivative(t + h, y + h * k3, R0, currents)
-        y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # solve ignores overflow, so each stage input is checked before
+        # exp_so3 reads it
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                k1 = self._first_stage(state, y, currents)
+                k2, _ = self._derivative(t + h / 2, _stage(y + (h / 2) * k1),
+                                         R0, currents)
+                k3, _ = self._derivative(t + h / 2, _stage(y + (h / 2) * k2),
+                                         R0, currents)
+                k4, _ = self._derivative(t + h, _stage(y + h * k3), R0,
+                                         currents)
+                y_new = _stage(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
-        if not np.isfinite(y_new).all():
-            raise SimulationDiverged(t + h)
-
-        # the fields are views of y_new, which nothing else holds
-        p, dlt, twist, s, sdot, phi, phid = self._unpack(y_new)
-        new = PlantState(
-            t=t + h, base_pos=p, base_R=R0 @ exp_so3(dlt), base_twist=twist,
-            s=s, sdot=sdot,
-            motor_pos=phi * self.reduction, motor_vel=phid * self.reduction)
-        self._apply_info(new, self._evaluate(new, currents))
+                # the fields are views of y_new, which nothing else holds
+                p, dlt, twist, s, sdot, phi, phid = self._unpack(y_new)
+                new = PlantState(
+                    t=t + h, base_pos=p, base_R=R0 @ exp_so3(dlt),
+                    base_twist=twist, s=s, sdot=sdot,
+                    motor_pos=phi * self.reduction,
+                    motor_vel=phid * self.reduction)
+                self._apply_info(new, self._evaluate(new, currents))
+        except FloatingPointError:
+            raise SimulationDiverged(t + h) from None
         return new, self._sample_sensors(new, currents)
 
     # ------------------------------------------------------------------ sensors

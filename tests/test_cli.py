@@ -63,11 +63,20 @@ def test_rerun_keeps_one_metrics_row_and_report_shows_diverged(tmp_path,
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["diverged"] == "False"
+    # a push the plant cannot integrate: the first step diverges, so no
+    # metric has a sample
+    diverging = tmp_path / "diverging.json"
+    diverging.write_text(json.dumps({"duration": 0.55, "disturbances": [
+        {"time": 0.0, "duration": 0.1, "frame": "torso_push",
+         "force": [1e40, 0.0, 0.0]}]}))
+    assert cli.main(["run", "--scenario", str(diverging), "--mode",
+                     "Feedforward", "--out", str(out)]) == 1
     capsys.readouterr()
     assert cli.main(["report", "--in", str(out)]) == 0
-    header, _, row = capsys.readouterr().out.splitlines()[:3]
+    header, _, row, diverged = capsys.readouterr().out.splitlines()[:4]
     assert header.split(" | ")[-1] == "diverged |"
     assert row.split(" | ")[-1] == "False |"
+    assert diverged.split(" | ")[-2:] == ["True", "True |"]
 
 
 def test_report_loads_metrics_written_without_the_diverged_column(tmp_path,

@@ -5,6 +5,7 @@ import dataclasses
 import filecmp
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from torquesense.experiments import (
 )
 from torquesense.kf import encoder_lsb, filter_trace
 from torquesense.friction import ScvParams
+from torquesense.model import desk_biped
 from torquesense.plant import Disturbance, Plant, ScenarioConfig
 from torquesense.ukf import ComplementaryAttitude
 
@@ -178,6 +180,16 @@ def test_encoder_gains_computed_once_per_distinct_lsb(monkeypatch):
     assert len(calls) == 2
     for lsb in calls:
         assert np.array_equal(lsb, distinct)
+
+
+def test_gains_that_never_settle_are_rejected_before_the_run(monkeypatch):
+    def step(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(Plant, "step", step)
+    with pytest.raises(ValueError, match="q_accel=275, q_jerk=0.0284 at lsb"):
+        run_scenario(ScenarioConfig(**SHORT), ControlConfig(mode="Feedforward"),
+                     kf_gains={"q_accel": 275.0, "q_jerk": 0.0284})
 
 
 def test_run_scenario_requires_nets_for_estimating_modes():
@@ -478,6 +490,71 @@ def test_run_just_past_the_burn_in_has_finite_metrics():
                                    ControlConfig(mode="Feedforward"))
     assert np.isfinite(report["torque_rmse_overall"])
     assert np.all(np.isfinite(report["torque_rmse"]))
+
+
+DIVERGING_PUSHES = {1e20: 1, 1e40: 0, 1e200: 0}  # N -> ticks completed
+
+
+@pytest.fixture(scope="module", params=sorted(DIVERGING_PUSHES))
+def diverged_run(request):
+    """(push force, scenario, report, log) of a run whose plant cannot
+    integrate a push at t = 0."""
+    scenario = ScenarioConfig(duration=0.6, disturbances=[
+        Disturbance(0.0, 0.1, "torso_push", (request.param, 0.0, 0.0))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, log = run_scenario(scenario, ControlConfig(mode="Feedforward"))
+    return request.param, scenario, report, log
+
+
+def test_a_push_the_plant_cannot_integrate_ends_as_a_diverged_report(
+        diverged_run):
+    force, scenario, report, log = diverged_run
+    assert report["diverged"] and report["fell"]
+    assert report["fall_time"] == pytest.approx(
+        (DIVERGING_PUSHES[force] + 1) * scenario.step)
+    # no sample falls after the burn-in or before the push
+    for key in ("torque_mse", "torque_rmse", "torque_mae",
+                "torque_rmse_overall", "avg_abs_torque", "com_mean_error_mm",
+                "com_max_error_mm"):
+        assert report[key] is None, key
+    assert (report["peak_abs_torque"] is None) == (len(log.t) == 0)
+
+
+def test_a_diverged_log_holds_exactly_the_ticks_it_completed(diverged_run):
+    force, scenario, _, log = diverged_run
+    rows = DIVERGING_PUSHES[force]
+    np.testing.assert_array_equal(log.t, np.arange(1, rows + 1)
+                                  * scenario.step)
+    n = len(desk_biped().joint_names)
+    shapes = {"t": (rows,), "com": (rows, 3), "com_ref": (rows, 3)}
+    for field in dataclasses.fields(RunLog):
+        value = getattr(log, field.name)
+        if isinstance(value, np.ndarray):
+            assert value.shape == shapes.get(field.name, (rows, n)), field.name
+            assert value.dtype == np.float64 and value.flags.c_contiguous
+
+
+def test_a_run_holds_a_bounded_log_per_tick(monkeypatch):
+    control = ControlConfig(mode="Feedforward")
+    run_scenario(ScenarioConfig(duration=0.502), control)  # warm every cache
+    held = []
+    compute_metrics = experiments.compute_metrics
+
+    def traced(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return compute_metrics(*args)
+
+    monkeypatch.setattr(experiments, "compute_metrics", traced)
+    # tracing slows a run ~6x: two runs 100 ticks apart
+    for duration in (0.502, 0.602):
+        tracemalloc.start()
+        try:
+            run_scenario(ScenarioConfig(duration=duration), control)
+        finally:
+            tracemalloc.stop()
+    # the log's 39 float64 values per tick take 312 B
+    assert (held[1] - held[0]) / 100 <= 400
 
 
 def test_a_saturating_run_reports_its_saturation_events():

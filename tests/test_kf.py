@@ -180,8 +180,8 @@ def test_gain_blocks_match_the_per_member_schedule(monkeypatch, block):
     size = {"freeze-first": steps[1] - 1,
             "freeze-last": steps[1]}.get(block, block)
     monkeypatch.setattr(kf, "GAIN_BLOCK", size)
-    gains = np.concatenate(list(kf._gain_blocks(dt, Q, np.full(len(Q), r),
-                                                n)))
+    gains = np.concatenate([G for G, _ in kf._gain_blocks(
+        dt, Q, np.full(len(Q), r), n)])
     # some members never freeze within n, so the blocks cover every sample
     assert gains.shape == (n, 3, len(Q))
     for b, ref in enumerate(refs):
@@ -205,7 +205,7 @@ def test_gain_recursion_stops_with_the_block_of_the_last_freeze(monkeypatch,
     last = max(len(ref) for ref in refs)
     assert len(refs) > 3 and min(len(ref) for ref in refs) < last / 10
     monkeypatch.setattr(kf, "GAIN_BLOCK", size)
-    blocks = list(kf._gain_blocks(dt, Q, np.full(len(Q), r), n))
+    blocks = [G for G, _ in kf._gain_blocks(dt, Q, np.full(len(Q), r), n)]
     # every block but the last is full, and the last holds the final freeze
     assert [len(G) for G in blocks] == [size] * len(blocks)
     assert (len(blocks) - 1) * size < last <= len(blocks) * size
@@ -223,6 +223,13 @@ def test_steady_state_gain_is_the_last_gain_of_the_schedule():
                             quantization_variance(lsb[b]), 20000)
         assert len(ref) < 20000
         assert np.array_equal(K[b], ref[-1])
+
+
+def test_a_steady_state_gain_that_never_settles_is_rejected():
+    # still moving ~2e-4 per step at step 20000
+    with pytest.raises(ValueError, match=r"q_accel=275, q_jerk=0\.0284 at "
+                       r"lsb 0\.00153398 rad does not settle"):
+        steady_state_gain(1e-3, [encoder_lsb(12)], 275.0, 0.0284)
 
 
 def test_validation_and_error_paths(tmp_path):
