@@ -9,9 +9,17 @@ the dynamics; a body at rest has base proper acceleration [-R_B^T g, 0]
 and a body in free fall has proper acceleration zero.
 
 `forward_pass` evaluates every link at one state with a fixed number of
-array operations: the joint rotations of all joints at once, world poses
-as products along each link's path from the base (one batched product
-per depth), then link Jacobians without a recursion.
+array operations: the joint rotations of all joints at once (one product
+of [sin s, 1 - cos s] with the Rodrigues terms `LinkArrays.rodrigues`),
+world poses as products along each link's path from the base (one
+batched product per depth), then each link's world<-link force transform
+F = [[R, 0], [P R, R]] and motion transform X = [[R, P R], [0, R]] (P
+the skew matrix of the link origin) in one product, and link Jacobians
+without a recursion.  The world spatial inertia of link i is
+F_i L_i F_i^T, with L_i its spatial inertia about the link origin in
+link coordinates (`LinkArrays.spatial_inertia`), and the joint motion
+subspaces are X's angular-velocity columns times the link-frame axes.
+
 Inside the pass every spatial vector is in world coordinates about the
 world origin, ordered [linear, angular]: a link velocity is [velocity of
 the body point at the world origin, angular velocity], a wrench is
@@ -54,18 +62,27 @@ def _crm(v):
     return X
 
 
-def _inertia_offdiagonal(mc):
-    """[[0, -M], [M, 0]] with M the skew matrix of a mass moment m c."""
-    X = np.zeros((6, 6))
-    X[3:, :3] = skew(mc)
-    X[:3, 3:] = -X[3:, :3]
-    return X
+def _transforms(h, R):
+    """[[h_3 R, 0], [P R, h_3 R]] and [[h_3 R, P R], [0, h_3 R]], with P
+    the skew matrix of h[:3], stacked.
+
+    Both are bilinear in the 4-vector h and the 3x3 R; at h = [p, 1]
+    they are the world<-link force and motion transforms of the pose
+    (R, p).
+    """
+    F = np.zeros((2, 6, 6))
+    F[:, :3, :3] = F[:, 3:, 3:] = h[3] * R
+    F[0, 3:, :3] = F[1, :3, 3:] = skew(h[:3]) @ R
+    return F
 
 
 # row j is the 6x6 block of the unit vector e_j, flattened: for a block
 # linear in its vector, x @ basis stacks the blocks of the rows of x
 _CRM_BASIS = np.array([_crm(e).ravel() for e in np.eye(6)])
-_INERTIA_BASIS = np.array([_inertia_offdiagonal(e).ravel() for e in np.eye(3)])
+# the same for the bilinear transforms, whose vector is the flattened
+# outer product of h and the flattened R
+_TRANSFORM_BASIS = np.array([_transforms(h, R).ravel() for h in np.eye(4)
+                             for R in np.eye(9).reshape(9, 3, 3)])
 
 
 def static_proper_accel(fp):
@@ -76,12 +93,16 @@ def static_proper_accel(fp):
 
 
 def joint_transforms(model, s):
-    """Parent<-link transforms of every link, an (n_links, 4, 4) array."""
+    """Parent<-link transforms of every link, an (n_links, 4, 4) array.
+
+    Row 0 is the base's identity.  Row i > 0 turns link i's joint origin
+    by s[i - 1]: the origin plus [sin s, 1 - cos s] times the joint's
+    two Rodrigues terms, one product for all joints.
+    """
     arrays = model.arrays
     X = arrays.home.copy()
-    terms = arrays.rotation_terms
-    X[arrays.dof_link, :3, :3] += (np.sin(s)[:, None, None] * terms[0]
-                                   + (1.0 - np.cos(s))[:, None, None] * terms[1])
+    weights = np.concatenate((np.sin(s), 1.0 - np.cos(s))).reshape(2, -1)
+    X[1:] += (weights.T[:, None] @ arrays.rodrigues).reshape(-1, 4, 4)
     return X
 
 
@@ -90,20 +111,18 @@ class ForwardPass:
 
     World frame, world origin, [linear, angular] throughout (see the
     module docstring).  `H` holds the world<-link transforms, `J` the
-    link Jacobians (n_links, 6, nv), `v` the link velocities, `com` the
-    world link centers of mass, `IJ` the products I_i J_i with the world
-    spatial inertias and `f_vel` the velocity-dependent part of each
-    link's net wrench.
+    link Jacobians (n_links, 6, nv), `v` the link velocities, `IJ` the
+    products I_i J_i with the world spatial inertias and `f_vel` the
+    velocity-dependent part of each link's net wrench.
     """
 
-    __slots__ = ("model", "H", "J", "v", "com", "IJ", "f_vel")
+    __slots__ = ("model", "H", "J", "v", "IJ", "f_vel")
 
-    def __init__(self, model, H, J, v, com, IJ, f_vel):
+    def __init__(self, model, H, J, v, IJ, f_vel):
         self.model = model
         self.H = H
         self.J = J
         self.v = v
-        self.com = com
         self.IJ = IJ
         self.f_vel = f_vel
 
@@ -151,33 +170,29 @@ def forward_pass(model, base_pose, s, nu, Xs=None):
     if Xs is None:
         Xs = joint_transforms(model, s)
     nu = np.asarray(nu, dtype=float)
-    dofs = arrays.dof_link
     # world<-link transforms: the base pose times the joint transforms
     # along each link's path, one batched product per path position
     path = Xs[arrays.paths]
     H = base_pose.homogeneous() @ path[:, 0]
     for k in range(1, path.shape[1]):
         H = H @ path[:, k]
-    R = H[:, :3, :3]
 
-    # joint motion subspaces: rotation about the world axis through the
-    # joint origin, [origin x axis, axis], one (6, 1) column per dof
-    Hd = H[dofs]
-    axis = Hd[:, :3, :3] @ arrays.axis[:, :, None]
-    S = np.concatenate([batch_skew(Hd[:, :3, 3]) @ axis, axis], axis=1)
+    # world<-link force and motion transforms, F = [[R, 0], [P R, R]]
+    # and X = [[R, P R], [0, R]] with P the skew matrix of the link
+    # origin p, from the products of [p, 1] and R
+    R = H[:, :3, :3].reshape(-1, 1, 9)
+    FX = (H[:, :, 3:] * R).reshape(-1, 36) @ _TRANSFORM_BASIS
+    F, X = FX.reshape(-1, 2, 6, 6).transpose(1, 0, 2, 3)
+    # joint motion subspaces: X's angular-velocity columns [P R; R] times
+    # the link-frame axis, S[d] = [origin x axis, axis] of dof d
+    S = X[1:, :, 3:] @ arrays.axis[:, :, None]
     J = np.empty((len(H), 6, model.nv))
-    J[:, :, :6] = base_pose.motion_matrix()
-    J[:, :, 6:] = arrays.ancestors[:, None, :] * S[:, :, 0].T
+    J[:, :, :6] = X[0]
+    np.multiply(arrays.ancestors[:, None, :], S[:, :, 0].T, out=J[:, :, 6:])
     v = J @ nu
 
-    # world spatial inertias: [[m 1, -m C], [m C, I_c + m C C^T]] with C
-    # the skew matrix of the world center of mass; the off-diagonal
-    # blocks are linear in m c
-    com = (H @ arrays.com_h[:, :, None])[:, :3, 0]
-    inertia = ((arrays.mass[:, None] * com) @ _INERTIA_BASIS).reshape(-1, 6, 6)
-    inertia += arrays.mass_block
-    inertia[:, 3:, 3:] = (R @ arrays.inertia @ R.transpose(0, 2, 1)
-                          - inertia[:, 3:, :3] @ batch_skew(com))
+    # world spatial inertias F I F^T of the link-frame inertias
+    inertia = F @ arrays.spatial_inertia @ F.transpose(0, 2, 1)
     IJ = inertia @ J
     momentum = IJ @ nu
 
@@ -187,13 +202,13 @@ def forward_pass(model, base_pose, s, nu, Xs=None):
     crm = (v @ _CRM_BASIS).reshape(-1, 6, 6)
     # S_j sdot_j moves with link j, which adds v_j x S_j sdot_j to the
     # acceleration of link j and of every link below it
-    vp = crm[dofs] @ (S * nu[6:, None, None])
+    vp = crm[1:] @ (S * nu[6:, None, None])
     a_vp = arrays.ancestors @ vp[:, :, 0]
     # the net link wrenches at zero accel: I a_vp + v x* (I v)
     f_vel = (inertia @ a_vp[:, :, None]
              - crm.transpose(0, 2, 1) @ momentum[:, :, None])[:, :, 0]
 
-    return ForwardPass(model, H, J, v, com, IJ, f_vel)
+    return ForwardPass(model, H, J, v, IJ, f_vel)
 
 
 def crba(fp):
@@ -224,12 +239,17 @@ def frame_jacobian(fp, frame_names):
     return out
 
 
+def _link_coms(fp):
+    """World centers of mass of the links, (n_links, 3)."""
+    return (fp.H @ fp.model.arrays.com_h[:, :, None])[:, :3, 0]
+
+
 def com_position(fp):
     """World center of mass."""
-    return fp.model.arrays.mass @ fp.com / fp.model.total_mass
+    return fp.model.arrays.mass @ _link_coms(fp) / fp.model.total_mass
 
 
 def com_velocity(fp):
     """World center-of-mass velocity."""
-    v_com = fp.v[:, :3] + batch_cross(fp.v[:, 3:], fp.com)
+    v_com = fp.v[:, :3] + batch_cross(fp.v[:, 3:], _link_coms(fp))
     return fp.model.arrays.mass @ v_com / fp.model.total_mass

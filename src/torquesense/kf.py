@@ -136,12 +136,13 @@ def _gain_blocks(dt, Q, r, n_steps, tol=1e-14):
 def steady_state_gain(dt, lsb, q_accel, q_jerk):
     """(B, 3) converged gains for (B,) quantization steps `lsb`.
 
-    Runs the gain recursion without data until every member has frozen
-    and returns the last gains.  A member that has not frozen within
-    20000 steps is rejected with a ValueError naming its densities and
-    quantization step.
+    A scalar `lsb` is one member and gives (1, 3).  Runs the gain
+    recursion without data until every member has frozen and returns
+    the last gains.  A member that has not frozen within 20000 steps is
+    rejected with a ValueError naming its densities and quantization
+    step.
     """
-    lsb = np.asarray(lsb, dtype=float)
+    lsb = np.atleast_1d(np.asarray(lsb, dtype=float))
     r = quantization_variance(lsb)
     for G, frozen in _gain_blocks(dt, process_noise(dt, q_accel, q_jerk), r,
                                   20000):

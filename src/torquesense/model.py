@@ -46,26 +46,29 @@ class Link:
 class LinkArrays:
     """The tree compiled into flat arrays, one row per link in index order.
 
-    `home` holds each link's joint origin as a 4x4 parent<-link transform
-    (the identity for the base, which has no parent link) and
-    `rotation_terms` the terms of its Rodrigues rotation, so a joint
-    transform is `home + sin(s) * rotation_terms[0] + (1 - cos(s)) *
-    rotation_terms[1]` on the rows `dof_link` (the link each dof moves:
-    link i moves with dof i - 1).
-    `axis` holds the joint axes of the dofs in their links' frames.
+    Link i moves with dof i - 1, so the joint rows of every per-link
+    array are the slice 1:.  `home` holds each link's joint origin as a
+    4x4 parent<-link transform (the identity for the base, which has no
+    parent link) and `rodrigues` (n, 2, 16) the two flattened 4x4 terms
+    of each joint's Rodrigues rotation, O K and O K^2 for the origin
+    rotation O and the skew matrix K of the axis, so that a joint
+    transform is `home + [sin(s), 1 - cos(s)] @ rodrigues` on the rows
+    1:.  `axis` holds the joint axes of the dofs in their links' frames.
     `paths[i]` lists the links from the base's child down to link i,
     padded at the end with the base index 0 to one length for all links,
     so the product of their transforms is base<-link i.  `ancestors[i, d]`
     is 1.0 when the joint of dof d sits on link i or on one of its
-    ancestors, else 0.0.  `mass`, `com_h` (the link-frame center of mass
-    with a trailing 1), `inertia` (rotational, about the center of mass,
-    link axes) and `mass_block` (a 6x6 block holding mass times the 3x3
-    identity top left) describe the link bodies.
+    ancestors, else 0.0.  `mass` and `com_h` (the link-frame center of
+    mass with a trailing 1) locate the link bodies; `spatial_inertia`
+    holds each body's 6x6 spatial inertia about its link origin in link
+    coordinates, [[m 1, -m C], [m C, I_c + m C C^T]] with C the skew
+    matrix of the center of mass and I_c the rotational inertia about
+    it, which a world<-link force transform F carries to the world frame
+    as F I F^T.
     """
 
     def __init__(self, links):
         n_links = len(links)
-        self.dof_link = np.arange(1, n_links, dtype=np.intp)
         self.home = np.zeros((n_links, 4, 4))
         self.home[:, 3, 3] = 1.0
         self.home[0] = np.eye(4)
@@ -74,9 +77,10 @@ class LinkArrays:
             self.home[l.index, :3, 3] = l.origin.p
         self.axis = np.array([l.axis for l in links[1:]],
                              dtype=float).reshape(-1, 3)
-        K = np.array([skew(a) for a in self.axis]).reshape(-1, 3, 3)
-        O = self.home[1:, :3, :3]
-        self.rotation_terms = np.stack([O @ K, O @ (K @ K)])
+        K = np.zeros((n_links - 1, 4, 4))
+        K[:, :3, :3] = np.array([skew(a) for a in self.axis]).reshape(-1, 3, 3)
+        O = self.home[1:]
+        self.rodrigues = np.stack([O @ K, O @ (K @ K)], axis=1).reshape(-1, 2, 16)
 
         chains = [[]]
         for l in links[1:]:
@@ -84,14 +88,19 @@ class LinkArrays:
         depth = max(1, max(map(len, chains)))
         self.paths = np.array([c + [0] * (depth - len(c)) for c in chains],
                               dtype=np.intp)
-        self.ancestors = np.array([np.isin(self.dof_link, c) for c in chains],
+        self.ancestors = np.array([np.isin(np.arange(1, n_links), c)
+                                   for c in chains],
                                   dtype=float).reshape(n_links, -1)
 
         self.mass = np.array([l.mass for l in links], dtype=float)
         self.com_h = np.array([np.append(l.com, 1.0) for l in links])
-        self.inertia = np.array([l.inertia for l in links], dtype=float)
-        self.mass_block = np.zeros((n_links, 6, 6))
-        self.mass_block[:, :3, :3] = self.mass[:, None, None] * np.eye(3)
+        self.spatial_inertia = np.zeros((n_links, 6, 6))
+        for l, I in zip(links, self.spatial_inertia):
+            C = skew(l.com)
+            I[:3, :3] = l.mass * np.eye(3)
+            I[:3, 3:] = -l.mass * C
+            I[3:, :3] = l.mass * C
+            I[3:, 3:] = l.inertia + l.mass * (C @ C.T)
 
 
 class RobotModel:

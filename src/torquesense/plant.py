@@ -33,7 +33,7 @@ from .dynamics import (com_position, crba, forward_pass, joint_transforms,
 from .friction import MotorParams, ScvParams, scv_friction
 from .kf import encoder_lsb
 from .model import FOOT_CORNERS, STANDING_HEIGHT, FrameError, desk_biped
-from .spatial import Transform, batch_cross, cross3, exp_so3, skew
+from .spatial import Transform, exp_so3, skew
 
 
 def _stage(y):
@@ -335,8 +335,14 @@ class PlantState:
         return Transform(self.base_R, self.base_pos)
 
 
+def _cross(a, b):
+    """Cross product of two 3-sequences of Python floats, as a tuple."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def _quantize(x, lsb):
-    return np.round(x / lsb) * lsb
+    return np.rint(x / lsb) * lsb
 
 
 def _twist_block(v):
@@ -394,6 +400,7 @@ class Plant:
             per_joint("friction", "stribeck_vel"), per_joint("friction", "viscous"))
         self.elastic_k = per_joint("elasticity", "stiffness")
         self.elastic_d = per_joint("elasticity", "damping")
+        self._elastic = np.concatenate([self.elastic_k, self.elastic_d])
         # motor torque per ampere, and the inverse of the motor inertia
         # reflected to the joint side
         self._gear_k_t = self.reduction * self.k_t
@@ -402,10 +409,15 @@ class Plant:
         contact = config.contact
         self._contact_stiffness = float(contact["stiffness"])
         self._contact_mu = float(contact["mu"])
-        # damping per world axis (x, y tangential; z normal), a column
-        self._contact_damping = -np.array(
-            [[contact["tangential_damping"]], [contact["tangential_damping"]],
-             [contact["damping"]]], dtype=float)
+        # v @ _damped_twist stacks the twist blocks of the rows of v with
+        # their rows scaled by the damping per world axis (x, y
+        # tangential; z normal): times [P; 1], the damping force of the
+        # point P
+        damping = -np.array([contact["tangential_damping"],
+                             contact["tangential_damping"], contact["damping"]],
+                            dtype=float)
+        self._damped_twist = (_TWIST_BASIS.reshape(6, 3, 4)
+                              * damping[:, None]).reshape(6, 12)
 
         # sole frames and their corners (homogeneous columns) in the foot
         # link frames, for the contact kernel
@@ -415,8 +427,16 @@ class Plant:
         self._corners = self._sole_offsets @ corners
 
         self.disturbances = list(config.disturbances)
+        # (start, end, link, frame origin in link coordinates with a
+        # trailing 1, force, torque) of each disturbance, as Python floats;
+        # the lookup raises FrameError for an unknown frame
+        self._pushes = []
         for ev in self.disturbances:
-            self.model.frame(ev.frame)  # raises FrameError if unknown
+            idx, offset = self.model.frame(ev.frame)
+            self._pushes.append((ev.time, ev.time + ev.duration, idx,
+                                 offset.homogeneous()[:, 3],
+                                 [float(x) for x in ev.force],
+                                 [float(x) for x in ev.torque]))
         self.object_events = sorted(config.object_events, key=lambda e: e.time)
         self._check_object_events(self.object_events)
 
@@ -433,6 +453,7 @@ class Plant:
                               3), len(self.model.ft_frames)),
             np.repeat([noise["imu_acc_std"], noise["imu_gyro_std"]], 3)])
         self._noise_live = np.flatnonzero(self._noise_std > 0)
+        self._live_std = self._noise_std[self._noise_live]
         # R^T and offset of the IMU frame in the base frame
         imu = self.model.frame(self.model.imu_frame)[1]
         self._imu_RT, self._imu_r = imu.R.T, imu.p.tolist()
@@ -477,8 +498,21 @@ class Plant:
     # ------------------------------------------------------------------ state
 
     def initial_state(self, joint_pos=None, base_height=None):
+        """The state at t = 0, at rest, with its evaluation at zero current.
+
+        `joint_pos` (rad, default zeros) must be n finite joint angles, a
+        copy of which becomes the state's; `base_height` (m) must be
+        finite, and by default rests the soles on the ground with the
+        static penalty penetration.  Raises ValueError otherwise.
+        """
         n = self.n
-        s = np.zeros(n) if joint_pos is None else np.asarray(joint_pos, dtype=float)
+        s = np.zeros(n) if joint_pos is None else np.array(joint_pos, dtype=float)
+        if s.shape != (n,) or not np.isfinite(s).all():
+            raise ValueError(f"joint_pos must be n = {n} finite joint angles "
+                             f"(rad), got {joint_pos!r}")
+        if base_height is not None and not _finite(base_height):
+            raise ValueError(f"base_height must be a finite number (m), "
+                             f"got {base_height!r}")
         if base_height is None:
             # rest the soles on the ground with the static penalty penetration
             n_corners = len(self.model.sole_frames) * len(FOOT_CORNERS)
@@ -530,26 +564,27 @@ class Plant:
         velocities and forces are formed.
         """
         wrenches = np.zeros((len(fp.H), 6))
-        # homogeneous world corners (sole, xyz1, corner)
+        # homogeneous world corners (sole, xyz1, corner) and their
+        # heights above the ground
         HC = fp.H[self._sole_links] @ self._corners
-        pen = -HC[:, 2]
+        z = HC[:, 2]
         if self.object_events:
-            pen += [self.ground_height(f, t, FOOT_CORNERS[:, 0])
-                    for f in self.model.sole_frames]
-        below = pen > 0.0
-        if not below.any():
+            z = z - [self.ground_height(f, t, FOOT_CORNERS[:, 0])
+                     for f in self.model.sole_frames]
+        below = z < 0.0
+        if not np.count_nonzero(below):
             return wrenches
-        # world corner velocities (sole, xyz, corner)
-        V = (fp.v[self._sole_links] @ _TWIST_BASIS).reshape(-1, 3, 4) @ HC
-        # damping on every axis, plus the normal spring
-        F = V * self._contact_damping
-        F[:, 2] += self._contact_stiffness * pen
+        # damping of the world corner velocities (sole, xyz, corner) on
+        # every axis, plus the normal spring on the penetration -z
+        F = ((fp.v[self._sole_links] @ self._damped_twist).reshape(-1, 3, 4)
+             @ HC)
+        F[:, 2] -= self._contact_stiffness * z
         fz = F[:, 2]
         touch = below & (fz > 0.0)
         ft_mag = np.hypot(F[:, 0], F[:, 1])
         limit = self._contact_mu * fz
         slip = touch & (ft_mag > limit)
-        if slip.any():
+        if np.count_nonzero(slip):
             scale = np.ones_like(ft_mag)
             scale[slip] = limit[slip] / ft_mag[slip]
             F[:, :2] *= scale[:, None]
@@ -563,28 +598,26 @@ class Plant:
         """Sole-frame contact wrenches, one row per sole, from their
         world-origin rows `soles` of the `_contacts` link wrenches."""
         H = fp.H[self._sole_links] @ self._sole_offsets
-        R, origin = H[:, :3, :3], H[:, :3, 3]
-        force = soles[:, :3]
-        moment = soles[:, 3:] - batch_cross(origin, force)
-        # R^T f as f^T R, row by row
-        return np.concatenate([force[:, None] @ R, moment[:, None] @ R],
-                              axis=-1)[:, 0]
+        # rows [force, moment about the sole origin], then R^T of each
+        # as a row times R
+        w = soles.reshape(-1, 2, 3).copy()
+        w[:, 1] -= [_cross(o, f) for o, f in zip(H[:, :3, 3].tolist(),
+                                                  soles[:, :3].tolist())]
+        return (w @ H[:, :3, :3]).reshape(-1, 6)
 
     def _add_disturbances(self, t, fp, wrenches):
         """Add the active disturbances to the world-origin link wrenches."""
-        for ev in self.disturbances:
-            if not (ev.time <= t < ev.time + ev.duration):
+        for start, end, idx, origin, (fx, fy, fz), (mx, my, mz) in self._pushes:
+            if not (start <= t < end):
                 continue
-            idx, H = fp.frame_pose(ev.frame)
-            force = np.asarray(ev.force, dtype=float)
-            wrenches[idx, :3] += force
-            wrenches[idx, 3:] += (np.asarray(ev.torque, dtype=float)
-                                  + cross3(H[:3, 3], force))
+            x, y, z = (fp.H[idx, :3] @ origin).tolist()
+            wrenches[idx] += (fx, fy, fz, mx + (y * fz - z * fy),
+                              my + (z * fx - x * fz), mz + (x * fy - y * fx))
 
     # ------------------------------------------------------------------ dynamics
 
     def _derivative(self, t, y, R0, currents):
-        p, dlt, twist, s, sdot, phi, phid = self._unpack(y)
+        p, dlt, twist, s, sdot, _, phid = self._unpack(y)
         R = R0 @ exp_so3(dlt)
         base_pose = Transform(R, p)
 
@@ -596,7 +629,10 @@ class Plant:
         self._add_disturbances(t, fp, wrenches)
 
         tau_f = scv_friction(self.scv, phid, self.config.friction_smoothing)
-        tau = self.elastic_k * (phi - s) + self.elastic_d * (phid - sdot)
+        # the transmission's spring and damper act on [phi - s, phid -
+        # sdot], one difference of adjacent blocks of y
+        tau = self._elastic * (y[12 + 2 * self.n:] - y[12:12 + 2 * self.n])
+        tau = tau[:self.n] + tau[self.n:]
         phidd = ((self._gear_k_t * currents - tau_f - tau)
                  * self._inv_reflected_inertia)
 
@@ -617,13 +653,14 @@ class Plant:
             base_acc_coord[:3] += R.T @ self.model.gravity
             sdd = a_prop[6:]
 
-        # rotation-vector rate: w + dlt x w / 2 + dlt x (dlt x w) / 12
+        # rotation-vector rate w + dlt x w / 2 + dlt x (dlt x w) / 12,
+        # on Python floats
         d, w = dlt.tolist(), twist[3:].tolist()
-        dw = cross3(d, w)
-        ydot = np.concatenate([
-            R @ twist[:3],
-            twist[3:] + 0.5 * dw + cross3(d, dw.tolist()) / 12.0,
-            base_acc_coord, sdot, sdd, phid, phidd])
+        dw = _cross(d, w)
+        rate = [wi + 0.5 * dwi + ddwi / 12.0
+                for wi, dwi, ddwi in zip(w, dw, _cross(d, dw))]
+        ydot = np.concatenate([R @ twist[:3], rate, base_acc_coord, sdot, sdd,
+                               phid, phidd])
 
         info = {
             "tau": tau, "tau_friction": tau_f, "soles": soles,
@@ -648,13 +685,13 @@ class Plant:
         """`_derivative` at `state`, with the record `_first_stage` checks.
 
         The returned info carries the derivative (`ydot`) and where it
-        was made: this plant, `t`, the packed state and a copy of
-        `base_R`.
+        was made: this plant, `t`, and the bytes of the packed state and
+        of `base_R`.
         """
         y = self._pack(state)
         ydot, info = self._derivative(state.t, y, state.base_R, currents)
         info["ydot"] = ydot
-        info["at"] = (self, state.t, y, state.base_R.copy())
+        info["at"] = (self, state.t, y.tobytes() + state.base_R.tobytes())
         return info
 
     def _first_stage(self, state, y, currents):
@@ -662,24 +699,22 @@ class Plant:
 
         The evaluation stored on `state` by the step or `initial_state`
         that made it serves, provided it was made by this plant at
-        exactly this `t`, packed state and `base_R`, so a state made by
-        either costs no evaluation here; a state edited after it was
-        made gets a fresh one.  New currents enter the elastic
-        transmission only through the motor acceleration, linearly, so
-        the stored derivative is patched there.
+        exactly this `t`, packed state and `base_R`, bit for bit, so a
+        state made by either costs no evaluation here; a state edited
+        after it was made gets a fresh one.  New currents enter the
+        elastic transmission only through the motor acceleration,
+        linearly, so the stored derivative is patched there.
         """
         info = getattr(state, "_info", None)
-        if info is not None:
-            plant, t, y_at, R_at = info["at"]
-            if (plant is self and t == state.t and np.array_equal(y_at, y)
-                    and np.array_equal(R_at, state.base_R)):
-                di = currents - info["currents"]
-                if not di.any():
-                    return info["ydot"]
-                k1 = info["ydot"].copy()
-                k1[12 + 3 * self.n:] += (self._gear_k_t * di
-                                         * self._inv_reflected_inertia)
-                return k1
+        if info is not None and info["at"] == (
+                self, state.t, y.tobytes() + state.base_R.tobytes()):
+            di = currents - info["currents"]
+            if not np.count_nonzero(di):
+                return info["ydot"]
+            k1 = info["ydot"].copy()
+            k1[12 + 3 * self.n:] += (self._gear_k_t * di
+                                     * self._inv_reflected_inertia)
+            return k1
         return self._derivative(state.t, y, state.base_R, currents)[0]
 
     def step(self, state, currents):
@@ -693,14 +728,19 @@ class Plant:
         state made by `step` or `initial_state` makes exactly four
         evaluations; a step from a state edited since makes a fifth.
 
-        A step that overflows, makes an invalid operation or reaches a
-        stage input or result that is not finite raises
-        `SimulationDiverged` at its end time.
+        `currents` must hold one value (A) per joint, n in all; any
+        other shape raises ValueError before the step starts.  A step
+        that overflows, makes an invalid operation or reaches a stage
+        input or result that is not finite raises `SimulationDiverged`
+        at its end time.
         """
         h = self.config.step
         t = state.t
         # a copy: the stored evaluation keeps these currents
         currents = np.array(currents, dtype=float)
+        if currents.shape != (self.n,):
+            raise ValueError(f"currents must hold one value per joint, "
+                             f"n = {self.n}, got shape {currents.shape}")
         y = self._pack(state)
         R0 = state.base_R
 
@@ -742,22 +782,21 @@ class Plant:
 
         # one draw per step fills the channels whose std is not 0
         noise = np.zeros(len(self._noise_std))
-        noise[self._noise_live] = (self._noise_std[self._noise_live]
-                                   * self.rng.standard_normal(
-                                       len(self._noise_live)))
+        noise[self._noise_live] = self._live_std * self.rng.standard_normal(
+            len(self._noise_live))
         cur = currents + noise[:n]
         # FT k sits at sole k and reads its contact wrench
         k = n + state.contact_wrenches.size
         ft = noise[n:k].reshape(-1, 6) + state.contact_wrenches
 
-        w_base = state.base_twist[3:].tolist()
-        a_prop = state.base_prop_acc
-        r = self._imu_r
-        acc = self._imu_RT @ (
-            a_prop[:3] + cross3(w_base, state.base_twist[:3].tolist())
-            + cross3(a_prop[3:].tolist(), r)
-            + cross3(w_base, cross3(w_base, r).tolist()))
-        imu_acc = acc + noise[k:k + 3]
+        # the proper acceleration of the IMU point r on the base, on
+        # Python floats: a + w x v + dw x r + w x (w x r)
+        twist, a, r = (state.base_twist.tolist(),
+                       state.base_prop_acc.tolist(), self._imu_r)
+        v, w = twist[:3], twist[3:]
+        acc = [ai + c1 + c2 + c3 for ai, c1, c2, c3 in zip(
+            a[:3], _cross(w, v), _cross(a[3:], r), _cross(w, _cross(w, r)))]
+        imu_acc = self._imu_RT @ acc + noise[k:k + 3]
         imu_gyro = self._imu_RT @ state.base_twist[3:] + noise[k + 3:k + 6]
 
         return SensorBundle(t=state.t, joint_pos=joint_pos, motor_pos=motor_pos,

@@ -41,9 +41,10 @@ def exp_so3(w):
         x, y, z = x / angle, y / angle, z / angle
         s, c = math.sin(angle), 1.0 - math.cos(angle)
     return np.array([
-        [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
-        [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
-        [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)]])
+        1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y,
+        c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x,
+        c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y),
+    ]).reshape(3, 3)
 
 
 def log_so3(R):
@@ -67,21 +68,6 @@ class Transform:
 
     def __mul__(self, other):
         return Transform(self.R @ other.R, self.R @ other.p + self.p)
-
-    def motion_matrix(self):
-        """6x6 matrix mapping motion vectors from frame b to frame a.
-
-        [[R, skew(p) R], [0, R]], written out on Python floats.
-        """
-        (a, b, c), (d, e, f), (g, h, i) = self.R.tolist()
-        x, y, z = self.p.tolist()
-        return np.array([
-            [a, b, c, y * g - z * d, y * h - z * e, y * i - z * f],
-            [d, e, f, z * a - x * g, z * b - x * h, z * c - x * i],
-            [g, h, i, x * d - y * a, x * e - y * b, x * f - y * c],
-            [0.0, 0.0, 0.0, a, b, c],
-            [0.0, 0.0, 0.0, d, e, f],
-            [0.0, 0.0, 0.0, g, h, i]])
 
     def homogeneous(self):
         H = np.empty((4, 4))

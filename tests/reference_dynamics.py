@@ -15,7 +15,8 @@ from torquesense.plant import Plant
 from torquesense.spatial import Transform, cross3, exp_so3
 
 from reference_spatial import (apply, cross_force, force_matrix, inverse,
-                               link_inertia, rotation_about_axis,
+                               link_inertia, motion_matrix,
+                               rotation_about_axis,
                                transform_force, transform_motion,
                                transform_motion_inv)
 
@@ -146,7 +147,7 @@ def frame_jacobian(model, base_pose, s, frame_name):
 
     J = np.zeros((6, model.nv))
     H_fb = inverse(H_frame) * base_pose
-    J[:, :6] = H_fb.motion_matrix()
+    J[:, :6] = motion_matrix(H_fb)
     i = idx
     while i > 0:
         link = model.links[i]

@@ -29,6 +29,15 @@ def apply(H, point):
     return H.R @ point + H.p
 
 
+def motion_matrix(H):
+    """6x6 matrix mapping motion vectors from frame b to frame a, given H_ab."""
+    X = np.zeros((6, 6))
+    X[:3, :3] = H.R
+    X[:3, 3:] = skew(H.p) @ H.R
+    X[3:, 3:] = H.R
+    return X
+
+
 def force_matrix(H):
     """6x6 matrix mapping force vectors from frame b to frame a, given H_ab."""
     X = np.zeros((6, 6))

@@ -11,7 +11,7 @@ import pytest
 
 from chains import pendulum, serial_leg, two_link_arm
 import reference_dynamics as ref
-from reference_spatial import apply
+from reference_spatial import apply, motion_matrix
 from torquesense import dynamics
 from torquesense.model import FOOT_CORNERS, RobotModel, desk_biped
 from torquesense.plant import ObjectEvent, Plant, ScenarioConfig
@@ -108,7 +108,7 @@ def test_pass_matches_per_link_recursions(name):
         for H_ref, v_ref, H, v in zip(world, vels, fp.H, fp.v):
             assert close(H, H_ref.homogeneous())
             # body-frame velocity -> world frame, world origin
-            assert close(v, H_ref.motion_matrix() @ v_ref)
+            assert close(v, motion_matrix(H_ref) @ v_ref)
         for frame, J in zip(frames, dynamics.frame_jacobian(fp, frames)):
             assert close(J, ref.frame_jacobian(model, pose, s, frame))
         assert close(dynamics.com_velocity(fp), ref.com_velocity(model, pose, s, nu))
@@ -238,3 +238,63 @@ def test_steps_through_pass_match_reference_plant(config):
         assert close(getattr(new, field), getattr(old, field), 1e-9), field
     for got, want in zip(new.contact_wrenches, old.contact_wrenches):
         assert close(got, want, 1e-9)
+
+
+PUSH = [{"time": 0.0, "duration": 1.0, "frame": "torso_push",
+         "force": (10.0, 30.0, -5.0), "torque": (1.0, -2.0, 0.5)}]
+
+
+def evaluation_states(plant, lift, count=12, seed=7):
+    """(t, y, R0, currents) at seeded random packed states near the
+    standing pose, with the base `lift` m higher: every part of y is
+    moving, the attitude has an offset R0 and a rotation vector."""
+    r = np.random.default_rng(seed)
+    n = plant.n
+    y0 = plant._pack(plant.initial_state())
+    for _ in range(count):
+        y = y0.copy()
+        y[2] += lift + r.uniform(-0.003, 0.002)
+        y[3:6] = 0.03 * r.normal(size=3)
+        y[6:12] = 0.1 * r.normal(size=6)
+        y[12:12 + n] += 0.05 * r.normal(size=n)
+        y[12 + n:12 + 2 * n] = r.normal(size=n)
+        y[12 + 2 * n:12 + 3 * n] = y[12:12 + n] + 0.01 * r.normal(size=n)
+        y[12 + 3 * n:] = r.normal(size=n)
+        yield 0.5, y, exp_so3(0.02 * r.normal(size=3)), r.normal(size=n)
+
+
+@pytest.mark.parametrize("case", ["free_push", "locked_base", "airborne"])
+def test_one_evaluation_matches_reference_plant(case):
+    # the whole evaluation, not only the pass and the contact kernel:
+    # the derivative and every truth field the state takes from it
+    config = ScenarioConfig(seed=2, lock_base=case == "locked_base",
+                            disturbances=PUSH if case == "free_push" else [])
+    lift = {"free_push": 0.0, "locked_base": 1.5, "airborne": 0.05}[case]
+    plant, oracle = Plant(config), ref.ReferencePlant(config)
+    seen = {"touch": 0, "clipped": 0}
+    for t, y, R0, currents in evaluation_states(plant, lift):
+        got, info = plant._derivative(t, y, R0, currents)
+        want, ref_info = oracle._derivative(t, y, R0, currents)
+        assert close(got, want)
+        states = [plant.initial_state() for _ in range(2)]
+        plant._apply_info(states[0], info)
+        oracle._apply_info(states[1], ref_info)
+        for field in ("tau", "tau_friction", "contact_wrenches",
+                      "base_prop_acc", "joint_acc", "com"):
+            assert close(getattr(states[0], field), getattr(states[1], field)), field
+        assert np.array_equal(info["currents"], currents)
+        for H, H_ref in zip(info["pass"].H, ref_info["world"]):
+            assert close(H, H_ref.homogeneous())
+        # count the touching and the clipped corners
+        n = plant.n
+        pose = Transform(R0 @ exp_so3(y[3:6]), y[:3])
+        nu = np.concatenate([y[6:12], y[12 + n:12 + 2 * n]])
+        world, vels = ref.link_states(plant.model, pose, y[12:12 + n], nu)
+        ref.contact_wrenches(plant, t, world, vels, seen)
+        assert bool(ref.disturbance_wrenches(plant, t, world)) == (
+            case == "free_push")
+    if case == "free_push":
+        # the friction cone clipped some touching corners and not others
+        assert 0 < seen["clipped"] < seen["touch"], seen
+    else:
+        assert seen["touch"] == 0

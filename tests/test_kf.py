@@ -225,6 +225,17 @@ def test_steady_state_gain_is_the_last_gain_of_the_schedule():
         assert np.array_equal(K[b], ref[-1])
 
 
+def test_a_scalar_lsb_is_one_member():
+    # used to fail in _gain_blocks with "len() of unsized object"
+    dt, lsb = 1e-3, encoder_lsb(12)
+    K = steady_state_gain(dt, lsb, 1e-3, 200.0)
+    assert K.shape == (1, 3)
+    assert np.array_equal(K, steady_state_gain(dt, [lsb], 1e-3, 200.0))
+    with pytest.raises(ValueError, match=r"q_accel=275, q_jerk=0\.0284 at "
+                       r"lsb 0\.00153398 rad does not settle"):
+        steady_state_gain(dt, lsb, 275.0, 0.0284)
+
+
 def test_a_steady_state_gain_that_never_settles_is_rejected():
     # still moving ~2e-4 per step at step 20000
     with pytest.raises(ValueError, match=r"q_accel=275, q_jerk=0\.0284 at "

@@ -14,6 +14,7 @@ from torquesense.plant import (
 )
 from torquesense.spatial import exp_so3
 
+NAN, INF = float("nan"), float("inf")
 QUIET_NOISE = {"quantize": False, "current_std": 0.0, "ft_force_std": 0.0,
                "ft_torque_std": 0.0, "imu_acc_std": 0.0, "imu_gyro_std": 0.0}
 
@@ -199,6 +200,38 @@ def test_divergence_raises_with_time():
         p.step(state, np.full(p.n, np.nan))
 
 
+@pytest.mark.parametrize("currents", [np.zeros(3), np.zeros(9),
+                                      np.zeros((2, 8)), 0.1])
+def test_currents_of_the_wrong_length_are_rejected_at_the_step(currents):
+    # used to fail inside the step with a numpy broadcast error
+    p = make_plant()
+    state = p.initial_state()
+    with pytest.raises(ValueError, match=r"^currents must hold one value per "
+                       r"joint, n = 8, got shape"):
+        p.step(state, currents)
+
+
+@pytest.mark.parametrize("joint_pos", [[0.0] * 3, [0.0] * 9,
+                                       [0.0] * 7 + [NAN], [INF] + [0.0] * 7])
+def test_bad_joint_positions_are_rejected_at_the_initial_state(joint_pos):
+    # a short list used to fail with a numpy broadcast error, a NaN one
+    # only one step later as a divergence
+    p = make_plant()
+    with pytest.raises(ValueError, match=r"^joint_pos must be n = 8 finite "
+                       r"joint angles"):
+        p.initial_state(joint_pos=joint_pos)
+
+
+def test_initial_joint_positions_are_copied():
+    p = make_plant()
+    joint_pos = np.full(p.n, 0.05)
+    state = p.initial_state(joint_pos=joint_pos)
+    joint_pos[:] = 0.0
+    assert np.array_equal(state.s, np.full(p.n, 0.05))
+    with pytest.raises(ValueError, match="^base_height must be a finite"):
+        p.initial_state(base_height=NAN)
+
+
 def test_scenario_config_round_trip_and_hash():
     cfg = ScenarioConfig(
         seed=4, duration=2.0,
@@ -244,9 +277,6 @@ def test_legacy_tangential_stiffness_key():
 def test_unknown_config_keys_are_rejected(kw, match):
     with pytest.raises(ValueError, match=match):
         ScenarioConfig(**kw)
-
-
-NAN, INF = float("nan"), float("inf")
 
 
 # each of these used to build and then fail or misbehave in the loop: a
