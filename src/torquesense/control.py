@@ -4,19 +4,15 @@ Two rates: a center-of-mass balancer producing desired joint torques
 at `ControlConfig.high_rate` (100 Hz by default; its period must be a
 whole multiple of the plant step), and the estimators with a PI torque
 loop producing current commands once per plant step (1 kHz at the
-default 1 ms step).  The torque feedback source and the friction
-feedforward are wired per mode:
-
-    Feedforward        no torque feedback, no friction compensation
-    RNEA-NoComp        rigid-body inverse-dynamics feedback
-    UKF-NoComp         filter torque estimate as feedback
-    Feedforward-PINN   no feedback, learned friction feedforward
-    RNEA-PINN          inverse-dynamics feedback + friction feedforward
-    UKF-PINN           filter feedback + friction feedforward
-    PositionControl    stiff per-joint position PD baseline
+default 1 ms step).  How each mode closes the loop, its torque
+feedback, friction feedforward and output law, is its row of `WIRING`;
+no other module tells the modes apart.
 """
 
-from dataclasses import dataclass
+import math
+import numbers
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,18 +20,29 @@ from .dynamics import (com_position, com_velocity, forward_pass,
                        frame_jacobian, static_proper_accel)
 from .spatial import log_so3
 
-MODES = ("Feedforward", "RNEA-NoComp", "UKF-NoComp", "Feedforward-PINN",
-         "RNEA-PINN", "UKF-PINN", "PositionControl")
+
+# A mode's loop: the PI loop's torque `feedback` ("filter", "rnea", None),
+# `friction_nets` for the feedforward and the filter, and the `balancer`
+# driving the PI loop (else a stiff position PD holds the posture).
+Wiring = namedtuple("Wiring", "feedback friction_nets balancer",
+                    defaults=(None, False, True))
+
+
+WIRING = {
+    "Feedforward": Wiring(),
+    "RNEA-NoComp": Wiring(feedback="rnea"),
+    "UKF-NoComp": Wiring(feedback="filter"),
+    "Feedforward-PINN": Wiring(friction_nets=True),
+    "RNEA-PINN": Wiring(feedback="rnea", friction_nets=True),
+    "UKF-PINN": Wiring(feedback="filter", friction_nets=True),
+    "PositionControl": Wiring(balancer=False),
+}
+MODES = tuple(WIRING)
 
 
 def needs_friction_nets(mode):
-    """Whether `mode` runs trained friction nets.
-
-    The *-PINN modes compensate friction with them, and UKF-PINN also
-    feeds their output to the torque filter.  UKF-NoComp runs the filter
-    with its friction channel masked, so it needs none.
-    """
-    return mode.endswith("PINN")
+    """Whether `mode` runs trained friction nets (see `Wiring`)."""
+    return WIRING[mode].friction_nets
 
 
 @dataclass
@@ -59,15 +66,19 @@ class ControlConfig:
     high_rate: float = 100.0        # Hz, balancer; torque loop runs every plant step
 
     def __post_init__(self):
+        """Reject an unknown mode, and any numeric field that is not a
+        finite number, positive for the current limit, the wrench
+        regularization and the balancer rate, nonnegative otherwise."""
         if self.mode not in MODES:
             raise ValueError(f"unknown control mode {self.mode!r}")
-        for name in ("kp_torque", "ki_torque", "kp_com", "kd_com",
-                     "kp_att", "kd_att", "kp_pos", "kd_pos"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"gain {name} must be nonnegative")
-        if self.high_rate <= 0.0:
-            raise ValueError(f"ControlConfig.high_rate must be positive, "
-                             f"got {self.high_rate}")
+        for f in fields(self)[1:]:  # every field after the mode is a number
+            value = getattr(self, f.name)
+            positive = f.name in ("current_limit", "force_reg", "high_rate")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and (value > 0.0 if positive else value >= 0.0)):
+                what = "positive" if positive else "nonnegative"
+                raise ValueError(f"ControlConfig.{f.name} must be {what} "
+                                 f"and finite, got {value!r}")
 
 
 def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
@@ -188,30 +199,3 @@ class PositionPD(_CurrentOutput):
         tau = cfg.kp_pos * (np.asarray(s_des, float) - np.asarray(s_meas, float)) \
             - cfg.kd_pos * np.asarray(sdot_meas, float)
         return self._currents(tau)
-
-
-class RateScheduler:
-    """Deterministic scheduler of the balancer on plant ticks.
-
-    Fires on every `high_every`-th tick, starting with the first; the
-    balancer period must be a whole multiple of the plant step, which
-    is checked at construction.
-    """
-
-    def __init__(self, plant_dt, high_rate):
-        self.plant_dt = plant_dt
-        high_dt = 1.0 / high_rate
-        self.high_every = int(round(high_dt / plant_dt))
-        if self.high_every < 1 or not np.isclose(self.high_every * plant_dt,
-                                                 high_dt):
-            raise ValueError(
-                f"ControlConfig.high_rate ({high_rate:g} Hz, period "
-                f"{high_dt:g} s) must have a period that is a whole "
-                f"multiple of the plant step ({plant_dt:g} s)")
-        self.tick = 0
-
-    def due(self):
-        """Whether the balancer runs on the current tick, then advance."""
-        high = self.tick % self.high_every == 0
-        self.tick += 1
-        return high

@@ -1,11 +1,11 @@
 """Closed-loop experiment runner, metrics and report generation.
 
-One run wires together the simulation plant, the online estimator stack
-(encoder filters, attitude filter, learned friction nets, torque
-filter), and the cascaded controller in one of the seven modes, then
-reduces the log to torque-tracking and center-of-mass metrics.  Sweeps
-repeat a scenario across modes or across friction-parameter scalings
-and assemble comparison tables.
+One run is two parts: a `Controller` (estimators, balancer and torque
+loop) wired once for one of the seven modes, and a loop that steps the
+plant, hands the controller each sensor sample and logs the plant's
+truth, which reduces to torque-tracking and center-of-mass metrics.
+Sweeps repeat a scenario across modes or across friction-parameter
+scalings and assemble comparison tables.
 """
 
 import csv
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pinn
-from .control import (ControlConfig, MODES, PositionPD, RateScheduler,
-                      TorquePI, high_level_balancer, needs_friction_nets,
-                      rnea_torque_feedback)
+from .control import (ControlConfig, MODES, WIRING, PositionPD, TorquePI,
+                      high_level_balancer, rnea_torque_feedback)
 from .kf import encoder_lsb, mean_step, steady_state_gain
 from .model import desk_biped
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
@@ -242,90 +241,159 @@ def _first_disturbance_time(scenario):
     return min(times) if times else None
 
 
+class Controller:
+    """The controller side of the closed loop, wired once from the mode's
+    row of `control.WIRING`: encoder filters, attitude and torque filters
+    or RNEA feedback, friction nets, torque PI loop or position PD.
+    `tick` turns one sensor sample into the next step's currents;
+    `balance` refreshes the desired torques every `balance_every` ticks
+    (0: never) from the plant's true base pose and twist and joint
+    positions, given by name."""
+
+    def __init__(self, plant, initial_state, control, nets=None,
+                 kf_gains=None):
+        scenario, model, n = plant.config, plant.model, plant.n
+        wiring = WIRING[control.mode]
+        dt = scenario.step
+        high_dt = 1.0 / control.high_rate
+        every = int(round(high_dt / dt))
+        if every < 1 or not np.isclose(every * dt, high_dt):
+            raise ValueError(
+                f"ControlConfig.high_rate ({control.high_rate:g} Hz, period "
+                f"{high_dt:g} s) must have a period that is a whole "
+                f"multiple of the plant step ({dt:g} s)")
+        self.balance_every = every if wiring.balancer else 0
+        self.model, self.control, self.dt, self.n = model, control, dt, n
+        self.reduction = plant.reduction
+        self.encoders = encoder_bank(
+            scenario, initial_state,
+            DEFAULT_KF_GAINS if kf_gains is None else kf_gains)
+        self.s0, self.com0 = initial_state.s.copy(), initial_state.com.copy()
+        self.amp = np.asarray(scenario.com_amplitude, dtype=float)
+        self.omega_ref = 2.0 * np.pi * scenario.com_frequency
+        self.sdot, self.tau_d = np.zeros(n), np.zeros(n)
+
+        # wired parts are called with self: kept bound they make a cycle
+        self.comp, self._friction = None, Controller._nothing
+        if wiring.friction_nets:
+            if nets is None:
+                raise ValueError(f"mode {control.mode} needs trained "
+                                 f"friction nets")
+            check_nets(nets, model.joint_names)
+            self.net_groups = group_by_net(nets, model.joint_names)
+            buf_len = max(net.buffer_len for net, _ in self.net_groups)
+            self.mv_buf, self.jv_buf = np.zeros((2, buf_len, n))
+            # the feedforward is smoothed: its use is the quasi-static
+            # stiction/Coulomb level, and the tick-to-tick wiggle is
+            # prediction noise the torque loop cannot reject
+            self.comp_alpha = 1 - np.exp(-2 * np.pi * control.comp_cutoff * dt)
+            self.comp = np.zeros(n)
+            self._friction = Controller._predict_friction
+
+        if wiring.feedback:
+            self.att = ComplementaryAttitude(R0=initial_state.base_R.copy())
+        if wiring.feedback == "filter":
+            self.ukf = TorqueUkf(model, plant.reduction, plant.k_t, dt)
+            self.belief = self.ukf.initial_belief()
+        self.imu_offset = model.frame(model.imu_frame)[1].p  # in the base
+        self._feedback = {None: Controller._nothing,
+                          "filter": Controller._ukf_feedback,
+                          "rnea": Controller._rnea_feedback}[wiring.feedback]
+
+        gear_torque = plant.reduction * plant.k_t
+        if wiring.balancer:
+            self.law = TorquePI(n, control, gear_torque, dt)
+            self._output = Controller._torque_output
+        else:
+            self.law = PositionPD(control, gear_torque)
+            self._output = Controller._position_output
+
+    def com_ref(self, t):
+        """The CoM reference at time t."""
+        return self.com0 + self.amp * np.sin(self.omega_ref * t)
+
+    def balance(self, t, base_pose, base_twist, s):
+        """Refresh the desired torques from the balancer at time t."""
+        w = self.omega_ref
+        self.tau_d = high_level_balancer(
+            self.model, base_pose, s, np.concatenate([base_twist, self.sdot]),
+            self.com_ref(t), self.amp * w * np.cos(w * t),
+            -self.amp * w ** 2 * np.sin(w * t), self.control,
+            posture_ref=self.s0)
+
+    def tick(self, sensors):
+        """Currents for the next plant step from one sensor sample."""
+        n = self.n
+        x, v, a = self.encoders.update(
+            np.concatenate([sensors.joint_pos, sensors.motor_pos]))
+        self.sdot = v[:n]
+        mvel = v[n:] / self.reduction
+        tau_f = self._friction(self, mvel)
+        self.tau_feedback = self._feedback(self, sensors, x[:n], a[:n], tau_f)
+        return self._output(self, x[n:] / self.reduction, mvel)
+
+    def _nothing(*args):
+        return None
+
+    def _predict_friction(self, mvel):
+        self.mv_buf[:-1] = self.mv_buf[1:]
+        self.mv_buf[-1] = mvel
+        self.jv_buf[:-1] = self.jv_buf[1:]
+        self.jv_buf[-1] = self.sdot
+        tau_f = predict_friction(self.net_groups, self.mv_buf, self.jv_buf)
+        self.comp += self.comp_alpha * (tau_f - self.comp)
+        return tau_f
+
+    def _ukf_feedback(self, sensors, s, acc, tau_f):
+        R = self.att.update(sensors.imu_acc, sensors.imu_gyro, self.dt)
+        z = self.ukf.assemble_measurement(
+            self.sdot, sensors.currents, sensors.ft, sensors.imu_acc,
+            sensors.imu_gyro, tau_f_pinn=tau_f)
+        self.belief = self.ukf.step(self.belief, s, R, z)
+        return self.ukf.joint_torque_estimate(self.belief.mean)
+
+    def _rnea_feedback(self, sensors, s, acc, tau_f):
+        R = self.att.update(sensors.imu_acc, sensors.imu_gyro, self.dt)
+        # proper acceleration from IMU (base) and encoder filters (joints)
+        w = sensors.imu_gyro
+        a_base = sensors.imu_acc - cross3(w, cross3(w, self.imu_offset))
+        accel = np.concatenate([a_base, np.zeros(3), acc])
+        nu = np.concatenate([np.zeros(3), w, self.sdot])
+        return rnea_torque_feedback(self.model, Transform(R, np.zeros(3)), s,
+                                    nu, accel, sensors.ft)
+
+    def _torque_output(self, mpos, mvel):
+        return self.law(self.tau_d, self.tau_feedback, self.comp)
+
+    def _position_output(self, mpos, mvel):
+        # collocated loop on the motor encoder mapped to the joint side
+        return self.law(self.s0, mpos, mvel)
+
+
 def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
                  label=None):
     """Run one closed-loop scenario; returns (report dict, RunLog).
 
-    `nets` maps joint name to a trained friction net.  Only the *-PINN
-    modes run them: they compensate friction with the smoothed output,
-    and UKF-PINN also feeds the raw output to the torque filter's
-    friction channel, which UKF-NoComp masks.  If `out_dir`
-    is given, the run CSV, report JSON and a metrics CSV row are
-    written there under `label`.
-    """
-    sched = RateScheduler(scenario.step, control.high_rate)
-    check_duration(scenario)
+    The loop steps the plant, hands each sensor sample to a `Controller`
+    (`nets` maps joint names to friction nets) and logs the plant's
+    truth; a step the plant cannot integrate ends the run as diverged.
+    With `out_dir`, the run CSV, report JSON and a metrics CSV row are
+    written there under `label`."""
     plant = Plant(scenario)
-    model = plant.model
-    n = plant.n
-    dt_s = scenario.step
     st = plant.initial_state()
-    s0 = st.s.copy()
-    gear_torque = plant.reduction * plant.k_t
-    gains = dict(DEFAULT_KF_GAINS if kf_gains is None else kf_gains)
-
-    mode = control.mode
-    use_ukf = mode.startswith("UKF")
-    use_rnea = mode.startswith("RNEA")
-    use_nets = needs_friction_nets(mode)
-    net_groups = []
-    if use_nets:
-        if nets is None:
-            raise ValueError(f"mode {mode} needs trained friction nets")
-        check_nets(nets, model.joint_names)
-        net_groups = group_by_net(nets, model.joint_names)
-
-    encoders = encoder_bank(scenario, st, gains)
-    # only the filter and the RNEA feedback read the attitude estimate
-    att = (ComplementaryAttitude(R0=st.base_R.copy())
-           if use_ukf or use_rnea else None)
-    buf_len = max((net.buffer_len for net, _ in net_groups), default=1)
-    mv_buf = np.zeros((buf_len, n))
-    jv_buf = np.zeros((buf_len, n))
-
-    # IMU offset in the base frame, for the RNEA feedback
-    imu_offset = model.frame(model.imu_frame)[1].p
-    ukf = None
-    if use_ukf:
-        ukf = TorqueUkf(model, plant.reduction, plant.k_t, dt_s)
-        belief = ukf.initial_belief()
-    pi = TorquePI(n, control, gear_torque, dt_s)
-    pos_pd = PositionPD(control, gear_torque)
-
-    com0 = st.com.copy()
-    amp = np.asarray(scenario.com_amplitude, dtype=float)
-    omega_ref = 2.0 * np.pi * scenario.com_frequency
-    nominal_com_z = com0[2]
-
+    controller = Controller(plant, st, control, nets, kf_gains)
+    check_duration(scenario)
     steps = int(round(scenario.duration / scenario.step))
-    log = RunLog.allocate(steps, n)
+    log = RunLog.allocate(steps, plant.n)
     rows = steps  # ticks completed
-    tau_d = np.zeros(n)
-    currents = np.zeros(n)
-    # friction feedforward is smoothed: its useful content is the
-    # quasi-static stiction/Coulomb level, while the sample-to-sample
-    # wiggle is prediction noise the torque loop cannot reject
-    comp_alpha = 1.0 - np.exp(-2.0 * np.pi * control.comp_cutoff * dt_s)
-    comp_state = np.zeros(n)
-    fell = False
-    fall_time = float("nan")
-    diverged = False
-    sdot_est = np.zeros(n)
+    nominal_com_z = st.com[2]
+    currents = np.zeros(plant.n)
+    fell, fall_time, diverged = False, float("nan"), False
 
     for k in range(steps):
-        t = k * scenario.step
-        if sched.due():
-            # 100 Hz balancer on the current state estimate
-            base_pose = st.base_pose()
-            nu = np.concatenate([st.base_twist, sdot_est])
-            com_ref = com0 + amp * np.sin(omega_ref * t)
-            com_vel_ref = amp * omega_ref * np.cos(omega_ref * t)
-            com_acc_ref = -amp * omega_ref ** 2 * np.sin(omega_ref * t)
-            if mode != "PositionControl":
-                tau_d = high_level_balancer(
-                    model, base_pose, st.s, nu, com_ref, com_vel_ref,
-                    com_acc_ref, control, posture_ref=s0)
-
+        if controller.balance_every and k % controller.balance_every == 0:
+            controller.balance(k * scenario.step, st.base_pose(),
+                               st.base_twist, st.s)
         try:
             st, sb = plant.step(st, currents)
         except SimulationDiverged as exc:
@@ -334,61 +402,15 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
             fell = True
             rows = k
             break
-
-        # ---- estimators + torque loop, every plant step ----
-        x, v, enc_acc = encoders.update(
-            np.concatenate([sb.joint_pos, sb.motor_pos]))
-        s_meas = x[:n]
-        sdot_est = v[:n]
-        mpos_est = x[n:] / plant.reduction
-        mvel_est = v[n:] / plant.reduction
-        mv_buf[:-1] = mv_buf[1:]
-        mv_buf[-1] = mvel_est
-        jv_buf[:-1] = jv_buf[1:]
-        jv_buf[-1] = sdot_est
-        if att is not None:
-            R_est = att.update(sb.imu_acc, sb.imu_gyro, dt_s)
-
-        tau_f_hat = None
-        if use_nets:
-            tau_f_hat = predict_friction(net_groups, mv_buf, jv_buf)
-
-        tau_fb = None
-        if use_ukf:
-            z = ukf.assemble_measurement(
-                sdot_est, sb.currents, sb.ft, sb.imu_acc, sb.imu_gyro,
-                tau_f_pinn=tau_f_hat)
-            belief = ukf.step(belief, s_meas, R_est, z)
-            tau_fb = ukf.joint_torque_estimate(belief.mean)
-        elif use_rnea:
-            # proper acceleration from IMU (base) and encoder filters (joints)
-            w = sb.imu_gyro
-            a_base = sb.imu_acc - cross3(w, cross3(w, imu_offset))
-            accel = np.concatenate([a_base, np.zeros(3),
-                                    enc_acc[:n]])
-            nu_est = np.concatenate([np.zeros(3), w, sdot_est])
-            tau_fb = rnea_torque_feedback(
-                model, Transform(R_est, np.zeros(3)), s_meas, nu_est, accel,
-                sb.ft)
-
-        if use_nets:
-            comp_state += comp_alpha * (tau_f_hat - comp_state)
-
-        if mode == "PositionControl":
-            # collocated loop on the motor encoder mapped to the joint side
-            currents = pos_pd(s0, mpos_est, mvel_est)
-        else:
-            comp = comp_state if use_nets else None
-            fb = None if mode.startswith("Feedforward") else tau_fb
-            currents = pi(tau_d, fb, comp)
+        currents = controller.tick(sb)
 
         log.t[k] = st.t
-        log.tau_d[k] = tau_d
+        log.tau_d[k] = controller.tau_d
         log.tau_true[k] = st.tau
-        if tau_fb is not None:
-            log.tau_feedback[k] = tau_fb
+        if controller.tau_feedback is not None:
+            log.tau_feedback[k] = controller.tau_feedback
         log.com[k] = st.com
-        log.com_ref[k] = com0 + amp * np.sin(omega_ref * st.t)
+        log.com_ref[k] = controller.com_ref(st.t)
         log.currents[k] = currents
         if not fell and st.com[2] < 0.7 * nominal_com_z:
             fell = True
@@ -396,7 +418,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
 
     log = dataclasses.replace(
         log.cut(rows), fell=fell, fall_time=fall_time, diverged=diverged,
-        saturation_events=pi.saturation_events + pos_pd.saturation_events)
+        saturation_events=controller.law.saturation_events)
     report = compute_metrics(log, scenario, control)
     if out_dir is not None:
         write_artifacts(out_dir, label or control.mode, scenario, control,
@@ -535,7 +557,7 @@ def scalability_sweep(scenario, scalings, control=None, nets=None,
     plant = Plant(scenario)
     # every scaling is checked before the first run
     scaled = [(scale, plant.scv.scaled(scale)) for scale in scalings]
-    cfg = control or ControlConfig(mode="UKF-PINN")
+    cfg = control or ControlConfig()
     reports = []
     for scale, scv in scaled:
         joints = {name: {

@@ -12,6 +12,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
+def _require(value, ok, what):
+    """Raise ValueError `what` unless every entry of `value` is finite
+    and passes `ok`."""
+    v = np.asarray(value, dtype=float)
+    if not (np.isfinite(v).all() and ok(v).all()):
+        raise ValueError(f"{what}, got {value}")
+
+
 @dataclass(frozen=True)
 class MotorParams:
     """Torque constant k_t (N*m/A), reduction ratio R (>=1), motor inertia J_m (kg*m^2)."""
@@ -20,12 +28,12 @@ class MotorParams:
     motor_inertia: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.k_t) <= 0.0):
-            raise ValueError(f"torque constant must be positive, got {self.k_t}")
-        if np.any(np.asarray(self.reduction) < 1.0):
-            raise ValueError(f"reduction ratio must be >= 1, got {self.reduction}")
-        if np.any(np.asarray(self.motor_inertia) <= 0.0):
-            raise ValueError(f"motor inertia must be positive, got {self.motor_inertia}")
+        _require(self.k_t, lambda v: v > 0.0,
+                 "torque constant must be positive and finite")
+        _require(self.reduction, lambda v: v >= 1.0,
+                 "reduction ratio must be finite and >= 1")
+        _require(self.motor_inertia, lambda v: v > 0.0,
+                 "motor inertia must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,7 @@ class ScvParams:
 
     coulomb: Coulomb level F_c (N*m); breakaway: static level F_s >= F_c;
     stribeck_vel: Stribeck velocity v_s (rad/s); viscous: k_v (N*m*s/rad).
+    All finite.
     """
     coulomb: float
     breakaway: float
@@ -41,14 +50,15 @@ class ScvParams:
     viscous: float
 
     def __post_init__(self):
-        c, b = np.asarray(self.coulomb), np.asarray(self.breakaway)
-        if np.any(c < 0.0) or np.any(b < c):
-            raise ValueError(
-                f"need breakaway >= coulomb >= 0, got F_s={self.breakaway}, F_c={self.coulomb}")
-        if np.any(np.asarray(self.stribeck_vel) <= 0.0):
-            raise ValueError(f"Stribeck velocity must be positive, got {self.stribeck_vel}")
-        if np.any(np.asarray(self.viscous) < 0.0):
-            raise ValueError(f"viscous coefficient must be nonnegative, got {self.viscous}")
+        _require(self.coulomb, lambda c: c >= 0.0,
+                 "Coulomb level must be nonnegative and finite")
+        _require(self.breakaway, lambda b: b >= self.coulomb,
+                 f"breakaway level must be finite and >= the Coulomb "
+                 f"level ({self.coulomb})")
+        _require(self.stribeck_vel, lambda v: v > 0.0,
+                 "Stribeck velocity must be positive and finite")
+        _require(self.viscous, lambda v: v >= 0.0,
+                 "viscous coefficient must be nonnegative and finite")
 
     def __getitem__(self, j):
         """Joint j's scalar parameters from a per-joint array set."""
@@ -56,8 +66,8 @@ class ScvParams:
 
     def scaled(self, factor):
         """Friction parameters with all magnitude levels scaled by `factor`."""
-        if factor <= 0.0:
-            raise ValueError(f"friction scaling must be positive, got {factor}")
+        _require(factor, lambda f: f > 0.0,
+                 "friction scaling must be positive and finite")
         return ScvParams(self.coulomb * factor, self.breakaway * factor,
                          self.stribeck_vel, self.viscous * factor)
 

@@ -109,6 +109,43 @@ _DEFAULT_CONTACT = {
 }
 
 
+def _positive(v):
+    return _finite(v) and v > 0.0
+
+
+def _nonnegative(v):
+    return _finite(v) and v >= 0.0
+
+
+def _encoder_bits(v):
+    return (isinstance(v, numbers.Integral)
+            and not isinstance(v, (bool, np.bool_)) and 1 <= v <= 64)
+
+
+# (check, what the value must be) of each joint, noise and contact key;
+# "stiffness" and "damping" name both an elasticity and a contact key
+_VALUE_RULES = {
+    "k_t": (_positive, "positive and finite (torque constant, N*m/A)"),
+    "reduction": (lambda v: _finite(v) and v >= 1.0,
+                  "finite and at least 1 (reduction ratio)"),
+    "motor_inertia": (_positive, "positive and finite (motor inertia)"),
+    "coulomb": (_nonnegative, "nonnegative and finite (N*m)"),
+    "breakaway": (_nonnegative, "nonnegative and finite (N*m)"),
+    "stribeck_vel": (_positive, "positive and finite (rad/s)"),
+    "viscous": (_nonnegative, "nonnegative and finite (N*m*s/rad)"),
+    "stiffness": (_positive, "positive and finite"),
+    "damping": (_nonnegative, "nonnegative and finite"),
+    "tangential_damping": (_nonnegative, "nonnegative and finite (N*s/m)"),
+    "mu": (_nonnegative, "nonnegative and finite (friction coefficient)"),
+    "quantize": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+    "joint_encoder_bits": (_encoder_bits, "an integer from 1 to 64"),
+    "motor_encoder_bits": (_encoder_bits, "an integer from 1 to 64"),
+    **dict.fromkeys(("current_std", "ft_force_std", "ft_torque_std",
+                     "imu_acc_std", "imu_gyro_std"),
+                    (_nonnegative, "nonnegative and finite (a noise std)")),
+}
+
+
 @dataclass
 class ScenarioConfig:
     """Full description of one simulation scenario (JSON-serializable).
@@ -124,7 +161,9 @@ class ScenarioConfig:
     ft_torque_std, imu_acc_std, imu_gyro_std) and `contact` (stiffness,
     damping, tangential_damping, mu) merge over their built-in defaults
     the same way.  A section or key not named here is rejected; so is
-    a joint name the model lacks, when the `Plant` is built.  `model`
+    a value its key does not allow (`_VALUE_RULES`: every number finite,
+    noise levels nonnegative, encoder bits an integer from 1 to 64, ...),
+    and a joint name the model lacks, when the `Plant` is built.  `model`
     must be "desk_biped", the one model that declares the sole, FT and
     IMU frames the closed loop reads.  The numeric fields must be
     finite: `step` and `duration` positive, `seed` a nonnegative integer,
@@ -197,6 +236,18 @@ class ScenarioConfig:
                             _DEFAULT_JOINT[section])
         _check_keys("noise key", self.noise, _DEFAULT_NOISE)
         _check_keys("contact key", self.contact, _DEFAULT_CONTACT)
+        values = [(f"joints[{name!r}][{section!r}][{key!r}]", key, value)
+                  for name, entry in self.joints.items()
+                  for section, block in entry.items()
+                  for key, value in block.items()]
+        values += [(f"{section}[{key!r}]", key, value)
+                   for section in ("noise", "contact")
+                   for key, value in getattr(self, section).items()]
+        for label, key, value in values:
+            ok, what = _VALUE_RULES[key]
+            if not ok(value):
+                raise ValueError(f"ScenarioConfig.{label} must be {what}, "
+                                 f"got {value!r}")
         # partial overrides merge over the built-in defaults
         self.noise = {**_DEFAULT_NOISE, **self.noise}
         self.contact = {**_DEFAULT_CONTACT, **self.contact}

@@ -1,4 +1,4 @@
-"""Balancer, torque PI loop, position baseline and the rate scheduler."""
+"""Balancer, torque PI loop, position baseline and the control config."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from torquesense.control import (
     MODES,
     ControlConfig,
     PositionPD,
-    RateScheduler,
     TorquePI,
     high_level_balancer,
     needs_friction_nets,
@@ -54,6 +53,27 @@ def test_config_validation():
         ControlConfig(high_rate=0.0)
     with pytest.raises(TypeError, match="low_rate"):
         ControlConfig(low_rate=500.0)  # the torque loop runs every plant step
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# each of these used to build: NaN passed every sign test and six fields
+# had none, so a NaN rate failed in the loop's float-to-int conversion, a
+# negative current limit clipped every tick to -1 A, a negative wrench
+# regularization toppled the robot and a negative cutoff gave a negative
+# smoothing gain
+@pytest.mark.parametrize("field, value", [
+    ("high_rate", NAN), ("high_rate", INF), ("current_limit", -1.0),
+    ("current_limit", 0.0), ("force_reg", -1.0), ("force_reg", 0.0),
+    ("comp_cutoff", -1.0), ("comp_cutoff", NAN), ("integral_limit", -1.0),
+    ("kp_posture", -1.0), ("kd_posture", NAN), ("kp_torque", NAN),
+    ("kd_pos", INF), ("ki_torque", "30"),
+])
+def test_control_fields_are_checked_at_construction(field, value):
+    with pytest.raises(ValueError,
+                       match=rf"^ControlConfig\.{field} must be \w+ and finite"):
+        ControlConfig(**{field: value})
 
 
 def test_balancer_requires_contact():
@@ -229,29 +249,3 @@ def test_position_pd_law_and_clipping():
     i2 = pd(np.array([10.0, 0.0]), np.zeros(2), np.zeros(2))
     assert i2[0] == 10.0
     assert pd.saturation_events == 1
-
-
-def test_rate_scheduler_firing_pattern():
-    sched = RateScheduler(plant_dt=1e-3, high_rate=100.0)
-    assert [sched.due() for _ in range(30)] == [k % 10 == 0 for k in range(30)]
-    # a 2 ms step fires the 100 Hz balancer every fifth tick
-    sched2 = RateScheduler(plant_dt=2e-3, high_rate=100.0)
-    assert [sched2.due() for _ in range(12)] == [k % 5 == 0 for k in range(12)]
-
-
-def test_rate_scheduler_messages_name_the_settings():
-    with pytest.raises(ValueError, match=r"ControlConfig\.high_rate \(333 Hz.*"
-                       r"plant step \(0\.001 s\)"):
-        RateScheduler(plant_dt=1e-3, high_rate=333.0)
-    with pytest.raises(ValueError, match=r"ControlConfig\.high_rate \(100 Hz, "
-                       r"period 0\.01 s\).*plant step \(0\.003 s\)"):
-        RateScheduler(plant_dt=3e-3, high_rate=100.0)
-
-
-def test_rate_scheduler_validation():
-    with pytest.raises(ValueError):
-        RateScheduler(plant_dt=1e-3, high_rate=333.0)
-    with pytest.raises(ValueError):
-        # balancer period shorter than the plant step
-        RateScheduler(plant_dt=1e-3, high_rate=2000.0)
-    RateScheduler(plant_dt=1e-3, high_rate=1000.0)  # every tick

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import filecmp
+import gc
 import os
 import re
 import tracemalloc
@@ -243,6 +244,9 @@ def test_scalability_sweep_validation_and_identity():
     scen = ScenarioConfig(**SHORT)
     with pytest.raises(ValueError, match="positive"):
         scalability_sweep(scen, [-0.5], control=ControlConfig(mode="Feedforward"))
+    with pytest.raises(ValueError, match="positive and finite"):
+        scalability_sweep(scen, [float("nan")],
+                          control=ControlConfig(mode="Feedforward"))
     base, _ = run_scenario(scen, ControlConfig(mode="Feedforward"))
     reports = scalability_sweep(scen, [1.0],
                                 control=ControlConfig(mode="Feedforward"))
@@ -557,6 +561,21 @@ def test_a_run_holds_a_bounded_log_per_tick(monkeypatch):
     assert (held[1] - held[0]) / 100 <= 400
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_run_leaves_no_reference_cycle(mode):
+    # a controller tied into a cycle outlives its run until a full
+    # collection, and every run of a sweep or a benchmark adds one
+    scenario = ScenarioConfig(duration=0.502, seed=0)
+    nets = mixed_nets(Plant(scenario).model.joint_names)
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(scenario, ControlConfig(mode=mode), nets=nets)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_a_saturating_run_reports_its_saturation_events():
     # gravity compensation alone needs more than 0.05 A on the legs
     report, log = run_scenario(
@@ -576,6 +595,46 @@ def test_rerun_replaces_its_metrics_row(tmp_path):
     assert [(r["mode"], r["seed"]) for r in rows] == [("Feedforward", "1"),
                                                       ("Feedforward", "0")]
     assert [r["diverged"] for r in rows] == ["False", "False"]
+
+
+@pytest.mark.parametrize("mode, step, high_rate, every", [
+    ("Feedforward", 1e-3, 100.0, 10), ("Feedforward", 2e-3, 100.0, 5),
+    ("Feedforward", 1e-3, 1000.0, 1), ("PositionControl", 1e-3, 100.0, None),
+], ids=["1ms", "2ms", "every_tick", "position_control"])
+def test_balancer_runs_on_its_cadence_through_the_loop(monkeypatch, mode,
+                                                       step, high_rate,
+                                                       every):
+    # the balancer runs before the plant step of ticks 0, every, 2 every,
+    # ..., and never where the mode has no balancer
+    ticks, balanced = [], []
+    plant_step = Plant.step
+    balancer = experiments.high_level_balancer
+
+    def counted_step(self, *args):
+        ticks.append(len(ticks))
+        return plant_step(self, *args)
+
+    def counted_balancer(*args, **kw):
+        balanced.append(len(ticks))
+        return balancer(*args, **kw)
+
+    monkeypatch.setattr(Plant, "step", counted_step)
+    monkeypatch.setattr(experiments, "high_level_balancer", counted_balancer)
+    _, log = run_scenario(ScenarioConfig(step=step, duration=0.55),
+                          ControlConfig(mode=mode, high_rate=high_rate))
+    assert len(ticks) == len(log.t) == round(0.55 / step)
+    assert balanced == ([] if every is None else ticks[::every])
+
+
+@pytest.mark.parametrize("high_rate", [333.0, 2000.0], ids=["333Hz", "2000Hz"])
+def test_a_balancer_period_off_the_step_grid_is_rejected(high_rate):
+    # 333 Hz is no whole number of 1 ms steps; 2000 Hz is shorter than one
+    message = (re.escape(f"ControlConfig.high_rate ({high_rate:g} Hz, period "
+                         f"{1 / high_rate:g} s)")
+               + r".*whole multiple of the plant step \(0\.001 s\)")
+    with pytest.raises(ValueError, match=message):
+        run_scenario(ScenarioConfig(duration=0.01),
+                     ControlConfig(mode="Feedforward", high_rate=high_rate))
 
 
 def test_rate_mismatch_names_the_control_setting():

@@ -89,6 +89,27 @@ def test_param_validation():
                     np.array([1e-5, 1e-5]))
 
 
+NAN = float("nan")
+
+
+# NaN passed every sign test these used to make
+@pytest.mark.parametrize("make", [
+    lambda: ScvParams(NAN, 2.0, 0.1, 0.5),
+    lambda: ScvParams(1.0, NAN, 0.1, 0.5),
+    lambda: ScvParams(1.0, 2.0, NAN, 0.5),
+    lambda: ScvParams(1.0, 2.0, 0.1, float("inf")),
+    lambda: MotorParams(k_t=NAN, reduction=100.0, motor_inertia=1e-5),
+    lambda: MotorParams(k_t=0.1, reduction=NAN, motor_inertia=1e-5),
+    lambda: MotorParams(k_t=0.1, reduction=100.0,
+                        motor_inertia=np.array([1e-5, NAN])),
+    lambda: P.scaled(NAN),
+], ids=["coulomb", "breakaway", "stribeck_vel", "viscous", "k_t",
+        "reduction", "motor_inertia", "scaled"])
+def test_non_finite_parameters_are_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 ARRAY = ScvParams(np.array([1.0, 0.5, 3.0]), np.array([2.0, 0.5, 4.0]),
                   np.array([0.1, 0.2, 0.05]), np.array([0.5, 0.0, 1.0]))
 

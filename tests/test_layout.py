@@ -12,13 +12,20 @@ its module: a name another module imports is public, and is named so.
 The package imports nothing but numpy and the standard library, the one
 dependency `pyproject.toml` declares.  The robot description owns the
 sensor wiring: no other module spells a sole, FT or IMU frame name.
+The control module's mode table owns the modes' wiring: no other module
+spells a mode name or compares a mode string.  The closed-loop
+controller reads sensors: its `tick` takes one sensor bundle, and only
+its construction reads a plant state.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
+from torquesense.control import MODES
 from torquesense.model import desk_biped
+from torquesense.plant import PlantState, SensorBundle
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "torquesense"
@@ -124,3 +131,77 @@ def test_only_the_model_names_the_sensor_frames():
              if path.stem != "model" for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value in wiring]
     assert spelt == []
+
+
+# the mode names and the words they are made of
+MODE_WORDS = {*MODES, *(word for mode in MODES for word in mode.split("-"))}
+
+
+def is_mode(node):
+    return (isinstance(node, ast.Name) and node.id == "mode"
+            or isinstance(node, ast.Attribute) and node.attr == "mode")
+
+
+def mode_tests(tree):
+    """The mode names and words the tree spells, and its == and !=
+    comparisons and startswith/endswith calls on a `mode`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in MODE_WORDS:
+            yield repr(node.value)
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) \
+                and any(map(is_mode, [node.left, *node.comparators])):
+            yield ast.unparse(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("startswith", "endswith") \
+                and is_mode(node.func.value):
+            yield ast.unparse(node)
+
+
+def test_only_the_control_module_tells_the_modes_apart():
+    src = parse(sorted(SRC.glob("*.py")))
+    assert len(list(mode_tests(src[SRC / "control.py"]))) >= len(MODES)
+    spelt = [f"{path.stem}: {found}" for path, tree in src.items()
+             if path.stem != "control" for found in mode_tests(tree)]
+    assert spelt == []
+
+
+def controller_methods():
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "Controller")
+    return {node.name: node for node in cls.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def attributes_read(fn, names):
+    """Attributes `fn` looks up on any of the variables `names`."""
+    return {node.attr for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in names}
+
+
+def parameters(fn):
+    """The parameters of a method after `self`."""
+    args = fn.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs][1:] \
+        + [a.arg for a in (args.vararg, args.kwarg) if a]
+
+
+def test_controller_tick_takes_one_sensor_bundle():
+    methods = controller_methods()
+    (sensors,) = parameters(methods["tick"])
+    # what the tick and its helpers read off that argument
+    read = set().union(*(attributes_read(fn, {sensors})
+                         for fn in methods.values()))
+    bundle = {f.name for f in dataclasses.fields(SensorBundle)}
+    assert read and read <= bundle
+
+
+def test_no_controller_method_but_its_construction_reads_a_plant_state():
+    truth = {f.name for f in dataclasses.fields(PlantState)} | {"base_pose"}
+    truth -= {f.name for f in dataclasses.fields(SensorBundle)}
+    read = {name: attributes_read(fn, set(parameters(fn))) & truth
+            for name, fn in controller_methods().items()}
+    assert read.pop("__init__")  # the initial state
+    assert read and not any(read.values()), read

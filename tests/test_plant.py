@@ -296,6 +296,32 @@ def test_scenario_fields_are_checked_at_construction(field, value):
     assert ScenarioConfig().config_hash() == "042d3125f3be1528"
 
 
+# each of these used to build and then 'diverge' at the first step, warn
+# in the contact kernel, or run as if nothing were wrong (a negative
+# elastic stiffness or noise level, a fractional encoder)
+@pytest.mark.parametrize("kw, key", [
+    ({"joints": {"default": {"friction": {"coulomb": NAN}}}},
+     r"joints\['default'\]\['friction'\]\['coulomb'\]"),
+    ({"joints": {"torso_roll": {"motor": {"k_t": NAN}}}},
+     r"joints\['torso_roll'\]\['motor'\]\['k_t'\]"),
+    ({"joints": {"default": {"motor": {"reduction": 0.5}}}},
+     r"joints\['default'\]\['motor'\]\['reduction'\]"),
+    ({"joints": {"default": {"elasticity": {"stiffness": -1.0}}}},
+     r"joints\['default'\]\['elasticity'\]\['stiffness'\]"),
+    ({"contact": {"stiffness": NAN}}, r"contact\['stiffness'\]"),
+    ({"contact": {"mu": -1.0}}, r"contact\['mu'\]"),
+    ({"contact": {"damping": INF}}, r"contact\['damping'\]"),
+    ({"noise": {"current_std": -1.0}}, r"noise\['current_std'\]"),
+    ({"noise": {"joint_encoder_bits": 0}}, r"noise\['joint_encoder_bits'\]"),
+    ({"noise": {"motor_encoder_bits": 2.5}},
+     r"noise\['motor_encoder_bits'\]"),
+    ({"noise": {"quantize": "yes"}}, r"noise\['quantize'\]"),
+])
+def test_joint_noise_and_contact_values_are_checked_at_construction(kw, key):
+    with pytest.raises(ValueError, match=rf"^ScenarioConfig\.{key} must be"):
+        ScenarioConfig(**kw)
+
+
 def test_misspelt_joint_settings_are_rejected():
     # a misspelt joint name with a misspelt default key would otherwise
     # run every joint at the built-in friction without a message
