@@ -99,30 +99,28 @@ def _cmd_tune_kf(args):
     return 0
 
 
-_BUILTIN_SCENARIOS = ("nominal", "disturbance", "object-removal")
+_BUILTIN_SCENARIOS = {"nominal": ScenarioConfig,
+                      "disturbance": make_disturbance_scenario,
+                      "object-removal": make_object_scenario}
 
 
 def _load_scenario(spec, seed):
-    """A scenario from a JSON file path or a builtin name."""
-    if spec in _BUILTIN_SCENARIOS:
-        if spec == "nominal":
-            return ScenarioConfig(seed=seed)
-        if spec == "disturbance":
-            return make_disturbance_scenario(seed=seed)
-        return make_object_scenario(seed=seed)
-    if not os.path.exists(spec):
+    """A scenario from a JSON file path or a builtin name, at `seed`."""
+    if spec not in _BUILTIN_SCENARIOS and not os.path.exists(spec):
         raise SystemExit(
             f"scenario file not found: {spec} "
             f"(or use one of {', '.join(_BUILTIN_SCENARIOS)})")
-    with open(spec, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    d["seed"] = seed
     try:
-        scenario = ScenarioConfig.from_dict(d)
-        Plant(scenario)  # checks joint names, frames and object events
+        if spec in _BUILTIN_SCENARIOS:
+            scenario = _BUILTIN_SCENARIOS[spec](seed=seed)
+        else:
+            with open(spec, "r", encoding="utf-8") as fh:
+                scenario = ScenarioConfig.from_dict({**json.load(fh),
+                                                     "seed": seed})
         check_duration(scenario)
     except (TypeError, ValueError) as exc:
-        raise SystemExit(f"scenario file {spec} rejected: {exc}") from None
+        raise SystemExit(f"scenario {spec} at --seed {seed} rejected: "
+                         f"{exc}") from None
     return scenario
 
 

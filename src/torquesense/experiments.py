@@ -19,6 +19,7 @@ import numpy as np
 from . import pinn
 from .control import (ControlConfig, MODES, WIRING, PositionPD, TorquePI,
                       high_level_balancer, rnea_torque_feedback)
+from .friction import ScvParams
 from .kf import encoder_lsb, mean_step, steady_state_gain
 from .model import desk_biped
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
@@ -554,23 +555,19 @@ def scalability_sweep(scenario, scalings, control=None, nets=None,
     joint's resolved friction is scaled, and each joint gets an entry
     of its own that keeps its motor and elasticity settings.
     """
-    plant = Plant(scenario)
-    # every scaling is checked before the first run
-    scaled = [(scale, plant.scv.scaled(scale)) for scale in scalings]
+    def scaled(scale):
+        joints = {name: {**entry, "friction": dataclasses.asdict(
+            ScvParams(**entry["friction"]).scaled(scale))}
+            for name, entry in scenario.actuators.items()}
+        return dataclasses.replace(scenario, joints=joints)
+
+    # every scaled scenario is built, and so checked, before the first run
+    scenarios = [(scale, scaled(scale)) for scale in scalings]
     cfg = control or ControlConfig()
     reports = []
-    for scale, scv in scaled:
-        joints = {name: {
-            "motor": {"k_t": float(plant.k_t[j]),
-                      "reduction": float(plant.reduction[j]),
-                      "motor_inertia": float(plant.motor_inertia[j])},
-            "friction": dataclasses.asdict(scv[j]),
-            "elasticity": {"stiffness": float(plant.elastic_k[j]),
-                           "damping": float(plant.elastic_d[j])},
-        } for j, name in enumerate(plant.model.joint_names)}
-        rep, _ = run_scenario(dataclasses.replace(scenario, joints=joints),
-                              cfg, nets=nets, out_dir=out_dir,
-                              label=f"scale_{scale:g}")
+    for scale, scaled_scenario in scenarios:
+        rep, _ = run_scenario(scaled_scenario, cfg, nets=nets,
+                              out_dir=out_dir, label=f"scale_{scale:g}")
         rep["friction_scale"] = scale
         reports.append(rep)
     return reports

@@ -1,4 +1,4 @@
-"""Actuator parameters and the Stribeck-Coulomb-Viscous friction model.
+"""The Stribeck-Coulomb-Viscous friction model and its parameters.
 
 All torques are joint-side N*m.  The friction model is used both as
 plant ground truth and as the physics prior for the learned friction
@@ -18,22 +18,6 @@ def _require(value, ok, what):
     v = np.asarray(value, dtype=float)
     if not (np.isfinite(v).all() and ok(v).all()):
         raise ValueError(f"{what}, got {value}")
-
-
-@dataclass(frozen=True)
-class MotorParams:
-    """Torque constant k_t (N*m/A), reduction ratio R (>=1), motor inertia J_m (kg*m^2)."""
-    k_t: float
-    reduction: float
-    motor_inertia: float
-
-    def __post_init__(self):
-        _require(self.k_t, lambda v: v > 0.0,
-                 "torque constant must be positive and finite")
-        _require(self.reduction, lambda v: v >= 1.0,
-                 "reduction ratio must be finite and >= 1")
-        _require(self.motor_inertia, lambda v: v > 0.0,
-                 "motor inertia must be positive and finite")
 
 
 @dataclass(frozen=True)

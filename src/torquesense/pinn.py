@@ -54,6 +54,11 @@ class FrictionNet:
         d = 2 * self.buffer_len
         self.norm_mean = np.zeros(d) if norm_mean is None else np.asarray(norm_mean, float)
         self.norm_std = np.ones(d) if norm_std is None else np.asarray(norm_std, float)
+        for name, v in (("norm_mean", self.norm_mean),
+                        ("norm_std", self.norm_std)):
+            if v.shape != (d,) or not np.isfinite(v).all():
+                raise ValueError(f"{name} must hold 2 * buffer_len = {d} "
+                                 f"finite numbers, got {v.tolist()}")
         if np.any(self.norm_std <= 0.0):
             raise ValueError("normalization std must be positive")
         shapes = (("W1", (hidden1, d)), ("b1", (hidden1,)),
@@ -283,7 +288,9 @@ def _net_to_dict(net):
 
 def _net_from_dict(d):
     """A net from its saved form.  Older files also give a `dropout`
-    setting, which inference never applied; that key is ignored."""
+    setting, which inference never applied; that key is ignored.  A
+    parameter of the wrong shape or a number that is not finite raises
+    ValueError."""
     net = FrictionNet(d["buffer_len"], len(d["params"]["b1"]),
                       len(d["params"]["b2"]), d["lam"],
                       ScvParams(**d["scv"]),
@@ -296,6 +303,9 @@ def _net_from_dict(d):
         if v.shape != net.params[k].shape:
             raise ValueError(f"parameter {k} has shape {v.shape}, "
                              f"expected {net.params[k].shape}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"parameter {k} holds a number that is not "
+                             f"finite")
         net.params[k][...] = v
     return net
 

@@ -17,6 +17,10 @@ end-of-step evaluation, the one that fills the new state, turns them
 into the sole-frame wrenches the FT sensors read, one row per sole in
 the model's wiring order.  Runs are bitwise reproducible for a fixed
 scenario configuration (including the seed).
+
+A scenario is checked in one place, `ScenarioConfig.__post_init__`,
+which also resolves each joint's actuator settings (`actuators`); a
+built config cannot change, so `Plant` reads it and checks nothing.
 """
 
 import dataclasses
@@ -24,13 +28,15 @@ import hashlib
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .dynamics import (com_position, crba, forward_pass, joint_transforms,
                        static_proper_accel)
-from .friction import MotorParams, ScvParams, scv_friction
+from .friction import ScvParams, scv_friction
 from .kf import encoder_lsb
 from .model import FOOT_CORNERS, STANDING_HEIGHT, FrameError, desk_biped
 from .spatial import Transform, exp_so3, skew
@@ -49,7 +55,7 @@ class SimulationDiverged(RuntimeError):
         self.time = time
 
 
-@dataclass
+@dataclass(frozen=True)
 class Disturbance:
     """Timed external wrench, given in world coordinates at a frame origin."""
     time: float
@@ -59,7 +65,7 @@ class Disturbance:
     torque: tuple = (0.0, 0.0, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectEvent:
     """Ground-height change under one foot.
 
@@ -108,6 +114,13 @@ _DEFAULT_CONTACT = {
     "mu": 1.0,
 }
 
+# the model a config's joint names and event frames are checked against
+_DESK_BIPED = desk_biped()
+
+
+def _finite(v):
+    return isinstance(v, numbers.Real) and math.isfinite(v)
+
 
 def _positive(v):
     return _finite(v) and v > 0.0
@@ -117,14 +130,36 @@ def _nonnegative(v):
     return _finite(v) and v >= 0.0
 
 
-def _encoder_bits(v):
+def _integer(v):
     return (isinstance(v, numbers.Integral)
-            and not isinstance(v, (bool, np.bool_)) and 1 <= v <= 64)
+            and not isinstance(v, (bool, np.bool_)))
 
 
-# (check, what the value must be) of each joint, noise and contact key;
-# "stiffness" and "damping" name both an elasticity and a contact key
+def _vector(v):
+    return hasattr(v, "__len__") and len(v) == 3 and all(map(_finite, v))
+
+
+# (check, what the value must be) of each config field, event field and
+# joint, noise and contact key that has a rule of its own; "duration"
+# names a field of both the config and a disturbance, "stiffness" and
+# "damping" both an elasticity and a contact key
 _VALUE_RULES = {
+    "schema_version": (lambda v: _integer(v) and v == 1, "1"),
+    "step": (_positive, "positive and finite (s)"),
+    "duration": (_positive, "positive and finite (s)"),
+    "seed": (lambda v: _integer(v) and v >= 0, "a nonnegative integer"),
+    "lock_base": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+    "gravity": (_vector, "3 finite numbers (m/s^2, world frame)"),
+    "friction_smoothing": (_nonnegative, "nonnegative and finite (rad/s)"),
+    "com_amplitude": (_vector, "3 finite numbers (m, world frame)"),
+    "com_frequency": (_finite, "finite (Hz)"),
+    "time": (_finite, "finite (s)"),
+    "force": (_vector, "3 finite numbers (N, world frame)"),
+    "torque": (_vector, "3 finite numbers (N.m, world frame)"),
+    "height": (_nonnegative, "nonnegative and finite (m)"),
+    "ramp": (_nonnegative, "nonnegative and finite (s)"),
+    "action": (lambda v: v in ("insert", "remove"), '"insert" or "remove"'),
+    "region": (lambda v: v in ("full", "front"), '"full" or "front"'),
     "k_t": (_positive, "positive and finite (torque constant, N*m/A)"),
     "reduction": (lambda v: _finite(v) and v >= 1.0,
                   "finite and at least 1 (reduction ratio)"),
@@ -138,15 +173,16 @@ _VALUE_RULES = {
     "tangential_damping": (_nonnegative, "nonnegative and finite (N*s/m)"),
     "mu": (_nonnegative, "nonnegative and finite (friction coefficient)"),
     "quantize": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
-    "joint_encoder_bits": (_encoder_bits, "an integer from 1 to 64"),
-    "motor_encoder_bits": (_encoder_bits, "an integer from 1 to 64"),
+    **dict.fromkeys(("joint_encoder_bits", "motor_encoder_bits"),
+                    (lambda v: _integer(v) and 1 <= v <= 64,
+                     "an integer from 1 to 64")),
     **dict.fromkeys(("current_std", "ft_force_std", "ft_torque_std",
                      "imu_acc_std", "imu_gyro_std"),
                     (_nonnegative, "nonnegative and finite (a noise std)")),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one simulation scenario (JSON-serializable).
 
@@ -160,19 +196,22 @@ class ScenarioConfig:
     joint_encoder_bits, motor_encoder_bits, current_std, ft_force_std,
     ft_torque_std, imu_acc_std, imu_gyro_std) and `contact` (stiffness,
     damping, tangential_damping, mu) merge over their built-in defaults
-    the same way.  A section or key not named here is rejected; so is
-    a value its key does not allow (`_VALUE_RULES`: every number finite,
-    noise levels nonnegative, encoder bits an integer from 1 to 64, ...),
-    and a joint name the model lacks, when the `Plant` is built.  `model`
-    must be "desk_biped", the one model that declares the sole, FT and
-    IMU frames the closed loop reads.  The numeric fields must be
-    finite: `step` and `duration` positive, `seed` a nonnegative integer,
-    `friction_smoothing` nonnegative, and `gravity` (m/s^2) and
-    `com_amplitude` (m) 3 numbers each, in the world frame.  `lock_base`
-    is a bool.  Every event `time` must be finite; a disturbance's
-    `duration` positive and its `force` and `torque` 3 numbers each; an
-    object event's `height` and `ramp` nonnegative.  (A NaN height would
-    otherwise leave the object out of contact silently.)
+    the same way.  `gravity` (m/s^2) and `com_amplitude` (m) are in the
+    world frame.
+
+    Construction is the one place a scenario is checked.  It raises
+    ValueError for a `model` other than "desk_biped" (the one model
+    that declares the sole, FT and IMU frames the closed loop reads), a
+    section, key or joint name not named above, a field, event field or
+    key whose value breaks its rule in `_VALUE_RULES` (every number
+    finite, `seed` a nonnegative integer, noise levels nonnegative,
+    ...), a resolved breakaway level below the Coulomb level and an
+    object removed from under a sole with none on it; FrameError for an
+    event frame the model lacks.  A built config cannot change: `joints`,
+    `noise` and `contact` are read-only mappings and the events tuples
+    of frozen events; `dataclasses.replace` builds, and so checks, a
+    changed one.  `actuators`, which is no field, holds the resolved
+    settings {joint: {section: {key: float}}} in the model's joint order.
     """
     schema_version: int = 1
     model: str = "desk_biped"
@@ -181,14 +220,14 @@ class ScenarioConfig:
     seed: int = 0
     lock_base: bool = False
     gravity: tuple = (0.0, 0.0, -9.81)
-    joints: dict = field(default_factory=dict)
-    noise: dict = field(default_factory=lambda: dict(_DEFAULT_NOISE))
-    contact: dict = field(default_factory=lambda: dict(_DEFAULT_CONTACT))
+    joints: Mapping = field(default_factory=dict)
+    noise: Mapping = field(default_factory=dict)
+    contact: Mapping = field(default_factory=dict)
     friction_smoothing: float = 0.01  # tanh transition velocity, rad/s
     com_amplitude: tuple = (0.0, 0.015, 0.0)
     com_frequency: float = 0.3
-    disturbances: list = field(default_factory=list)
-    object_events: list = field(default_factory=list)
+    disturbances: tuple = ()
+    object_events: tuple = ()
 
     def __post_init__(self):
         if self.model != "desk_biped":
@@ -196,39 +235,10 @@ class ScenarioConfig:
                              f"declares the sole, FT and IMU frames the "
                              f"closed loop reads")
         # events may come in their JSON form
-        self.disturbances = [Disturbance(**x) if isinstance(x, dict) else x
-                             for x in self.disturbances]
-        self.object_events = [_object_event_from_dict(x) if isinstance(x, dict) else x
-                              for x in self.object_events]
-        checks = [
-            ("step", _finite(self.step) and self.step > 0.0,
-             "positive and finite (s)"),
-            ("duration", _finite(self.duration) and self.duration > 0.0,
-             "positive and finite (s)"),
-            ("seed", isinstance(self.seed, numbers.Integral)
-             and not isinstance(self.seed, bool) and self.seed >= 0,
-             "a nonnegative integer"),
-            ("lock_base", isinstance(self.lock_base, (bool, np.bool_)),
-             "true or false"),
-            ("gravity", _finite(self.gravity, 3),
-             "3 finite numbers (m/s^2, world frame)"),
-            ("friction_smoothing", _finite(self.friction_smoothing)
-             and self.friction_smoothing >= 0.0,
-             "nonnegative and finite (rad/s)"),
-            ("com_amplitude", _finite(self.com_amplitude, 3),
-             "3 finite numbers (m, world frame)"),
-            ("com_frequency", _finite(self.com_frequency), "finite (Hz)"),
-        ]
-        checks = [(name, getattr(self, name), ok, what)
-                  for name, ok, what in checks]
-        checks += [(f"{kind}[{i}].{name}", getattr(ev, name), ok, what)
-                   for kind in ("disturbances", "object_events")
-                   for i, ev in enumerate(getattr(self, kind))
-                   for name, ok, what in _event_checks(ev)]
-        for label, value, ok, what in checks:
-            if not ok:
-                raise ValueError(f"ScenarioConfig.{label} must be {what}, "
-                                 f"got {value!r}")
+        pushes = tuple(Disturbance(**x) if isinstance(x, dict) else x
+                       for x in self.disturbances)
+        objects = tuple(_object_event_from_dict(x) if isinstance(x, dict)
+                        else x for x in self.object_events)
         for name, entry in self.joints.items():
             _check_keys(f"joints[{name!r}] section", entry, _DEFAULT_JOINT)
             for section, block in entry.items():
@@ -236,10 +246,18 @@ class ScenarioConfig:
                             _DEFAULT_JOINT[section])
         _check_keys("noise key", self.noise, _DEFAULT_NOISE)
         _check_keys("contact key", self.contact, _DEFAULT_CONTACT)
-        values = [(f"joints[{name!r}][{section!r}][{key!r}]", key, value)
-                  for name, entry in self.joints.items()
-                  for section, block in entry.items()
-                  for key, value in block.items()]
+        # (label, key, value) of every value that has a rule
+        values = [(f.name, f.name, getattr(self, f.name))
+                  for f in dataclasses.fields(self) if f.name in _VALUE_RULES]
+        values += [(f"{kind}[{i}].{f.name}", f.name, getattr(ev, f.name))
+                   for kind, evs in (("disturbances", pushes),
+                                     ("object_events", objects))
+                   for i, ev in enumerate(evs)
+                   for f in dataclasses.fields(ev) if f.name in _VALUE_RULES]
+        values += [(f"joints[{name!r}][{section!r}][{key!r}]", key, value)
+                   for name, entry in self.joints.items()
+                   for section, block in entry.items()
+                   for key, value in block.items()]
         values += [(f"{section}[{key!r}]", key, value)
                    for section in ("noise", "contact")
                    for key, value in getattr(self, section).items()]
@@ -248,13 +266,33 @@ class ScenarioConfig:
             if not ok(value):
                 raise ValueError(f"ScenarioConfig.{label} must be {what}, "
                                  f"got {value!r}")
-        # partial overrides merge over the built-in defaults
-        self.noise = {**_DEFAULT_NOISE, **self.noise}
-        self.contact = {**_DEFAULT_CONTACT, **self.contact}
+        actuators = _actuator_table(self.joints)
+        for ev in pushes:
+            _DESK_BIPED.frame(ev.frame)  # FrameError for an unknown frame
+        _check_object_events(objects)
+        # a built config cannot change; partial overrides merge over
+        # the built-in defaults
+        frozen = dict(
+            gravity=tuple(self.gravity), com_amplitude=tuple(self.com_amplitude),
+            joints=_copy(self.joints, MappingProxyType),
+            noise=MappingProxyType({**_DEFAULT_NOISE, **self.noise}),
+            contact=MappingProxyType({**_DEFAULT_CONTACT, **self.contact}),
+            disturbances=tuple(dataclasses.replace(
+                ev, force=tuple(ev.force), torque=tuple(ev.torque))
+                for ev in pushes),
+            object_events=objects,
+            actuators=_copy(actuators, MappingProxyType))
+        for name, value in frozen.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self):
         """A deep copy of the config as plain JSON-ready containers."""
-        return dataclasses.asdict(self)
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d.update({name: _copy(d[name], dict)
+                  for name in ("joints", "noise", "contact")})
+        d.update({name: [dataclasses.asdict(ev) for ev in d[name]]
+                  for name in ("disturbances", "object_events")})
+        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -290,43 +328,10 @@ class ScenarioConfig:
         return config
 
     def config_hash(self):
-        def default(o):
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, tuple):
-                return list(o)
-            return vars(o)
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=default)
+        # numpy scalars are the only values to_dict gives that json lacks
+        blob = json.dumps(self.to_dict(), sort_keys=True,
+                          default=lambda o: o.item())
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _finite(value, count=None):
-    """Whether `value` is a finite real number or, given `count`, a
-    sequence of `count` finite real numbers."""
-    if count is not None:
-        return (hasattr(value, "__len__") and len(value) == count
-                and all(map(_finite, value)))
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
-def _event_checks(ev):
-    """(field, ok, what it must be) for the timing and size fields of a
-    `Disturbance` or an `ObjectEvent`."""
-    checks = [("time", _finite(ev.time), "finite (s)")]
-    if isinstance(ev, Disturbance):
-        return checks + [
-            ("duration", _finite(ev.duration) and ev.duration > 0.0,
-             "positive and finite (s)"),
-            ("force", _finite(ev.force, 3), "3 finite numbers (N, world frame)"),
-            ("torque", _finite(ev.torque, 3),
-             "3 finite numbers (N.m, world frame)")]
-    return checks + [
-        ("height", _finite(ev.height) and ev.height >= 0.0,
-         "nonnegative and finite (m)"),
-        ("ramp", _finite(ev.ramp) and ev.ramp >= 0.0,
-         "nonnegative and finite (s)")]
 
 
 def _check_keys(what, given, known):
@@ -335,6 +340,44 @@ def _check_keys(what, given, known):
     if unknown:
         raise ValueError(f"unknown {what} {', '.join(map(repr, unknown))}; "
                          f"known: {', '.join(known)}")
+
+
+def _actuator_table(joints):
+    """{joint: {section: {key: float}}}, resolved as `ScenarioConfig`
+    says; ValueError for an entry that names no joint of the model or a
+    breakaway level below the Coulomb level."""
+    _check_keys("joint", joints, _DESK_BIPED.joint_names + ["default"])
+    table = {}
+    for name in _DESK_BIPED.joint_names:
+        entry = joints.get(name, joints.get("default", {}))
+        table[name] = {section: {key: float(value) for key, value in
+                                 {**known, **entry.get(section, {})}.items()}
+                       for section, known in _DEFAULT_JOINT.items()}
+        friction = table[name]["friction"]
+        if friction["breakaway"] < friction["coulomb"]:
+            raise ValueError(f"ScenarioConfig.joints: joint {name!r} has "
+                             f"breakaway {friction['breakaway']!r} below its "
+                             f"coulomb {friction['coulomb']!r}")
+    return table
+
+
+def _check_object_events(events):
+    """FrameError for an object event under no sole of the model, and
+    ValueError for one that removes an object from an empty sole."""
+    present = dict.fromkeys(_DESK_BIPED.sole_frames, False)
+    for ev in sorted(events, key=lambda e: e.time):
+        if ev.frame not in present:
+            raise FrameError(f"unknown foot frame '{ev.frame}'")
+        if ev.action == "remove" and not present[ev.frame]:
+            raise ValueError(f"object remove at t={ev.time} with no object "
+                             f"under {ev.frame}")
+        present[ev.frame] = ev.action == "insert"
+
+
+def _copy(mapping, kind):
+    """`mapping` and the mappings nested in it, copied as `kind`."""
+    return kind({k: _copy(v, kind) if isinstance(v, Mapping) else v
+                 for k, v in mapping.items()})
 
 
 def _object_event_from_dict(x):
@@ -423,7 +466,7 @@ _WRENCH_OF_MOMENTS = np.array([_wrench_of_moments(i) for i in range(6)]).T
 
 
 class Plant:
-    """Deterministic fixed-step simulator for one scenario."""
+    """Deterministic fixed-step simulator for one (checked) scenario."""
 
     def __init__(self, config):
         self.config = config
@@ -431,20 +474,14 @@ class Plant:
         self.model.gravity = np.asarray(config.gravity, dtype=float)
         n = self.model.ndof
         self.n = n
-        _check_keys("joint", config.joints, self.model.joint_names + ["default"])
 
         def per_joint(section, key):
-            vals = []
-            for name in self.model.joint_names:
-                j = config.joints.get(name, config.joints.get("default", {}))
-                block = {**_DEFAULT_JOINT[section], **j.get(section, {})}
-                vals.append(block[key])
-            return np.array(vals)
+            return np.array([entry[section][key]
+                             for entry in config.actuators.values()])
 
         self.k_t = per_joint("motor", "k_t")
         self.reduction = per_joint("motor", "reduction")
         self.motor_inertia = per_joint("motor", "motor_inertia")
-        MotorParams(self.k_t, self.reduction, self.motor_inertia)
         # per-joint arrays; self.scv[j] is joint j's scalar set
         self.scv = ScvParams(
             per_joint("friction", "coulomb"), per_joint("friction", "breakaway"),
@@ -477,19 +514,16 @@ class Plant:
         corners = np.vstack([FOOT_CORNERS.T, np.ones(len(FOOT_CORNERS))])
         self._corners = self._sole_offsets @ corners
 
-        self.disturbances = list(config.disturbances)
         # (start, end, link, frame origin in link coordinates with a
-        # trailing 1, force, torque) of each disturbance, as Python floats;
-        # the lookup raises FrameError for an unknown frame
+        # trailing 1, force, torque) of each disturbance, as Python floats
         self._pushes = []
-        for ev in self.disturbances:
+        for ev in config.disturbances:
             idx, offset = self.model.frame(ev.frame)
             self._pushes.append((ev.time, ev.time + ev.duration, idx,
                                  offset.homogeneous()[:, 3],
                                  [float(x) for x in ev.force],
                                  [float(x) for x in ev.torque]))
         self.object_events = sorted(config.object_events, key=lambda e: e.time)
-        self._check_object_events(self.object_events)
 
         self.rng = np.random.default_rng(config.seed)
 
@@ -510,23 +544,6 @@ class Plant:
         self._imu_RT, self._imu_r = imu.R.T, imu.p.tolist()
 
     # ------------------------------------------------------------------ events
-
-    def _check_object_events(self, events):
-        """Raise FrameError/ValueError for an event list the plant cannot run."""
-        present = {f: False for f in self.model.sole_frames}
-        for ev in events:
-            if ev.frame not in present:
-                raise FrameError(f"unknown foot frame '{ev.frame}'")
-            if ev.action not in ("insert", "remove"):
-                raise ValueError(f"unknown object action '{ev.action}'")
-            if ev.region not in ("full", "front"):
-                raise ValueError(f"unknown object region '{ev.region}'")
-            if ev.action == "insert":
-                present[ev.frame] = True
-            else:
-                if not present[ev.frame]:
-                    raise ValueError(f"object remove at t={ev.time} with no object under {ev.frame}")
-                present[ev.frame] = False
 
     def ground_height(self, foot_frame, t, x_local=0.0):
         """Ground height under sole points at sole-frame x `x_local`.

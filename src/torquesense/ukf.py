@@ -155,6 +155,7 @@ class TorqueUkf:
         self._prior_jitter = 1e-6 * eye
         self._made = None  # the belief the last step returned
         self._wrench_frames = tuple(model.ft_frames) + (cfg.ext_frame,)
+        model.frame_stack(self._wrench_frames)  # FrameError if one is unknown
         self._wrench_cols = slice(self.slices["f_ft"].start,
                                   self.slices["f_ext"].stop)
         self._B0 = np.zeros((n, self.dim + 1))

@@ -222,7 +222,7 @@ def contact_wrenches(plant, t, world, vels, counts=None):
 def disturbance_wrenches(plant, t, world):
     """Active disturbances as (frame, wrench in frame coordinates)."""
     out = []
-    for ev in plant.disturbances:
+    for ev in plant.config.disturbances:
         if not (ev.time <= t < ev.time + ev.duration):
             continue
         idx, offset = plant.model.frame(ev.frame)

@@ -50,6 +50,23 @@ def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ("nominal", "ScenarioConfig.seed must be a nonnegative integer, got -1"),
+    ("disturbance", "expected non-negative integer"),
+], ids=["nominal", "disturbance"])
+def test_rejected_seed_of_a_builtin_scenario_exits_with_one_line(
+        tmp_path, scenario, message):
+    # used to end in a ValueError traceback
+    args = ["run", "--scenario", scenario, "--seed", "-1", "--mode",
+            "Feedforward", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    text = str(exc.value.code)
+    assert message in text and f"scenario {scenario} at --seed -1" in text
+    assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
 def test_rerun_keeps_one_metrics_row_and_report_shows_diverged(tmp_path,
                                                               capsys):
     path = tmp_path / "scenario.json"
@@ -160,17 +177,29 @@ def untrained_nets(names):
     return {name: net for name in names}
 
 
-@pytest.mark.parametrize("names, message", [
-    (["left_hip_roll"], "no net for joint(s) right_hip_roll, torso_pitch"),
-    (desk_biped().joint_names + ["knee"], "unknown joint(s) knee"),
-    (None, "'nets'"),
-], ids=["missing", "unknown", "malformed"])
-def test_rejected_nets_file_exits_with_one_line(tmp_path, names, message):
+@pytest.mark.parametrize("names, edit, message", [
+    (["left_hip_roll"], None, "no net for joint(s) right_hip_roll, torso_pitch"),
+    (desk_biped().joint_names + ["knee"], None, "unknown joint(s) knee"),
+    (None, None, "'nets'"),
+    # these used to load: the first used to end the run at its first
+    # tick with a numpy broadcast error, the second as 'diverged'
+    (desk_biped().joint_names, lambda net: net.update(norm_mean=[0.0] * 5),
+     "norm_mean must hold 2 * buffer_len = 6 finite numbers, got [0.0, 0.0,"),
+    (desk_biped().joint_names,
+     lambda net: net["params"]["b1"].__setitem__(0, float("nan")),
+     "parameter b1 holds a number that is not finite"),
+], ids=["missing", "unknown", "malformed", "norm", "nan"])
+def test_rejected_nets_file_exits_with_one_line(tmp_path, names, edit,
+                                                message):
     nets_path = tmp_path / "nets.json"
     if names is None:
         nets_path.write_text(json.dumps({"schema_version": 1}))
     else:
         pinn.save_nets(nets_path, untrained_nets(names))
+    if edit is not None:  # of the first joint's saved net
+        doc = json.loads(nets_path.read_text())
+        edit(next(iter(doc["nets"].values())))
+        nets_path.write_text(json.dumps(doc))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"duration": 0.55}))
     args = ["run", "--scenario", str(path), "--mode", "UKF-PINN",

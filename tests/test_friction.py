@@ -1,11 +1,11 @@
-"""Stribeck-Coulomb-viscous friction model and actuator parameters."""
+"""Stribeck-Coulomb-viscous friction model and its parameters."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torquesense.friction import MotorParams, ScvParams, scv_friction
+from torquesense.friction import ScvParams, scv_friction
 
 P = ScvParams(coulomb=1.0, breakaway=2.0, stribeck_vel=0.1, viscous=0.5)
 
@@ -76,17 +76,6 @@ def test_param_validation():
         ScvParams(1.0, 2.0, 0.0, 0.5)  # nonpositive stribeck velocity
     with pytest.raises(ValueError):
         ScvParams(1.0, 2.0, 0.1, -0.1)
-    with pytest.raises(ValueError):
-        MotorParams(k_t=0.0, reduction=100.0, motor_inertia=1e-5)
-    with pytest.raises(ValueError):
-        MotorParams(k_t=0.1, reduction=0.5, motor_inertia=1e-5)
-    with pytest.raises(ValueError):
-        MotorParams(k_t=0.1, reduction=100.0, motor_inertia=-1e-6)
-    with pytest.raises(ValueError):
-        MotorParams(k_t=0.1, reduction=100.0, motor_inertia=0.0)
-    with pytest.raises(ValueError):  # one bad joint of several
-        MotorParams(np.array([0.1, 0.1]), np.array([100.0, 0.5]),
-                    np.array([1e-5, 1e-5]))
 
 
 NAN = float("nan")
@@ -98,13 +87,8 @@ NAN = float("nan")
     lambda: ScvParams(1.0, NAN, 0.1, 0.5),
     lambda: ScvParams(1.0, 2.0, NAN, 0.5),
     lambda: ScvParams(1.0, 2.0, 0.1, float("inf")),
-    lambda: MotorParams(k_t=NAN, reduction=100.0, motor_inertia=1e-5),
-    lambda: MotorParams(k_t=0.1, reduction=NAN, motor_inertia=1e-5),
-    lambda: MotorParams(k_t=0.1, reduction=100.0,
-                        motor_inertia=np.array([1e-5, NAN])),
     lambda: P.scaled(NAN),
-], ids=["coulomb", "breakaway", "stribeck_vel", "viscous", "k_t",
-        "reduction", "motor_inertia", "scaled"])
+], ids=["coulomb", "breakaway", "stribeck_vel", "viscous", "scaled"])
 def test_non_finite_parameters_are_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()

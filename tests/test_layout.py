@@ -15,7 +15,10 @@ sensor wiring: no other module spells a sole, FT or IMU frame name.
 The control module's mode table owns the modes' wiring: no other module
 spells a mode name or compares a mode string.  The closed-loop
 controller reads sensors: its `tick` takes one sensor bundle, and only
-its construction reads a plant state.
+its construction reads a plant state.  A scenario is checked where it
+is built: the plant's construction neither raises nor calls a plant
+module function that does, and no statement builds a plant only to see
+whether it raises.
 """
 
 import ast
@@ -205,3 +208,30 @@ def test_no_controller_method_but_its_construction_reads_a_plant_state():
             for name, fn in controller_methods().items()}
     assert read.pop("__init__")  # the initial state
     assert read and not any(read.values()), read
+
+
+def raises(fn):
+    return any(isinstance(node, ast.Raise) for node in ast.walk(fn))
+
+
+def test_a_scenario_is_checked_where_it_is_built_not_by_the_plant():
+    src = parse(sorted(SRC.glob("*.py")))
+    module = src[SRC / "plant.py"]
+    plant = next(node for node in module.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Plant")
+    # the module's functions and the plant's methods that raise
+    raising = {node.name for node in module.body + plant.body
+               if isinstance(node, ast.FunctionDef) and raises(node)}
+    init = next(node for node in plant.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(init) if isinstance(node, ast.Call)}
+    assert "step" in raising and not raises(init)
+    assert called & raising == set()
+    # a Plant built as a statement of its own is discarded
+    discarded = [f"{path.stem}:{node.lineno}" for path, tree in src.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.Expr)
+                 and isinstance(node.value, ast.Call)
+                 and isinstance(node.value.func, ast.Name)
+                 and node.value.func.id == "Plant"]
+    assert discarded == []

@@ -1,5 +1,8 @@
 """Ground-truth simulator: determinism, sensors, events, contact."""
 
+import dataclasses
+import operator
+
 import numpy as np
 import pytest
 
@@ -244,6 +247,9 @@ def test_scenario_config_round_trip_and_hash():
     assert isinstance(back.object_events[0], ObjectEvent)
     other = ScenarioConfig(seed=5, duration=2.0)
     assert other.config_hash() != cfg.config_hash()
+    # a numpy bool, which the rules accept, used to fail to hash
+    assert ScenarioConfig(lock_base=np.True_).config_hash() \
+        == ScenarioConfig(lock_base=True).config_hash()
 
 
 def test_legacy_elastic_transmission_key():
@@ -316,6 +322,17 @@ def test_scenario_fields_are_checked_at_construction(field, value):
     ({"noise": {"motor_encoder_bits": 2.5}},
      r"noise\['motor_encoder_bits'\]"),
     ({"noise": {"quantize": "yes"}}, r"noise\['quantize'\]"),
+    # the motor settings `friction.MotorParams` checked a second time
+    ({"joints": {"default": {"motor": {"k_t": 0.0}}}},
+     r"joints\['default'\]\['motor'\]\['k_t'\]"),
+    ({"joints": {"default": {"motor": {"reduction": NAN}}}},
+     r"joints\['default'\]\['motor'\]\['reduction'\]"),
+    ({"joints": {"default": {"motor": {"motor_inertia": -1e-6}}}},
+     r"joints\['default'\]\['motor'\]\['motor_inertia'\]"),
+    ({"joints": {"torso_roll": {"motor": {"reduction": 0.5}}}},
+     r"joints\['torso_roll'\]\['motor'\]\['reduction'\]"),
+    ({"joints": {"left_hip_roll": {"motor": {"motor_inertia": NAN}}}},
+     r"joints\['left_hip_roll'\]\['motor'\]\['motor_inertia'\]"),
 ])
 def test_joint_noise_and_contact_values_are_checked_at_construction(kw, key):
     with pytest.raises(ValueError, match=rf"^ScenarioConfig\.{key} must be"):
@@ -329,10 +346,9 @@ def test_misspelt_joint_settings_are_rejected():
                        match=r"joints\['default'\]\['friction'\] key 'colomb'"):
         ScenarioConfig(joints={"left_hip_rol": {"friction": {"coulomb": 0.2}},
                                "default": {"friction": {"colomb": 0.3}}})
-    cfg = ScenarioConfig(joints={"left_hip_rol": {"friction": {"coulomb": 0.2}},
-                                 "default": {"friction": {"coulomb": 0.3}}})
     with pytest.raises(ValueError, match="unknown joint 'left_hip_rol'"):
-        Plant(cfg)
+        ScenarioConfig(joints={"left_hip_rol": {"friction": {"coulomb": 0.2}},
+                               "default": {"friction": {"coulomb": 0.3}}})
 
 
 def test_per_joint_actuator_settings_resolve_and_validate():
@@ -344,12 +360,38 @@ def test_per_joint_actuator_settings_resolve_and_validate():
     # built-in defaults
     assert plant.scv[j] == ScvParams(1.0, 2.0, 0.1, 0.2)
     assert plant.scv[0] == ScvParams(0.8, 2.0, 0.1, 0.5)
+    # the plant reads the table the config resolved
+    assert plant.config.actuators["torso_roll"]["friction"]["viscous"] == 0.2
+    assert list(plant.config.actuators) == plant.model.joint_names
     with pytest.raises(ValueError, match="motor inertia"):
-        make_plant(joints={"torso_roll": {"motor": {"motor_inertia": 0.0}}})
-    with pytest.raises(ValueError, match="breakaway"):
-        make_plant(joints={"default": {"friction": {"coulomb": 3.0}}})
+        ScenarioConfig(joints={"torso_roll": {"motor": {"motor_inertia": 0.0}}})
     with pytest.raises(ValueError, match="friction_smoothing"):
         ScenarioConfig(friction_smoothing=-0.01)
+
+
+# each of these used to build: the joint and event cases then made
+# `Plant(config)` raise, as did the frame, action, region and remove
+# cases of the event table below, and schema_version 99 ran
+@pytest.mark.parametrize("kw, error, match", [
+    ({"joints": {"nope": {}}}, ValueError, "unknown joint 'nope'"),
+    ({"joints": {"default": {"friction": {"coulomb": 3.0}}}}, ValueError,
+     r"joint 'left_hip_roll' has breakaway 2\.0 below its coulomb 3\.0"),
+    ({"joints": {"torso_roll": {"friction": {"breakaway": 0.5}}}}, ValueError,
+     r"joint 'torso_roll' has breakaway 0\.5 below its coulomb 1\.0"),
+    # removed before it is inserted: the events are taken in time order
+    ({"object_events": [ObjectEvent(2.0, "left_sole", 0.03, "insert"),
+                        ObjectEvent(1.0, "left_sole", 0.03, "remove")]},
+     ValueError, "object remove at t=1.0 with no object under left_sole"),
+    ({"schema_version": 99}, ValueError,
+     r"^ScenarioConfig\.schema_version must be 1, got 99"),
+], ids=["joint", "breakaway-default", "breakaway-joint", "remove-first",
+        "schema"])
+def test_configs_the_plant_rejected_are_rejected_at_construction(kw, error,
+                                                                 match):
+    with pytest.raises(error, match=match):
+        ScenarioConfig(**kw)
+    with pytest.raises(error, match=match):
+        dataclasses.replace(ScenarioConfig(), **kw)
 
 
 def test_legacy_foot_key_loads_and_frame_is_written():
@@ -402,7 +444,9 @@ def test_legacy_foot_key_loads_and_frame_is_written():
 def test_config_object_events_are_checked_at_construction(event, error, match):
     kind = "disturbances" if isinstance(event, Disturbance) else "object_events"
     with pytest.raises(error, match=match):
-        Plant(ScenarioConfig(**{kind: [event]}))
+        ScenarioConfig(**{kind: [event]})
+    with pytest.raises(error, match=match):
+        dataclasses.replace(ScenarioConfig(), **{kind: [event]})
     # the checks leave the defaults, and so every config hash, as they were
     assert ScenarioConfig().config_hash() == "042d3125f3be1528"
 
@@ -443,6 +487,52 @@ def test_to_dict_is_a_copy():
     assert cfg.object_events[0].height == 0.03
     assert cfg.disturbances[0].time == 1.0
     assert cfg.noise["current_std"] == 0.005
+
+
+def test_a_built_config_cannot_change():
+    force, joints = [0.0, 10.0, 0.0], {"default": {"friction": {"coulomb": 0.8}}}
+    cfg = ScenarioConfig(
+        joints=joints, noise={"current_std": 0.01},
+        disturbances=[Disturbance(1.0, 0.2, "torso_push", force)],
+        object_events=[ObjectEvent(1.0, "right_sole", 0.03, "insert")])
+    before = cfg.config_hash()
+    # what the caller passed in stays theirs
+    force[1] = 99.0
+    joints["default"]["friction"]["coulomb"] = 3.0
+    assert cfg.disturbances[0].force == (0.0, 10.0, 0.0)
+    assert cfg.joints["default"]["friction"]["coulomb"] == 0.8
+    edits = {
+        "contact": lambda: operator.setitem(cfg.contact, "mu", -1.0),
+        "noise": lambda: operator.setitem(cfg.noise, "current_std", -1.0),
+        "noise-del": lambda: operator.delitem(cfg.noise, "current_std"),
+        "joints": lambda: operator.setitem(cfg.joints, "torso_roll", {}),
+        "joint-key": lambda: operator.setitem(
+            cfg.joints["default"]["friction"], "coulomb", 3.0),
+        "actuators": lambda: operator.setitem(
+            cfg.actuators["torso_roll"]["motor"], "k_t", 0.0),
+        "disturbances": lambda: cfg.disturbances.append(
+            Disturbance(2.0, 0.1, "torso_push")),
+        "disturbance": lambda: setattr(cfg.disturbances[0], "time", 0.0),
+        "force": lambda: operator.setitem(cfg.disturbances[0].force, 0, 1e9),
+        "object_events": lambda: cfg.object_events.append(
+            ObjectEvent(2.0, "right_sole", 0.03, "remove")),
+        "object_event": lambda: setattr(cfg.object_events[0], "height", 9.0),
+        "gravity": lambda: operator.setitem(cfg.gravity, 2, 0.0),
+        "actuators-field": lambda: setattr(cfg, "actuators", {}),
+    }
+    edits.update({f"field-{f.name}": (lambda name=f.name: setattr(
+        cfg, name, getattr(ScenarioConfig(duration=0.1), name)))
+        for f in dataclasses.fields(cfg)})
+    for name, edit in edits.items():
+        with pytest.raises((AttributeError, TypeError)):
+            edit()
+            pytest.fail(name)
+    assert cfg.config_hash() == before
+    assert cfg.contact["mu"] == 1.0 and cfg.noise["current_std"] == 0.01
+    # a changed copy is a new config, checked as it is built
+    with pytest.raises(ValueError, match=r"contact\['mu'\]"):
+        dataclasses.replace(cfg, contact={**cfg.contact, "mu": -1.0})
+    assert dataclasses.replace(cfg, duration=1.0).duration == 1.0
 
 
 def count_evaluations(plant):

@@ -7,7 +7,7 @@ from chains import pendulum
 from reference_ukf import (measurement_model, measurement_noise,
                            merwe_weights, reference_step, sigma_points,
                            unscented_moments)
-from torquesense.model import RobotModel, desk_biped
+from torquesense.model import FrameError, RobotModel, desk_biped
 from torquesense.spatial import Transform, exp_so3
 from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf, UkfConfig
 
@@ -277,6 +277,19 @@ def test_imu_frame_must_be_on_base():
     model.imu_frame = "torso_push"
     with pytest.raises(ValueError, match="base"):
         TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3)
+
+
+def test_wrench_frames_are_resolved_when_the_filter_is_built():
+    # an unknown external-wrench frame used to build and raise FrameError
+    # at the first step
+    with pytest.raises(FrameError, match="unknown frame 'nope'"):
+        TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3,
+                  config=UkfConfig(ext_frame="nope"))
+    model = wire_imu(pendulum())
+    model.ft_frames = ("ft",)
+    with pytest.raises(FrameError, match="unknown frame 'ft'"):
+        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3,
+                  config=UkfConfig(ext_frame="push"))
 
 
 def test_process_model_only_advances_velocities():
