@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torquesense.friction import ScvParams, scv_friction
+from torquesense.plant import ScenarioConfig
 
 P = ScvParams(coulomb=1.0, breakaway=2.0, stribeck_vel=0.1, viscous=0.5)
 
@@ -87,8 +88,10 @@ NAN = float("nan")
     lambda: ScvParams(1.0, NAN, 0.1, 0.5),
     lambda: ScvParams(1.0, 2.0, NAN, 0.5),
     lambda: ScvParams(1.0, 2.0, 0.1, float("inf")),
+    # the motor settings are checked where the scenario is built
+    lambda: ScenarioConfig(joints={"default": {"motor": {"k_t": NAN}}}),
     lambda: P.scaled(NAN),
-], ids=["coulomb", "breakaway", "stribeck_vel", "viscous", "scaled"])
+], ids=["coulomb", "breakaway", "stribeck_vel", "viscous", "k_t", "scaled"])
 def test_non_finite_parameters_are_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
