@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    tune-kf   GA-tune encoder-filter covariances on a recorded trace
+    tune-kf   GA-tune encoder-filter covariances on a recorded trace;
+              densities whose filter gain never settles are refused
     run       one closed-loop scenario in a chosen control mode
     sweep     a scenario across control modes
     report    assemble a Markdown comparison table from metrics rows
@@ -30,7 +31,7 @@ from .experiments import (DEFAULT_KF_GAINS, check_duration, check_nets,
                           make_disturbance_scenario, make_object_scenario,
                           render_table, run_scenario, sweep_modes)
 from .ga import MIN_TRACE_SAMPLES, GaConfig, tune_kf
-from .kf import encoder_lsb, save_gains
+from .kf import encoder_lsb, save_gains, steady_state_gain
 from .plant import Plant, ScenarioConfig
 
 
@@ -81,7 +82,12 @@ def _cmd_tune_kf(args):
                           parents_mating=max(2, args.population // 2))
     except ValueError as exc:
         raise SystemExit(f"tune-kf rejected: {exc}") from None
-    gains, history = tune_kf(trace, dt, encoder_lsb(args.bits), config=config)
+    lsb = encoder_lsb(args.bits)
+    gains, history = tune_kf(trace, dt, lsb, config=config)
+    try:
+        steady_state_gain(dt, lsb, **gains)
+    except ValueError as exc:
+        raise SystemExit(f"tune-kf found no usable gains: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     gains_path = os.path.join(args.out, f"kf_gains_{args.joint}.json")
     save_gains(gains_path, gains)
@@ -131,13 +137,12 @@ def _resolve_nets(args, scenario, modes):
     """
     if not any(needs_friction_nets(m) for m in modes):
         return None
-    plant = Plant(scenario)
     if args.nets is not None:
         if not os.path.exists(args.nets):
             raise SystemExit(f"friction-net file not found: {args.nets}")
         try:
             nets = pinn.load_nets(args.nets)
-            check_nets(nets, plant.model.joint_names)
+            check_nets(nets, list(scenario.actuators))
         except (KeyError, TypeError, ValueError) as exc:
             raise SystemExit(f"friction-net file {args.nets} rejected: "
                              f"{exc}") from None
@@ -145,7 +150,8 @@ def _resolve_nets(args, scenario, modes):
     print("no --nets given; generating identification data and training "
           "friction nets (deterministic for --seed)")
     dataset = generate_friction_dataset(duration=4.0, seed=args.seed)
-    nets = default_friction_nets(plant, dataset=dataset, seed=args.seed)
+    nets = default_friction_nets(Plant(scenario), dataset=dataset,
+                                 seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "friction_nets.json")
     pinn.save_nets(path, nets)
@@ -216,7 +222,9 @@ def main(argv=None):
         description="Sensorless joint-torque estimation and control toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("tune-kf", help="GA-tune encoder filter covariances")
+    t = sub.add_parser("tune-kf", help="GA-tune encoder filter covariances; "
+                       "exits nonzero, writing nothing, if the tuned filter "
+                       "gain never settles")
     t.add_argument("--trace", required=True, help="CSV with a 't' column and "
                    "one position column per channel")
     t.add_argument("--joint", required=True, help="trace column to tune on")

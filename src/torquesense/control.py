@@ -1,18 +1,16 @@
-"""Cascaded balancing control stack and its configuration switchboard.
+"""Cascaded balancing control stack and its mode switchboard.
 
 Two rates: a center-of-mass balancer producing desired joint torques
-at `ControlConfig.high_rate` (100 Hz by default; its period must be a
-whole multiple of the plant step), and the estimators with a PI torque
-loop producing current commands once per plant step (1 kHz at the
-default 1 ms step).  How each mode closes the loop, its torque
-feedback, friction feedforward and output law, is its row of `WIRING`;
-no other module tells the modes apart.
+at `HIGH_RATE` (100 Hz; its period must be a whole multiple of the
+plant step), and the estimators with a PI torque loop producing current
+commands once per plant step (1 kHz at the default 1 ms step).  How
+each mode closes the loop, its torque feedback, friction feedforward
+and output law, is its row of `WIRING`; no other module tells the modes
+apart.  The gains, rates and limits below are the same in every mode.
 """
 
-import math
-import numbers
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +37,22 @@ WIRING = {
 }
 MODES = tuple(WIRING)
 
+KP_TORQUE = 0.52        # dimensionless, on torque error
+KI_TORQUE = 30.0        # 1/s
+INTEGRAL_LIMIT = 4.0    # N*m
+CURRENT_LIMIT = 10.0    # A
+KP_COM = 60.0           # 1/s^2
+KD_COM = 15.0           # 1/s
+KP_ATT = 80.0           # N*m/rad
+KD_ATT = 20.0           # N*m*s/rad
+FORCE_REG = 1e-6        # wrench-distribution regularization
+KP_POSTURE = 20.0       # N*m/rad, joint-space posture task
+KD_POSTURE = 2.0        # N*m*s/rad
+COMP_CUTOFF = 8.0       # Hz, smoothing on friction feedforward
+KP_POS = 900.0          # N*m/rad (position baseline)
+KD_POS = 30.0           # N*m*s/rad
+HIGH_RATE = 100.0       # Hz, balancer; torque loop runs every plant step
+
 
 def needs_friction_nets(mode):
     """Whether `mode` runs trained friction nets (see `Wiring`)."""
@@ -47,43 +61,17 @@ def needs_friction_nets(mode):
 
 @dataclass
 class ControlConfig:
-    """Gains and rates; identical across all torque modes by design."""
+    """The control mode, one of `MODES`; an unknown mode is rejected."""
     mode: str = "UKF-PINN"
-    kp_torque: float = 0.52         # dimensionless, on torque error
-    ki_torque: float = 30.0         # 1/s
-    integral_limit: float = 4.0     # N*m
-    current_limit: float = 10.0     # A
-    kp_com: float = 60.0            # 1/s^2
-    kd_com: float = 15.0            # 1/s
-    kp_att: float = 80.0            # N*m/rad
-    kd_att: float = 20.0            # N*m*s/rad
-    force_reg: float = 1e-6         # wrench-distribution regularization
-    kp_posture: float = 20.0        # N*m/rad, joint-space posture task
-    kd_posture: float = 2.0         # N*m*s/rad
-    comp_cutoff: float = 8.0        # Hz, smoothing on friction feedforward
-    kp_pos: float = 900.0           # N*m/rad (position baseline)
-    kd_pos: float = 30.0            # N*m*s/rad
-    high_rate: float = 100.0        # Hz, balancer; torque loop runs every plant step
 
     def __post_init__(self):
-        """Reject an unknown mode, and any numeric field that is not a
-        finite number, positive for the current limit, the wrench
-        regularization and the balancer rate, nonnegative otherwise."""
         if self.mode not in MODES:
             raise ValueError(f"unknown control mode {self.mode!r}")
-        for f in fields(self)[1:]:  # every field after the mode is a number
-            value = getattr(self, f.name)
-            positive = f.name in ("current_limit", "force_reg", "high_rate")
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and (value > 0.0 if positive else value >= 0.0)):
-                what = "positive" if positive else "nonnegative"
-                raise ValueError(f"ControlConfig.{f.name} must be {what} "
-                                 f"and finite, got {value!r}")
 
 
 def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
-                        com_acc_ref, config, posture_ref):
-    """Desired joint torques realizing a CoM/attitude PD at 100 Hz.
+                        com_acc_ref, posture_ref):
+    """Desired joint torques realizing a CoM/attitude PD, run at `HIGH_RATE`.
 
     The attitude PD holds the base upright (world-aligned).
 
@@ -106,13 +94,13 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
 
     # desired net wrench change on the base rows, base frame
     acc_world = (np.asarray(com_acc_ref, float)
-                 + config.kp_com * (np.asarray(com_ref, float) - com)
-                 + config.kd_com * (np.asarray(com_vel_ref, float) - com_vel))
+                 + KP_COM * (np.asarray(com_ref, float) - com)
+                 + KD_COM * (np.asarray(com_vel_ref, float) - com_vel))
     R = base_pose.R
     extra = np.zeros(6)
     extra[:3] = model.total_mass * (R.T @ acc_world)
     att_err = log_so3(R.T)                    # body-frame attitude error
-    extra[3:] = config.kp_att * att_err - config.kd_att * nu[3:6]
+    extra[3:] = KP_ATT * att_err - KD_ATT * nu[3:6]
 
     w_des = bias[:6] + extra
     # the base rows of the stacked J^T; column 6 k + i is row i of J_k
@@ -120,10 +108,10 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     # damped least squares keeps the distribution unique and bounded;
     # its minimiser (A^T A + reg I)^-1 A^T w is A^T (A A^T + reg I)^-1 w,
     # a 6x6 solve
-    f = A.T @ np.linalg.solve(A @ A.T + config.force_reg * np.eye(6), w_des)
+    f = A.T @ np.linalg.solve(A @ A.T + FORCE_REG * np.eye(6), w_des)
     tau_d = bias[6:] - J[:, :, 6:].reshape(-1, model.ndof).T @ f
-    tau_d += config.kp_posture * (np.asarray(posture_ref, float) - s) \
-        - config.kd_posture * nu[6:]
+    tau_d += KP_POSTURE * (np.asarray(posture_ref, float) - s) \
+        - KD_POSTURE * nu[6:]
     return tau_d
 
 
@@ -141,22 +129,21 @@ def rnea_torque_feedback(model, base_pose, s, nu, proper_accel, ft_readings):
 
 
 class _CurrentOutput:
-    """Maps torques to current commands clipped to the current limit.
+    """Maps torques to current commands clipped to `CURRENT_LIMIT`.
 
     `saturation_events` counts the calls whose commands were clipped.
     """
 
-    def __init__(self, config, gear_torque):
-        self.config = config
+    def __init__(self, gear_torque):
         self.gear_torque = np.asarray(gear_torque, dtype=float)
         self.saturation_events = 0
 
     def _currents(self, tau):
-        limit = self.config.current_limit
         currents = tau / self.gear_torque
         # np.minimum(np.maximum(.)) and .any() are np.clip and np.any
         # without their Python wrappers
-        clipped = np.minimum(np.maximum(currents, -limit), limit)
+        clipped = np.minimum(np.maximum(currents, -CURRENT_LIMIT),
+                             CURRENT_LIMIT)
         if (clipped != currents).any():
             self.saturation_events += 1
         return clipped
@@ -165,23 +152,22 @@ class _CurrentOutput:
 class TorquePI(_CurrentOutput):
     """PI loop on torque error with anti-windup, emitting currents each plant step."""
 
-    def __init__(self, n, config, gear_torque, dt):
-        super().__init__(config, gear_torque)
+    def __init__(self, n, gear_torque, dt):
+        super().__init__(gear_torque)
         self.dt = dt
         self.integral = np.zeros(n)
 
     def __call__(self, tau_d, tau_feedback=None, tau_f_comp=None):
         """Current commands; feedback/compensation may each be omitted."""
-        cfg = self.config
         tau_d = np.asarray(tau_d, dtype=float)
         if tau_feedback is None:
             tau_cmd = tau_d
         else:
             err = tau_d - np.asarray(tau_feedback, dtype=float)
             self.integral = np.minimum(
-                np.maximum(self.integral + err * self.dt * cfg.ki_torque,
-                           -cfg.integral_limit), cfg.integral_limit)
-            tau_cmd = tau_d + cfg.kp_torque * err + self.integral
+                np.maximum(self.integral + err * self.dt * KI_TORQUE,
+                           -INTEGRAL_LIMIT), INTEGRAL_LIMIT)
+            tau_cmd = tau_d + KP_TORQUE * err + self.integral
         total = tau_cmd if tau_f_comp is None else tau_cmd + np.asarray(tau_f_comp, float)
         return self._currents(total)
 
@@ -195,7 +181,6 @@ class PositionPD(_CurrentOutput):
     """
 
     def __call__(self, s_des, s_meas, sdot_meas):
-        cfg = self.config
-        tau = cfg.kp_pos * (np.asarray(s_des, float) - np.asarray(s_meas, float)) \
-            - cfg.kd_pos * np.asarray(sdot_meas, float)
+        tau = KP_POS * (np.asarray(s_des, float) - np.asarray(s_meas, float)) \
+            - KD_POS * np.asarray(sdot_meas, float)
         return self._currents(tau)

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pinn
-from .control import (ControlConfig, MODES, WIRING, PositionPD, TorquePI,
-                      high_level_balancer, rnea_torque_feedback)
+from .control import (COMP_CUTOFF, HIGH_RATE, MODES, WIRING, ControlConfig,
+                      PositionPD, TorquePI, high_level_balancer,
+                      rnea_torque_feedback)
 from .friction import ScvParams
 from .kf import encoder_lsb, mean_step, steady_state_gain
 from .model import desk_biped
@@ -101,29 +102,18 @@ def encoder_bank(scenario, state, gains):
                     x0=np.concatenate([state.s, state.motor_pos]))
 
 
-def generate_friction_dataset(scenario=None, duration=None, seed=0):
+def generate_friction_dataset(duration=6.0, seed=0):
     """Excitation run producing a friction-identification log.
 
     The robot hangs base-locked while every joint is driven by a
-    multi-sine current; returns (t, motor-side velocity mapped to the
-    joint side, joint velocity, true friction torque) for joint ID_JOINT,
-    with both velocities taken from the online encoder filters exactly
-    as the controller will see them.  The log lasts `scenario.duration`;
-    without a scenario, a 1 ms base-locked one lasting `duration`
-    (default 6 s) is used.  A scenario whose base is not locked is
-    rejected.
+    multi-sine current for `duration` seconds at a 1 ms step; returns
+    (t, motor-side velocity mapped to the joint side, joint velocity,
+    true friction torque) for joint ID_JOINT, with both velocities taken
+    from the online encoder filters exactly as the controller will see
+    them.
     """
-    if scenario is None:
-        scenario = ScenarioConfig(step=1e-3,
-                                  duration=6.0 if duration is None else duration,
-                                  seed=seed, lock_base=True)
-    elif duration is not None:
-        raise ValueError("give the log length as the scenario's duration, "
-                         "not as a separate duration")
-    if not scenario.lock_base:
-        raise ValueError("the identification run needs a scenario with "
-                         "lock_base=True; a free base falls while the log "
-                         "records it")
+    scenario = ScenarioConfig(step=1e-3, duration=duration, seed=seed,
+                              lock_base=True)
     plant = Plant(scenario)
     st = plant.initial_state(base_height=2.0)  # feet clear of the ground
     n = plant.n
@@ -248,23 +238,23 @@ class Controller:
     or RNEA feedback, friction nets, torque PI loop or position PD.
     `tick` turns one sensor sample into the next step's currents;
     `balance` refreshes the desired torques every `balance_every` ticks
-    (0: never) from the plant's true base pose and twist and joint
-    positions, given by name."""
+    (0: never; the balancer period, 1 / `control.HIGH_RATE`, over the
+    plant step) from the plant's true base pose and twist and joint
+    positions, given by name.  A plant step that does not divide the
+    balancer period into whole ticks is rejected."""
 
-    def __init__(self, plant, initial_state, control, nets=None,
-                 kf_gains=None):
+    def __init__(self, plant, initial_state, mode, nets=None, kf_gains=None):
         scenario, model, n = plant.config, plant.model, plant.n
-        wiring = WIRING[control.mode]
+        wiring = WIRING[mode]
         dt = scenario.step
-        high_dt = 1.0 / control.high_rate
+        high_dt = 1.0 / HIGH_RATE
         every = int(round(high_dt / dt))
         if every < 1 or not np.isclose(every * dt, high_dt):
             raise ValueError(
-                f"ControlConfig.high_rate ({control.high_rate:g} Hz, period "
-                f"{high_dt:g} s) must have a period that is a whole "
-                f"multiple of the plant step ({dt:g} s)")
+                f"ScenarioConfig.step ({dt:g} s) must divide the "
+                f"{high_dt:g} s balancer period into whole steps")
         self.balance_every = every if wiring.balancer else 0
-        self.model, self.control, self.dt, self.n = model, control, dt, n
+        self.model, self.dt, self.n = model, dt, n
         self.reduction = plant.reduction
         self.encoders = encoder_bank(
             scenario, initial_state,
@@ -278,8 +268,7 @@ class Controller:
         self.comp, self._friction = None, Controller._nothing
         if wiring.friction_nets:
             if nets is None:
-                raise ValueError(f"mode {control.mode} needs trained "
-                                 f"friction nets")
+                raise ValueError(f"mode {mode} needs trained friction nets")
             check_nets(nets, model.joint_names)
             self.net_groups = group_by_net(nets, model.joint_names)
             buf_len = max(net.buffer_len for net, _ in self.net_groups)
@@ -287,7 +276,7 @@ class Controller:
             # the feedforward is smoothed: its use is the quasi-static
             # stiction/Coulomb level, and the tick-to-tick wiggle is
             # prediction noise the torque loop cannot reject
-            self.comp_alpha = 1 - np.exp(-2 * np.pi * control.comp_cutoff * dt)
+            self.comp_alpha = 1 - np.exp(-2 * np.pi * COMP_CUTOFF * dt)
             self.comp = np.zeros(n)
             self._friction = Controller._predict_friction
 
@@ -303,10 +292,10 @@ class Controller:
 
         gear_torque = plant.reduction * plant.k_t
         if wiring.balancer:
-            self.law = TorquePI(n, control, gear_torque, dt)
+            self.law = TorquePI(n, gear_torque, dt)
             self._output = Controller._torque_output
         else:
-            self.law = PositionPD(control, gear_torque)
+            self.law = PositionPD(gear_torque)
             self._output = Controller._position_output
 
     def com_ref(self, t):
@@ -319,8 +308,7 @@ class Controller:
         self.tau_d = high_level_balancer(
             self.model, base_pose, s, np.concatenate([base_twist, self.sdot]),
             self.com_ref(t), self.amp * w * np.cos(w * t),
-            -self.amp * w ** 2 * np.sin(w * t), self.control,
-            posture_ref=self.s0)
+            -self.amp * w ** 2 * np.sin(w * t), posture_ref=self.s0)
 
     def tick(self, sensors):
         """Currents for the next plant step from one sensor sample."""
@@ -382,7 +370,7 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
     written there under `label`."""
     plant = Plant(scenario)
     st = plant.initial_state()
-    controller = Controller(plant, st, control, nets, kf_gains)
+    controller = Controller(plant, st, control.mode, nets, kf_gains)
     check_duration(scenario)
     steps = int(round(scenario.duration / scenario.step))
     log = RunLog.allocate(steps, plant.n)
@@ -422,12 +410,11 @@ def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
         saturation_events=controller.law.saturation_events)
     report = compute_metrics(log, scenario, control)
     if out_dir is not None:
-        write_artifacts(out_dir, label or control.mode, scenario, control,
-                        log, report)
+        write_artifacts(out_dir, label or control.mode, log, report)
     return report, log
 
 
-def compute_metrics(log, scenario, control, burn_in=BURN_IN):
+def compute_metrics(log, scenario, control):
     """Reduce a run log to the report dictionary.
 
     Torque-tracking errors compare the commanded desired torque against
@@ -438,7 +425,7 @@ def compute_metrics(log, scenario, control, burn_in=BURN_IN):
     is None.
     """
     t = log.t
-    keep = t >= t[0] + burn_in if len(t) else np.zeros(0, dtype=bool)
+    keep = t >= t[0] + BURN_IN if len(t) else np.zeros(0, dtype=bool)
     first_dist = _first_disturbance_time(scenario)
     com_keep = keep if first_dist is None else keep & (t < first_dist)
     report = {
@@ -476,7 +463,7 @@ def compute_metrics(log, scenario, control, burn_in=BURN_IN):
     return report
 
 
-def write_artifacts(out_dir, label, scenario, control, log, report):
+def write_artifacts(out_dir, label, log, report):
     """Write run CSV, metrics CSV row and report JSON for one run."""
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, label.replace("/", "_"))
@@ -533,17 +520,10 @@ def replace_metrics_row(path, report):
     write_metrics_csv(path, rows + [report])
 
 
-def sweep_modes(scenario, modes=None, control=None, nets=None, out_dir=None):
-    """Run a scenario across control modes with identical gains."""
-    modes = list(MODES) if modes in (None, "all") else list(modes)
-    base = control or ControlConfig()
-    reports = []
-    for mode in modes:
-        cfg = ControlConfig(**{**base.__dict__, "mode": mode})
-        rep, _ = run_scenario(scenario, cfg, nets=nets, out_dir=out_dir,
-                              label=mode)
-        reports.append(rep)
-    return reports
+def sweep_modes(scenario, modes=MODES, nets=None, out_dir=None):
+    """Run a scenario across control modes (all of them by default)."""
+    return [run_scenario(scenario, ControlConfig(mode=mode), nets=nets,
+                         out_dir=out_dir, label=mode)[0] for mode in modes]
 
 
 def scalability_sweep(scenario, scalings, control=None, nets=None,
@@ -573,11 +553,10 @@ def scalability_sweep(scenario, scalings, control=None, nets=None,
     return reports
 
 
-def render_table(reports, columns=None):
+def render_table(reports):
     """Markdown comparison table from a list of report dicts."""
-    columns = columns or ["mode", "torque_rmse_overall", "com_mean_error_mm",
-                          "com_max_error_mm", "avg_abs_torque", "fell",
-                          "diverged"]
+    columns = ["mode", "torque_rmse_overall", "com_mean_error_mm",
+               "com_max_error_mm", "avg_abs_torque", "fell", "diverged"]
     def fmt(v):
         if isinstance(v, float):
             return f"{v:.4g}"
@@ -591,20 +570,22 @@ def render_table(reports, columns=None):
     return "\n".join(lines) + "\n"
 
 
-def make_disturbance_scenario(seed=0, duration=6.0, n_events=None):
+def make_disturbance_scenario(seed=0, duration=6.0):
     """Standard unmeasured-push scenario: random torso shoves.
 
     Pushes hit the torso frame (not instrumented by any FT sensor) with
     magnitude 10-40 N, duration 0.1-0.3 s, 4-8 events, all drawn from
     the seed.  Pushes start between 1.0 s and 0.6 s before the end, so
-    `duration` must be at least 1.6 s.
+    `duration` must be at least 1.6 s.  The seed and duration are
+    checked, as `ScenarioConfig` fields, before anything is drawn.
     """
+    scenario = ScenarioConfig(duration=duration, seed=seed)
     t_lo, t_hi = 1.0, duration - 0.6
     if t_hi < t_lo:
         raise ValueError(f"disturbance scenario duration must be at least "
                          f"1.6 s, got {duration}")
     rng = np.random.default_rng((seed, 777))
-    count = int(rng.integers(4, 9)) if n_events is None else n_events
+    count = int(rng.integers(4, 9))
     disturbances = []
     times = np.sort(rng.uniform(t_lo, t_hi, size=count))
     for time in times:
@@ -614,15 +595,17 @@ def make_disturbance_scenario(seed=0, duration=6.0, n_events=None):
         force = (mag * direction[0], mag * direction[1], 0.0)
         disturbances.append(Disturbance(float(time), float(rng.uniform(0.1, 0.3)),
                                         "torso_push", force, (0.0, 0.0, 0.0)))
-    return ScenarioConfig(duration=duration, seed=seed,
-                          disturbances=disturbances)
+    return dataclasses.replace(scenario, disturbances=disturbances)
 
 
-def make_object_scenario(seed=0, duration=5.0, height=0.03, foot=None,
-                         insert_time=1.0, remove_time=3.0, region="front"):
-    """Environment-adaptation scenario: a block is slid under one
-    forefoot and later yanked away (by default the desk biped's right
-    sole, the last of its `sole_frames`).
+OBJECT_HEIGHT = 0.03       # m, the block slid under the forefoot
+OBJECT_TIMES = (1.0, 3.0)  # s, when it is inserted and when removed
+
+
+def make_object_scenario(seed=0, duration=5.0):
+    """Environment-adaptation scenario: an `OBJECT_HEIGHT` block is slid
+    under the forefoot of the desk biped's right sole (the last of its
+    `sole_frames`) and yanked away, at the `OBJECT_TIMES`.
 
     The forefoot placement makes the terrain change adaptable through
     ankle compliance: a torque-controlled ankle yields and lets the
@@ -630,9 +613,9 @@ def make_object_scenario(seed=0, duration=5.0, height=0.03, foot=None,
     fights the constraint and levers the robot over.  The CoM reference
     is held still so the contrast is isolated to the ground change.
     """
-    foot = foot or desk_biped().sole_frames[-1]
-    events = [ObjectEvent(insert_time, foot, height, "insert", region=region),
-              ObjectEvent(remove_time, foot, height, "remove", region=region)]
+    foot = desk_biped().sole_frames[-1]
+    events = [ObjectEvent(time, foot, OBJECT_HEIGHT, action, region="front")
+              for time, action in zip(OBJECT_TIMES, ("insert", "remove"))]
     return ScenarioConfig(duration=duration, seed=seed,
                           com_amplitude=(0.0, 0.0, 0.0),
                           object_events=events)

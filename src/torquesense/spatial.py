@@ -66,9 +66,6 @@ class Transform:
         self.R = np.eye(3) if R is None else np.asarray(R, dtype=float)
         self.p = np.zeros(3) if p is None else np.asarray(p, dtype=float)
 
-    def __mul__(self, other):
-        return Transform(self.R @ other.R, self.R @ other.p + self.p)
-
     def homogeneous(self):
         H = np.empty((4, 4))
         H[:3, :3] = self.R

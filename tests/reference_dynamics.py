@@ -14,11 +14,10 @@ from torquesense.model import FOOT_CORNERS
 from torquesense.plant import Plant
 from torquesense.spatial import Transform, cross3, exp_so3
 
-from reference_spatial import (apply, cross_force, force_matrix, inverse,
-                               link_inertia, motion_matrix,
-                               rotation_about_axis,
-                               transform_force, transform_motion,
-                               transform_motion_inv)
+from reference_spatial import (apply, compose, cross_force, force_matrix,
+                               inverse, link_inertia, motion_matrix,
+                               rotation_about_axis, transform_force,
+                               transform_motion, transform_motion_inv)
 
 
 def joint_transforms(model, s):
@@ -36,7 +35,7 @@ def forward_kinematics(model, base_pose, s, Xs=None):
         Xs = joint_transforms(model, s)
     world = [base_pose]
     for link in model.links[1:]:
-        world.append(world[link.parent] * Xs[link.index])
+        world.append(compose(world[link.parent], Xs[link.index]))
     return world
 
 
@@ -143,16 +142,16 @@ def frame_jacobian(model, base_pose, s, frame_name):
     """6x(6+n) Jacobian mapping nu to the frame velocity in frame coordinates."""
     idx, offset = model.frame(frame_name)
     world = forward_kinematics(model, base_pose, s)
-    H_frame = world[idx] * offset
+    H_frame = compose(world[idx], offset)
 
     J = np.zeros((6, model.nv))
-    H_fb = inverse(H_frame) * base_pose
+    H_fb = compose(inverse(H_frame), base_pose)
     J[:, :6] = motion_matrix(H_fb)
     i = idx
     while i > 0:
         link = model.links[i]
         S = np.concatenate([np.zeros(3), link.axis])
-        H_fl = inverse(H_frame) * world[i]
+        H_fl = compose(inverse(H_frame), world[i])
         J[:, 6 + link.dof] = transform_motion(H_fl, S)
         i = link.parent
     return J
@@ -190,7 +189,7 @@ def contact_wrenches(plant, t, world, vels, counts=None):
     out = np.zeros((len(plant.model.sole_frames), 6))
     for k, frame in enumerate(plant.model.sole_frames):
         idx, offset = plant.model.frame(frame)
-        H = world[idx] * offset
+        H = compose(world[idx], offset)
         v_link = vels[idx]
         F_tot = np.zeros(3)
         N_tot = np.zeros(3)
@@ -226,7 +225,7 @@ def disturbance_wrenches(plant, t, world):
         if not (ev.time <= t < ev.time + ev.duration):
             continue
         idx, offset = plant.model.frame(ev.frame)
-        H = world[idx] * offset
+        H = compose(world[idx], offset)
         w = np.concatenate([H.R.T @ np.asarray(ev.force, dtype=float),
                             H.R.T @ np.asarray(ev.torque, dtype=float)])
         out.append((ev.frame, w))

@@ -18,6 +18,11 @@ def rotation_about_axis(axis, angle):
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
+def compose(a, b):
+    """H_ac from H_ab and H_bc."""
+    return Transform(a.R @ b.R, a.R @ b.p + a.p)
+
+
 def inverse(H):
     """H_ba, given H_ab."""
     Rt = H.R.T

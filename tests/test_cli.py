@@ -52,7 +52,8 @@ def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
 
 @pytest.mark.parametrize("scenario, message", [
     ("nominal", "ScenarioConfig.seed must be a nonnegative integer, got -1"),
-    ("disturbance", "expected non-negative integer"),
+    ("disturbance", "ScenarioConfig.seed must be a nonnegative integer, "
+     "got -1"),
 ], ids=["nominal", "disturbance"])
 def test_rejected_seed_of_a_builtin_scenario_exits_with_one_line(
         tmp_path, scenario, message):
@@ -152,6 +153,24 @@ def test_rejected_tuning_input_exits_with_one_line(tmp_path, t, extra,
     assert not (tmp_path / "out").exists()
 
 
+def test_tuned_gains_that_never_settle_exit_with_one_line(tmp_path,
+                                                          monkeypatch):
+    # the GA's bounds hold densities whose filter gain never settles;
+    # `run` would refuse such gains, so tune-kf writes none
+    path = tmp_path / "trace.csv"
+    x = np.round(np.sin(np.arange(200) * 0.01), 3)
+    write_trace(path, np.arange(200) * 1e-3, x, x)
+    monkeypatch.setattr(cli, "tune_kf", lambda *args, **kw: (
+        {"q_accel": 275.0, "q_jerk": 0.0284}, []))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tune-kf", "--trace", str(path), "--joint", "q0",
+                  "--out", str(tmp_path / "out")])
+    text = str(exc.value.code)
+    assert "q_accel=275, q_jerk=0.0284" in text and "does not settle" in text
+    assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("t,q0\n0.000,0.10\n0.001,\n",
      "line 3 column 'q0' holds '', not a number"),
@@ -210,6 +229,23 @@ def test_rejected_nets_file_exits_with_one_line(tmp_path, names, edit,
     assert message in text and str(nets_path) in text
     assert "\n" not in text
     assert not (tmp_path / "out").exists()
+
+
+def test_a_nets_file_is_checked_without_building_a_plant(tmp_path,
+                                                       monkeypatch):
+    # the joint names come from the scenario; a plant is built only to
+    # train nets
+    def no_plant(*args):
+        raise AssertionError("the CLI built a plant")
+
+    monkeypatch.setattr(cli, "Plant", no_plant)
+    nets_path = tmp_path / "nets.json"
+    pinn.save_nets(nets_path, untrained_nets(desk_biped().joint_names))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"duration": 0.55}))
+    assert cli.main(["run", "--scenario", str(path), "--mode", "UKF-PINN",
+                     "--nets", str(nets_path), "--out",
+                     str(tmp_path / "out")]) == 0
 
 
 def test_trained_nets_are_written_for_reuse(tmp_path, monkeypatch, capsys):

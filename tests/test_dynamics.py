@@ -21,7 +21,8 @@ from torquesense.model import RobotModel, desk_biped
 from torquesense.spatial import Transform, exp_so3, log_so3
 
 from reference_dynamics import forward_kinematics, link_states, mechanical_energy
-from reference_spatial import inverse, link_inertia, transform_motion_inv
+from reference_spatial import (compose, inverse, link_inertia,
+                               transform_motion_inv)
 
 
 def static_accel(model, base_pose):
@@ -179,7 +180,7 @@ def test_gravity_bias_matches_potential_gradient():
 
 def frame_transform(model, pose, s, frame):
     idx, offset = model.frame(frame)
-    return forward_kinematics(model, pose, s)[idx] * offset
+    return compose(forward_kinematics(model, pose, s)[idx], offset)
 
 
 def test_frame_jacobian_against_finite_differences():
@@ -322,7 +323,7 @@ def test_forward_kinematics_chain_composition():
     world = [Transform(h[:3, :3], h[:3, 3]) for h in fp.H]
     for link in model.links[1:]:
         # child world transform = parent world transform * joint transform
-        rel = inverse(world[link.parent]) * world[link.index]
-        recomposed = world[link.parent] * rel
+        rel = compose(inverse(world[link.parent]), world[link.index])
+        recomposed = compose(world[link.parent], rel)
         assert np.allclose(recomposed.homogeneous(),
                            world[link.index].homogeneous(), atol=1e-12)

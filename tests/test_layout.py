@@ -18,7 +18,9 @@ controller reads sensors: its `tick` takes one sensor bundle, and only
 its construction reads a plant state.  A scenario is checked where it
 is built: the plant's construction neither raises nor calls a plant
 module function that does, and no statement builds a plant only to see
-whether it raises.
+whether it raises.  A public function or method reads every parameter
+it takes, so no argument is accepted only to be dropped; a private
+method may share a dispatch signature with its siblings and is exempt.
 """
 
 import ast
@@ -235,3 +237,44 @@ def test_a_scenario_is_checked_where_it_is_built_not_by_the_plant():
                  and isinstance(node.value.func, ast.Name)
                  and node.value.func.id == "Plant"]
     assert discarded == []
+
+
+def is_public(name):
+    return not name.startswith("_") or name.endswith("__")
+
+
+def unread_parameters(fn, is_method):
+    """The parameters `fn` takes and never reads, after `self` or `cls`
+    for a method that is not static."""
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    names += [a.arg for a in (args.vararg, args.kwarg) if a]
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in fn.decorator_list)
+    if is_method and not static:
+        names = names[1:]
+    read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+    return [name for name in names if name not in read]
+
+
+def test_public_functions_read_every_parameter():
+    checked, unread = 0, []
+    for path, tree in parse(sorted(SRC.glob("*.py"))).items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and is_public(node.name):
+                functions = [(node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [(f"{node.name}.{m.name}", m, True)
+                             for m in node.body
+                             if isinstance(m, ast.FunctionDef)
+                             and is_public(m.name)]
+            else:
+                continue
+            for name, fn, is_method in functions:
+                checked += 1
+                unread += [f"{path.stem}.{name}: {arg}"
+                           for arg in unread_parameters(fn, is_method)]
+    assert checked > 100
+    assert unread == []
+

@@ -15,6 +15,7 @@ from torquesense.spatial import (
 
 from reference_spatial import (
     apply,
+    compose,
     cross_force,
     cross_motion,
     force_matrix,
@@ -99,10 +100,10 @@ def test_transform_compose_inverse_apply():
     B = random_transform(2)
     p = np.array([0.3, -1.2, 2.0])
     # composition agrees with homogeneous-matrix composition
-    assert np.allclose((A * B).homogeneous(), A.homogeneous() @ B.homogeneous())
-    assert np.allclose(apply(A * B, p), apply(A, apply(B, p)))
+    assert np.allclose(compose(A, B).homogeneous(), A.homogeneous() @ B.homogeneous())
+    assert np.allclose(apply(compose(A, B), p), apply(A, apply(B, p)))
     inv = inverse(A)
-    assert np.allclose((A * inv).homogeneous(), np.eye(4), atol=1e-12)
+    assert np.allclose(compose(A, inv).homogeneous(), np.eye(4), atol=1e-12)
     assert np.allclose(apply(inv, apply(A, p)), p, atol=1e-12)
 
 
