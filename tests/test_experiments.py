@@ -328,7 +328,7 @@ def test_object_scenario_construction():
 def test_friction_dataset_shapes_and_determinism():
     t1, mv1, jv1, fr1 = generate_friction_dataset(duration=0.5, seed=2)
     t2, mv2, jv2, fr2 = generate_friction_dataset(duration=0.5, seed=2)
-    assert len(t1) == len(mv1) == len(jv1) == len(fr1) == 500
+    assert len(t1) == 500
     assert np.array_equal(mv1, mv2)
     assert np.array_equal(jv1, jv2)
     assert np.array_equal(fr1, fr2)
@@ -337,6 +337,16 @@ def test_friction_dataset_shapes_and_determinism():
     # friction opposes the motion most of the time
     moving = np.abs(jv1) > 0.2
     assert np.mean(np.sign(fr1[moving]) == np.sign(jv1[moving])) > 0.9
+
+
+def test_friction_dataset_takes_its_length_from_the_scenario():
+    # the log holds one row per 1 ms step of the base-locked scenario
+    # built from `duration`, stamped with the time after that step
+    for duration, rows in ((0.02, 20), (0.035, 35)):
+        t, mv, jv, fr = generate_friction_dataset(duration=duration)
+        assert len(t) == len(mv) == len(jv) == len(fr) == rows
+        assert np.allclose(t, np.arange(1, rows + 1) * 1e-3, rtol=0,
+                           atol=1e-12)
 
 
 def test_disturbance_scenario_minimum_duration():
@@ -630,11 +640,24 @@ def test_balancer_runs_on_its_cadence_through_the_loop(monkeypatch, mode,
     assert balanced == ([] if every is None else ticks[::every])
 
 
-@pytest.mark.parametrize("step", [3e-3, 4e-3], ids=["3ms", "4ms"])
-def test_a_balancer_period_off_the_step_grid_is_rejected(step):
-    # neither 3 ms nor 4 ms divides the 10 ms balancer period
-    message = (re.escape(f"ScenarioConfig.step ({step:g} s) must divide "
-                         f"the 0.01 s balancer period into whole steps"))
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("step", [3e-3, 4e-3], ids=["333Hz", "250Hz"])
+def test_a_balancer_period_off_the_step_grid_is_rejected(monkeypatch, step):
+    # a 333 Hz or 250 Hz plant steps 3 or 4 ms, neither of which divides
+    # the 10 ms balancer period; the run is refused before its first step
+    def plant_step(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(Plant, "step", plant_step)
+    with pytest.raises(ValueError, match="balancer period"):
         run_scenario(ScenarioConfig(step=step, duration=0.01),
+                     ControlConfig(mode="Feedforward"))
+
+
+def test_rate_mismatch_names_the_control_setting():
+    # the balancer rate is fixed, so the message names the setting a
+    # scenario can change, with its value, and the period it must divide
+    message = re.escape("ScenarioConfig.step (0.003 s) must divide the "
+                        "0.01 s balancer period into whole steps")
+    with pytest.raises(ValueError, match=message):
+        run_scenario(ScenarioConfig(step=3e-3, duration=0.01),
                      ControlConfig(mode="Feedforward"))
