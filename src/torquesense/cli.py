@@ -11,6 +11,8 @@ Subcommands:
 A `run` or `sweep` in a mode that needs friction nets, given no
 `--nets` file, trains them and writes them to
 `<out>/friction_nets.json`; pass that file as `--nets` to reuse them.
+The filters' noise settings are package constants; a scenario file
+sets the plant, its sensors and the disturbances.
 
 Exit code is nonzero when a run falls or diverges, so sweeps can gate
 CI jobs directly.
@@ -25,11 +27,11 @@ import sys
 import numpy as np
 
 from . import pinn
-from .control import MODES, ControlConfig, needs_friction_nets
-from .experiments import (DEFAULT_KF_GAINS, check_duration, check_nets,
-                          default_friction_nets, generate_friction_dataset,
-                          make_disturbance_scenario, make_object_scenario,
-                          render_table, run_scenario, sweep_modes)
+from .control import MODES, needs_friction_nets
+from .experiments import (METRICS_COLUMNS, ScenarioRefused, check_duration,
+                          check_nets, default_friction_nets,
+                          generate_friction_dataset, make_disturbance_scenario,
+                          make_object_scenario, render_table, sweep_modes)
 from .ga import MIN_TRACE_SAMPLES, GaConfig, tune_kf
 from .kf import encoder_lsb, save_gains, steady_state_gain
 from .plant import Plant, ScenarioConfig
@@ -159,13 +161,20 @@ def _resolve_nets(args, scenario, modes):
     return nets
 
 
-def _cmd_run(args):
+def _run_modes(args, modes):
+    """The reports of `args.scenario` run in each of `modes`; a scenario
+    the run refuses exits with one line before the first plant step."""
     scenario = _load_scenario(args.scenario, args.seed)
-    nets = _resolve_nets(args, scenario, [args.mode])
-    control = ControlConfig(mode=args.mode)
-    report, _ = run_scenario(scenario, control, nets=nets,
-                             kf_gains=DEFAULT_KF_GAINS, out_dir=args.out,
-                             label=args.mode)
+    nets = _resolve_nets(args, scenario, modes)
+    try:
+        return sweep_modes(scenario, modes=modes, nets=nets, out_dir=args.out)
+    except ScenarioRefused as exc:
+        raise SystemExit(f"scenario {args.scenario} at --seed {args.seed} "
+                         f"rejected: {exc}") from None
+
+
+def _cmd_run(args):
+    (report,) = _run_modes(args, [args.mode])
     print(json.dumps(report, indent=2, sort_keys=True))
     if report["fell"] or report["diverged"]:
         print("run failed: robot fell or simulation diverged", file=sys.stderr)
@@ -174,13 +183,11 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    scenario = _load_scenario(args.scenario, args.seed)
     modes = list(MODES) if args.modes == "all" else args.modes.split(",")
     for m in modes:
         if m not in MODES:
             raise SystemExit(f"unknown mode {m!r}; valid: {', '.join(MODES)}")
-    nets = _resolve_nets(args, scenario, modes)
-    reports = sweep_modes(scenario, modes=modes, nets=nets, out_dir=args.out)
+    reports = _run_modes(args, modes)
     print(render_table(reports))
     failed = [r["mode"] for r in reports if r["fell"] or r["diverged"]]
     if failed:
@@ -195,7 +202,13 @@ def _cmd_report(args):
         raise SystemExit(f"no metrics.csv under {args.in_dir}")
     reports = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+        rows = csv.DictReader(fh)
+        # files written before the diverged column existed lack it
+        missing = [k for k in METRICS_COLUMNS
+                   if k != "diverged" and k not in (rows.fieldnames or ())]
+        if missing:
+            raise SystemExit(f"{path} lacks column(s) {', '.join(missing)}")
+        for row in rows:
             r = dict(row)
             # an empty cell is a metric with no samples (an early divergence)
             for k in ("torque_rmse_overall", "avg_abs_torque",
@@ -204,7 +217,7 @@ def _cmd_report(args):
             for k in ("com_mean_error_mm", "com_max_error_mm"):
                 r[k] = json.loads(r[k]) if r[k] else None
             r["fell"] = r["fell"] == "True"
-            if "diverged" in r:  # files written before the column existed lack it
+            if "diverged" in r:
                 r["diverged"] = r["diverged"] == "True"
             reports.append(r)
     table = render_table(reports)

@@ -66,6 +66,10 @@ NET_HIDDEN = 48          # width of both hidden layers
 NET_LAM = 0.3            # physics weight of the training loss
 
 
+class ScenarioRefused(ValueError):
+    """A scenario the controller cannot run, refused before the first step."""
+
+
 def check_duration(scenario):
     """Reject a scenario too short to leave samples after the burn-in."""
     steps = int(round(scenario.duration / scenario.step))
@@ -92,14 +96,21 @@ def check_nets(nets, joint_names):
                          f"joints are {', '.join(joint_names)}")
 
 
-def encoder_bank(scenario, state, gains):
-    """One filter bank over the 2n encoders of a plant at `state`:
-    joint positions (channels 0..n-1), then motor positions."""
-    n = len(state.s)
-    lsb = np.repeat([encoder_lsb(scenario.noise["joint_encoder_bits"]),
-                     encoder_lsb(scenario.noise["motor_encoder_bits"])], n)
-    return OnlineKf(scenario.step, lsb, **gains,
-                    x0=np.concatenate([state.s, state.motor_pos]))
+def encoder_bank(scenario, state):
+    """One filter bank with the `DEFAULT_KF_GAINS` densities over the 2n
+    encoders of a plant at `state`: joint positions (channels 0..n-1),
+    then motor positions.  Encoder resolutions in the scenario's `noise`
+    whose gains never settle at its step are refused, naming the keys."""
+    bits = {key: scenario.noise[key]
+            for key in ("joint_encoder_bits", "motor_encoder_bits")}
+    lsb = np.repeat([encoder_lsb(b) for b in bits.values()], len(state.s))
+    try:
+        return OnlineKf(scenario.step, lsb, **DEFAULT_KF_GAINS,
+                        x0=np.concatenate([state.s, state.motor_pos]))
+    except ValueError as exc:
+        given = ", ".join(f"{key} {b}" for key, b in bits.items())
+        raise ScenarioRefused(f"ScenarioConfig.noise ({given}) at the "
+                              f"{scenario.step:g} s step: {exc}") from None
 
 
 def generate_friction_dataset(duration=6.0, seed=0):
@@ -120,7 +131,7 @@ def generate_friction_dataset(duration=6.0, seed=0):
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0, 2 * np.pi, size=(n, 3))
     freqs = np.array([0.3, 0.9, 1.7])
-    encoders = encoder_bank(scenario, st, DEFAULT_KF_GAINS)
+    encoders = encoder_bank(scenario, st)
     steps = int(round(scenario.duration / scenario.step))
     t_log = np.empty(steps)
     mv_log = np.empty(steps)
@@ -235,30 +246,30 @@ def _first_disturbance_time(scenario):
 class Controller:
     """The controller side of the closed loop, wired once from the mode's
     row of `control.WIRING`: encoder filters, attitude and torque filters
-    or RNEA feedback, friction nets, torque PI loop or position PD.
+    or RNEA feedback, friction nets (which the torque filter then reads
+    too), torque PI loop or position PD.
     `tick` turns one sensor sample into the next step's currents;
     `balance` refreshes the desired torques every `balance_every` ticks
     (0: never; the balancer period, 1 / `control.HIGH_RATE`, over the
     plant step) from the plant's true base pose and twist and joint
-    positions, given by name.  A plant step that does not divide the
-    balancer period into whole ticks is rejected."""
+    positions, given by name.  It raises `ScenarioRefused` for a plant
+    step that does not divide the balancer period into whole ticks or at
+    which the encoder filters never settle."""
 
-    def __init__(self, plant, initial_state, mode, nets=None, kf_gains=None):
+    def __init__(self, plant, initial_state, mode, nets=None):
         scenario, model, n = plant.config, plant.model, plant.n
         wiring = WIRING[mode]
         dt = scenario.step
         high_dt = 1.0 / HIGH_RATE
         every = int(round(high_dt / dt))
         if every < 1 or not np.isclose(every * dt, high_dt):
-            raise ValueError(
+            raise ScenarioRefused(
                 f"ScenarioConfig.step ({dt:g} s) must divide the "
                 f"{high_dt:g} s balancer period into whole steps")
         self.balance_every = every if wiring.balancer else 0
         self.model, self.dt, self.n = model, dt, n
         self.reduction = plant.reduction
-        self.encoders = encoder_bank(
-            scenario, initial_state,
-            DEFAULT_KF_GAINS if kf_gains is None else kf_gains)
+        self.encoders = encoder_bank(scenario, initial_state)
         self.s0, self.com0 = initial_state.s.copy(), initial_state.com.copy()
         self.amp = np.asarray(scenario.com_amplitude, dtype=float)
         self.omega_ref = 2.0 * np.pi * scenario.com_frequency
@@ -283,7 +294,8 @@ class Controller:
         if wiring.feedback:
             self.att = ComplementaryAttitude(R0=initial_state.base_R.copy())
         if wiring.feedback == "filter":
-            self.ukf = TorqueUkf(model, plant.reduction, plant.k_t, dt)
+            self.ukf = TorqueUkf(model, plant.reduction, plant.k_t, dt,
+                                 friction=wiring.friction_nets)
             self.belief = self.ukf.initial_belief()
         self.imu_offset = model.frame(model.imu_frame)[1].p  # in the base
         self._feedback = {None: Controller._nothing,
@@ -336,8 +348,8 @@ class Controller:
     def _ukf_feedback(self, sensors, s, acc, tau_f):
         R = self.att.update(sensors.imu_acc, sensors.imu_gyro, self.dt)
         z = self.ukf.assemble_measurement(
-            self.sdot, sensors.currents, sensors.ft, sensors.imu_acc,
-            sensors.imu_gyro, tau_f_pinn=tau_f)
+            self.sdot, sensors.currents, tau_f, sensors.ft, sensors.imu_acc,
+            sensors.imu_gyro)
         self.belief = self.ukf.step(self.belief, s, R, z)
         return self.ukf.joint_torque_estimate(self.belief.mean)
 
@@ -359,18 +371,18 @@ class Controller:
         return self.law(self.s0, mpos, mvel)
 
 
-def run_scenario(scenario, control, nets=None, kf_gains=None, out_dir=None,
-                 label=None):
+def run_scenario(scenario, control, nets=None, out_dir=None, label=None):
     """Run one closed-loop scenario; returns (report dict, RunLog).
 
     The loop steps the plant, hands each sensor sample to a `Controller`
     (`nets` maps joint names to friction nets) and logs the plant's
-    truth; a step the plant cannot integrate ends the run as diverged.
-    With `out_dir`, the run CSV, report JSON and a metrics CSV row are
-    written there under `label`."""
+    truth; a step the plant cannot integrate ends the run as diverged,
+    and a scenario the `Controller` refuses raises `ScenarioRefused`
+    before the first step.  With `out_dir`, the run CSV, report JSON
+    and a metrics CSV row are written there under `label`."""
     plant = Plant(scenario)
     st = plant.initial_state()
-    controller = Controller(plant, st, control.mode, nets, kf_gains)
+    controller = Controller(plant, st, control.mode, nets)
     check_duration(scenario)
     steps = int(round(scenario.duration / scenario.step))
     log = RunLog.allocate(steps, plant.n)
@@ -573,10 +585,11 @@ def render_table(reports):
 def make_disturbance_scenario(seed=0, duration=6.0):
     """Standard unmeasured-push scenario: random torso shoves.
 
-    Pushes hit the torso frame (not instrumented by any FT sensor) with
-    magnitude 10-40 N, duration 0.1-0.3 s, 4-8 events, all drawn from
-    the seed.  Pushes start between 1.0 s and 0.6 s before the end, so
-    `duration` must be at least 1.6 s.  The seed and duration are
+    Pushes hit the desk biped's `push_frame` on the torso (not
+    instrumented by any FT sensor) with magnitude 10-40 N, duration
+    0.1-0.3 s, 4-8 events, all drawn from the seed.  Pushes start
+    between 1.0 s and 0.6 s before the end, so `duration` must be at
+    least 1.6 s.  The seed and duration are
     checked, as `ScenarioConfig` fields, before anything is drawn.
     """
     scenario = ScenarioConfig(duration=duration, seed=seed)
@@ -584,6 +597,7 @@ def make_disturbance_scenario(seed=0, duration=6.0):
     if t_hi < t_lo:
         raise ValueError(f"disturbance scenario duration must be at least "
                          f"1.6 s, got {duration}")
+    frame = desk_biped().push_frame
     rng = np.random.default_rng((seed, 777))
     count = int(rng.integers(4, 9))
     disturbances = []
@@ -594,7 +608,7 @@ def make_disturbance_scenario(seed=0, duration=6.0):
         direction = direction / (np.linalg.norm(direction) + 1e-12)
         force = (mag * direction[0], mag * direction[1], 0.0)
         disturbances.append(Disturbance(float(time), float(rng.uniform(0.1, 0.3)),
-                                        "torso_push", force, (0.0, 0.0, 0.0)))
+                                        frame, force, (0.0, 0.0, 0.0)))
     return dataclasses.replace(scenario, disturbances=disturbances)
 
 

@@ -153,8 +153,7 @@ def steady_state_gain(dt, lsb, q_accel, q_jerk):
                         for v in (q_accel, q_jerk, lsb))
         raise ValueError(
             f"the encoder-filter gain for q_accel={qa:g}, q_jerk={qj:g} at "
-            f"lsb {step:g} rad does not settle within 20000 steps; choose "
-            f"other densities")
+            f"lsb {step:g} rad does not settle within 20000 steps")
     return G[-1].T
 
 

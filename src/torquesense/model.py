@@ -106,8 +106,9 @@ class LinkArrays:
 class RobotModel:
     """Immutable floating-base kinematic tree built from a link table
     (see the module docstring).  Its sensor wiring names added frames:
-    the contact `sole_frames`, the `ft_frames` (FT k sits at sole k) and
-    the base `imu_frame`; a bare table has none of them.
+    the contact `sole_frames`, the `ft_frames` (FT k sits at sole k), the
+    base `imu_frame` and the `push_frame` external pushes act at; a bare
+    table has none of them.
 
     Raises ValueError for a row whose parent is not an earlier row, a
     repeated link or joint name, a nonpositive mass, an inertia that is
@@ -148,7 +149,8 @@ class RobotModel:
         self.nv = 6 + self.ndof
         self.sensor_frames = {}
         self._frame_stacks = {}
-        self.sole_frames, self.ft_frames, self.imu_frame = (), (), None
+        self.sole_frames, self.ft_frames = (), ()
+        self.imu_frame = self.push_frame = None
         self.total_mass = sum(l.mass for l in self.links)
         self.arrays = LinkArrays(self.links)
 
@@ -234,7 +236,7 @@ STANDING_HEIGHT = 0.50
 
 def desk_biped():
     """Desk-scale biped wired with two soles, an FT sensor at each sole
-    and a waist IMU, plus the `torso_push` frame disturbances act at."""
+    and a waist IMU, plus the torso `push_frame` disturbances act at."""
     model = RobotModel(DESK_BIPED)
     for side in ("left", "right"):
         sole = Transform(p=np.array([0.02, 0.0, -SOLE_DROP]))
@@ -245,4 +247,5 @@ def desk_biped():
     model.sole_frames = ("left_sole", "right_sole")
     model.ft_frames = ("left_foot_ft", "right_foot_ft")
     model.imu_frame = "waist_imu"
+    model.push_frame = "torso_push"
     return model

@@ -31,12 +31,14 @@ def exp_so3(w):
     The Rodrigues form I + sin(angle) K + (1 - cos(angle)) K^2 with K
     the skew matrix of the unit axis, written out on Python floats; below
     an angle of 1e-12 it is the series I + K + K^2 / 2 with K the skew
-    matrix of `w` itself.
+    matrix of `w` itself.  An angle that overflows raises FloatingPointError.
     """
     x, y, z = np.asarray(w, dtype=float).tolist()
     angle = math.sqrt(x * x + y * y + z * z)
     if angle < 1e-12:
         s, c = 1.0, 0.5
+    elif angle == math.inf:
+        raise FloatingPointError("rotation angle overflows")
     else:
         x, y, z = x / angle, y / angle, z / angle
         s, c = math.sin(angle), 1.0 - math.cos(angle)

@@ -7,7 +7,9 @@ velocities propagate through the articulated dynamics; every other
 block is a random walk (constant over one step).  Friction predictions
 from the learned friction nets enter as direct measurements of the
 friction-torque block, which is what lets the filter separate motor
-torque from load torque without joint torque sensing.
+torque from load torque without joint torque sensing; a filter is built
+with or without that channel, once.  The noise of each block is a
+module constant, read only by the block table in `TorqueUkf`.
 
 The estimator is the paper's unscented Kalman filter.  With the
 dynamics terms (mass matrix, bias, Jacobians) evaluated once per step
@@ -24,7 +26,6 @@ form it replaces lives in the tests as the reference it is checked
 against.
 """
 
-from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -34,37 +35,22 @@ from .dynamics import crba, forward_pass, frame_jacobian
 from .spatial import Transform, cross3, exp_so3
 
 
-@dataclass
-class UkfConfig:
-    """Noise densities and the frame the external wrench acts at."""
-    ext_frame: str = "torso_push"
-    # process noise std per sqrt(step) for each block
-    q_sdot: float = 0.05
-    q_tau_m: float = 2.0
-    q_tau_f: float = 1.0
-    q_ft: float = 10.0
-    q_ext: float = 30.0
-    q_alpha: float = 0.5
-    q_omega: float = 0.05
-    # measurement noise std per channel
-    r_sdot: float = 0.02
-    r_current: float = 0.005
-    r_tau_f: float = 0.2
-    r_ft_force: float = 0.5
-    r_ft_torque: float = 0.05
-    r_imu_acc: float = 0.02
-    r_imu_gyro: float = 0.002
-
-    def __post_init__(self):
-        # the update needs a positive definite measurement noise R
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name.startswith("r_") and not v > 0.0:
-                raise ValueError(f"UkfConfig.{f.name} must be positive, got {v}")
-            if f.name.startswith("q_") and not v >= 0.0:
-                raise ValueError(
-                    f"UkfConfig.{f.name} must be nonnegative, got {v}")
-
+# process noise: each block's random-walk std per sqrt(s), Q = q^2 dt
+Q_SDOT = 0.05           # joint velocities, rad/s
+Q_TAU_M = 2.0           # motor torques, N*m
+Q_TAU_F = 1.0           # friction torques, N*m
+Q_FT = 10.0             # foot wrenches, N and N*m
+Q_EXT = 30.0            # external wrench, N and N*m
+Q_ALPHA = 0.5           # base proper acceleration, m/s^2
+Q_OMEGA = 0.05          # base angular velocity, rad/s
+# measurement-noise std of each channel
+R_SDOT = 0.02           # rad/s, encoder-filter joint velocity
+R_CURRENT = 0.005       # A
+R_TAU_F = 0.2           # N*m, friction-net estimate
+R_FT_FORCE = 0.5        # N
+R_FT_TORQUE = 0.05      # N*m
+R_IMU_ACC = 0.02        # m/s^2
+R_IMU_GYRO = 0.002      # rad/s
 
 # share of the accelerometer tilt error corrected per IMU sample
 ATTITUDE_GAIN = 0.05
@@ -103,58 +89,48 @@ class Belief(NamedTuple):
 class TorqueUkf:
     """Torque filter bound to one robot model and motor parameter set.
 
-    It reads the model's `ft_frames` and `imu_frame`, channels in state
-    block order: [sdot, I_m, tau_F, f_FT, alpha, omega], tau_F optional.
+    It reads the model's `ft_frames`, `imu_frame` and `push_frame` (the
+    external wrench acts there), and one channel set, in state block
+    order: [sdot, I_m, tau_F, f_FT, alpha, omega], the friction-net
+    estimates tau_F only when built with `friction`.  The noise of every
+    block is the module's Q_* and R_* constants.
     """
 
-    def __init__(self, model, gear_ratio, k_t, dt, config=None):
+    def __init__(self, model, gear_ratio, k_t, dt, friction):
         self.model = model
-        self.config = config or UkfConfig()
         self.dt = float(dt)
-        n = model.ndof
-        self.n = n
+        self.n = n = model.ndof
         self.gear_torque = np.asarray(gear_ratio, float) * np.asarray(k_t, float)
-        cfg = self.config
         idx, self.imu_offset = model.frame(model.imu_frame)
         if idx != 0:
             raise ValueError("IMU frame must sit on the base link")
         # the state blocks: name, size, process-noise std, and measurement-
         # noise std per channel (None: no sensor reads the block)
-        ft_r = np.tile(np.repeat([cfg.r_ft_force, cfg.r_ft_torque], 3),
+        ft_r = np.tile(np.repeat([R_FT_FORCE, R_FT_TORQUE], 3),
                        len(model.ft_frames))
-        blocks = [("sdot", n, cfg.q_sdot, cfg.r_sdot),
-                  ("tau_m", n, cfg.q_tau_m, cfg.r_current),
-                  ("tau_f", n, cfg.q_tau_f, cfg.r_tau_f),
-                  ("f_ft", ft_r.size, cfg.q_ft, ft_r),
-                  ("f_ext", 6, cfg.q_ext, None),
-                  ("alpha", 3, cfg.q_alpha, cfg.r_imu_acc),
-                  ("omega", 3, cfg.q_omega, cfg.r_imu_gyro)]
+        blocks = [("sdot", n, Q_SDOT, R_SDOT),
+                  ("tau_m", n, Q_TAU_M, R_CURRENT),
+                  ("tau_f", n, Q_TAU_F, R_TAU_F if friction else None),
+                  ("f_ft", ft_r.size, Q_FT, ft_r),
+                  ("f_ext", 6, Q_EXT, None),
+                  ("alpha", 3, Q_ALPHA, R_IMU_ACC),
+                  ("omega", 3, Q_OMEGA, R_IMU_GYRO)]
         ends = list(accumulate(size for _, size, _, _ in blocks))
         self.slices = {name: slice(end - size, end)
                        for (name, size, _, _), end in zip(blocks, ends)}
         self.dim = d = ends[-1]
         self._measured = [name for name, _, _, r in blocks if r is not None]
         q = np.concatenate([np.full(size, q_std) for _, size, q_std, _ in blocks])
-        r = np.concatenate([np.full(size, np.nan) if r_std is None
-                            else np.broadcast_to(r_std, size)
-                            for _, size, _, r_std in blocks])
+        r2 = np.concatenate([np.broadcast_to(r_std, size) for _, size, _, r_std
+                             in blocks if r_std is not None]) ** 2
         self.Q = np.diag((q * np.sqrt(self.dt)) ** 2)
-        # H, R and 1/R with and without friction, keyed by channel count
         eye = np.eye(d)
-        read = np.flatnonzero(~np.isnan(r))
-        f = self.slices["tau_f"]
-        self._channels = {}
-        for rows in (read, read[(read < f.start) | (read >= f.stop)]):
-            H = eye[rows]
-            H[:, self.slices["tau_m"]] /= self.gear_torque  # I_m = tau_m / (N k_t)
-            r2 = r[rows] ** 2
-            self._channels[len(rows)] = (H, np.diag(r2), 1.0 / r2)
-        if len(self._channels) != 2:
-            raise ValueError("TorqueUkf needs a model with joints to tell "
-                             "its two channel sets apart by length")
+        self.H = eye[np.r_[tuple(self.slices[b] for b in self._measured)]]
+        self.H[:, self.slices["tau_m"]] /= self.gear_torque  # I_m = tau_m / (N k_t)
+        self.R, self._R_inv = np.diag(r2), 1.0 / r2
         self._prior_jitter = 1e-6 * eye
         self._made = None  # the belief the last step returned
-        self._wrench_frames = tuple(model.ft_frames) + (cfg.ext_frame,)
+        self._wrench_frames = tuple(model.ft_frames) + (model.push_frame,)
         model.frame_stack(self._wrench_frames)  # FrameError if one is unknown
         self._wrench_cols = slice(self.slices["f_ft"].start,
                                   self.slices["f_ext"].stop)
@@ -164,10 +140,8 @@ class TorqueUkf:
 
     def initial_belief(self):
         """Zero mean, and a broad diagonal covariance scaled from Q."""
-        mean = np.zeros(self.dim)
-        scale = np.diag(self.Q).copy()
-        cov = np.diag(np.maximum(scale * 100.0, 1e-4))
-        return Belief(mean, cov, np.zeros(3))
+        cov = np.diag(np.maximum(np.diag(self.Q) * 100.0, 1e-4))
+        return Belief(np.zeros(self.dim), cov, np.zeros(3))
 
     # -- model terms -------------------------------------------------
 
@@ -211,18 +185,17 @@ class TorqueUkf:
         x[self.slices["sdot"]] += G @ x + c
         return x
 
-    def assemble_measurement(self, sdot_meas, currents, ft, imu_acc, imu_gyro,
-                             tau_f_pinn=None):
+    def assemble_measurement(self, sdot_meas, currents, tau_f_pinn, ft,
+                             imu_acc, imu_gyro):
         """Stack raw sensor values into the measurement vector.
 
         `ft` holds the (k, 6) FT wrenches in the model's `ft_frames`
-        order.  Passing tau_f_pinn=None leaves the friction channel out.
+        order.  Only a filter built with `friction` reads `tau_f_pinn`.
         """
         readings = {"sdot": sdot_meas, "tau_m": currents, "tau_f": tau_f_pinn,
                     "f_ft": ft, "alpha": imu_acc, "omega": imu_gyro}
         return np.concatenate([np.ravel(readings[name])
-                               for name in self._measured
-                               if readings[name] is not None])
+                               for name in self._measured])
 
     # -- filter step -------------------------------------------------
 
@@ -231,12 +204,11 @@ class TorqueUkf:
 
         `s` are the joint positions (filter input), `base_R` the base
         attitude from the IMU attitude source, `measurement` the output
-        of assemble_measurement, with or without the friction channel
-        (its length tells which).  The result depends on the arguments
-        only.  A prior covariance that is not positive semi-definite
-        (within a 1e-6 jitter) raises ArithmeticError; the belief the
-        filter's last step returned is one by construction and is not
-        factored again.
+        of assemble_measurement; one of another length raises
+        ValueError.  The result depends on the arguments only.  A prior
+        covariance that is not positive semi-definite (within a 1e-6
+        jitter) raises ArithmeticError; the belief the filter's last
+        step returned is one by construction and is not factored again.
 
         The update is the array (square-root) form of the Kalman update
         (Morf & Kailath, "Square-root algorithms for least-squares
@@ -244,13 +216,9 @@ class TorqueUkf:
         stacked array gives the gain, the posterior covariance factor
         and the whitened innovation.
         """
-        m, d = len(measurement), self.dim
-        if m not in self._channels:
-            with_f, without_f = sorted(self._channels, reverse=True)
-            raise ValueError(
-                f"measurement has {m} channels, expected {with_f} with the "
-                f"friction channel or {without_f} without it")
-        H, R, R_inv = self._channels[m]
+        H, m, d = self.H, len(measurement), self.dim
+        if m != len(H):
+            raise ValueError(f"{m} measurement channels, expected {len(H)}")
         mean, cov, base_lin_vel = belief
         # the update factors only the predicted covariance, which Q pads,
         # so a prior that is no covariance could pass on silently.  The
@@ -290,11 +258,11 @@ class TorqueUkf:
         HP = H @ cov_p
         nu = measurement - H @ mean_p
         A = np.zeros((m + d + 1, m + d + 1))
-        A[:m, :m] = HP @ H.T + R
+        A[:m, :m] = HP @ H.T + self.R
         A[m:-1, :m] = HP.T
         A[m:-1, m:-1] = cov_p
         A[-1, :m] = nu
-        A[-1, -1] = 1.0 + 2.0 * nu @ (nu * R_inv)
+        A[-1, -1] = 1.0 + 2.0 * nu @ (nu * self._R_inv)
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:

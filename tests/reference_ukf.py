@@ -7,9 +7,10 @@ from the predicted belief and pushed through the measurement model.
 Both maps are affine, so the unscented transform is exact and
 `TorqueUkf.step`, the closed-form linear update, must agree with it to
 rounding; `test_ukf.py` checks that.  `measurement_model` and
-`measurement_noise` spell the channel layout out block by block, apart
-from the filter's block table, and `test_ukf.py` checks the table's H
-and R against them.
+`measurement_noise` spell the channel layout and its noise out block by
+block, and `step_terms` the frame the external wrench acts at, apart
+from the filter's block table and its constants; `test_ukf.py` checks
+the table's H and R against them.
 """
 
 import numpy as np
@@ -67,7 +68,8 @@ def unscented_moments(points, wm, wc):
 
 def measurement_model(ukf, points, friction=True):
     """Predicted measurements [sdot, I_m, tau_F, f_FT, alpha, omega], one
-    row per point; without the tau_F channel unless `friction`."""
+    row per point; without the tau_F channel unless `friction` (the
+    channel set of a filter built without it)."""
     sl = ukf.slices
     pts = np.atleast_2d(points)
     blocks = [pts[:, sl["sdot"]], pts[:, sl["tau_m"]] / ukf.gear_torque]
@@ -78,30 +80,42 @@ def measurement_model(ukf, points, friction=True):
 
 
 def measurement_noise(ukf, friction=True):
-    """The diagonal measurement-noise covariance of `measurement_model`."""
-    cfg, n = ukf.config, ukf.n
-    r = [np.full(n, cfg.r_sdot), np.full(n, cfg.r_current)]
+    """The diagonal measurement-noise covariance of `measurement_model`:
+    encoder-filter velocity 0.02 rad/s, current 0.005 A, friction-net
+    estimate 0.2 N*m, FT force 0.5 N and torque 0.05 N*m, accelerometer
+    0.02 m/s^2 and gyro 0.002 rad/s (standard deviations)."""
+    n = ukf.n
+    r = [np.full(n, 0.02), np.full(n, 0.005)]
     if friction:
-        r.append(np.full(n, cfg.r_tau_f))
-    per_ft = np.concatenate([np.full(3, cfg.r_ft_force),
-                             np.full(3, cfg.r_ft_torque)])
+        r.append(np.full(n, 0.2))
+    per_ft = np.concatenate([np.full(3, 0.5), np.full(3, 0.05)])
     r.append(np.tile(per_ft, len(ukf.model.ft_frames)))
-    r.append(np.full(3, cfg.r_imu_acc))
-    r.append(np.full(3, cfg.r_imu_gyro))
+    r.append(np.full(3, 0.02))
+    r.append(np.full(3, 0.002))
     return np.diag(np.concatenate(r) ** 2)
+
+
+# the frame the filter's external wrench acts at, by model: the desk
+# biped's torso push frame and the test pendulum's base frame
+PUSH_FRAMES = ("torso_push", "push")
+
+
+def push_frame(model):
+    """The one `PUSH_FRAMES` entry `model` has."""
+    (name,) = [f for f in PUSH_FRAMES if f in model.sensor_frames]
+    return name
 
 
 def step_terms(ukf, s, base_R, mean, base_lin_vel):
     """Dynamics matrices evaluated once per step at the prior mean."""
     model = ukf.model
-    cfg = ukf.config
     base_pose = Transform(base_R, np.zeros(3))
     omega = mean[ukf.slices["omega"]]
     nu = np.concatenate([base_lin_vel, omega, mean[ukf.slices["sdot"]]])
     fp = forward_pass(model, base_pose, s, nu)
     M = crba(fp)
     C = fp.inverse_dynamics()[6:]
-    names = tuple(model.ft_frames) + (cfg.ext_frame,)
+    names = tuple(model.ft_frames) + (push_frame(model),)
     jac = dict(zip(names, frame_jacobian(fp, names)[:, :, 6:]))
     return {"Minv": np.linalg.inv(M[6:, 6:]), "Msb": M[6:, :6], "C": C,
             "jac": jac, "omega": omega, "base_lin_vel": base_lin_vel}
@@ -122,7 +136,7 @@ def process_model(ukf, points, terms):
     rhs -= a_g @ terms["Msb"].T
     for k, name in enumerate(ukf.model.ft_frames):
         rhs += pts[:, sl["f_ft"]][:, 6 * k:6 * k + 6] @ terms["jac"][name]
-    rhs += pts[:, sl["f_ext"]] @ terms["jac"][ukf.config.ext_frame]
+    rhs += pts[:, sl["f_ext"]] @ terms["jac"][push_frame(ukf.model)]
     pts[:, sl["sdot"]] += ukf.dt * (rhs @ terms["Minv"].T)
     return pts
 

@@ -109,6 +109,54 @@ def test_report_loads_metrics_written_without_the_diverged_column(tmp_path,
     assert row.startswith("| Feedforward | 0.5 |")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("scenario, message", [
+    ({"noise": {"joint_encoder_bits": 30}},
+     "ScenarioConfig.noise (joint_encoder_bits 30, motor_encoder_bits 16) "
+     "at the 0.001 s step: the encoder-filter gain "
+     "for q_accel=0.001, q_jerk=200 at lsb 5.85167e-09 rad does not settle "
+     "within 20000 steps"),
+    ({"step": 0.003, "sensor_rate": 1 / 0.003},
+     "ScenarioConfig.step (0.003 s) must divide the 0.01 s balancer period "
+     "into whole steps"),
+], ids=["encoder", "balancer"])
+def test_a_scenario_the_run_refuses_exits_with_one_line(
+        tmp_path, monkeypatch, command, scenario, message):
+    # a 30-bit joint encoder at a 1 ms step, whose filter gain never
+    # settles, or a step off the balancer's grid: both used to end in a
+    # traceback; the run refuses them before its first plant step
+    def step(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli.Plant, "step", step)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(scenario, duration=0.55)))
+    args = [command, "--scenario", str(path), "--out", str(tmp_path / "out")]
+    args += ["--mode" if command == "run" else "--modes", "Feedforward"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert str(exc.value.code) == (f"scenario {path} at --seed 0 rejected: "
+                                   f"{message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("header, missing", [
+    ("mode,seed", "config_hash, torque_rmse_overall, avg_abs_torque, "
+     "peak_abs_torque, fell, fall_time, com_mean_error_mm, com_max_error_mm"),
+    ("", "mode, seed, config_hash, torque_rmse_overall, avg_abs_torque, "
+     "peak_abs_torque, fell, fall_time, com_mean_error_mm, com_max_error_mm"),
+], ids=["short", "empty"])
+def test_report_rejects_a_metrics_file_without_its_columns(tmp_path, header,
+                                                           missing):
+    # used to end in KeyError: 'torque_rmse_overall'
+    path = tmp_path / "metrics.csv"
+    path.write_text(header + "\n" + ("Feedforward,0\n" if header else ""))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(tmp_path)])
+    assert str(exc.value.code) == f"{path} lacks column(s) {missing}"
+    assert not (tmp_path / "report.md").exists()
+
+
 def test_run_ukf_nocomp_trains_no_friction_nets(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"duration": 0.55}))

@@ -30,6 +30,7 @@ from torquesense.experiments import (
     render_table,
     run_scenario,
     RunLog,
+    ScenarioRefused,
     scalability_sweep,
     sweep_modes,
     write_metrics_csv,
@@ -37,7 +38,8 @@ from torquesense.experiments import (
 from torquesense.kf import encoder_lsb, filter_trace
 from torquesense.friction import ScvParams
 from torquesense.model import desk_biped
-from torquesense.plant import Disturbance, Plant, ScenarioConfig
+from torquesense.plant import (Disturbance, Plant, ScenarioConfig,
+                               SimulationDiverged)
 from torquesense.ukf import ComplementaryAttitude
 
 SHORT = dict(duration=1.2, seed=0)
@@ -186,13 +188,21 @@ def test_encoder_gains_computed_once_per_distinct_lsb(monkeypatch):
 
 
 def test_gains_that_never_settle_are_rejected_before_the_run(monkeypatch):
+    # a 30-bit joint encoder at a 1 ms step: the filter gain at the
+    # default densities never settles, and the message names the
+    # scenario keys that set the resolutions
     def step(*args):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(Plant, "step", step)
-    with pytest.raises(ValueError, match="q_accel=275, q_jerk=0.0284 at lsb"):
-        run_scenario(ScenarioConfig(**SHORT), ControlConfig(mode="Feedforward"),
-                     kf_gains={"q_accel": 275.0, "q_jerk": 0.0284})
+    message = re.escape(
+        "ScenarioConfig.noise (joint_encoder_bits 30, motor_encoder_bits "
+        "16) at the 0.001 s step: the encoder-filter gain "
+        "for q_accel=0.001, q_jerk=200 at lsb 5.85167e-09 rad does not "
+        "settle within 20000 steps")
+    with pytest.raises(ScenarioRefused, match=message + "$"):
+        run_scenario(ScenarioConfig(**SHORT, noise={"joint_encoder_bits": 30}),
+                     ControlConfig(mode="Feedforward"))
 
 
 def test_run_scenario_requires_nets_for_estimating_modes():
@@ -533,6 +543,31 @@ def test_a_push_the_plant_cannot_integrate_ends_as_a_diverged_report(
     assert (report["peak_abs_torque"] is None) == (len(log.t) == 0)
 
 
+def test_a_step_too_long_for_the_transmission_ends_as_a_diverged_report(
+        monkeypatch):
+    # at 5 ms the elastic transmission's stage states grow until a
+    # stage's base rotation overflows; that used to end the run in
+    # "ValueError: math domain error" from exp_so3
+    diverged = []
+    step = Plant.step
+
+    def recorded(self, state, currents):
+        try:
+            return step(self, state, currents)
+        except SimulationDiverged as exc:
+            diverged.append((state.t, exc.time))
+            raise
+
+    monkeypatch.setattr(Plant, "step", recorded)
+    report, log = run_scenario(ScenarioConfig(step=5e-3, duration=0.55),
+                               ControlConfig(mode="Feedforward"))
+    assert report["diverged"] and report["fell"]
+    # the step after the last logged tick diverged, at its end time
+    [(start, end)] = diverged
+    assert 0.0 < start == log.t[-1] < 0.55
+    assert end == pytest.approx(start + 5e-3)
+
+
 def test_a_diverged_log_holds_exactly_the_ticks_it_completed(diverged_run):
     force, scenario, _, log = diverged_run
     rows = DIVERGING_PUSHES[force]
@@ -648,7 +683,7 @@ def test_a_balancer_period_off_the_step_grid_is_rejected(monkeypatch, step):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(Plant, "step", plant_step)
-    with pytest.raises(ValueError, match="balancer period"):
+    with pytest.raises(ScenarioRefused, match="balancer period"):
         run_scenario(ScenarioConfig(step=step, duration=0.01),
                      ControlConfig(mode="Feedforward"))
 

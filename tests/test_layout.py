@@ -11,7 +11,8 @@ as used too; its own tests do not.  A `_`-prefixed name is private to
 its module: a name another module imports is public, and is named so.
 The package imports nothing but numpy and the standard library, the one
 dependency `pyproject.toml` declares.  The robot description owns the
-sensor wiring: no other module spells a sole, FT or IMU frame name.
+sensor wiring: no other module spells a sole, FT, IMU or push frame
+name.
 The control module's mode table owns the modes' wiring: no other module
 spells a mode name or compares a mode string.  The closed-loop
 controller reads sensors: its `tick` takes one sensor bundle, and only
@@ -129,8 +130,9 @@ def test_imports_are_numpy_stdlib_or_the_package():
 
 def test_only_the_model_names_the_sensor_frames():
     model = desk_biped()
-    wiring = {*model.sole_frames, *model.ft_frames, model.imu_frame}
-    assert len(wiring) == 5
+    wiring = {*model.sole_frames, *model.ft_frames, model.imu_frame,
+              model.push_frame}
+    assert len(wiring) == 6
     spelt = [f"{path.stem}: {node.value!r}"
              for path, tree in parse(sorted(SRC.glob("*.py"))).items()
              if path.stem != "model" for node in ast.walk(tree)

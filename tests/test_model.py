@@ -113,6 +113,7 @@ def test_desk_biped_ft_sensors_sit_at_their_soles():
     assert model.sole_frames == ("left_sole", "right_sole")
     assert model.ft_frames == ("left_foot_ft", "right_foot_ft")
     assert model.imu_frame == "waist_imu"
+    assert model.push_frame == "torso_push"
     for sole, ft in zip(model.sole_frames, model.ft_frames, strict=True):
         (sole_link, sole_offset), (ft_link, ft_offset) = map(model.frame,
                                                              (sole, ft))

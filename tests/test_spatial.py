@@ -83,6 +83,14 @@ def test_exp_so3_small_angle():
     assert np.allclose(log_so3(np.eye(3)), 0.0)
 
 
+def test_exp_so3_rejects_an_angle_that_overflows():
+    # finite components whose squares overflow: math.sin(inf) used to
+    # raise "ValueError: math domain error"
+    with pytest.raises(FloatingPointError, match="overflows"):
+        exp_so3(np.array([1e160, 0.0, -1e160]))
+    assert np.all(np.isfinite(exp_so3(np.array([1e150, 0.0, 0.0]))))
+
+
 def test_exp_so3_closed_form_matches_rodrigues():
     # the closed form on floats against the matrix form of
     # rotation_about_axis, from far below the series threshold to just

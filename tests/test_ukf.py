@@ -9,7 +9,7 @@ from reference_ukf import (measurement_model, measurement_noise,
                            unscented_moments)
 from torquesense.model import FrameError, RobotModel, desk_biped
 from torquesense.spatial import Transform, exp_so3
-from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf, UkfConfig
+from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf
 
 
 def random_spd(dim, seed, scale=1.0):
@@ -23,13 +23,18 @@ def wire_imu(model):
     model.add_frame("imu", "base", Transform())
     model.add_frame("push", "base", Transform())
     model.imu_frame = "imu"
+    model.push_frame = "push"
     return model
 
 
-def pendulum_ukf(dt=1e-3, config=None):
-    cfg = config or UkfConfig(ext_frame="push")
-    return TorqueUkf(wire_imu(pendulum()), gear_ratio=100.0, k_t=0.1, dt=dt,
-                     config=cfg)
+def pendulum_ukf(friction=True):
+    return TorqueUkf(wire_imu(pendulum()), gear_ratio=100.0, k_t=0.1,
+                     dt=1e-3, friction=friction)
+
+
+def biped_ukf(friction=True):
+    return TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3,
+                     friction=friction)
 
 
 def test_merwe_weights_sum():
@@ -108,81 +113,74 @@ def test_step_factors_only_a_prior_it_did_not_make(monkeypatch):
     assert sizes == [ukf.dim, array_form]
 
 
-def test_step_rejects_an_innovation_covariance_that_is_no_covariance():
-    ukf = pendulum_ukf(config=UkfConfig(ext_frame="push", q_omega=1e-3,
-                                        r_imu_gyro=1e-4))
+def made_belief(ukf):
+    """The belief a first step returned, and that step's measurement.
+
+    The next step does not check a belief its filter made, so a prior
+    reshaped in place in its arrays reaches the array form, which no
+    prior within the check's 1e-6 jitter makes fail at the filter's
+    process and measurement noise.
+    """
     belief = ukf.initial_belief()
     z = measurement_model(ukf, belief.mean)[0]
-    cov = belief.cov.copy()
+    return ukf.step(belief, np.zeros(1), np.eye(3), z), z
+
+
+def test_step_rejects_an_innovation_covariance_that_is_no_covariance():
+    ukf = pendulum_ukf()
+    made, z = made_belief(ukf)
     om = ukf.slices["omega"]
-    cov[om, :] = 0.0
-    cov[:, om] = 0.0
-    # inside the 1e-6 jitter the prior check allows, but larger than the
-    # gyro's process and measurement variances together
-    cov[om.start, om.start] = -5e-7
+    made.cov[om, :] = 0.0
+    made.cov[:, om] = 0.0
+    # more negative than the gyro's process and measurement variances
+    # together
+    made.cov[om.start, om.start] = -1.0
     with pytest.raises(ArithmeticError,
                        match="innovation covariance not positive definite"):
-        ukf.step(belief._replace(cov=cov), np.zeros(1), np.eye(3), z)
+        ukf.step(made, np.zeros(1), np.eye(3), z)
 
 
 def test_step_rejects_a_posterior_that_is_no_covariance():
     # the same prior variance on the external wrench, which no channel
-    # measures directly and which no process noise pads: the innovation
-    # covariance stays positive definite, the posterior does not
-    ukf = pendulum_ukf(config=UkfConfig(ext_frame="push", q_ext=0.0))
-    belief = ukf.initial_belief()
-    z = measurement_model(ukf, belief.mean)[0]
-    cov = belief.cov.copy()
+    # measures and which the pendulum's base push frame keeps out of the
+    # joint velocity: beyond its process noise, the innovation covariance
+    # stays positive definite, the posterior does not
+    ukf = pendulum_ukf()
+    made, z = made_belief(ukf)
     ext = ukf.slices["f_ext"]
-    cov[ext, :] = 0.0
-    cov[:, ext] = 0.0
-    cov[ext.start, ext.start] = -5e-7
+    made.cov[ext, :] = 0.0
+    made.cov[:, ext] = 0.0
+    made.cov[ext.start, ext.start] = -1.0
     with pytest.raises(ArithmeticError,
                        match="posterior covariance not positive definite"):
-        ukf.step(belief._replace(cov=cov), np.zeros(1), np.eye(3), z)
+        ukf.step(made, np.zeros(1), np.eye(3), z)
 
 
 def jointless():
-    """A floating base alone: with no joints there is no friction channel
-    to tell the two channel sets apart."""
+    """A floating base alone: its filter reads the IMU's 6 channels."""
     return wire_imu(RobotModel([("base", None, None, None, None, 5.0,
                                  (0.0, 0.0, 0.0), 0.1 * np.eye(3))]))
 
 
-# the desk biped reads 42 channels with friction and 34 without
-WRONG_LENGTH = ("measurement has {} channels, expected 42 with the friction "
-                "channel or 34 without it")
-
-
-@pytest.mark.parametrize("model, channels, message", [
-    pytest.param(desk_biped, 43, WRONG_LENGTH.format(43), id="long-friction"),
-    pytest.param(desk_biped, 35, WRONG_LENGTH.format(35), id="long-masked"),
-    pytest.param(desk_biped, 41, WRONG_LENGTH.format(41), id="short-friction"),
-    pytest.param(desk_biped, 33, WRONG_LENGTH.format(33), id="short-masked"),
-    pytest.param(jointless, 12, "needs a model with joints", id="no-joints"),
+# the desk biped reads 42 channels with friction and 34 without; a model
+# with no joints builds its one channel set too
+@pytest.mark.parametrize("model, friction, channels, expected", [
+    pytest.param(desk_biped, True, 43, 42, id="long-friction"),
+    pytest.param(desk_biped, False, 35, 34, id="long-masked"),
+    pytest.param(desk_biped, True, 41, 42, id="short-friction"),
+    pytest.param(desk_biped, False, 33, 34, id="short-masked"),
+    pytest.param(desk_biped, True, 34, 42, id="masked-to-friction"),
+    pytest.param(desk_biped, False, 42, 34, id="friction-to-masked"),
+    pytest.param(jointless, True, 12, 6, id="no-joints"),
 ])
-def test_step_rejects_a_measurement_of_the_wrong_length(model, channels,
-                                                        message):
-    with pytest.raises(ValueError, match=message):
-        ukf = TorqueUkf(model(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+def test_step_rejects_a_measurement_of_the_wrong_length(model, friction,
+                                                        channels, expected):
+    ukf = TorqueUkf(model(), gear_ratio=100.0, k_t=0.1, dt=1e-3,
+                    friction=friction)
+    with pytest.raises(ValueError, match=f"^{channels} measurement channels, "
+                       f"expected {expected}$"):
         ukf.step(ukf.initial_belief(), np.zeros(ukf.n), np.eye(3),
                  np.zeros(channels))
-
-
-@pytest.mark.parametrize("field, value", [
-    ("r_sdot", 0.0), ("r_imu_gyro", -0.002), ("r_tau_f", np.nan),
-    ("q_ext", -1.0), ("q_omega", np.nan)])
-def test_config_rejects_bad_noise_settings(field, value):
-    with pytest.raises(ValueError, match=f"UkfConfig.{field} must be"):
-        UkfConfig(**{field: value})
-
-
-def test_config_allows_a_zero_process_noise():
-    ukf = pendulum_ukf(config=UkfConfig(ext_frame="push", q_ext=0.0))
-    belief = ukf.initial_belief()
-    z = measurement_model(ukf, belief.mean)[0]
-    m, c, _ = ukf.step(belief, np.zeros(1), np.eye(3), z)
-    assert np.all(np.isfinite(m)) and np.all(np.isfinite(c))
 
 
 def relative_error(value, reference):
@@ -198,7 +196,7 @@ def relative_error(value, reference):
 @pytest.mark.parametrize("alpha, mean_tol", [(1.0, 1e-9), (1e-3, 1e-8)])
 @pytest.mark.parametrize("friction", [True, False], ids=["friction", "masked"])
 def test_step_matches_sigma_point_reference(alpha, mean_tol, friction):
-    ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+    ukf = biped_ukf(friction)
     r = np.random.default_rng(0)
     belief = ukf.initial_belief()
     A = r.normal(size=(ukf.dim, ukf.dim))
@@ -218,7 +216,7 @@ def test_step_matches_sigma_point_reference(alpha, mean_tol, friction):
 
 
 def test_step_is_a_function_of_its_inputs():
-    ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+    ukf = biped_ukf()
     r = np.random.default_rng(1)
     belief = ukf.initial_belief()
     belief = ukf.step(belief, r.normal(scale=0.3, size=ukf.n), np.eye(3),
@@ -231,7 +229,7 @@ def test_step_is_a_function_of_its_inputs():
     first = ukf.step(belief, s, base_R, z)
     second = ukf.step(belief, s, base_R, z)
     # a second filter on the same model, run from a copy of the belief
-    other = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+    other = biped_ukf()
     third = other.step(copy, s, base_R, z)
     for a, b, c in zip(first, second, third):
         assert np.array_equal(a, b) and np.array_equal(a, c)
@@ -252,44 +250,49 @@ def test_complementary_attitude_converges_to_tilt():
 
 
 def test_state_layout_and_dimensions():
-    ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
     n = 8
-    assert ukf.dim == n * 3 + 6 * 2 + 6 + 3 + 3
-    mean, cov, base_lin_vel = ukf.initial_belief()
-    assert mean.shape == (ukf.dim,)
-    assert np.min(np.linalg.eigvalsh(cov)) > 0.0
-    assert np.array_equal(base_lin_vel, np.zeros(3))
-    assert measurement_model(ukf, mean).shape[1] == n + n + n + 12 + 3 + 3
-    # the channel sets built from the block table are the layout spelt
-    # out block by block, with and without friction
-    eye = np.eye(ukf.dim)
     for friction in (True, False):
-        H = measurement_model(ukf, eye, friction).T
+        ukf = biped_ukf(friction)
+        assert ukf.dim == n * 3 + 6 * 2 + 6 + 3 + 3
+        mean, cov, base_lin_vel = ukf.initial_belief()
+        assert mean.shape == (ukf.dim,)
+        assert np.min(np.linalg.eigvalsh(cov)) > 0.0
+        assert np.array_equal(base_lin_vel, np.zeros(3))
+        # the one channel set built from the block table is the layout
+        # spelt out block by block, with the friction channel only if the
+        # filter is built with it
+        H = measurement_model(ukf, np.eye(ukf.dim), friction).T
         R = measurement_noise(ukf, friction)
-        H_table, R_table, R_inv = ukf._channels[len(H)]
-        assert np.array_equal(H_table, H) and np.array_equal(R_table, R)
-        assert np.array_equal(R_inv, 1.0 / np.diag(R))
-    assert len(ukf._channels) == 2
+        assert len(H) == n + n + n * friction + 12 + 3 + 3
+        assert np.array_equal(ukf.H, H) and np.array_equal(ukf.R, R)
+        assert np.array_equal(ukf._R_inv, 1.0 / np.diag(R))
+    # friction or not, the states and their process noise are the same
+    assert np.array_equal(ukf.Q, biped_ukf().Q)
 
 
 def test_imu_frame_must_be_on_base():
     model = desk_biped()
-    model.imu_frame = "torso_push"
+    model.imu_frame = model.push_frame
     with pytest.raises(ValueError, match="base"):
-        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3)
+        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, friction=True)
 
 
 def test_wrench_frames_are_resolved_when_the_filter_is_built():
     # an unknown external-wrench frame used to build and raise FrameError
     # at the first step
+    model = desk_biped()
+    model.push_frame = "nope"
     with pytest.raises(FrameError, match="unknown frame 'nope'"):
-        TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3,
-                  config=UkfConfig(ext_frame="nope"))
+        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, friction=True)
     model = wire_imu(pendulum())
     model.ft_frames = ("ft",)
     with pytest.raises(FrameError, match="unknown frame 'ft'"):
-        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3,
-                  config=UkfConfig(ext_frame="push"))
+        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, friction=True)
+    # a model that declares no push frame has no frame for the wrench
+    model = wire_imu(pendulum())
+    model.push_frame = None
+    with pytest.raises(FrameError, match="unknown frame 'None'"):
+        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, friction=True)
 
 
 def test_process_model_only_advances_velocities():
@@ -306,17 +309,20 @@ def test_process_model_only_advances_velocities():
 
 
 def test_assemble_measurement_matches_model_layout():
-    ukf = TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3)
+    ukf = biped_ukf()
     n = ukf.n
     ft = np.arange(12.0).reshape(2, 6)
-    z = ukf.assemble_measurement(np.ones(n), 0.5 * np.ones(n), ft,
-                                 np.zeros(3), np.zeros(3),
-                                 tau_f_pinn=2.0 * np.ones(n))
+    z = ukf.assemble_measurement(np.ones(n), 0.5 * np.ones(n),
+                                 2.0 * np.ones(n), ft, np.zeros(3),
+                                 np.zeros(3))
     assert len(z) == measurement_model(ukf, np.zeros(ukf.dim)).shape[1]
     assert np.array_equal(z[2 * n:3 * n], 2.0 * np.ones(n))
-    z_masked = ukf.assemble_measurement(np.ones(n), 0.5 * np.ones(n), ft,
-                                        np.zeros(3), np.zeros(3))
-    assert len(z_masked) == len(z) - n
+    # a filter built without the friction channel does not read it
+    masked = biped_ukf(friction=False)
+    z_masked = masked.assemble_measurement(np.ones(n), 0.5 * np.ones(n),
+                                           None, ft, np.zeros(3),
+                                           np.zeros(3))
+    assert np.array_equal(z_masked, np.delete(z, np.s_[2 * n:3 * n]))
     # FT wrenches appear in the model's ft_frames order
     assert np.array_equal(z[3 * n:3 * n + 12], np.arange(12.0))
 
@@ -378,16 +384,21 @@ def test_covariance_stays_psd_under_filtering():
 
 
 def test_masked_step_ignores_friction_measurement():
-    ukf = pendulum_ukf()
+    ukf = pendulum_ukf(friction=False)
     truth = static_pendulum_truth(ukf)
-    z_masked = ukf.assemble_measurement(
-        truth[ukf.slices["sdot"]],
-        truth[ukf.slices["tau_m"]] / ukf.gear_torque, np.zeros((0, 6)),
-        truth[ukf.slices["alpha"]], truth[ukf.slices["omega"]])
-    m1 = ukf.step(ukf.initial_belief(), np.zeros(1), np.eye(3), z_masked).mean
-    # a wildly different friction prior would change the unmasked update;
-    # with the channel masked, the friction state only moves through the
-    # dynamics coupling, so the masked update must not depend on any
-    # friction measurement value at all
-    assert np.all(np.isfinite(m1))
+
+    def measure(tau_f):
+        return ukf.assemble_measurement(
+            truth[ukf.slices["sdot"]],
+            truth[ukf.slices["tau_m"]] / ukf.gear_torque, tau_f,
+            np.zeros((0, 6)), truth[ukf.slices["alpha"]],
+            truth[ukf.slices["omega"]])
+
+    z_masked = measure(None)
     assert len(z_masked) == ukf.n * 2 + 3 + 3
+    # with the channel masked, the friction state only moves through the
+    # dynamics coupling, so the update does not depend on any friction
+    # measurement value at all
+    assert np.array_equal(measure(1e6 * np.ones(ukf.n)), z_masked)
+    m1 = ukf.step(ukf.initial_belief(), np.zeros(1), np.eye(3), z_masked).mean
+    assert np.all(np.isfinite(m1))
