@@ -12,7 +12,10 @@ A `run` or `sweep` in a mode that needs friction nets, given no
 `--nets` file, trains them and writes them to
 `<out>/friction_nets.json`; pass that file as `--nets` to reuse them.
 The filters' noise settings are package constants; a scenario file
-sets the plant, its sensors and the disturbances.
+sets the plant, its sensors and the disturbances.  It uses the keys
+`ScenarioConfig` has, in the form `ScenarioConfig.to_dict` writes; a
+key that only an older version read is refused in one line, as is a
+scenario the run would refuse, before any net is trained.
 
 Exit code is nonzero when a run falls or diverges, so sweeps can gate
 CI jobs directly.
@@ -28,10 +31,10 @@ import numpy as np
 
 from . import pinn
 from .control import MODES, needs_friction_nets
-from .experiments import (METRICS_COLUMNS, ScenarioRefused, check_duration,
-                          check_nets, default_friction_nets,
-                          generate_friction_dataset, make_disturbance_scenario,
-                          make_object_scenario, render_table, sweep_modes)
+from .experiments import (METRICS_COLUMNS, check_nets, check_runnable,
+                          default_friction_nets, generate_friction_dataset,
+                          make_disturbance_scenario, make_object_scenario,
+                          render_table, sweep_modes)
 from .ga import MIN_TRACE_SAMPLES, GaConfig, tune_kf
 from .kf import encoder_lsb, save_gains, steady_state_gain
 from .plant import Plant, ScenarioConfig
@@ -113,7 +116,8 @@ _BUILTIN_SCENARIOS = {"nominal": ScenarioConfig,
 
 
 def _load_scenario(spec, seed):
-    """A scenario from a JSON file path or a builtin name, at `seed`."""
+    """A scenario from a JSON file path or a builtin name, at `seed`; one
+    the run would refuse exits with one line."""
     if spec not in _BUILTIN_SCENARIOS and not os.path.exists(spec):
         raise SystemExit(
             f"scenario file not found: {spec} "
@@ -123,9 +127,8 @@ def _load_scenario(spec, seed):
             scenario = _BUILTIN_SCENARIOS[spec](seed=seed)
         else:
             with open(spec, "r", encoding="utf-8") as fh:
-                scenario = ScenarioConfig.from_dict({**json.load(fh),
-                                                     "seed": seed})
-        check_duration(scenario)
+                scenario = ScenarioConfig(**{**json.load(fh), "seed": seed})
+        check_runnable(scenario)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"scenario {spec} at --seed {seed} rejected: "
                          f"{exc}") from None
@@ -162,15 +165,10 @@ def _resolve_nets(args, scenario, modes):
 
 
 def _run_modes(args, modes):
-    """The reports of `args.scenario` run in each of `modes`; a scenario
-    the run refuses exits with one line before the first plant step."""
+    """The reports of `args.scenario` run in each of `modes`."""
     scenario = _load_scenario(args.scenario, args.seed)
     nets = _resolve_nets(args, scenario, modes)
-    try:
-        return sweep_modes(scenario, modes=modes, nets=nets, out_dir=args.out)
-    except ScenarioRefused as exc:
-        raise SystemExit(f"scenario {args.scenario} at --seed {args.seed} "
-                         f"rejected: {exc}") from None
+    return sweep_modes(scenario, modes=modes, nets=nets, out_dir=args.out)
 
 
 def _cmd_run(args):

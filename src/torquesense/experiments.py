@@ -96,21 +96,45 @@ def check_nets(nets, joint_names):
                          f"joints are {', '.join(joint_names)}")
 
 
-def encoder_bank(scenario, state):
+def balancer_ticks(scenario):
+    """Plant steps per balancer period (1 / `control.HIGH_RATE`) at the
+    scenario's step; a step that does not divide the period into whole
+    steps is refused."""
+    dt, high_dt = scenario.step, 1.0 / HIGH_RATE
+    every = int(round(high_dt / dt))
+    if every < 1 or not np.isclose(every * dt, high_dt):
+        raise ScenarioRefused(
+            f"ScenarioConfig.step ({dt:g} s) must divide the "
+            f"{high_dt:g} s balancer period into whole steps")
+    return every
+
+
+def encoder_bank(scenario, start):
     """One filter bank with the `DEFAULT_KF_GAINS` densities over the 2n
-    encoders of a plant at `state`: joint positions (channels 0..n-1),
-    then motor positions.  Encoder resolutions in the scenario's `noise`
-    whose gains never settle at its step are refused, naming the keys."""
+    encoders of the scenario's plant, at rest at `start`: joint positions
+    (channels 0..n-1), then motor positions, or one value for all.
+    Encoder resolutions in the scenario's `noise` whose gains never
+    settle at its step are refused, naming the keys."""
     bits = {key: scenario.noise[key]
             for key in ("joint_encoder_bits", "motor_encoder_bits")}
-    lsb = np.repeat([encoder_lsb(b) for b in bits.values()], len(state.s))
+    lsb = np.repeat([encoder_lsb(b) for b in bits.values()],
+                    len(scenario.actuators))
     try:
-        return OnlineKf(scenario.step, lsb, **DEFAULT_KF_GAINS,
-                        x0=np.concatenate([state.s, state.motor_pos]))
+        return OnlineKf(scenario.step, lsb, **DEFAULT_KF_GAINS, x0=start)
     except ValueError as exc:
         given = ", ".join(f"{key} {b}" for key, b in bits.items())
         raise ScenarioRefused(f"ScenarioConfig.noise ({given}) at the "
                               f"{scenario.step:g} s step: {exc}") from None
+
+
+def check_runnable(scenario):
+    """Raise what `run_scenario` would raise before its first step: a
+    ValueError for a scenario too short for the metrics, and the
+    `ScenarioRefused` of `balancer_ticks` and `encoder_bank`.  Builds no
+    plant, so a caller can check a scenario before it trains nets."""
+    check_duration(scenario)
+    balancer_ticks(scenario)
+    encoder_bank(scenario, 0.0)
 
 
 def generate_friction_dataset(duration=6.0, seed=0):
@@ -131,7 +155,7 @@ def generate_friction_dataset(duration=6.0, seed=0):
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0, 2 * np.pi, size=(n, 3))
     freqs = np.array([0.3, 0.9, 1.7])
-    encoders = encoder_bank(scenario, st)
+    encoders = encoder_bank(scenario, np.concatenate([st.s, st.motor_pos]))
     steps = int(round(scenario.duration / scenario.step))
     t_log = np.empty(steps)
     mv_log = np.empty(steps)
@@ -155,7 +179,7 @@ def train_friction_net(dataset, scv, seed=0, epochs=40):
     net = pinn.FrictionNet(NET_BUFFER_LEN, NET_HIDDEN, NET_HIDDEN, NET_LAM,
                            scv, seed=seed)
     pinn.train(net, pinn.build_samples(*dataset, NET_BUFFER_LEN),
-               epochs=epochs, batch_size=64, learning_rate=2e-3, seed=seed)
+               epochs=epochs, seed=seed)
     return net
 
 
@@ -254,22 +278,19 @@ class Controller:
     plant step) from the plant's true base pose and twist and joint
     positions, given by name.  It raises `ScenarioRefused` for a plant
     step that does not divide the balancer period into whole ticks or at
-    which the encoder filters never settle."""
+    which the encoder filters never settle (`balancer_ticks`,
+    `encoder_bank`)."""
 
     def __init__(self, plant, initial_state, mode, nets=None):
         scenario, model, n = plant.config, plant.model, plant.n
         wiring = WIRING[mode]
         dt = scenario.step
-        high_dt = 1.0 / HIGH_RATE
-        every = int(round(high_dt / dt))
-        if every < 1 or not np.isclose(every * dt, high_dt):
-            raise ScenarioRefused(
-                f"ScenarioConfig.step ({dt:g} s) must divide the "
-                f"{high_dt:g} s balancer period into whole steps")
+        every = balancer_ticks(scenario)
         self.balance_every = every if wiring.balancer else 0
         self.model, self.dt, self.n = model, dt, n
         self.reduction = plant.reduction
-        self.encoders = encoder_bank(scenario, initial_state)
+        self.encoders = encoder_bank(scenario, np.concatenate(
+            [initial_state.s, initial_state.motor_pos]))
         self.s0, self.com0 = initial_state.s.copy(), initial_state.com.copy()
         self.amp = np.asarray(scenario.com_amplitude, dtype=float)
         self.omega_ref = 2.0 * np.pi * scenario.com_frequency

@@ -122,7 +122,8 @@ def optimize(config, fitness):
     return best_genes, history
 
 
-DEFAULT_FITNESS_WEIGHTS = (1.0, 0.1, 10.0, 1.0)
+# (jerk, acceleration, alignment, integration) weights of `kf_fitness`
+FITNESS_WEIGHTS = (1.0, 0.1, 10.0, 1.0)
 
 
 def _mean_square(d):
@@ -131,7 +132,7 @@ def _mean_square(d):
     return np.mean(d, axis=-1)
 
 
-def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
+def kf_fitness(genes, trace, dt, lsb):
     """Score (q_accel, q_jerk) candidates on an encoder position trace.
 
     `genes` is one candidate or a (P, 2) stack; the score is a float or
@@ -139,13 +140,13 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
     negative density scores -inf.
 
     Score = -(w1*jerk term + w2*accel term + w3*position-alignment term
-    + w4*velocity/position integration-inconsistency term); larger is
-    better.  Each term is dimensionless: jerk and acceleration are
-    measured relative to what plain finite differencing of the trace
-    produces, alignment relative to the quantization variance, so the
-    default weights behave the same across signal scales.  The jerk and
-    acceleration terms are the smoothness target; alignment keeps the
-    estimate pinned to the measured positions.
+    + w4*velocity/position integration-inconsistency term), with the
+    `FITNESS_WEIGHTS`; larger is better.  Each term is dimensionless:
+    jerk and acceleration are measured relative to what plain finite
+    differencing of the trace produces, alignment relative to the
+    quantization variance, so the weights behave the same across signal
+    scales.  The jerk and acceleration terms are the smoothness target;
+    alignment keeps the estimate pinned to the measured positions.
     """
     z = np.asarray(trace, dtype=float)
     if len(z) < MIN_TRACE_SAMPLES:
@@ -174,7 +175,7 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
         acc_ref = np.mean(fd_acc ** 2) + eps
         align_ref = quantization_variance(lsb) + eps
         integ_ref = np.mean(v ** 2, axis=-1) + eps
-        w1, w2, w3, w4 = weights
+        w1, w2, w3, w4 = FITNESS_WEIGHTS
         # alignment is penalized only beyond the quantization floor: the
         # truth-tracking estimate necessarily differs from the measured
         # staircase by the quantization error itself
@@ -187,7 +188,7 @@ def kf_fitness(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
     return scores if genes.ndim == 2 else scores[0]
 
 
-def tune_kf(trace, dt, lsb, config, weights=DEFAULT_FITNESS_WEIGHTS):
+def tune_kf(trace, dt, lsb, config):
     """GA-tune (q_accel, q_jerk) for one encoder channel.
 
     The densities span many decades, so the genes are log10 of the
@@ -203,8 +204,7 @@ def tune_kf(trace, dt, lsb, config, weights=DEFAULT_FITNESS_WEIGHTS):
         new = {k: row for k, row in zip(keys, pop) if k not in scores}
         if new:
             genes = np.array(list(new.values()))
-            scores.update(zip(new, kf_fitness(10.0 ** genes, trace, dt, lsb,
-                                              weights)))
+            scores.update(zip(new, kf_fitness(10.0 ** genes, trace, dt, lsb)))
         return np.array([scores[k] for k in keys])
 
     best, history = optimize(config, fitness)

@@ -17,9 +17,10 @@ Convergence rule.  The covariance recursion does not depend on the data
 ch. 3), so it runs once for the whole batch, ahead of the mean
 recursion, `GAIN_BLOCK` steps at a time with no test between steps.
 After each block, every member freezes its gain at the first step k
-where |K_k - K_(k-1)|_1 < 1e-14, comparing across block edges too; K_k
-serves every later sample.  No block follows the one in which the last
-member freezes, and at most one block of gains is held at a time.
+where |K_k - K_(k-1)|_1 < `GAIN_TOL` (1e-14), comparing across block
+edges too; K_k serves every later sample.  No block follows the one in
+which the last member freezes, and at most one block of gains is held
+at a time.
 """
 
 import itertools
@@ -28,6 +29,7 @@ import json
 import numpy as np
 
 GAIN_BLOCK = 64  # gains per pass of the recursion between convergence tests
+GAIN_TOL = 1e-14  # |K_k - K_(k-1)|_1 below which a member's gain freezes
 
 
 def encoder_lsb(bits):
@@ -69,7 +71,7 @@ def process_noise(dt, q_accel, q_jerk):
     return Qa + Qj
 
 
-def _gain_blocks(dt, Q, r, n_steps, tol=1e-14):
+def _gain_blocks(dt, Q, r, n_steps):
     """Yield ((L, 3, B) block, (B,) frozen mask) for successive samples.
 
     `Q` is (B, 3, 3) or (3, 3) shared, `r` is (B,).  The covariance
@@ -117,9 +119,9 @@ def _gain_blocks(dt, Q, r, n_steps, tol=1e-14):
             np.add(P, P_T, out=tmp)
             np.multiply(tmp, 0.5, out=P)
         # row k of G reads row min(k, last[b]) for member b: last is the
-        # first row within tol of the row before for a member that
+        # first row within GAIN_TOL of the row before for a member that
         # freezes here, and 0 (its held gain) for one frozen before
-        hit = np.abs(np.diff(G, axis=0)).sum(axis=1) < tol
+        hit = np.abs(np.diff(G, axis=0)).sum(axis=1) < GAIN_TOL
         hit[:, frozen] = False
         new = hit.any(axis=0)
         last = np.where(new, hit.argmax(axis=0) + 1, L)

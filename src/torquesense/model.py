@@ -105,10 +105,10 @@ class LinkArrays:
 
 class RobotModel:
     """Immutable floating-base kinematic tree built from a link table
-    (see the module docstring).  Its sensor wiring names added frames:
-    the contact `sole_frames`, the `ft_frames` (FT k sits at sole k), the
-    base `imu_frame` and the `push_frame` external pushes act at; a bare
-    table has none of them.
+    (see the module docstring), under `gravity` (m/s^2, world frame).
+    Its sensor wiring names added frames: the contact `sole_frames`, the
+    `ft_frames` (FT k sits at sole k), the base `imu_frame` and the
+    `push_frame` external pushes act at; a bare table has none of them.
 
     Raises ValueError for a row whose parent is not an earlier row, a
     repeated link or joint name, a nonpositive mass, an inertia that is
@@ -234,10 +234,11 @@ SOLE_DROP = 0.05
 STANDING_HEIGHT = 0.50
 
 
-def desk_biped():
-    """Desk-scale biped wired with two soles, an FT sensor at each sole
-    and a waist IMU, plus the torso `push_frame` disturbances act at."""
-    model = RobotModel(DESK_BIPED)
+def desk_biped(gravity=(0.0, 0.0, -9.81)):
+    """Desk-scale biped under `gravity` (m/s^2, world frame), wired with
+    two soles, an FT sensor at each sole and a waist IMU, plus the torso
+    `push_frame` disturbances act at."""
+    model = RobotModel(DESK_BIPED, gravity)
     for side in ("left", "right"):
         sole = Transform(p=np.array([0.02, 0.0, -SOLE_DROP]))
         model.add_frame(f"{side}_sole", f"{side}_foot", sole)

@@ -33,6 +33,8 @@ from .friction import ScvParams, scv_friction
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LEARNING_RATE = 2e-3    # Adam step size
+BATCH_SIZE = 64         # samples per mini-batch
 # `predict_bounded` clips to this multiple of the SCV envelope
 BOUND_MARGIN = 1.5
 
@@ -172,8 +174,7 @@ def loss_and_grads(net, X, targets, phys):
 class AdamState:
     """Adam optimizer state for one FrictionNet: moments shaped like `theta`."""
 
-    def __init__(self, net, learning_rate=1e-3):
-        self.lr = learning_rate
+    def __init__(self, net):
         self.step_count = 0
         self.m = np.zeros_like(net.theta)
         self.v = np.zeros_like(net.theta)
@@ -195,7 +196,7 @@ def _step(net, X, targets, phys, opt):
     opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grad * grad
     mhat = opt.m / b1c
     vhat = opt.v / b2c
-    net.theta -= opt.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    net.theta -= LEARNING_RATE * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return float(loss)
 
 
@@ -237,16 +238,15 @@ def _sample_arrays(samples):
     return motor, joint, targets
 
 
-def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0):
-    """Mini-batch Adam training on (motor, joint, target); returns
-    per-epoch mean losses.
+def train(net, samples, epochs=20, seed=0):
+    """Mini-batch Adam training on (motor, joint, target), `BATCH_SIZE`
+    samples a batch at the `LEARNING_RATE`; returns per-epoch mean
+    losses.
 
     The input normalization is fitted to the set, then the features and
     both targets of every sample are built once; each shuffled
     mini-batch is a row gather from them.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     motor, joint, targets = _sample_arrays(samples)
     raw = net._raw_features(motor, joint)
     net.norm_mean = raw.mean(axis=0)
@@ -254,15 +254,15 @@ def train(net, samples, epochs=20, batch_size=64, learning_rate=1e-3, seed=0):
     net.norm_std = np.where(std > 1e-8, std, 1.0)
     X = (raw - net.norm_mean) / net.norm_std
     phys = physics_targets(net, motor)
-    opt = AdamState(net, learning_rate=learning_rate)
+    opt = AdamState(net)
     rng = np.random.default_rng(seed)
     losses = []
     idx = np.arange(len(targets))
     for _ in range(epochs):
         rng.shuffle(idx)
         epoch = []
-        for start in range(0, len(idx), batch_size):
-            rows = idx[start:start + batch_size]
+        for start in range(0, len(idx), BATCH_SIZE):
+            rows = idx[start:start + BATCH_SIZE]
             epoch.append(_step(net, X[rows], targets[rows], phys[rows], opt))
         losses.append(float(np.mean(epoch)))
     return losses

@@ -71,8 +71,7 @@ class ObjectEvent:
 
     `frame` is the name of a sole frame of the model (one of its
     `sole_frames`), as `Disturbance.frame` names the frame its
-    wrench acts at.  Scenario JSON written before the field had this
-    name calls it `foot`; `ScenarioConfig.from_dict` still reads that.
+    wrench acts at.
 
     Insertion ramps over `ramp` seconds (the object is slid under the
     sole, which cannot occupy space already filled by the foot);
@@ -237,8 +236,8 @@ class ScenarioConfig:
         # events may come in their JSON form
         pushes = tuple(Disturbance(**x) if isinstance(x, dict) else x
                        for x in self.disturbances)
-        objects = tuple(_object_event_from_dict(x) if isinstance(x, dict)
-                        else x for x in self.object_events)
+        objects = tuple(ObjectEvent(**x) if isinstance(x, dict) else x
+                        for x in self.object_events)
         for name, entry in self.joints.items():
             _check_keys(f"joints[{name!r}] section", entry, _DEFAULT_JOINT)
             for section, block in entry.items():
@@ -286,46 +285,14 @@ class ScenarioConfig:
             object.__setattr__(self, name, value)
 
     def to_dict(self):
-        """A deep copy of the config as plain JSON-ready containers."""
+        """A deep copy of the config as plain JSON-ready containers;
+        `ScenarioConfig(**d)` builds it back."""
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         d.update({name: _copy(d[name], dict)
                   for name in ("joints", "noise", "contact")})
         d.update({name: [dataclasses.asdict(ev) for ev in d[name]]
                   for name in ("disturbances", "object_events")})
         return d
-
-    @classmethod
-    def from_dict(cls, d):
-        """A config from its JSON form, reading three legacy keys.
-
-        Older files give the sensor rate apart from the step.  The key
-        is dropped when it equals 1/step, the only rate such a file could
-        run at, and rejected otherwise rather than read as a new step.
-        They may also choose the transmission: `elastic_transmission`
-        true is the only transmission the plant has and is dropped;
-        false (a rigid transmission) is rejected.  Their `contact` may
-        give `tangential_stiffness`, the spring of a stick-slip contact
-        the plant does not model: 0.0 (no spring) is dropped, and any
-        other value is rejected as an unknown contact key.
-        """
-        d = dict(d)
-        rate = d.pop("sensor_rate", None)
-        if not d.pop("elastic_transmission", True):
-            raise ValueError(
-                "elastic_transmission: false is not supported: the plant "
-                "models only the elastic harmonic-drive transmission")
-        contact = d.get("contact")
-        if (isinstance(contact, dict)
-                and contact.get("tangential_stiffness") == 0.0):
-            d["contact"] = {k: v for k, v in contact.items()
-                            if k != "tangential_stiffness"}
-        config = cls(**d)
-        if rate is not None and not np.isclose(config.step * rate, 1.0):
-            raise ValueError(
-                f"step ({config.step} s) must equal 1/sensor_rate "
-                f"({rate} Hz given): the sensors sample once per plant "
-                f"step, so the legacy sensor_rate key may only repeat 1/step")
-        return config
 
     def config_hash(self):
         # numpy scalars are the only values to_dict gives that json lacks
@@ -378,16 +345,6 @@ def _copy(mapping, kind):
     """`mapping` and the mappings nested in it, copied as `kind`."""
     return kind({k: _copy(v, kind) if isinstance(v, Mapping) else v
                  for k, v in mapping.items()})
-
-
-def _object_event_from_dict(x):
-    """An `ObjectEvent` from its JSON form, reading the legacy `foot` key."""
-    if "foot" in x:
-        if "frame" in x:
-            raise ValueError("object event gives both 'frame' and its legacy "
-                             f"name 'foot': {x}")
-        x = {("frame" if k == "foot" else k): v for k, v in x.items()}
-    return ObjectEvent(**x)
 
 
 @dataclass
@@ -470,8 +427,7 @@ class Plant:
 
     def __init__(self, config):
         self.config = config
-        self.model = desk_biped()
-        self.model.gravity = np.asarray(config.gravity, dtype=float)
+        self.model = desk_biped(config.gravity)
         n = self.model.ndof
         self.n = n
 
@@ -565,19 +521,15 @@ class Plant:
 
     # ------------------------------------------------------------------ state
 
-    def initial_state(self, joint_pos=None, base_height=None):
-        """The state at t = 0, at rest, with its evaluation at zero current.
+    def initial_state(self, base_height=None):
+        """The state at t = 0, at rest at zero joint angles, with its
+        evaluation at zero current.
 
-        `joint_pos` (rad, default zeros) must be n finite joint angles, a
-        copy of which becomes the state's; `base_height` (m) must be
-        finite, and by default rests the soles on the ground with the
-        static penalty penetration.  Raises ValueError otherwise.
+        `base_height` (m) must be finite, and by default rests the soles
+        on the ground with the static penalty penetration.  Raises
+        ValueError otherwise.
         """
         n = self.n
-        s = np.zeros(n) if joint_pos is None else np.array(joint_pos, dtype=float)
-        if s.shape != (n,) or not np.isfinite(s).all():
-            raise ValueError(f"joint_pos must be n = {n} finite joint angles "
-                             f"(rad), got {joint_pos!r}")
         if base_height is not None and not _finite(base_height):
             raise ValueError(f"base_height must be a finite number (m), "
                              f"got {base_height!r}")
@@ -592,8 +544,8 @@ class Plant:
             base_pos=np.array([0.0, 0.0, base_height]),
             base_R=np.eye(3),
             base_twist=np.zeros(6),
-            s=s, sdot=np.zeros(n),
-            motor_pos=s * self.reduction, motor_vel=np.zeros(n),
+            s=np.zeros(n), sdot=np.zeros(n),
+            motor_pos=np.zeros(n), motor_vel=np.zeros(n),
         )
         # fill truth fields consistently with zero current
         self._apply_info(state, self._evaluate(state, np.zeros(n)))

@@ -209,6 +209,8 @@ class TorqueUkf:
         covariance that is not positive semi-definite (within a 1e-6
         jitter) raises ArithmeticError; the belief the filter's last
         step returned is one by construction and is not factored again.
+        The arrays of a returned belief are read-only, so it stays the
+        belief the step made.
 
         The update is the array (square-root) form of the Kalman update
         (Morf & Kailath, "Square-root algorithms for least-squares
@@ -276,15 +278,19 @@ class TorqueUkf:
             raise ArithmeticError(
                 "posterior covariance not positive definite") from None
         mean_new = mean_p + L[m:-1, :m] @ L[-1, :m]
+        # numpy forms L22 L22^T as a symmetric rank-k product, exactly
+        # symmetric
         L22 = L[m:-1, m:-1]
         cov_new = L22 @ L22.T
-        cov_new = 0.5 * (cov_new + cov_new.T)
 
         # advance the auxiliary base linear velocity (leaky integration
         # of the proper acceleration plus gravity)
         alpha = mean_new[self.slices["alpha"]]
         a_base = self.imu_offset.R @ alpha + base_R.T @ self.model.gravity
         base_lin_vel = 0.995 * (base_lin_vel + self.dt * a_base)
+        # read-only: the next step trusts a belief it made unchecked
+        for a in (mean_new, cov_new, base_lin_vel):
+            a.flags.writeable = False
         self._made = Belief(mean_new, cov_new, base_lin_vel)
         return self._made
 

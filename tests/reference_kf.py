@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from torquesense.ga import DEFAULT_FITNESS_WEIGHTS
+from torquesense.ga import FITNESS_WEIGHTS
 from torquesense.kf import process_noise, quantization_variance, transition_matrix
 
 
@@ -146,7 +146,7 @@ class ScalarOnlineKf:
         return self.x, self.v, self.a
 
 
-def kf_fitness_one(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
+def kf_fitness_one(genes, trace, dt, lsb):
     """Fitness of one (q_accel, q_jerk) candidate (see ga.kf_fitness)."""
     z = np.asarray(trace, dtype=float)
     q_accel, q_jerk = float(genes[0]), float(genes[1])
@@ -164,7 +164,7 @@ def kf_fitness_one(genes, trace, dt, lsb, weights=DEFAULT_FITNESS_WEIGHTS):
     acc_ref = np.mean(fd_acc ** 2) + eps
     align_ref = lsb * lsb / 12.0 + eps
     integ_ref = np.mean(v ** 2) + eps
-    w1, w2, w3, w4 = weights
+    w1, w2, w3, w4 = FITNESS_WEIGHTS
     align_excess = max(0.0, np.mean(align ** 2) / align_ref - 1.0)
     cost = (w1 * np.mean(jerk ** 2) / jerk_ref
             + w2 * np.mean(accel ** 2) / acc_ref

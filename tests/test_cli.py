@@ -19,10 +19,15 @@ from torquesense.model import desk_biped
     ({"object_events": [{"time": 1.0, "frame": "left_sole", "height": 0.03,
                          "action": "remove"}]},
      "no object under left_sole"),
-    ({"step": 5e-4, "sensor_rate": 1000.0}, "must equal 1/sensor_rate"),
-    ({"elastic_transmission": False}, "elastic_transmission: false"),
-    ({"contact": {"tangential_stiffness": 4000.0}},
+    # keys only an older version read
+    ({"sensor_rate": 1000.0}, "unexpected keyword argument 'sensor_rate'"),
+    ({"elastic_transmission": True},
+     "unexpected keyword argument 'elastic_transmission'"),
+    ({"contact": {"tangential_stiffness": 0.0}},
      "unknown contact key 'tangential_stiffness'"),
+    ({"object_events": [{"time": 1.0, "foot": "left_sole", "height": 0.03,
+                         "action": "insert"}]},
+     "unexpected keyword argument 'foot'"),
     ({"joints": {"left_hip_rol": {"friction": {"coulomb": 0.2}}}},
      "unknown joint 'left_hip_rol'"),
     ({"model": "missing.urdf"}, "unknown model 'missing.urdf'"),
@@ -34,8 +39,8 @@ from torquesense.model import desk_biped
     ({"gravity": [0.0, -9.81]}, "ScenarioConfig.gravity must be 3 finite"),
     ({"com_amplitude": [0.0, 0.01]},
      "ScenarioConfig.com_amplitude must be 3 finite"),
-], ids=["frame", "remove", "step", "rigid", "stick", "joint", "model", "key",
-        "duration", "push", "gravity", "com_amplitude"])
+], ids=["frame", "remove", "step", "rigid", "stick", "foot", "joint", "model",
+        "key", "duration", "push", "gravity", "com_amplitude"])
 def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
                                                     scenario, message):
     path = tmp_path / "scenario.json"
@@ -116,7 +121,7 @@ def test_report_loads_metrics_written_without_the_diverged_column(tmp_path,
      "at the 0.001 s step: the encoder-filter gain "
      "for q_accel=0.001, q_jerk=200 at lsb 5.85167e-09 rad does not settle "
      "within 20000 steps"),
-    ({"step": 0.003, "sensor_rate": 1 / 0.003},
+    ({"step": 0.003},
      "ScenarioConfig.step (0.003 s) must divide the 0.01 s balancer period "
      "into whole steps"),
 ], ids=["encoder", "balancer"])
@@ -124,20 +129,24 @@ def test_a_scenario_the_run_refuses_exits_with_one_line(
         tmp_path, monkeypatch, command, scenario, message):
     # a 30-bit joint encoder at a 1 ms step, whose filter gain never
     # settles, or a step off the balancer's grid: both used to end in a
-    # traceback; the run refuses them before its first plant step
-    def step(*args):
+    # traceback, and a mode with friction nets used to train them first;
+    # the run refuses them before it trains nets or takes a plant step
+    def started(*args, **kw):
         raise AssertionError("the run started")
 
-    monkeypatch.setattr(cli.Plant, "step", step)
+    monkeypatch.setattr(cli.Plant, "step", started)
+    monkeypatch.setattr(cli, "generate_friction_dataset", started)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(dict(scenario, duration=0.55)))
-    args = [command, "--scenario", str(path), "--out", str(tmp_path / "out")]
-    args += ["--mode" if command == "run" else "--modes", "Feedforward"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    assert str(exc.value.code) == (f"scenario {path} at --seed 0 rejected: "
-                                   f"{message}")
-    assert not (tmp_path / "out").exists()
+    for mode in ("Feedforward", "UKF-PINN"):
+        args = [command, "--scenario", str(path), "--out",
+                str(tmp_path / "out")]
+        args += ["--mode" if command == "run" else "--modes", mode]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert str(exc.value.code) == (f"scenario {path} at --seed 0 "
+                                       f"rejected: {message}")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("header, missing", [

@@ -368,13 +368,17 @@ def test_disturbance_scenario_minimum_duration():
 
 @pytest.mark.parametrize("step", [5e-4, 2e-3])
 def test_step_must_match_sensor_rate(step):
-    # the sensors sample once per plant step; a scenario file may still
-    # carry the legacy sensor_rate key, but only as 1/step
-    message = rf"step \({step} s\).*sensor_rate"
-    with pytest.raises(ValueError, match=message):
-        ScenarioConfig.from_dict({"step": step, "sensor_rate": 1000.0})
-    legacy = ScenarioConfig.from_dict({"step": step, "sensor_rate": 1 / step})
-    assert legacy == ScenarioConfig(step=step)
+    # the sensors sample once per plant step, so nothing sets their rate
+    # apart from the step: the sensor_rate key of older scenario files
+    # is refused, even as 1/step
+    plant = Plant(ScenarioConfig(step=step))
+    state = plant.initial_state()
+    for k in range(1, 4):
+        state, sensors = plant.step(state, np.zeros(plant.n))
+        assert sensors.t == state.t == pytest.approx(k * step)
+    with pytest.raises(TypeError,
+                       match="unexpected keyword argument 'sensor_rate'"):
+        ScenarioConfig(step=step, sensor_rate=1 / step)
 
 
 def mixed_nets(joint_names):
@@ -686,6 +690,28 @@ def test_a_balancer_period_off_the_step_grid_is_rejected(monkeypatch, step):
     with pytest.raises(ScenarioRefused, match="balancer period"):
         run_scenario(ScenarioConfig(step=step, duration=0.01),
                      ControlConfig(mode="Feedforward"))
+
+
+@pytest.mark.parametrize("kw, error, match", [
+    ({"duration": 0.3}, ValueError, "leaves no samples after"),
+    ({"step": 3e-3}, ScenarioRefused, "balancer period"),
+    ({"noise": {"joint_encoder_bits": 30}}, ScenarioRefused,
+     "does not settle"),
+], ids=["duration", "balancer", "encoder"])
+def test_a_scenario_is_checked_runnable_without_a_plant(monkeypatch, kw,
+                                                        error, match):
+    # the checks run_scenario makes before its first step, made on the
+    # scenario alone
+    def no_plant(*args):
+        raise AssertionError("a plant was built")
+
+    scenario = ScenarioConfig(**{"duration": 0.55, **kw})
+    with pytest.raises(error, match=match):
+        run_scenario(scenario, ControlConfig(mode="Feedforward"))
+    monkeypatch.setattr(experiments, "Plant", no_plant)
+    with pytest.raises(error, match=match):
+        experiments.check_runnable(scenario)
+    experiments.check_runnable(ScenarioConfig(duration=0.55))
 
 
 def test_rate_mismatch_names_the_control_setting():

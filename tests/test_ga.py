@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reference_kf import kf_fitness_one
+from torquesense import ga
 from torquesense.ga import GaConfig, kf_fitness, optimize, tune_kf
 from torquesense.kf import encoder_lsb
 
@@ -222,7 +223,8 @@ def test_zero_noise_constant_velocity_error_terms_vanish():
     assert np.mean(jerk ** 2) < 1e-8
 
 
-def test_larger_jerk_weight_gives_smoother_filter():
+def test_larger_jerk_weight_gives_smoother_filter(monkeypatch):
+    # the weights are module constants, set here to compare three
     dt, lsb = 1e-3, encoder_lsb(12)
     trace = synthetic_trace(noise=True)
     cfg = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)], population_size=20,
@@ -230,8 +232,8 @@ def test_larger_jerk_weight_gives_smoother_filter():
     jerk_vars = []
     from torquesense.kf import filter_trace
     for w_jerk in (0.1, 10.0, 1000.0):
-        gains, _ = tune_kf(trace, dt, lsb, config=cfg,
-                           weights=(w_jerk, 0.1, 10.0, 1.0))
+        monkeypatch.setattr(ga, "FITNESS_WEIGHTS", (w_jerk, 0.1, 10.0, 1.0))
+        gains, _ = tune_kf(trace, dt, lsb, config=cfg)
         _, v, _ = filter_trace(trace, dt, lsb, gains["q_accel"], gains["q_jerk"])
         jerk_vars.append(np.var(np.diff(v, 2) / dt ** 2))
     assert jerk_vars[2] < jerk_vars[0]

@@ -22,6 +22,9 @@ module function that does, and no statement builds a plant only to see
 whether it raises.  A public function or method reads every parameter
 it takes, so no argument is accepted only to be dropped; a private
 method may share a dispatch signature with its siblings and is exempt.
+A library setting is settable only where something sets it: a call
+under `src/` or `perfbench/` passes every parameter of a public library
+function or method, so a value no caller passes is a module constant.
 """
 
 import ast
@@ -280,3 +283,67 @@ def test_public_functions_read_every_parameter():
     assert checked > 100
     assert unread == []
 
+
+
+def call_names(call):
+    """The name or attribute a call calls."""
+    return {getattr(call.func, "id", None),
+            getattr(call.func, "attr", None)} - {None}
+
+
+def passes(call, name, index):
+    """Whether `call` passes the parameter `name`, which sits at
+    positional `index` (None for a keyword-only one)."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or index is not None
+            and (len(call.args) > index
+                 or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def test_library_parameters_have_a_caller():
+    # the names exempt are those test_public_functions_read_every_parameter
+    # exempts, less the dunders other than __init__ and __call__.  A class
+    # is called by its name or, from a subclass, as `__init__`; an
+    # instance's `__call__` is reached through a name the source does not
+    # tie to its class, so any call counts for it
+    src = parse(sorted(SRC.glob("*.py")))
+    bench = parse(p for p in sorted((ROOT / "perfbench").glob("*.py"))
+                  if not p.name.startswith("test_"))
+    calls = [node for tree in [*src.values(), *bench.values()]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    checked, unpassed = 0, []
+    for path, tree in src.items():
+        if path.stem in ENTRY_LAYER:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                functions = [(node.name, node, {node.name}, False)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [(f"{node.name}.{m.name}", m,
+                              {node.name, "__init__"} if m.name == "__init__"
+                              else {m.name}, True)
+                             for m in node.body
+                             if isinstance(m, ast.FunctionDef)
+                             and (m.name in ("__init__", "__call__")
+                                  or not m.name.startswith("_"))]
+            else:
+                continue
+            for name, fn, targets, is_method in functions:
+                checked += 1
+                reaching = [c for c in calls if fn.name == "__call__"
+                            or call_names(c) & targets]
+                args = fn.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in fn.decorator_list)
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if is_method and not static:
+                    positional = positional[1:]
+                params = [(a, i) for i, a in enumerate(positional)]
+                params += [(a.arg, None) for a in args.kwonlyargs]
+                unpassed += [f"{path.stem}.{name}: {arg}"
+                             for arg, index in params
+                             if not any(passes(c, arg, index)
+                                        for c in reaching)]
+    assert checked > 60
+    assert unpassed == []

@@ -7,6 +7,7 @@ import pytest
 
 import reference_pinn
 from reference_pinn import hybrid_loss
+from torquesense import pinn
 from torquesense.friction import ScvParams, scv_friction
 from torquesense.pinn import (
     FrictionNet,
@@ -214,16 +215,19 @@ def test_physics_targets_match_per_sample_scv():
 
 
 @pytest.mark.parametrize("n, batch_size", [(500, 64), (97, 13), (40, 64)])
-def test_train_matches_the_per_sample_reference(n, batch_size):
+def test_train_matches_the_per_sample_reference(monkeypatch, n, batch_size):
     # 0 < lam < 1 exercises both loss terms; a last mini-batch shorter
-    # than batch_size is included
+    # than the batch size is included.  The batch size is a module
+    # constant, set here for the case of many short batches
+    monkeypatch.setattr(pinn, "BATCH_SIZE", batch_size)
     t, mv, jv, fr = synthetic_log(n=n + 4, seed=0)
     jv = jv + 0.05 * np.random.default_rng(1).normal(size=len(jv))
     samples = build_samples(t, mv, jv, fr, buffer_len=5)
     nets = [make_net(buffer_len=5, hidden1=12, hidden2=9, lam=0.35, seed=3) for _ in range(2)]
-    kw = dict(epochs=4, batch_size=batch_size, learning_rate=3e-3, seed=7)
-    losses = train(nets[0], samples, **kw)
-    ref_losses = reference_pinn.train(nets[1], samples, **kw)
+    losses = train(nets[0], samples, epochs=4, seed=7)
+    ref_losses = reference_pinn.train(nets[1], samples, epochs=4,
+                                      batch_size=batch_size,
+                                      learning_rate=pinn.LEARNING_RATE, seed=7)
     np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0.0)
     for k in nets[0].params:
         np.testing.assert_allclose(nets[0].params[k], nets[1].params[k],
@@ -238,17 +242,18 @@ def test_train_rejects_bad_input_before_any_work():
     samples = build_samples(*synthetic_log(n=20), buffer_len=3)
     with pytest.raises(ValueError, match="samples"):
         train(net, empty_samples())
-    for bad in (0, -4):
-        with pytest.raises(ValueError, match="batch_size"):
-            train(net, samples, batch_size=bad)
+    with pytest.raises(ValueError, match="one target per buffer row"):
+        train(net, samples[:2] + (samples[2][:-1],))
     assert np.array_equal(net.theta, before)
     assert not net.norm_mean.any()
 
 
-def test_zero_learning_rate_leaves_parameters():
+def test_zero_learning_rate_leaves_parameters(monkeypatch):
+    # every Adam step is scaled by the module's learning rate
+    monkeypatch.setattr(pinn, "LEARNING_RATE", 0.0)
     net = make_net(seed=6)
     before = net.theta.copy()
-    train(net, random_samples(11), epochs=3, batch_size=4, learning_rate=0.0)
+    train(net, random_samples(11), epochs=3)
     assert np.array_equal(net.theta, before)
 
 
@@ -267,8 +272,7 @@ def test_training_loss_drops_100x_on_synthetic_data():
     # no epochs: the normalization is fitted, the weights stay initial
     train(net, samples, epochs=0)
     start = hybrid_loss(net, samples)
-    losses = train(net, samples, epochs=40, batch_size=64,
-                   learning_rate=3e-3, seed=9)
+    losses = train(net, samples, epochs=40, seed=9)
     assert len(losses) == 40
     assert hybrid_loss(net, samples) < start / 100.0
 

@@ -214,23 +214,11 @@ def test_currents_of_the_wrong_length_are_rejected_at_the_step(currents):
         p.step(state, currents)
 
 
-@pytest.mark.parametrize("joint_pos", [[0.0] * 3, [0.0] * 9,
-                                       [0.0] * 7 + [NAN], [INF] + [0.0] * 7])
-def test_bad_joint_positions_are_rejected_at_the_initial_state(joint_pos):
-    # a short list used to fail with a numpy broadcast error, a NaN one
-    # only one step later as a divergence
+def test_initial_state_starts_at_zero_joint_angles():
     p = make_plant()
-    with pytest.raises(ValueError, match=r"^joint_pos must be n = 8 finite "
-                       r"joint angles"):
-        p.initial_state(joint_pos=joint_pos)
-
-
-def test_initial_joint_positions_are_copied():
-    p = make_plant()
-    joint_pos = np.full(p.n, 0.05)
-    state = p.initial_state(joint_pos=joint_pos)
-    joint_pos[:] = 0.0
-    assert np.array_equal(state.s, np.full(p.n, 0.05))
+    state = p.initial_state()
+    for a in (state.s, state.sdot, state.motor_pos, state.motor_vel):
+        assert np.array_equal(a, np.zeros(p.n))
     with pytest.raises(ValueError, match="^base_height must be a finite"):
         p.initial_state(base_height=NAN)
 
@@ -241,7 +229,7 @@ def test_scenario_config_round_trip_and_hash():
         disturbances=[Disturbance(1.0, 0.2, "torso_push", (0, 10, 0))],
         object_events=[ObjectEvent(1.0, "right_sole", 0.03, "insert",
                                    region="front")])
-    back = ScenarioConfig.from_dict(cfg.to_dict())
+    back = ScenarioConfig(**cfg.to_dict())
     assert back.config_hash() == cfg.config_hash()
     assert isinstance(back.disturbances[0], Disturbance)
     assert isinstance(back.object_events[0], ObjectEvent)
@@ -253,25 +241,23 @@ def test_scenario_config_round_trip_and_hash():
 
 
 def test_legacy_elastic_transmission_key():
-    # the elastic transmission is the plant's only one
-    assert ScenarioConfig.from_dict({"elastic_transmission": True}) \
-        == ScenarioConfig()
-    with pytest.raises(ValueError, match="^elastic_transmission: false"):
-        ScenarioConfig.from_dict({"elastic_transmission": False})
+    # the elastic transmission is the plant's only one, and no config
+    # field chooses it
+    for value in (True, False):
+        with pytest.raises(TypeError, match="unexpected keyword argument "
+                           "'elastic_transmission'"):
+            ScenarioConfig(elastic_transmission=value)
 
 
 def test_legacy_tangential_stiffness_key():
-    # files written before the stick-spring contact was removed carry
-    # its stiffness at 0.0, which is the contact the plant models
+    # the stick-spring contact is gone: its stiffness is an unknown
+    # contact key, even at 0.0, the contact the plant models
     written = ScenarioConfig().to_dict()
-    written["contact"]["tangential_stiffness"] = 0.0
-    assert ScenarioConfig.from_dict(written) == ScenarioConfig()
-    assert "tangential_stiffness" in written["contact"]
-    stick = {"contact": {"tangential_stiffness": 4000.0}}
-    with pytest.raises(ValueError, match="contact key 'tangential_stiffness'"):
-        ScenarioConfig.from_dict(stick)
-    with pytest.raises(ValueError, match="contact key 'tangential_stiffness'"):
-        ScenarioConfig(**stick)
+    for value in (0.0, 4000.0):
+        written["contact"]["tangential_stiffness"] = value
+        with pytest.raises(ValueError,
+                           match="contact key 'tangential_stiffness'"):
+            ScenarioConfig(**written)
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -394,21 +380,15 @@ def test_configs_the_plant_rejected_are_rejected_at_construction(kw, error,
         dataclasses.replace(ScenarioConfig(), **kw)
 
 
-def test_legacy_foot_key_loads_and_frame_is_written():
-    legacy = {"time": 1.0, "foot": "right_sole", "height": 0.03,
-              "action": "insert"}
-    d = {"seed": 4, "object_events": [legacy]}
-    cfg = ScenarioConfig.from_dict(d)
-    assert d["object_events"][0] is legacy and "frame" not in legacy
-    ev = cfg.object_events[0]
-    assert isinstance(ev, ObjectEvent)
-    assert ev.frame == "right_sole"
+def test_legacy_foot_key_is_refused_and_frame_is_written():
+    event = {"time": 1.0, "frame": "right_sole", "height": 0.03,
+             "action": "insert"}
+    cfg = ScenarioConfig(seed=4, object_events=[event])
     written = cfg.to_dict()["object_events"][0]
-    assert written["frame"] == "right_sole"
-    assert "foot" not in written
-    with pytest.raises(ValueError, match="'frame'.*'foot'"):
-        ScenarioConfig.from_dict(
-            {"object_events": [dict(legacy, frame="right_sole")]})
+    assert written["frame"] == "right_sole" and "foot" not in written
+    legacy = {("foot" if k == "frame" else k): v for k, v in event.items()}
+    with pytest.raises(TypeError, match="unexpected keyword argument 'foot'"):
+        ScenarioConfig(object_events=[legacy])
 
 
 @pytest.mark.parametrize("event, error, match", [
@@ -464,7 +444,7 @@ def test_dict_events_are_converted_at_construction():
     cfg = ScenarioConfig(
         disturbances=[{"time": 0.0, "duration": 0.01, "frame": "torso_push",
                        "force": (0.0, 20.0, 0.0)}],
-        object_events=[{"time": 0.0, "foot": "right_sole", "height": 0.01,
+        object_events=[{"time": 0.0, "frame": "right_sole", "height": 0.01,
                         "action": "insert"}])
     assert isinstance(cfg.disturbances[0], Disturbance)
     assert isinstance(cfg.object_events[0], ObjectEvent)

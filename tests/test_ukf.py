@@ -7,7 +7,10 @@ from chains import pendulum
 from reference_ukf import (measurement_model, measurement_noise,
                            merwe_weights, reference_step, sigma_points,
                            unscented_moments)
+from torquesense.control import ControlConfig
+from torquesense.experiments import run_scenario
 from torquesense.model import FrameError, RobotModel, desk_biped
+from torquesense.plant import ScenarioConfig
 from torquesense.spatial import Transform, exp_so3
 from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf
 
@@ -113,47 +116,65 @@ def test_step_factors_only_a_prior_it_did_not_make(monkeypatch):
     assert sizes == [ukf.dim, array_form]
 
 
-def made_belief(ukf):
-    """The belief a first step returned, and that step's measurement.
-
-    The next step does not check a belief its filter made, so a prior
-    reshaped in place in its arrays reaches the array form, which no
-    prior within the check's 1e-6 jitter makes fail at the filter's
-    process and measurement noise.
-    """
+def test_a_belief_the_filter_made_cannot_be_edited():
+    # the next step trusts it unchecked, so an edit would reach the
+    # array form unseen
+    ukf = pendulum_ukf()
     belief = ukf.initial_belief()
-    z = measurement_model(ukf, belief.mean)[0]
-    return ukf.step(belief, np.zeros(1), np.eye(3), z), z
+    made = ukf.step(belief, np.zeros(1), np.eye(3),
+                    measurement_model(ukf, belief.mean)[0])
+    for a in made:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # a belief built from it is the caller's to edit
+    copy = Belief(*(a.copy() for a in made))
+    copy.cov[0, 0] = 1.0
 
 
 def test_step_rejects_an_innovation_covariance_that_is_no_covariance():
+    # a gyro measurement variance more negative than its prior and
+    # process variances together
     ukf = pendulum_ukf()
-    made, z = made_belief(ukf)
-    om = ukf.slices["omega"]
-    made.cov[om, :] = 0.0
-    made.cov[:, om] = 0.0
-    # more negative than the gyro's process and measurement variances
-    # together
-    made.cov[om.start, om.start] = -1.0
+    belief = ukf.initial_belief()
+    z = measurement_model(ukf, belief.mean)[0]
+    ukf.R[-1, -1] = -1.0
     with pytest.raises(ArithmeticError,
                        match="innovation covariance not positive definite"):
-        ukf.step(made, np.zeros(1), np.eye(3), z)
+        ukf.step(belief, np.zeros(1), np.eye(3), z)
 
 
 def test_step_rejects_a_posterior_that_is_no_covariance():
-    # the same prior variance on the external wrench, which no channel
-    # measures and which the pendulum's base push frame keeps out of the
-    # joint velocity: beyond its process noise, the innovation covariance
-    # stays positive definite, the posterior does not
+    # a process variance more negative than the prior variance on the
+    # external wrench, which no channel measures and which the
+    # pendulum's base push frame keeps out of the joint velocity: the
+    # innovation covariance stays positive definite, the posterior does
+    # not
     ukf = pendulum_ukf()
-    made, z = made_belief(ukf)
-    ext = ukf.slices["f_ext"]
-    made.cov[ext, :] = 0.0
-    made.cov[:, ext] = 0.0
-    made.cov[ext.start, ext.start] = -1.0
+    belief = ukf.initial_belief()
+    z = measurement_model(ukf, belief.mean)[0]
+    ext = ukf.slices["f_ext"].start
+    ukf.Q[ext, ext] = -2.0 * belief.cov[ext, ext]
     with pytest.raises(ArithmeticError,
                        match="posterior covariance not positive definite"):
-        ukf.step(made, np.zeros(1), np.eye(3), z)
+        ukf.step(belief, np.zeros(1), np.eye(3), z)
+
+
+def test_every_covariance_of_a_run_is_exactly_symmetric(monkeypatch):
+    # the step forms the posterior as L22 L22^T and does not symmetrize
+    # it: numpy's symmetric rank-k product makes it exactly symmetric
+    covs = []
+    step = TorqueUkf.step
+
+    def recorded(self, *args):
+        belief = step(self, *args)
+        covs.append(belief.cov)
+        return belief
+
+    monkeypatch.setattr(TorqueUkf, "step", recorded)
+    report, _ = run_scenario(ScenarioConfig(duration=0.6),
+                             ControlConfig(mode="UKF-NoComp"))
+    assert not report["diverged"] and len(covs) == 600
+    assert all(np.array_equal(cov, cov.T) for cov in covs)
 
 
 def jointless():
