@@ -6,7 +6,13 @@ Subcommands:
               densities whose filter gain never settles are refused
     run       one closed-loop scenario in a chosen control mode
     sweep     a scenario across control modes
-    report    assemble a Markdown comparison table from metrics rows
+    report    assemble a Markdown comparison table from run records
+
+Each run writes its record to `--out` as it ends, keyed by mode, seed
+and `ScenarioConfig.config_hash`: `<mode>_seed<k>_<hash>_run.csv` (the
+log) and `<mode>_seed<k>_<hash>_report.json`; a rerun overwrites its
+own.  `report` reads every `*_report.json` in a directory.  `--out` is
+made before any work, or the command exits with one line.
 
 A `run` or `sweep` in a mode that needs friction nets, given no
 `--nets` file, trains them and writes them to
@@ -26,18 +32,28 @@ import csv
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import pinn
-from .control import MODES, needs_friction_nets
-from .experiments import (METRICS_COLUMNS, check_nets, check_runnable,
+from .control import MODES, ControlConfig, needs_friction_nets
+from .experiments import (TABLE_COLUMNS, check_nets, check_runnable,
                           default_friction_nets, generate_friction_dataset,
                           make_disturbance_scenario, make_object_scenario,
-                          render_table, sweep_modes)
+                          render_table, run_scenario)
 from .ga import MIN_TRACE_SAMPLES, GaConfig, tune_kf
 from .kf import encoder_lsb, save_gains, steady_state_gain
 from .plant import Plant, ScenarioConfig
+
+
+def _make_out(path):
+    """Make the output directory, or exit with one line naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"cannot make output directory {path}: "
+                         f"{exc.strerror}") from None
 
 
 def _load_trace(path, column):
@@ -79,6 +95,9 @@ def _load_trace(path, column):
 
 
 def _cmd_tune_kf(args):
+    if not 1 <= args.bits <= 64:  # the encoder bits a scenario allows
+        raise SystemExit(f"tune-kf --bits must be from 1 to 64, got "
+                         f"{args.bits}")
     dt, trace = _load_trace(args.trace, args.joint)
     try:
         config = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)], seed=args.seed,
@@ -87,13 +106,13 @@ def _cmd_tune_kf(args):
                           parents_mating=max(2, args.population // 2))
     except ValueError as exc:
         raise SystemExit(f"tune-kf rejected: {exc}") from None
+    _make_out(args.out)
     lsb = encoder_lsb(args.bits)
     gains, history = tune_kf(trace, dt, lsb, config=config)
     try:
         steady_state_gain(dt, lsb, **gains)
     except ValueError as exc:
         raise SystemExit(f"tune-kf found no usable gains: {exc}") from None
-    os.makedirs(args.out, exist_ok=True)
     gains_path = os.path.join(args.out, f"kf_gains_{args.joint}.json")
     save_gains(gains_path, gains)
     hist_path = os.path.join(args.out, f"kf_history_{args.joint}.csv")
@@ -135,40 +154,57 @@ def _load_scenario(spec, seed):
     return scenario
 
 
-def _resolve_nets(args, scenario, modes):
-    """Trained friction nets for any mode that needs them.
-
-    Nets trained here are written to `<out>/friction_nets.json`.
-    """
-    if not any(needs_friction_nets(m) for m in modes):
-        return None
-    if args.nets is not None:
-        if not os.path.exists(args.nets):
-            raise SystemExit(f"friction-net file not found: {args.nets}")
-        try:
-            nets = pinn.load_nets(args.nets)
-            check_nets(nets, list(scenario.actuators))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SystemExit(f"friction-net file {args.nets} rejected: "
-                             f"{exc}") from None
-        return nets
-    print("no --nets given; generating identification data and training "
-          "friction nets (deterministic for --seed)")
-    dataset = generate_friction_dataset(duration=4.0, seed=args.seed)
-    nets = default_friction_nets(Plant(scenario), dataset=dataset,
-                                 seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "friction_nets.json")
-    pinn.save_nets(path, nets)
-    print(f"wrote {path}; pass it as --nets to reuse these nets")
+def _load_nets(path, scenario):
+    """Friction nets from `path`, checked against the scenario's joints."""
+    try:
+        nets = pinn.load_nets(path)
+        check_nets(nets, list(scenario.actuators))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(f"friction-net file {path} rejected: "
+                         f"{exc}") from None
     return nets
 
 
+def _write_record(out, report, log):
+    """Write one run's record (log CSV, report JSON); returns the report."""
+    base = os.path.join(out, f"{report['mode']}_seed{report['seed']}_"
+                             f"{report['config_hash']}")
+    n = log.tau_d.shape[1]
+    header = ["t", *(f"{block}_{j}" for block in
+                     ("tau_d", "tau_true", "tau_feedback", "current")
+                     for j in range(n)),
+              "com_x", "com_y", "com_z", "com_ref_x", "com_ref_y", "com_ref_z"]
+    table = np.column_stack([log.t, log.tau_d, log.tau_true, log.tau_feedback,
+                             log.currents, log.com, log.com_ref])
+    with open(base + "_run.csv", "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(x)) for x in row] for row in table)
+    with open(base + "_report.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+    return report
+
+
 def _run_modes(args, modes):
-    """The reports of `args.scenario` run in each of `modes`."""
+    """The reports of `args.scenario` run in each of `modes`; each run's
+    record is written as soon as it ends.  Nets trained here are written
+    to `<out>/friction_nets.json`."""
     scenario = _load_scenario(args.scenario, args.seed)
-    nets = _resolve_nets(args, scenario, modes)
-    return sweep_modes(scenario, modes=modes, nets=nets, out_dir=args.out)
+    wants_nets = any(needs_friction_nets(m) for m in modes)
+    nets = (_load_nets(args.nets, scenario)
+            if wants_nets and args.nets is not None else None)
+    _make_out(args.out)
+    if wants_nets and nets is None:
+        print("no --nets given; generating identification data and training "
+              "friction nets (deterministic for --seed)")
+        dataset = generate_friction_dataset(duration=4.0, seed=args.seed)
+        nets = default_friction_nets(Plant(scenario), dataset=dataset,
+                                     seed=args.seed)
+        path = os.path.join(args.out, "friction_nets.json")
+        pinn.save_nets(path, nets)
+        print(f"wrote {path}; pass it as --nets to reuse these nets")
+    return [_write_record(args.out, *run_scenario(
+        scenario, ControlConfig(mode=mode), nets=nets)) for mode in modes]
 
 
 def _cmd_run(args):
@@ -194,30 +230,30 @@ def _cmd_sweep(args):
     return 0
 
 
+def _load_record(path):
+    """The report a record holds; one that is not JSON, lacks a key the
+    table reads or names no known mode exits with one line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+    except ValueError as exc:
+        raise SystemExit(f"record {path} is not JSON: {exc}") from None
+    missing = [k for k in ("seed", "config_hash", *TABLE_COLUMNS)
+               if not isinstance(report, dict) or k not in report]
+    if missing:
+        raise SystemExit(f"record {path} lacks key(s) {', '.join(missing)}")
+    if report["mode"] not in MODES:
+        raise SystemExit(f"record {path} has unknown mode "
+                         f"{report['mode']!r}; valid: {', '.join(MODES)}")
+    return report
+
+
 def _cmd_report(args):
-    path = os.path.join(args.in_dir, "metrics.csv")
-    if not os.path.exists(path):
-        raise SystemExit(f"no metrics.csv under {args.in_dir}")
-    reports = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.DictReader(fh)
-        # files written before the diverged column existed lack it
-        missing = [k for k in METRICS_COLUMNS
-                   if k != "diverged" and k not in (rows.fieldnames or ())]
-        if missing:
-            raise SystemExit(f"{path} lacks column(s) {', '.join(missing)}")
-        for row in rows:
-            r = dict(row)
-            # an empty cell is a metric with no samples (an early divergence)
-            for k in ("torque_rmse_overall", "avg_abs_torque",
-                      "peak_abs_torque"):
-                r[k] = float(r[k]) if r[k] else None
-            for k in ("com_mean_error_mm", "com_max_error_mm"):
-                r[k] = json.loads(r[k]) if r[k] else None
-            r["fell"] = r["fell"] == "True"
-            if "diverged" in r:
-                r["diverged"] = r["diverged"] == "True"
-            reports.append(r)
+    paths = sorted(Path(args.in_dir).glob("*_report.json"))
+    if not paths:
+        raise SystemExit(f"no *_report.json record under {args.in_dir}")
+    reports = sorted(map(_load_record, paths), key=lambda r: (
+        MODES.index(r["mode"]), r["seed"], r["config_hash"]))
     table = render_table(reports)
     out_md = os.path.join(args.in_dir, "report.md")
     with open(out_md, "w", encoding="utf-8") as fh:
@@ -234,13 +270,13 @@ def main(argv=None):
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("tune-kf", help="GA-tune encoder filter covariances; "
-                       "exits nonzero, writing nothing, if the tuned filter "
+                       "exits nonzero, writing no file, if the tuned filter "
                        "gain never settles")
     t.add_argument("--trace", required=True, help="CSV with a 't' column and "
                    "one position column per channel")
     t.add_argument("--joint", required=True, help="trace column to tune on")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--bits", type=int, default=12, help="encoder resolution")
+    t.add_argument("--bits", type=int, default=12, help="encoder bits, 1 to 64")
     t.add_argument("--population", type=int, default=40)
     t.add_argument("--generations", type=int, default=15)
     t.add_argument("--out", default=".", help="output directory")
@@ -250,24 +286,21 @@ def main(argv=None):
     r.add_argument("--scenario", required=True,
                    help=f"JSON file or one of {', '.join(_BUILTIN_SCENARIOS)}")
     r.add_argument("--mode", required=True, choices=MODES)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--out", default="runs", help="artifact directory")
-    r.add_argument("--nets", default=None, help="trained friction-net JSON")
-    r.set_defaults(func=_cmd_run)
-
     s = sub.add_parser("sweep", help="run a scenario across control modes")
     s.add_argument("--modes", default="all",
                    help="'all' or comma-separated mode names")
     s.add_argument("--scenario", default="disturbance",
                    help=f"JSON file or one of {', '.join(_BUILTIN_SCENARIOS)}")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", default="runs", help="artifact directory")
-    s.add_argument("--nets", default=None, help="trained friction-net JSON")
-    s.set_defaults(func=_cmd_sweep)
+    for cmd, func in ((r, _cmd_run), (s, _cmd_sweep)):
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--out", default="runs", help="record directory")
+        cmd.add_argument("--nets", default=None,
+                         help="trained friction-net JSON")
+        cmd.set_defaults(func=func)
 
-    g = sub.add_parser("report", help="Markdown table from metrics rows")
+    g = sub.add_parser("report", help="Markdown table from run records")
     g.add_argument("--in", dest="in_dir", required=True,
-                   help="directory containing metrics.csv")
+                   help="directory of *_report.json records")
     g.set_defaults(func=_cmd_report)
 
     args = p.parse_args(argv)

@@ -4,20 +4,17 @@ One run is two parts: a `Controller` (estimators, balancer and torque
 loop) wired once for one of the seven modes, and a loop that steps the
 plant, hands the controller each sensor sample and logs the plant's
 truth, which reduces to torque-tracking and center-of-mass metrics.
-Sweeps repeat a scenario across modes or across friction-parameter
-scalings and assemble comparison tables.
+A run writes no file.  Sweeps repeat a scenario across friction-parameter
+scalings, and reports assemble into a comparison table.
 """
 
-import csv
 import dataclasses
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pinn
-from .control import (COMP_CUTOFF, HIGH_RATE, MODES, WIRING, ControlConfig,
+from .control import (COMP_CUTOFF, HIGH_RATE, WIRING, ControlConfig,
                       PositionPD, TorquePI, high_level_balancer,
                       rnea_torque_feedback)
 from .friction import ScvParams
@@ -261,12 +258,6 @@ class RunLog:
             if isinstance(getattr(self, f.name), np.ndarray)})
 
 
-def _first_disturbance_time(scenario):
-    times = [d.time for d in scenario.disturbances]
-    times += [e.time for e in scenario.object_events]
-    return min(times) if times else None
-
-
 class Controller:
     """The controller side of the closed loop, wired once from the mode's
     row of `control.WIRING`: encoder filters, attitude and torque filters
@@ -392,19 +383,19 @@ class Controller:
         return self.law(self.s0, mpos, mvel)
 
 
-def run_scenario(scenario, control, nets=None, out_dir=None, label=None):
+def run_scenario(scenario, control, nets=None):
     """Run one closed-loop scenario; returns (report dict, RunLog).
 
     The loop steps the plant, hands each sensor sample to a `Controller`
     (`nets` maps joint names to friction nets) and logs the plant's
-    truth; a step the plant cannot integrate ends the run as diverged,
-    and a scenario the `Controller` refuses raises `ScenarioRefused`
-    before the first step.  With `out_dir`, the run CSV, report JSON
-    and a metrics CSV row are written there under `label`."""
+    truth; a step the plant cannot integrate ends the run as diverged.
+    Before the first step it raises what `check_runnable` raises, in
+    the same order: a ValueError for a scenario too short for the
+    metrics, then the `ScenarioRefused` of the `Controller`."""
+    check_duration(scenario)
     plant = Plant(scenario)
     st = plant.initial_state()
     controller = Controller(plant, st, control.mode, nets)
-    check_duration(scenario)
     steps = int(round(scenario.duration / scenario.step))
     log = RunLog.allocate(steps, plant.n)
     rows = steps  # ticks completed
@@ -441,10 +432,7 @@ def run_scenario(scenario, control, nets=None, out_dir=None, label=None):
     log = dataclasses.replace(
         log.cut(rows), fell=fell, fall_time=fall_time, diverged=diverged,
         saturation_events=controller.law.saturation_events)
-    report = compute_metrics(log, scenario, control)
-    if out_dir is not None:
-        write_artifacts(out_dir, label or control.mode, log, report)
-    return report, log
+    return compute_metrics(log, scenario, control), log
 
 
 def compute_metrics(log, scenario, control):
@@ -459,7 +447,8 @@ def compute_metrics(log, scenario, control):
     """
     t = log.t
     keep = t >= t[0] + BURN_IN if len(t) else np.zeros(0, dtype=bool)
-    first_dist = _first_disturbance_time(scenario)
+    first_dist = min([d.time for d in scenario.disturbances]
+                     + [e.time for e in scenario.object_events], default=None)
     com_keep = keep if first_dist is None else keep & (t < first_dist)
     report = {
         "mode": control.mode,
@@ -496,71 +485,7 @@ def compute_metrics(log, scenario, control):
     return report
 
 
-def write_artifacts(out_dir, label, log, report):
-    """Write run CSV, metrics CSV row and report JSON for one run."""
-    os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, label.replace("/", "_"))
-    n = log.tau_d.shape[1]
-    header = ["t"]
-    for block in ("tau_d", "tau_true", "tau_feedback", "current"):
-        header += [f"{block}_{j}" for j in range(n)]
-    header += ["com_x", "com_y", "com_z", "com_ref_x", "com_ref_y", "com_ref_z"]
-    with open(base + "_run.csv", "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(len(log.t)):
-            row = [repr(float(log.t[i]))]
-            for arr in (log.tau_d, log.tau_true, log.tau_feedback, log.currents):
-                row += [repr(float(x)) for x in arr[i]]
-            row += [repr(float(x)) for x in log.com[i]]
-            row += [repr(float(x)) for x in log.com_ref[i]]
-            w.writerow(row)
-    with open(base + "_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    replace_metrics_row(os.path.join(out_dir, "metrics.csv"), report)
-
-
-METRICS_COLUMNS = ["mode", "seed", "config_hash", "torque_rmse_overall",
-                   "avg_abs_torque", "peak_abs_torque", "fell", "fall_time",
-                   "diverged", "com_mean_error_mm", "com_max_error_mm"]
-METRICS_KEY = ("mode", "seed", "config_hash")
-
-
-def write_metrics_csv(path, reports):
-    """Write the metrics file: a header, then one row per run in a stable
-    column order for table assembly.
-
-    A field a report lacks (a row read back from a file written before
-    its column existed) is left empty.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(METRICS_COLUMNS)
-        for r in reports:
-            w.writerow([json.dumps(v) if isinstance(v, list) else v
-                        for v in (r.get(c, "") for c in METRICS_COLUMNS)])
-
-
-def replace_metrics_row(path, report):
-    """Write `report`'s metrics row in place of any row of the same
-    (mode, seed, config_hash); rows of other runs are kept."""
-    key = [str(report[c]) for c in METRICS_KEY]
-    rows = []
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.DictReader(fh)
-                    if [r.get(c) for c in METRICS_KEY] != key]
-    write_metrics_csv(path, rows + [report])
-
-
-def sweep_modes(scenario, modes=MODES, nets=None, out_dir=None):
-    """Run a scenario across control modes (all of them by default)."""
-    return [run_scenario(scenario, ControlConfig(mode=mode), nets=nets,
-                         out_dir=out_dir, label=mode)[0] for mode in modes]
-
-
-def scalability_sweep(scenario, scalings, control=None, nets=None,
-                      out_dir=None):
+def scalability_sweep(scenario, scalings, control=None, nets=None):
     """Re-run the same controller on plants with scaled friction.
 
     The friction nets and filter settings stay fixed (trained on the
@@ -579,27 +504,29 @@ def scalability_sweep(scenario, scalings, control=None, nets=None,
     cfg = control or ControlConfig()
     reports = []
     for scale, scaled_scenario in scenarios:
-        rep, _ = run_scenario(scaled_scenario, cfg, nets=nets,
-                              out_dir=out_dir, label=f"scale_{scale:g}")
+        rep, _ = run_scenario(scaled_scenario, cfg, nets=nets)
         rep["friction_scale"] = scale
         reports.append(rep)
     return reports
 
 
+TABLE_COLUMNS = ("mode", "torque_rmse_overall", "com_mean_error_mm",
+                 "com_max_error_mm", "avg_abs_torque", "fell", "diverged")
+
+
 def render_table(reports):
     """Markdown comparison table from a list of report dicts."""
-    columns = ["mode", "torque_rmse_overall", "com_mean_error_mm",
-               "com_max_error_mm", "avg_abs_torque", "fell", "diverged"]
     def fmt(v):
         if isinstance(v, float):
             return f"{v:.4g}"
         if isinstance(v, list):
             return "[" + ", ".join(f"{x:.3g}" for x in v) + "]"
         return str(v)
-    lines = ["| " + " | ".join(columns) + " |",
-             "| " + " | ".join("---" for _ in columns) + " |"]
+    lines = ["| " + " | ".join(TABLE_COLUMNS) + " |",
+             "| " + " | ".join("---" for _ in TABLE_COLUMNS) + " |"]
     for r in reports:
-        lines.append("| " + " | ".join(fmt(r.get(c, "")) for c in columns) + " |")
+        lines.append("| " + " | ".join(fmt(r.get(c, ""))
+                                      for c in TABLE_COLUMNS) + " |")
     return "\n".join(lines) + "\n"
 
 

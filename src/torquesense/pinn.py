@@ -287,10 +287,8 @@ def _net_to_dict(net):
 
 
 def _net_from_dict(d):
-    """A net from its saved form.  Older files also give a `dropout`
-    setting, which inference never applied; that key is ignored.  A
-    parameter of the wrong shape or a number that is not finite raises
-    ValueError."""
+    """A net from its saved form.  A parameter of the wrong shape or a
+    number that is not finite raises ValueError."""
     net = FrictionNet(d["buffer_len"], len(d["params"]["b1"]),
                       len(d["params"]["b2"]), d["lam"],
                       ScvParams(**d["scv"]),

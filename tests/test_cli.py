@@ -1,14 +1,17 @@
 """Command-line entry points: rejected inputs end with a one-line message."""
 
 import csv
+import filecmp
 import json
 
 import numpy as np
 import pytest
 
 from torquesense import cli, experiments, pinn
+from torquesense.control import ControlConfig
 from torquesense.friction import ScvParams
 from torquesense.model import desk_biped
+from torquesense.plant import ScenarioConfig
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -73,8 +76,17 @@ def test_rejected_seed_of_a_builtin_scenario_exits_with_one_line(
     assert not (tmp_path / "out").exists()
 
 
-def test_rerun_keeps_one_metrics_row_and_report_shows_diverged(tmp_path,
-                                                              capsys):
+def records(out):
+    """The record files under `out`, by name."""
+    return sorted(path.name for path in out.iterdir())
+
+
+def record_names(mode, seed, scenario):
+    base = f"{mode}_seed{seed}_{scenario.config_hash()}"
+    return [f"{base}_report.json", f"{base}_run.csv"]
+
+
+def test_rerun_keeps_one_record_and_report_shows_diverged(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"duration": 0.55}))
     out = tmp_path / "out"
@@ -82,10 +94,8 @@ def test_rerun_keeps_one_metrics_row_and_report_shows_diverged(tmp_path,
             "--out", str(out)]
     assert cli.main(args) == 0
     assert cli.main(args) == 0
-    with open(out / "metrics.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
-    assert rows[0]["diverged"] == "False"
+    assert records(out) == record_names(
+        "Feedforward", 0, ScenarioConfig(duration=0.55, seed=0))
     # a push the plant cannot integrate: the first step diverges, so no
     # metric has a sample
     diverging = tmp_path / "diverging.json"
@@ -94,24 +104,125 @@ def test_rerun_keeps_one_metrics_row_and_report_shows_diverged(tmp_path,
          "force": [1e40, 0.0, 0.0]}]}))
     assert cli.main(["run", "--scenario", str(diverging), "--mode",
                      "Feedforward", "--out", str(out)]) == 1
+    assert len(records(out)) == 4
     capsys.readouterr()
     assert cli.main(["report", "--in", str(out)]) == 0
-    header, _, row, diverged = capsys.readouterr().out.splitlines()[:4]
+    header, _, *rows = capsys.readouterr().out.splitlines()[:4]
     assert header.split(" | ")[-1] == "diverged |"
-    assert row.split(" | ")[-1] == "False |"
-    assert diverged.split(" | ")[-2:] == ["True", "True |"]
+    # the two runs differ only by scenario hash, whose order is arbitrary
+    assert sorted(row.split(" | ")[-2:] for row in rows) == [
+        ["False", "False |"], ["True", "True |"]]
 
 
-def test_report_loads_metrics_written_without_the_diverged_column(tmp_path,
-                                                                  capsys):
-    (tmp_path / "metrics.csv").write_text(
-        "mode,seed,config_hash,torque_rmse_overall,avg_abs_torque,"
-        "peak_abs_torque,fell,fall_time,com_mean_error_mm,com_max_error_mm\n"
-        "Feedforward,0,abc,0.5,1.0,2.0,False,,\"[1.0, 2.0, 3.0]\","
-        "\"[2.0, 3.0, 4.0]\"\n")
+def test_each_seed_has_a_record_and_a_rerun_replaces_its_own(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"duration": 0.55}))
+    out = tmp_path / "out"
+
+    def run(seed):
+        assert cli.main(["run", "--scenario", str(path), "--mode",
+                         "Feedforward", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+
+    run(0)
+    run(1)
+    names = {seed: record_names("Feedforward", seed,
+                                ScenarioConfig(duration=0.55, seed=seed))
+             for seed in (0, 1)}
+    assert records(out) == sorted(names[0] + names[1])
+    kept = {name: (out / name).read_bytes() for name in names[1]}
+    for name in names[0]:
+        (out / name).write_text("stale")
+    run(0)
+    assert records(out) == sorted(names[0] + names[1])
+    for seed in (0, 1):
+        report, run_csv = (out / name for name in names[seed])
+        assert json.loads(report.read_text())["seed"] == seed
+        assert run_csv.read_text().startswith("t,tau_d_0,")
+    assert {name: (out / name).read_bytes() for name in names[1]} == kept
+
+
+def test_run_records_are_byte_identical_across_runs(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"duration": 0.55}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert cli.main(["run", "--scenario", str(path), "--mode",
+                         "Feedforward", "--out", str(out)]) == 0
+    scenario = ScenarioConfig(duration=0.55)
+    report_name, run_name = record_names("Feedforward", 0, scenario)
+    assert records(a) == records(b) == [report_name, run_name]
+    for name in (report_name, run_name):
+        assert filecmp.cmp(a / name, b / name, shallow=False)
+    report, log = experiments.run_scenario(
+        scenario, ControlConfig(mode="Feedforward"))
+    assert json.loads((a / report_name).read_text()) == report
+    # the run CSV has one row per sensor sample plus the header
+    lines = (a / run_name).read_text().splitlines()
+    assert len(lines) == len(log.t) + 1 == 551
+    assert lines[1].split(",")[0] == repr(float(log.t[0]))
+
+
+def test_sweep_writes_one_record_per_selected_mode(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"duration": 0.55}))
+    out = tmp_path / "out"
+    cli.main(["sweep", "--scenario", str(path), "--modes",
+              "Feedforward,PositionControl", "--out", str(out)])
+    scenario = ScenarioConfig(duration=0.55)
+    assert records(out) == record_names("Feedforward", 0, scenario) \
+        + record_names("PositionControl", 0, scenario)
+    rows = capsys.readouterr().out.splitlines()[2:4]
+    assert [row.split(" | ")[0] for row in rows] == ["| Feedforward",
+                                                     "| PositionControl"]
+
+
+GOOD_RECORD = {"mode": "Feedforward", "seed": 0, "config_hash": "abc",
+               "torque_rmse_overall": 0.5, "com_mean_error_mm": None,
+               "com_max_error_mm": None, "avg_abs_torque": 1.0,
+               "fell": False, "diverged": False}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "record {path} is not JSON: "),
+    (json.dumps({k: v for k, v in GOOD_RECORD.items()
+                 if k not in ("seed", "diverged")}),
+     "record {path} lacks key(s) seed, diverged"),
+    ("[1, 2]", "record {path} lacks key(s) seed, config_hash, mode, "),
+    (json.dumps({**GOOD_RECORD, "mode": "Feedfwd"}),
+     "record {path} has unknown mode 'Feedfwd'; valid: Feedforward, "),
+    (None, "no *_report.json record under {dir}"),
+], ids=["not-json", "key", "list", "mode", "empty"])
+def test_report_rejects_a_record_it_cannot_read(tmp_path, text, message):
+    # used to be a metrics.csv column check; a directory without that
+    # file was the one refusal shared
+    path = tmp_path / "Feedforward_seed1_abc_report.json"
+    (tmp_path / "Feedforward_seed0_abc_report.json").write_text(
+        json.dumps(GOOD_RECORD))
+    if text is None:
+        (tmp_path / "Feedforward_seed0_abc_report.json").unlink()
+    else:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(tmp_path)])
+    code = str(exc.value.code)
+    assert code.startswith(message.format(path=path, dir=tmp_path))
+    assert "\n" not in code
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_report_orders_rows_by_mode_then_seed(tmp_path, capsys):
+    for mode, seed in (("PositionControl", 0), ("Feedforward", 10),
+                       ("UKF-PINN", 0), ("Feedforward", 2)):
+        (tmp_path / f"{mode}_seed{seed}_abc_report.json").write_text(
+            json.dumps({**GOOD_RECORD, "mode": mode, "seed": seed,
+                        "torque_rmse_overall": float(seed)}))
     assert cli.main(["report", "--in", str(tmp_path)]) == 0
-    row = capsys.readouterr().out.splitlines()[2]
-    assert row.startswith("| Feedforward | 0.5 |")
+    rows = capsys.readouterr().out.splitlines()[2:6]
+    assert [row.split(" | ")[:2] for row in rows] == [
+        ["| Feedforward", "2"], ["| Feedforward", "10"], ["| UKF-PINN", "0"],
+        ["| PositionControl", "0"]]
+    assert (tmp_path / "report.md").read_text().splitlines()[2:6] == rows
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -147,23 +258,6 @@ def test_a_scenario_the_run_refuses_exits_with_one_line(
         assert str(exc.value.code) == (f"scenario {path} at --seed 0 "
                                        f"rejected: {message}")
         assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("header, missing", [
-    ("mode,seed", "config_hash, torque_rmse_overall, avg_abs_torque, "
-     "peak_abs_torque, fell, fall_time, com_mean_error_mm, com_max_error_mm"),
-    ("", "mode, seed, config_hash, torque_rmse_overall, avg_abs_torque, "
-     "peak_abs_torque, fell, fall_time, com_mean_error_mm, com_max_error_mm"),
-], ids=["short", "empty"])
-def test_report_rejects_a_metrics_file_without_its_columns(tmp_path, header,
-                                                           missing):
-    # used to end in KeyError: 'torque_rmse_overall'
-    path = tmp_path / "metrics.csv"
-    path.write_text(header + "\n" + ("Feedforward,0\n" if header else ""))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["report", "--in", str(tmp_path)])
-    assert str(exc.value.code) == f"{path} lacks column(s) {missing}"
-    assert not (tmp_path / "report.md").exists()
 
 
 def test_run_ukf_nocomp_trains_no_friction_nets(tmp_path, capsys):
@@ -225,7 +319,52 @@ def test_tuned_gains_that_never_settle_exit_with_one_line(tmp_path,
     text = str(exc.value.code)
     assert "q_accel=275, q_jerk=0.0284" in text and "does not settle" in text
     assert "\n" not in text
+    # the output directory is made before the GA runs, and left empty
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("bits", [0, -3, 2000])
+def test_tune_kf_refuses_bits_outside_the_encoder_range(tmp_path, bits):
+    # 0 and -3 used to tune on an lsb of 2 pi or more and write gains,
+    # 2000 to end in an OverflowError; the trace is not read
+    args = ["tune-kf", "--trace", str(tmp_path / "missing.csv"), "--joint",
+            "q0", "--bits", str(bits), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert str(exc.value.code) == (f"tune-kf --bits must be from 1 to 64, "
+                                   f"got {bits}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, mode", [
+    ("run", "Feedforward"), ("run", "UKF-PINN"), ("sweep", "Feedforward"),
+    ("sweep", "UKF-PINN"), ("tune-kf", None)])
+def test_an_out_that_is_a_file_exits_before_any_work(tmp_path, monkeypatch,
+                                                      command, mode):
+    # used to end in a FileExistsError after the run, the GA or the net
+    # training
+    def work(*args, **kw):
+        raise AssertionError("the work started")
+
+    for name in ("run_scenario", "generate_friction_dataset", "tune_kf"):
+        monkeypatch.setattr(cli, name, work)
+    out = tmp_path / "out"
+    out.write_text("a file")
+    if command == "tune-kf":
+        path = tmp_path / "trace.csv"
+        x = np.round(np.sin(np.arange(200) * 0.01), 3)
+        write_trace(path, np.arange(200) * 1e-3, x, x)
+        args = ["tune-kf", "--trace", str(path), "--joint", "q0"]
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"duration": 0.55}))
+        args = [command, "--scenario", str(path),
+                "--mode" if command == "run" else "--modes", mode]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--out", str(out)])
+    assert str(exc.value.code) == (f"cannot make output directory {out}: "
+                                   f"File exists")
+    assert out.read_text() == "a file"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -285,6 +424,24 @@ def test_rejected_nets_file_exits_with_one_line(tmp_path, names, edit,
     text = str(exc.value.code)
     assert message in text and str(nets_path) in text
     assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("missing.json", "No such file or directory"),
+    ("", "Is a directory")], ids=["missing", "directory"])
+def test_a_nets_path_that_cannot_be_read_exits_with_one_line(tmp_path, name,
+                                                            message):
+    # a directory used to end in an IsADirectoryError traceback
+    nets_path = tmp_path / name
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"duration": 0.55}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--scenario", str(path), "--mode", "UKF-PINN",
+                  "--nets", str(nets_path), "--out", str(tmp_path / "out")])
+    text = str(exc.value.code)
+    assert text.startswith(f"friction-net file {nets_path} rejected: ")
+    assert message in text and "\n" not in text
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,6 @@
-"""Experiment runner: metrics algebra, artifacts, sweeps, scenarios."""
+"""Experiment runner: metrics algebra, runs, sweeps, scenarios."""
 
-import csv
 import dataclasses
-import filecmp
 import gc
 import os
 import re
@@ -32,8 +30,6 @@ from torquesense.experiments import (
     RunLog,
     ScenarioRefused,
     scalability_sweep,
-    sweep_modes,
-    write_metrics_csv,
 )
 from torquesense.kf import encoder_lsb, filter_trace
 from torquesense.friction import ScvParams
@@ -91,20 +87,6 @@ def test_com_error_windowed_before_first_disturbance():
     # without the disturbance the window extends over the offset region
     rep2 = compute_metrics(log, ScenarioConfig(), ControlConfig())
     assert max(rep2["com_mean_error_mm"]) > 1.0
-
-
-def test_metrics_csv_schema(tmp_path):
-    log = synthetic_log()
-    rep = compute_metrics(log, ScenarioConfig(), ControlConfig())
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [rep, rep])
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    header = lines[0].split(",")
-    assert header[:4] == ["mode", "seed", "config_hash", "torque_rmse_overall"]
-    assert lines[1] == lines[2]
-    write_metrics_csv(path, [rep])              # the file is rewritten
-    assert path.read_text().strip().splitlines() == lines[:2]
 
 
 def test_render_table_markdown():
@@ -224,32 +206,6 @@ def test_nets_must_key_exactly_the_model_joints():
                        r"knee, left_hip_rol; the model's joints are "
                        r"left_hip_roll, right_hip_roll"):
         check_nets(extra, names)
-
-
-def test_run_artifacts_and_byte_identical_metrics(tmp_path):
-    scen = ScenarioConfig(**SHORT)
-    ctrl = ControlConfig(mode="Feedforward")
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    rep1, log1 = run_scenario(scen, ctrl, out_dir=d1, label="ff")
-    rep2, log2 = run_scenario(ScenarioConfig(**SHORT), ctrl, out_dir=d2,
-                              label="ff")
-    for name in ("ff_run.csv", "ff_report.json", "metrics.csv"):
-        assert (d1 / name).exists()
-        assert filecmp.cmp(d1 / name, d2 / name, shallow=False)
-    assert rep1 == rep2
-    assert np.array_equal(log1.tau_true, log2.tau_true)
-    # run CSV has one row per sensor sample plus the header
-    n_rows = len((d1 / "ff_run.csv").read_text().strip().splitlines())
-    assert n_rows == len(log1.t) + 1
-
-
-def test_sweep_modes_selected_subset(tmp_path):
-    reports = sweep_modes(ScenarioConfig(**SHORT),
-                          modes=["Feedforward", "PositionControl"],
-                          out_dir=tmp_path)
-    assert [r["mode"] for r in reports] == ["Feedforward", "PositionControl"]
-    rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()
-    assert len(rows) == 3
 
 
 def test_scalability_sweep_validation_and_identity():
@@ -632,18 +588,6 @@ def test_a_saturating_run_reports_its_saturation_events():
     assert np.max(np.abs(log.currents)) == CURRENT_LIMIT
 
 
-def test_rerun_replaces_its_metrics_row(tmp_path):
-    # another seed is another run: its row is kept beside the rerun one
-    for seed in (0, 1, 0):
-        run_scenario(ScenarioConfig(duration=0.55, seed=seed),
-                     ControlConfig(mode="Feedforward"), out_dir=tmp_path)
-    with open(tmp_path / "metrics.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["mode"], r["seed"]) for r in rows] == [("Feedforward", "1"),
-                                                      ("Feedforward", "0")]
-    assert [r["diverged"] for r in rows] == ["False", "False"]
-
-
 # a softer transmission keeps the RK4 plant stable at 5 and 10 ms steps
 SOFT_JOINTS = {"default": {"elasticity": {"stiffness": 500.0, "damping": 2.0}}}
 
@@ -688,7 +632,7 @@ def test_a_balancer_period_off_the_step_grid_is_rejected(monkeypatch, step):
 
     monkeypatch.setattr(Plant, "step", plant_step)
     with pytest.raises(ScenarioRefused, match="balancer period"):
-        run_scenario(ScenarioConfig(step=step, duration=0.01),
+        run_scenario(ScenarioConfig(step=step, duration=0.55),
                      ControlConfig(mode="Feedforward"))
 
 
@@ -714,11 +658,24 @@ def test_a_scenario_is_checked_runnable_without_a_plant(monkeypatch, kw,
     experiments.check_runnable(ScenarioConfig(duration=0.55))
 
 
+def test_the_run_refuses_in_the_order_check_runnable_checks():
+    # too short and off the balancer's grid: the run used to build a
+    # plant and refuse the step, where the check refuses the duration
+    scenario = ScenarioConfig(step=0.003, duration=0.1)
+    with pytest.raises(ValueError) as checked:
+        experiments.check_runnable(scenario)
+    with pytest.raises(ValueError) as run:
+        run_scenario(scenario, ControlConfig(mode="Feedforward"))
+    assert type(run.value) is type(checked.value)
+    assert str(run.value) == str(checked.value)
+    assert "leaves no samples after" in str(run.value)
+
+
 def test_rate_mismatch_names_the_control_setting():
     # the balancer rate is fixed, so the message names the setting a
     # scenario can change, with its value, and the period it must divide
     message = re.escape("ScenarioConfig.step (0.003 s) must divide the "
                         "0.01 s balancer period into whole steps")
     with pytest.raises(ValueError, match=message):
-        run_scenario(ScenarioConfig(step=3e-3, duration=0.01),
+        run_scenario(ScenarioConfig(step=3e-3, duration=0.55),
                      ControlConfig(mode="Feedforward"))

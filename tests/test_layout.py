@@ -25,6 +25,9 @@ method may share a dispatch signature with its siblings and is exempt.
 A library setting is settable only where something sets it: a call
 under `src/` or `perfbench/` passes every parameter of a public library
 function or method, so a value no caller passes is a module constant.
+The CLI writes a run's artifacts: no other module opens a file, makes a
+directory or writes CSV, but the readers and writers of the nets and
+gains file formats.
 """
 
 import ast
@@ -347,3 +350,22 @@ def test_library_parameters_have_a_caller():
                                         for c in reaching)]
     assert checked > 60
     assert unpassed == []
+
+
+FILE_CALLS = {"open", "os.makedirs", "csv.writer"}
+# the functions of the nets and gains file formats
+FILE_FORMATS = {("pinn", "save_nets"), ("pinn", "load_nets"),
+                ("kf", "save_gains")}
+
+
+def test_only_the_cli_writes_run_artifacts():
+    # (module, enclosing top-level definition, call) of every file call
+    found = [(path.stem, getattr(node, "name", None), ast.unparse(call.func))
+             for path, tree in parse(sorted(SRC.glob("*.py"))).items()
+             for node in tree.body for call in ast.walk(node)
+             if isinstance(call, ast.Call)
+             and ast.unparse(call.func) in FILE_CALLS]
+    assert {call for stem, _, call in found if stem == "cli"} == FILE_CALLS
+    elsewhere = {(stem, name) for stem, name, _ in found if stem != "cli"}
+    assert sorted(elsewhere - FILE_FORMATS) == []
+    assert elsewhere == FILE_FORMATS
