@@ -1,9 +1,10 @@
 """Closed-loop experiment runner, metrics and report generation.
 
 One run is two parts: a `Controller` (estimators, balancer and torque
-loop) wired once for one of the seven modes, and a loop that steps the
-plant, hands the controller each sensor sample and logs the plant's
-truth, which reduces to torque-tracking and center-of-mass metrics.
+loop) wired once for one of the seven modes from the scenario alone,
+and a loop that steps the plant, hands the controller each sensor
+sample and the balancer its CoM reference, and logs the plant's truth,
+which reduces to torque-tracking and center-of-mass metrics.
 A run writes no file.  Sweeps repeat a scenario across friction-parameter
 scalings, and reports assemble into a comparison table.
 """
@@ -30,21 +31,20 @@ class OnlineKf:
     """Bank of steady-state-gain encoder filters for the per-step control path.
 
     One filter per entry of `lsb` (the channels' quantization steps),
-    starting at rest at `x0` (broadcast over the channels).  The
+    starting at rest at zero.  The
     covariance recursion runs to convergence once at start-up, in one
     batch over the distinct `lsb` values; the loop then applies the
     constant gains, which is what a fixed-cost real-time implementation
     would do.
     """
 
-    def __init__(self, dt, lsb, q_accel, q_jerk, x0=0.0):
+    def __init__(self, dt, lsb, q_accel, q_jerk):
         lsb = np.atleast_1d(np.asarray(lsb, dtype=float))
         kinds, kind = np.unique(lsb, return_inverse=True)
         K = steady_state_gain(dt, kinds, q_accel, q_jerk)
         self.K = np.ascontiguousarray(K[kind.ravel()].T)  # (3, channels)
         self.dt = dt
-        self.x = np.broadcast_to(np.asarray(x0, dtype=float), lsb.shape).copy()
-        self.v, self.a = np.zeros(len(lsb)), np.zeros(len(lsb))
+        self.x, self.v, self.a = np.zeros((3, len(lsb)))
 
     def update(self, z):
         """Advance every channel by one sample; returns (x, v, a) arrays."""
@@ -106,10 +106,10 @@ def balancer_ticks(scenario):
     return every
 
 
-def encoder_bank(scenario, start):
+def encoder_bank(scenario):
     """One filter bank with the `DEFAULT_KF_GAINS` densities over the 2n
-    encoders of the scenario's plant, at rest at `start`: joint positions
-    (channels 0..n-1), then motor positions, or one value for all.
+    encoders of the scenario's plant, at rest at zero, where every run
+    starts: joint positions (channels 0..n-1), then motor positions.
     Encoder resolutions in the scenario's `noise` whose gains never
     settle at its step are refused, naming the keys."""
     bits = {key: scenario.noise[key]
@@ -117,7 +117,7 @@ def encoder_bank(scenario, start):
     lsb = np.repeat([encoder_lsb(b) for b in bits.values()],
                     len(scenario.actuators))
     try:
-        return OnlineKf(scenario.step, lsb, **DEFAULT_KF_GAINS, x0=start)
+        return OnlineKf(scenario.step, lsb, **DEFAULT_KF_GAINS)
     except ValueError as exc:
         given = ", ".join(f"{key} {b}" for key, b in bits.items())
         raise ScenarioRefused(f"ScenarioConfig.noise ({given}) at the "
@@ -131,7 +131,7 @@ def check_runnable(scenario):
     plant, so a caller can check a scenario before it trains nets."""
     check_duration(scenario)
     balancer_ticks(scenario)
-    encoder_bank(scenario, 0.0)
+    encoder_bank(scenario)
 
 
 def generate_friction_dataset(duration=6.0, seed=0):
@@ -152,7 +152,7 @@ def generate_friction_dataset(duration=6.0, seed=0):
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0, 2 * np.pi, size=(n, 3))
     freqs = np.array([0.3, 0.9, 1.7])
-    encoders = encoder_bank(scenario, np.concatenate([st.s, st.motor_pos]))
+    encoders = encoder_bank(scenario)
     steps = int(round(scenario.duration / scenario.step))
     t_log = np.empty(steps)
     mv_log = np.empty(steps)
@@ -262,29 +262,27 @@ class Controller:
     """The controller side of the closed loop, wired once from the mode's
     row of `control.WIRING`: encoder filters, attitude and torque filters
     or RNEA feedback, friction nets (which the torque filter then reads
-    too), torque PI loop or position PD.
+    too), torque PI loop or position PD.  Built from the scenario's
+    nominal parameters alone, it starts at rest at the zero pose, level.
     `tick` turns one sensor sample into the next step's currents;
     `balance` refreshes the desired torques every `balance_every` ticks
     (0: never; the balancer period, 1 / `control.HIGH_RATE`, over the
-    plant step) from the plant's true base pose and twist and joint
-    positions, given by name.  It raises `ScenarioRefused` for a plant
-    step that does not divide the balancer period into whole ticks or at
-    which the encoder filters never settle (`balancer_ticks`,
-    `encoder_bank`)."""
+    plant step) from the CoM reference and its two derivatives and the
+    plant's true base pose and twist and joint positions, given by name.
+    It raises `ScenarioRefused` for a plant step that does not divide the
+    balancer period into whole ticks or at which the encoder filters
+    never settle (`balancer_ticks`, `encoder_bank`)."""
 
-    def __init__(self, plant, initial_state, mode, nets=None):
-        scenario, model, n = plant.config, plant.model, plant.n
-        wiring = WIRING[mode]
-        dt = scenario.step
+    def __init__(self, scenario, mode, nets=None):
+        model = desk_biped(scenario.gravity)
+        n, dt, wiring = model.ndof, scenario.step, WIRING[mode]
         every = balancer_ticks(scenario)
         self.balance_every = every if wiring.balancer else 0
         self.model, self.dt, self.n = model, dt, n
-        self.reduction = plant.reduction
-        self.encoders = encoder_bank(scenario, np.concatenate(
-            [initial_state.s, initial_state.motor_pos]))
-        self.s0, self.com0 = initial_state.s.copy(), initial_state.com.copy()
-        self.amp = np.asarray(scenario.com_amplitude, dtype=float)
-        self.omega_ref = 2.0 * np.pi * scenario.com_frequency
+        self.reduction = scenario.per_joint("motor", "reduction")
+        k_t = scenario.per_joint("motor", "k_t")
+        self.encoders = encoder_bank(scenario)
+        self.posture_ref = np.zeros(n)
         self.sdot, self.tau_d = np.zeros(n), np.zeros(n)
 
         # wired parts are called with self: kept bound they make a cycle
@@ -304,9 +302,9 @@ class Controller:
             self._friction = Controller._predict_friction
 
         if wiring.feedback:
-            self.att = ComplementaryAttitude(R0=initial_state.base_R.copy())
+            self.att = ComplementaryAttitude()
         if wiring.feedback == "filter":
-            self.ukf = TorqueUkf(model, plant.reduction, plant.k_t, dt,
+            self.ukf = TorqueUkf(model, self.reduction, k_t, dt,
                                  friction=wiring.friction_nets)
             self.belief = self.ukf.initial_belief()
         self.imu_offset = model.frame(model.imu_frame)[1].p  # in the base
@@ -314,7 +312,7 @@ class Controller:
                           "filter": Controller._ukf_feedback,
                           "rnea": Controller._rnea_feedback}[wiring.feedback]
 
-        gear_torque = plant.reduction * plant.k_t
+        gear_torque = self.reduction * k_t
         if wiring.balancer:
             self.law = TorquePI(n, gear_torque, dt)
             self._output = Controller._torque_output
@@ -322,17 +320,12 @@ class Controller:
             self.law = PositionPD(gear_torque)
             self._output = Controller._position_output
 
-    def com_ref(self, t):
-        """The CoM reference at time t."""
-        return self.com0 + self.amp * np.sin(self.omega_ref * t)
-
-    def balance(self, t, base_pose, base_twist, s):
-        """Refresh the desired torques from the balancer at time t."""
-        w = self.omega_ref
+    def balance(self, ref, base_pose, base_twist, s):
+        """Refresh the desired torques from the balancer toward `ref`, the
+        CoM reference and its first two time derivatives."""
         self.tau_d = high_level_balancer(
             self.model, base_pose, s, np.concatenate([base_twist, self.sdot]),
-            self.com_ref(t), self.amp * w * np.cos(w * t),
-            -self.amp * w ** 2 * np.sin(w * t), posture_ref=self.s0)
+            *ref, posture_ref=self.posture_ref)
 
     def tick(self, sensors):
         """Currents for the next plant step from one sensor sample."""
@@ -380,33 +373,38 @@ class Controller:
 
     def _position_output(self, mpos, mvel):
         # collocated loop on the motor encoder mapped to the joint side
-        return self.law(self.s0, mpos, mvel)
+        return self.law(self.posture_ref, mpos, mvel)
 
 
 def run_scenario(scenario, control, nets=None):
     """Run one closed-loop scenario; returns (report dict, RunLog).
 
     The loop steps the plant, hands each sensor sample to a `Controller`
-    (`nets` maps joint names to friction nets) and logs the plant's
-    truth; a step the plant cannot integrate ends the run as diverged.
-    Before the first step it raises what `check_runnable` raises, in
-    the same order: a ValueError for a scenario too short for the
-    metrics, then the `ScenarioRefused` of the `Controller`."""
+    (`nets` maps joint names to friction nets) and its balancer the CoM
+    reference, a sine about the initial CoM, and logs the plant's truth
+    and that reference; a step the plant cannot integrate ends the run as
+    diverged.  Before the first step it raises what `check_runnable`
+    raises, in the same order: a ValueError for a scenario too short for
+    the metrics, then the `ScenarioRefused` of the `Controller`."""
     check_duration(scenario)
+    controller = Controller(scenario, control.mode, nets)
     plant = Plant(scenario)
     st = plant.initial_state()
-    controller = Controller(plant, st, control.mode, nets)
+    com0, nominal_com_z = st.com.copy(), st.com[2]
+    amp = np.asarray(scenario.com_amplitude, dtype=float)
+    w = 2.0 * np.pi * scenario.com_frequency
     steps = int(round(scenario.duration / scenario.step))
     log = RunLog.allocate(steps, plant.n)
     rows = steps  # ticks completed
-    nominal_com_z = st.com[2]
     currents = np.zeros(plant.n)
     fell, fall_time, diverged = False, float("nan"), False
 
     for k in range(steps):
         if controller.balance_every and k % controller.balance_every == 0:
-            controller.balance(k * scenario.step, st.base_pose(),
-                               st.base_twist, st.s)
+            t = k * scenario.step
+            ref = (com0 + amp * np.sin(w * t), amp * w * np.cos(w * t),
+                   -amp * w ** 2 * np.sin(w * t))
+            controller.balance(ref, st.base_pose(), st.base_twist, st.s)
         try:
             st, sb = plant.step(st, currents)
         except SimulationDiverged as exc:
@@ -423,7 +421,7 @@ def run_scenario(scenario, control, nets=None):
         if controller.tau_feedback is not None:
             log.tau_feedback[k] = controller.tau_feedback
         log.com[k] = st.com
-        log.com_ref[k] = controller.com_ref(st.t)
+        log.com_ref[k] = com0 + amp * np.sin(w * st.t)
         log.currents[k] = currents
         if not fell and st.com[2] < 0.7 * nominal_com_z:
             fell = True
@@ -530,26 +528,21 @@ def render_table(reports):
     return "\n".join(lines) + "\n"
 
 
-def make_disturbance_scenario(seed=0, duration=6.0):
-    """Standard unmeasured-push scenario: random torso shoves.
+def make_disturbance_scenario(seed=0):
+    """Standard unmeasured-push scenario: random torso shoves over 6 s.
 
     Pushes hit the desk biped's `push_frame` on the torso (not
     instrumented by any FT sensor) with magnitude 10-40 N, duration
     0.1-0.3 s, 4-8 events, all drawn from the seed.  Pushes start
-    between 1.0 s and 0.6 s before the end, so `duration` must be at
-    least 1.6 s.  The seed and duration are
-    checked, as `ScenarioConfig` fields, before anything is drawn.
+    between 1.0 s and 0.6 s before the end.  The seed is checked, as a
+    `ScenarioConfig` field, before anything is drawn.
     """
-    scenario = ScenarioConfig(duration=duration, seed=seed)
-    t_lo, t_hi = 1.0, duration - 0.6
-    if t_hi < t_lo:
-        raise ValueError(f"disturbance scenario duration must be at least "
-                         f"1.6 s, got {duration}")
+    scenario = ScenarioConfig(duration=6.0, seed=seed)
     frame = desk_biped().push_frame
     rng = np.random.default_rng((seed, 777))
     count = int(rng.integers(4, 9))
     disturbances = []
-    times = np.sort(rng.uniform(t_lo, t_hi, size=count))
+    times = np.sort(rng.uniform(1.0, scenario.duration - 0.6, size=count))
     for time in times:
         mag = rng.uniform(10.0, 40.0)
         direction = rng.uniform(-1.0, 1.0, size=2)
@@ -564,10 +557,10 @@ OBJECT_HEIGHT = 0.03       # m, the block slid under the forefoot
 OBJECT_TIMES = (1.0, 3.0)  # s, when it is inserted and when removed
 
 
-def make_object_scenario(seed=0, duration=5.0):
-    """Environment-adaptation scenario: an `OBJECT_HEIGHT` block is slid
-    under the forefoot of the desk biped's right sole (the last of its
-    `sole_frames`) and yanked away, at the `OBJECT_TIMES`.
+def make_object_scenario(seed=0):
+    """Environment-adaptation scenario over 5 s: an `OBJECT_HEIGHT`
+    block is slid under the forefoot of the desk biped's right sole (the
+    last of its `sole_frames`) and yanked away, at the `OBJECT_TIMES`.
 
     The forefoot placement makes the terrain change adaptable through
     ankle compliance: a torque-controlled ankle yields and lets the
@@ -578,6 +571,6 @@ def make_object_scenario(seed=0, duration=5.0):
     foot = desk_biped().sole_frames[-1]
     events = [ObjectEvent(time, foot, OBJECT_HEIGHT, action, region="front")
               for time, action in zip(OBJECT_TIMES, ("insert", "remove"))]
-    return ScenarioConfig(duration=duration, seed=seed,
+    return ScenarioConfig(duration=5.0, seed=seed,
                           com_amplitude=(0.0, 0.0, 0.0),
                           object_events=events)

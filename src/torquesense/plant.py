@@ -294,6 +294,12 @@ class ScenarioConfig:
                   for name in ("disturbances", "object_events")})
         return d
 
+    def per_joint(self, section, key):
+        """One resolved actuator setting of every joint, in the model's
+        joint order (`per_joint("motor", "k_t")`)."""
+        return np.array([entry[section][key]
+                         for entry in self.actuators.values()])
+
     def config_hash(self):
         # numpy scalars are the only values to_dict gives that json lacks
         blob = json.dumps(self.to_dict(), sort_keys=True,
@@ -430,11 +436,7 @@ class Plant:
         self.model = desk_biped(config.gravity)
         n = self.model.ndof
         self.n = n
-
-        def per_joint(section, key):
-            return np.array([entry[section][key]
-                             for entry in config.actuators.values()])
-
+        per_joint = config.per_joint
         self.k_t = per_joint("motor", "k_t")
         self.reduction = per_joint("motor", "reduction")
         self.motor_inertia = per_joint("motor", "motor_inertia")

@@ -57,10 +57,11 @@ ATTITUDE_GAIN = 0.05
 
 
 class ComplementaryAttitude:
-    """Gyro-integrated base attitude with accelerometer tilt correction."""
+    """Gyro-integrated base attitude with accelerometer tilt correction,
+    starting level."""
 
-    def __init__(self, R0):
-        self.R = np.array(R0, dtype=float)
+    def __init__(self):
+        self.R = np.eye(3)
 
     def update(self, acc, gyro, dt):
         """Advance by one IMU sample (body-frame readings)."""

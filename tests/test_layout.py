@@ -15,8 +15,9 @@ sensor wiring: no other module spells a sole, FT, IMU or push frame
 name.
 The control module's mode table owns the modes' wiring: no other module
 spells a mode name or compares a mode string.  The closed-loop
-controller reads sensors: its `tick` takes one sensor bundle, and only
-its construction reads a plant state.  A scenario is checked where it
+controller reads sensors: its `tick` takes one sensor bundle, no method
+reads a plant state, and it is built from the scenario, the mode and
+the nets, with no plant.  A scenario is checked where it
 is built: the plant's construction neither raises nor calls a plant
 module function that does, and no statement builds a plant only to see
 whether it raises.  A public function or method reads every parameter
@@ -211,13 +212,21 @@ def test_controller_tick_takes_one_sensor_bundle():
     assert read and read <= bundle
 
 
-def test_no_controller_method_but_its_construction_reads_a_plant_state():
+def test_no_controller_method_reads_a_plant_state():
     truth = {f.name for f in dataclasses.fields(PlantState)} | {"base_pose"}
     truth -= {f.name for f in dataclasses.fields(SensorBundle)}
     read = {name: attributes_read(fn, set(parameters(fn))) & truth
             for name, fn in controller_methods().items()}
-    assert read.pop("__init__")  # the initial state
-    assert read and not any(read.values()), read
+    assert "__init__" in read and not any(read.values()), read
+
+
+def test_the_controller_is_built_from_the_scenario_alone():
+    # a controller ticked on a recorded sensor stream has no plant
+    methods = controller_methods()
+    assert parameters(methods["__init__"]) == ["scenario", "mode", "nets"]
+    names = {node.id for fn in methods.values() for node in ast.walk(fn)
+             if isinstance(node, ast.Name)}
+    assert not names & {"Plant", "PlantState", "plant", "initial_state"}
 
 
 def raises(fn):

@@ -219,6 +219,10 @@ def test_initial_state_starts_at_zero_joint_angles():
     state = p.initial_state()
     for a in (state.s, state.sdot, state.motor_pos, state.motor_vel):
         assert np.array_equal(a, np.zeros(p.n))
+    # at rest and level: the controller's filters start there without
+    # reading the state
+    assert np.array_equal(state.base_twist, np.zeros(6))
+    assert np.array_equal(state.base_R, np.eye(3))
     with pytest.raises(ValueError, match="^base_height must be a finite"):
         p.initial_state(base_height=NAN)
 
