@@ -58,9 +58,13 @@ def _make_out(path):
 
 def _load_trace(path, column):
     """Read one position column from a trace CSV with a 't' column."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:  # a byte that is not UTF-8 reads as U+FFFD, never a number
+        fh = open(path, "r", encoding="utf-8", newline="", errors="replace")
+    except OSError as exc:
+        raise SystemExit(f"trace {path} cannot be read: {exc.strerror}") from None
+    with fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if "t" not in header or column not in header:
             raise SystemExit(
                 f"trace {path} must have columns 't' and '{column}', got {header}")
@@ -135,12 +139,8 @@ _BUILTIN_SCENARIOS = {"nominal": ScenarioConfig,
 
 
 def _load_scenario(spec, seed):
-    """A scenario from a JSON file path or a builtin name, at `seed`; one
-    the run would refuse exits with one line."""
-    if spec not in _BUILTIN_SCENARIOS and not os.path.exists(spec):
-        raise SystemExit(
-            f"scenario file not found: {spec} "
-            f"(or use one of {', '.join(_BUILTIN_SCENARIOS)})")
+    """A scenario from a JSON file path or a builtin name, at `seed`; an
+    unreadable file or a scenario the run would refuse exits in one line."""
     try:
         if spec in _BUILTIN_SCENARIOS:
             scenario = _BUILTIN_SCENARIOS[spec](seed=seed)
@@ -148,6 +148,9 @@ def _load_scenario(spec, seed):
             with open(spec, "r", encoding="utf-8") as fh:
                 scenario = ScenarioConfig(**{**json.load(fh), "seed": seed})
         check_runnable(scenario)
+    except OSError as exc:
+        raise SystemExit(f"scenario file {spec} cannot be read: {exc.strerror}"
+                         f" (or use one of {', '.join(_BUILTIN_SCENARIOS)})") from None
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"scenario {spec} at --seed {seed} rejected: "
                          f"{exc}") from None
@@ -231,11 +234,13 @@ def _cmd_sweep(args):
 
 
 def _load_record(path):
-    """The report a record holds; one that is not JSON, lacks a key the
-    table reads or names no known mode exits with one line."""
+    """The report a record holds; one that cannot be read or is not JSON,
+    lacks a key the table reads or names no known mode exits in one line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
+    except OSError as exc:
+        raise SystemExit(f"record {path} cannot be read: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(f"record {path} is not JSON: {exc}") from None
     missing = [k for k in ("seed", "config_hash", *TABLE_COLUMNS)

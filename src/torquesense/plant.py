@@ -7,16 +7,17 @@ using fixed-step RK4, models ground contact with stateless penalty
 forces at the foot corners (a normal spring-damper, and tangential
 damping clipped to the friction cone), and synthesizes encoder,
 current, force/torque and IMU measurements with configurable
-quantization and Gaussian noise.  A step makes four derivative
-evaluations: its first stage reuses the evaluation that ended the step
-before.  Every evaluation forms the contact wrenches about the world
+quantization and Gaussian noise.  A state is a value the plant made,
+complete and read-only, that carries the evaluation it was made with;
+a step makes four derivative evaluations, as its first stage reuses
+that one.  Every evaluation forms the contact wrenches about the world
 origin, as the dynamics take them; one with no sole corner below the
 ground (the hanging identification run, a flight phase) stops at the
 corner heights and forms no corner velocities or forces.  Only the
-end-of-step evaluation, the one that fills the new state, turns them
-into the sole-frame wrenches the FT sensors read, one row per sole in
-the model's wiring order.  Runs are bitwise reproducible for a fixed
-scenario configuration (including the seed).
+evaluation that makes a state turns them into the sole-frame wrenches
+the FT sensors read, one row per sole in the model's wiring order.
+Runs are bitwise reproducible for a fixed scenario configuration
+(including the seed).
 
 A scenario is checked in one place, `ScenarioConfig.__post_init__`,
 which also resolves each joint's actuator settings (`actuators`); a
@@ -201,6 +202,8 @@ class ScenarioConfig:
     Construction is the one place a scenario is checked.  It raises
     ValueError for a `model` other than "desk_biped" (the one model
     that declares the sole, FT and IMU frames the closed loop reads), a
+    `joints`, `noise` or `contact` value, joint entry or section that is
+    no mapping, an event that is neither a mapping nor an event, a
     section, key or joint name not named above, a field, event field or
     key whose value breaks its rule in `_VALUE_RULES` (every number
     finite, `seed` a nonnegative integer, noise levels nonnegative,
@@ -233,11 +236,11 @@ class ScenarioConfig:
             raise ValueError(f"unknown model {self.model!r}: only 'desk_biped' "
                              f"declares the sole, FT and IMU frames the "
                              f"closed loop reads")
-        # events may come in their JSON form
-        pushes = tuple(Disturbance(**x) if isinstance(x, dict) else x
-                       for x in self.disturbances)
-        objects = tuple(ObjectEvent(**x) if isinstance(x, dict) else x
-                        for x in self.object_events)
+        # containers before their keys; events may come in their JSON form
+        for name, depth in (("joints", 2), ("noise", 0), ("contact", 0)):
+            _check_mappings(name, getattr(self, name), depth)
+        pushes = _events(Disturbance, "disturbances", self.disturbances)
+        objects = _events(ObjectEvent, "object_events", self.object_events)
         for name, entry in self.joints.items():
             _check_keys(f"joints[{name!r}] section", entry, _DEFAULT_JOINT)
             for section, block in entry.items():
@@ -307,6 +310,24 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _check_mappings(label, value, depth):
+    """ValueError naming `value` or a value `depth` levels in, if no mapping."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"ScenarioConfig.{label} must be a mapping, "
+                         f"got {value!r}")
+    for key, item in value.items() if depth else ():
+        _check_mappings(f"{label}[{key!r}]", item, depth - 1)
+
+
+def _events(kind, label, events):
+    """`events`, each an event of `kind` or its JSON form, as events."""
+    for i, x in enumerate(events):
+        if not isinstance(x, (Mapping, kind)):
+            raise ValueError(f"ScenarioConfig.{label}[{i}] must be a mapping "
+                             f"or an event ({kind.__name__}), got {x!r}")
+    return tuple(kind(**x) if isinstance(x, Mapping) else x for x in events)
+
+
 def _check_keys(what, given, known):
     """Raise ValueError naming the keys of `given` that `known` lacks."""
     unknown = sorted(set(given) - set(known))
@@ -366,13 +387,13 @@ class SensorBundle:
     imu_gyro: np.ndarray        # (3,) angular velocity, rad/s
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantState:
     """Ground-truth plant state plus truth bookkeeping at time t.
 
-    The truth fields from `tau` on are filled by the plant's evaluation
-    at the state (`Plant.initial_state` and `Plant.step` do so).
-    """
+    Only a plant makes one (`initial_state`, `step`): complete, with
+    every array read-only, and carrying the evaluation it was made with
+    (`_made`), which a `dataclasses.replace` copy lacks."""
     t: float
     base_pos: np.ndarray
     base_R: np.ndarray
@@ -381,12 +402,13 @@ class PlantState:
     sdot: np.ndarray
     motor_pos: np.ndarray       # motor-side shaft angle theta, rad
     motor_vel: np.ndarray
-    tau: np.ndarray = None      # true joint torque delivered to the load
-    tau_friction: np.ndarray = None    # true friction torque, joint side
-    contact_wrenches: np.ndarray = None  # (soles, 6) in the sole frames, 0 if lifted
-    base_prop_acc: np.ndarray = None   # base proper spatial acceleration (6,)
-    joint_acc: np.ndarray = None
-    com: np.ndarray = None
+    tau: np.ndarray             # true joint torque delivered to the load
+    tau_friction: np.ndarray    # true friction torque, joint side
+    contact_wrenches: np.ndarray  # (soles, 6) in the sole frames, 0 if lifted
+    base_prop_acc: np.ndarray   # base proper spatial acceleration (6,)
+    joint_acc: np.ndarray
+    com: np.ndarray
+    _made: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def base_pose(self):
         return Transform(self.base_R, self.base_pos)
@@ -524,14 +546,13 @@ class Plant:
     # ------------------------------------------------------------------ state
 
     def initial_state(self, base_height=None):
-        """The state at t = 0, at rest at zero joint angles, with its
-        evaluation at zero current.
+        """The state at t = 0, at rest at zero joint and motor angles, with
+        its evaluation at zero current.
 
         `base_height` (m) must be finite, and by default rests the soles
         on the ground with the static penalty penetration.  Raises
         ValueError otherwise.
         """
-        n = self.n
         if base_height is not None and not _finite(base_height):
             raise ValueError(f"base_height must be a finite number (m), "
                              f"got {base_height!r}")
@@ -541,26 +562,27 @@ class Plant:
             weight = self.model.total_mass * np.linalg.norm(self.model.gravity)
             penetration = weight / (n_corners * self.config.contact["stiffness"])
             base_height = STANDING_HEIGHT - penetration
-        state = PlantState(
-            t=0.0,
-            base_pos=np.array([0.0, 0.0, base_height]),
-            base_R=np.eye(3),
-            base_twist=np.zeros(6),
-            s=np.zeros(n), sdot=np.zeros(n),
-            motor_pos=np.zeros(n), motor_vel=np.zeros(n),
-        )
-        # fill truth fields consistently with zero current
-        self._apply_info(state, self._evaluate(state, np.zeros(n)))
-        return state
+        return self._state(0.0, np.array([0.0, 0.0, base_height]), np.eye(3),
+                           np.zeros(6), *np.zeros((5, self.n)))
 
-    def _pack(self, state):
-        # [p(3), rotvec(3), twist(6), s, sdot, phi, phidot] with phi the
-        # joint-side motor angle; the rotation vector is relative to base_R
-        return np.concatenate([
-            state.base_pos, np.zeros(3), state.base_twist,
-            state.s, state.sdot,
-            state.motor_pos / self.reduction, state.motor_vel / self.reduction,
-        ])
+    def _state(self, t, base_pos, base_R, base_twist, s, sdot, motor_pos,
+               motor_vel, currents):
+        """The state these values give, packed once as [p(3), rotvec(3),
+        twist(6), s, sdot, phi, phidot] (phi the joint-side motor angle,
+        the rotation vector relative to `base_R`) and evaluated once under
+        `currents`; it keeps (this plant, y, ydot, currents) as `_made`."""
+        y = np.concatenate([base_pos, np.zeros(3), base_twist, s, sdot,
+                            motor_pos / self.reduction,
+                            motor_vel / self.reduction])
+        ydot, info = self._derivative(t, y, base_R, currents)
+        truth = self._truth(info)
+        state = PlantState(t, base_pos, base_R, base_twist, s, sdot,
+                           motor_pos, motor_vel, **truth)
+        for a in (base_pos, base_R, base_twist, s, sdot, motor_pos, motor_vel,
+                  *truth.values(), y, ydot, currents):
+            a.setflags(write=False)
+        object.__setattr__(state, "_made", (self, y, ydot, currents))
+        return state
 
     def _unpack(self, y):
         n = self.n
@@ -615,17 +637,6 @@ class Plant:
         soles = (HC @ F.transpose(0, 2, 1)).reshape(-1, 12) @ _WRENCH_OF_MOMENTS
         wrenches[self._sole_links] = soles
         return wrenches
-
-    def _sole_wrenches(self, fp, soles):
-        """Sole-frame contact wrenches, one row per sole, from their
-        world-origin rows `soles` of the `_contacts` link wrenches."""
-        H = fp.H[self._sole_links] @ self._sole_offsets
-        # rows [force, moment about the sole origin], then R^T of each
-        # as a row times R
-        w = soles.reshape(-1, 2, 3).copy()
-        w[:, 1] -= [_cross(o, f) for o, f in zip(H[:, :3, 3].tolist(),
-                                                  soles[:, :3].tolist())]
-        return (w @ H[:, :3, :3]).reshape(-1, 6)
 
     def _add_disturbances(self, t, fp, wrenches):
         """Add the active disturbances to the world-origin link wrenches."""
@@ -684,93 +695,66 @@ class Plant:
         ydot = np.concatenate([R @ twist[:3], rate, base_acc_coord, sdot, sdd,
                                phid, phidd])
 
-        info = {
-            "tau": tau, "tau_friction": tau_f, "soles": soles,
-            "base_prop_acc": a_prop[:6], "joint_acc": sdd,
-            "pass": fp, "currents": currents,
-        }
-        return ydot, info
+        return ydot, dict(tau=tau, tau_friction=tau_f, base_prop_acc=a_prop[:6],
+                          joint_acc=sdd, fp=fp, soles=soles)
 
-    def _apply_info(self, state, info):
-        state.tau = info["tau"]
-        state.tau_friction = info["tau_friction"]
-        state.contact_wrenches = self._sole_wrenches(info["pass"],
-                                                     info["soles"])
-        state.base_prop_acc = info["base_prop_acc"]
-        state.joint_acc = info["joint_acc"]
-        state.com = com_position(info["pass"])
-        state._info = info
+    def _truth(self, info):
+        """The truth fields of a state from the `_derivative` info of its
+        evaluation, used up here: the pass gives the CoM and turns the
+        `_contacts` sole rows into sole-frame wrenches, one row per sole."""
+        fp, soles = info.pop("fp"), info.pop("soles")
+        H = fp.H[self._sole_links] @ self._sole_offsets
+        # rows [force, moment about the sole origin], then R^T of each
+        # as a row times R
+        w = soles.reshape(-1, 2, 3).copy()
+        w[:, 1] -= [_cross(o, f) for o, f in zip(H[:, :3, 3].tolist(),
+                                                  soles[:, :3].tolist())]
+        return dict(info, contact_wrenches=(w @ H[:, :3, :3]).reshape(-1, 6),
+                    com=com_position(fp))
 
     # ------------------------------------------------------------------ stepping
 
-    def _evaluate(self, state, currents):
-        """`_derivative` at `state`, with the record `_first_stage` checks.
-
-        The returned info carries the derivative (`ydot`) and where it
-        was made: this plant, `t`, and the bytes of the packed state and
-        of `base_R`.
-        """
-        y = self._pack(state)
-        ydot, info = self._derivative(state.t, y, state.base_R, currents)
-        info["ydot"] = ydot
-        info["at"] = (self, state.t, y.tobytes() + state.base_R.tobytes())
-        return info
-
-    def _first_stage(self, state, y, currents):
-        """The RK4 k1 at `state` (packed as `y`) under `currents`.
-
-        The evaluation stored on `state` by the step or `initial_state`
-        that made it serves, provided it was made by this plant at
-        exactly this `t`, packed state and `base_R`, bit for bit, so a
-        state made by either costs no evaluation here; a state edited
-        after it was made gets a fresh one.  New currents enter the
-        elastic transmission only through the motor acceleration,
-        linearly, so the stored derivative is patched there.
-        """
-        info = getattr(state, "_info", None)
-        if info is not None and info["at"] == (
-                self, state.t, y.tobytes() + state.base_R.tobytes()):
-            di = currents - info["currents"]
-            if not np.count_nonzero(di):
-                return info["ydot"]
-            k1 = info["ydot"].copy()
-            k1[12 + 3 * self.n:] += (self._gear_k_t * di
-                                     * self._inv_reflected_inertia)
-            return k1
-        return self._derivative(state.t, y, state.base_R, currents)[0]
+    def _first_stage(self, state, currents):
+        """(y, k1): `state` packed and its RK4 k1 under `currents`, from the
+        evaluation that made it, patched where new currents enter (linearly,
+        the motor acceleration); ValueError for a state not this plant's."""
+        plant, y, ydot, made_under = state._made or (None,) * 4
+        if plant is not self:
+            raise ValueError("Plant.step takes only a state this plant made "
+                             "(initial_state or step)")
+        di = currents - made_under
+        if not np.count_nonzero(di):
+            return y, ydot
+        k1 = ydot.copy()
+        k1[12 + 3 * self.n:] += (self._gear_k_t * di
+                                 * self._inv_reflected_inertia)
+        return y, k1
 
     def step(self, state, currents):
         """Advance one RK4 step; returns (new state, SensorBundle).
 
-        k2..k4 and the end-of-step evaluation, which fills the new
-        state's truth fields, are the four evaluations of a step.  That
-        last one is stored on the new state and serves as the next
-        step's k1 (see `_first_stage`), as in the "first same as last"
-        Runge-Kutta pairs (Dormand & Prince, 1980).  So a step from a
-        state made by `step` or `initial_state` makes exactly four
-        evaluations; a step from a state edited since makes a fifth.
-
-        `currents` must hold one value (A) per joint, n in all; any
-        other shape raises ValueError before the step starts.  A step
-        that overflows, makes an invalid operation or reaches a stage
-        input or result that is not finite raises `SimulationDiverged`
-        at its end time.
-        """
-        h = self.config.step
-        t = state.t
-        # a copy: the stored evaluation keeps these currents
+        k2..k4 and the evaluation that makes the new state are the four
+        evaluations of a step; that last one serves as the next step's k1
+        (`_first_stage`), as in the "first same as last" Runge-Kutta
+        pairs (Dormand & Prince, 1980).  `state` must be one this plant
+        made and `currents` hold one value (A) per joint, n in all, or
+        ValueError is raised before any evaluation.  A step that
+        overflows, makes an invalid operation or reaches a stage input or
+        result that is not finite raises `SimulationDiverged` at its end
+        time."""
+        h, t = self.config.step, state.t
+        # a copy: the new state keeps these currents
         currents = np.array(currents, dtype=float)
         if currents.shape != (self.n,):
             raise ValueError(f"currents must hold one value per joint, "
                              f"n = {self.n}, got shape {currents.shape}")
-        y = self._pack(state)
         R0 = state.base_R
 
         # solve ignores overflow, so each stage input is checked before
         # exp_so3 reads it
         try:
             with np.errstate(over="raise", invalid="raise"):
-                k1 = self._first_stage(state, y, currents)
+                y, k1 = self._first_stage(state, currents)
                 k2, _ = self._derivative(t + h / 2, _stage(y + (h / 2) * k1),
                                          R0, currents)
                 k3, _ = self._derivative(t + h / 2, _stage(y + (h / 2) * k2),
@@ -778,15 +762,10 @@ class Plant:
                 k4, _ = self._derivative(t + h, _stage(y + h * k3), R0,
                                          currents)
                 y_new = _stage(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-                # the fields are views of y_new, which nothing else holds
                 p, dlt, twist, s, sdot, phi, phid = self._unpack(y_new)
-                new = PlantState(
-                    t=t + h, base_pos=p, base_R=R0 @ exp_so3(dlt),
-                    base_twist=twist, s=s, sdot=sdot,
-                    motor_pos=phi * self.reduction,
-                    motor_vel=phid * self.reduction)
-                self._apply_info(new, self._evaluate(new, currents))
+                new = self._state(t + h, p, R0 @ exp_so3(dlt), twist, s, sdot,
+                                  phi * self.reduction, phid * self.reduction,
+                                  currents)
         except FloatingPointError:
             raise SimulationDiverged(t + h) from None
         return new, self._sample_sensors(new, currents)

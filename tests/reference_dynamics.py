@@ -282,20 +282,13 @@ class ReferencePlant(Plant):
         ydot[12 + 3 * n:12 + 4 * n] = phidd
 
         info = {
-            "tau": tau, "tau_friction": tau_f, "contacts": contacts,
-            "base_prop_acc": a_prop[:6], "joint_acc": sdd,
-            "world": world, "currents": currents,
+            "tau": tau, "tau_friction": tau_f, "contact_wrenches": contacts,
+            "base_prop_acc": a_prop[:6], "joint_acc": sdd, "world": world,
         }
         return ydot, info
 
-    def _apply_info(self, state, info):
-        state.tau = info["tau"]
-        state.tau_friction = info["tau_friction"]
-        state.contact_wrenches = info["contacts"]
-        state.base_prop_acc = info["base_prop_acc"]
-        state.joint_acc = info["joint_acc"]
+    def _truth(self, info):
         com = np.zeros(3)
-        for link, H in zip(self.model.links, info["world"]):
+        for link, H in zip(self.model.links, info.pop("world")):
             com += link.mass * apply(H, link.com)
-        state.com = com / self.model.total_mass
-        state._info = info
+        return dict(info, com=com / self.model.total_mass)

@@ -42,8 +42,14 @@ from torquesense.plant import ScenarioConfig
     ({"gravity": [0.0, -9.81]}, "ScenarioConfig.gravity must be 3 finite"),
     ({"com_amplitude": [0.0, 0.01]},
      "ScenarioConfig.com_amplitude must be 3 finite"),
+    # these two used to end in an AttributeError and a TypeError traceback
+    ({"joints": {"default": {"motor": []}}},
+     "ScenarioConfig.joints['default']['motor'] must be a mapping, got []"),
+    ({"disturbances": [5]}, "ScenarioConfig.disturbances[0] must be a "
+     "mapping or an event (Disturbance), got 5"),
 ], ids=["frame", "remove", "step", "rigid", "stick", "foot", "joint", "model",
-        "key", "duration", "push", "gravity", "com_amplitude"])
+        "key", "duration", "push", "gravity", "com_amplitude", "section",
+        "event"])
 def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
                                                     scenario, message):
     path = tmp_path / "scenario.json"
@@ -73,6 +79,22 @@ def test_rejected_seed_of_a_builtin_scenario_exits_with_one_line(
     text = str(exc.value.code)
     assert message in text and f"scenario {scenario} at --seed -1" in text
     assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("missing.json", "No such file or directory"),
+    ("", "Is a directory")], ids=["missing", "directory"])
+def test_a_scenario_path_that_cannot_be_read_exits_with_one_line(
+        tmp_path, name, message):
+    # a directory used to end in an IsADirectoryError traceback
+    path = tmp_path / name
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--scenario", str(path), "--mode", "Feedforward",
+                  "--out", str(tmp_path / "out")])
+    assert str(exc.value.code) == (
+        f"scenario file {path} cannot be read: {message} (or use one of "
+        f"nominal, disturbance, object-removal)")
     assert not (tmp_path / "out").exists()
 
 
@@ -208,6 +230,19 @@ def test_report_rejects_a_record_it_cannot_read(tmp_path, text, message):
     code = str(exc.value.code)
     assert code.startswith(message.format(path=path, dir=tmp_path))
     assert "\n" not in code
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_report_refuses_a_record_that_cannot_be_read(tmp_path):
+    # a directory that matches the record pattern used to end in an
+    # IsADirectoryError traceback
+    (tmp_path / "Feedforward_seed0_abc_report.json").write_text(
+        json.dumps(GOOD_RECORD))
+    path = tmp_path / "Feedforward_seed1_abc_report.json"
+    path.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(tmp_path)])
+    assert str(exc.value.code) == f"record {path} cannot be read: Is a directory"
     assert not (tmp_path / "report.md").exists()
 
 
@@ -383,6 +418,29 @@ def test_malformed_trace_row_exits_with_one_line(tmp_path, text, message):
     text = str(exc.value.code)
     assert message in text and str(path) in text
     assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("missing.csv", None, "cannot be read: No such file or directory"),
+    ("", None, "cannot be read: Is a directory"),
+    ("empty.csv", b"", "must have columns 't' and 'q0', got []"),
+    ("binary.csv", b"\xff\xfet,q0\n", "must have columns 't' and 'q0', "
+     "got ['\ufffd\ufffdt', 'q0']"),
+    ("cell.csv", b"t,q0\n0.000,0.1\xff\n",
+     "line 2 column 'q0' holds '0.1\ufffd', not a number"),
+], ids=["missing", "directory", "empty", "binary", "cell"])
+def test_a_trace_that_cannot_be_read_exits_with_one_line(tmp_path, name,
+                                                         content, message):
+    # these used to end in a FileNotFoundError, an IsADirectoryError, a
+    # StopIteration and two UnicodeDecodeError tracebacks
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tune-kf", "--trace", str(path), "--joint", "q0",
+                  "--out", str(tmp_path / "out")])
+    assert str(exc.value.code) == f"trace {path} {message}"
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,6 @@ from torquesense.plant import (
     ScenarioConfig,
     SimulationDiverged,
 )
-from torquesense.spatial import exp_so3
 
 NAN, INF = float("nan"), float("inf")
 QUIET_NOISE = {"quantize": False, "current_std": 0.0, "ft_force_std": 0.0,
@@ -273,6 +272,29 @@ def test_legacy_tangential_stiffness_key():
 def test_unknown_config_keys_are_rejected(kw, match):
     with pytest.raises(ValueError, match=match):
         ScenarioConfig(**kw)
+
+
+# each of these used to end in an AttributeError ('list' object has no
+# attribute 'items') or, for the events, a TypeError from `dataclasses`
+@pytest.mark.parametrize("kw, label, what", [
+    ({"joints": []}, "joints", "a mapping, got []"),
+    ({"noise": []}, "noise", "a mapping, got []"),
+    ({"contact": ["mu"]}, "contact", "a mapping, got ['mu']"),
+    ({"joints": {"default": []}}, "joints['default']", "a mapping, got []"),
+    ({"joints": {"default": {"motor": []}}}, "joints['default']['motor']",
+     "a mapping, got []"),
+    ({"disturbances": [5]}, "disturbances[0]",
+     "a mapping or an event (Disturbance), got 5"),
+    ({"object_events": [ObjectEvent(1.0, "left_sole", 0.03, "insert"),
+                        Disturbance(1.0, 0.1, "torso_push")]},
+     "object_events[1]", "a mapping or an event (ObjectEvent), got "
+     "Disturbance("),
+], ids=["joints", "noise", "contact", "joint", "section", "push", "object"])
+def test_config_containers_that_are_not_mappings_are_rejected(kw, label,
+                                                              what):
+    with pytest.raises(ValueError) as exc:
+        ScenarioConfig(**kw)
+    assert str(exc.value).startswith(f"ScenarioConfig.{label} must be {what}")
 
 
 # each of these used to build and then fail or misbehave in the loop: a
@@ -555,12 +577,11 @@ def test_first_stage_is_exact_and_a_step_makes_four_evaluations(kw):
     worst = 0.0
     for k in range(200):
         currents = changing_currents(k)
-        y = plant._pack(state)
-        fresh, _ = plant._derivative(state.t, y, state.base_R, currents)
         del calls[:]
-        k1 = plant._first_stage(state, y, currents)
-        # the stored evaluation, patched for the new currents
+        y, k1 = plant._first_stage(state, currents)
+        # the evaluation that made the state, patched for the new currents
         assert len(calls) == 0
+        fresh, _ = plant._derivative(state.t, y, state.base_R, currents)
         worst = max(worst, np.max(np.abs(k1 - fresh)) / np.max(np.abs(fresh)))
         del calls[:]
         new, _ = plant.step(state, currents)
@@ -569,38 +590,44 @@ def test_first_stage_is_exact_and_a_step_makes_four_evaluations(kw):
     assert worst <= 1e-12
 
 
-def edit_base_height(state):
-    state.base_pos[2] = 2.0
+def test_a_made_state_cannot_be_edited():
+    # the next step reuses the evaluation the state was made with, so an
+    # edit would step from numbers that evaluation was not made at
+    plant = make_plant(seed=1)
+    start = plant.initial_state()
+    made, _ = plant.step(start, np.full(plant.n, 0.1))
+    for state in (start, made):
+        arrays = {f.name: getattr(state, f.name)
+                  for f in dataclasses.fields(state)
+                  if isinstance(getattr(state, f.name), np.ndarray)}
+        # and the packed state, derivative and currents it was made with
+        arrays.update(zip(("y", "ydot", "currents"), state._made[1:]))
+        assert len(arrays) == 16
+        for name, a in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+                pytest.fail(name)
+        for f in dataclasses.fields(state):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, f.name, None)
+                pytest.fail(f.name)
 
 
-def edit_joint(state):
-    state.s[1] += 0.05
-
-
-def edit_attitude_in_place(state):
-    state.base_R[:] = state.base_R @ exp_so3(np.array([0.0, 0.05, 0.1]))
-
-
-@pytest.mark.parametrize("edit, kw", [
-    (edit_base_height, {"lock_base": True}),
-    (edit_joint, {}),
-    (edit_attitude_in_place, {}),
-], ids=["base_height", "joint", "attitude"])
-def test_edited_state_is_evaluated_afresh(edit, kw):
-    # the evaluation stored on a state serves the next step's first stage
-    # only while the state is the one it was made at
-    plant = make_plant(seed=1, **kw)
-    edited, stripped = plant.initial_state(), plant.initial_state()
-    for state in (edited, stripped):
-        edit(state)
-    del stripped._info
-    currents = np.zeros(plant.n)
-    a, _ = plant.step(edited, currents)
-    b, _ = plant.step(stripped, currents)
-    for name in ("base_pos", "base_R", "base_twist", "s", "sdot", "motor_pos",
-                 "motor_vel", "tau", "tau_friction", "joint_acc"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y))), name
+def test_a_state_the_plant_did_not_make_is_refused_before_any_evaluation():
+    plant, other = make_plant(seed=1), make_plant(seed=1)
+    state = plant.initial_state()
+    copies = {"replace": dataclasses.replace(state),
+              "edited": dataclasses.replace(state, s=state.s + 0.05),
+              "other-plant": other.initial_state()}
+    calls = count_evaluations(plant)
+    for name, copy in copies.items():
+        with pytest.raises(ValueError, match=r"^Plant\.step takes only a "
+                           r"state this plant made \(initial_state or step\)"):
+            plant.step(copy, np.zeros(plant.n))
+            pytest.fail(name)
+    assert calls == []
+    # a state that another plant made steps on that plant
+    other.step(copies["other-plant"], np.zeros(plant.n))
 
 
 def test_currents_edited_in_place_after_a_step():
