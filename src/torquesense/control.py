@@ -119,13 +119,14 @@ def rnea_torque_feedback(model, base_pose, s, nu, proper_accel, ft_readings):
     """Joint torques from inverse dynamics with FT wrenches as the only
     external forces.
 
-    `ft_readings` rows follow the model's `ft_frames`.  Unmeasured
+    `ft_readings` rows follow the model's `ft_frames`, each in its frame's
+    coordinates, and enter as -J^T f as in the balancer.  Unmeasured
     contacts are invisible to this estimate; they show up as joint-torque
     error instead, the failure mode the filter-based feedback avoids.
     """
     fp = forward_pass(model, base_pose, s, nu)
-    wrenches = fp.link_wrenches(zip(model.ft_frames, ft_readings))
-    return fp.inverse_dynamics(proper_accel, wrenches)[6:]
+    J = frame_jacobian(fp, model.ft_frames)[:, :, 6:].reshape(-1, model.ndof)
+    return fp.inverse_dynamics(proper_accel)[6:] - J.T @ np.ravel(ft_readings)
 
 
 class _CurrentOutput:

@@ -42,7 +42,10 @@ are Q at particular accelerations: at accel = 0 it is the Coriolis,
 centrifugal and external-wrench bias of the proper-acceleration form,
 M a_prop = B tau - Q(0); at `static_proper_accel` it adds gravity, the
 bias of the coordinate-acceleration form, and at zero velocity it is
-the generalized gravity force.
+the generalized gravity force.  Its `link_wrenches` are world-origin
+wrenches, as the plant's contact kernel builds them; the controller maps
+a wrench f at a named frame, in its coordinates, as -J^T f through
+`frame_jacobian` (the filter, the balancer and the RNEA feedback).
 
 Every quantity below is one function of a `ForwardPass`: a caller
 builds the pass once per state with `forward_pass` and reads as many
@@ -51,7 +54,7 @@ quantities from it as it needs.
 
 import numpy as np
 
-from .spatial import batch_cross, batch_skew, cross3, skew
+from .spatial import batch_cross, batch_skew, skew
 
 
 def _crm(v):
@@ -137,28 +140,6 @@ class ForwardPass:
         if link_wrenches is not None:
             f = f - link_wrenches
         return self.J.reshape(-1, self.model.nv).T @ f.ravel()
-
-    def frame_pose(self, frame_name):
-        """(link index, world<-frame 4x4 transform) of a named frame or link."""
-        idx, offset = self.model.frame(frame_name)
-        return idx, self.H[idx] @ offset.homogeneous()
-
-    def link_wrenches(self, frame_wrenches):
-        """(n_links, 6) world-origin wrenches from (frame name, wrench) pairs.
-
-        Each wrench is given in its frame's coordinates at the frame
-        origin; None when there are none.
-        """
-        out = None
-        for frame_name, wrench in frame_wrenches:
-            idx, H = self.frame_pose(frame_name)
-            w = np.asarray(wrench, dtype=float)
-            force = H[:3, :3] @ w[:3]
-            if out is None:
-                out = np.zeros((len(self.H), 6))
-            out[idx, :3] += force
-            out[idx, 3:] += H[:3, :3] @ w[3:] + cross3(H[:3, 3], force)
-        return out
 
 
 def forward_pass(model, base_pose, s, nu, Xs=None):

@@ -203,8 +203,10 @@ class ScenarioConfig:
     ValueError for a `model` other than "desk_biped" (the one model
     that declares the sole, FT and IMU frames the closed loop reads), a
     `joints`, `noise` or `contact` value, joint entry or section that is
-    no mapping, an event that is neither a mapping nor an event, a
-    section, key or joint name not named above, a field, event field or
+    no mapping, an events value that is no list or tuple, an event that
+    is neither a mapping nor an event, an event mapping missing a
+    required key, a section, key, event key or joint name not named
+    above, a field, event field or
     key whose value breaks its rule in `_VALUE_RULES` (every number
     finite, `seed` a nonnegative integer, noise levels nonnegative,
     ...), a resolved breakaway level below the Coulomb level and an
@@ -320,17 +322,31 @@ def _check_mappings(label, value, depth):
 
 
 def _events(kind, label, events):
-    """`events`, each an event of `kind` or its JSON form, as events."""
+    """`events`, a list or tuple of events of `kind` or their JSON form,
+    as a tuple of events."""
+    if not isinstance(events, (list, tuple)):
+        raise ValueError(f"ScenarioConfig.{label} must be a list or tuple, "
+                         f"got {events!r}")
+    fields = dataclasses.fields(kind)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
     for i, x in enumerate(events):
+        where = f"ScenarioConfig.{label}[{i}]"
         if not isinstance(x, (Mapping, kind)):
-            raise ValueError(f"ScenarioConfig.{label}[{i}] must be a mapping "
-                             f"or an event ({kind.__name__}), got {x!r}")
+            raise ValueError(f"{where} must be a mapping or an event "
+                             f"({kind.__name__}), got {x!r}")
+        if isinstance(x, Mapping):
+            _check_keys(f"{where} key", x, [f.name for f in fields])
+            missing = [name for name in required if name not in x]
+            if missing:
+                raise ValueError(f"missing {where} key "
+                                 f"{', '.join(map(repr, missing))}; "
+                                 f"required: {', '.join(required)}")
     return tuple(kind(**x) if isinstance(x, Mapping) else x for x in events)
 
 
 def _check_keys(what, given, known):
     """Raise ValueError naming the keys of `given` that `known` lacks."""
-    unknown = sorted(set(given) - set(known))
+    unknown = sorted(set(given) - set(known), key=repr)
     if unknown:
         raise ValueError(f"unknown {what} {', '.join(map(repr, unknown))}; "
                          f"known: {', '.join(known)}")

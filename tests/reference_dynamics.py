@@ -157,6 +157,26 @@ def frame_jacobian(model, base_pose, s, frame_name):
     return J
 
 
+def link_wrenches(fp, frame_wrenches):
+    """(n_links, 6) world-origin wrenches, the form
+    `ForwardPass.inverse_dynamics` takes, from (frame name, wrench)
+    pairs at the pass `fp`'s state; None when there are none.
+
+    Each wrench is given in its frame's coordinates at the frame origin.
+    """
+    out = None
+    for frame_name, wrench in frame_wrenches:
+        idx, offset = fp.model.frame(frame_name)
+        H = fp.H[idx] @ offset.homogeneous()
+        w = np.asarray(wrench, dtype=float)
+        force = H[:3, :3] @ w[:3]
+        if out is None:
+            out = np.zeros((len(fp.H), 6))
+        out[idx, :3] += force
+        out[idx, 3:] += H[:3, :3] @ w[3:] + cross3(H[:3, 3], force)
+    return out
+
+
 def com_velocity(model, base_pose, s, nu):
     """World center-of-mass velocity."""
     world, v = link_states(model, base_pose, s, nu)

@@ -30,7 +30,7 @@ from torquesense.plant import ScenarioConfig
      "unknown contact key 'tangential_stiffness'"),
     ({"object_events": [{"time": 1.0, "foot": "left_sole", "height": 0.03,
                          "action": "insert"}]},
-     "unexpected keyword argument 'foot'"),
+     "unknown ScenarioConfig.object_events[0] key 'foot'"),
     ({"joints": {"left_hip_rol": {"friction": {"coulomb": 0.2}}}},
      "unknown joint 'left_hip_rol'"),
     ({"model": "missing.urdf"}, "unknown model 'missing.urdf'"),
@@ -47,9 +47,12 @@ from torquesense.plant import ScenarioConfig
      "ScenarioConfig.joints['default']['motor'] must be a mapping, got []"),
     ({"disturbances": [5]}, "ScenarioConfig.disturbances[0] must be a "
      "mapping or an event (Disturbance), got 5"),
+    # used to exit with "rejected: 'int' object is not iterable"
+    ({"disturbances": 5},
+     "ScenarioConfig.disturbances must be a list or tuple, got 5"),
 ], ids=["frame", "remove", "step", "rigid", "stick", "foot", "joint", "model",
         "key", "duration", "push", "gravity", "com_amplitude", "section",
-        "event"])
+        "event", "events"])
 def test_rejected_scenario_file_exits_with_one_line(tmp_path, command,
                                                     scenario, message):
     path = tmp_path / "scenario.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_dynamics as ref
-from chains import pendulum
+from chains import pendulum, serial_leg
 from torquesense import control
 from torquesense.control import (
     MODES,
@@ -185,6 +185,40 @@ def test_rnea_feedback_static_accuracy():
                                accel, state.contact_wrenches)
     scale = max(1.0, np.max(np.abs(state.tau)))
     assert np.max(np.abs(est - state.tau)) < 0.02 * scale
+
+
+def turned_ft_leg():
+    """The serial leg with FT frames off their links' origins and turned,
+    at the foot and at the shin, in that order."""
+    model = serial_leg()
+    model.add_frame("foot_ft", "foot", Transform(exp_so3([0.3, -0.2, 0.5]),
+                                                 [0.04, -0.01, -0.05]))
+    model.add_frame("shin_ft", "shin", Transform(exp_so3([-0.4, 0.1, 0.2]),
+                                                 [0.01, 0.02, -0.1]))
+    model.ft_frames = ("foot_ft", "shin_ft")
+    return model
+
+
+@pytest.mark.parametrize("make_model", [desk_biped, turned_ft_leg],
+                         ids=["desk_biped", "turned_ft_leg"])
+def test_rnea_feedback_matches_the_recursion_oracle(make_model):
+    # the feedback maps each FT wrench through its frame's Jacobian; the
+    # oracle moves it onto its link and runs the per-link recursion, so a
+    # wrong frame, sign or stacking order errs by O(1)
+    model = make_model()
+    r = np.random.default_rng(5)
+    k = len(model.ft_frames)
+    for _ in range(4):
+        pose = Transform(exp_so3(0.3 * r.normal(size=3)), r.normal(size=3))
+        s = r.uniform(-1.0, 1.0, model.ndof)
+        nu, accel = r.normal(size=(2, model.nv))
+        ft = np.hstack([50.0 * r.normal(size=(k, 3)),
+                        5.0 * r.normal(size=(k, 3))])
+        expected = ref.generalized_rnea(model, pose, s, nu, accel,
+                                        zip(model.ft_frames, ft))[6:]
+        est = rnea_torque_feedback(model, pose, s, nu, accel, ft)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(est - expected)) <= 1e-10 * scale
 
 
 def test_rnea_feedback_zero_gravity_static():

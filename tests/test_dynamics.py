@@ -20,7 +20,8 @@ from torquesense.dynamics import (
 from torquesense.model import RobotModel, desk_biped
 from torquesense.spatial import Transform, exp_so3, log_so3
 
-from reference_dynamics import forward_kinematics, link_states, mechanical_energy
+from reference_dynamics import (forward_kinematics, link_states, link_wrenches,
+                                mechanical_energy)
 from reference_spatial import (compose, inverse, link_inertia,
                                transform_motion_inv)
 
@@ -34,7 +35,7 @@ def static_accel(model, base_pose):
 def generalized_rnea(model, pose, s, nu, accel, wrenches=()):
     """Inverse dynamics at one state, wrenches given in their frames."""
     fp = forward_pass(model, pose, s, nu)
-    return fp.inverse_dynamics(accel, fp.link_wrenches(wrenches))
+    return fp.inverse_dynamics(accel, link_wrenches(fp, wrenches))
 
 
 def random_state(model, seed, base_motion=True):
@@ -117,7 +118,7 @@ def test_forward_inverse_round_trip():
     # wrench by adding it as an extra external wrench at the base link
     wrenches2 = wrenches + [(model.links[0].name, full[:6])]
     fp = forward_pass(model, pose, s, nu)
-    rhs = -fp.inverse_dynamics(None, fp.link_wrenches(wrenches2))
+    rhs = -fp.inverse_dynamics(None, link_wrenches(fp, wrenches2))
     rhs[6:] += full[6:]
     back = np.linalg.solve(crba(fp), rhs)
     assert np.allclose(back, accel, atol=1e-8)

@@ -9,6 +9,7 @@ modules, not in the package.  The benchmark under `perfbench/` drives
 the package through its API as a user does, so a name it calls counts
 as used too; its own tests do not.  A `_`-prefixed name is private to
 its module: a name another module imports is public, and is named so.
+A module imports no name it never reads.
 The package imports nothing but numpy and the standard library, the one
 dependency `pyproject.toml` declares.  The robot description owns the
 sensor wiring: no other module spells a sole, FT, IMU or push frame
@@ -114,6 +115,19 @@ def test_no_module_imports_a_private_name():
                 for alias in node.names if alias.name.startswith("_")]
     assert imported == []
 
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path, tree in parse(sorted(SRC.glob("*.py"))).items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        # `import a.b` binds `a`
+        unread += [f"{path.stem}: {alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unread == []
 
 
 def imported_modules(tree):

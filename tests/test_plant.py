@@ -289,12 +289,54 @@ def test_unknown_config_keys_are_rejected(kw, match):
                         Disturbance(1.0, 0.1, "torso_push")]},
      "object_events[1]", "a mapping or an event (ObjectEvent), got "
      "Disturbance("),
-], ids=["joints", "noise", "contact", "joint", "section", "push", "object"])
+    # the event lists themselves: a number or None used to end in a
+    # TypeError ('int' object is not iterable), and a mapping or a string
+    # was read entry by entry, over its keys or its characters
+    ({"disturbances": 5}, "disturbances", "a list or tuple, got 5"),
+    ({"object_events": None}, "object_events", "a list or tuple, got None"),
+    ({"disturbances": {"time": 1.0}}, "disturbances",
+     "a list or tuple, got {'time': 1.0}"),
+    ({"object_events": "ab"}, "object_events", "a list or tuple, got 'ab'"),
+], ids=["joints", "noise", "contact", "joint", "section", "push", "object",
+        "push-number", "object-none", "push-mapping", "object-string"])
 def test_config_containers_that_are_not_mappings_are_rejected(kw, label,
                                                               what):
     with pytest.raises(ValueError) as exc:
         ScenarioConfig(**kw)
     assert str(exc.value).startswith(f"ScenarioConfig.{label} must be {what}")
+
+
+# each of these used to end in a TypeError from the event's constructor
+# that named neither the entry nor the field
+@pytest.mark.parametrize("kw, message", [
+    ({"disturbances": [{"time": 1.0, "duration": 0.1}]},
+     "missing ScenarioConfig.disturbances[0] key 'frame'; required: time, "
+     "duration, frame"),
+    ({"disturbances": [Disturbance(1.0, 0.1, "torso_push"),
+                       {"time": 1.0, "duration": 0.1, "frame": "torso_push",
+                        "bogus": 1.0}]},
+     "unknown ScenarioConfig.disturbances[1] key 'bogus'; known: time, "
+     "duration, frame, force, torque"),
+    ({"object_events": [{"time": 1.0, "height": 0.03}]},
+     "missing ScenarioConfig.object_events[0] key 'frame', 'action'; "
+     "required: time, frame, height, action"),
+    ({"object_events": [{"time": 1.0, "frame": "left_sole", "height": 0.03,
+                         "action": "insert", "bogus": 1.0}]},
+     "unknown ScenarioConfig.object_events[0] key 'bogus'; known: time, "
+     "frame, height, action, ramp, region"),
+    # keys that do not sort together used to end in TypeError '<' not
+    # supported between instances of 'str' and 'int'
+    ({"object_events": [{"time": 1.0, "frame": "left_sole", "height": 0.03,
+                         "action": "insert", "bogus": 1.0, 2: 0.0}]},
+     "unknown ScenarioConfig.object_events[0] key 'bogus', 2; known: time, "
+     "frame, height, action, ramp, region"),
+], ids=["push-missing", "push-unknown", "object-missing", "object-unknown",
+        "object-unsortable"])
+def test_event_mappings_with_missing_or_unknown_keys_are_rejected(kw,
+                                                                  message):
+    with pytest.raises(ValueError) as exc:
+        ScenarioConfig(**kw)
+    assert str(exc.value) == message
 
 
 # each of these used to build and then fail or misbehave in the loop: a
@@ -413,7 +455,8 @@ def test_legacy_foot_key_is_refused_and_frame_is_written():
     written = cfg.to_dict()["object_events"][0]
     assert written["frame"] == "right_sole" and "foot" not in written
     legacy = {("foot" if k == "frame" else k): v for k, v in event.items()}
-    with pytest.raises(TypeError, match="unexpected keyword argument 'foot'"):
+    with pytest.raises(ValueError, match=r"^unknown ScenarioConfig\."
+                       r"object_events\[0\] key 'foot'; known: time, frame"):
         ScenarioConfig(object_events=[legacy])
 
 
