@@ -2,9 +2,12 @@
 
 Core capabilities: floating-base rigid-body dynamics, a ground-truth
 simulation plant with realistic sensors, Kalman-filter velocity
-smoothing with GA-tuned covariances, physics-informed friction
-learning, UKF joint-torque estimation and a cascaded torque-control
-stack with an experiment runner over seven control modes.
+smoothing, physics-informed friction learning, UKF joint-torque
+estimation and a cascaded torque-control stack with an experiment
+runner over seven control modes.  Every run smooths its encoders with
+the fixed `experiments.DEFAULT_KF_GAINS`; `torquesense tune-kf`
+GA-tunes the filter's covariances on a trace and writes them to a
+file that no command reads yet.
 """
 
 __version__ = "0.1.0"

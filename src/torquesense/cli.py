@@ -102,6 +102,9 @@ def _cmd_tune_kf(args):
     if not 1 <= args.bits <= 64:  # the encoder bits a scenario allows
         raise SystemExit(f"tune-kf --bits must be from 1 to 64, got "
                          f"{args.bits}")
+    if args.population < 2:  # two parents make each child
+        raise SystemExit(f"tune-kf --population must be at least 2, got "
+                         f"{args.population}")
     dt, trace = _load_trace(args.trace, args.joint)
     try:
         config = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)], seed=args.seed,

@@ -5,8 +5,7 @@ loop) wired once for one of the seven modes from the scenario alone,
 and a loop that steps the plant, hands the controller each sensor
 sample and the balancer its CoM reference, and logs the plant's truth,
 which reduces to torque-tracking and center-of-mass metrics.
-A run writes no file.  Sweeps repeat a scenario across friction-parameter
-scalings, and reports assemble into a comparison table.
+A run writes no file, and reports assemble into a comparison table.
 """
 
 import dataclasses
@@ -15,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pinn
-from .control import (COMP_CUTOFF, HIGH_RATE, WIRING, ControlConfig,
+from .control import (COMP_CUTOFF, HIGH_RATE, WIRING,
                       PositionPD, TorquePI, high_level_balancer,
                       rnea_torque_feedback)
-from .friction import ScvParams
 from .kf import encoder_lsb, mean_step, steady_state_gain
 from .model import desk_biped
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
@@ -30,8 +28,8 @@ from .ukf import ComplementaryAttitude, TorqueUkf
 class OnlineKf:
     """Bank of steady-state-gain encoder filters for the per-step control path.
 
-    One filter per entry of `lsb` (the channels' quantization steps),
-    starting at rest at zero.  The
+    One filter per entry of the array `lsb` (the channels' quantization
+    steps), starting at rest at zero.  The
     covariance recursion runs to convergence once at start-up, in one
     batch over the distinct `lsb` values; the loop then applies the
     constant gains, which is what a fixed-cost real-time implementation
@@ -39,7 +37,7 @@ class OnlineKf:
     """
 
     def __init__(self, dt, lsb, q_accel, q_jerk):
-        lsb = np.atleast_1d(np.asarray(lsb, dtype=float))
+        lsb = np.asarray(lsb, dtype=float)
         kinds, kind = np.unique(lsb, return_inverse=True)
         K = steady_state_gain(dt, kinds, q_accel, q_jerk)
         self.K = np.ascontiguousarray(K[kind.ravel()].T)  # (3, channels)
@@ -481,31 +479,6 @@ def compute_metrics(log, scenario, control):
             com_mean_error_mm=(np.mean(np.abs(com_err), axis=0) * 1e3).tolist(),
             com_max_error_mm=(np.max(np.abs(com_err), axis=0) * 1e3).tolist())
     return report
-
-
-def scalability_sweep(scenario, scalings, control=None, nets=None):
-    """Re-run the same controller on plants with scaled friction.
-
-    The friction nets and filter settings stay fixed (trained on the
-    nominal plant); only the plant friction parameters change.  Every
-    joint's resolved friction is scaled, and each joint gets an entry
-    of its own that keeps its motor and elasticity settings.
-    """
-    def scaled(scale):
-        joints = {name: {**entry, "friction": dataclasses.asdict(
-            ScvParams(**entry["friction"]).scaled(scale))}
-            for name, entry in scenario.actuators.items()}
-        return dataclasses.replace(scenario, joints=joints)
-
-    # every scaled scenario is built, and so checked, before the first run
-    scenarios = [(scale, scaled(scale)) for scale in scalings]
-    cfg = control or ControlConfig()
-    reports = []
-    for scale, scaled_scenario in scenarios:
-        rep, _ = run_scenario(scaled_scenario, cfg, nets=nets)
-        rep["friction_scale"] = scale
-        reports.append(rep)
-    return reports
 
 
 TABLE_COLUMNS = ("mode", "torque_rmse_overall", "com_mean_error_mm",

@@ -3,7 +3,7 @@
 All torques are joint-side N*m.  The friction model is used both as
 plant ground truth and as the physics prior for the learned friction
 estimator.  Parameter fields are scalars for one joint or equal-length
-arrays for several; validation and scaling treat both alike, and
+arrays for several; validation treats both alike, and
 indexing an array set gives one joint's scalar set.
 """
 
@@ -47,13 +47,6 @@ class ScvParams:
     def __getitem__(self, j):
         """Joint j's scalar parameters from a per-joint array set."""
         return ScvParams(*(float(getattr(self, f.name)[j]) for f in fields(self)))
-
-    def scaled(self, factor):
-        """Friction parameters with all magnitude levels scaled by `factor`."""
-        _require(factor, lambda f: f > 0.0,
-                 "friction scaling must be positive and finite")
-        return ScvParams(self.coulomb * factor, self.breakaway * factor,
-                         self.stribeck_vel, self.viscous * factor)
 
 
 def scv_friction(params, v, smoothing=0.0):

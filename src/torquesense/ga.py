@@ -31,6 +31,10 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(
+                self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"GaConfig.seed must be a nonnegative integer, "
+                             f"got {self.seed!r}")
         for name in ("population_size", "generations", "parents_mating"):
             v = getattr(self, name)
             if v < 1:
@@ -135,9 +139,8 @@ def _mean_square(d):
 def kf_fitness(genes, trace, dt, lsb):
     """Score (q_accel, q_jerk) candidates on an encoder position trace.
 
-    `genes` is one candidate or a (P, 2) stack; the score is a float or
-    (P,) scores, all from one batched filter pass.  A candidate with a
-    negative density scores -inf.
+    `genes` is a (P, 2) stack; the (P,) scores come from one batched
+    filter pass.  A candidate with a negative density scores -inf.
 
     Score = -(w1*jerk term + w2*accel term + w3*position-alignment term
     + w4*velocity/position integration-inconsistency term), with the
@@ -152,8 +155,7 @@ def kf_fitness(genes, trace, dt, lsb):
     if len(z) < MIN_TRACE_SAMPLES:
         raise ValueError(f"trace too short: {len(z)} < {MIN_TRACE_SAMPLES} "
                          f"samples")
-    genes = np.asarray(genes, dtype=float)
-    q = np.atleast_2d(genes)[:, :2]
+    q = np.asarray(genes, dtype=float)
     valid = ~np.any(q < 0.0, axis=1)
     scores = np.full(len(q), -np.inf)
     if valid.any():
@@ -185,7 +187,7 @@ def kf_fitness(genes, trace, dt, lsb):
                 + w3 * align_excess
                 + w4 * integ / integ_ref)
         scores[valid] = -cost
-    return scores if genes.ndim == 2 else scores[0]
+    return scores
 
 
 def tune_kf(trace, dt, lsb, config):

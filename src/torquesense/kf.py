@@ -7,10 +7,11 @@ quantized position.  The process noise is parameterized by two scalar
 spectral densities (acceleration noise and jerk noise) so that tuning a
 channel reduces to a 2-gene search.
 
-Batch axis.  The densities may be scalars or (B,) arrays: one filter per
-noise setting, all run over the same samples.  `process_noise` then
-gives (B, 3, 3), the gain recursion (3, B) gains per step and
-`filter_trace` (B, n) estimates; scalar densities give (3, 3) and (n,).
+Batch axis.  `filter_trace` runs a batch of filters over the same
+samples, one per entry of its (B,) densities, and returns (B, n)
+estimates; the gain recursion gives (3, B) gains per step.
+`process_noise` and `steady_state_gain` also take scalar densities,
+for the one setting of an encoder bank.
 
 Convergence rule.  The covariance recursion does not depend on the data
 (only on dt, Q and r; Anderson & Moore, "Optimal Filtering", 1979,
@@ -175,18 +176,16 @@ def mean_step(x, v, a, z, K, dt):
 def filter_trace(positions, dt, lsb, q_accel, q_jerk):
     """Run the filter over a whole position trace.
 
-    Returns (position, velocity, acceleration) estimates: (n,) arrays
-    for scalar densities, (B, n) arrays for (B,) densities.  Every
-    filter starts at rest at the first sample with covariance
-    diag(r, 1, 10) and alternates predict and position update steps.
+    Returns (position, velocity, acceleration) estimates as (B, n)
+    arrays, one row per entry of the (B,) densities.  Every filter
+    starts at rest at the first sample with covariance diag(r, 1, 10)
+    and alternates predict and position update steps.
     """
     z = np.asarray(positions, dtype=float)
     n = len(z)
     if n < 2:
         raise ValueError("trace must contain at least two samples")
-    Q = process_noise(dt, q_accel, q_jerk)
-    scalar = Q.ndim == 2
-    Q = Q.reshape(-1, 3, 3)
+    Q = process_noise(dt, q_accel, q_jerk).reshape(-1, 3, 3)
     B = len(Q)
     r = np.full(B, quantization_variance(lsb))
     gains = itertools.chain.from_iterable(
@@ -200,8 +199,6 @@ def filter_trace(positions, dt, lsb, q_accel, q_jerk):
         xs[:, k] = x
         vs[:, k] = v
         accs[:, k] = a
-    if scalar:
-        return xs[0], vs[0], accs[0]
     return xs, vs, accs
 
 

@@ -317,7 +317,8 @@ def save_nets(path, nets):
 
 
 def load_nets(path):
-    """Nets keyed by joint name from a `save_nets` file.
+    """Nets keyed by joint name from a `save_nets` file of schema
+    version 1; any other version raises ValueError.
 
     Joints whose saved nets are equal get one shared net, as
     `experiments.default_friction_nets` shares one between joints of
@@ -326,6 +327,9 @@ def load_nets(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if doc["schema_version"] != 1:
+        raise ValueError(f"schema_version must be 1, got "
+                         f"{doc['schema_version']!r}")
     distinct = {}
     nets = {}
     for name, d in doc["nets"].items():

@@ -321,12 +321,17 @@ def write_trace(path, t, q0, nan):
     (np.arange(50) * 1e-3, [], "has 50 samples; tuning needs at least 100"),
     (np.arange(200) * 1e-3, ["--joint", "nan"],
      "column 'nan' holds a value that is not finite"),
+    # used to name parents_mating, a setting the flags do not give
     (np.arange(200) * 1e-3, ["--population", "1"],
-     "GaConfig.parents_mating (2) must not exceed population_size (1)"),
+     "tune-kf --population must be at least 2, got 1"),
     (np.arange(200) * 1e-3, ["--generations", "0"],
      "GaConfig.generations must be at least 1, got 0"),
+    # used to make --out, then end in numpy's default_rng
+    (np.arange(200) * 1e-3, ["--seed", "-1"],
+     "tune-kf rejected: GaConfig.seed must be a nonnegative integer, "
+     "got -1"),
 ], ids=["constant-t", "uneven-t", "short", "nan", "population",
-        "generations"])
+        "generations", "seed"])
 def test_rejected_tuning_input_exits_with_one_line(tmp_path, t, extra,
                                                    message):
     path = tmp_path / "trace.csv"
@@ -359,6 +364,19 @@ def test_tuned_gains_that_never_settle_exit_with_one_line(tmp_path,
     assert "\n" not in text
     # the output directory is made before the GA runs, and left empty
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("population", [1, 0, -4])
+def test_tune_kf_refuses_a_population_below_two(tmp_path, population):
+    # each child has two parents; the trace is not read
+    args = ["tune-kf", "--trace", str(tmp_path / "missing.csv"), "--joint",
+            "q0", "--population", str(population), "--out",
+            str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert str(exc.value.code) == (f"tune-kf --population must be at least "
+                                   f"2, got {population}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bits", [0, -3, 2000])
@@ -456,7 +474,9 @@ def untrained_nets(names):
 @pytest.mark.parametrize("names, edit, message", [
     (["left_hip_roll"], None, "no net for joint(s) right_hip_roll, torso_pitch"),
     (desk_biped().joint_names + ["knee"], None, "unknown joint(s) knee"),
-    (None, None, "'nets'"),
+    ({"schema_version": 1}, None, "'nets'"),
+    # any version used to load
+    ({"schema_version": 2}, None, "schema_version must be 1, got 2"),
     # these used to load: the first used to end the run at its first
     # tick with a numpy broadcast error, the second as 'diverged'
     (desk_biped().joint_names, lambda net: net.update(norm_mean=[0.0] * 5),
@@ -464,12 +484,12 @@ def untrained_nets(names):
     (desk_biped().joint_names,
      lambda net: net["params"]["b1"].__setitem__(0, float("nan")),
      "parameter b1 holds a number that is not finite"),
-], ids=["missing", "unknown", "malformed", "norm", "nan"])
+], ids=["missing", "unknown", "malformed", "version", "norm", "nan"])
 def test_rejected_nets_file_exits_with_one_line(tmp_path, names, edit,
                                                 message):
     nets_path = tmp_path / "nets.json"
-    if names is None:
-        nets_path.write_text(json.dumps({"schema_version": 1}))
+    if isinstance(names, dict):  # the whole file
+        nets_path.write_text(json.dumps(names))
     else:
         pinn.save_nets(nets_path, untrained_nets(names))
     if edit is not None:  # of the first joint's saved net

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from friction_scaling import scalability_sweep, scaled
 from reference_kf import ScalarOnlineKf
 from torquesense import experiments, pinn
 from torquesense.control import CURRENT_LIMIT, MODES, ControlConfig
@@ -30,7 +31,6 @@ from torquesense.experiments import (
     run_scenario,
     RunLog,
     ScenarioRefused,
-    scalability_sweep,
 )
 from torquesense.kf import encoder_lsb, filter_trace
 from torquesense.friction import ScvParams
@@ -103,13 +103,13 @@ def test_render_table_markdown():
 
 def test_online_kf_tracks_constant_acceleration():
     dt = 1e-3
-    kf = OnlineKf(dt, encoder_lsb(20), q_accel=1e-2, q_jerk=1e2)
+    kf = OnlineKf(dt, [encoder_lsb(20)], q_accel=1e-2, q_jerk=1e2)
     x = v = None
     for k in range(4000):
         t = k * dt
         x, v, a = kf.update(0.5 * 3.0 * t * t)
-    assert abs(v - 3.0 * (k * dt)) < 1e-3
-    assert abs(a - 3.0) < 1e-3
+    assert abs(v[0] - 3.0 * (k * dt)) < 1e-3
+    assert abs(a[0] - 3.0) < 1e-3
 
 
 @pytest.mark.parametrize("bits", [12, 16])
@@ -119,7 +119,8 @@ def test_online_kf_tracks_filter_trace_after_convergence(bits):
     dt, lsb = 1e-3, encoder_lsb(bits)
     t = np.arange(3000) * dt
     z = np.round((0.4 * np.sin(2 * np.pi * 1.3 * t) + 0.5 * t * t) / lsb) * lsb
-    xs, vs, accs = filter_trace(z, dt, lsb, **DEFAULT_KF_GAINS)
+    one = {key: [q] for key, q in DEFAULT_KF_GAINS.items()}
+    xs, vs, accs = (est[0] for est in filter_trace(z, dt, lsb, **one))
     start = 1000
     kf = OnlineKf(dt, [lsb], **DEFAULT_KF_GAINS)
     kf.x[:], kf.v[:], kf.a[:] = xs[start - 1], vs[start - 1], accs[start - 1]
@@ -238,14 +239,15 @@ def test_scalability_sweep_scales_every_joint_and_keeps_the_rest(monkeypatch):
     monkeypatch.setattr(experiments, "run_scenario",
                         lambda scenario, *a, **kw: ran.append(scenario) or ({}, None))
     scalability_sweep(scen, [0.5])
-    nominal, scaled = Plant(scen), Plant(ran[0])
+    nominal, scaled_plant = Plant(scen), Plant(ran[0])
     roll = nominal.model.joint_names.index("left_hip_roll")
     assert nominal.scv[roll].coulomb == 3.0
     for j in range(nominal.n):
-        assert scaled.scv[j] == nominal.scv[j].scaled(0.5), j
+        assert scaled_plant.scv[j] == scaled(nominal.scv[j], 0.5), j
     for name in ("k_t", "reduction", "motor_inertia", "elastic_k",
                  "elastic_d"):
-        assert np.array_equal(getattr(scaled, name), getattr(nominal, name))
+        assert np.array_equal(getattr(scaled_plant, name),
+                              getattr(nominal, name))
     assert len(set(nominal.reduction)) == 2 and len(set(nominal.k_t)) == 2
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from friction_scaling import scaled
 from torquesense.friction import ScvParams, scv_friction
 from torquesense.plant import ScenarioConfig
 
@@ -56,7 +57,7 @@ def test_smooth_converges_to_exact():
 
 
 def test_scaled_params():
-    s = P.scaled(1.3)
+    s = scaled(P, 1.3)
     assert s.coulomb == pytest.approx(1.3)
     assert s.breakaway == pytest.approx(2.6)
     assert s.viscous == pytest.approx(0.65)
@@ -65,9 +66,9 @@ def test_scaled_params():
     assert np.allclose(scv_friction(s, vs), 1.3 * scv_friction(P, vs),
                        rtol=1e-12)
     with pytest.raises(ValueError):
-        P.scaled(0.0)
+        scaled(P, 0.0)
     with pytest.raises(ValueError):
-        P.scaled(-0.5)
+        scaled(P, -0.5)
 
 
 def test_param_validation():
@@ -90,7 +91,7 @@ NAN = float("nan")
     lambda: ScvParams(1.0, 2.0, 0.1, float("inf")),
     # the motor settings are checked where the scenario is built
     lambda: ScenarioConfig(joints={"default": {"motor": {"k_t": NAN}}}),
-    lambda: P.scaled(NAN),
+    lambda: scaled(P, NAN),
 ], ids=["coulomb", "breakaway", "stribeck_vel", "viscous", "k_t", "scaled"])
 def test_non_finite_parameters_are_rejected(make):
     with pytest.raises(ValueError, match="finite"):
@@ -110,9 +111,9 @@ def test_per_joint_arrays_match_each_joint():
                               joint_by_joint)
     assert ARRAY[2] == ScvParams(3.0, 4.0, 0.05, 1.0)
     assert type(ARRAY[2].coulomb) is float
-    half = ARRAY.scaled(0.5)
+    half = scaled(ARRAY, 0.5)
     for j in range(3):
-        assert half[j] == ARRAY[j].scaled(0.5)
+        assert half[j] == scaled(ARRAY[j], 0.5)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,6 +1,7 @@
 """Genetic-algorithm optimizer: convergence, elitism, determinism."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,15 @@ def test_config_validation():
             GaConfig(bounds=[(0.0, 1.0)], **{name: 0})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(seed):
+    # -1 used to pass and end the search in numpy's default_rng
+    with pytest.raises(ValueError, match=r"^GaConfig\.seed must be a "
+                       rf"nonnegative integer, got {re.escape(repr(seed))}$"):
+        GaConfig(bounds=[(0.0, 1.0)], seed=seed)
+    assert GaConfig(bounds=[(0.0, 1.0)], seed=np.int64(3)).seed == 3
+
+
 def synthetic_trace(n=2000, dt=1e-3, lsb=encoder_lsb(12), noise=False, seed=0):
     t = np.arange(n) * dt
     z = 0.8 * np.sin(2 * np.pi * 1.0 * t)
@@ -128,13 +138,13 @@ def synthetic_trace(n=2000, dt=1e-3, lsb=encoder_lsb(12), noise=False, seed=0):
 def test_kf_fitness_basic_properties():
     dt, lsb = 1e-3, encoder_lsb(12)
     trace = synthetic_trace()
-    s1 = kf_fitness([1e-2, 1e2], trace, dt, lsb)
-    s2 = kf_fitness([1e-2, 1e2], trace, dt, lsb)
+    s1, = kf_fitness([[1e-2, 1e2]], trace, dt, lsb)
+    s2, = kf_fitness([[1e-2, 1e2]], trace, dt, lsb)
     assert s1 == s2  # identical candidates, identical scores
     assert np.isfinite(s1) and s1 <= 0.0
-    assert kf_fitness([-1.0, 1.0], trace, dt, lsb) == -np.inf
+    assert kf_fitness([[-1.0, 1.0]], trace, dt, lsb)[0] == -np.inf
     with pytest.raises(ValueError):
-        kf_fitness([1.0, 1.0], trace[:50], dt, lsb)
+        kf_fitness([[1.0, 1.0]], trace[:50], dt, lsb)
 
 
 def test_kf_fitness_stack_matches_the_per_candidate_fitness():
@@ -151,7 +161,7 @@ def test_kf_fitness_stack_matches_the_per_candidate_fitness():
     assert scores[5] == scores[6] == -np.inf
     for g, s in zip(genes, scores):
         assert s == kf_fitness_one(g, trace, dt, lsb)
-        assert s == kf_fitness(g, trace, dt, lsb)
+        assert kf_fitness(g[None], trace, dt, lsb)[0] == s
     assert np.all(kf_fitness(genes[5:7], trace, dt, lsb) == -np.inf)
 
 
@@ -213,7 +223,8 @@ def test_zero_noise_constant_velocity_error_terms_vanish():
     dt = 1e-3
     t = np.arange(6000) * dt
     trace = 0.3 * t
-    x, v, _ = filter_trace(trace, dt, encoder_lsb(24), 1e-2, 1e1)
+    x, v, _ = (est[0] for est in
+               filter_trace(trace, dt, encoder_lsb(24), [1e-2], [1e1]))
     half = len(t) // 2
     align = x[half:] - trace[half:]
     integ = np.diff(x[half:]) / dt - v[half + 1:]
@@ -234,6 +245,7 @@ def test_larger_jerk_weight_gives_smoother_filter(monkeypatch):
     for w_jerk in (0.1, 10.0, 1000.0):
         monkeypatch.setattr(ga, "FITNESS_WEIGHTS", (w_jerk, 0.1, 10.0, 1.0))
         gains, _ = tune_kf(trace, dt, lsb, config=cfg)
-        _, v, _ = filter_trace(trace, dt, lsb, gains["q_accel"], gains["q_jerk"])
+        _, (v,), _ = filter_trace(trace, dt, lsb, [gains["q_accel"]],
+                                  [gains["q_jerk"]])
         jerk_vars.append(np.var(np.diff(v, 2) / dt ** 2))
     assert jerk_vars[2] < jerk_vars[0]

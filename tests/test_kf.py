@@ -86,7 +86,8 @@ def test_unbiased_on_quadratic_trajectory():
     n = 5000
     t = np.arange(n) * dt
     z = 0.1 + 0.7 * t + 0.5 * 3.0 * t * t
-    _, v, _ = filter_trace(z, dt, lsb=encoder_lsb(20), q_accel=1e-3, q_jerk=1e3)
+    _, (v,), _ = filter_trace(z, dt, lsb=encoder_lsb(20), q_accel=[1e-3],
+                              q_jerk=[1e3])
     true_v = 0.7 + 3.0 * t
     assert abs(v[-1] - true_v[-1]) < 1e-9
 
@@ -96,7 +97,8 @@ def test_filter_trace_matches_stepwise_filter():
     lsb = encoder_lsb(12)
     r = np.random.default_rng(2)
     z = np.cumsum(r.normal(scale=1e-3, size=300)) + 0.3
-    xs, vs, accs = filter_trace(z, dt, lsb, q_accel=0.7, q_jerk=120.0)
+    (xs,), (vs,), (accs,) = filter_trace(z, dt, lsb, q_accel=[0.7],
+                                         q_jerk=[120.0])
     st = make_kf(dt, lsb, q_accel=0.7, q_jerk=120.0, initial_pos=z[0])
     for k in range(len(z)):
         st = kf_predict(st)
@@ -112,7 +114,7 @@ def test_smoother_than_finite_difference_on_quantized_input():
     lsb = encoder_lsb(12)
     t = np.arange(4000) * dt
     z = np.round(np.sin(2 * np.pi * t) / lsb) * lsb
-    _, v, _ = filter_trace(z, dt, lsb, q_accel=1e-2, q_jerk=1e2)
+    _, (v,), _ = filter_trace(z, dt, lsb, q_accel=[1e-2], q_jerk=[1e2])
     fd_v = backward_difference(z, dt)
     jerk = np.var(np.diff(v, 2) / dt ** 2)
     fd_jerk = np.var(np.diff(fd_v, 2) / dt ** 2)
@@ -154,10 +156,10 @@ def test_batched_filter_matches_the_per_candidate_filter():
         assert np.array_equal(xs[b], x)
         assert np.array_equal(vs[b], v)
         assert np.array_equal(accs[b], a)
-    # scalar densities give one filter's (n,) traces
-    x, v, a = filter_trace(z, dt, lsb, q_accel[4], q_jerk[4])
-    assert x.shape == (len(z),)
-    assert np.array_equal(v, vs[4])
+    # a one-member batch gives that member's (1, n) traces
+    x, v, a = filter_trace(z, dt, lsb, q_accel[4:5], q_jerk[4:5])
+    assert x.shape == (1, len(z))
+    assert np.array_equal(v[0], vs[4])
 
 
 def schedules(dt, lsb, n):
@@ -255,7 +257,7 @@ def test_validation_and_error_paths(tmp_path):
                                        [0.0, 1.0, 0.0],
                                        [0.0, 0.0, 1.0]]), np.eye(3), 0.1, 1e-3)
     with pytest.raises(ValueError):
-        filter_trace([1.0], 1e-3, encoder_lsb(12), 1.0, 1.0)
+        filter_trace([1.0], 1e-3, encoder_lsb(12), [1.0], [1.0])
     bad = KfState(np.zeros(3), np.diag([-1.0, 1.0, 1.0]), np.zeros((3, 3)),
                   0.5, 1e-3)
     with pytest.raises(ArithmeticError):

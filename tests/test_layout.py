@@ -1,14 +1,15 @@
-"""Source layout: the library modules hold no test-only code and share
-no private names.
+"""Source layout: the package holds no test-only code, its modules
+share no private names, and every source file parses as Python 3.10.
 
 The library layer is every module of the package except the entry
 layer, `experiments` and `cli`, whose public functions are the user
-API.  A public function, class, module constant or method of a library
-module that nothing under `src/` uses belongs in the tests' reference
-modules, not in the package.  The benchmark under `perfbench/` drives
-the package through its API as a user does, so a name it calls counts
-as used too; its own tests do not.  A `_`-prefixed name is private to
-its module: a name another module imports is public, and is named so.
+API.  A public function, class, module constant or method of any
+module, the entry layer's included, that nothing under `src/` uses
+belongs in the tests' helper modules, not in the package.  The
+benchmark under `perfbench/` drives the package through its API as a
+user does, so a name it calls counts as used too; its own tests do
+not.  A `_`-prefixed name is private to its module: a name another
+module imports is public, and is named so.
 A module imports no name it never reads.
 The package imports nothing but numpy and the standard library, the one
 dependency `pyproject.toml` declares.  The robot description owns the
@@ -89,14 +90,13 @@ def parse(paths):
 
 
 def test_library_modules_have_no_test_only_names():
+    # the entry layer too: a sweep no command runs is test-only code
     src = parse(sorted(SRC.glob("*.py")))
     bench = parse(p for p in sorted((ROOT / "perfbench").glob("*.py"))
                   if not p.name.startswith("test_"))
     users = list(src.values()) + list(bench.values())
-    library = [tree for path, tree in src.items()
-               if path.stem not in ENTRY_LAYER]
-    checked = [entry for tree in library for entry in public_names(tree)]
-    assert len(library) >= 10 and len(checked) > 80
+    checked = [entry for tree in src.values() for entry in public_names(tree)]
+    assert len(src) >= 12 and len(checked) > 100
     unused = []
     for node, name, is_method in checked:
         names, attributes = references(users, skip=node)
@@ -105,6 +105,25 @@ def test_library_modules_have_no_test_only_names():
         if name not in attributes and (is_method or name not in names):
             unused.append(name)
     assert unused == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """The tier-1 CI job runs on Python 3.10, the `requires-python`
+    floor, which a newer interpreter cannot stand in for.  Every `.py`
+    under `src/`, `tests/` and `perfbench/` parses with the 3.10
+    grammar.  This checks syntax only: a call to a standard-library
+    API newer than 3.10 still passes."""
+    paths = [path for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 30
+    newer = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path),
+                      feature_version=(3, 10))
+        except SyntaxError as exc:
+            newer.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert newer == []
 
 
 def test_no_module_imports_a_private_name():

@@ -342,3 +342,10 @@ def test_net_serialization_round_trip(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="W2"):
         load_nets(path)
+
+    # a file of any version but the one save_nets writes is refused
+    doc = json.loads(path.read_text())
+    doc["nets"]["j0"]["params"]["W2"] = net.params["W2"].tolist()
+    path.write_text(json.dumps(dict(doc, schema_version=2)))
+    with pytest.raises(ValueError, match=r"^schema_version must be 1, got 2$"):
+        load_nets(path)
