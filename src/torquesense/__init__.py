@@ -6,8 +6,9 @@ smoothing, physics-informed friction learning, UKF joint-torque
 estimation and a cascaded torque-control stack with an experiment
 runner over seven control modes.  Every run smooths its encoders with
 the fixed `experiments.DEFAULT_KF_GAINS`; `torquesense tune-kf`
-GA-tunes the filter's covariances on a trace and writes them to a
-file that no command reads yet.
+tunes the filter's covariances on a trace with the one GA search
+`ga.GaConfig()` defines and writes them to a file that no command
+reads yet.
 """
 
 __version__ = "0.1.0"

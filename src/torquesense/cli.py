@@ -2,8 +2,9 @@
 
 Subcommands:
 
-    tune-kf   GA-tune encoder-filter covariances on a recorded trace;
-              densities whose filter gain never settles are refused
+    tune-kf   GA-tune encoder-filter covariances on a recorded trace
+              with the one search `ga.GaConfig()` defines; densities
+              whose filter gain never settles are refused
     run       one closed-loop scenario in a chosen control mode
     sweep     a scenario across control modes
     report    assemble a Markdown comparison table from run records
@@ -102,20 +103,10 @@ def _cmd_tune_kf(args):
     if not 1 <= args.bits <= 64:  # the encoder bits a scenario allows
         raise SystemExit(f"tune-kf --bits must be from 1 to 64, got "
                          f"{args.bits}")
-    if args.population < 2:  # two parents make each child
-        raise SystemExit(f"tune-kf --population must be at least 2, got "
-                         f"{args.population}")
     dt, trace = _load_trace(args.trace, args.joint)
-    try:
-        config = GaConfig(bounds=[(-4.0, 4.0), (-2.0, 8.0)], seed=args.seed,
-                          population_size=args.population,
-                          generations=args.generations,
-                          parents_mating=max(2, args.population // 2))
-    except ValueError as exc:
-        raise SystemExit(f"tune-kf rejected: {exc}") from None
     _make_out(args.out)
     lsb = encoder_lsb(args.bits)
-    gains, history = tune_kf(trace, dt, lsb, config=config)
+    gains, history = tune_kf(trace, dt, lsb, config=GaConfig())
     try:
         steady_state_gain(dt, lsb, **gains)
     except ValueError as exc:
@@ -238,7 +229,8 @@ def _cmd_sweep(args):
 
 def _load_record(path):
     """The report a record holds; one that cannot be read or is not JSON,
-    lacks a key the table reads or names no known mode exits in one line."""
+    lacks a key the table reads, names no known mode or has a seed or
+    config hash the table cannot sort exits in one line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -253,6 +245,13 @@ def _load_record(path):
     if report["mode"] not in MODES:
         raise SystemExit(f"record {path} has unknown mode "
                          f"{report['mode']!r}; valid: {', '.join(MODES)}")
+    seed = report["seed"]  # the table sorts by seed and config hash
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SystemExit(f"record {path} has seed {seed!r}, not a "
+                         f"nonnegative integer")
+    if not isinstance(report["config_hash"], str):
+        raise SystemExit(f"record {path} has config_hash "
+                         f"{report['config_hash']!r}, not a string")
     return report
 
 
@@ -283,10 +282,7 @@ def main(argv=None):
     t.add_argument("--trace", required=True, help="CSV with a 't' column and "
                    "one position column per channel")
     t.add_argument("--joint", required=True, help="trace column to tune on")
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--bits", type=int, default=12, help="encoder bits, 1 to 64")
-    t.add_argument("--population", type=int, default=40)
-    t.add_argument("--generations", type=int, default=15)
     t.add_argument("--out", default=".", help="output directory")
     t.set_defaults(func=_cmd_tune_kf)
 

@@ -1,12 +1,12 @@
 """Real-coded genetic algorithm for scalar hyperparameter tuning.
 
-Defaults follow the encoder-filter tuning recipe: population 120 over
-50 generations, 60 parents picked by `TOURNAMENT_K`-tournament,
+`GaConfig()` is the encoder-filter search `torquesense tune-kf` runs:
+genes log10 q_accel in [-4, 4] and log10 q_jerk in [-2, 8], population
+40 over 15 generations, 20 parents picked by `TOURNAMENT_K`-tournament,
 two-point crossover, `MUTATION_RATE` per-gene uniform mutation and
-top-`ELITISM_FRACTION` elitism.  The same optimizer is reused for any
-small fitness landscape (the filter Q search needs only two genes).
-`kf_fitness` scores encoder traces of at least `MIN_TRACE_SAMPLES`
-samples.
+top-`ELITISM_FRACTION` elitism, seed 0.  The same optimizer runs any
+small fitness landscape given its own bounds.  `kf_fitness` scores
+encoder traces of at least `MIN_TRACE_SAMPLES` samples.
 """
 
 from dataclasses import dataclass
@@ -23,11 +23,11 @@ MIN_TRACE_SAMPLES = 100   # shortest trace kf_fitness scores
 
 @dataclass
 class GaConfig:
-    """Search settings; bounds is a list of (low, high) per gene."""
-    bounds: list
-    population_size: int = 120
-    generations: int = 50
-    parents_mating: int = 60
+    """Search settings; bounds holds one (low, high) per gene."""
+    bounds: tuple = ((-4.0, 4.0), (-2.0, 8.0))
+    population_size: int = 40
+    generations: int = 15
+    parents_mating: int = 20
     seed: int = 0
 
     def __post_init__(self):

@@ -203,6 +203,7 @@ def filter_trace(positions, dt, lsb, q_accel, q_jerk):
 
 
 def save_gains(path, gains):
-    """Write tuned per-joint gains {joint: {q_accel, q_jerk}} as JSON."""
+    """Write one channel's tuned gains {q_accel, q_jerk} as JSON:
+    {"schema_version": 1, "gains": {"q_accel": ..., "q_jerk": ...}}."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"schema_version": 1, "gains": gains}, fh, indent=2, sort_keys=True)

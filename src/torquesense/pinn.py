@@ -171,35 +171,6 @@ def loss_and_grads(net, X, targets, phys):
     return loss, grad
 
 
-class AdamState:
-    """Adam optimizer state for one FrictionNet: moments shaped like `theta`."""
-
-    def __init__(self, net):
-        self.step_count = 0
-        self.m = np.zeros_like(net.theta)
-        self.v = np.zeros_like(net.theta)
-
-
-def _step(net, X, targets, phys, opt):
-    """One Adam step on a batch of feature rows and their two targets.
-
-    Returns the pre-step loss; raises ArithmeticError with the step
-    index if it is not finite.
-    """
-    loss, grad = loss_and_grads(net, X, targets, phys)
-    if not np.isfinite(loss):
-        raise ArithmeticError(f"training diverged at step {opt.step_count}")
-    opt.step_count += 1
-    b1c = 1.0 - ADAM_BETA1 ** opt.step_count
-    b2c = 1.0 - ADAM_BETA2 ** opt.step_count
-    opt.m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grad
-    opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grad * grad
-    mhat = opt.m / b1c
-    vhat = opt.v / b2c
-    net.theta -= LEARNING_RATE * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    return float(loss)
-
-
 def build_samples(t, motor_vel, joint_vel, friction, buffer_len):
     """Slide a length-L window over a log; returns (motor, joint, target).
 
@@ -245,7 +216,8 @@ def train(net, samples, epochs=20, seed=0):
 
     The input normalization is fitted to the set, then the features and
     both targets of every sample are built once; each shuffled
-    mini-batch is a row gather from them.
+    mini-batch is a row gather from them.  A batch loss that is not
+    finite raises ArithmeticError naming its step, counted from 0.
     """
     motor, joint, targets = _sample_arrays(samples)
     raw = net._raw_features(motor, joint)
@@ -254,7 +226,9 @@ def train(net, samples, epochs=20, seed=0):
     net.norm_std = np.where(std > 1e-8, std, 1.0)
     X = (raw - net.norm_mean) / net.norm_std
     phys = physics_targets(net, motor)
-    opt = AdamState(net)
+    m = np.zeros_like(net.theta)  # Adam's moments, laid out like theta
+    v = np.zeros_like(net.theta)
+    steps = 0
     rng = np.random.default_rng(seed)
     losses = []
     idx = np.arange(len(targets))
@@ -263,7 +237,17 @@ def train(net, samples, epochs=20, seed=0):
         epoch = []
         for start in range(0, len(idx), BATCH_SIZE):
             rows = idx[start:start + BATCH_SIZE]
-            epoch.append(_step(net, X[rows], targets[rows], phys[rows], opt))
+            loss, grad = loss_and_grads(net, X[rows], targets[rows],
+                                        phys[rows])
+            if not np.isfinite(loss):
+                raise ArithmeticError(f"training diverged at step {steps}")
+            steps += 1
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            mhat = m / (1.0 - ADAM_BETA1 ** steps)
+            vhat = v / (1.0 - ADAM_BETA2 ** steps)
+            net.theta -= LEARNING_RATE * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            epoch.append(float(loss))
         losses.append(float(np.mean(epoch)))
     return losses
 
@@ -316,9 +300,17 @@ def save_nets(path, nets):
         json.dump(doc, fh)
 
 
+def _mapping(label, value):
+    if not isinstance(value, dict):
+        raise ValueError(f"{label} must be a mapping, got "
+                         f"{type(value).__name__}")
+    return value
+
+
 def load_nets(path):
     """Nets keyed by joint name from a `save_nets` file of schema
-    version 1; any other version raises ValueError.
+    version 1; any other version, or a top level, `nets` value or
+    joint entry that is no mapping, raises ValueError.
 
     Joints whose saved nets are equal get one shared net, as
     `experiments.default_friction_nets` shares one between joints of
@@ -326,14 +318,14 @@ def load_nets(path):
     the same results as with the nets that were saved.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _mapping("the top level", json.load(fh))
     if doc["schema_version"] != 1:
         raise ValueError(f"schema_version must be 1, got "
                          f"{doc['schema_version']!r}")
     distinct = {}
     nets = {}
-    for name, d in doc["nets"].items():
-        key = json.dumps(d, sort_keys=True)
+    for name, d in _mapping("'nets'", doc["nets"]).items():
+        key = json.dumps(_mapping(f"nets[{name!r}]", d), sort_keys=True)
         if key not in distinct:
             distinct[key] = _net_from_dict(d)
         nets[name] = distinct[key]

@@ -25,6 +25,7 @@ built config cannot change, so `Plant` reads it and checks nothing.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -298,6 +299,10 @@ class ScenarioConfig:
         d.update({name: [dataclasses.asdict(ev) for ev in d[name]]
                   for name in ("disturbances", "object_events")})
         return d
+
+    def __reduce__(self):
+        # deep-copied and pickled as its fields: a mappingproxy does neither
+        return functools.partial(ScenarioConfig, **self.to_dict()), ()
 
     def per_joint(self, section, key):
         """One resolved actuator setting of every joint, in the model's

@@ -10,6 +10,8 @@ import pytest
 from torquesense import cli, experiments, pinn
 from torquesense.control import ControlConfig
 from torquesense.friction import ScvParams
+from torquesense.ga import GaConfig
+from torquesense.kf import encoder_lsb, steady_state_gain
 from torquesense.model import desk_biped
 from torquesense.plant import ScenarioConfig
 
@@ -217,7 +219,17 @@ GOOD_RECORD = {"mode": "Feedforward", "seed": 0, "config_hash": "abc",
     (json.dumps({**GOOD_RECORD, "mode": "Feedfwd"}),
      "record {path} has unknown mode 'Feedfwd'; valid: Feedforward, "),
     (None, "no *_report.json record under {dir}"),
-], ids=["not-json", "key", "list", "mode", "empty"])
+    # the first used to end in a TypeError from sorting the records
+    (json.dumps({**GOOD_RECORD, "seed": "a"}),
+     "record {path} has seed 'a', not a nonnegative integer"),
+    (json.dumps({**GOOD_RECORD, "seed": True}),
+     "record {path} has seed True, not a nonnegative integer"),
+    (json.dumps({**GOOD_RECORD, "seed": -1}),
+     "record {path} has seed -1, not a nonnegative integer"),
+    (json.dumps({**GOOD_RECORD, "config_hash": 3}),
+     "record {path} has config_hash 3, not a string"),
+], ids=["not-json", "key", "list", "mode", "empty", "seed-str", "seed-bool",
+        "seed-negative", "hash"])
 def test_report_rejects_a_record_it_cannot_read(tmp_path, text, message):
     # used to be a metrics.csv column check; a directory without that
     # file was the one refusal shared
@@ -321,17 +333,7 @@ def write_trace(path, t, q0, nan):
     (np.arange(50) * 1e-3, [], "has 50 samples; tuning needs at least 100"),
     (np.arange(200) * 1e-3, ["--joint", "nan"],
      "column 'nan' holds a value that is not finite"),
-    # used to name parents_mating, a setting the flags do not give
-    (np.arange(200) * 1e-3, ["--population", "1"],
-     "tune-kf --population must be at least 2, got 1"),
-    (np.arange(200) * 1e-3, ["--generations", "0"],
-     "GaConfig.generations must be at least 1, got 0"),
-    # used to make --out, then end in numpy's default_rng
-    (np.arange(200) * 1e-3, ["--seed", "-1"],
-     "tune-kf rejected: GaConfig.seed must be a nonnegative integer, "
-     "got -1"),
-], ids=["constant-t", "uneven-t", "short", "nan", "population",
-        "generations", "seed"])
+], ids=["constant-t", "uneven-t", "short", "nan"])
 def test_rejected_tuning_input_exits_with_one_line(tmp_path, t, extra,
                                                    message):
     path = tmp_path / "trace.csv"
@@ -366,16 +368,36 @@ def test_tuned_gains_that_never_settle_exit_with_one_line(tmp_path,
     assert list((tmp_path / "out").iterdir()) == []
 
 
-@pytest.mark.parametrize("population", [1, 0, -4])
-def test_tune_kf_refuses_a_population_below_two(tmp_path, population):
-    # each child has two parents; the trace is not read
-    args = ["tune-kf", "--trace", str(tmp_path / "missing.csv"), "--joint",
-            "q0", "--population", str(population), "--out",
-            str(tmp_path / "out")]
+def test_tune_kf_writes_settled_gains_and_one_row_per_generation(tmp_path):
+    # the one search GaConfig() defines, on a quantized sine sampled at
+    # 1 kHz
+    path = tmp_path / "trace.csv"
+    lsb = encoder_lsb(12)
+    x = np.round(0.3 * np.sin(np.arange(300) * 0.02) / lsb) * lsb
+    write_trace(path, np.arange(300) * 1e-3, x, x)
+    out = tmp_path / "out"
+    assert cli.main(["tune-kf", "--trace", str(path), "--joint", "q0",
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "kf_gains_q0.json").read_text())
+    assert doc.keys() == {"schema_version", "gains"}
+    assert doc["schema_version"] == 1
+    assert doc["gains"].keys() == {"q_accel", "q_jerk"}
+    steady_state_gain(1e-3, lsb, **doc["gains"])  # raises if unsettled
+    with open(out / "kf_history_q0.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["generation", "best_fitness", "mean_fitness",
+                      "best_q_accel", "best_q_jerk"]
+    assert [int(r[0]) for r in rows] == list(range(GaConfig().generations))
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--population", "--generations"])
+def test_tune_kf_has_no_search_settings(tmp_path, capsys, flag):
+    # GaConfig() is the one search; the flags that overrode it are gone
     with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    assert str(exc.value.code) == (f"tune-kf --population must be at least "
-                                   f"2, got {population}")
+        cli.main(["tune-kf", "--trace", str(tmp_path / "missing.csv"),
+                  "--joint", "q0", flag, "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -484,11 +506,19 @@ def untrained_nets(names):
     (desk_biped().joint_names,
      lambda net: net["params"]["b1"].__setitem__(0, float("nan")),
      "parameter b1 holds a number that is not finite"),
-], ids=["missing", "unknown", "malformed", "version", "norm", "nan"])
+    # the first used to end in an AttributeError traceback, the other two
+    # in a line that named no field
+    ({"schema_version": 1, "nets": [1]}, None,
+     "'nets' must be a mapping, got list"),
+    ([1], None, "the top level must be a mapping, got list"),
+    ({"schema_version": 1, "nets": {"torso_pitch": [1]}}, None,
+     "nets['torso_pitch'] must be a mapping, got list"),
+], ids=["missing", "unknown", "malformed", "version", "norm", "nan",
+        "nets-list", "top-level-list", "joint-list"])
 def test_rejected_nets_file_exits_with_one_line(tmp_path, names, edit,
                                                 message):
     nets_path = tmp_path / "nets.json"
-    if isinstance(names, dict):  # the whole file
+    if isinstance(names, dict) or names == [1]:  # the whole file
         nets_path.write_text(json.dumps(names))
     else:
         pinn.save_nets(nets_path, untrained_nets(names))

@@ -719,3 +719,27 @@ def test_rate_mismatch_names_the_control_setting():
     with pytest.raises(ValueError, match=message):
         run_scenario(ScenarioConfig(step=3e-3, duration=0.55),
                      ControlConfig(mode="Feedforward"))
+
+
+QUIET_PUSH = ScenarioConfig(
+    duration=3.0, com_amplitude=(0.0, 0.0, 0.0),
+    noise={"quantize": False, "current_std": 0.0, "ft_force_std": 0.0,
+           "ft_torque_std": 0.0, "imu_acc_std": 0.0, "imu_gyro_std": 0.0},
+    disturbances=[Disturbance(1.0, 0.1, desk_biped().push_frame,
+                              (40.0, 0.0, 0.0))])
+
+
+@pytest.mark.parametrize("mode", [
+    "UKF-NoComp", "Feedforward",
+    pytest.param("RNEA-NoComp", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the RNEA loop enters a 17 Hz "
+        "torso_pitch cycle (~10 N.m std) after this push; a fair RNEA "
+        "baseline makes this pass"))])
+def test_one_quiet_push_leaves_torso_pitch_at_rest(mode):
+    # a 40 N, 0.1 s push with no noise and no CoM sway; one second after
+    # it ends, the torso's true joint torque must have settled
+    _, log = run_scenario(QUIET_PUSH, ControlConfig(mode=mode))
+    assert not log.fell
+    window = (log.t >= 2.0) & (log.t < 3.0)
+    pitch = desk_biped().joint_names.index("torso_pitch")
+    assert np.std(log.tau_true[window, pitch]) < 1.0

@@ -1,7 +1,9 @@
 """Ground-truth simulator: determinism, sensors, events, contact."""
 
+import copy
 import dataclasses
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -536,6 +538,28 @@ def test_to_dict_is_a_copy():
     assert cfg.object_events[0].height == 0.03
     assert cfg.disturbances[0].time == 1.0
     assert cfg.noise["current_std"] == 0.005
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda cfg: pickle.loads(pickle.dumps(cfg)), copy.deepcopy],
+    ids=["pickle", "deepcopy"])
+def test_a_config_pickles_and_deep_copies(copy_of):
+    # both used to raise "cannot pickle 'mappingproxy' object"
+    cfg = ScenarioConfig(
+        seed=3, joints={"torso_roll": {"friction": {"coulomb": 0.8}}},
+        noise={"current_std": 0.01},
+        disturbances=[Disturbance(1.0, 0.2, "torso_push", (0, 10, 0))],
+        object_events=[ObjectEvent(1.0, "right_sole", 0.03, "insert")])
+    twin = copy_of(cfg)
+    assert twin == cfg and twin is not cfg
+    assert twin.config_hash() == cfg.config_hash()
+    assert twin.actuators == cfg.actuators
+    with pytest.raises(TypeError):
+        twin.noise["current_std"] = 1.0
+    with pytest.raises(TypeError):
+        twin.joints["torso_roll"]["friction"]["coulomb"] = 3.0
+    with pytest.raises(TypeError):
+        twin.actuators["torso_roll"]["motor"]["k_t"] = 1.0
 
 
 def test_a_built_config_cannot_change():
