@@ -229,8 +229,9 @@ def _cmd_sweep(args):
 
 def _load_record(path):
     """The report a record holds; one that cannot be read or is not JSON,
-    lacks a key the table reads, names no known mode or has a seed or
-    config hash the table cannot sort exits in one line."""
+    lacks a key the table reads, names no known mode, has a seed or
+    config hash the table cannot sort or a list column holding other
+    than numbers exits in one line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -252,6 +253,13 @@ def _load_record(path):
     if not isinstance(report["config_hash"], str):
         raise SystemExit(f"record {path} has config_hash "
                          f"{report['config_hash']!r}, not a string")
+    for key in TABLE_COLUMNS:  # the table formats list items as numbers
+        value = report[key]
+        if isinstance(value, list) and not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in value):
+            raise SystemExit(f"record {path} has {key} {value!r}, not a "
+                             f"list of numbers")
     return report
 
 

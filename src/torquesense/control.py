@@ -2,8 +2,11 @@
 
 Two rates: a center-of-mass balancer producing desired joint torques
 at `HIGH_RATE` (100 Hz; its period must be a whole multiple of the
-plant step), and the estimators with a PI torque loop producing current
-commands once per plant step (1 kHz at the default 1 ms step).  How
+plant step), and the estimators with a PI torque loop producing the
+torque command once per plant step (1 kHz at the default 1 ms step).
+Every law here returns joint torques; the controller's one output
+stage (`experiments.Controller.tick`) divides them by N k_t and clips
+the currents to `CURRENT_LIMIT`.  How
 each mode closes the loop, its torque feedback, friction feedforward
 and output law, is its row of `WIRING`; no other module tells the modes
 apart.  The gains, rates and limits below are the same in every mode.
@@ -129,37 +132,17 @@ def rnea_torque_feedback(model, base_pose, s, nu, proper_accel, ft_readings):
     return fp.inverse_dynamics(proper_accel)[6:] - J.T @ np.ravel(ft_readings)
 
 
-class _CurrentOutput:
-    """Maps torques to current commands clipped to `CURRENT_LIMIT`.
+class TorquePI:
+    """PI loop on torque error with anti-windup, run each plant step; it
+    returns the torque command, which the controller's output stage
+    turns into clipped currents."""
 
-    `saturation_events` counts the calls whose commands were clipped.
-    """
-
-    def __init__(self, gear_torque):
-        self.gear_torque = np.asarray(gear_torque, dtype=float)
-        self.saturation_events = 0
-
-    def _currents(self, tau):
-        currents = tau / self.gear_torque
-        # np.minimum(np.maximum(.)) and .any() are np.clip and np.any
-        # without their Python wrappers
-        clipped = np.minimum(np.maximum(currents, -CURRENT_LIMIT),
-                             CURRENT_LIMIT)
-        if (clipped != currents).any():
-            self.saturation_events += 1
-        return clipped
-
-
-class TorquePI(_CurrentOutput):
-    """PI loop on torque error with anti-windup, emitting currents each plant step."""
-
-    def __init__(self, n, gear_torque, dt):
-        super().__init__(gear_torque)
+    def __init__(self, n, dt):
         self.dt = dt
         self.integral = np.zeros(n)
 
     def __call__(self, tau_d, tau_feedback=None, tau_f_comp=None):
-        """Current commands; feedback/compensation may each be omitted."""
+        """Torque command; feedback/compensation may each be omitted."""
         tau_d = np.asarray(tau_d, dtype=float)
         if tau_feedback is None:
             tau_cmd = tau_d
@@ -169,19 +152,16 @@ class TorquePI(_CurrentOutput):
                 np.maximum(self.integral + err * self.dt * KI_TORQUE,
                            -INTEGRAL_LIMIT), INTEGRAL_LIMIT)
             tau_cmd = tau_d + KP_TORQUE * err + self.integral
-        total = tau_cmd if tau_f_comp is None else tau_cmd + np.asarray(tau_f_comp, float)
-        return self._currents(total)
+        return tau_cmd if tau_f_comp is None else tau_cmd + np.asarray(tau_f_comp, float)
 
 
-class PositionPD(_CurrentOutput):
-    """Stiff per-joint position controller (the compliance baseline).
+def position_pd(s_des, s_meas, sdot_meas):
+    """Torques of the stiff per-joint position controller (the compliance
+    baseline).
 
     Feedback must be collocated with the actuator (motor-side encoder
     mapped to the joint side): closing a stiff PD on the joint encoder
     through the elastic transmission excites the transmission resonance.
     """
-
-    def __call__(self, s_des, s_meas, sdot_meas):
-        tau = KP_POS * (np.asarray(s_des, float) - np.asarray(s_meas, float)) \
-            - KD_POS * np.asarray(sdot_meas, float)
-        return self._currents(tau)
+    return KP_POS * (np.asarray(s_des, float) - np.asarray(s_meas, float)) \
+        - KD_POS * np.asarray(sdot_meas, float)

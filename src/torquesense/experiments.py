@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pinn
-from .control import (COMP_CUTOFF, HIGH_RATE, WIRING,
-                      PositionPD, TorquePI, high_level_balancer,
+from .control import (COMP_CUTOFF, CURRENT_LIMIT, HIGH_RATE, WIRING,
+                      TorquePI, high_level_balancer, position_pd,
                       rnea_torque_feedback)
 from .kf import encoder_lsb, mean_step, steady_state_gain
 from .model import desk_biped
@@ -262,7 +262,10 @@ class Controller:
     or RNEA feedback, friction nets (which the torque filter then reads
     too), torque PI loop or position PD.  Built from the scenario's
     nominal parameters alone, it starts at rest at the zero pose, level.
-    `tick` turns one sensor sample into the next step's currents;
+    `tick` turns one sensor sample into the next step's currents: the
+    mode's law gives joint torques, and one output stage divides them
+    by N k_t and clips the currents to `control.CURRENT_LIMIT`,
+    counting the ticks it clipped in `saturation_events`;
     `balance` refreshes the desired torques every `balance_every` ticks
     (0: never; the balancer period, 1 / `control.HIGH_RATE`, over the
     plant step) from the CoM reference and its two derivatives and the
@@ -310,13 +313,13 @@ class Controller:
                           "filter": Controller._ukf_feedback,
                           "rnea": Controller._rnea_feedback}[wiring.feedback]
 
-        gear_torque = self.reduction * k_t
+        self.gear_torque = self.reduction * k_t
+        self.saturation_events = 0
         if wiring.balancer:
-            self.law = TorquePI(n, gear_torque, dt)
-            self._output = Controller._torque_output
+            self.torque_pi = TorquePI(n, dt)
+            self._torque = Controller._torque_pi
         else:
-            self.law = PositionPD(gear_torque)
-            self._output = Controller._position_output
+            self._torque = Controller._position_pd
 
     def balance(self, ref, base_pose, base_twist, s):
         """Refresh the desired torques from the balancer toward `ref`, the
@@ -334,7 +337,15 @@ class Controller:
         mvel = v[n:] / self.reduction
         tau_f = self._friction(self, mvel)
         self.tau_feedback = self._feedback(self, sensors, x[:n], a[:n], tau_f)
-        return self._output(self, x[n:] / self.reduction, mvel)
+        currents = self._torque(self, x[n:] / self.reduction, mvel) \
+            / self.gear_torque
+        # np.minimum(np.maximum(.)) and .any() are np.clip and np.any
+        # without their Python wrappers
+        clipped = np.minimum(np.maximum(currents, -CURRENT_LIMIT),
+                             CURRENT_LIMIT)
+        if (clipped != currents).any():
+            self.saturation_events += 1
+        return clipped
 
     def _nothing(*args):
         return None
@@ -366,12 +377,12 @@ class Controller:
         return rnea_torque_feedback(self.model, Transform(R, np.zeros(3)), s,
                                     nu, accel, sensors.ft)
 
-    def _torque_output(self, mpos, mvel):
-        return self.law(self.tau_d, self.tau_feedback, self.comp)
+    def _torque_pi(self, mpos, mvel):
+        return self.torque_pi(self.tau_d, self.tau_feedback, self.comp)
 
-    def _position_output(self, mpos, mvel):
+    def _position_pd(self, mpos, mvel):
         # collocated loop on the motor encoder mapped to the joint side
-        return self.law(self.posture_ref, mpos, mvel)
+        return position_pd(self.posture_ref, mpos, mvel)
 
 
 def run_scenario(scenario, control, nets=None):
@@ -427,7 +438,7 @@ def run_scenario(scenario, control, nets=None):
 
     log = dataclasses.replace(
         log.cut(rows), fell=fell, fall_time=fall_time, diverged=diverged,
-        saturation_events=controller.law.saturation_events)
+        saturation_events=controller.saturation_events)
     return compute_metrics(log, scenario, control), log
 
 

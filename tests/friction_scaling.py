@@ -21,22 +21,26 @@ def scaled(params, factor):
                      params.stribeck_vel, params.viscous * factor)
 
 
+def scaled_scenario(scenario, factor):
+    """`scenario` with every joint's resolved friction scaled by
+    `factor`; each joint gets an entry of its own that keeps its motor
+    and elasticity settings."""
+    joints = {name: {**entry, "friction": dataclasses.asdict(
+        scaled(ScvParams(**entry["friction"]), factor))}
+        for name, entry in scenario.actuators.items()}
+    return dataclasses.replace(scenario, joints=joints)
+
+
 def scalability_sweep(scenario, scalings, control=None, nets=None):
     """Re-run the same controller on plants with scaled friction.
 
     The friction nets and filter settings stay fixed (trained on the
-    nominal plant); only the plant friction parameters change.  Every
-    joint's resolved friction is scaled, and each joint gets an entry
-    of its own that keeps its motor and elasticity settings.
+    nominal plant); only the plant friction parameters change (see
+    `scaled_scenario`).
     """
-    def scaled_scenario(scale):
-        joints = {name: {**entry, "friction": dataclasses.asdict(
-            scaled(ScvParams(**entry["friction"]), scale))}
-            for name, entry in scenario.actuators.items()}
-        return dataclasses.replace(scenario, joints=joints)
-
     # every scaled scenario is built, and so checked, before the first run
-    scenarios = [(scale, scaled_scenario(scale)) for scale in scalings]
+    scenarios = [(scale, scaled_scenario(scenario, scale))
+                 for scale in scalings]
     cfg = control or ControlConfig()
     reports = []
     for scale, scenario_k in scenarios:

@@ -228,8 +228,13 @@ GOOD_RECORD = {"mode": "Feedforward", "seed": 0, "config_hash": "abc",
      "record {path} has seed -1, not a nonnegative integer"),
     (json.dumps({**GOOD_RECORD, "config_hash": 3}),
      "record {path} has config_hash 3, not a string"),
+    # these used to end in a ValueError and a TypeError from the table
+    (json.dumps({**GOOD_RECORD, "com_mean_error_mm": ["a"]}),
+     "record {path} has com_mean_error_mm ['a'], not a list of numbers"),
+    (json.dumps({**GOOD_RECORD, "com_max_error_mm": [None, 1.0]}),
+     "record {path} has com_max_error_mm [None, 1.0], not a list of numbers"),
 ], ids=["not-json", "key", "list", "mode", "empty", "seed-str", "seed-bool",
-        "seed-negative", "hash"])
+        "seed-negative", "hash", "list-str", "list-null"])
 def test_report_rejects_a_record_it_cannot_read(tmp_path, text, message):
     # used to be a metrics.csv column check; a directory without that
     # file was the one refusal shared

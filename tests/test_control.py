@@ -11,10 +11,10 @@ from torquesense import control
 from torquesense.control import (
     MODES,
     ControlConfig,
-    PositionPD,
     TorquePI,
     high_level_balancer,
     needs_friction_nets,
+    position_pd,
     rnea_torque_feedback,
 )
 from torquesense.dynamics import com_position, forward_pass
@@ -230,52 +230,50 @@ def test_rnea_feedback_zero_gravity_static():
 
 
 def test_torque_pi_feedforward_only():
-    gear = np.array([10.0, 10.0])
-    pi = TorquePI(2, gear, dt=1e-3)
+    pi = TorquePI(2, dt=1e-3)
     tau_d = np.array([3.0, -5.0])
-    assert np.allclose(pi(tau_d), tau_d / gear)
+    assert np.array_equal(pi(tau_d), tau_d)
     assert np.array_equal(pi.integral, np.zeros(2))
 
 
 def test_torque_pi_zero_error_leaves_no_integral():
-    gear = np.array([10.0])
-    pi = TorquePI(1, gear, dt=1e-3)
+    pi = TorquePI(1, dt=1e-3)
     tau_d = np.array([4.0])
     for _ in range(5):
-        i = pi(tau_d, tau_feedback=tau_d)
+        tau = pi(tau_d, tau_feedback=tau_d)
     assert np.array_equal(pi.integral, [0.0])
-    assert np.allclose(i, tau_d / gear)
+    assert np.array_equal(tau, tau_d)
 
 
 def test_torque_pi_proportional_action_and_compensation():
-    gear = np.array([10.0])
-    pi = TorquePI(1, gear, dt=1e-3)
-    i = pi(np.array([2.0]), tau_feedback=np.array([1.0]),
-           tau_f_comp=np.array([0.7]))
+    pi = TorquePI(1, dt=1e-3)
+    tau = pi(np.array([2.0]), tau_feedback=np.array([1.0]),
+             tau_f_comp=np.array([0.7]))
     # one tick of unit error: integral 1 * 1e-3 * KI_TORQUE = 0.03, so
     # tau_cmd = 2 + KP_TORQUE * (2 - 1) + 0.03 = 2.55; plus compensation
-    # 0.7; current = 3.25/10
+    # 0.7
     assert (control.KP_TORQUE, control.KI_TORQUE) == (0.52, 30.0)
     assert np.allclose(pi.integral, [0.03])
-    assert np.allclose(i, [0.325])
+    assert np.allclose(tau, [3.25])
 
 
-def test_torque_pi_anti_windup_and_saturation():
-    gear = np.array([10.0])
-    pi = TorquePI(1, gear, dt=1e-3)
+def test_torque_pi_anti_windup():
+    # a held 500 N.m error winds the integral up to its clamp and no
+    # further; the command is the torque, unclipped (the controller's
+    # output stage clips the currents)
+    pi = TorquePI(1, dt=1e-3)
     for _ in range(10_000):
-        i = pi(np.array([500.0]), tau_feedback=np.array([0.0]))
-    assert abs(pi.integral[0]) <= control.INTEGRAL_LIMIT + 1e-12
-    assert abs(i[0]) <= control.CURRENT_LIMIT
-    assert pi.saturation_events > 0
+        tau = pi(np.array([500.0]), tau_feedback=np.array([0.0]))
+    assert pi.integral[0] == control.INTEGRAL_LIMIT
+    assert tau[0] == 500.0 + control.KP_TORQUE * 500.0 + control.INTEGRAL_LIMIT
+    for _ in range(10_000):
+        tau = pi(np.array([-500.0]), tau_feedback=np.array([0.0]))
+    assert pi.integral[0] == -control.INTEGRAL_LIMIT
 
 
-def test_position_pd_law_and_clipping():
-    gear = np.array([10.0, 10.0])
-    pd = PositionPD(gear)
-    i = pd(np.array([0.1, 0.0]), np.array([0.0, 0.0]), np.array([0.0, 0.5]))
-    assert np.allclose(i, [control.KP_POS * 0.1 / 10.0,
-                           -control.KD_POS * 0.5 / 10.0])
-    i2 = pd(np.array([10.0, 0.0]), np.zeros(2), np.zeros(2))
-    assert i2[0] == control.CURRENT_LIMIT
-    assert pd.saturation_events == 1
+def test_position_pd_law():
+    tau = position_pd(np.array([0.1, 0.0]), np.array([0.0, 0.0]),
+                      np.array([0.0, 0.5]))
+    assert np.allclose(tau, [control.KP_POS * 0.1, -control.KD_POS * 0.5])
+    # a 10 rad error commands 9 kN.m: the law itself has no limit
+    assert position_pd([10.0], [0.0], [0.0])[0] == control.KP_POS * 10.0

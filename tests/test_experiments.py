@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from friction_scaling import scalability_sweep, scaled
+from friction_scaling import scalability_sweep, scaled, scaled_scenario
 from reference_kf import ScalarOnlineKf
 from torquesense import experiments, pinn
 from torquesense.control import CURRENT_LIMIT, MODES, ControlConfig
@@ -620,12 +620,20 @@ def test_a_run_leaves_no_reference_cycle(mode):
 
 
 def test_a_saturating_run_reports_its_saturation_events():
-    # a 400 N torso shove drives the legs' currents to the limit
+    # a 400 N torso shove drives the legs' currents to the limit, through
+    # the one output stage of a torque mode and of the position baseline:
+    # no current leaves it beyond the limit, and each tick it clipped
+    # counts once, however many joints it clipped
     scenario = ScenarioConfig(duration=0.55, disturbances=[
         Disturbance(0.0, 0.1, "torso_push", (400.0, 0.0, 0.0))])
-    report, log = run_scenario(scenario, ControlConfig(mode="Feedforward"))
-    assert report["saturation_events"] == log.saturation_events > 0
-    assert np.max(np.abs(log.currents)) == CURRENT_LIMIT
+    for mode in ("Feedforward", "PositionControl"):
+        report, log = run_scenario(scenario, ControlConfig(mode=mode))
+        at_limit = np.abs(log.currents) == CURRENT_LIMIT
+        assert np.max(np.abs(log.currents)) == CURRENT_LIMIT, mode
+        assert report["saturation_events"] == log.saturation_events \
+            == np.count_nonzero(at_limit.any(axis=1)), mode
+        # several joints clip at once on some ticks
+        assert at_limit.sum() > log.saturation_events, mode
 
 
 # a softer transmission keeps the RK4 plant stable at 5 and 10 ms steps
@@ -721,12 +729,13 @@ def test_rate_mismatch_names_the_control_setting():
                      ControlConfig(mode="Feedforward"))
 
 
-QUIET_PUSH = ScenarioConfig(
+# no sensor noise, no quantization and no CoM sway
+QUIET = ScenarioConfig(
     duration=3.0, com_amplitude=(0.0, 0.0, 0.0),
     noise={"quantize": False, "current_std": 0.0, "ft_force_std": 0.0,
-           "ft_torque_std": 0.0, "imu_acc_std": 0.0, "imu_gyro_std": 0.0},
-    disturbances=[Disturbance(1.0, 0.1, desk_biped().push_frame,
-                              (40.0, 0.0, 0.0))])
+           "ft_torque_std": 0.0, "imu_acc_std": 0.0, "imu_gyro_std": 0.0})
+QUIET_PUSH = dataclasses.replace(QUIET, disturbances=[
+    Disturbance(1.0, 0.1, desk_biped().push_frame, (40.0, 0.0, 0.0))])
 
 
 @pytest.mark.parametrize("mode", [
@@ -743,3 +752,36 @@ def test_one_quiet_push_leaves_torso_pitch_at_rest(mode):
     window = (log.t >= 2.0) & (log.t < 3.0)
     pitch = desk_biped().joint_names.index("torso_pitch")
     assert np.std(log.tau_true[window, pitch]) < 1.0
+
+
+@pytest.mark.parametrize("mode", [
+    "UKF-NoComp", "Feedforward",
+    pytest.param("RNEA-NoComp", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: at friction x0.1 the start "
+        "transient alone drives the RNEA loop into its 17 Hz torso_pitch "
+        "cycle (~19 N.m std); a fair RNEA baseline makes this pass"))])
+def test_quiet_standing_at_low_friction_leaves_torso_pitch_at_rest(mode):
+    # no push: with every joint's friction at a tenth, the torso's true
+    # joint torque must be at rest over [2, 3) s
+    _, log = run_scenario(scaled_scenario(QUIET, 0.1),
+                          ControlConfig(mode=mode))
+    assert not log.fell
+    window = (log.t >= 2.0) & (log.t < 3.0)
+    pitch = desk_biped().joint_names.index("torso_pitch")
+    assert np.std(log.tau_true[window, pitch]) < 1.0
+
+
+@pytest.mark.parametrize("mode", [
+    "Feedforward",
+    *(pytest.param(mode, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 13: the PI loop's integral "
+        f"action hunts against Coulomb friction ({swing} N.m std)"))
+      for mode, swing in (("RNEA-NoComp", "~0.36"), ("UKF-NoComp", "~0.57")))])
+def test_quiet_standing_holds_every_joint_torque_still(mode):
+    # 4 s of standing at nominal friction, no push: over the last
+    # second no joint's true torque may swing by 0.05 N.m (std)
+    _, log = run_scenario(dataclasses.replace(QUIET, duration=4.0),
+                          ControlConfig(mode=mode))
+    assert not log.fell
+    window = log.t >= 3.0
+    assert np.max(np.std(log.tau_true[window], axis=0)) < 0.05

@@ -31,6 +31,8 @@ function or method, so a value no caller passes is a module constant.
 The CLI writes a run's artifacts: no other module opens a file, makes a
 directory or writes CSV, but the readers and writers of the nets and
 gains file formats.
+The currents have one output stage: every control law returns torques,
+and one function reads the current limit.
 """
 
 import ast
@@ -411,3 +413,18 @@ def test_only_the_cli_writes_run_artifacts():
     elsewhere = {(stem, name) for stem, name, _ in found if stem != "cli"}
     assert sorted(elsewhere - FILE_FORMATS) == []
     assert elsewhere == FILE_FORMATS
+
+
+def test_one_function_clips_the_currents():
+    # every module function and method that reads CURRENT_LIMIT, by
+    # name or as a module attribute
+    readers = [f"{path.stem}: {owner}{fn.name}"
+               for path, tree in parse(sorted(SRC.glob("*.py"))).items()
+               for node in tree.body
+               for owner, fn in ([(f"{node.name}.", m) for m in node.body]
+                                 if isinstance(node, ast.ClassDef)
+                                 else [("", node)])
+               if isinstance(fn, ast.FunctionDef)
+               and any(getattr(read, "id", getattr(read, "attr", None))
+                       == "CURRENT_LIMIT" for read in ast.walk(fn))]
+    assert len(readers) == 1, readers
