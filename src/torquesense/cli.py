@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pinn
-from .control import MODES, ControlConfig, needs_friction_nets
+from .control import MODES, WIRING, ControlConfig
 from .experiments import (TABLE_COLUMNS, check_nets, check_runnable,
                           default_friction_nets, generate_friction_dataset,
                           make_disturbance_scenario, make_object_scenario,
@@ -187,7 +187,7 @@ def _run_modes(args, modes):
     record is written as soon as it ends.  Nets trained here are written
     to `<out>/friction_nets.json`."""
     scenario = _load_scenario(args.scenario, args.seed)
-    wants_nets = any(needs_friction_nets(m) for m in modes)
+    wants_nets = any(WIRING[m].friction_nets for m in modes)
     nets = (_load_nets(args.nets, scenario)
             if wants_nets and args.nets is not None else None)
     _make_out(args.out)

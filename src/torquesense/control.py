@@ -57,11 +57,6 @@ KD_POS = 30.0           # N*m*s/rad
 HIGH_RATE = 100.0       # Hz, balancer; torque loop runs every plant step
 
 
-def needs_friction_nets(mode):
-    """Whether `mode` runs trained friction nets (see `Wiring`)."""
-    return WIRING[mode].friction_nets
-
-
 @dataclass
 class ControlConfig:
     """The control mode, one of `MODES`; an unknown mode is rejected."""

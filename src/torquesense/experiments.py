@@ -2,13 +2,15 @@
 
 One run is two parts: a `Controller` (estimators, balancer and torque
 loop) wired once for one of the seven modes from the scenario alone,
-and a loop that steps the plant, hands the controller each sensor
-sample and the balancer its CoM reference, and logs the plant's truth,
-which reduces to torque-tracking and center-of-mass metrics.
+whose tick runs the parts it built in one straight line, and a loop
+that steps the plant, hands the controller each sensor sample and the
+balancer its CoM reference, and logs the plant's truth, which reduces
+to torque-tracking and center-of-mass metrics.
 A run writes no file, and reports assemble into a comparison table.
 """
 
 import dataclasses
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +68,27 @@ class ScenarioRefused(ValueError):
 
 
 def check_duration(scenario):
-    """Reject a scenario too short to leave samples after the burn-in."""
-    steps = int(round(scenario.duration / scenario.step))
-    needed = int(round(BURN_IN / scenario.step)) + 2
+    """Reject a tick count that cannot be run: one whose run log, 8 (7 + 4n)
+    bytes a tick for n joints, is not finite or outgrows the machine's
+    physical memory, and one too short to leave samples after the
+    burn-in.  Returns the tick count."""
+    duration, step = scenario.duration, scenario.step
+    ticks = duration / step
+    log_bytes = 8 * (7 + 4 * len(scenario.actuators)) * ticks
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not log_bytes <= memory:
+        raise ValueError(
+            f"ScenarioConfig.duration ({duration:g} s) over ScenarioConfig."
+            f"step ({step:g} s) is {ticks:g} ticks, whose {log_bytes:.3g} B "
+            f"run log does not fit the machine's {memory:.3g} B of memory")
+    steps = int(round(ticks))
+    needed = int(round(BURN_IN / step)) + 2
     if steps < needed:
         raise ValueError(
-            f"ScenarioConfig.duration ({scenario.duration:g} s) leaves no "
+            f"ScenarioConfig.duration ({duration:g} s) leaves no "
             f"samples after the {BURN_IN:g} s metrics burn-in; it must be at "
-            f"least {needed * scenario.step:g} s")
+            f"least {needed * step:g} s")
+    return steps
 
 
 def check_nets(nets, joint_names):
@@ -123,10 +138,11 @@ def encoder_bank(scenario):
 
 
 def check_runnable(scenario):
-    """Raise what `run_scenario` would raise before its first step: a
-    ValueError for a scenario too short for the metrics, and the
-    `ScenarioRefused` of `balancer_ticks` and `encoder_bank`.  Builds no
-    plant, so a caller can check a scenario before it trains nets."""
+    """Raise what `run_scenario` would raise before its first step: the
+    ValueError of `check_duration` for a tick count that cannot be run,
+    and the `ScenarioRefused` of `balancer_ticks` and `encoder_bank`.
+    Builds no plant, so a caller can check a scenario before it trains
+    nets."""
     check_duration(scenario)
     balancer_ticks(scenario)
     encoder_bank(scenario)
@@ -257,15 +273,16 @@ class RunLog:
 
 
 class Controller:
-    """The controller side of the closed loop, wired once from the mode's
-    row of `control.WIRING`: encoder filters, attitude and torque filters
-    or RNEA feedback, friction nets (which the torque filter then reads
-    too), torque PI loop or position PD.  Built from the scenario's
-    nominal parameters alone, it starts at rest at the zero pose, level.
-    `tick` turns one sensor sample into the next step's currents: the
-    mode's law gives joint torques, and one output stage divides them
-    by N k_t and clips the currents to `control.CURRENT_LIMIT`,
-    counting the ticks it clipped in `saturation_events`;
+    """The controller side of the closed loop, built once with only the
+    parts the mode's row of `control.WIRING` uses.  Built from the
+    scenario's nominal parameters alone, it starts at rest at the zero
+    pose, level.  `tick` runs those parts in one straight line on one
+    sensor sample: encoder filters, friction nets (which the torque
+    filter then reads too), one attitude update and the torque filter or
+    RNEA feedback, then the torque PI loop or position PD, whose joint
+    torques one output stage divides by N k_t (`gear_torque`) and clips
+    to `control.CURRENT_LIMIT`, counting the ticks it clipped in
+    `saturation_events`, for the next step's currents;
     `balance` refreshes the desired torques every `balance_every` ticks
     (0: never; the balancer period, 1 / `control.HIGH_RATE`, over the
     plant step) from the CoM reference and its two derivatives and the
@@ -281,45 +298,37 @@ class Controller:
         self.balance_every = every if wiring.balancer else 0
         self.model, self.dt, self.n = model, dt, n
         self.reduction = scenario.per_joint("motor", "reduction")
-        k_t = scenario.per_joint("motor", "k_t")
+        self.gear_torque = self.reduction * scenario.per_joint("motor", "k_t")
         self.encoders = encoder_bank(scenario)
         self.posture_ref = np.zeros(n)
         self.sdot, self.tau_d = np.zeros(n), np.zeros(n)
+        self.tau_feedback, self.saturation_events = None, 0
 
-        # wired parts are called with self: kept bound they make a cycle
-        self.comp, self._friction = None, Controller._nothing
+        self.net_groups, self.comp = None, None
         if wiring.friction_nets:
             if nets is None:
                 raise ValueError(f"mode {mode} needs trained friction nets")
             check_nets(nets, model.joint_names)
             self.net_groups = group_by_net(nets, model.joint_names)
             buf_len = max(net.buffer_len for net, _ in self.net_groups)
-            self.mv_buf, self.jv_buf = np.zeros((2, buf_len, n))
+            # motor-side and joint velocity histories, newest row last
+            self.vel_buf = np.zeros((2, buf_len, n))
             # the feedforward is smoothed: its use is the quasi-static
             # stiction/Coulomb level, and the tick-to-tick wiggle is
             # prediction noise the torque loop cannot reject
             self.comp_alpha = 1 - np.exp(-2 * np.pi * COMP_CUTOFF * dt)
             self.comp = np.zeros(n)
-            self._friction = Controller._predict_friction
 
+        self.feedback = wiring.feedback
         if wiring.feedback:
             self.att = ComplementaryAttitude()
         if wiring.feedback == "filter":
-            self.ukf = TorqueUkf(model, self.reduction, k_t, dt,
+            self.ukf = TorqueUkf(model, self.gear_torque, dt,
                                  friction=wiring.friction_nets)
             self.belief = self.ukf.initial_belief()
-        self.imu_offset = model.frame(model.imu_frame)[1].p  # in the base
-        self._feedback = {None: Controller._nothing,
-                          "filter": Controller._ukf_feedback,
-                          "rnea": Controller._rnea_feedback}[wiring.feedback]
-
-        self.gear_torque = self.reduction * k_t
-        self.saturation_events = 0
-        if wiring.balancer:
-            self.torque_pi = TorquePI(n, dt)
-            self._torque = Controller._torque_pi
-        else:
-            self._torque = Controller._position_pd
+        elif wiring.feedback == "rnea":
+            self.imu_offset = model.frame(model.imu_frame)[1].p  # in the base
+        self.torque_pi = TorquePI(n, dt) if wiring.balancer else None
 
     def balance(self, ref, base_pose, base_twist, s):
         """Refresh the desired torques from the balancer toward `ref`, the
@@ -335,10 +344,35 @@ class Controller:
             np.concatenate([sensors.joint_pos, sensors.motor_pos]))
         self.sdot = v[:n]
         mvel = v[n:] / self.reduction
-        tau_f = self._friction(self, mvel)
-        self.tau_feedback = self._feedback(self, sensors, x[:n], a[:n], tau_f)
-        currents = self._torque(self, x[n:] / self.reduction, mvel) \
-            / self.gear_torque
+        tau_f = None
+        if self.net_groups:
+            self.vel_buf[:, :-1] = self.vel_buf[:, 1:]
+            self.vel_buf[:, -1] = mvel, self.sdot
+            tau_f = predict_friction(self.net_groups, *self.vel_buf)
+            self.comp += self.comp_alpha * (tau_f - self.comp)
+        if self.feedback:
+            R = self.att.update(sensors.imu_acc, sensors.imu_gyro, self.dt)
+        if self.feedback == "filter":
+            z = self.ukf.assemble_measurement(
+                self.sdot, sensors.currents, tau_f, sensors.ft,
+                sensors.imu_acc, sensors.imu_gyro)
+            self.belief = self.ukf.step(self.belief, x[:n], R, z)
+            self.tau_feedback = self.ukf.joint_torque_estimate(self.belief.mean)
+        elif self.feedback == "rnea":
+            # proper acceleration from IMU (base) and encoder filters (joints)
+            w = sensors.imu_gyro
+            a_base = sensors.imu_acc - cross3(w, cross3(w, self.imu_offset))
+            accel = np.concatenate([a_base, np.zeros(3), a[:n]])
+            nu = np.concatenate([np.zeros(3), w, self.sdot])
+            self.tau_feedback = rnea_torque_feedback(
+                self.model, Transform(R, np.zeros(3)), x[:n], nu, accel,
+                sensors.ft)
+        if self.torque_pi is not None:
+            tau = self.torque_pi(self.tau_d, self.tau_feedback, self.comp)
+        else:
+            # collocated loop on the motor encoder mapped to the joint side
+            tau = position_pd(self.posture_ref, x[n:] / self.reduction, mvel)
+        currents = tau / self.gear_torque
         # np.minimum(np.maximum(.)) and .any() are np.clip and np.any
         # without their Python wrappers
         clipped = np.minimum(np.maximum(currents, -CURRENT_LIMIT),
@@ -346,43 +380,6 @@ class Controller:
         if (clipped != currents).any():
             self.saturation_events += 1
         return clipped
-
-    def _nothing(*args):
-        return None
-
-    def _predict_friction(self, mvel):
-        self.mv_buf[:-1] = self.mv_buf[1:]
-        self.mv_buf[-1] = mvel
-        self.jv_buf[:-1] = self.jv_buf[1:]
-        self.jv_buf[-1] = self.sdot
-        tau_f = predict_friction(self.net_groups, self.mv_buf, self.jv_buf)
-        self.comp += self.comp_alpha * (tau_f - self.comp)
-        return tau_f
-
-    def _ukf_feedback(self, sensors, s, acc, tau_f):
-        R = self.att.update(sensors.imu_acc, sensors.imu_gyro, self.dt)
-        z = self.ukf.assemble_measurement(
-            self.sdot, sensors.currents, tau_f, sensors.ft, sensors.imu_acc,
-            sensors.imu_gyro)
-        self.belief = self.ukf.step(self.belief, s, R, z)
-        return self.ukf.joint_torque_estimate(self.belief.mean)
-
-    def _rnea_feedback(self, sensors, s, acc, tau_f):
-        R = self.att.update(sensors.imu_acc, sensors.imu_gyro, self.dt)
-        # proper acceleration from IMU (base) and encoder filters (joints)
-        w = sensors.imu_gyro
-        a_base = sensors.imu_acc - cross3(w, cross3(w, self.imu_offset))
-        accel = np.concatenate([a_base, np.zeros(3), acc])
-        nu = np.concatenate([np.zeros(3), w, self.sdot])
-        return rnea_torque_feedback(self.model, Transform(R, np.zeros(3)), s,
-                                    nu, accel, sensors.ft)
-
-    def _torque_pi(self, mpos, mvel):
-        return self.torque_pi(self.tau_d, self.tau_feedback, self.comp)
-
-    def _position_pd(self, mpos, mvel):
-        # collocated loop on the motor encoder mapped to the joint side
-        return position_pd(self.posture_ref, mpos, mvel)
 
 
 def run_scenario(scenario, control, nets=None):
@@ -393,16 +390,15 @@ def run_scenario(scenario, control, nets=None):
     reference, a sine about the initial CoM, and logs the plant's truth
     and that reference; a step the plant cannot integrate ends the run as
     diverged.  Before the first step it raises what `check_runnable`
-    raises, in the same order: a ValueError for a scenario too short for
-    the metrics, then the `ScenarioRefused` of the `Controller`."""
-    check_duration(scenario)
+    raises, in the same order: the ValueError of `check_duration`, then
+    the `ScenarioRefused` of the `Controller`."""
+    steps = check_duration(scenario)
     controller = Controller(scenario, control.mode, nets)
     plant = Plant(scenario)
     st = plant.initial_state()
     com0, nominal_com_z = st.com.copy(), st.com[2]
     amp = np.asarray(scenario.com_amplitude, dtype=float)
     w = 2.0 * np.pi * scenario.com_frequency
-    steps = int(round(scenario.duration / scenario.step))
     log = RunLog.allocate(steps, plant.n)
     rows = steps  # ticks completed
     currents = np.zeros(plant.n)

@@ -93,15 +93,17 @@ class TorqueUkf:
     It reads the model's `ft_frames`, `imu_frame` and `push_frame` (the
     external wrench acts there), and one channel set, in state block
     order: [sdot, I_m, tau_F, f_FT, alpha, omega], the friction-net
-    estimates tau_F only when built with `friction`.  The noise of every
-    block is the module's Q_* and R_* constants.
+    estimates tau_F only when built with `friction`.  `gear_torque` is
+    each joint's N k_t, which maps its motor torque to the measured
+    current.  The noise of every block is the module's Q_* and R_*
+    constants.
     """
 
-    def __init__(self, model, gear_ratio, k_t, dt, friction):
+    def __init__(self, model, gear_torque, dt, friction):
         self.model = model
         self.dt = float(dt)
         self.n = n = model.ndof
-        self.gear_torque = np.asarray(gear_ratio, float) * np.asarray(k_t, float)
+        self.gear_torque = np.asarray(gear_torque, float)
         idx, self.imu_offset = model.frame(model.imu_frame)
         if idx != 0:
             raise ValueError("IMU frame must sit on the base link")

@@ -315,6 +315,33 @@ def test_a_scenario_the_run_refuses_exits_with_one_line(
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario", [
+    {"duration": 1e308}, {"step": 1e-320}, {"duration": 1e300},
+    {"duration": 1e9},
+], ids=["duration-overflow", "step-overflow", "dimension", "memory"])
+def test_a_tick_count_that_cannot_be_run_exits_with_one_line(
+        tmp_path, monkeypatch, scenario):
+    # an infinite tick count used to end in an OverflowError traceback,
+    # 1e303 ticks in numpy's "Maximum allowed dimension exceeded" and
+    # 1e12 ticks in a failed 7.28 TiB allocation of the run log; the run
+    # refuses them from arithmetic, and never allocates the log here
+    def allocated(*args):
+        raise AssertionError("the run log was allocated")
+
+    monkeypatch.setattr(experiments.RunLog, "allocate", allocated)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--scenario", str(path), "--out",
+                  str(tmp_path / "out"), "--mode", "Feedforward"])
+    text = str(exc.value.code)
+    assert text.startswith(f"scenario {path} at --seed 0 rejected: "
+                           "ScenarioConfig.duration (")
+    assert "ScenarioConfig.step (" in text and "does not fit" in text
+    assert "\n" not in text
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_ukf_nocomp_trains_no_friction_nets(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"duration": 0.55}))

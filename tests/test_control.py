@@ -10,10 +10,10 @@ from chains import pendulum, serial_leg
 from torquesense import control
 from torquesense.control import (
     MODES,
+    WIRING,
     ControlConfig,
     TorquePI,
     high_level_balancer,
-    needs_friction_nets,
     position_pd,
     rnea_torque_feedback,
 )
@@ -42,7 +42,7 @@ def balancer_at_rest():
 def test_mode_lists():
     assert len(MODES) == 7
     assert "PositionControl" in MODES
-    assert [m for m in MODES if needs_friction_nets(m)] == [
+    assert [m for m in MODES if WIRING[m].friction_nets] == [
         "Feedforward-PINN", "RNEA-PINN", "UKF-PINN"]
 
 

@@ -22,9 +22,9 @@ reads a plant state, and it is built from the scenario, the mode and
 the nets, with no plant.  A scenario is checked where it
 is built: the plant's construction neither raises nor calls a plant
 module function that does, and no statement builds a plant only to see
-whether it raises.  A public function or method reads every parameter
-it takes, so no argument is accepted only to be dropped; a private
-method may share a dispatch signature with its siblings and is exempt.
+whether it raises.  Every function and method, private and nested
+ones included, reads every parameter it takes, so no argument is
+accepted only to be dropped.
 A library setting is settable only where something sets it: a call
 under `src/` or `perfbench/` passes every parameter of a public library
 function or method, so a value no caller passes is a module constant.
@@ -240,7 +240,7 @@ def parameters(fn):
 def test_controller_tick_takes_one_sensor_bundle():
     methods = controller_methods()
     (sensors,) = parameters(methods["tick"])
-    # what the tick and its helpers read off that argument
+    # what any method reads off an argument of that name
     read = set().union(*(attributes_read(fn, {sensors})
                          for fn in methods.values()))
     bundle = {f.name for f in dataclasses.fields(SensorBundle)}
@@ -291,8 +291,16 @@ def test_a_scenario_is_checked_where_it_is_built_not_by_the_plant():
     assert discarded == []
 
 
-def is_public(name):
-    return not name.startswith("_") or name.endswith("__")
+def functions(node, prefix=""):
+    """(name, node, is a method) of every function and method under
+    `node`, private and nested ones included; a name is qualified by the
+    classes and functions it is defined in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield prefix + child.name, child, isinstance(node, ast.ClassDef)
+        scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from functions(child, f"{prefix}{child.name}." if scope
+                             else prefix)
 
 
 def unread_parameters(fn, is_method):
@@ -310,26 +318,16 @@ def unread_parameters(fn, is_method):
     return [name for name in names if name not in read]
 
 
-def test_public_functions_read_every_parameter():
+def test_every_function_reads_every_parameter():
     checked, unread = 0, []
     for path, tree in parse(sorted(SRC.glob("*.py"))).items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and is_public(node.name):
-                functions = [(node.name, node, False)]
-            elif isinstance(node, ast.ClassDef):
-                functions = [(f"{node.name}.{m.name}", m, True)
-                             for m in node.body
-                             if isinstance(m, ast.FunctionDef)
-                             and is_public(m.name)]
-            else:
-                continue
-            for name, fn, is_method in functions:
-                checked += 1
-                unread += [f"{path.stem}.{name}: {arg}"
-                           for arg in unread_parameters(fn, is_method)]
-    assert checked > 100
+        for name, fn, is_method in functions(tree):
+            checked += 1
+            args = unread_parameters(fn, is_method)
+            if args:
+                unread.append(f"{path.stem}.{name}: {', '.join(args)}")
+    assert checked > 140
     assert unread == []
-
 
 
 def call_names(call):
@@ -348,11 +346,11 @@ def passes(call, name, index):
 
 
 def test_library_parameters_have_a_caller():
-    # the names exempt are those test_public_functions_read_every_parameter
-    # exempts, less the dunders other than __init__ and __call__.  A class
-    # is called by its name or, from a subclass, as `__init__`; an
-    # instance's `__call__` is reached through a name the source does not
-    # tie to its class, so any call counts for it
+    # checked: the library's public functions and methods and, of its
+    # dunders, `__init__` and `__call__`.  A class is called by its name
+    # or, from a subclass, as `__init__`; an instance's `__call__` is
+    # reached through a name the source does not tie to its class, so
+    # any call counts for it
     src = parse(sorted(SRC.glob("*.py")))
     bench = parse(p for p in sorted((ROOT / "perfbench").glob("*.py"))
                   if not p.name.startswith("test_"))

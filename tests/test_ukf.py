@@ -31,12 +31,12 @@ def wire_imu(model):
 
 
 def pendulum_ukf(friction=True):
-    return TorqueUkf(wire_imu(pendulum()), gear_ratio=100.0, k_t=0.1,
+    return TorqueUkf(wire_imu(pendulum()), gear_torque=10.0,
                      dt=1e-3, friction=friction)
 
 
 def biped_ukf(friction=True):
-    return TorqueUkf(desk_biped(), gear_ratio=100.0, k_t=0.1, dt=1e-3,
+    return TorqueUkf(desk_biped(), gear_torque=10.0, dt=1e-3,
                      friction=friction)
 
 
@@ -196,7 +196,7 @@ def jointless():
 ])
 def test_step_rejects_a_measurement_of_the_wrong_length(model, friction,
                                                         channels, expected):
-    ukf = TorqueUkf(model(), gear_ratio=100.0, k_t=0.1, dt=1e-3,
+    ukf = TorqueUkf(model(), gear_torque=10.0, dt=1e-3,
                     friction=friction)
     with pytest.raises(ValueError, match=f"^{channels} measurement channels, "
                        f"expected {expected}$"):
@@ -295,7 +295,7 @@ def test_imu_frame_must_be_on_base():
     model = desk_biped()
     model.imu_frame = model.push_frame
     with pytest.raises(ValueError, match="base"):
-        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, friction=True)
+        TorqueUkf(model, gear_torque=10.0, dt=1e-3, friction=True)
 
 
 def test_wrench_frames_are_resolved_when_the_filter_is_built():
@@ -304,16 +304,16 @@ def test_wrench_frames_are_resolved_when_the_filter_is_built():
     model = desk_biped()
     model.push_frame = "nope"
     with pytest.raises(FrameError, match="unknown frame 'nope'"):
-        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, friction=True)
+        TorqueUkf(model, gear_torque=10.0, dt=1e-3, friction=True)
     model = wire_imu(pendulum())
     model.ft_frames = ("ft",)
     with pytest.raises(FrameError, match="unknown frame 'ft'"):
-        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, friction=True)
+        TorqueUkf(model, gear_torque=10.0, dt=1e-3, friction=True)
     # a model that declares no push frame has no frame for the wrench
     model = wire_imu(pendulum())
     model.push_frame = None
     with pytest.raises(FrameError, match="unknown frame 'None'"):
-        TorqueUkf(model, gear_ratio=100.0, k_t=0.1, dt=1e-3, friction=True)
+        TorqueUkf(model, gear_torque=10.0, dt=1e-3, friction=True)
 
 
 def test_process_model_only_advances_velocities():
