@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import (com_position, com_velocity, forward_pass,
                        frame_jacobian, static_proper_accel)
-from .spatial import log_so3
+from .spatial import Transform, log_so3
 
 
 # A mode's loop: the PI loop's torque `feedback` ("filter", "rnea", None),
@@ -113,16 +113,17 @@ def high_level_balancer(model, base_pose, s, nu, com_ref, com_vel_ref,
     return tau_d
 
 
-def rnea_torque_feedback(model, base_pose, s, nu, proper_accel, ft_readings):
+def rnea_torque_feedback(model, s, nu, proper_accel, ft_readings):
     """Joint torques from inverse dynamics with FT wrenches as the only
-    external forces.
+    external forces, at the identity base pose like the filter's pass
+    (`ukf`): `nu` and `proper_accel` are in base coordinates.
 
     `ft_readings` rows follow the model's `ft_frames`, each in its frame's
     coordinates, and enter as -J^T f as in the balancer.  Unmeasured
     contacts are invisible to this estimate; they show up as joint-torque
     error instead, the failure mode the filter-based feedback avoids.
     """
-    fp = forward_pass(model, base_pose, s, nu)
+    fp = forward_pass(model, Transform(), s, nu)
     J = frame_jacobian(fp, model.ft_frames)[:, :, 6:].reshape(-1, model.ndof)
     return fp.inverse_dynamics(proper_accel)[6:] - J.T @ np.ravel(ft_readings)
 

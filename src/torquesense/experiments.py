@@ -23,8 +23,8 @@ from .kf import encoder_lsb, mean_step, steady_state_gain
 from .model import desk_biped
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
                     SimulationDiverged)
-from .spatial import Transform, cross3
-from .ukf import ComplementaryAttitude, TorqueUkf
+from .spatial import cross3
+from .ukf import TorqueUkf
 
 
 class OnlineKf:
@@ -109,13 +109,17 @@ def check_nets(nets, joint_names):
 def balancer_ticks(scenario):
     """Plant steps per balancer period (1 / `control.HIGH_RATE`) at the
     scenario's step; a step that does not divide the period into whole
-    steps is refused."""
+    steps is refused, and so is a CoM reference above half its rate."""
     dt, high_dt = scenario.step, 1.0 / HIGH_RATE
     every = int(round(high_dt / dt))
     if every < 1 or not np.isclose(every * dt, high_dt):
         raise ScenarioRefused(
             f"ScenarioConfig.step ({dt:g} s) must divide the "
             f"{high_dt:g} s balancer period into whole steps")
+    if abs(scenario.com_frequency) > HIGH_RATE / 2:
+        raise ScenarioRefused(
+            f"ScenarioConfig.com_frequency ({scenario.com_frequency:g} Hz) "
+            f"exceeds {HIGH_RATE / 2:g} Hz, half the balancer rate")
     return every
 
 
@@ -278,10 +282,10 @@ class Controller:
     scenario's nominal parameters alone, it starts at rest at the zero
     pose, level.  `tick` runs those parts in one straight line on one
     sensor sample: encoder filters, friction nets (which the torque
-    filter then reads too), one attitude update and the torque filter or
-    RNEA feedback, then the torque PI loop or position PD, whose joint
-    torques one output stage divides by N k_t (`gear_torque`) and clips
-    to `control.CURRENT_LIMIT`, counting the ticks it clipped in
+    filter then reads too) and the torque filter or RNEA feedback, which
+    need no base attitude, then the torque PI loop or position PD, whose
+    joint torques one output stage divides by N k_t (`gear_torque`) and
+    clips to `control.CURRENT_LIMIT`, counting the ticks it clipped in
     `saturation_events`, for the next step's currents;
     `balance` refreshes the desired torques every `balance_every` ticks
     (0: never; the balancer period, 1 / `control.HIGH_RATE`, over the
@@ -296,7 +300,7 @@ class Controller:
         n, dt, wiring = model.ndof, scenario.step, WIRING[mode]
         every = balancer_ticks(scenario)
         self.balance_every = every if wiring.balancer else 0
-        self.model, self.dt, self.n = model, dt, n
+        self.model, self.n = model, n
         self.reduction = scenario.per_joint("motor", "reduction")
         self.gear_torque = self.reduction * scenario.per_joint("motor", "k_t")
         self.encoders = encoder_bank(scenario)
@@ -320,8 +324,6 @@ class Controller:
             self.comp = np.zeros(n)
 
         self.feedback = wiring.feedback
-        if wiring.feedback:
-            self.att = ComplementaryAttitude()
         if wiring.feedback == "filter":
             self.ukf = TorqueUkf(model, self.gear_torque, dt,
                                  friction=wiring.friction_nets)
@@ -350,13 +352,11 @@ class Controller:
             self.vel_buf[:, -1] = mvel, self.sdot
             tau_f = predict_friction(self.net_groups, *self.vel_buf)
             self.comp += self.comp_alpha * (tau_f - self.comp)
-        if self.feedback:
-            R = self.att.update(sensors.imu_acc, sensors.imu_gyro, self.dt)
         if self.feedback == "filter":
             z = self.ukf.assemble_measurement(
                 self.sdot, sensors.currents, tau_f, sensors.ft,
                 sensors.imu_acc, sensors.imu_gyro)
-            self.belief = self.ukf.step(self.belief, x[:n], R, z)
+            self.belief = self.ukf.step(self.belief, x[:n], z)
             self.tau_feedback = self.ukf.joint_torque_estimate(self.belief.mean)
         elif self.feedback == "rnea":
             # proper acceleration from IMU (base) and encoder filters (joints)
@@ -365,8 +365,7 @@ class Controller:
             accel = np.concatenate([a_base, np.zeros(3), a[:n]])
             nu = np.concatenate([np.zeros(3), w, self.sdot])
             self.tau_feedback = rnea_torque_feedback(
-                self.model, Transform(R, np.zeros(3)), x[:n], nu, accel,
-                sensors.ft)
+                self.model, x[:n], nu, accel, sensors.ft)
         if self.torque_pi is not None:
             tau = self.torque_pi(self.tau_d, self.tau_feedback, self.comp)
         else:

@@ -11,6 +11,15 @@ torque from load torque without joint torque sensing; a filter is built
 with or without that channel, once.  The noise of each block is a
 module constant, read only by the block table in `TorqueUkf`.
 
+The filter reads no base attitude and no base linear velocity, and
+needs neither.  Its dynamics pass takes ν and the accelerations in base
+coordinates, with gravity only in the accelerometer's proper
+acceleration, so its joint rows are the same at any base pose (frame
+invariance); the accelerometer reads the classical acceleration, so the
+base velocity's bias in C(ν) cancels its ω × v term there (Galilean
+invariance; Featherstone, "Rigid Body Dynamics Algorithms", 2008,
+ch. 2).  So the pass runs, exactly, at the identity pose, ν = [0, ω, ṡ].
+
 The estimator is the paper's unscented Kalman filter.  With the
 dynamics terms (mass matrix, bias, Jacobians) evaluated once per step
 at the prior mean, the process model is affine in the state and the
@@ -32,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import crba, forward_pass, frame_jacobian
-from .spatial import Transform, cross3, exp_so3
+from .spatial import Transform, cross3
 
 
 # process noise: each block's random-walk std per sqrt(s), Q = q^2 dt
@@ -52,39 +61,11 @@ R_FT_TORQUE = 0.05      # N*m
 R_IMU_ACC = 0.02        # m/s^2
 R_IMU_GYRO = 0.002      # rad/s
 
-# share of the accelerometer tilt error corrected per IMU sample
-ATTITUDE_GAIN = 0.05
-
-
-class ComplementaryAttitude:
-    """Gyro-integrated base attitude with accelerometer tilt correction,
-    starting level."""
-
-    def __init__(self):
-        self.R = np.eye(3)
-
-    def update(self, acc, gyro, dt):
-        """Advance by one IMU sample (body-frame readings)."""
-        self.R = self.R @ exp_so3(np.asarray(gyro, dtype=float) * dt)
-        a = np.asarray(acc, dtype=float)
-        norm = np.linalg.norm(a)
-        if norm > 1e-6:
-            up_meas = a / norm          # static accelerometer reads +g direction
-            up_pred = self.R.T @ np.array([0.0, 0.0, 1.0])
-            err = cross3(up_pred, up_meas)   # body-frame tilt error
-            self.R = self.R @ exp_so3(-ATTITUDE_GAIN * err)
-        return self.R
-
 
 class Belief(NamedTuple):
-    """Filter belief: state mean and covariance, and base linear velocity.
-
-    The velocity is no filter state: it is a leaky integral of the
-    accelerometer state, and the next step's dynamics terms read it.
-    """
+    """Filter belief: state mean and covariance."""
     mean: np.ndarray
     cov: np.ndarray
-    base_lin_vel: np.ndarray
 
 
 class TorqueUkf:
@@ -144,42 +125,37 @@ class TorqueUkf:
     def initial_belief(self):
         """Zero mean, and a broad diagonal covariance scaled from Q."""
         cov = np.diag(np.maximum(np.diag(self.Q) * 100.0, 1e-4))
-        return Belief(np.zeros(self.dim), cov, np.zeros(3))
+        return Belief(np.zeros(self.dim), cov)
 
     # -- model terms -------------------------------------------------
 
-    def _step_terms(self, s, base_R, mean, base_lin_vel):
+    def _step_terms(self, s, mean):
         """Affine velocity transition at the prior mean: sdot+ = sdot + G x + c.
 
         The dynamics read Ms sddot = tau_m - tau_f + sum_k J_k^T f_k
         + J_ext^T f_ext - C - Msb a_base; the base proper acceleration
         a_base comes from the accelerometer state at the IMU offset r,
-        a_imu = a_base + omega x (omega x r) + omega x v_base (angular
-        acceleration neglected), inverted with omega and v fixed at the
-        step mean so the map stays affine in the state.
+        a_imu = a_base + omega x (omega x r) (angular acceleration
+        neglected), inverted with omega fixed at the step mean so the
+        map stays affine, at the identity base pose (module docstring).
         """
-        model = self.model
         sl = self.slices
-        n = self.n
-        base_pose = Transform(base_R, np.zeros(3))
         omega = mean[sl["omega"]]
-        nu = np.concatenate([base_lin_vel, omega, mean[sl["sdot"]]])
-        fp = forward_pass(model, base_pose, s, nu)
+        nu = np.concatenate([np.zeros(3), omega, mean[sl["sdot"]]])
+        fp = forward_pass(self.model, Transform(), s, nu)
         M = crba(fp)
-        Ms = M[6:, 6:]
         Msb_lin = M[6:, :3]
         C = fp.inverse_dynamics()[6:]
-        r = self.imu_offset.p
-        corr = cross3(omega, cross3(omega, r)) + cross3(omega, base_lin_vel)
+        corr = cross3(omega, cross3(omega, self.imu_offset.p))
         # B maps the state to the joint-space force, its last column is
         # the constant term; the FT and external wrench blocks are
         # adjacent, one J^T block per frame
         B = self._B0.copy()
         jac = frame_jacobian(fp, self._wrench_frames)[:, :, 6:]
-        B[:, self._wrench_cols] = jac.transpose(2, 0, 1).reshape(n, -1)
+        B[:, self._wrench_cols] = jac.transpose(2, 0, 1).reshape(self.n, -1)
         B[:, sl["alpha"]] = -Msb_lin @ self.imu_offset.R
         B[:, -1] = Msb_lin @ corr - C
-        Gc = self.dt * np.linalg.solve(Ms, B)
+        Gc = self.dt * np.linalg.solve(M[6:, 6:], B)
         return Gc[:, :-1], Gc[:, -1]
 
     def process_model(self, x, G, c):
@@ -202,12 +178,11 @@ class TorqueUkf:
 
     # -- filter step -------------------------------------------------
 
-    def step(self, belief, s, base_R, measurement):
+    def step(self, belief, s, measurement):
         """One predict/update cycle from `belief`; returns the new Belief.
 
-        `s` are the joint positions (filter input), `base_R` the base
-        attitude from the IMU attitude source, `measurement` the output
-        of assemble_measurement; one of another length raises
+        `s` are the joint positions (filter input), `measurement` the
+        output of assemble_measurement; one of another length raises
         ValueError.  The result depends on the arguments only.  A prior
         covariance that is not positive semi-definite (within a 1e-6
         jitter) raises ArithmeticError; the belief the filter's last
@@ -224,7 +199,7 @@ class TorqueUkf:
         H, m, d = self.H, len(measurement), self.dim
         if m != len(H):
             raise ValueError(f"{m} measurement channels, expected {len(H)}")
-        mean, cov, base_lin_vel = belief
+        mean, cov = belief
         # the update factors only the predicted covariance, which Q pads,
         # so a prior that is no covariance could pass on silently.  The
         # belief the last step returned has cov L22 L22^T and needs no
@@ -235,7 +210,7 @@ class TorqueUkf:
             except np.linalg.LinAlgError:
                 raise ArithmeticError(
                     "prior covariance not positive semi-definite") from None
-        G, c = self._step_terms(s, base_R, mean, base_lin_vel)
+        G, c = self._step_terms(s, mean)
         sd = self.slices["sdot"]
         # F = I + E G with E the sdot-row selector: F P F^T touches only
         # the sdot rows and columns
@@ -286,15 +261,10 @@ class TorqueUkf:
         L22 = L[m:-1, m:-1]
         cov_new = L22 @ L22.T
 
-        # advance the auxiliary base linear velocity (leaky integration
-        # of the proper acceleration plus gravity)
-        alpha = mean_new[self.slices["alpha"]]
-        a_base = self.imu_offset.R @ alpha + base_R.T @ self.model.gravity
-        base_lin_vel = 0.995 * (base_lin_vel + self.dt * a_base)
         # read-only: the next step trusts a belief it made unchecked
-        for a in (mean_new, cov_new, base_lin_vel):
+        for a in (mean_new, cov_new):
             a.flags.writeable = False
-        self._made = Belief(mean_new, cov_new, base_lin_vel)
+        self._made = Belief(mean_new, cov_new)
         return self._made
 
     def joint_torque_estimate(self, mean):

@@ -4,7 +4,10 @@
 scaled (Merwe) sigma points drawn from the prior, pushed through the
 process model with the dynamics terms fixed at the prior mean, redrawn
 from the predicted belief and pushed through the measurement model.
-Both maps are affine, so the unscented transform is exact and
+It runs the dynamics at a given base attitude and base linear velocity,
+which the filter does not read: the joint rows are the same at any
+base pose and base velocity (the `ukf` module docstring), so agreement
+at random ones pins both invariances.  Both maps are affine, so the unscented transform is exact and
 `TorqueUkf.step`, the closed-form linear update, must agree with it to
 rounding; `test_ukf.py` checks that.  `measurement_model` and
 `measurement_noise` spell the channel layout and its noise out block by
@@ -106,8 +109,10 @@ def push_frame(model):
     return name
 
 
-def step_terms(ukf, s, base_R, mean, base_lin_vel):
-    """Dynamics matrices evaluated once per step at the prior mean."""
+def step_terms(ukf, s, base_R, base_lin_vel, mean):
+    """Dynamics matrices evaluated once per step at the prior mean, with
+    the base at attitude `base_R` moving at `base_lin_vel` (base
+    coordinates)."""
     model = ukf.model
     base_pose = Transform(base_R, np.zeros(3))
     omega = mean[ukf.slices["omega"]]
@@ -141,12 +146,13 @@ def process_model(ukf, points, terms):
     return pts
 
 
-def reference_step(ukf, belief, s, base_R, measurement, alpha=1e-3, beta=2.0,
-                   kappa=0.0):
-    """The sigma-point predict/update cycle; same contract as `TorqueUkf.step`."""
-    mean, cov, base_lin_vel = belief
+def reference_step(ukf, belief, s, base_R, base_lin_vel, measurement,
+                   alpha=1e-3, beta=2.0, kappa=0.0):
+    """The sigma-point predict/update cycle; the contract of
+    `TorqueUkf.step`, with the base attitude and velocity of `step_terms`."""
+    mean, cov = belief
     friction = len(measurement) == measurement_model(ukf, mean).shape[1]
-    terms = step_terms(ukf, s, base_R, mean, base_lin_vel)
+    terms = step_terms(ukf, s, base_R, base_lin_vel, mean)
     pts, wm, wc = sigma_points(mean, cov, alpha, beta, kappa)
     mean_p, cov_p = unscented_moments(process_model(ukf, pts, terms), wm, wc)
     cov_p = cov_p + ukf.Q
@@ -164,8 +170,4 @@ def reference_step(ukf, belief, s, base_R, measurement, alpha=1e-3, beta=2.0,
     mean_new = mean_p + K @ (measurement - z_mean)
     cov_new = cov_p - K @ S @ K.T
     cov_new = 0.5 * (cov_new + cov_new.T)
-
-    alpha_state = mean_new[ukf.slices["alpha"]]
-    a_base = ukf.imu_offset.R @ alpha_state + base_R.T @ ukf.model.gravity
-    base_lin_vel = 0.995 * (base_lin_vel + ukf.dt * a_base)
-    return Belief(mean_new, cov_new, base_lin_vel)
+    return Belief(mean_new, cov_new)

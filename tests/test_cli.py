@@ -290,13 +290,18 @@ def test_report_orders_rows_by_mode_then_seed(tmp_path, capsys):
     ({"step": 0.003},
      "ScenarioConfig.step (0.003 s) must divide the 0.01 s balancer period "
      "into whole steps"),
-], ids=["encoder", "balancer"])
+    ({"com_frequency": 1e308},
+     "ScenarioConfig.com_frequency (1e+308 Hz) exceeds 50 Hz, half the "
+     "balancer rate"),
+], ids=["encoder", "balancer", "com-frequency"])
 def test_a_scenario_the_run_refuses_exits_with_one_line(
         tmp_path, monkeypatch, command, scenario, message):
     # a 30-bit joint encoder at a 1 ms step, whose filter gain never
     # settles, or a step off the balancer's grid: both used to end in a
-    # traceback, and a mode with friction nets used to train them first;
-    # the run refuses them before it trains nets or takes a plant step
+    # traceback, and a mode with friction nets used to train them first.
+    # A CoM reference the balancer cannot sample used to overflow in the
+    # loop and report a fall.  The run refuses each before it trains nets
+    # or takes a plant step
     def started(*args, **kw):
         raise AssertionError("the run started")
 

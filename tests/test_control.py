@@ -180,7 +180,7 @@ def test_rnea_feedback_static_accuracy():
         state, _ = plant.step(state, np.zeros(plant.n))
     accel = np.concatenate([state.base_prop_acc, state.joint_acc])
     # FT k sits at sole k, so the sole wrenches are the FT readings
-    est = rnea_torque_feedback(plant.model, state.base_pose(), state.s,
+    est = rnea_torque_feedback(plant.model, state.s,
                                np.concatenate([state.base_twist, state.sdot]),
                                accel, state.contact_wrenches)
     scale = max(1.0, np.max(np.abs(state.tau)))
@@ -204,7 +204,10 @@ def turned_ft_leg():
 def test_rnea_feedback_matches_the_recursion_oracle(make_model):
     # the feedback maps each FT wrench through its frame's Jacobian; the
     # oracle moves it onto its link and runs the per-link recursion, so a
-    # wrong frame, sign or stacking order errs by O(1)
+    # wrong frame, sign or stacking order errs by O(1).  The oracle runs
+    # at a random base pose, which the feedback does not read: with nu
+    # and the proper acceleration in base coordinates the joint rows are
+    # the same at any pose
     model = make_model()
     r = np.random.default_rng(5)
     k = len(model.ft_frames)
@@ -216,16 +219,15 @@ def test_rnea_feedback_matches_the_recursion_oracle(make_model):
                         5.0 * r.normal(size=(k, 3))])
         expected = ref.generalized_rnea(model, pose, s, nu, accel,
                                         zip(model.ft_frames, ft))[6:]
-        est = rnea_torque_feedback(model, pose, s, nu, accel, ft)
+        est = rnea_torque_feedback(model, s, nu, accel, ft)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(est - expected)) <= 1e-10 * scale
 
 
 def test_rnea_feedback_zero_gravity_static():
     model = pendulum(gravity=(0.0, 0.0, 0.0))
-    est = rnea_torque_feedback(model, Transform(), np.zeros(1),
-                               np.zeros(model.nv), np.zeros(model.nv),
-                               np.zeros((0, 6)))
+    est = rnea_torque_feedback(model, np.zeros(1), np.zeros(model.nv),
+                               np.zeros(model.nv), np.zeros((0, 6)))
     assert np.allclose(est, 0.0, atol=1e-12)
 
 

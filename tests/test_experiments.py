@@ -37,7 +37,6 @@ from torquesense.friction import ScvParams
 from torquesense.model import desk_biped
 from torquesense.plant import (Disturbance, Plant, ScenarioConfig,
                                SimulationDiverged)
-from torquesense.ukf import ComplementaryAttitude
 
 SHORT = dict(duration=1.2, seed=0)
 
@@ -415,41 +414,6 @@ def test_ukf_nocomp_runs_no_friction_nets(monkeypatch):
     _, given = run_scenario(scenario, control, nets=nets)
     for field in dataclasses.fields(RunLog):
         np.testing.assert_array_equal(getattr(given, field.name),
-                                      getattr(bare, field.name),
-                                      err_msg=field.name, strict=True)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_attitude_filter_runs_only_where_it_is_read(monkeypatch, mode):
-    # the UKF and RNEA feedback read the attitude estimate; the other
-    # modes neither build nor update the filter
-    scenario = ScenarioConfig(duration=0.502, seed=0)
-    nets = mixed_nets(Plant(scenario).model.joint_names)
-    calls = []
-    update = ComplementaryAttitude.update
-
-    def counted(self, *args):
-        calls.append(1)
-        return update(self, *args)
-
-    monkeypatch.setattr(ComplementaryAttitude, "update", counted)
-    _, log = run_scenario(scenario, ControlConfig(mode=mode), nets=nets)
-    reads = mode.startswith(("UKF", "RNEA"))
-    assert len(calls) == (len(log.t) if reads else 0)
-
-
-def test_feedforward_log_does_not_depend_on_the_attitude_filter(monkeypatch):
-    scenario = ScenarioConfig(duration=0.502, seed=0)
-    control = ControlConfig(mode="Feedforward")
-    _, bare = run_scenario(scenario, control)
-
-    def poisoned(self, *args):
-        return np.full((3, 3), np.nan)
-
-    monkeypatch.setattr(ComplementaryAttitude, "update", poisoned)
-    _, log = run_scenario(scenario, control)
-    for field in dataclasses.fields(RunLog):
-        np.testing.assert_array_equal(getattr(log, field.name),
                                       getattr(bare, field.name),
                                       err_msg=field.name, strict=True)
 

@@ -5,14 +5,14 @@ import pytest
 
 from chains import pendulum
 from reference_ukf import (measurement_model, measurement_noise,
-                           merwe_weights, reference_step, sigma_points,
-                           unscented_moments)
+                           merwe_weights, process_model, reference_step,
+                           sigma_points, step_terms, unscented_moments)
 from torquesense.control import ControlConfig
 from torquesense.experiments import run_scenario
 from torquesense.model import FrameError, RobotModel, desk_biped
 from torquesense.plant import ScenarioConfig
 from torquesense.spatial import Transform, exp_so3
-from torquesense.ukf import Belief, ComplementaryAttitude, TorqueUkf
+from torquesense.ukf import Belief, TorqueUkf
 
 
 def random_spd(dim, seed, scale=1.0):
@@ -85,10 +85,10 @@ def test_step_rejects_degenerate_prior_covariance():
     bad = belief.cov.copy()
     bad[0, 0] = -1e-3  # beyond the 1e-6 jitter the prior check allows
     with pytest.raises(ArithmeticError, match="prior covariance"):
-        ukf.step(belief._replace(cov=bad), np.zeros(1), np.eye(3), z)
+        ukf.step(belief._replace(cov=bad), np.zeros(1), z)
     # a zero variance is a covariance and passes
     bad[0, 0] = 0.0
-    m, c, _ = ukf.step(belief._replace(cov=bad), np.zeros(1), np.eye(3), z)
+    m, c = ukf.step(belief._replace(cov=bad), np.zeros(1), z)
     assert np.all(np.isfinite(m)) and np.all(np.isfinite(c))
 
 
@@ -104,7 +104,7 @@ def test_step_factors_only_a_prior_it_did_not_make(monkeypatch):
 
     def step(prior):
         sizes.clear()
-        return ukf.step(prior, np.zeros(1), np.eye(3), z)
+        return ukf.step(prior, np.zeros(1), z)
 
     made = step(belief)
     assert sizes == [ukf.dim, array_form]
@@ -121,7 +121,7 @@ def test_a_belief_the_filter_made_cannot_be_edited():
     # array form unseen
     ukf = pendulum_ukf()
     belief = ukf.initial_belief()
-    made = ukf.step(belief, np.zeros(1), np.eye(3),
+    made = ukf.step(belief, np.zeros(1),
                     measurement_model(ukf, belief.mean)[0])
     for a in made:
         with pytest.raises(ValueError, match="read-only"):
@@ -140,7 +140,7 @@ def test_step_rejects_an_innovation_covariance_that_is_no_covariance():
     ukf.R[-1, -1] = -1.0
     with pytest.raises(ArithmeticError,
                        match="innovation covariance not positive definite"):
-        ukf.step(belief, np.zeros(1), np.eye(3), z)
+        ukf.step(belief, np.zeros(1), z)
 
 
 def test_step_rejects_a_posterior_that_is_no_covariance():
@@ -156,7 +156,7 @@ def test_step_rejects_a_posterior_that_is_no_covariance():
     ukf.Q[ext, ext] = -2.0 * belief.cov[ext, ext]
     with pytest.raises(ArithmeticError,
                        match="posterior covariance not positive definite"):
-        ukf.step(belief, np.zeros(1), np.eye(3), z)
+        ukf.step(belief, np.zeros(1), z)
 
 
 def test_every_covariance_of_a_run_is_exactly_symmetric(monkeypatch):
@@ -200,12 +200,39 @@ def test_step_rejects_a_measurement_of_the_wrong_length(model, friction,
                     friction=friction)
     with pytest.raises(ValueError, match=f"^{channels} measurement channels, "
                        f"expected {expected}$"):
-        ukf.step(ukf.initial_belief(), np.zeros(ukf.n), np.eye(3),
-                 np.zeros(channels))
+        ukf.step(ukf.initial_belief(), np.zeros(ukf.n), np.zeros(channels))
 
 
 def relative_error(value, reference):
     return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+
+def random_base_motion(r):
+    """A random base attitude and base linear velocity (2 m/s std): inputs
+    the filter does not read and only the reference takes."""
+    return exp_so3(r.normal(size=3)), r.normal(scale=2.0, size=3)
+
+
+def test_step_terms_match_the_reference_at_any_base_pose_and_velocity():
+    # the filter's pass runs at the identity base pose with zero base
+    # linear velocity; the reference's runs at a random attitude and
+    # velocity, so this pins both invariances.  The reference's affine
+    # process map, applied to the zero state and to each unit state,
+    # gives its c and the columns of its G.
+    ukf = biped_ukf()
+    r = np.random.default_rng(7)
+    sd = ukf.slices["sdot"]
+    unit = np.vstack([np.zeros(ukf.dim), np.eye(ukf.dim)])
+    for _ in range(20):
+        s = r.uniform(-1.0, 1.0, ukf.n)
+        mean = r.normal(size=ukf.dim)
+        G, c = ukf._step_terms(s, mean)
+        terms = step_terms(ukf, s, *random_base_motion(r), mean)
+        out = process_model(ukf, unit, terms)[:, sd]
+        c_ref = out[0]
+        G_ref = (out[1:] - unit[1:, sd] - c_ref).T
+        assert relative_error(c, c_ref) <= 1e-12
+        assert relative_error(G, G_ref) <= 1e-12
 
 
 # alpha = 1 spreads the sigma points over the belief and the moment sums
@@ -214,6 +241,8 @@ def relative_error(value, reference):
 # digits to cancellation, most visible in the weakly observed external
 # wrench (the closed form agrees with an extended-precision evaluation
 # of the same update to ~1e-14, the alpha = 1e-3 reference to ~3e-9).
+# The reference runs at a random base attitude and velocity each step,
+# which the filter does not read.
 @pytest.mark.parametrize("alpha, mean_tol", [(1.0, 1e-9), (1e-3, 1e-8)])
 @pytest.mark.parametrize("friction", [True, False], ids=["friction", "masked"])
 def test_step_matches_sigma_point_reference(alpha, mean_tol, friction):
@@ -225,49 +254,35 @@ def test_step_matches_sigma_point_reference(alpha, mean_tol, friction):
                              cov=belief.cov + 0.01 * A @ A.T / ukf.dim)
     for _ in range(200):
         s = r.normal(scale=0.3, size=ukf.n)
-        base_R = exp_so3(r.normal(scale=0.2, size=3))
+        base_R, base_lin_vel = random_base_motion(r)
         truth = belief.mean + r.normal(scale=0.5, size=ukf.dim)
         z = measurement_model(ukf, truth, friction)[0]
         # both steps start from the reference's belief
-        b1 = ukf.step(belief, s, base_R, z)
-        belief = reference_step(ukf, belief, s, base_R, z, alpha=alpha)
+        b1 = ukf.step(belief, s, z)
+        belief = reference_step(ukf, belief, s, base_R, base_lin_vel, z,
+                                alpha=alpha)
         assert relative_error(b1.mean, belief.mean) <= mean_tol
         assert relative_error(b1.cov, belief.cov) <= 1e-12
-        assert relative_error(b1.base_lin_vel, belief.base_lin_vel) <= mean_tol
 
 
 def test_step_is_a_function_of_its_inputs():
     ukf = biped_ukf()
     r = np.random.default_rng(1)
     belief = ukf.initial_belief()
-    belief = ukf.step(belief, r.normal(scale=0.3, size=ukf.n), np.eye(3),
+    belief = ukf.step(belief, r.normal(scale=0.3, size=ukf.n),
                       measurement_model(ukf, r.normal(size=ukf.dim))[0])
-    assert belief.base_lin_vel.any()
     s = r.normal(scale=0.3, size=ukf.n)
-    base_R = exp_so3(r.normal(scale=0.2, size=3))
     z = measurement_model(ukf, r.normal(size=ukf.dim))[0]
     copy = Belief(*(a.copy() for a in belief))
-    first = ukf.step(belief, s, base_R, z)
-    second = ukf.step(belief, s, base_R, z)
+    first = ukf.step(belief, s, z)
+    second = ukf.step(belief, s, z)
     # a second filter on the same model, run from a copy of the belief
     other = biped_ukf()
-    third = other.step(copy, s, base_R, z)
+    third = other.step(copy, s, z)
     for a, b, c in zip(first, second, third):
         assert np.array_equal(a, b) and np.array_equal(a, c)
     for a, b in zip(belief, copy):
         assert np.array_equal(a, b)  # the belief passed in is not changed
-
-
-def test_complementary_attitude_converges_to_tilt():
-    g = 9.81
-    R_true = exp_so3(np.array([0.3, -0.1, 0.0]))  # pure tilt, no yaw
-    att = ComplementaryAttitude()  # starts level
-    acc = R_true.T @ np.array([0.0, 0.0, g])      # static accelerometer
-    for _ in range(2000):
-        att.update(acc, np.zeros(3), 1e-3)
-    up_est = att.R.T @ np.array([0.0, 0.0, 1.0])
-    up_true = R_true.T @ np.array([0.0, 0.0, 1.0])
-    assert np.allclose(up_est, up_true, atol=1e-6)
 
 
 def test_state_layout_and_dimensions():
@@ -275,10 +290,9 @@ def test_state_layout_and_dimensions():
     for friction in (True, False):
         ukf = biped_ukf(friction)
         assert ukf.dim == n * 3 + 6 * 2 + 6 + 3 + 3
-        mean, cov, base_lin_vel = ukf.initial_belief()
+        mean, cov = ukf.initial_belief()
         assert mean.shape == (ukf.dim,)
         assert np.min(np.linalg.eigvalsh(cov)) > 0.0
-        assert np.array_equal(base_lin_vel, np.zeros(3))
         # the one channel set built from the block table is the layout
         # spelt out block by block, with the friction channel only if the
         # filter is built with it
@@ -320,7 +334,7 @@ def test_process_model_only_advances_velocities():
     ukf = pendulum_ukf()
     r = np.random.default_rng(5)
     mean = r.normal(size=ukf.dim) * 0.1
-    G, c = ukf._step_terms(np.zeros(1), np.eye(3), mean, np.zeros(3))
+    G, c = ukf._step_terms(np.zeros(1), mean)
     sl = ukf.slices
     for x in r.normal(size=(7, ukf.dim)):
         out = ukf.process_model(x, G, c)
@@ -373,7 +387,7 @@ def test_zero_noise_self_consistency_contracts():
     ukf = pendulum_ukf()
     truth = static_pendulum_truth(ukf)
     # the truth state is stationary under the process model
-    G, c = ukf._step_terms(np.zeros(1), np.eye(3), truth, np.zeros(3))
+    G, c = ukf._step_terms(np.zeros(1), truth)
     assert np.allclose(ukf.process_model(truth, G, c), truth, atol=1e-12)
 
     z = measurement_model(ukf, truth)[0]
@@ -381,7 +395,7 @@ def test_zero_noise_self_consistency_contracts():
     belief = ukf.initial_belief()._replace(mean=truth + 0.5)
     errs = []
     for _ in range(3000):
-        belief = ukf.step(belief, np.zeros(1), np.eye(3), z)
+        belief = ukf.step(belief, np.zeros(1), z)
         errs.append(np.max(np.abs(ukf.joint_torque_estimate(belief.mean)
                                   - ukf.joint_torque_estimate(truth))))
     assert errs[-1] < 1e-6
@@ -396,7 +410,7 @@ def test_covariance_stays_psd_under_filtering():
     belief = ukf.initial_belief()
     for k in range(500):
         zn = z + r.normal(scale=0.01, size=len(z))
-        belief = ukf.step(belief, np.zeros(1), np.eye(3), zn)
+        belief = ukf.step(belief, np.zeros(1), zn)
         cov = belief.cov
         if k % 100 == 0:
             assert np.allclose(cov, cov.T, atol=1e-12)
@@ -421,5 +435,5 @@ def test_masked_step_ignores_friction_measurement():
     # dynamics coupling, so the update does not depend on any friction
     # measurement value at all
     assert np.array_equal(measure(1e6 * np.ones(ukf.n)), z_masked)
-    m1 = ukf.step(ukf.initial_belief(), np.zeros(1), np.eye(3), z_masked).mean
+    m1 = ukf.step(ukf.initial_belief(), np.zeros(1), z_masked).mean
     assert np.all(np.isfinite(m1))
