@@ -19,7 +19,7 @@ from . import pinn
 from .control import (COMP_CUTOFF, CURRENT_LIMIT, HIGH_RATE, WIRING,
                       TorquePI, high_level_balancer, position_pd,
                       rnea_torque_feedback)
-from .kf import encoder_lsb, mean_step, steady_state_gain
+from .kf import encoder_lsb, mean_step, steady_state_gain, transition_matrix
 from .model import desk_biped
 from .plant import (Disturbance, ObjectEvent, Plant, ScenarioConfig,
                     SimulationDiverged)
@@ -43,18 +43,19 @@ class OnlineKf:
         kinds, kind = np.unique(lsb, return_inverse=True)
         K = steady_state_gain(dt, kinds, q_accel, q_jerk)
         self.K = np.ascontiguousarray(K[kind.ravel()].T)  # (3, channels)
-        self.dt = dt
-        self.x, self.v, self.a = np.zeros((3, len(lsb)))
+        self.F = transition_matrix(dt)
+        self.mean = np.zeros((3, len(lsb)))  # rows x, v, a
 
     def update(self, z):
-        """Advance every channel by one sample; returns (x, v, a) arrays."""
-        self.x, self.v, self.a = mean_step(self.x, self.v, self.a, z, self.K,
-                                           self.dt)
-        return self.x, self.v, self.a
+        """Advance every channel by one sample; returns the (3, channels)
+        means, whose rows are the x, v and a arrays."""
+        self.mean = mean_step(self.mean, z, self.K, self.F)
+        return self.mean
 
 
 DEFAULT_KF_GAINS = {"q_accel": 1e-3, "q_jerk": 200.0}
 BURN_IN = 0.5  # s of every run left out of the torque metrics
+COM_REACH = 1.0  # m, largest CoM reference amplitude (the CoM stands 0.49 m)
 
 ID_JOINT = 0             # joint whose friction the identification log records
 ID_CURRENT_AMP = 0.35    # A, amplitude of each multi-sine current component
@@ -109,7 +110,8 @@ def check_nets(nets, joint_names):
 def balancer_ticks(scenario):
     """Plant steps per balancer period (1 / `control.HIGH_RATE`) at the
     scenario's step; a step that does not divide the period into whole
-    steps is refused, and so is a CoM reference above half its rate."""
+    steps is refused, and so is a CoM reference above half its rate or
+    with an amplitude beyond `COM_REACH`."""
     dt, high_dt = scenario.step, 1.0 / HIGH_RATE
     every = int(round(high_dt / dt))
     if every < 1 or not np.isclose(every * dt, high_dt):
@@ -120,6 +122,11 @@ def balancer_ticks(scenario):
         raise ScenarioRefused(
             f"ScenarioConfig.com_frequency ({scenario.com_frequency:g} Hz) "
             f"exceeds {HIGH_RATE / 2:g} Hz, half the balancer rate")
+    if max(abs(a) for a in scenario.com_amplitude) > COM_REACH:
+        amplitude = ", ".join(f"{a:g}" for a in scenario.com_amplitude)
+        raise ScenarioRefused(
+            f"ScenarioConfig.com_amplitude ({amplitude} m) exceeds "
+            f"{COM_REACH:g} m, beyond the desk biped's reach")
     return every
 
 

@@ -17,11 +17,17 @@ Convergence rule.  The covariance recursion does not depend on the data
 (only on dt, Q and r; Anderson & Moore, "Optimal Filtering", 1979,
 ch. 3), so it runs once for the whole batch, ahead of the mean
 recursion, `GAIN_BLOCK` steps at a time with no test between steps.
-After each block, every member freezes its gain at the first step k
-where |K_k - K_(k-1)|_1 < `GAIN_TOL` (1e-14), comparing across block
-edges too; K_k serves every later sample.  No block follows the one in
-which the last member freezes, and at most one block of gains is held
-at a time.
+Its measurement step is the scalar one, P <- P - p p^T / s with
+p = P e0 and s = p0 + r (Bierman, "Factorization Methods for Discrete
+Sequential Estimation", 1977), which for H = e0 and the optimal gain
+equals the Joseph form in exact arithmetic.  After each block, every
+member freezes its gain at the first step k where each component
+moved by at most `GAIN_TOL` (1e-14) of its own size,
+|K_k,i - K_(k-1),i| <= GAIN_TOL |K_k,i|, comparing across block edges
+too; K_k serves every later sample.  The test is relative, so whether a
+gain settles does not hang on the float recursion hitting a fixed
+point.  No block follows the one in which the last member freezes, and
+at most one block of gains is held at a time.
 """
 
 import itertools
@@ -30,7 +36,7 @@ import json
 import numpy as np
 
 GAIN_BLOCK = 64  # gains per pass of the recursion between convergence tests
-GAIN_TOL = 1e-14  # |K_k - K_(k-1)|_1 below which a member's gain freezes
+GAIN_TOL = 1e-14  # per-component relative gain change that freezes a member
 
 
 def encoder_lsb(bits):
@@ -90,14 +96,11 @@ def _gain_blocks(dt, Q, r, n_steps):
     P[:, 0, 0] = r
     P[:, 1, 1] = 1.0
     P[:, 2, 2] = 10.0
-    # I - K H with H = [1, 0, 0]: only the first column changes per step
-    IKH = np.broadcast_to(np.eye(3), P.shape).copy()
-    e0 = np.array([[1.0], [0.0], [0.0]])
-    tmp, KK, Kb = np.empty_like(P), np.empty_like(P), np.empty((B, 3))
-    # the views the steps read and write, made once
-    P_T, IKH_T = P.transpose(0, 2, 1), IKH.transpose(0, 2, 1)
-    P_col, P00, IKH_col = P[:, :, 0].T, P[:, 0, 0], IKH[:, :, 0].T
-    K_col, K_row, r_col = Kb[:, :, None], Kb[:, None, :], r[:, None, None]
+    tmp, pp, s = np.empty_like(P), np.empty_like(P), np.empty(B)
+    # the views the steps read and write, made once: p = P e0 as the
+    # (3, B) gain numerator, a column and a row, and s = p0 + r
+    p, p_col, p_row = P[:, :, 0].T, P[:, :, :1], P[:, None, :, 0]
+    P00, s_col = P[:, 0, 0], s[:, None, None]
     # the previous block's last gains; NaN compares false, so the first
     # sample is tested against nothing
     prev = np.full((3, B), np.nan)
@@ -109,20 +112,19 @@ def _gain_blocks(dt, Q, r, n_steps):
         for K in G[1:]:
             np.matmul(np.matmul(F, P, out=tmp), F.T, out=P)
             P += Q
-            np.divide(P_col, P00 + r, out=K)
-            np.subtract(e0, K, out=IKH_col)
-            # Joseph form: (I - K H) P (I - K H)^T + r K K^T, symmetrized
-            np.matmul(np.matmul(IKH, P, out=tmp), IKH_T, out=P)
-            Kb.T[...] = K  # member-major, for r K K^T
-            np.multiply(K_col, K_row, out=KK)
-            KK *= r_col
-            P += KK
-            np.add(P, P_T, out=tmp)
-            np.multiply(tmp, 0.5, out=P)
+            np.add(P00, r, out=s)
+            np.divide(p, s, out=K)
+            # scalar-measurement step P - p p^T / s: exactly symmetric,
+            # and positive semi-definite since s > p0
+            np.multiply(p_col, p_row, out=pp)
+            pp /= s_col
+            P -= pp
         # row k of G reads row min(k, last[b]) for member b: last is the
-        # first row within GAIN_TOL of the row before for a member that
-        # freezes here, and 0 (its held gain) for one frozen before
-        hit = np.abs(np.diff(G, axis=0)).sum(axis=1) < GAIN_TOL
+        # first row whose every component is within GAIN_TOL of the row
+        # before, relative to its own size, for a member that freezes
+        # here, and 0 (its held gain) for one frozen before
+        hit = (np.abs(np.diff(G, axis=0))
+               <= GAIN_TOL * np.abs(G[1:])).all(axis=1)
         hit[:, frozen] = False
         new = hit.any(axis=0)
         last = np.where(new, hit.argmax(axis=0) + 1, L)
@@ -160,17 +162,20 @@ def steady_state_gain(dt, lsb, q_accel, q_jerk):
     return G[-1].T
 
 
-def mean_step(x, v, a, z, K, dt):
-    """Predict and position-update the means of a bank of filters.
+def mean_step(mean, z, K, F, out=None):
+    """Predict and position-update the (3, B) means of a bank of B filters.
 
-    `x`, `v`, `a` are the state means, `z` the measured positions and
-    `K` the (3, ...) gains; everything broadcasts.  Returns the updated
-    (x, v, a).
+    `mean` stacks the [x, xdot, xddot] means, `F` is `transition_matrix`,
+    `z` the measured positions (scalar or (B,)) and `K` the (3, B) gains.
+    Returns the updated means, written into the (3, B) `out` if given.
+    The product by `F` runs member by member, as a (B, 3, 1) stack, so a
+    member's bits do not depend on B.
     """
-    xp = x + dt * v + 0.5 * dt * dt * a
-    vp = v + dt * a
-    innov = z - xp
-    return xp + K[0] * innov, vp + K[1] * innov, a + K[2] * innov
+    if out is None:
+        out = np.empty_like(mean)
+    np.matmul(F, mean.T[:, :, None], out=out.T[:, :, None])
+    out += K * (z - out[0])
+    return out
 
 
 def filter_trace(positions, dt, lsb, q_accel, q_jerk):
@@ -190,15 +195,18 @@ def filter_trace(positions, dt, lsb, q_accel, q_jerk):
     r = np.full(B, quantization_variance(lsb))
     gains = itertools.chain.from_iterable(
         G for G, _ in _gain_blocks(dt, Q, r, n))
-    x, v, a = np.full(B, z[0]), np.zeros(B), np.zeros(B)
-    xs, vs, accs = np.empty((B, n)), np.empty((B, n)), np.empty((B, n))
+    F = transition_matrix(dt)
+    # row k holds sample k's (3, B) means, each step's output in place
+    est = np.empty((n, 3, B))
+    mean = np.zeros((3, B))
+    mean[0] = z[0]
     K = None
-    for k, zk in enumerate(z.tolist()):
+    for zk, row in zip(z.tolist(), est):
         K = next(gains, K)
-        x, v, a = mean_step(x, v, a, zk, K, dt)
-        xs[:, k] = x
-        vs[:, k] = v
-        accs[:, k] = a
+        mean = mean_step(mean, zk, K, F, out=row)
+    # contiguous rows, so that a row reduction sums in the same order as
+    # on one member's trace
+    xs, vs, accs = np.ascontiguousarray(est.transpose(1, 2, 0))
     return xs, vs, accs
 
 

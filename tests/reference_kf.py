@@ -1,15 +1,18 @@
 """Stepwise and per-candidate references for the encoder filter.
 
 `make_kf`, `kf_predict` and `kf_update` run the constant-acceleration
-filter one covariance step at a time.  `torquesense.kf.filter_trace`,
-which runs the gain recursion alongside the means, must reproduce their
-means; `test_kf.py` checks that.
+filter one covariance step at a time, with the Joseph-form update.
+`torquesense.kf.filter_trace`, which runs the gain recursion with the
+scalar-measurement step P - p p^T / s alongside the means, must
+reproduce their means to rounding; `test_kf.py` checks that.
 
 `gain_schedule`, `filter_trace_one`, `ScalarOnlineKf` and
 `kf_fitness_one` are the one-filter-at-a-time versions the batched
 filter, the encoder bank and the population fitness replaced.  They do
-the same float64 operations in the same order, so the batched code
-must match them bit for bit.
+the same float64 operations in the same order, with the same relative
+freeze test, and make each product by the transition matrix as one
+(3, 3) by (3, 1) product, as `kf.mean_step` does per member, so the
+batched code must match them bit for bit.
 """
 
 from dataclasses import dataclass
@@ -79,25 +82,32 @@ def backward_difference(positions, dt):
 
 def gain_schedule(dt, Q, r, n_steps, tol=1e-14):
     """Kalman gain sequence of one filter; stops early once the gain
-    converges (|K_k - K_(k-1)|_1 < tol), the last gain then holding."""
+    converges (every component within tol of the gain before, relative
+    to its own size), the last gain then holding."""
     F = transition_matrix(dt)
     P = np.diag([r, 1.0, 10.0])
     gains = []
     prev = None
     for _ in range(n_steps):
         P = F @ P @ F.T + Q
-        S = P[0, 0] + r
-        K = P[:, 0] / S
-        IKH = np.eye(3)
-        IKH[:, 0] -= K
-        P = IKH @ P @ IKH.T + r * np.outer(K, K)
-        P = 0.5 * (P + P.T)
+        p = P[:, 0].copy()
+        s = P[0, 0] + r
+        K = p / s
+        P = P - np.outer(p, p) / s
         gains.append(K)
-        if prev is not None and abs(K[0] - prev[0]) + abs(K[1] - prev[1]) \
-                + abs(K[2] - prev[2]) < tol:
+        if prev is not None and all(abs(K[i] - prev[i]) <= tol * abs(K[i])
+                                    for i in range(3)):
             break
         prev = K
     return gains
+
+
+def mean_step_one(m, z, K, F):
+    """One filter's predict and position update of its (3, 1) mean.  The
+    product by F is the same (3, 3) by (3, 1) product that
+    `torquesense.kf.mean_step` makes for each member of its stack."""
+    m = F @ m
+    return m + K[:, None] * (z - m[0, 0])
 
 
 def filter_trace_one(positions, dt, lsb, q_accel, q_jerk):
@@ -107,43 +117,29 @@ def filter_trace_one(positions, dt, lsb, q_accel, q_jerk):
     gains = gain_schedule(dt, process_noise(dt, q_accel, q_jerk),
                           quantization_variance(lsb), n)
     n_g = len(gains)
-    half = 0.5 * dt * dt
-    x, v, a = float(z[0]), 0.0, 0.0
+    F = transition_matrix(dt)
+    m = np.array([[z[0]], [0.0], [0.0]])
     xs, vs, accs = np.empty(n), np.empty(n), np.empty(n)
     zl = z.tolist()
     for k in range(n):
-        xp = x + dt * v + half * a
-        vp = v + dt * a
         K = gains[k] if k < n_g else gains[-1]
-        innov = zl[k] - xp
-        x = xp + K[0] * innov
-        v = vp + K[1] * innov
-        a = a + K[2] * innov
-        xs[k] = x
-        vs[k] = v
-        accs[k] = a
+        m = mean_step_one(m, zl[k], K, F)
+        xs[k], vs[k], accs[k] = m[:, 0]
     return xs, vs, accs
 
 
 class ScalarOnlineKf:
-    """One steady-state-gain encoder filter on Python floats."""
+    """One steady-state-gain encoder filter with a (3, 1) mean."""
 
     def __init__(self, dt, lsb, q_accel, q_jerk, x0=0.0):
-        K = gain_schedule(dt, process_noise(dt, q_accel, q_jerk),
-                          quantization_variance(lsb), 20000)[-1]
-        self.k0, self.k1, self.k2 = float(K[0]), float(K[1]), float(K[2])
-        self.dt = dt
-        self.x, self.v, self.a = float(x0), 0.0, 0.0
+        self.K = gain_schedule(dt, process_noise(dt, q_accel, q_jerk),
+                               quantization_variance(lsb), 20000)[-1]
+        self.F = transition_matrix(dt)
+        self.m = np.array([[float(x0)], [0.0], [0.0]])
 
     def update(self, z):
-        dt = self.dt
-        xp = self.x + dt * self.v + 0.5 * dt * dt * self.a
-        vp = self.v + dt * self.a
-        innov = z - xp
-        self.x = xp + self.k0 * innov
-        self.v = vp + self.k1 * innov
-        self.a = self.a + self.k2 * innov
-        return self.x, self.v, self.a
+        self.m = mean_step_one(self.m, z, self.K, self.F)
+        return tuple(self.m[:, 0])
 
 
 def kf_fitness_one(genes, trace, dt, lsb):

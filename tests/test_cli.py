@@ -282,10 +282,10 @@ def test_report_orders_rows_by_mode_then_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("scenario, message", [
-    ({"noise": {"joint_encoder_bits": 30}},
-     "ScenarioConfig.noise (joint_encoder_bits 30, motor_encoder_bits 16) "
-     "at the 0.001 s step: the encoder-filter gain "
-     "for q_accel=0.001, q_jerk=200 at lsb 5.85167e-09 rad does not settle "
+    ({"step": 1e-4, "noise": {"joint_encoder_bits": 1}},
+     "ScenarioConfig.noise (joint_encoder_bits 1, motor_encoder_bits 16) "
+     "at the 0.0001 s step: the encoder-filter gain "
+     "for q_accel=0.001, q_jerk=200 at lsb 3.14159 rad does not settle "
      "within 20000 steps"),
     ({"step": 0.003},
      "ScenarioConfig.step (0.003 s) must divide the 0.01 s balancer period "
@@ -293,14 +293,18 @@ def test_report_orders_rows_by_mode_then_seed(tmp_path, capsys):
     ({"com_frequency": 1e308},
      "ScenarioConfig.com_frequency (1e+308 Hz) exceeds 50 Hz, half the "
      "balancer rate"),
-], ids=["encoder", "balancer", "com-frequency"])
+    ({"com_amplitude": [1e300, 0.0, 0.0]},
+     "ScenarioConfig.com_amplitude (1e+300, 0, 0 m) exceeds 1 m, beyond the "
+     "desk biped's reach"),
+], ids=["encoder", "balancer", "com-frequency", "com-amplitude"])
 def test_a_scenario_the_run_refuses_exits_with_one_line(
         tmp_path, monkeypatch, command, scenario, message):
-    # a 30-bit joint encoder at a 1 ms step, whose filter gain never
+    # a 1-bit joint encoder at a 0.1 ms step, whose filter gain never
     # settles, or a step off the balancer's grid: both used to end in a
     # traceback, and a mode with friction nets used to train them first.
     # A CoM reference the balancer cannot sample used to overflow in the
-    # loop and report a fall.  The run refuses each before it trains nets
+    # loop and report a fall, and one of 1e300 m to overflow in the
+    # metrics.  The run refuses each before it trains nets
     # or takes a plant step
     def started(*args, **kw):
         raise AssertionError("the run started")

@@ -122,7 +122,7 @@ def test_online_kf_tracks_filter_trace_after_convergence(bits):
     xs, vs, accs = (est[0] for est in filter_trace(z, dt, lsb, **one))
     start = 1000
     kf = OnlineKf(dt, [lsb], **DEFAULT_KF_GAINS)
-    kf.x[:], kf.v[:], kf.a[:] = xs[start - 1], vs[start - 1], accs[start - 1]
+    kf.mean[:, 0] = xs[start - 1], vs[start - 1], accs[start - 1]
     for k in range(start, len(z)):
         x, v, a = kf.update(z[k])
         assert (x[0], v[0], a[0]) == (xs[k], vs[k], accs[k])
@@ -135,7 +135,7 @@ def test_encoder_bank_matches_one_filter_per_channel():
     lsb = np.repeat([encoder_lsb(12), encoder_lsb(16)], 3)
     x0 = np.array([0.1, -0.2, 0.3, 1.0, -2.0, 0.5])
     bank = OnlineKf(dt, lsb, **DEFAULT_KF_GAINS)
-    bank.x[:] = x0
+    bank.mean[0] = x0
     scalar = [ScalarOnlineKf(dt, lsb[c], **DEFAULT_KF_GAINS, x0=x0[c])
               for c in range(6)]
     t = np.arange(3000) * dt
@@ -172,20 +172,22 @@ def test_encoder_gains_computed_once_per_distinct_lsb(monkeypatch):
 
 
 def test_gains_that_never_settle_are_rejected_before_the_run(monkeypatch):
-    # a 30-bit joint encoder at a 1 ms step: the filter gain at the
-    # default densities never settles, and the message names the
-    # scenario keys that set the resolutions
+    # a 1-bit joint encoder at a 0.1 ms step: the filter gain at the
+    # default densities is still moving at step 20000 (2 bits settle
+    # near step 17350), and the message names the scenario keys that
+    # set the resolutions
     def step(*args):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(Plant, "step", step)
     message = re.escape(
-        "ScenarioConfig.noise (joint_encoder_bits 30, motor_encoder_bits "
-        "16) at the 0.001 s step: the encoder-filter gain "
-        "for q_accel=0.001, q_jerk=200 at lsb 5.85167e-09 rad does not "
+        "ScenarioConfig.noise (joint_encoder_bits 1, motor_encoder_bits "
+        "16) at the 0.0001 s step: the encoder-filter gain "
+        "for q_accel=0.001, q_jerk=200 at lsb 3.14159 rad does not "
         "settle within 20000 steps")
     with pytest.raises(ScenarioRefused, match=message + "$"):
-        run_scenario(ScenarioConfig(**SHORT, noise={"joint_encoder_bits": 30}),
+        run_scenario(ScenarioConfig(**SHORT, step=1e-4,
+                                    noise={"joint_encoder_bits": 1}),
                      ControlConfig(mode="Feedforward"))
 
 
@@ -651,9 +653,11 @@ def test_a_balancer_period_off_the_step_grid_is_rejected(monkeypatch, step):
 @pytest.mark.parametrize("kw, error, match", [
     ({"duration": 0.3}, ValueError, "leaves no samples after"),
     ({"step": 3e-3}, ScenarioRefused, "balancer period"),
-    ({"noise": {"joint_encoder_bits": 30}}, ScenarioRefused,
+    ({"step": 1e-4, "noise": {"joint_encoder_bits": 1}}, ScenarioRefused,
      "does not settle"),
-], ids=["duration", "balancer", "encoder"])
+    ({"com_amplitude": (1e300, 0.0, 0.0)}, ScenarioRefused,
+     r"com_amplitude \(1e\+300, 0, 0 m\) exceeds 1 m"),
+], ids=["duration", "balancer", "encoder", "com-amplitude"])
 def test_a_scenario_is_checked_runnable_without_a_plant(monkeypatch, kw,
                                                         error, match):
     # the checks run_scenario makes before its first step, made on the
@@ -668,6 +672,18 @@ def test_a_scenario_is_checked_runnable_without_a_plant(monkeypatch, kw,
     with pytest.raises(error, match=match):
         experiments.check_runnable(scenario)
     experiments.check_runnable(ScenarioConfig(duration=0.55))
+
+
+def test_the_largest_com_reference_the_run_accepts_has_finite_metrics():
+    # a 1e300 m CoM amplitude used to pass the checks and then overflow
+    # squaring the torque error; at the reach and the 50 Hz limit every
+    # metric is finite
+    scenario = ScenarioConfig(duration=0.6, com_frequency=50.0,
+                              com_amplitude=(experiments.COM_REACH,
+                                             -experiments.COM_REACH, 0.0))
+    report, _ = run_scenario(scenario, ControlConfig(mode="Feedforward"))
+    for key in ("torque_rmse_overall", "com_max_error_mm", "torque_mse"):
+        assert np.all(np.isfinite(report[key]))
 
 
 def test_the_run_refuses_in_the_order_check_runnable_checks():

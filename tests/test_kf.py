@@ -93,19 +93,23 @@ def test_unbiased_on_quadratic_trajectory():
 
 
 def test_filter_trace_matches_stepwise_filter():
+    # the Joseph-form stepwise filter against the batched recursion's
+    # scalar-measurement covariance step, over the GA-bounds candidates
     dt = 1e-3
     lsb = encoder_lsb(12)
     r = np.random.default_rng(2)
     z = np.cumsum(r.normal(scale=1e-3, size=300)) + 0.3
-    (xs,), (vs,), (accs,) = filter_trace(z, dt, lsb, q_accel=[0.7],
-                                         q_jerk=[120.0])
-    st = make_kf(dt, lsb, q_accel=0.7, q_jerk=120.0, initial_pos=z[0])
-    for k in range(len(z)):
-        st = kf_predict(st)
-        st = kf_update(st, z[k])
-        assert abs(st.mean[0] - xs[k]) < 1e-12
-        assert abs(st.mean[1] - vs[k]) < 1e-10
-        assert abs(st.mean[2] - accs[k]) < 1e-9
+    q_accel, q_jerk = (np.concatenate([[q], qs]) for q, qs in
+                       zip((0.7, 120.0), ga_bounds_candidates()))
+    xs, vs, accs = filter_trace(z, dt, lsb, q_accel, q_jerk)
+    for b, (qa, qj) in enumerate(zip(q_accel, q_jerk)):
+        st = make_kf(dt, lsb, q_accel=qa, q_jerk=qj, initial_pos=z[0])
+        for k in range(len(z)):
+            st = kf_predict(st)
+            st = kf_update(st, z[k])
+            assert abs(st.mean[0] - xs[b, k]) < 1e-12
+            assert abs(st.mean[1] - vs[b, k]) < 1e-10
+            assert abs(st.mean[2] - accs[b, k]) < 1e-9
 
 
 def test_smoother_than_finite_difference_on_quantized_input():
@@ -175,7 +179,8 @@ def schedules(dt, lsb, n):
 def test_gain_blocks_match_the_per_member_schedule(monkeypatch, block):
     dt, lsb, n = 1e-3, encoder_lsb(12), 1000
     Q, r, refs = schedules(dt, lsb, n)
-    steps = sorted(len(ref) for ref in refs)
+    # the distinct freeze lengths: two members may freeze at one step
+    steps = sorted({len(ref) for ref in refs})
     assert steps[0] < steps[1] < steps[-1] == n
     # a member freezes at the step len(ref) - 1: first in a block, so
     # tested against the last gain of the block before, or last in one
@@ -225,6 +230,27 @@ def test_steady_state_gain_is_the_last_gain_of_the_schedule():
                             quantization_variance(lsb[b]), 20000)
         assert len(ref) < 20000
         assert np.array_equal(K[b], ref[-1])
+
+
+@pytest.mark.parametrize("q_accel, q_jerk", [(1e-3, 200.0), (1e4, 1e8)],
+                         ids=["default", "ga-corner"])
+def test_the_settle_verdict_does_not_depend_on_the_resolution(q_accel,
+                                                              q_jerk):
+    # at the default densities and at a corner of the GA's bounds the
+    # gain settles at every resolution from 1 to 64 bits, and a finer
+    # encoder settles no later, up to one step: from 24 bits on, the
+    # default gain's last relative change is 0.9-1.03e-14, within
+    # rounding of GAIN_TOL.  An absolute test |K_k - K_(k-1)|_1 < 1e-14
+    # on gains up to ~5e5 settled 24 bits and refused 30, 40 and 64
+    dt = 1e-3
+    lsb = np.array([encoder_lsb(bits) for bits in range(1, 65)])
+    assert steady_state_gain(dt, lsb, q_accel, q_jerk).shape == (64, 3)
+    Q = process_noise(dt, q_accel, q_jerk)
+    steps = [len(gain_schedule(dt, Q, quantization_variance(step), 20000))
+             for step in lsb]
+    assert max(steps) < 20000
+    for b in range(1, 64):
+        assert steps[b] <= min(steps[:b]) + 1, (b + 1, steps)
 
 
 def test_a_scalar_lsb_is_one_member():
