@@ -4,7 +4,7 @@ Subcommands:
 
     tune-kf   GA-tune encoder-filter covariances on a recorded trace
               with the one search `ga.GaConfig()` defines; densities
-              whose filter gain never settles are refused
+              whose steady-state filter gain cannot be solved are refused
     run       one closed-loop scenario in a chosen control mode
     sweep     a scenario across control modes
     report    assemble a Markdown comparison table from run records
@@ -285,8 +285,8 @@ def main(argv=None):
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("tune-kf", help="GA-tune encoder filter covariances; "
-                       "exits nonzero, writing no file, if the tuned filter "
-                       "gain never settles")
+                       "exits nonzero, writing no file, if the tuned "
+                       "filter's steady-state gain cannot be solved")
     t.add_argument("--trace", required=True, help="CSV with a 't' column and "
                    "one position column per channel")
     t.add_argument("--joint", required=True, help="trace column to tune on")

@@ -31,11 +31,10 @@ class OnlineKf:
     """Bank of steady-state-gain encoder filters for the per-step control path.
 
     One filter per entry of the array `lsb` (the channels' quantization
-    steps), starting at rest at zero.  The
-    covariance recursion runs to convergence once at start-up, in one
-    batch over the distinct `lsb` values; the loop then applies the
-    constant gains, which is what a fixed-cost real-time implementation
-    would do.
+    steps), starting at rest at zero.  The steady-state gains are solved
+    once at start-up, in one batch over the distinct `lsb` values
+    (`kf.steady_state_gain`); the loop then applies the constant gains,
+    which is what a fixed-cost real-time implementation would do.
     """
 
     def __init__(self, dt, lsb, q_accel, q_jerk):
@@ -69,13 +68,15 @@ class ScenarioRefused(ValueError):
 
 
 def check_duration(scenario):
-    """Reject a tick count that cannot be run: one whose run log, 8 (7 + 4n)
-    bytes a tick for n joints, is not finite or outgrows the machine's
-    physical memory, and one too short to leave samples after the
-    burn-in.  Returns the tick count."""
+    """Reject a tick count that cannot be run: one whose run log, the
+    bytes a tick of `RunLog.allocate` times the ticks, is not finite or
+    outgrows the machine's physical memory, and one too short to leave
+    samples after the burn-in.  Returns the tick count."""
     duration, step = scenario.duration, scenario.step
     ticks = duration / step
-    log_bytes = 8 * (7 + 4 * len(scenario.actuators)) * ticks
+    one_tick = RunLog.allocate(1, len(scenario.actuators))
+    log_bytes = ticks * sum(v.nbytes for v in vars(one_tick).values()
+                            if isinstance(v, np.ndarray))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not log_bytes <= memory:
         raise ValueError(
@@ -133,25 +134,18 @@ def balancer_ticks(scenario):
 def encoder_bank(scenario):
     """One filter bank with the `DEFAULT_KF_GAINS` densities over the 2n
     encoders of the scenario's plant, at rest at zero, where every run
-    starts: joint positions (channels 0..n-1), then motor positions.
-    Encoder resolutions in the scenario's `noise` whose gains never
-    settle at its step are refused, naming the keys."""
-    bits = {key: scenario.noise[key]
-            for key in ("joint_encoder_bits", "motor_encoder_bits")}
-    lsb = np.repeat([encoder_lsb(b) for b in bits.values()],
-                    len(scenario.actuators))
-    try:
-        return OnlineKf(scenario.step, lsb, **DEFAULT_KF_GAINS)
-    except ValueError as exc:
-        given = ", ".join(f"{key} {b}" for key, b in bits.items())
-        raise ScenarioRefused(f"ScenarioConfig.noise ({given}) at the "
-                              f"{scenario.step:g} s step: {exc}") from None
+    starts: joint positions (channels 0..n-1), then motor positions."""
+    bits = [scenario.noise[key]
+            for key in ("joint_encoder_bits", "motor_encoder_bits")]
+    lsb = np.repeat([encoder_lsb(b) for b in bits], len(scenario.actuators))
+    return OnlineKf(scenario.step, lsb, **DEFAULT_KF_GAINS)
 
 
 def check_runnable(scenario):
     """Raise what `run_scenario` would raise before its first step: the
     ValueError of `check_duration` for a tick count that cannot be run,
-    and the `ScenarioRefused` of `balancer_ticks` and `encoder_bank`.
+    the `ScenarioRefused` of `balancer_ticks` and whatever `encoder_bank`
+    raises.
     Builds no plant, so a caller can check a scenario before it trains
     nets."""
     check_duration(scenario)
@@ -299,8 +293,7 @@ class Controller:
     plant step) from the CoM reference and its two derivatives and the
     plant's true base pose and twist and joint positions, given by name.
     It raises `ScenarioRefused` for a plant step that does not divide the
-    balancer period into whole ticks or at which the encoder filters
-    never settle (`balancer_ticks`, `encoder_bank`)."""
+    balancer period into whole ticks (`balancer_ticks`)."""
 
     def __init__(self, scenario, mode, nets=None):
         model = desk_biped(scenario.gravity)

@@ -10,33 +10,30 @@ channel reduces to a 2-gene search.
 Batch axis.  `filter_trace` runs a batch of filters over the same
 samples, one per entry of its (B,) densities, and returns (B, n)
 estimates; the gain recursion gives (3, B) gains per step.
-`process_noise` and `steady_state_gain` also take scalar densities,
-for the one setting of an encoder bank.
+`process_noise` also takes scalar densities, and `steady_state_gain`
+takes the one setting of an encoder bank, batched over its steps.
 
-Convergence rule.  The covariance recursion does not depend on the data
-(only on dt, Q and r; Anderson & Moore, "Optimal Filtering", 1979,
-ch. 3), so it runs once for the whole batch, ahead of the mean
-recursion, `GAIN_BLOCK` steps at a time with no test between steps.
-Its measurement step is the scalar one, P <- P - p p^T / s with
-p = P e0 and s = p0 + r (Bierman, "Factorization Methods for Discrete
-Sequential Estimation", 1977), which for H = e0 and the optimal gain
-equals the Joseph form in exact arithmetic.  After each block, every
-member freezes its gain at the first step k where each component
-moved by at most `GAIN_TOL` (1e-14) of its own size,
-|K_k,i - K_(k-1),i| <= GAIN_TOL |K_k,i|, comparing across block edges
-too; K_k serves every later sample.  The test is relative, so whether a
-gain settles does not hang on the float recursion hitting a fixed
-point.  No block follows the one in which the last member freezes, and
-at most one block of gains is held at a time.
+Gains.  The covariance recursion does not depend on the data (only on
+dt, Q and r; Anderson & Moore, "Optimal Filtering", 1979, ch. 3).
+`filter_trace` runs it beside the means from diag(r, 1, 10): predict
+P <- F P F^T + Q, then the scalar measurement step P <- P - p p^T / s
+with p = P e0 and s = p0 + r (Bierman, "Factorization Methods for
+Discrete Sequential Estimation", 1977), which for H = e0 and the
+optimal gain equals the Joseph form in exact arithmetic.  Its predicted
+P tends, from any start, to the stabilising solution X of the Riccati
+equation X = F (X - X e0 e0^T X / (X00 + r)) F^T + Q, which exists for
+every positive jerk density, as Q is then positive definite (ibid.,
+ch. 4).  `steady_state_gain` solves for X by structured doubling (Chu,
+Fan, Lin & Wang, "Structure-preserving algorithms for periodic
+discrete-time algebraic Riccati equations", Int. J. Control, 2004) and
+gives the constant gain K = X e0 / (X00 + r).
 """
 
-import itertools
 import json
 
 import numpy as np
 
-GAIN_BLOCK = 64  # gains per pass of the recursion between convergence tests
-GAIN_TOL = 1e-14  # per-component relative gain change that freezes a member
+MAX_DOUBLINGS = 64  # doubling steps before a steady state is refused
 
 
 def encoder_lsb(bits):
@@ -78,88 +75,46 @@ def process_noise(dt, q_accel, q_jerk):
     return Qa + Qj
 
 
-def _gain_blocks(dt, Q, r, n_steps):
-    """Yield ((L, 3, B) block, (B,) frozen mask) for successive samples.
-
-    `Q` is (B, 3, 3) or (3, 3) shared, `r` is (B,).  The covariance
-    starts at diag(r, 1, 10).  Row k of a block holds the (3, B) gains of
-    one sample, and a member that has frozen (module docstring) holds its
-    gain in every later row.  The blocks cover at most `n_steps` samples
-    and end with the block in which the last member freezes; its last row
-    then holds for every later sample.  The mask, updated in place, marks
-    the members frozen so far.
-    """
-    F = transition_matrix(dt)
-    r = np.asarray(r, dtype=float)
-    B = len(r)
-    P = np.zeros((B, 3, 3))
-    P[:, 0, 0] = r
-    P[:, 1, 1] = 1.0
-    P[:, 2, 2] = 10.0
-    tmp, pp, s = np.empty_like(P), np.empty_like(P), np.empty(B)
-    # the views the steps read and write, made once: p = P e0 as the
-    # (3, B) gain numerator, a column and a row, and s = p0 + r
-    p, p_col, p_row = P[:, :, 0].T, P[:, :, :1], P[:, None, :, 0]
-    P00, s_col = P[:, 0, 0], s[:, None, None]
-    # the previous block's last gains; NaN compares false, so the first
-    # sample is tested against nothing
-    prev = np.full((3, B), np.nan)
-    frozen = np.zeros(B, dtype=bool)
-    for start in range(0, n_steps, GAIN_BLOCK):
-        L = min(GAIN_BLOCK, n_steps - start)
-        G = np.empty((L + 1, 3, B))
-        G[0] = prev
-        for K in G[1:]:
-            np.matmul(np.matmul(F, P, out=tmp), F.T, out=P)
-            P += Q
-            np.add(P00, r, out=s)
-            np.divide(p, s, out=K)
-            # scalar-measurement step P - p p^T / s: exactly symmetric,
-            # and positive semi-definite since s > p0
-            np.multiply(p_col, p_row, out=pp)
-            pp /= s_col
-            P -= pp
-        # row k of G reads row min(k, last[b]) for member b: last is the
-        # first row whose every component is within GAIN_TOL of the row
-        # before, relative to its own size, for a member that freezes
-        # here, and 0 (its held gain) for one frozen before
-        hit = (np.abs(np.diff(G, axis=0))
-               <= GAIN_TOL * np.abs(G[1:])).all(axis=1)
-        hit[:, frozen] = False
-        new = hit.any(axis=0)
-        last = np.where(new, hit.argmax(axis=0) + 1, L)
-        last[frozen] = 0
-        rows = np.minimum(np.arange(1, L + 1)[:, None], last)
-        G = np.take_along_axis(G, rows[:, None, :], axis=0)
-        frozen |= new
-        yield G, frozen
-        if frozen.all():
-            return
-        prev = G[-1]
-
-
 def steady_state_gain(dt, lsb, q_accel, q_jerk):
-    """(B, 3) converged gains for (B,) quantization steps `lsb`.
+    """(B, 3) steady-state gains (module docstring) for (B,) quantization
+    steps `lsb` and scalar densities; a scalar `lsb` gives (1, 3).
 
-    A scalar `lsb` is one member and gives (1, 3).  Runs the gain
-    recursion without data until every member has frozen and returns
-    the last gains.  A member that has not frozen within 20000 steps is
-    rejected with a ValueError naming its densities and quantization
-    step.
+    Doubling starts from A = F^T, G = e0 e0^T / r and H = Q; with
+    W = I + G H, each step sets A <- A W^-1 A, G <- G + A W^-1 G A^T and
+    H <- H + A^T H W^-1 A, and H tends to X.  A, a power of the closed
+    loop, underflows to zero, so a member that has converged stays fixed,
+    bit for bit, while the others finish; the steps stop once H does.  A
+    `q_jerk` that is not positive is refused, and so is a member still
+    moving after `MAX_DOUBLINGS` steps, each with a one-line ValueError.
     """
+    if not q_jerk > 0.0:
+        raise ValueError(f"the encoder-filter gain needs a positive q_jerk, "
+                         f"got q_jerk={q_jerk:g}")
     lsb = np.atleast_1d(np.asarray(lsb, dtype=float))
     r = quantization_variance(lsb)
-    for G, frozen in _gain_blocks(dt, process_noise(dt, q_accel, q_jerk), r,
-                                  20000):
-        pass
-    if not frozen.all():
-        b = int(np.argmin(frozen))
-        qa, qj, step = (np.broadcast_to(v, frozen.shape)[b]
-                        for v in (q_accel, q_jerk, lsb))
+    B = len(lsb)
+    A = np.broadcast_to(transition_matrix(dt).T, (B, 3, 3))
+    G = np.zeros((B, 3, 3))
+    G[:, 0, 0] = 1.0 / r
+    H = np.broadcast_to(process_noise(dt, q_accel, q_jerk), (B, 3, 3))
+    for _ in range(MAX_DOUBLINGS):
+        # W^-1 A and W^-1 G from one solve
+        WA, WG = np.split(np.linalg.solve(np.eye(3) + G @ H,
+                                          np.concatenate([A, G], axis=2)),
+                          2, axis=2)
+        At = A.transpose(0, 2, 1)
+        A, G, H_next = A @ WA, G + A @ WG @ At, H + At @ H @ WA
+        moving = (H_next != H).any(axis=(1, 2))
+        H = H_next
+        if not moving.any():
+            break
+    else:
+        b = int(np.argmax(moving))
         raise ValueError(
-            f"the encoder-filter gain for q_accel={qa:g}, q_jerk={qj:g} at "
-            f"lsb {step:g} rad does not settle within 20000 steps")
-    return G[-1].T
+            f"the encoder-filter gain for q_accel={q_accel:g}, "
+            f"q_jerk={q_jerk:g} at lsb {lsb[b]:g} rad and a {dt:g} s step "
+            f"does not converge within {MAX_DOUBLINGS} doublings")
+    return H[:, :, 0] / (H[:, 0, 0] + r)[:, None]
 
 
 def mean_step(mean, z, K, F, out=None):
@@ -183,8 +138,9 @@ def filter_trace(positions, dt, lsb, q_accel, q_jerk):
 
     Returns (position, velocity, acceleration) estimates as (B, n)
     arrays, one row per entry of the (B,) densities.  Every filter
-    starts at rest at the first sample with covariance diag(r, 1, 10)
-    and alternates predict and position update steps.
+    starts at rest at the first sample and alternates predict and
+    position update steps on the gains of the recursion (module
+    docstring).
     """
     z = np.asarray(positions, dtype=float)
     n = len(z)
@@ -192,17 +148,29 @@ def filter_trace(positions, dt, lsb, q_accel, q_jerk):
         raise ValueError("trace must contain at least two samples")
     Q = process_noise(dt, q_accel, q_jerk).reshape(-1, 3, 3)
     B = len(Q)
-    r = np.full(B, quantization_variance(lsb))
-    gains = itertools.chain.from_iterable(
-        G for G, _ in _gain_blocks(dt, Q, r, n))
+    r = quantization_variance(lsb)
     F = transition_matrix(dt)
+    P = np.tile(np.diag([r, 1.0, 10.0]), (B, 1, 1))
+    tmp, pp = np.empty_like(P), np.empty_like(P)
+    s, K = np.empty(B), np.empty((3, B))
+    # the views the steps read and write, made once: p = P e0 as the
+    # (3, B) gain numerator, a column and a row, and s = p0 + r
+    p, p_col, p_row = P[:, :, 0].T, P[:, :, :1], P[:, None, :, 0]
+    P00, s_col = P[:, 0, 0], s[:, None, None]
     # row k holds sample k's (3, B) means, each step's output in place
     est = np.empty((n, 3, B))
     mean = np.zeros((3, B))
     mean[0] = z[0]
-    K = None
     for zk, row in zip(z.tolist(), est):
-        K = next(gains, K)
+        np.matmul(np.matmul(F, P, out=tmp), F.T, out=P)
+        P += Q
+        np.add(P00, r, out=s)
+        np.divide(p, s, out=K)
+        # scalar-measurement step P - p p^T / s: exactly symmetric, and
+        # positive semi-definite since s > p0
+        np.multiply(p_col, p_row, out=pp)
+        pp /= s_col
+        P -= pp
         mean = mean_step(mean, zk, K, F, out=row)
     # contiguous rows, so that a row reduction sums in the same order as
     # on one member's trace

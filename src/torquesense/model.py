@@ -26,16 +26,15 @@ class FrameError(ValueError):
 
 
 class Link:
-    __slots__ = ("name", "joint_name", "parent", "origin", "axis", "mass",
-                 "com", "inertia", "index", "dof")
+    __slots__ = ("name", "parent", "origin", "axis", "mass", "com",
+                 "inertia", "index", "dof")
 
-    def __init__(self, index, parent, name, joint_name, origin, axis, mass,
-                 com, inertia):
+    def __init__(self, index, parent, name, origin, axis, mass, com,
+                 inertia):
         self.index = index
         self.dof = index - 1
         self.parent = parent
         self.name = name
-        self.joint_name = joint_name
         self.origin = origin
         self.axis = axis
         self.mass = mass
@@ -142,7 +141,7 @@ class RobotModel:
                 self.joint_names.append(joint)
             self.link_index[name] = index
             self.links.append(Link(index, self.link_index.get(parent, -1),
-                                   name, joint, origin, axis, float(mass),
+                                   name, origin, axis, float(mass),
                                    np.asarray(com, dtype=float), inertia))
         self.gravity = np.asarray(gravity, dtype=float)
         self.ndof = len(self.links) - 1

@@ -9,10 +9,11 @@ reproduce their means to rounding; `test_kf.py` checks that.
 `gain_schedule`, `filter_trace_one`, `ScalarOnlineKf` and
 `kf_fitness_one` are the one-filter-at-a-time versions the batched
 filter, the encoder bank and the population fitness replaced.  They do
-the same float64 operations in the same order, with the same relative
-freeze test, and make each product by the transition matrix as one
-(3, 3) by (3, 1) product, as `kf.mean_step` does per member, so the
-batched code must match them bit for bit.
+the same float64 operations in the same order, and make each product
+by the transition matrix as one (3, 3) by (3, 1) product, as
+`kf.mean_step` does per member, so the batched code must match them bit
+for bit.  `ScalarOnlineKf` takes its gain from a one-member
+`kf.steady_state_gain`.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from torquesense.ga import FITNESS_WEIGHTS
-from torquesense.kf import process_noise, quantization_variance, transition_matrix
+from torquesense.kf import (process_noise, quantization_variance,
+                            steady_state_gain, transition_matrix)
 
 
 @dataclass
@@ -80,25 +82,17 @@ def backward_difference(positions, dt):
     return v
 
 
-def gain_schedule(dt, Q, r, n_steps, tol=1e-14):
-    """Kalman gain sequence of one filter; stops early once the gain
-    converges (every component within tol of the gain before, relative
-    to its own size), the last gain then holding."""
+def gain_schedule(dt, Q, r, n_steps):
+    """The first `n_steps` Kalman gains of one filter."""
     F = transition_matrix(dt)
     P = np.diag([r, 1.0, 10.0])
     gains = []
-    prev = None
     for _ in range(n_steps):
         P = F @ P @ F.T + Q
         p = P[:, 0].copy()
         s = P[0, 0] + r
-        K = p / s
+        gains.append(p / s)
         P = P - np.outer(p, p) / s
-        gains.append(K)
-        if prev is not None and all(abs(K[i] - prev[i]) <= tol * abs(K[i])
-                                    for i in range(3)):
-            break
-        prev = K
     return gains
 
 
@@ -116,14 +110,12 @@ def filter_trace_one(positions, dt, lsb, q_accel, q_jerk):
     n = len(z)
     gains = gain_schedule(dt, process_noise(dt, q_accel, q_jerk),
                           quantization_variance(lsb), n)
-    n_g = len(gains)
     F = transition_matrix(dt)
     m = np.array([[z[0]], [0.0], [0.0]])
     xs, vs, accs = np.empty(n), np.empty(n), np.empty(n)
     zl = z.tolist()
     for k in range(n):
-        K = gains[k] if k < n_g else gains[-1]
-        m = mean_step_one(m, zl[k], K, F)
+        m = mean_step_one(m, zl[k], gains[k], F)
         xs[k], vs[k], accs[k] = m[:, 0]
     return xs, vs, accs
 
@@ -132,8 +124,7 @@ class ScalarOnlineKf:
     """One steady-state-gain encoder filter with a (3, 1) mean."""
 
     def __init__(self, dt, lsb, q_accel, q_jerk, x0=0.0):
-        self.K = gain_schedule(dt, process_noise(dt, q_accel, q_jerk),
-                               quantization_variance(lsb), 20000)[-1]
+        self.K = steady_state_gain(dt, lsb, q_accel, q_jerk)[0]
         self.F = transition_matrix(dt)
         self.m = np.array([[float(x0)], [0.0], [0.0]])
 

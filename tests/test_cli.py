@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from torquesense import cli, experiments, pinn
+from torquesense import cli, experiments, kf, pinn
 from torquesense.control import ControlConfig
 from torquesense.friction import ScvParams
 from torquesense.ga import GaConfig
@@ -282,11 +282,6 @@ def test_report_orders_rows_by_mode_then_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("scenario, message", [
-    ({"step": 1e-4, "noise": {"joint_encoder_bits": 1}},
-     "ScenarioConfig.noise (joint_encoder_bits 1, motor_encoder_bits 16) "
-     "at the 0.0001 s step: the encoder-filter gain "
-     "for q_accel=0.001, q_jerk=200 at lsb 3.14159 rad does not settle "
-     "within 20000 steps"),
     ({"step": 0.003},
      "ScenarioConfig.step (0.003 s) must divide the 0.01 s balancer period "
      "into whole steps"),
@@ -296,12 +291,11 @@ def test_report_orders_rows_by_mode_then_seed(tmp_path, capsys):
     ({"com_amplitude": [1e300, 0.0, 0.0]},
      "ScenarioConfig.com_amplitude (1e+300, 0, 0 m) exceeds 1 m, beyond the "
      "desk biped's reach"),
-], ids=["encoder", "balancer", "com-frequency", "com-amplitude"])
+], ids=["balancer", "com-frequency", "com-amplitude"])
 def test_a_scenario_the_run_refuses_exits_with_one_line(
         tmp_path, monkeypatch, command, scenario, message):
-    # a 1-bit joint encoder at a 0.1 ms step, whose filter gain never
-    # settles, or a step off the balancer's grid: both used to end in a
-    # traceback, and a mode with friction nets used to train them first.
+    # a step off the balancer's grid used to end in a traceback, and a
+    # mode with friction nets used to train them first.
     # A CoM reference the balancer cannot sample used to overflow in the
     # loop and report a fall, and one of 1e300 m to overflow in the
     # metrics.  The run refuses each before it trains nets
@@ -333,9 +327,14 @@ def test_a_tick_count_that_cannot_be_run_exits_with_one_line(
     # an infinite tick count used to end in an OverflowError traceback,
     # 1e303 ticks in numpy's "Maximum allowed dimension exceeded" and
     # 1e12 ticks in a failed 7.28 TiB allocation of the run log; the run
-    # refuses them from arithmetic, and never allocates the log here
-    def allocated(*args):
-        raise AssertionError("the run log was allocated")
+    # refuses them from arithmetic on the one-tick log it sizes them by,
+    # and never allocates the run's log here
+    allocate = experiments.RunLog.allocate
+
+    def allocated(steps, n):
+        if steps != 1:
+            raise AssertionError("the run log was allocated")
+        return allocate(steps, n)
 
     monkeypatch.setattr(experiments.RunLog, "allocate", allocated)
     path = tmp_path / "scenario.json"
@@ -392,18 +391,21 @@ def test_rejected_tuning_input_exits_with_one_line(tmp_path, t, extra,
 
 def test_tuned_gains_that_never_settle_exit_with_one_line(tmp_path,
                                                           monkeypatch):
-    # the GA's bounds hold densities whose filter gain never settles;
-    # `run` would refuse such gains, so tune-kf writes none
+    # the trace's step is the user's; a steady state that the doubling
+    # does not reach (here within one step) leaves no gains to write
     path = tmp_path / "trace.csv"
     x = np.round(np.sin(np.arange(200) * 0.01), 3)
     write_trace(path, np.arange(200) * 1e-3, x, x)
     monkeypatch.setattr(cli, "tune_kf", lambda *args, **kw: (
         {"q_accel": 275.0, "q_jerk": 0.0284}, []))
+    monkeypatch.setattr(kf, "MAX_DOUBLINGS", 1)
     with pytest.raises(SystemExit) as exc:
         cli.main(["tune-kf", "--trace", str(path), "--joint", "q0",
                   "--out", str(tmp_path / "out")])
     text = str(exc.value.code)
-    assert "q_accel=275, q_jerk=0.0284" in text and "does not settle" in text
+    assert text.startswith("tune-kf found no usable gains: the encoder-filter "
+                           "gain for q_accel=275, q_jerk=0.0284 at lsb ")
+    assert text.endswith("does not converge within 1 doublings")
     assert "\n" not in text
     # the output directory is made before the GA runs, and left empty
     assert list((tmp_path / "out").iterdir()) == []
@@ -423,7 +425,7 @@ def test_tune_kf_writes_settled_gains_and_one_row_per_generation(tmp_path):
     assert doc.keys() == {"schema_version", "gains"}
     assert doc["schema_version"] == 1
     assert doc["gains"].keys() == {"q_accel", "q_jerk"}
-    steady_state_gain(1e-3, lsb, **doc["gains"])  # raises if unsettled
+    steady_state_gain(1e-3, lsb, **doc["gains"])  # raises if unsolvable
     with open(out / "kf_history_q0.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["generation", "best_fitness", "mean_fitness",

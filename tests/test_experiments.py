@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from friction_scaling import scalability_sweep, scaled, scaled_scenario
-from reference_kf import ScalarOnlineKf
+from reference_kf import ScalarOnlineKf, gain_schedule
 from torquesense import experiments, pinn
 from torquesense.control import CURRENT_LIMIT, MODES, ControlConfig
 from torquesense.experiments import (
@@ -32,7 +32,8 @@ from torquesense.experiments import (
     RunLog,
     ScenarioRefused,
 )
-from torquesense.kf import encoder_lsb, filter_trace
+from torquesense.kf import (encoder_lsb, filter_trace, process_noise,
+                            quantization_variance)
 from torquesense.friction import ScvParams
 from torquesense.model import desk_biped
 from torquesense.plant import (Disturbance, Plant, ScenarioConfig,
@@ -113,19 +114,24 @@ def test_online_kf_tracks_constant_acceleration():
 
 @pytest.mark.parametrize("bits", [12, 16])
 def test_online_kf_tracks_filter_trace_after_convergence(bits):
-    # once the batch filter's gain schedule has converged it applies the
-    # steady-state gain, which the online filter uses from the start
+    # by sample 1000 the batch filter's time-varying gain has reached the
+    # steady-state gain the online filter uses from the start, so from
+    # the same mean the two filters then agree
     dt, lsb = 1e-3, encoder_lsb(bits)
+    start = 1000
+    K = OnlineKf(dt, [lsb], **DEFAULT_KF_GAINS).K[:, 0]
+    trace_gain = gain_schedule(dt, process_noise(dt, **DEFAULT_KF_GAINS),
+                               quantization_variance(lsb), start)[-1]
+    assert np.all(np.abs(trace_gain - K) <= 1e-13 * np.abs(K))
     t = np.arange(3000) * dt
     z = np.round((0.4 * np.sin(2 * np.pi * 1.3 * t) + 0.5 * t * t) / lsb) * lsb
     one = {key: [q] for key, q in DEFAULT_KF_GAINS.items()}
-    xs, vs, accs = (est[0] for est in filter_trace(z, dt, lsb, **one))
-    start = 1000
+    est = np.array([e[0] for e in filter_trace(z, dt, lsb, **one)])
     kf = OnlineKf(dt, [lsb], **DEFAULT_KF_GAINS)
-    kf.mean[:, 0] = xs[start - 1], vs[start - 1], accs[start - 1]
-    for k in range(start, len(z)):
-        x, v, a = kf.update(z[k])
-        assert (x[0], v[0], a[0]) == (xs[k], vs[k], accs[k])
+    kf.mean[:, 0] = est[:, start - 1]
+    online = np.array([kf.update(zk)[:, 0].copy() for zk in z[start:]]).T
+    scale = np.abs(est[:, start:]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(online - est[:, start:]) <= 1e-9 * scale)
 
 
 def test_encoder_bank_matches_one_filter_per_channel():
@@ -171,24 +177,14 @@ def test_encoder_gains_computed_once_per_distinct_lsb(monkeypatch):
         assert np.array_equal(lsb, distinct)
 
 
-def test_gains_that_never_settle_are_rejected_before_the_run(monkeypatch):
-    # a 1-bit joint encoder at a 0.1 ms step: the filter gain at the
-    # default densities is still moving at step 20000 (2 bits settle
-    # near step 17350), and the message names the scenario keys that
-    # set the resolutions
-    def step(*args):
-        raise AssertionError("the run started")
-
-    monkeypatch.setattr(Plant, "step", step)
-    message = re.escape(
-        "ScenarioConfig.noise (joint_encoder_bits 1, motor_encoder_bits "
-        "16) at the 0.0001 s step: the encoder-filter gain "
-        "for q_accel=0.001, q_jerk=200 at lsb 3.14159 rad does not "
-        "settle within 20000 steps")
-    with pytest.raises(ScenarioRefused, match=message + "$"):
-        run_scenario(ScenarioConfig(**SHORT, step=1e-4,
-                                    noise={"joint_encoder_bits": 1}),
-                     ControlConfig(mode="Feedforward"))
+def test_a_one_bit_encoder_at_a_tenth_of_a_millisecond_is_runnable():
+    # its filter gain took over 20000 steps of the recursion to settle,
+    # and the scenario was refused; the solved steady state has it
+    scenario = ScenarioConfig(**SHORT, step=1e-4,
+                              noise={"joint_encoder_bits": 1})
+    experiments.check_runnable(scenario)
+    controller = Controller(scenario, "Feedforward")
+    assert np.all(np.isfinite(controller.encoders.K))
 
 
 def test_run_scenario_requires_nets_for_estimating_modes():
@@ -637,6 +633,25 @@ def test_balancer_runs_on_its_cadence_through_the_loop(monkeypatch, mode,
     assert balanced == ([] if every is None else ticks[::every])
 
 
+def test_the_run_log_bound_is_the_bytes_of_the_allocated_log(monkeypatch):
+    # a machine whose memory holds the run log exactly accepts the run,
+    # and one a byte smaller refuses it, naming the log's size
+    scenario = ScenarioConfig(duration=1.0, step=1e-3)
+    log = RunLog.allocate(1000, len(scenario.actuators))
+    size = sum(v.nbytes for v in vars(log).values()
+               if isinstance(v, np.ndarray))
+    for memory in (size, size - 1):
+        monkeypatch.setattr(experiments.os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}[name])
+        if memory == size:
+            assert experiments.check_duration(scenario) == 1000
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"is 1000 ticks, whose {size:.3g} B run log does not "
+                    f"fit the machine's {memory:.3g} B of memory")):
+                experiments.check_duration(scenario)
+
+
 @pytest.mark.parametrize("step", [3e-3, 4e-3], ids=["333Hz", "250Hz"])
 def test_a_balancer_period_off_the_step_grid_is_rejected(monkeypatch, step):
     # a 333 Hz or 250 Hz plant steps 3 or 4 ms, neither of which divides
@@ -653,11 +668,9 @@ def test_a_balancer_period_off_the_step_grid_is_rejected(monkeypatch, step):
 @pytest.mark.parametrize("kw, error, match", [
     ({"duration": 0.3}, ValueError, "leaves no samples after"),
     ({"step": 3e-3}, ScenarioRefused, "balancer period"),
-    ({"step": 1e-4, "noise": {"joint_encoder_bits": 1}}, ScenarioRefused,
-     "does not settle"),
     ({"com_amplitude": (1e300, 0.0, 0.0)}, ScenarioRefused,
      r"com_amplitude \(1e\+300, 0, 0 m\) exceeds 1 m"),
-], ids=["duration", "balancer", "encoder", "com-amplitude"])
+], ids=["duration", "balancer", "com-amplitude"])
 def test_a_scenario_is_checked_runnable_without_a_plant(monkeypatch, kw,
                                                         error, match):
     # the checks run_scenario makes before its first step, made on the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reference_kf import (KfState, backward_difference, filter_trace_one,
-                          gain_schedule, kf_predict, kf_update, make_kf)
+                          kf_predict, kf_update, make_kf)
 from torquesense import kf
 from torquesense.kf import (
     encoder_lsb,
@@ -148,11 +148,6 @@ def test_batched_filter_matches_the_per_candidate_filter():
     z = np.round((0.3 * np.sin(2 * np.pi * 1.3 * t)
                   + 0.2 * np.sin(2 * np.pi * 0.5 * t + 1.0)) / lsb) * lsb
     q_accel, q_jerk = ga_bounds_candidates()
-    r = quantization_variance(lsb)
-    steps = [len(gain_schedule(dt, process_noise(dt, qa, qj), r, len(z)))
-             for qa, qj in zip(q_accel, q_jerk)]
-    # members that freeze early, late and never within the trace
-    assert min(steps) < 100 and max(steps) == len(z)
     xs, vs, accs = filter_trace(z, dt, lsb, q_accel, q_jerk)
     assert xs.shape == vs.shape == accs.shape == (len(q_accel), len(z))
     for b, (qa, qj) in enumerate(zip(q_accel, q_jerk)):
@@ -166,91 +161,68 @@ def test_batched_filter_matches_the_per_candidate_filter():
     assert np.array_equal(v[0], vs[4])
 
 
-def schedules(dt, lsb, n):
-    """Process noises and per-member reference gain schedules of the
-    GA-bounds candidates over n samples."""
-    q_accel, q_jerk = ga_bounds_candidates()
-    Q = process_noise(dt, q_accel, q_jerk)
-    r = quantization_variance(lsb)
-    return Q, r, [gain_schedule(dt, Qb, r, n) for Qb in Q]
+def recursion_limit(dt, lsb, q_accel, q_jerk, n_steps=20000):
+    """(B, 3) gains of the plain covariance recursion (the steps of
+    `gain_schedule`) after `n_steps` samples, one member per entry of
+    the (B,) `lsb`."""
+    r = quantization_variance(np.asarray(lsb, dtype=float))[:, None, None]
+    F, Q = transition_matrix(dt), process_noise(dt, q_accel, q_jerk)
+    P = np.zeros((len(r), 3, 3))
+    P[:, 0, 0], P[:, 1, 1], P[:, 2, 2] = r[:, 0, 0], 1.0, 10.0
+    for _ in range(n_steps):
+        P = F @ P @ F.T + Q
+        p, s = P[:, :, :1], P[:, :1, :1] + r
+        P = P - p * p.transpose(0, 2, 1) / s
+    return (p / s)[:, :, 0]
 
 
-@pytest.mark.parametrize("block", ["freeze-first", "freeze-last", 7, 64])
-def test_gain_blocks_match_the_per_member_schedule(monkeypatch, block):
-    dt, lsb, n = 1e-3, encoder_lsb(12), 1000
-    Q, r, refs = schedules(dt, lsb, n)
-    # the distinct freeze lengths: two members may freeze at one step
-    steps = sorted({len(ref) for ref in refs})
-    assert steps[0] < steps[1] < steps[-1] == n
-    # a member freezes at the step len(ref) - 1: first in a block, so
-    # tested against the last gain of the block before, or last in one
-    size = {"freeze-first": steps[1] - 1,
-            "freeze-last": steps[1]}.get(block, block)
-    monkeypatch.setattr(kf, "GAIN_BLOCK", size)
-    gains = np.concatenate([G for G, _ in kf._gain_blocks(
-        dt, Q, np.full(len(Q), r), n)])
-    # some members never freeze within n, so the blocks cover every sample
-    assert gains.shape == (n, 3, len(Q))
-    for b, ref in enumerate(refs):
-        held = np.array(ref + ref[-1:] * (n - len(ref)))
-        assert np.array_equal(gains[:, :, b], held)
-    z = np.round(0.3 * np.sin(np.arange(n) * dt * 8.0) / lsb) * lsb
-    xs, vs, _ = filter_trace(z, dt, lsb, *ga_bounds_candidates())
-    for b, (qa, qj) in enumerate(zip(*ga_bounds_candidates())):
-        x, v, _ = filter_trace_one(z, dt, lsb, qa, qj)
-        assert np.array_equal(xs[b], x) and np.array_equal(vs[b], v)
-
-
-@pytest.mark.parametrize("size", [7, 64])
-def test_gain_recursion_stops_with_the_block_of_the_last_freeze(monkeypatch,
-                                                                 size):
-    dt, lsb, n = 1e-3, encoder_lsb(12), 20000
-    Q, r, refs = schedules(dt, lsb, n)
-    # the members that freeze within n, at steps far apart
-    keep = [b for b, ref in enumerate(refs) if len(ref) < n]
-    Q, refs = Q[keep], [refs[b] for b in keep]
-    last = max(len(ref) for ref in refs)
-    assert len(refs) > 3 and min(len(ref) for ref in refs) < last / 10
-    monkeypatch.setattr(kf, "GAIN_BLOCK", size)
-    blocks = [G for G, _ in kf._gain_blocks(dt, Q, np.full(len(Q), r), n)]
-    # every block but the last is full, and the last holds the final freeze
-    assert [len(G) for G in blocks] == [size] * len(blocks)
-    assert (len(blocks) - 1) * size < last <= len(blocks) * size
-    for b, ref in enumerate(refs):
-        assert np.array_equal(blocks[-1][-1][:, b], ref[-1])
-
-
-def test_steady_state_gain_is_the_last_gain_of_the_schedule():
+@pytest.mark.parametrize("q_accel, q_jerk, bits", [
+    (1e-3, 200.0, [12, 16]), (1e4, 1e8, [12]),
+    (1e-3, 200.0, range(1, 65))], ids=["default", "ga-corner", "1-64-bits"])
+def test_the_steady_state_gain_is_the_limit_of_the_recursion(q_accel, q_jerk,
+                                                             bits):
+    # the 12-bit default gain used to stop 1.23e-12 short of the limit,
+    # where a relative gain change of 1e-14 froze the recursion
     dt = 1e-3
-    lsb = np.array([encoder_lsb(12), encoder_lsb(16), encoder_lsb(20)])
-    K = steady_state_gain(dt, lsb, 1e-3, 200.0)
-    assert K.shape == (3, 3)
-    for b in range(3):
-        ref = gain_schedule(dt, process_noise(dt, 1e-3, 200.0),
-                            quantization_variance(lsb[b]), 20000)
-        assert len(ref) < 20000
-        assert np.array_equal(K[b], ref[-1])
+    lsb = [encoder_lsb(b) for b in bits]
+    K = steady_state_gain(dt, lsb, q_accel, q_jerk)
+    ref = recursion_limit(dt, lsb, q_accel, q_jerk)
+    assert K.shape == (len(lsb), 3)
+    assert np.all(np.abs(K - ref) <= 1e-13 * np.abs(ref))
 
 
-@pytest.mark.parametrize("q_accel, q_jerk", [(1e-3, 200.0), (1e4, 1e8)],
-                         ids=["default", "ga-corner"])
-def test_the_settle_verdict_does_not_depend_on_the_resolution(q_accel,
-                                                              q_jerk):
-    # at the default densities and at a corner of the GA's bounds the
-    # gain settles at every resolution from 1 to 64 bits, and a finer
-    # encoder settles no later, up to one step: from 24 bits on, the
-    # default gain's last relative change is 0.9-1.03e-14, within
-    # rounding of GAIN_TOL.  An absolute test |K_k - K_(k-1)|_1 < 1e-14
-    # on gains up to ~5e5 settled 24 bits and refused 30, 40 and 64
+def test_the_steady_state_gain_of_a_member_does_not_depend_on_the_batch():
     dt = 1e-3
     lsb = np.array([encoder_lsb(bits) for bits in range(1, 65)])
-    assert steady_state_gain(dt, lsb, q_accel, q_jerk).shape == (64, 3)
-    Q = process_noise(dt, q_accel, q_jerk)
-    steps = [len(gain_schedule(dt, Q, quantization_variance(step), 20000))
-             for step in lsb]
-    assert max(steps) < 20000
-    for b in range(1, 64):
-        assert steps[b] <= min(steps[:b]) + 1, (b + 1, steps)
+    # the candidates hold the default densities
+    for q_accel, q_jerk in zip(*ga_bounds_candidates()):
+        K = steady_state_gain(dt, lsb, q_accel, q_jerk)
+        for b, step in enumerate(lsb):
+            assert np.array_equal(
+                K[b], steady_state_gain(dt, step, q_accel, q_jerk)[0])
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4, 1e-6, 2.5e-9])
+def test_every_steady_state_gain_is_finite_and_stable(dt):
+    # under warnings-as-errors: nothing overflows or divides by zero on
+    # the way, at every resolution and over the GA's bounds
+    lsb = np.array([encoder_lsb(bits) for bits in range(1, 65)])
+    F = transition_matrix(dt)
+    for q_accel, q_jerk in zip(*ga_bounds_candidates()):
+        K = steady_state_gain(dt, lsb, q_accel, q_jerk)
+        assert np.all(np.isfinite(K))
+        loop = F @ (np.eye(3) - K[:, :, None] * [1.0, 0.0, 0.0])
+        assert np.max(np.abs(np.linalg.eigvals(loop))) < 1.0
+
+
+@pytest.mark.parametrize("q_jerk", [0.0, -1.0])
+def test_a_jerk_density_that_is_not_positive_is_refused(q_jerk):
+    # with no jerk noise the acceleration is a constant the noise never
+    # reaches, and no filter gain is stabilising
+    with pytest.raises(ValueError) as exc:
+        steady_state_gain(1e-3, encoder_lsb(12), 1e-3, q_jerk)
+    assert str(exc.value) == ("the encoder-filter gain needs a positive "
+                              f"q_jerk, got q_jerk={q_jerk:g}")
 
 
 def test_a_scalar_lsb_is_one_member():
@@ -259,16 +231,21 @@ def test_a_scalar_lsb_is_one_member():
     K = steady_state_gain(dt, lsb, 1e-3, 200.0)
     assert K.shape == (1, 3)
     assert np.array_equal(K, steady_state_gain(dt, [lsb], 1e-3, 200.0))
-    with pytest.raises(ValueError, match=r"q_accel=275, q_jerk=0\.0284 at "
-                       r"lsb 0\.00153398 rad does not settle"):
-        steady_state_gain(dt, lsb, 275.0, 0.0284)
 
 
-def test_a_steady_state_gain_that_never_settles_is_rejected():
-    # still moving ~2e-4 per step at step 20000
-    with pytest.raises(ValueError, match=r"q_accel=275, q_jerk=0\.0284 at "
-                       r"lsb 0\.00153398 rad does not settle"):
-        steady_state_gain(1e-3, [encoder_lsb(12)], 275.0, 0.0284)
+def test_a_steady_state_gain_that_never_settles_is_rejected(monkeypatch):
+    # every member converges within MAX_DOUBLINGS.  At 1 ms the 16-bit
+    # gain takes 9 doublings and the 1-bit one 14, so a bound of 9
+    # leaves the 1-bit member moving, and the message names it
+    monkeypatch.setattr(kf, "MAX_DOUBLINGS", 9)
+    steady_state_gain(1e-3, encoder_lsb(16), 1e-3, 200.0)
+    with pytest.raises(ValueError) as exc:
+        steady_state_gain(1e-3, [encoder_lsb(16), encoder_lsb(1)], 1e-3,
+                          200.0)
+    assert str(exc.value) == (
+        "the encoder-filter gain for q_accel=0.001, q_jerk=200 at lsb "
+        "3.14159 rad and a 0.001 s step does not converge within 9 "
+        "doublings")
 
 
 def test_validation_and_error_paths(tmp_path):

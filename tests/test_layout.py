@@ -24,7 +24,9 @@ is built: the plant's construction neither raises nor calls a plant
 module function that does, and no statement builds a plant only to see
 whether it raises.  Every function and method, private and nested
 ones included, reads every parameter it takes, so no argument is
-accepted only to be dropped.
+accepted only to be dropped, and every attribute a class stores on
+`self` or lists in `__slots__` is read somewhere under `src/`,
+`perfbench/` or `tests/`.
 A library setting is settable only where something sets it: a call
 under `src/` or `perfbench/` passes every parameter of a public library
 function or method, so a value no caller passes is a module constant.
@@ -328,6 +330,37 @@ def test_every_function_reads_every_parameter():
                 unread.append(f"{path.stem}.{name}: {', '.join(args)}")
     assert checked > 140
     assert unread == []
+
+
+def stored_attributes(tree):
+    """(class, attribute) of every attribute a class of the tree lists
+    in its `__slots__` or assigns to `self` in its methods."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__"
+                    for t in node.targets):
+                yield from ((cls.name, elt.value) for elt in node.value.elts)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and getattr(node.value, "id", None) == "self":
+                yield cls.name, node.attr
+
+
+def test_every_stored_attribute_is_read():
+    # a read is any attribute lookup of that name, on any object
+    trees = parse(path for folder in ("src", "perfbench", "tests")
+                  for path in sorted((ROOT / folder).rglob("*.py")))
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    stored = {f"{cls}.{attr}" for path, tree in trees.items()
+              if path.parent == SRC for cls, attr in stored_attributes(tree)}
+    assert len(stored) > 100
+    assert sorted(name for name in stored
+                  if name.split(".")[1] not in read) == []
 
 
 def call_names(call):
